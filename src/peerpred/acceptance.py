@@ -213,8 +213,9 @@ def _enumerated_average_welfare(config, latent, profile) -> float:
 
     Enumerates every signal vector under the latent joint, every report
     vector's probability, each agent's in-group peer assignment, and the
-    ordered (j, k) classification pairs, calling the realized payment rule on
-    each concrete round.  Independent of the closed-form welfare path.
+    ordered (j, k) classification pairs, scoring every concrete round of one
+    report vector in one batched call of the realized payment rule.
+    Independent of the closed-form welfare path.
     """
     n, m = profile.n, profile.m
     group_a, group_b = config.groups(n)
@@ -227,6 +228,12 @@ def _enumerated_average_welfare(config, latent, profile) -> float:
         for i in range(n)
     ]
     num_pairs = len(pair_options[0])
+    peer_cfgs = np.array(list(itertools.product(*peer_choices)))
+    pair_cfgs = np.array([[pair_options[i][t] for i in range(n)] for t in range(num_pairs)])
+    # every (peer assignment, pair assignment) combination is one round
+    matching = Matching(
+        np.repeat(peer_cfgs, num_pairs, axis=0), np.tile(pair_cfgs, (len(peer_cfgs), 1, 1))
+    )
 
     states = range(latent.num_states)
     total = 0.0
@@ -246,17 +253,8 @@ def _enumerated_average_welfare(config, latent, profile) -> float:
                 Report(reports_vec[i], profile.predictions[i, signals[i], reports_vec[i]])
                 for i in range(n)
             ]
-            weight = p_signals * p_reports / n
-            acc = 0.0
-            for peer_cfg in itertools.product(*peer_choices):
-                for t in range(num_pairs):
-                    pairs = np.array([pair_options[i][t] for i in range(n)])
-                    pays = realized_payments(
-                        config, reports, Matching(np.array(peer_cfg), pairs)
-                    )
-                    acc += pays.sum()
-            denom = num_pairs * np.prod([len(c) for c in peer_choices])
-            total += weight * acc / denom
+            pays = realized_payments(config, reports, matching)
+            total += p_signals * p_reports / n * pays.sum() / len(pays)
     return total
 
 
@@ -612,10 +610,5 @@ CRITERIA = [
 ]
 
 
-def run_all(jobs: int = 1) -> list[CriterionResult]:
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda f: f(), CRITERIA))
+def run_all() -> list[CriterionResult]:
     return [criterion() for criterion in CRITERIA]

@@ -33,7 +33,6 @@ from .strategy import (
     best_prediction_profile,
     candidate_profiles,
     permute_profile,
-    symmetric_profile,
     tau_closeness,
     truth_telling_profile,
     validate_signal_strategy,

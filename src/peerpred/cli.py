@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io as _io
 import json
 import sys
@@ -110,31 +111,20 @@ def _load_pairwise(path):
 
 
 def _mechanism(args) -> MechanismConfig:
-    if getattr(args, "mech", None):
-        config = load_mechanism(args.mech)
-        overrides = {}
-        if args.alpha is not None:
-            overrides["alpha"] = args.alpha
-        if args.beta is not None:
-            overrides["beta"] = args.beta
-        if args.rule is not None:
-            overrides["rule"] = args.rule
-        if overrides:
-            data = config.to_dict()
-            data.update(overrides)
-            config = MechanismConfig(
-                alpha=data["alpha"],
-                beta=data["beta"],
-                rule=data["rule"],
-                variant=data["variant"],
-                group_a=tuple(data["groupA"]) if "groupA" in data else None,
-            )
-        return config
-    return MechanismConfig(
-        alpha=args.alpha if args.alpha is not None else 1.0,
-        beta=args.beta if args.beta is not None else 0.05,
-        rule=args.rule if args.rule is not None else "log",
-    )
+    config = load_mechanism(args.mech) if args.mech else MechanismConfig()
+    overrides = {
+        key: getattr(args, key)
+        for key in ("alpha", "beta", "rule")
+        if getattr(args, key) is not None
+    }
+    return dataclasses.replace(config, **overrides)
+
+
+def _parse_indices(text: str, what: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise CliError(f"{what} must be comma-separated signal indices, got {text!r}") from None
 
 
 def _resolve_profile(spec: str, prior, n: int):
@@ -146,10 +136,18 @@ def _resolve_profile(spec: str, prior, n: int):
         return counterexample_profile(prior, prior.m)
     if spec.startswith("constant:"):
         label = spec.split(":", 1)[1]
-        target = prior.space.index(label) if label in prior.space.labels else int(label)
+        if label in prior.space.labels:
+            target = prior.space.index(label)
+        elif label.isdecimal() and int(label) < prior.m:
+            target = int(label)
+        else:
+            raise CliError(
+                f"constant profile needs a signal label {prior.space.labels} "
+                f"or an index below {prior.m}, got {label!r}"
+            )
         return constant_report_profile(prior, n, target)
     if spec.startswith("permutation:"):
-        imgs = tuple(int(x) for x in spec.split(":", 1)[1].split(","))
+        imgs = _parse_indices(spec.split(":", 1)[1], "permutation images")
         return permutation_profile(prior, n, PermutationMap(imgs))
     return load_profile(spec)
 
@@ -223,10 +221,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", required=True, help="comma-separated agent counts")
     p.add_argument("--samples", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1, help="evaluate agent counts concurrently")
 
-    p = sub.add_parser("suite", help="run the acceptance battery")
-    p.add_argument("--jobs", type=int, default=1)
+    sub.add_parser("suite", help="run the acceptance battery")
     return parser
 
 
@@ -389,7 +385,7 @@ def _audit_row(result) -> dict:
 def _cmd_impossibility(args) -> int:
     prior = _load_pairwise(args.prior)
     profile = _resolve_profile(args.profile, prior, args.n)
-    perm = PermutationMap(tuple(int(x) for x in args.perm.split(",")))
+    perm = PermutationMap(_parse_indices(args.perm, "--perm"))
     results = relabeling_cycle_audit(prior, profile, perm)
     _emit([_audit_row(r) for r in results], args)
     return 0
@@ -402,8 +398,7 @@ def _cmd_sweep_n(args) -> int:
     ns = [int(x) for x in args.n.split(",")]
 
     def unit(n: int) -> dict:
-        # per-n generator seeded independently, so rows are identical no
-        # matter how the units are scheduled
+        # per-n generator, so a row does not depend on the other agent counts
         rng = np.random.default_rng([args.seed, n])
         truth_score = welfare_metrics(
             prior, truth_telling_profile(prior, n)
@@ -422,19 +417,12 @@ def _cmd_sweep_n(args) -> int:
             "within_bound": bool(max_gap <= gamma2),
         }
 
-    if args.jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(unit, ns))
-    else:
-        rows = [unit(n) for n in ns]
-    _emit(rows, args)
+    _emit([unit(n) for n in ns], args)
     return 0
 
 
 def _cmd_suite(args) -> int:
-    results = acceptance.run_all(jobs=args.jobs)
+    results = acceptance.run_all()
     for result in results:
         print(result.line())
     failed = [r for r in results if not r.passed]

@@ -30,7 +30,6 @@ __all__ = [
     "get_generator",
     "f_divergence",
     "hellinger",
-    "hellinger_pairwise",
     "monotonicity_strict_predicate",
     "convex_gap_lower_bound",
     "DivergenceDomainError",
@@ -97,13 +96,6 @@ def hellinger(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     d = np.sqrt(p) - np.sqrt(q)
-    return np.sum(d * d, axis=-1)
-
-
-def hellinger_pairwise(points: np.ndarray) -> np.ndarray:
-    """All-pairs Hellinger divergences of the rows of ``points`` (k, m) -> (k, k)."""
-    s = np.sqrt(np.asarray(points, dtype=float))
-    d = s[:, None, :] - s[None, :, :]
     return np.sum(d * d, axis=-1)
 
 

@@ -21,6 +21,14 @@ decomposable pairwise payment, not just the truthful one, which is what
 :func:`zero_sum_group_scores` together with :func:`classification_pair_score`
 expresses.
 
+The payment rule itself is written once, in :func:`_round_payments`, over
+arrays of T rounds of n agents.  :func:`realized_payments` feeds it
+:class:`Report` objects with one or T matchings, :func:`monte_carlo_payments`
+feeds it sampled rounds in row blocks, and :func:`pair_scores`,
+:func:`pairwise_payment` and :func:`classification_pair_score` apply the same
+formulas to single reports.  Scores are reached only through
+:class:`~peerpred.scoring.ProperScoringRule` methods.
+
 Average per-agent welfare of the disagreement variant equals the
 classification score Diversity - Inconsistency; :func:`welfare_metrics`
 computes the exact finite sums over agent pairs, private-signal pairs, and
@@ -37,7 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from .divergence import hellinger
-from .priors import LatentStatePrior, PairwisePrior
+from .priors import LatentStatePrior, PairwisePrior, sample_categorical
 from .scoring import ProperScoringRule, get_rule
 from .strategy import StrategyProfile
 
@@ -86,7 +94,10 @@ class MechanismConfig:
             raise MechanismError(f"unknown variant {self.variant!r}")
         get_rule(self.rule)
         if self.group_a is not None:
-            object.__setattr__(self, "group_a", tuple(int(i) for i in self.group_a))
+            group_a = tuple(int(i) for i in self.group_a)
+            if len(set(group_a)) != len(group_a):
+                raise MechanismError(f"group_a lists an agent more than once: {group_a}")
+            object.__setattr__(self, "group_a", group_a)
 
     def scoring_rule(self) -> ProperScoringRule:
         return get_rule(self.rule)
@@ -145,7 +156,9 @@ class Report:
 class Matching:
     """Realized matchings: ``peers[i]`` is the agent whose report scores agent
     i's base payment; ``pairs[i]`` is the ordered pair (j, k) whose reports set
-    agent i's classification reward (disagreement variant only)."""
+    agent i's classification reward (disagreement variant only).  A leading
+    axis, peers (T, n) and pairs (T, n, 2), holds T matchings of one set of
+    reports."""
 
     peers: np.ndarray
     pairs: np.ndarray | None = None
@@ -157,36 +170,51 @@ class Matching:
             object.__setattr__(self, "pairs", np.asarray(self.pairs, dtype=int))
 
 
-def pair_scores(config: MechanismConfig, r_i: Report, r_j: Report) -> tuple[float, float]:
-    """(score_P, score_I) for agent i matched with agent j.
+def _pair_terms(rule: ProperScoringRule, sig_i, pred_i, sig_j, pred_j):
+    """(score_P, score_I) of agents i matched with peers j, over leading axes.
 
     score_P = PS(sigma_hat_j, p_hat_i).  score_I is 0 on differing reported
     signals; otherwise -(PS(p_j, p_j) - PS(p_j, p_i)), which is <= 0 with
-    equality iff the predictions coincide.
+    equality iff the predictions coincide.  Pairs with differing signals never
+    reach the rule, so the log rule does not probe their predictions.
     """
-    rule = config.scoring_rule()
-    score_p = rule.point_score(r_j.signal, r_i.prediction)
-    if r_i.signal != r_j.signal:
-        score_i = 0.0
-    else:
-        score_i = rule.expected_score(r_j.prediction, r_i.prediction) - rule.expected_score(
-            r_j.prediction, r_j.prediction
-        )
+    score_p = rule.point_score(sig_j, pred_i)
+    same = np.asarray(sig_i == sig_j)
+    score_i = np.zeros(same.shape)
+    score_i[same] = rule.weighted_score(pred_j[same], pred_i[same]) - rule.weighted_score(
+        pred_j[same], pred_j[same]
+    )
     return score_p, score_i
 
 
-def pairwise_payment(config: MechanismConfig, r_i: Report, r_j: Report) -> float:
-    score_p, score_i = pair_scores(config, r_i, r_j)
+def _base_payments(config: MechanismConfig, sig_i, pred_i, sig_j, pred_j):
+    score_p, score_i = _pair_terms(config.scoring_rule(), sig_i, pred_i, sig_j, pred_j)
     return config.alpha * score_p + config.beta * score_i
+
+
+def _classification_reward(sig_j, pred_j, sig_k, pred_k):
+    """Hellinger divergence of the predictions on differing reported signals;
+    minus the Hellinger distance on matching ones.  Broadcasts."""
+    d = hellinger(pred_j, pred_k)
+    return np.where(sig_j == sig_k, -np.sqrt(d), d)
+
+
+def pair_scores(config: MechanismConfig, r_i: Report, r_j: Report) -> tuple[float, float]:
+    """(score_P, score_I) for agent i matched with agent j."""
+    score_p, score_i = _pair_terms(
+        config.scoring_rule(), r_i.signal, r_i.prediction, r_j.signal, r_j.prediction
+    )
+    return float(score_p), float(score_i)
+
+
+def pairwise_payment(config: MechanismConfig, r_i: Report, r_j: Report) -> float:
+    return float(_base_payments(config, r_i.signal, r_i.prediction, r_j.signal, r_j.prediction))
 
 
 def classification_pair_score(r_j: Report, r_k: Report) -> float:
     """Hellinger divergence of the two predictions on differing reported
     signals; minus the Hellinger distance on matching ones."""
-    d = float(hellinger(r_j.prediction, r_k.prediction))
-    if r_j.signal != r_k.signal:
-        return d
-    return -math.sqrt(d)
+    return float(_classification_reward(r_j.signal, r_j.prediction, r_k.signal, r_k.prediction))
 
 
 def zero_sum_group_scores(
@@ -196,58 +224,87 @@ def zero_sum_group_scores(
 ) -> np.ndarray:
     """Subtract the other group's payments, split evenly over one's own group.
 
-    Generic over how the base payments were produced; the result sums to zero
+    Generic over how the base payments were produced; agents lie on the last
+    axis, and leading axes are independent rounds.  Each round sums to zero
     across all agents up to float rounding of the group averages.
     """
     base = np.asarray(base_payments, dtype=float)
+    a, b = list(group_a), list(group_b)
+    base_a, base_b = base[..., a], base[..., b]
     out = np.empty_like(base)
-    sum_a = math.fsum(base[list(group_a)])
-    sum_b = math.fsum(base[list(group_b)])
-    out[list(group_a)] = base[list(group_a)] - sum_b / len(group_a)
-    out[list(group_b)] = base[list(group_b)] - sum_a / len(group_b)
+    out[..., a] = base_a - base_b.sum(axis=-1, keepdims=True) / len(a)
+    out[..., b] = base_b - base_a.sum(axis=-1, keepdims=True) / len(b)
     return out
+
+
+def _round_payments(config: MechanismConfig, signals, preds, peers, pairs) -> np.ndarray:
+    """Payments of T rounds: the one implementation of the payment rule.
+
+    ``signals`` (T, n) and ``preds`` (T, n, m) hold each round's reported
+    signals and predictions, ``peers`` (T, n) the base-payment peers and
+    ``pairs`` (T, n, 2) the classification pairs (disagreement variant only).
+    Matchings are taken as valid.
+    """
+    rows = np.arange(peers.shape[0])[:, None]
+    base = _base_payments(config, signals, preds, signals[rows, peers], preds[rows, peers])
+    if config.variant == "truthful":
+        return base
+    payments = zero_sum_group_scores(base, *config.groups(peers.shape[1]))
+    j, k = pairs[..., 0], pairs[..., 1]
+    return payments + _classification_reward(
+        signals[rows, j], preds[rows, j], signals[rows, k], preds[rows, k]
+    )
 
 
 def realized_payments(
     config: MechanismConfig, reports: Sequence[Report], matching: Matching
 ) -> np.ndarray:
-    """Payments of one realized round.
+    """Payments of one realized round, or of T rounds sharing one set of reports.
 
     Truthful variant: alpha * score_P + beta * score_I against the matched
     peer.  Disagreement variant: the zero-sum group score on the in-group base
-    payments plus the classification reward of the matched pair.
+    payments plus the classification reward of the matched pair.  With
+    ``matching.peers`` of shape (n,) the result has shape (n,); with peers of
+    shape (T, n) and pairs of shape (T, n, 2) it has shape (T, n), row t being
+    the payments under matching t.
     """
     n = len(reports)
     peers = matching.peers
-    if peers.shape != (n,):
+    if peers.ndim not in (1, 2) or peers.shape[-1] != n:
         raise MechanismError(f"need one peer per agent, got shape {peers.shape}")
-    if np.any(peers == np.arange(n)) or np.any(peers < 0) or np.any(peers >= n):
+    agents = np.arange(n)
+    if ((peers == agents) | (peers < 0) | (peers >= n)).any():
         raise MechanismError("peers must be valid agent indices distinct from self")
 
-    if config.variant == "truthful":
-        return np.array(
-            [pairwise_payment(config, reports[i], reports[peers[i]]) for i in range(n)]
-        )
+    pairs = None
+    if config.variant == "disagreement":
+        in_a = np.zeros(n, dtype=bool)
+        in_a[list(config.groups(n)[0])] = True
+        crossed = in_a[peers] != in_a
+        if crossed.any():
+            at = tuple(np.argwhere(crossed)[0])
+            raise MechanismError(
+                f"agent {at[-1]}'s base-payment peer {peers[at]} is in the other group"
+            )
+        if matching.pairs is None:
+            raise MechanismError("disagreement variant needs a (j, k) pair per agent")
+        pairs = matching.pairs
+        if pairs.shape != peers.shape + (2,):
+            raise MechanismError(f"pairs must have shape {peers.shape + (2,)}, got {pairs.shape}")
+        j, k = pairs[..., 0], pairs[..., 1]
+        bad = (j == k) | (j == agents) | (k == agents) | ((pairs < 0) | (pairs >= n)).any(axis=-1)
+        if bad.any():
+            at = tuple(np.argwhere(bad)[0])
+            raise MechanismError(
+                f"agent {at[-1]}'s pair {tuple(pairs[at].tolist())} must be two distinct other agents"
+            )
+        pairs = pairs.reshape(-1, n, 2)
 
-    group_a, group_b = config.groups(n)
-    in_a = np.zeros(n, dtype=bool)
-    in_a[list(group_a)] = True
-    for i in range(n):
-        if in_a[i] != in_a[peers[i]]:
-            raise MechanismError(f"agent {i}'s base-payment peer {peers[i]} is in the other group")
-    if matching.pairs is None:
-        raise MechanismError("disagreement variant needs a (j, k) pair per agent")
-    pairs = matching.pairs
-    if pairs.shape != (n, 2):
-        raise MechanismError(f"pairs must have shape ({n}, 2), got {pairs.shape}")
-    base = np.array([pairwise_payment(config, reports[i], reports[peers[i]]) for i in range(n)])
-    payments = zero_sum_group_scores(base, group_a, group_b)
-    for i in range(n):
-        j, k = pairs[i]
-        if len({int(j), int(k), i}) != 3 or not (0 <= j < n and 0 <= k < n):
-            raise MechanismError(f"agent {i}'s pair {j, k} must be two distinct other agents")
-        payments[i] += classification_pair_score(reports[j], reports[k])
-    return payments
+    rounds = peers.reshape(-1, n)
+    signals = np.broadcast_to([r.signal for r in reports], rounds.shape)
+    preds = np.stack([r.prediction for r in reports])
+    preds = np.broadcast_to(preds, rounds.shape + preds.shape[-1:])
+    return _round_payments(config, signals, preds, rounds, pairs).reshape(peers.shape)
 
 
 @dataclass(frozen=True)
@@ -338,24 +395,14 @@ class MonteCarloPayments:
         }
 
 
-def _sample_categorical(cum_cols: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Index of the first cumulative weight exceeding u; cum_cols is (k, m)."""
-    idx = (u[:, None] >= cum_cols).sum(axis=1)
-    return np.minimum(idx, cum_cols.shape[1] - 1)
+# Cells (trials x n x m) per scoring block: bounds the arrays the kernel
+# gathers, whatever the chunk size.
+_BLOCK_CELLS = 2**16
 
 
-def _weighted_first_arg_scores(rule_id, pred_first, pred_second):
-    """Vectorized PS(row of pred_first, row of pred_second) over (k, m) arrays."""
-    rule = get_rule(rule_id)
-    if rule_id == "log":
-        good = pred_second > 0.0
-        if np.any((pred_first > 0.0) & ~good):
-            raise MechanismError(
-                "log rule hit a zero-probability prediction with positive weight"
-            )
-        logs = np.log(np.where(good, pred_second, 1.0))
-        return np.sum(np.where(pred_first > 0.0, pred_first * logs, 0.0), axis=1)
-    return rule.weighted_score(pred_first, pred_second)
+def _skip(draw: np.ndarray, i) -> np.ndarray:
+    """Map uniform draws over range(n - 1) onto range(n) without ``i``."""
+    return draw + (draw >= i)
 
 
 def monte_carlo_payments(
@@ -369,24 +416,27 @@ def monte_carlo_payments(
     """Unbiased sampled payments under the full mechanism.
 
     Samples latent states, conditionally independent signals, mixed reports,
-    and uniform matchings.  Uses a counter-based generator keyed by ``seed``,
-    so results are reproducible and trials could be partitioned across workers
-    without changing the stream semantics.
+    and uniform matchings, ``chunk`` trials at a time, from a Philox
+    generator keyed by ``seed``; each chunk is then scored by the payment
+    kernel in row blocks.  The same seed and chunk reproduce the result
+    exactly.  The order of the draws depends on ``chunk``, so another chunk
+    size gives another, equally valid sample with different estimates, and
+    the trials cannot be split across workers without changing the result.
     """
     if trials < 1:
         raise MechanismError("need at least one trial")
     n, m = profile.n, profile.m
-    rule_id = config.rule
-    alpha, beta = config.alpha, config.beta
+    disagreement = config.variant == "disagreement"
     rng = np.random.Generator(np.random.Philox(seed))
-
-    if config.variant == "disagreement":
+    agents = np.arange(n)
+    if disagreement:
         group_a, group_b = config.groups(n)
-        in_a = np.zeros(n, dtype=bool)
-        in_a[list(group_a)] = True
-        group_of = [np.array(group_a), np.array(group_b)]
-
-    theta_cums = np.cumsum(profile.thetas, axis=1)  # (n, m, m) cumulative over reports
+        mates = []
+        for i in range(n):
+            own = group_a if i in group_a else group_b
+            mates.append(np.array([j for j in own if j != i]))
+    report_cums = np.cumsum(profile.thetas, axis=1).transpose(0, 2, 1)  # [agent, signal, report]
+    block = max(1, _BLOCK_CELLS // (n * m))
 
     pay_sum = np.zeros(n)
     pay_sumsq = np.zeros(n)
@@ -401,67 +451,32 @@ def monte_carlo_payments(
         signals = latent.sample_signals(n, k, rng)  # (k, n)
         reports = np.empty((k, n), dtype=int)
         for i in range(n):
-            cum_cols = theta_cums[i][:, signals[:, i]].T  # (k, m)
-            reports[:, i] = _sample_categorical(cum_cols, rng.random(k))
-        preds = np.empty((k, n, m))
-        for i in range(n):
-            preds[:, i, :] = profile.predictions[i, signals[:, i], reports[:, i]]
-
+            reports[:, i] = sample_categorical(report_cums[i, signals[:, i]], rng.random(k))
         # base-payment peer: uniform over the eligible set minus self
         peers = np.empty((k, n), dtype=int)
         for i in range(n):
-            if config.variant == "truthful":
-                draw = rng.integers(0, n - 1, size=k)
-                peers[:, i] = draw + (draw >= i)
+            if disagreement:
+                peers[:, i] = mates[i][rng.integers(0, mates[i].size, size=k)]
             else:
-                mates = group_of[0] if in_a[i] else group_of[1]
-                others = mates[mates != i]
-                peers[:, i] = others[rng.integers(0, others.size, size=k)]
-
-        base = np.empty((k, n))
-        for i in range(n):
-            p_i = preds[:, i, :]
-            peer = peers[:, i]
-            rows = np.arange(k)
-            peer_rep = reports[rows, peer]
-            peer_pred = preds[rows, peer, :]
-            if rule_id == "log":
-                score_p = np.log(p_i[rows, peer_rep])
-                if not np.all(np.isfinite(score_p)):
-                    raise MechanismError(
-                        "log rule hit a zero-probability prediction for a realized report"
-                    )
-            else:
-                score_p = 2.0 * p_i[rows, peer_rep] - np.sum(p_i * p_i, axis=1)
-            same = reports[:, i] == peer_rep
-            score_i = np.zeros(k)
-            if np.any(same):
-                a = _weighted_first_arg_scores(rule_id, peer_pred[same], p_i[same])
-                b = _weighted_first_arg_scores(rule_id, peer_pred[same], peer_pred[same])
-                score_i[same] = a - b
-            base[:, i] = alpha * score_p + beta * score_i
-
-        if config.variant == "truthful":
-            payments = base
-        else:
-            sums_a = base[:, list(group_a)].sum(axis=1)
-            sums_b = base[:, list(group_b)].sum(axis=1)
-            payments = np.empty_like(base)
-            payments[:, list(group_a)] = base[:, list(group_a)] - (sums_b / len(group_a))[:, None]
-            payments[:, list(group_b)] = base[:, list(group_b)] - (sums_a / len(group_b))[:, None]
-            rows = np.arange(k)
+                peers[:, i] = _skip(rng.integers(0, n - 1, size=k), i)
+        pairs = None
+        if disagreement:
+            pairs = np.empty((k, n, 2), dtype=int)
             for i in range(n):
-                draw_j = rng.integers(0, n - 1, size=k)
-                j = draw_j + (draw_j >= i)
+                j = _skip(rng.integers(0, n - 1, size=k), i)
                 draw_k = rng.integers(0, n - 2, size=k)
-                lo = np.minimum(i, j)
-                hi = np.maximum(i, j)
-                kk = draw_k + (draw_k >= lo)
-                kk = kk + (kk >= hi)
-                d = hellinger(preds[rows, j, :], preds[rows, kk, :])
-                same_jk = reports[rows, j] == reports[rows, kk]
-                payments[:, i] += np.where(same_jk, -np.sqrt(d), d)
+                pairs[:, i, 0] = j
+                pairs[:, i, 1] = _skip(_skip(draw_k, np.minimum(i, j)), np.maximum(i, j))
 
+        payments = np.empty((k, n))
+        for lo in range(0, k, block):
+            rows = slice(lo, lo + block)
+            preds = profile.predictions[agents, signals[rows], reports[rows]]
+            payments[rows] = _round_payments(
+                config, reports[rows], preds, peers[rows], None if pairs is None else pairs[rows]
+            )
+
+        # summed per chunk, so the estimates do not depend on the block size
         pay_sum += payments.sum(axis=0)
         pay_sumsq += (payments * payments).sum(axis=0)
         w = payments.mean(axis=1)

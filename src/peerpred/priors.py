@@ -11,8 +11,7 @@ A full exchangeable joint for any number of agents is supplied by
 :class:`LatentStatePrior`, a conditionally-i.i.d. model: a latent state is
 drawn, then every agent's signal is drawn independently from the state's
 emission row.  Its derived pairwise moments satisfy pairwise symmetry by
-construction, and it yields the triple-wise conditionals needed for full
-expected-payment accounting.
+construction.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ __all__ = [
     "prior_constants",
     "theorem_bounds",
     "all_permutations",
+    "sample_categorical",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -130,8 +130,7 @@ class LatentStatePrior:
 
     A latent state ``t`` is drawn from ``state_probs``; each agent's signal is
     then an independent draw from the row ``emissions[t]``.  The derived
-    pairwise moments are identical for every number of agents, and the model
-    also provides the triple conditional Pr(sigma_j, sigma_k | sigma_i).
+    pairwise moments are identical for every number of agents.
     """
 
     space: SignalSpace
@@ -177,17 +176,22 @@ class LatentStatePrior:
             )
         return w / total
 
-    def triple_conditional(self, s: int) -> np.ndarray:
-        """``T[a, b] = Pr(sigma_j = a, sigma_k = b | sigma_i = s)`` for distinct j, k, i."""
-        post = self.state_posterior(s)
-        return np.einsum("t,ta,tb->ab", post, self.emissions, self.emissions)
-
     def sample_signals(self, n: int, trials: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``trials`` independent rounds of ``n`` agents' signals, shape (trials, n)."""
         states = rng.choice(self.num_states, size=trials, p=self.state_probs)
         cum = np.cumsum(self.emissions, axis=1)
         u = rng.random((trials, n))
-        return (u[:, :, None] >= cum[states][:, None, :]).sum(axis=2)
+        return sample_categorical(cum[states][:, None, :], u)
+
+
+def sample_categorical(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Index of the first entry of ``cum[..., :]`` exceeding ``u[...]``.
+
+    ``cum`` holds cumulative probabilities over the last axis and broadcasts
+    against ``u``.  The index is clamped at m - 1, so a cumulative sum that
+    rounds to just under 1 never yields an index past the last category.
+    """
+    return np.minimum((u[..., None] >= cum).sum(axis=-1), cum.shape[-1] - 1)
 
 
 @dataclass(frozen=True)

@@ -32,15 +32,21 @@ class ScoreDomainError(ValueError):
 
 class ProperScoringRule:
     """Interface: point_score(s, p) for a realized signal index, and
-    expected_score(delta, p) = E_{s ~ delta} point_score(s, p)."""
+    expected_score(delta, p) = E_{s ~ delta} point_score(s, p).
+
+    ``point_score``, ``weighted_score`` and ``self_score`` broadcast over
+    leading axes, so the payment rule scores many agents and rounds at once
+    through these methods alone.
+    """
 
     id: str
 
-    def point_score(self, s: int, prediction: np.ndarray) -> float:
+    def point_score(self, s, prediction: np.ndarray) -> np.ndarray:
+        """Score of prediction[..., :] against the realized signal index s[...]."""
         raise NotImplementedError
 
     def expected_score(self, delta: np.ndarray, prediction: np.ndarray) -> float:
-        raise NotImplementedError
+        return float(self.weighted_score(delta, prediction))
 
     def weighted_score(self, weights: np.ndarray, prediction: np.ndarray) -> np.ndarray:
         """sum_s weights[..., s] * point_score(s, prediction[..., :]).
@@ -58,28 +64,24 @@ class ProperScoringRule:
         return f"{type(self).__name__}()"
 
 
+def _at(prediction: np.ndarray, s) -> np.ndarray:
+    """prediction[..., s[...]], with s broadcast over the leading axes of prediction."""
+    s = np.broadcast_to(s, prediction.shape[:-1])
+    return np.take_along_axis(prediction, s[..., None], axis=-1)[..., 0]
+
+
 class LogRule(ProperScoringRule):
     id = "log"
 
-    def point_score(self, s: int, prediction) -> float:
-        prediction = np.asarray(prediction, dtype=float)
-        value = prediction[s]
-        if value <= 0.0:
+    def point_score(self, s, prediction) -> np.ndarray:
+        value = _at(np.asarray(prediction, dtype=float), s)
+        bad = value <= 0.0
+        if bad.any():
             raise ScoreDomainError(
-                f"log score undefined: prediction assigns {value} to signal index {s}"
+                f"log score undefined: prediction assigns {value[bad].flat[0]} "
+                f"to signal index {np.broadcast_to(s, bad.shape)[bad].flat[0]}"
             )
-        return float(np.log(value))
-
-    def expected_score(self, delta, prediction) -> float:
-        delta = np.asarray(delta, dtype=float)
-        prediction = np.asarray(prediction, dtype=float)
-        support = delta > 0.0
-        if np.any(prediction[support] <= 0.0):
-            s = int(np.nonzero(support & (prediction <= 0.0))[0][0])
-            raise ScoreDomainError(
-                f"log score undefined: prediction assigns 0 to signal index {s} with positive weight"
-            )
-        return float(np.sum(delta[support] * np.log(prediction[support])))
+        return np.log(value)[()]
 
     def weighted_score(self, weights, prediction) -> np.ndarray:
         weights = np.asarray(weights, dtype=float)
@@ -102,14 +104,9 @@ class LogRule(ProperScoringRule):
 class QuadraticRule(ProperScoringRule):
     id = "quadratic"
 
-    def point_score(self, s: int, prediction) -> float:
+    def point_score(self, s, prediction) -> np.ndarray:
         prediction = np.asarray(prediction, dtype=float)
-        return float(2.0 * prediction[s] - np.dot(prediction, prediction))
-
-    def expected_score(self, delta, prediction) -> float:
-        delta = np.asarray(delta, dtype=float)
-        prediction = np.asarray(prediction, dtype=float)
-        return float(2.0 * np.dot(delta, prediction) - np.dot(prediction, prediction))
+        return (2.0 * _at(prediction, s) - np.sum(prediction * prediction, axis=-1))[()]
 
     def weighted_score(self, weights, prediction) -> np.ndarray:
         weights = np.asarray(weights, dtype=float)

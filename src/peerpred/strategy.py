@@ -101,12 +101,6 @@ class StrategyProfile:
     def with_predictions(self, predictions: np.ndarray) -> "StrategyProfile":
         return StrategyProfile(self.thetas, predictions)
 
-    def is_symmetric(self, tol: float = STOCHASTIC_TOL) -> bool:
-        return bool(
-            np.max(np.abs(self.thetas - self.thetas[0])) <= tol
-            and np.max(np.abs(self.predictions - self.predictions[0])) <= tol
-        )
-
 
 @dataclass(frozen=True)
 class AggregateStrategies:

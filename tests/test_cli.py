@@ -273,6 +273,30 @@ class TestErrorsAndDeterminism:
         assert main(["frobnicate"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["welfare", "--profile", "constant:zz"],
+            ["welfare", "--profile", "constant:7"],
+            ["welfare", "--profile", "permutation:1,x"],
+            ["impossibility", "--profile", "truth", "--perm", "1,x"],
+        ],
+    )
+    def test_bad_profile_spec_exits_1(self, prior_file, argv, capsys):
+        assert main([*argv, "--prior", prior_file]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_flags_override_mechanism_file(self, tmp_path, prior_file, mech_file, capsys):
+        argv = ["payout", "--prior", prior_file, "--profile", "uniform"]
+        assert main([*argv, "--mech", mech_file, "--alpha", "2", "--rule", "quadratic"]) == 0
+        overridden = capsys.readouterr().out
+        path = tmp_path / "mech2.json"
+        save_mechanism(MechanismConfig(2.0, 0.03, "quadratic"), path)
+        assert main([*argv, "--mech", str(path)]) == 0
+        assert capsys.readouterr().out == overridden
+
     def test_malformed_json_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{")

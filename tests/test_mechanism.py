@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from peerpred import scoring
 from peerpred.divergence import hellinger
 from peerpred.mechanism import (
     Matching,
     MechanismConfig,
     MechanismError,
     Report,
+    _round_payments,
     classification_pair_score,
     monte_carlo_payments,
     pair_scores,
@@ -18,6 +22,7 @@ from peerpred.mechanism import (
     zero_sum_group_scores,
 )
 from peerpred.priors import PermutationMap, from_latent
+from peerpred.scoring import ProperScoringRule
 from peerpred.strategy import (
     StrategyProfile,
     constant_report_profile,
@@ -60,6 +65,10 @@ class TestConfig:
             config.groups(3)
         with pytest.raises(MechanismError):
             MechanismConfig(variant="disagreement", group_a=(0,)).groups(4)
+
+    def test_duplicate_group_indices_rejected(self):
+        with pytest.raises(MechanismError, match="more than once"):
+            MechanismConfig(variant="disagreement", group_a=(0, 0, 1))
 
 
 class TestPairScores:
@@ -175,6 +184,134 @@ class TestRealizedPayments:
                 reports,
                 Matching(np.array([1, 0, 3, 2]), np.array([[0, 1]] * 4)),
             )
+
+
+def payments_oracle(config, signals, preds, peers, pairs):
+    """Per-agent scalar re-derivation of one round's payments."""
+    rule = config.scoring_rule()
+    n = len(signals)
+    base = []
+    for i in range(n):
+        j = peers[i]
+        pay = config.alpha * float(rule.point_score(signals[j], preds[i]))
+        if signals[i] == signals[j]:
+            pay += config.beta * (
+                rule.expected_score(preds[j], preds[i]) - rule.expected_score(preds[j], preds[j])
+            )
+        base.append(pay)
+    if config.variant == "truthful":
+        return np.array(base)
+    group_a, group_b = config.groups(n)
+    payments = []
+    for i in range(n):
+        own, other = (group_a, group_b) if i in group_a else (group_b, group_a)
+        j, k = pairs[i]
+        d = sum((math.sqrt(x) - math.sqrt(y)) ** 2 for x, y in zip(preds[j], preds[k]))
+        reward = -math.sqrt(d) if signals[j] == signals[k] else d
+        payments.append(base[i] - math.fsum(base[o] for o in other) / len(own) + reward)
+    return np.array(payments)
+
+
+def random_matchings(rng, config, n, rounds):
+    """(rounds, n) base-payment peers and (rounds, n, 2) classification pairs."""
+    peers = np.empty((rounds, n), dtype=int)
+    pairs = np.empty((rounds, n, 2), dtype=int)
+    groups = config.groups(n) if config.variant == "disagreement" else (range(n),)
+    for t in range(rounds):
+        for i in range(n):
+            own = next(g for g in groups if i in g)
+            peers[t, i] = rng.choice([j for j in own if j != i])
+            pairs[t, i] = rng.choice([j for j in range(n) if j != i], size=2, replace=False)
+    return peers, pairs
+
+
+kernel_cases = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(4, 9),
+    m=st.integers(2, 4),
+    rule=st.sampled_from(("log", "quadratic")),
+    variant=st.sampled_from(("truthful", "disagreement")),
+    rounds=st.integers(1, 4),
+)
+
+
+def random_reports(rng, n, m, size=()):
+    """Reported signals and predictions; predictions come from a small pool so
+    that agents often agree exactly."""
+    pool = rng.dirichlet(np.ones(m), size=3)
+    return rng.integers(0, m, size=size + (n,)), pool[rng.integers(0, 3, size=size + (n,))]
+
+
+class TestPaymentKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(**kernel_cases)
+    def test_matches_scalar_oracle(self, seed, n, m, rule, variant, rounds):
+        rng = np.random.default_rng(seed)
+        config = MechanismConfig(rng.uniform(0.1, 3.0), rng.uniform(0.0, 1.0), rule, variant)
+        signals, preds = random_reports(rng, n, m, size=(rounds,))
+        peers, pairs = random_matchings(rng, config, n, rounds)
+        payments = _round_payments(config, signals, preds, peers, pairs)
+        for t in range(rounds):
+            expected = payments_oracle(config, signals[t], preds[t], peers[t], pairs[t])
+            np.testing.assert_allclose(payments[t], expected, rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**kernel_cases)
+    def test_batched_matchings_equal_single_rounds(self, seed, n, m, rule, variant, rounds):
+        rng = np.random.default_rng(seed)
+        config = MechanismConfig(rng.uniform(0.1, 3.0), rng.uniform(0.0, 1.0), rule, variant)
+        signals, preds = random_reports(rng, n, m)
+        reports = [Report(int(s), p) for s, p in zip(signals, preds)]
+        peers, pairs = random_matchings(rng, config, n, rounds)
+        batched = realized_payments(config, reports, Matching(peers, pairs))
+        assert batched.shape == (rounds, n)
+        for t in range(rounds):
+            single = realized_payments(config, reports, Matching(peers[t], pairs[t]))
+            assert np.array_equal(batched[t], single)
+            expected = payments_oracle(config, signals, preds, peers[t], pairs[t])
+            np.testing.assert_allclose(single, expected, rtol=0, atol=1e-12)
+
+
+class DoubledLogRule(ProperScoringRule):
+    """Twice the log score: a rule that only its own methods score correctly."""
+
+    id = "doubled-log"
+    _log = scoring.LogRule()
+
+    def point_score(self, s, prediction):
+        return 2.0 * self._log.point_score(s, prediction)
+
+    def weighted_score(self, weights, prediction):
+        return 2.0 * self._log.weighted_score(weights, prediction)
+
+    def self_score(self, prediction):
+        return 2.0 * self._log.self_score(prediction)
+
+
+@pytest.mark.parametrize("variant", ["truthful", "disagreement"])
+def test_third_rule_scored_by_its_own_methods(monkeypatch, latent3, variant):
+    """Doubling every score equals doubling alpha and beta under the log rule,
+    in both the realized and the Monte Carlo path."""
+    monkeypatch.setitem(scoring._RULES, DoubledLogRule.id, DoubledLogRule())
+    doubled = MechanismConfig(1.0, 0.05, DoubledLogRule.id, variant)
+    log = MechanismConfig(2.0, 0.1, "log", variant)
+    rng = np.random.default_rng(6)
+    profile = random_profile(rng, 3, 5)
+
+    signals, preds = random_reports(rng, 5, 3)
+    reports = [Report(int(s), p) for s, p in zip(signals, preds)]
+    matching = Matching(*random_matchings(rng, doubled, 5, 3))
+    np.testing.assert_allclose(
+        realized_payments(doubled, reports, matching),
+        realized_payments(log, reports, matching),
+        rtol=0,
+        atol=1e-12,
+    )
+
+    a = monte_carlo_payments(doubled, latent3, profile, trials=3000, seed=2, chunk=1000)
+    b = monte_carlo_payments(log, latent3, profile, trials=3000, seed=2, chunk=1000)
+    np.testing.assert_allclose(a.mean, b.mean, rtol=0, atol=1e-12)
+    assert a.welfare_mean == pytest.approx(b.welfare_mean, abs=1e-12)
 
 
 def welfare_oracle(prior, profile):
@@ -314,3 +451,42 @@ class TestMonteCarlo:
             monte_carlo_payments(
                 MechanismConfig(), latent3, truth_telling_profile(prior, 4), trials=0
             )
+
+    # Recorded from the implementation that scored Monte Carlo rounds inline:
+    # (mean per agent, welfare mean, welfare stderr) for seed 4, chunk 1000.
+    PINNED = {
+        ("log", "truthful"): (
+            [-1.5122710926975638, -1.4201650751756463, -1.7644364521165339,
+             -1.4523100557766782, -1.5081521513008131],
+            -1.5314669654134447,
+            0.009251161461465008,
+        ),
+        ("log", "disagreement"): (
+            [0.872276372787511, 0.8458047837710423, -0.620694223996011,
+             -0.45716065958842583, -0.3125039944010233],
+            0.06554445571461878,
+            0.004768934860741787,
+        ),
+        ("quadratic", "truthful"): (
+            [0.1546525993492632, 0.17530350217522092, 0.11603359598607521,
+             0.15245110354459065, 0.11556302835996278],
+            0.1428007658830226,
+            0.0044588922368568,
+        ),
+        ("quadratic", "disagreement"): (
+            [0.05159204656760369, -0.03063179047079101, 0.09767908871476941,
+             0.07747751657482599, 0.13160541718668617],
+            0.06554445571461878,
+            0.004768934860741787,
+        ),
+    }  # fmt: skip
+
+    @pytest.mark.parametrize("rule, variant", sorted(PINNED))
+    def test_pinned_values(self, latent3, rule, variant):
+        profile = random_profile(np.random.default_rng(8), 3, 5)
+        config = MechanismConfig(1.0, 0.05, rule, variant)
+        mc = monte_carlo_payments(config, latent3, profile, trials=2500, seed=4, chunk=1000)
+        mean, welfare_mean, welfare_stderr = self.PINNED[rule, variant]
+        np.testing.assert_allclose(mc.mean, mean, rtol=0, atol=1e-12)
+        assert mc.welfare_mean == pytest.approx(welfare_mean, abs=1e-12)
+        assert mc.welfare_stderr == pytest.approx(welfare_stderr, abs=1e-12)

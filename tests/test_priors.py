@@ -128,15 +128,6 @@ class TestFromLatent:
         assert np.allclose(pw.conditional, joint / marginal[None, :], atol=1e-12)
         assert pw.symmetry_residual() <= 1e-15
 
-    def test_triple_conditional_consistency(self, latent3):
-        pw = from_latent(latent3)
-        for s in range(3):
-            triple = latent3.triple_conditional(s)
-            assert triple.sum() == pytest.approx(1.0, abs=1e-12)
-            # marginalizing one peer recovers the pairwise conditional
-            assert np.allclose(triple.sum(axis=1), pw.q_sigma(s), atol=1e-12)
-            assert np.allclose(triple, triple.T, atol=1e-15)
-
 
 class TestValidateSnife:
     def test_example_conditional_not_finegrained(self):
