@@ -52,6 +52,7 @@ from .strategy import (
     candidate_profiles,
     counterexample_profile,
     permutation_profile,
+    prediction_anchors,
     random_signal_strategy,
     truth_telling_profile,
     uniform_report_profile,
@@ -456,11 +457,11 @@ def _simplex_grid(m: int, steps: int) -> np.ndarray:
     return np.asarray(pts)
 
 
-def _grid_values(config, terms, r, grid) -> np.ndarray:
-    """Payoff of every grid prediction for report r; -inf where the log rule
-    is undefined.  Standalone evaluator used only as an oracle."""
-    rule = config.scoring_rule()
-    weights = config.alpha * terms.anchor + config.beta * terms.neighbor_mix[r]
+def _grid_values(config, terms, cell, grid) -> np.ndarray:
+    """Payoff of every grid prediction at one (agent, signal, report) cell;
+    -inf where the log rule is undefined.  Standalone evaluator used only as
+    an oracle."""
+    weights = config.alpha * terms.anchor[cell] + config.beta * terms.mix[cell]
     if config.rule == "log":
         with np.errstate(divide="ignore", invalid="ignore"):
             logs = np.log(grid)
@@ -470,13 +471,13 @@ def _grid_values(config, terms, r, grid) -> np.ndarray:
     else:
         total = weights.sum()
         values = 2.0 * grid @ weights - total * np.sum(grid * grid, axis=1)
-    return values - config.beta * terms.neighbor_self_score[r]
+    return values - config.beta * terms.self_score[cell]
 
 
 def criterion_10_solver_cross_checks() -> CriterionResult:
     """Iterative vs direct prediction solves; exact beta = 0 anchors;
     closed-form best response vs simplex grid search."""
-    from .equilibrium import _action_terms, _prediction_anchors
+    from .equilibrium import _payoff_terms
 
     start = time.time()
     rng = np.random.default_rng(10)
@@ -494,7 +495,7 @@ def criterion_10_solver_cross_checks() -> CriterionResult:
 
         config0 = MechanismConfig(1.0, 0.0, "log")
         x0, _ = solve_equilibrium_predictions(config0, prior, thetas)
-        anchors = _prediction_anchors(prior, thetas)
+        anchors = prediction_anchors(prior, thetas)
         expected = np.broadcast_to(anchors[:, :, None, :], x0.shape)
         beta0_exact = beta0_exact and np.array_equal(x0, expected)
 
@@ -509,10 +510,10 @@ def criterion_10_solver_cross_checks() -> CriterionResult:
         config = MechanismConfig(1.0, 1.0 / (8.0 * m), rule)
         profile = _random_profile(rng, prior, n)
         grid = _simplex_grid(m, steps[m])
+        terms = _payoff_terms(config, prior, profile)
         for s in range(m):
             br = best_response(config, prior, profile, 0, s)
-            terms = _action_terms(config, prior, profile, 0, s)
-            values = _grid_values(config, terms, br.signal, grid)
+            values = _grid_values(config, terms, (0, s, br.signal), grid)
             top = int(np.argmax(values))
             worst_grid_value = max(worst_grid_value, float(values[top]) - br.value)
             worst_grid_dist = max(

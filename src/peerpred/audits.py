@@ -33,6 +33,7 @@ from .strategy import (
     best_prediction_profile,
     candidate_profiles,
     permute_profile,
+    prediction_anchors,
     tau_closeness,
     truth_telling_profile,
     validate_signal_strategy,
@@ -125,6 +126,8 @@ def aggregation_error_audit(
     Requires n > 32 m^2 / eps^2 agents, the threshold above which the error is
     provably below eps for every strategy list.
     """
+    if not eps > 0.0:
+        raise AuditError(f"eps must be positive, got {eps}")
     thetas = np.asarray(theta_list, dtype=float)
     n, m = thetas.shape[0], thetas.shape[1]
     needed = 32.0 * m * m / (eps * eps)
@@ -132,17 +135,14 @@ def aggregation_error_audit(
         raise AuditError(
             f"need more than {needed:.0f} agents for eps={eps} (m={m}), got {n}"
         )
-    theta_bar = thetas.mean(axis=0)
-    theta_minus = (n * theta_bar[None] - thetas) / (n - 1)
-
     # rows of points: (agent j, signal s) -> theta_minus_j q_s
-    points = np.einsum("juv,vs->jsu", theta_minus, prior.conditional).reshape(n * m, m)
+    points = prediction_anchors(prior, thetas).reshape(n * m, m)
     sq = np.sqrt(points)
     gram = sq @ sq.T
     norms = points.sum(axis=1)
     dists = norms[:, None] + norms[None, :] - 2.0 * gram  # D*(x_js, x_kt)
 
-    ref_points = (theta_bar @ prior.conditional).T  # row s = theta_bar q_s
+    ref_points = (thetas.mean(axis=0) @ prior.conditional).T  # row s = theta_bar q_s
     ref = hellinger(ref_points[:, None, :], ref_points[None, :, :])  # (m, m)
 
     dev = np.abs(dists.reshape(n, m, n, m) - ref[None, :, None, :])
@@ -213,10 +213,10 @@ def relabeling_cycle_audit(
     returns.  Each step's equality is checked exactly, plus the closure of the
     cycle.
     """
-    if perm.is_identity:
-        raise AuditError("the relabeling cycle needs a non-identity permutation")
     if perm.m != prior.m:
         raise PriorError(f"permutation on {perm.m} signals, prior has {prior.m}")
+    if perm.is_identity:
+        raise AuditError("the relabeling cycle needs a non-identity permutation")
 
     permuted_profile = permute_profile(profile, perm)
     priors_k = [prior]

@@ -30,7 +30,7 @@ from .audits import (
     relabeling_cycle_audit,
 )
 from .divergence import DivergenceDomainError
-from .equilibrium import check_equilibrium, expected_conditional_payoff, solved_profile
+from .equilibrium import check_equilibrium, solved_profile
 from .io import (
     FormatError,
     load_mechanism,
@@ -124,7 +124,7 @@ def _parse_indices(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise CliError(f"{what} must be comma-separated signal indices, got {text!r}") from None
+        raise CliError(f"{what} must be comma-separated integers, got {text!r}") from None
 
 
 def _resolve_profile(spec: str, prior, n: int):
@@ -281,7 +281,7 @@ def _cmd_payout(args) -> int:
         {
             "agent": i,
             "signal": prior.space.labels[s],
-            "payoff": expected_conditional_payoff(config, prior, profile, i, s),
+            "payoff": float(report.payoffs[i, s]),
             "gap": float(report.gaps[i, s]),
         }
         for i in range(profile.n)
@@ -349,6 +349,8 @@ def _cmd_audit(args) -> int:
     prior = _load_pairwise(args.prior)
     config = _mechanism(args)
     profile = _resolve_profile(args.profile, prior, args.n)
+    if not args.eps > 0:
+        raise CliError(f"--eps must be positive, got {args.eps:g}")
     results = []
     if args.which in ("classification-bound", "all"):
         results.append(classification_bound_audit(config, prior, profile))
@@ -395,7 +397,9 @@ def _cmd_sweep_n(args) -> int:
     prior = _load_pairwise(args.prior)
     config = _mechanism(args)
     bounds = theorem_bounds(prior_constants(prior), prior.m)
-    ns = [int(x) for x in args.n.split(",")]
+    ns = _parse_indices(args.n, "--n")
+    if args.samples < 1:
+        raise CliError(f"--samples must be at least 1, got {args.samples}")
 
     def unit(n: int) -> dict:
         # per-n generator, so a row does not depend on the other agent counts

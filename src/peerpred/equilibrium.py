@@ -15,13 +15,18 @@ Conditional on private signal s and a report (r, p), the expected payment is
     + beta * sum_{j != i} 1/(n-1) sum_{s'} q(s'|s) theta_j[r, s']
         * (PS(P_j[s', r], p) - PS(P_j[s', r], P_j[s', r]))
 
-and because proper scores are linear in their first argument, the optimal
-prediction for a fixed report r is the weight-normalized mixture of the
-prediction-score target theta_minus_i q_s and the matching neighbors'
-predictions.  At equilibrium the predictions therefore solve a linear fixed
-point, which :func:`solve_equilibrium_predictions` iterates to convergence
-(the map is a strict contraction for alpha > 0) and
-:func:`solve_equilibrium_predictions_direct` solves densely for cross-checks.
+Proper scores are linear in their first argument, so the second line needs
+only the leave-one-out neighbor sums (1/(n-1)) sum_{j != i} sum_v q(v|s)
+theta_j[r, v] F_j[v, r, ...] of F = 1, the prediction tables and their
+self-scores.  One kernel computes them for every (i, s, r) at once as totals
+minus self; :func:`check_equilibrium` is one vectorized pass over the result
+and :func:`best_response` and :func:`expected_conditional_payoff` read one
+cell of it.  The optimal prediction for report r is the mixture
+(alpha * anchor + beta * mix) / (alpha + beta * weight), so equilibrium
+predictions solve a linear fixed point: :func:`solve_equilibrium_predictions`
+iterates the same kernel and map (a strict contraction for alpha > 0), and
+:func:`solve_equilibrium_predictions_direct` solves it densely from its own
+coupling matrix for cross-checks.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import numpy as np
 
 from .mechanism import MechanismConfig, MechanismError, Report
 from .priors import PairwisePrior
-from .strategy import StrategyProfile, aggregate_strategies
+from .strategy import StrategyProfile, prediction_anchors
 
 __all__ = [
     "BestResponse",
@@ -49,49 +54,60 @@ __all__ = [
 TIE_TOL = 1e-12
 
 
+def _neighbor_sum(cond: np.ndarray, thetas: np.ndarray, field: np.ndarray | None = None):
+    """(1/(n-1)) sum_{j != i} sum_v q(v|s) theta_j[r, v] field_j[v, r, ...] for
+    every (i, s, r) as totals minus self; F = 1 without a field.  Subscripts
+    are spelled out per rank: an ellipsis einsum slows the solver's steps."""
+    if field is None:
+        per_agent = np.einsum("vs,jrv->jsr", cond, thetas)
+    else:
+        tail = "u" * (field.ndim - 3)
+        per_agent = np.einsum(f"vs,jrv,jvr{tail}->jsr{tail}", cond, thetas, field)
+    return (per_agent.sum(axis=0)[None] - per_agent) / (thetas.shape[0] - 1)
+
+
+def _best_prediction_map(config: MechanismConfig, anchors: np.ndarray, weight: np.ndarray):
+    """mix -> (alpha * anchor + beta * mix) / (alpha + beta * weight): the
+    optimal prediction at every (i, s, r) given the neighbors' mixture."""
+    # materialized per report: adding a broadcast array slows the solver's steps
+    base = np.repeat(config.alpha * anchors[:, :, None, :], weight.shape[-1], axis=2)
+    denom = (config.alpha + config.beta * weight)[..., None]
+    return lambda mix: (base + config.beta * mix) / denom
+
+
 @dataclass(frozen=True)
-class _ActionTerms:
-    """Per-report quantities entering agent i's conditional payoff at signal s."""
+class _PayoffTerms:
+    """Conditional-payoff terms of every agent, indexed [i, s, r, ...]."""
 
-    anchor: np.ndarray        # theta_minus_i q_s, shape (m,)
-    neighbor_weight: np.ndarray    # total matching-neighbor weight per report, (m,)
-    neighbor_mix: np.ndarray       # weighted sum of neighbors' predictions, (m, m)
-    neighbor_self_score: np.ndarray  # weighted sum of neighbors' self-scores, (m,)
+    anchor: np.ndarray      # theta_minus_i q_s for every report, (n, m, m, m)
+    mix: np.ndarray         # neighbors' weighted predictions, (n, m, m, m)
+    self_score: np.ndarray  # neighbors' weighted self-scores, (n, m, m)
+    best: np.ndarray        # optimal prediction per report, (n, m, m, m)
 
+    def values(self, config: MechanismConfig, prediction, cell=...) -> np.ndarray:
+        """Value of reporting r with ``prediction`` at the cells ``self[cell]``."""
+        rule = config.scoring_rule()
+        return config.alpha * rule.weighted_score(self.anchor[cell], prediction) + config.beta * (
+            rule.weighted_score(self.mix[cell], prediction) - self.self_score[cell]
+        )
 
-def _action_terms(
-    config: MechanismConfig, prior: PairwisePrior, profile: StrategyProfile, i: int, s: int
-) -> _ActionTerms:
-    n = profile.n
-    agg = aggregate_strategies(profile)
-    anchor = agg.theta_minus[i] @ prior.q_sigma(s)
-
-    rule = config.scoring_rule()
-    self_scores = rule.self_score(profile.predictions)  # (n, m, m)
-
-    q_cond = prior.q_sigma(s)  # q(s'|s)
-    others = [j for j in range(profile.n) if j != i]
-    th = profile.thetas[others]            # (n-1, m, m) indexed [j, r, s']
-    preds = profile.predictions[others]    # (n-1, s', r, m)
-    ss = self_scores[others]               # (n-1, s', r)
-
-    # w[j, r, s'] = q(s'|s) * theta_j[r, s'] / (n - 1)
-    w = q_cond[None, None, :] * th / (n - 1)
-    neighbor_weight = w.sum(axis=(0, 2))                        # (m,)
-    neighbor_mix = np.einsum("jrv,jvru->ru", w, preds)          # (m, m)
-    neighbor_self = np.einsum("jrv,jvr->r", w, ss)              # (m,)
-    return _ActionTerms(anchor, neighbor_weight, neighbor_mix, neighbor_self)
+    def mixed_value(self, config: MechanismConfig, weights, predictions, cell=...) -> np.ndarray:
+        """sum_r weights[..., r] * value of report r with predictions[..., r, :].
+        Reports of weight zero are scored at the optimal prediction instead, so
+        a log rule never probes the predictions of reports that are not played."""
+        played = np.where((weights > 0.0)[..., None], predictions, self.best[cell])
+        return np.sum(weights * self.values(config, played, cell), axis=-1)
 
 
-def _report_value(config: MechanismConfig, terms: _ActionTerms, r: int, prediction) -> float:
-    rule = config.scoring_rule()
-    prediction = np.asarray(prediction, dtype=float)
-    value = config.alpha * float(rule.weighted_score(terms.anchor, prediction))
-    value += config.beta * (
-        float(rule.weighted_score(terms.neighbor_mix[r], prediction))
-        - float(terms.neighbor_self_score[r])
-    )
-    return value
+def _payoff_terms(
+    config: MechanismConfig, prior: PairwisePrior, profile: StrategyProfile
+) -> _PayoffTerms:
+    cond, thetas = prior.conditional, profile.thetas
+    anchors = prediction_anchors(prior, thetas)
+    mix = _neighbor_sum(cond, thetas, profile.predictions)
+    self_score = _neighbor_sum(cond, thetas, config.scoring_rule().self_score(profile.predictions))
+    best = _best_prediction_map(config, anchors, _neighbor_sum(cond, thetas))(mix)
+    return _PayoffTerms(np.broadcast_to(anchors[:, :, None, :], mix.shape), mix, self_score, best)
 
 
 def expected_conditional_payoff(
@@ -109,15 +125,17 @@ def expected_conditional_payoff(
     deviation replaces agent i's play at s by a single report or a weighted
     mixture of reports.
     """
-    terms = _action_terms(config, prior, profile, i, s)
+    terms = _payoff_terms(config, prior, profile)
     if deviation is None:
-        weights = profile.thetas[i][:, s]
-        plays = [(weights[r], r, profile.predictions[i, s, r]) for r in range(profile.m)]
-    elif isinstance(deviation, Report):
-        plays = [(1.0, deviation.signal, deviation.prediction)]
-    else:
-        plays = [(w, rep.signal, rep.prediction) for w, rep in deviation]
-    return sum(w * _report_value(config, terms, r, p) for w, r, p in plays if w > 0.0)
+        return float(
+            terms.mixed_value(config, profile.thetas[i, :, s], profile.predictions[i, s], (i, s))
+        )
+    if isinstance(deviation, Report):
+        deviation = [(1.0, deviation)]
+    weights = np.array([w for w, _ in deviation], dtype=float)
+    reports = np.array([rep.signal for _, rep in deviation], dtype=int)
+    predictions = np.array([rep.prediction for _, rep in deviation], dtype=float)
+    return float(terms.mixed_value(config, weights, predictions, (i, s, reports)))
 
 
 @dataclass(frozen=True)
@@ -146,29 +164,24 @@ def best_response(
     (alpha * anchor + beta * neighbor_mix) / (alpha + beta * neighbor_weight);
     the best report maximizes the resulting value, lowest index on ties.
     """
-    terms = _action_terms(config, prior, profile, i, s)
-    m = profile.m
-    values = np.empty(m)
-    preds = np.empty((m, m))
-    for r in range(m):
-        pred = (config.alpha * terms.anchor + config.beta * terms.neighbor_mix[r]) / (
-            config.alpha + config.beta * terms.neighbor_weight[r]
-        )
-        preds[r] = pred
-        values[r] = _report_value(config, terms, r, pred)
+    terms = _payoff_terms(config, prior, profile)
+    predictions = terms.best[i, s]
+    values = terms.values(config, predictions, (i, s))
     best = int(np.argmax(values))
     tied = bool(np.sum(values >= values[best] - TIE_TOL) > 1)
-    return BestResponse(best, preds[best], float(values[best]), values, tied)
+    return BestResponse(best, predictions[best].copy(), float(values[best]), values, tied)
 
 
 @dataclass(frozen=True)
 class EquilibriumReport:
-    """Per-(agent, signal) improvement gaps: best-response value minus the
-    value of the profile's prescribed play.  Payoffs are linear in the agent's
-    report distribution, so the maximum over mixed deviations is attained at a
-    pure report with its closed-form prediction."""
+    """Per-(agent, signal) value of the profile's prescribed play
+    (``payoffs``) and improvement gap: best-response value minus that value.
+    Payoffs are linear in the agent's report distribution, so the maximum over
+    mixed deviations is attained at a pure report with its closed-form
+    prediction."""
 
     gaps: np.ndarray
+    payoffs: np.ndarray
     eps: float
 
     @property
@@ -194,20 +207,10 @@ def check_equilibrium(
     profile: StrategyProfile,
     eps: float = 1e-9,
 ) -> EquilibriumReport:
-    gaps = np.empty((profile.n, profile.m))
-    for i in range(profile.n):
-        for s in range(profile.m):
-            br = best_response(config, prior, profile, i, s)
-            prescribed = expected_conditional_payoff(config, prior, profile, i, s)
-            gaps[i, s] = br.value - prescribed
-    return EquilibriumReport(gaps, eps)
-
-
-def _prediction_anchors(prior: PairwisePrior, thetas: np.ndarray) -> np.ndarray:
-    n = thetas.shape[0]
-    theta_bar = thetas.mean(axis=0)
-    theta_minus = (n * theta_bar[None] - thetas) / (n - 1)
-    return np.einsum("iuv,vs->isu", theta_minus, prior.conditional)
+    terms = _payoff_terms(config, prior, profile)
+    best_values = terms.values(config, terms.best).max(axis=-1)
+    payoffs = terms.mixed_value(config, profile.thetas.transpose(0, 2, 1), profile.predictions)
+    return EquilibriumReport(best_values - payoffs, payoffs, eps)
 
 
 def solve_equilibrium_predictions(
@@ -227,25 +230,16 @@ def solve_equilibrium_predictions(
     """
     thetas = np.asarray(thetas, dtype=float)
     n, m = thetas.shape[0], thetas.shape[1]
-    alpha, beta = config.alpha, config.beta
     cond = prior.conditional
-    anchors = _prediction_anchors(prior, thetas)  # (n, s, u)
+    anchors = prediction_anchors(prior, thetas)  # (n, s, u)
     base = np.broadcast_to(anchors[:, :, None, :], (n, m, m, m)).copy()
-    if beta == 0.0:
+    if config.beta == 0.0:
         return base, 0.0
 
-    # weight[j, s, r] = sum_v q(v|s) theta_j[r, v]; leave-one-out via totals
-    w_per_agent = np.einsum("vs,jrv->jsr", cond, thetas)
-    w_total = w_per_agent.sum(axis=0)
-    neighbor_w = (w_total[None] - w_per_agent) / (n - 1)  # (i, s, r)
-    denom = (alpha + beta * neighbor_w)[..., None]
-
+    best = _best_prediction_map(config, anchors, _neighbor_sum(cond, thetas))
     x = base
     for _ in range(max_iter):
-        y = np.einsum("vs,jrv,jvru->jsru", cond, thetas, x)
-        y_total = y.sum(axis=0)
-        neighbor_mix = (y_total[None] - y) / (n - 1)
-        x_new = (alpha * base + beta * neighbor_mix) / denom
+        x_new = best(_neighbor_sum(cond, thetas, x))
         delta = float(np.max(np.abs(x_new - x)))
         x = x_new
         if delta < tol:
@@ -272,35 +266,25 @@ def solve_equilibrium_predictions_direct(
     prior: PairwisePrior,
     thetas: np.ndarray | Sequence[np.ndarray],
 ) -> np.ndarray:
-    """Dense linear solve of the same prediction system, one (report,
-    coordinate) block at a time; cross-check for the iterative path."""
+    """Dense linear solve of the same prediction system, one report block at
+    a time with all m coordinates as right-hand sides; cross-check for the
+    iterative path, so it assembles its coupling without the shared kernel."""
     thetas = np.asarray(thetas, dtype=float)
     n, m = thetas.shape[0], thetas.shape[1]
     alpha, beta = config.alpha, config.beta
     cond = prior.conditional
-    anchors = _prediction_anchors(prior, thetas)
+    anchors = prediction_anchors(prior, thetas)
     if beta == 0.0:
         return np.broadcast_to(anchors[:, :, None, :], (n, m, m, m)).copy()
 
-    w_per_agent = np.einsum("vs,jrv->jsr", cond, thetas)
-    w_total = w_per_agent.sum(axis=0)
-    neighbor_w = (w_total[None] - w_per_agent) / (n - 1)
-
     out = np.empty((n, m, m, m))
     dim = n * m
+    rhs = alpha * anchors.reshape(dim, m)
     for r in range(m):
         # coupling[(i, s), (j, v)] = q(v|s) theta_j[r, v] for j != i
-        coup = np.zeros((dim, dim))
-        for i in range(n):
-            for j in range(n):
-                if j == i:
-                    continue
-                block = cond.T * thetas[j, r][None, :]  # [s, v]
-                coup[i * m : (i + 1) * m, j * m : (j + 1) * m] = block
-        lhs = np.diag((alpha + beta * neighbor_w[:, :, r]).reshape(dim)) - (
-            beta / (n - 1)
-        ) * coup
-        for u in range(m):
-            rhs = alpha * anchors[:, :, u].reshape(dim)
-            out[:, :, r, u] = np.linalg.solve(lhs, rhs).reshape(n, m)
+        coup = np.einsum("ij,vs,jv->isjv", 1.0 - np.eye(n), cond, thetas[:, r]).reshape(dim, dim)
+        # a row of the coupling sums to (n - 1) times its neighbor weight
+        weight = coup.sum(axis=1) / (n - 1)
+        lhs = np.diag(alpha + beta * weight) - (beta / (n - 1)) * coup
+        out[:, :, r, :] = np.linalg.solve(lhs, rhs).reshape(n, m, m)
     return out

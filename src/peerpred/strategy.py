@@ -34,6 +34,7 @@ __all__ = [
     "candidate_profiles",
     "aggregate_strategies",
     "best_prediction_profile",
+    "prediction_anchors",
     "symmetrized_best_prediction",
     "symmetric_profile",
     "matrix_classify",
@@ -119,16 +120,27 @@ class AggregateStrategies:
 
 
 def aggregate_strategies(profile: StrategyProfile) -> AggregateStrategies:
-    n = profile.n
-    theta_bar = profile.thetas.mean(axis=0)
-    theta_minus = (n * theta_bar[None, :, :] - profile.thetas) / (n - 1)
+    return _aggregate(profile.thetas)
+
+
+def _aggregate(thetas: np.ndarray) -> AggregateStrategies:
+    n = thetas.shape[0]
+    theta_bar = thetas.mean(axis=0)
+    theta_minus = (n * theta_bar[None, :, :] - thetas) / (n - 1)
     return AggregateStrategies(theta_bar, theta_minus)
 
 
+def prediction_anchors(prior: PairwisePrior, thetas: np.ndarray) -> np.ndarray:
+    """The prediction-score maximizers theta_minus[i] @ q_s of every agent at
+    every private signal, shape (n, m, m) indexed [agent, private, coordinate]."""
+    theta_minus = _aggregate(np.asarray(thetas, dtype=float)).theta_minus
+    return np.einsum("iuv,vs->isu", theta_minus, prior.conditional)
+
+
 def _filled_predictions(n: int, per_signal: np.ndarray) -> np.ndarray:
-    """Tile per-signal predictions (m, m) -> (n, m, m, m), same vector for every report."""
-    m = per_signal.shape[0]
-    return np.broadcast_to(per_signal[None, :, None, :], (n, m, m, m)).copy()
+    """Tile (m, m) or per-agent (n, m, m) predictions to (n, m, m, m), same for every report."""
+    m = per_signal.shape[-1]
+    return np.broadcast_to(per_signal[..., None, :], (n, m, m, m)).copy()
 
 
 def truth_telling_profile(prior: PairwisePrior, n: int) -> StrategyProfile:
@@ -228,11 +240,8 @@ def candidate_profiles(prior: PairwisePrior, n: int) -> dict[str, StrategyProfil
 def best_prediction_profile(profile: StrategyProfile, prior: PairwisePrior) -> StrategyProfile:
     """Keep signal strategies, replace every prediction by the prediction-score
     maximizer theta_minus[i] @ q_s (independent of the reported signal)."""
-    agg = aggregate_strategies(profile)
-    per_agent_signal = np.einsum("iuv,vs->isu", agg.theta_minus, prior.conditional)
-    n, m = profile.n, profile.m
-    predictions = np.broadcast_to(per_agent_signal[:, :, None, :], (n, m, m, m)).copy()
-    return profile.with_predictions(predictions)
+    anchors = prediction_anchors(prior, profile.thetas)
+    return profile.with_predictions(_filled_predictions(profile.n, anchors))
 
 
 def symmetrized_best_prediction(profile: StrategyProfile, prior: PairwisePrior) -> StrategyProfile:

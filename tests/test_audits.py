@@ -16,6 +16,7 @@ from peerpred.equilibrium import solved_profile
 from peerpred.mechanism import MechanismConfig, welfare_metrics
 from peerpred.priors import (
     PermutationMap,
+    PriorError,
     all_permutations,
     from_latent,
     permute_prior,
@@ -82,6 +83,12 @@ class TestAggregationError:
         with pytest.raises(AuditError, match="512"):
             aggregation_error_audit(prior2, thetas, eps=0.5)
 
+    @pytest.mark.parametrize("eps", [0.0, -0.5])
+    def test_nonpositive_eps_rejected(self, prior2, eps):
+        thetas = np.stack([np.eye(2)] * 100)
+        with pytest.raises(AuditError, match="positive"):
+            aggregation_error_audit(prior2, thetas, eps=eps)
+
     def test_random_lists_pass_above_threshold(self, prior2):
         rng = np.random.default_rng(2)
         thetas = np.stack([random_signal_strategy(rng, 2) for _ in range(600)])
@@ -129,6 +136,12 @@ class TestRelabelingCycle:
         with pytest.raises(AuditError, match="non-identity"):
             relabeling_cycle_audit(
                 prior3, truth_telling_profile(prior3, 4), PermutationMap.identity(3)
+            )
+
+    def test_size_mismatch_checked_first(self, prior3):
+        with pytest.raises(PriorError, match="2 signals, prior has 3"):
+            relabeling_cycle_audit(
+                prior3, truth_telling_profile(prior3, 4), PermutationMap.identity(2)
             )
 
     def test_truth_binary_swap(self, prior2):

@@ -280,6 +280,12 @@ class TestErrorsAndDeterminism:
             ["welfare", "--profile", "constant:7"],
             ["welfare", "--profile", "permutation:1,x"],
             ["impossibility", "--profile", "truth", "--perm", "1,x"],
+            ["impossibility", "--profile", "truth", "--perm", "0,1,2"],
+            ["sweep-n", "--n", "x"],
+            ["sweep-n", "--n", "8,,16"],
+            ["sweep-n", "--n", "8", "--samples", "0"],
+            ["sweep-n", "--n", "8", "--samples", "-2"],
+            ["audit", "--profile", "truth", "--eps", "0"],
         ],
     )
     def test_bad_profile_spec_exits_1(self, prior_file, argv, capsys):

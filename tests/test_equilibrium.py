@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peerpred.equilibrium import (
     best_response,
@@ -14,11 +16,130 @@ from peerpred.priors import PermutationMap, from_latent, random_snife_prior
 from peerpred.scoring import get_rule
 from peerpred.strategy import (
     StrategyProfile,
+    aggregate_strategies,
     constant_report_profile,
+    counterexample_profile,
     permutation_profile,
     random_signal_strategy,
     truth_telling_profile,
 )
+
+
+def oracle_terms(config, prior, profile, i, s):
+    """Agent i's payoff terms at signal s, summed over an explicit list of
+    the other agents: (anchor, neighbor weight, mix, self-score) per report."""
+    n = profile.n
+    anchor = aggregate_strategies(profile).theta_minus[i] @ prior.q_sigma(s)
+    self_scores = config.scoring_rule().self_score(profile.predictions)
+    others = [j for j in range(n) if j != i]
+    # w[j, r, v] = q(v|s) * theta_j[r, v] / (n - 1)
+    w = prior.q_sigma(s)[None, None, :] * profile.thetas[others] / (n - 1)
+    weight = w.sum(axis=(0, 2))
+    mix = np.einsum("jrv,jvru->ru", w, profile.predictions[others])
+    self_score = np.einsum("jrv,jvr->r", w, self_scores[others])
+    return anchor, weight, mix, self_score
+
+
+def oracle_value(config, terms, r, prediction):
+    anchor, _, mix, self_score = terms
+    rule = config.scoring_rule()
+    value = config.alpha * float(rule.weighted_score(anchor, prediction))
+    value += config.beta * (float(rule.weighted_score(mix[r], prediction)) - float(self_score[r]))
+    return value
+
+
+def oracle_payoff(config, prior, profile, i, s, plays=None):
+    """Value of (weight, report, prediction) plays, the profile's own by default;
+    zero-weight plays are never scored."""
+    terms = oracle_terms(config, prior, profile, i, s)
+    if plays is None:
+        plays = [
+            (profile.thetas[i, r, s], r, profile.predictions[i, s, r]) for r in range(profile.m)
+        ]
+    return sum(w * oracle_value(config, terms, r, p) for w, r, p in plays if w > 0.0)
+
+
+def oracle_best_response(config, prior, profile, i, s):
+    """(report values, optimal prediction per report) from the closed form."""
+    terms = oracle_terms(config, prior, profile, i, s)
+    anchor, weight, mix, _ = terms
+    alpha, beta = config.alpha, config.beta
+    preds = np.array(
+        [(alpha * anchor + beta * mix[r]) / (alpha + beta * weight[r]) for r in range(profile.m)]
+    )
+    values = np.array([oracle_value(config, terms, r, preds[r]) for r in range(profile.m)])
+    return values, preds
+
+
+@st.composite
+def equilibrium_cases(draw):
+    """A prior, mechanism and profile; constant and counterexample profiles
+    and deterministic signal maps leave reports with zero probability, whose
+    table cells get zero entries that the log rule must never probe."""
+    m = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["random", "map", "constant", "counterexample"]))
+    n = m if kind == "counterexample" and m >= 3 else draw(st.integers(3, 9))
+    rule = draw(st.sampled_from(["log", "quadratic"]))
+    beta = draw(st.sampled_from([0.01, 1.0 / (8.0 * m), 0.3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    prior = from_latent(random_snife_prior(m, 2, seed=int(rng.integers(1000))))
+    if kind == "constant":
+        profile = constant_report_profile(prior, n, int(rng.integers(m)))
+    elif kind == "counterexample" and n == m:
+        profile = counterexample_profile(prior, n)
+    else:
+        if kind == "map":
+            thetas = np.zeros((n, m, m))
+            for i in range(n):
+                thetas[i, rng.integers(m, size=m), np.arange(m)] = 1.0
+        else:
+            thetas = np.stack([random_signal_strategy(rng, m) for _ in range(n)])
+        predictions = rng.dirichlet(np.ones(m), size=(n, m, m))
+        unplayed = thetas.transpose(0, 2, 1) == 0.0
+        predictions[unplayed] = np.eye(m)[0]
+        profile = StrategyProfile(thetas, predictions)
+    return MechanismConfig(1.0, beta, rule), prior, profile, rng
+
+
+class TestBatchedMatchesOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(equilibrium_cases())
+    def test_against_per_cell_oracle(self, case):
+        config, prior, profile, rng = case
+        n, m = profile.n, profile.m
+        report = check_equilibrium(config, prior, profile)
+        for i in range(n):
+            for s in range(m):
+                values, preds = oracle_best_response(config, prior, profile, i, s)
+                payoff = oracle_payoff(config, prior, profile, i, s)
+                assert abs(report.payoffs[i, s] - payoff) <= 1e-13
+                assert abs(report.gaps[i, s] - (np.max(values) - payoff)) <= 1e-13
+                own = expected_conditional_payoff(config, prior, profile, i, s)
+                assert abs(own - payoff) <= 1e-13
+
+                br = best_response(config, prior, profile, i, s)
+                assert br.signal == int(np.argmax(values)) or br.tied
+                np.testing.assert_allclose(br.report_values, values, rtol=0, atol=1e-13)
+                np.testing.assert_allclose(br.prediction, preds[br.signal], rtol=0, atol=1e-13)
+
+                r = int(rng.integers(m))
+                pred = rng.dirichlet(np.ones(m))
+                single = expected_conditional_payoff(
+                    config, prior, profile, i, s, deviation=Report(r, pred)
+                )
+                oracle = oracle_payoff(config, prior, profile, i, s, [(1.0, r, pred)])
+                assert abs(single - oracle) <= 1e-13
+
+                weights = rng.dirichlet(np.ones(3))
+                weights[0] = 0.0  # a zero-weight play with a zero entry is never scored
+                plays = [(weights[0], r, np.eye(m)[(r + 1) % m])] + [
+                    (w, int(rng.integers(m)), rng.dirichlet(np.ones(m))) for w in weights[1:]
+                ]
+                deviation = [(w, Report(q, p)) for w, q, p in plays]
+                mixed = expected_conditional_payoff(
+                    config, prior, profile, i, s, deviation=deviation
+                )
+                assert abs(mixed - oracle_payoff(config, prior, profile, i, s, plays)) <= 1e-13
 
 
 @pytest.fixture(scope="module")
