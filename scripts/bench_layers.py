@@ -1,0 +1,112 @@
+"""Per-layer timings of welfare_metrics and check_equilibrium over a grid of n and m.
+
+For every signal count m a validated random prior is sampled (fixed seed) and
+two profiles are built per agent count n: truth-telling, and random signal
+strategies with solved equilibrium predictions ("solved").  Each layer is
+timed on each profile, and the median of ``--repeats`` runs is recorded.  A
+cell whose first run takes longer than BUDGET_S seconds is recorded with that
+one run, and the larger n of the same (layer, profile, m) are skipped.
+Setup (prior sampling, prediction solving) is not timed.
+
+The results go to ``BENCH_<label>.json`` with the python and numpy versions
+and the CPU count, so that files written on one machine can be compared:
+
+    python3 scripts/bench_layers.py --label before --out-dir .
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+from peerpred.equilibrium import check_equilibrium, solved_profile
+from peerpred.mechanism import MechanismConfig, welfare_metrics
+from peerpred.priors import from_latent, random_snife_prior
+from peerpred.strategy import random_signal_strategy, truth_telling_profile
+
+BUDGET_S = 5.0
+SEED = 7
+
+
+def _ints(text):
+    return [int(x) for x in text.split(",")]
+
+
+def _profiles(config, prior, n, seed):
+    rng = np.random.default_rng(seed)
+    thetas = np.stack([random_signal_strategy(rng, prior.m) for _ in range(n)])
+    return {
+        "truth": truth_telling_profile(prior, n),
+        "solved": solved_profile(config, prior, thetas),
+    }
+
+
+def _time(call, repeats):
+    runs = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        runs.append(time.perf_counter() - start)
+        if runs[0] > BUDGET_S:
+            break
+    return runs
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
+    parser.add_argument("--ns", type=_ints, default=[16, 64, 256, 1024])
+    parser.add_argument("--ms", type=_ints, default=[2, 3, 4, 8])
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--out-dir", default=".")
+    args = parser.parse_args()
+
+    layers = {
+        "welfare_metrics": lambda config, prior, profile: welfare_metrics(prior, profile),
+        "check_equilibrium": check_equilibrium,
+    }
+    rows = []
+    over_budget = set()
+    print(f"{'layer':<18} {'profile':<7} {'m':>2} {'n':>5} {'median_s':>10} {'runs':>4}")
+    for m in args.ms:
+        prior = from_latent(random_snife_prior(m, 2, seed=SEED + m))
+        config = MechanismConfig(alpha=1.0, beta=1.0 / (8.0 * m), rule="log")
+        for n in sorted(args.ns):
+            profiles = _profiles(config, prior, n, seed=SEED + 1000 * m + n)
+            for layer, run in layers.items():
+                for name, profile in profiles.items():
+                    row = {"layer": layer, "profile": name, "m": m, "n": n}
+                    if (layer, name, m) in over_budget:
+                        rows.append({**row, "skipped": True})
+                        continue
+                    runs = _time(lambda: run(config, prior, profile), args.repeats)
+                    if runs[0] > BUDGET_S:
+                        over_budget.add((layer, name, m))
+                    median = statistics.median(runs)
+                    rows.append({**row, "median_s": median, "runs": len(runs)})
+                    print(f"{layer:<18} {name:<7} {m:>2} {n:>5} {median:>10.3g} {len(runs):>4}")
+
+    out = Path(args.out_dir) / f"BENCH_{args.label}.json"
+    record = {
+        "label": args.label,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+        "machine": platform.machine(),
+        "repeats": args.repeats,
+        "budget_s": BUDGET_S,
+        "seed": SEED,
+        "rows": rows,
+    }
+    out.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"wrote {out}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()

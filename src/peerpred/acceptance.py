@@ -25,6 +25,7 @@ from .divergence import hellinger, monotonicity_strict_predicate
 from .equilibrium import (
     best_response,
     check_equilibrium,
+    report_values,
     solve_equilibrium_predictions,
     solve_equilibrium_predictions_direct,
     solved_profile,
@@ -103,9 +104,10 @@ def criterion_1_truthful_strictness() -> CriterionResult:
         truth = truth_telling_profile(prior, n)
         report = check_equilibrium(config, prior, truth)
         worst_gap = max(worst_gap, report.max_gap)
+        all_values = report_values(config, prior, truth)
         for i in range(n):
             for s in range(m):
-                values = best_response(config, prior, truth, i, s).report_values
+                values = all_values[i, s]
                 margin = values[s] - max(values[r] for r in range(m) if r != s)
                 min_margin = min(min_margin, margin)
         count += 1

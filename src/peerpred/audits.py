@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .divergence import hellinger
-from .equilibrium import best_response, check_equilibrium, solved_profile
+from .equilibrium import check_equilibrium, report_values, solved_profile
 from .mechanism import MechanismConfig, welfare_metrics
 from .priors import (
     PairwisePrior,
@@ -285,9 +285,8 @@ def symmetric_fixed_points(
     br_of: dict[tuple[int, ...], tuple[int, ...]] = {}
     for g in itertools.product(range(m), repeat=m):
         profile = solved_profile(config, prior, [_map_matrix(g, m)] * n)
-        br_of[g] = tuple(
-            best_response(config, prior, profile, 0, s).signal for s in range(m)
-        )
+        best = report_values(config, prior, profile)[0].argmax(axis=-1)
+        br_of[g] = tuple(int(r) for r in best)
 
     fixed = sorted(g for g, image in br_of.items() if image == g)
     cycles: set[tuple[tuple[int, ...], ...]] = set()

@@ -263,7 +263,9 @@ def _cmd_payout(args) -> int:
     prior = pairwise_from_loaded(loaded)
     config = _mechanism(args)
     profile = _resolve_profile(args.profile, prior, args.n)
-    if args.trials:
+    if args.trials is not None:
+        if args.trials < 1:
+            raise CliError(f"--trials must be at least 1, got {args.trials}")
         if not isinstance(loaded, LatentStatePrior):
             raise CliError("--trials needs a latent prior (sampling requires the full joint)")
         mc = monte_carlo_payments(config, loaded, profile, args.trials, seed=args.seed)

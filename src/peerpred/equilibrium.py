@@ -45,6 +45,7 @@ __all__ = [
     "EquilibriumReport",
     "expected_conditional_payoff",
     "best_response",
+    "report_values",
     "check_equilibrium",
     "solve_equilibrium_predictions",
     "solve_equilibrium_predictions_direct",
@@ -170,6 +171,17 @@ def best_response(
     best = int(np.argmax(values))
     tied = bool(np.sum(values >= values[best] - TIE_TOL) > 1)
     return BestResponse(best, predictions[best].copy(), float(values[best]), values, tied)
+
+
+def report_values(
+    config: MechanismConfig, prior: PairwisePrior, profile: StrategyProfile
+) -> np.ndarray:
+    """Value of every report with its closed-form optimal prediction, shape
+    (n, m, m) indexed [agent, private signal, report], from one batch: row
+    (i, s) is ``best_response(..., i, s).report_values``, and its argmax
+    (lowest index on ties) is that best response's report."""
+    terms = _payoff_terms(config, prior, profile)
+    return terms.values(config, terms.best)
 
 
 @dataclass(frozen=True)

@@ -286,6 +286,7 @@ class TestErrorsAndDeterminism:
             ["sweep-n", "--n", "8", "--samples", "0"],
             ["sweep-n", "--n", "8", "--samples", "-2"],
             ["audit", "--profile", "truth", "--eps", "0"],
+            ["payout", "--profile", "truth", "--trials", "0"],
         ],
     )
     def test_bad_profile_spec_exits_1(self, prior_file, argv, capsys):

@@ -7,6 +7,7 @@ from peerpred.equilibrium import (
     best_response,
     check_equilibrium,
     expected_conditional_payoff,
+    report_values,
     solve_equilibrium_predictions,
     solve_equilibrium_predictions_direct,
     solved_profile,
@@ -243,6 +244,21 @@ class TestBestResponse:
             br = best_response(config, prior, profile, 0, 1)
             anchor = theta_minus[0] @ prior.q_sigma(1)
             assert np.max(np.abs(br.prediction - anchor)) <= 5 * beta
+
+
+    @pytest.mark.parametrize("rule", ["log", "quadratic"])
+    def test_report_values_batch_matches_cells(self, setting, rule):
+        prior, _ = setting
+        config = MechanismConfig(alpha=1.0, beta=0.04, rule=rule)
+        rng = np.random.default_rng(8)
+        thetas = np.stack([random_signal_strategy(rng, 3) for _ in range(5)])
+        for profile in (solved_profile(config, prior, thetas), truth_telling_profile(prior, 5)):
+            values = report_values(config, prior, profile)
+            for i in range(5):
+                for s in range(3):
+                    br = best_response(config, prior, profile, i, s)
+                    assert np.array_equal(values[i, s], br.report_values)
+                    assert int(values[i, s].argmax()) == br.signal
 
 
 class TestCheckEquilibrium:

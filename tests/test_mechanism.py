@@ -1,4 +1,5 @@
 import math
+from functools import cache
 
 import numpy as np
 import pytest
@@ -21,11 +22,12 @@ from peerpred.mechanism import (
     welfare_metrics,
     zero_sum_group_scores,
 )
-from peerpred.priors import PermutationMap, from_latent
+from peerpred.priors import PermutationMap, from_latent, random_snife_prior
 from peerpred.scoring import ProperScoringRule
 from peerpred.strategy import (
     StrategyProfile,
     constant_report_profile,
+    counterexample_profile,
     permutation_profile,
     random_signal_strategy,
     truth_telling_profile,
@@ -399,6 +401,96 @@ class TestWelfareMetrics:
             assert wb.classification_score == wb.diversity - wb.inconsistency
             assert wb.total_divergence >= wb.diversity - 1e-15
             assert wb.average_welfare == wb.classification_score
+
+
+def welfare_pairwise_oracle(prior, profile):
+    """The former welfare_metrics: every ordered pair of (agent, signal,
+    report) cells, in row blocks, O(n^2 m^5).  Returns (diversity,
+    inconsistency, total divergence)."""
+    n, m = profile.n, profile.m
+    joint = prior.joint()
+    t_flat = profile.thetas.transpose(0, 2, 1).reshape(n * m * m)
+    pred_flat = profile.predictions.reshape(n * m * m, m)
+    agent_ix, sig_ix, rep_ix = np.unravel_index(np.arange(n * m * m), (n, m, m))
+    sq = np.sqrt(pred_flat)
+    size = n * m * m
+    block = max(1, min(size, 2**22 // (size * m)))
+    diversity = inconsistency = total = 0.0
+    for lo in range(0, size, block):
+        hi = min(lo + block, size)
+        weight = (
+            t_flat[lo:hi, None]
+            * t_flat[None, :]
+            * joint[sig_ix[lo:hi, None], sig_ix[None, :]]
+            * (agent_ix[lo:hi, None] != agent_ix[None, :])
+        ) / (n * (n - 1))
+        diff = sq[lo:hi, None, :] - sq[None, :, :]
+        dstar = np.sum(diff * diff, axis=-1)
+        same_report = rep_ix[lo:hi, None] == rep_ix[None, :]
+        diversity += float(np.sum(weight * dstar * ~same_report))
+        inconsistency += float(np.sum(weight * np.sqrt(dstar) * same_report))
+        total += float(np.sum(weight * dstar))
+    return diversity, inconsistency, total
+
+
+@cache
+def cached_prior(m, seed):
+    return from_latent(random_snife_prior(m, 2, seed=seed))
+
+
+@st.composite
+def welfare_cases(draw):
+    """(kind, prior, profile) for m in 2..5 and n in 2..12.  Random profiles
+    repeat agent types and have zero entries in some strategy columns and
+    some predictions."""
+    m = draw(st.integers(2, 5))
+    n = draw(st.integers(2, 12))
+    prior = cached_prior(m, draw(st.integers(0, 2)))
+    kind = draw(st.sampled_from(["random", "truth", "permutation", "constant", "counterexample"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "truth":
+        return kind, prior, truth_telling_profile(prior, n)
+    if kind == "permutation":
+        perm = PermutationMap(tuple(int(v) for v in rng.permutation(m)))
+        return kind, prior, permutation_profile(prior, n, perm)
+    if kind == "constant":
+        return kind, prior, constant_report_profile(prior, n, int(rng.integers(m)))
+    if kind == "counterexample":
+        return kind, prior, counterexample_profile(prior, m)
+    types = draw(st.integers(1, n))
+    thetas = np.stack([random_signal_strategy(rng, m) for _ in range(types)])
+    point = rng.random((types, m)) < 0.4  # these columns report one signal
+    thetas[point.nonzero()[0], :, point.nonzero()[1]] = np.eye(m)[rng.integers(m, size=point.sum())]
+    predictions = rng.dirichlet(np.ones(m), size=(types, m, m))
+    predictions[rng.random((types, m, m)) < 0.3, 0] = 0.0
+    predictions /= predictions.sum(axis=-1, keepdims=True)
+    agents = rng.integers(types, size=n)
+    return kind, prior, StrategyProfile(thetas[agents], predictions[agents])
+
+
+class TestWelfareAgainstPairwiseOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(welfare_cases())
+    def test_matches_pairwise_oracle(self, case):
+        kind, prior, profile = case
+        wb = welfare_metrics(prior, profile)
+        div, inc, total = welfare_pairwise_oracle(prior, profile)
+        assert abs(wb.diversity - div) <= 1e-13
+        assert abs(wb.inconsistency - inc) <= 1e-13
+        assert abs(wb.total_divergence - total) <= 1e-13
+        assert wb.classification_score == wb.diversity - wb.inconsistency
+        if kind == "constant":
+            assert wb.diversity == 0.0
+            assert wb.total_divergence == 0.0
+        if kind in ("truth", "permutation"):
+            assert wb.inconsistency == 0.0
+            assert wb.total_divergence == wb.diversity
+
+    def test_truth_independent_of_n(self, prior3):
+        small = welfare_metrics(prior3, truth_telling_profile(prior3, 4)).to_dict()
+        large = welfare_metrics(prior3, truth_telling_profile(prior3, 10_000)).to_dict()
+        for key in small:
+            assert abs(large[key] - small[key]) <= 1e-15
 
 
 class TestMonteCarlo:

@@ -1,5 +1,6 @@
 """Smoke tests: the experiment scripts run end to end and print their tables."""
 
+import json
 import os
 import subprocess
 import sys
@@ -30,3 +31,26 @@ def test_script_runs(script, args, header):
     assert done.returncode == 0, done.stderr
     first = done.stdout.splitlines()[0]
     assert all(word in first for word in header)
+
+
+def test_bench_layers_writes_json(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    args = ["--label", "tiny", "--ns", "4", "--ms", "2", "--repeats", "2", "--out-dir", str(tmp_path)]
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_layers.py"), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    record = json.loads((tmp_path / "BENCH_tiny.json").read_text())
+    assert {"python", "numpy", "cpu_count"} <= set(record)
+    cells = {(row["layer"], row["profile"]) for row in record["rows"]}
+    assert cells == {
+        (layer, profile)
+        for layer in ("welfare_metrics", "check_equilibrium")
+        for profile in ("truth", "solved")
+    }
+    assert all(row["m"] == 2 and row["n"] == 4 and row["median_s"] > 0 for row in record["rows"])
