@@ -1,4 +1,4 @@
-"""Per-layer timings of welfare_metrics and check_equilibrium over a grid of n and m.
+"""Per-layer timings of welfare_metrics, check_equilibrium and monte_carlo_payments.
 
 For every signal count m a validated random prior is sampled (fixed seed) and
 two profiles are built per agent count n: truth-telling, and random signal
@@ -7,6 +7,10 @@ timed on each profile, and the median of ``--repeats`` runs is recorded.  A
 cell whose first run takes longer than BUDGET_S seconds is recorded with that
 one run, and the larger n of the same (layer, profile, m) are skipped.
 Setup (prior sampling, prediction solving) is not timed.
+
+welfare_metrics and check_equilibrium run over ``--ns`` x ``--ms``.
+monte_carlo_payments runs ``--mc-trials`` trials (seed 0) at m = 3 and n in
+``--mc-ns``, for both variants, and its rows add ``trials_per_s``.
 
 The results go to ``BENCH_<label>.json`` with the python and numpy versions
 and the CPU count, so that files written on one machine can be compared:
@@ -26,12 +30,13 @@ from pathlib import Path
 import numpy as np
 
 from peerpred.equilibrium import check_equilibrium, solved_profile
-from peerpred.mechanism import MechanismConfig, welfare_metrics
+from peerpred.mechanism import MechanismConfig, monte_carlo_payments, welfare_metrics
 from peerpred.priors import from_latent, random_snife_prior
 from peerpred.strategy import random_signal_strategy, truth_telling_profile
 
 BUDGET_S = 5.0
 SEED = 7
+MC_M = 3
 
 
 def _ints(text):
@@ -63,6 +68,8 @@ def main():
     parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
     parser.add_argument("--ns", type=_ints, default=[16, 64, 256, 1024])
     parser.add_argument("--ms", type=_ints, default=[2, 3, 4, 8])
+    parser.add_argument("--mc-ns", type=_ints, default=[6, 16, 32])
+    parser.add_argument("--mc-trials", type=int, default=20000)
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--out-dir", default=".")
     args = parser.parse_args()
@@ -91,6 +98,36 @@ def main():
                     median = statistics.median(runs)
                     rows.append({**row, "median_s": median, "runs": len(runs)})
                     print(f"{layer:<18} {name:<7} {m:>2} {n:>5} {median:>10.3g} {len(runs):>4}")
+
+    latent = random_snife_prior(MC_M, 2, seed=SEED + MC_M)
+    prior = from_latent(latent)
+    print(f"{'variant':<18} {'profile':<7} {'m':>2} {'n':>5} {'median_s':>10} {'runs':>4} trials/s")
+    for variant in ("truthful", "disagreement"):
+        config = MechanismConfig(1.0, 1.0 / (8.0 * MC_M), "log", variant)
+        for n in sorted(args.mc_ns):
+            profiles = _profiles(config, prior, n, seed=SEED + 1000 * MC_M + n)
+            for name, profile in profiles.items():
+                runs = _time(
+                    lambda: monte_carlo_payments(config, latent, profile, args.mc_trials),
+                    args.repeats,
+                )
+                median = statistics.median(runs)
+                rate = args.mc_trials / median
+                rows.append(
+                    {
+                        "layer": "monte_carlo_payments",
+                        "variant": variant,
+                        "profile": name,
+                        "m": MC_M,
+                        "n": n,
+                        "trials": args.mc_trials,
+                        "median_s": median,
+                        "runs": len(runs),
+                        "trials_per_s": rate,
+                    }
+                )
+                cell = f"{variant:<18} {name:<7} {MC_M:>2} {n:>5}"
+                print(f"{cell} {median:>10.3g} {len(runs):>4} {rate:.4g}")
 
     out = Path(args.out_dir) / f"BENCH_{args.label}.json"
     record = {

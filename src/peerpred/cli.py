@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io as _io
 import json
 import sys
@@ -152,7 +153,21 @@ def _resolve_profile(spec: str, prior, n: int):
     return load_profile(spec)
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: an integer in [0, 2**64)."""
+    try:
+        seed = int(text)
+    except ValueError:
+        pass
+    else:
+        if 0 <= seed < 2**64:
+            return seed
+    raise argparse.ArgumentTypeError(f"must be an integer in [0, 2**64), got {text!r}")
+
+
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process; parsing leaves it unchanged."""
     parser = _Parser(prog="peerpred", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -183,14 +198,14 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("gen-prior", help="sample a validated latent prior")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--states", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out")
     p.add_argument("--format", choices=("csv", "json"), default="json")
 
     p = sub.add_parser("payout", help="expected payoffs, or sampled payments with --trials")
     common(p, profile=True, mech=True)
     p.add_argument("--trials", type=int, help="Monte Carlo trials (needs a latent prior)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("welfare", help="welfare decomposition of a profile")
     common(p, profile=True, mech=True)
@@ -220,7 +235,7 @@ def _build_parser() -> _Parser:
     common(p, mech=True)
     p.add_argument("--n", required=True, help="comma-separated agent counts")
     p.add_argument("--samples", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     sub.add_parser("suite", help="run the acceptance battery")
     return parser

@@ -21,13 +21,20 @@ decomposable pairwise payment, not just the truthful one, which is what
 :func:`zero_sum_group_scores` together with :func:`classification_pair_score`
 expresses.
 
-The payment rule itself is written once, in :func:`_round_payments`, over
-arrays of T rounds of n agents.  :func:`realized_payments` feeds it
-:class:`Report` objects with one or T matchings, :func:`monte_carlo_payments`
-feeds it sampled rounds in row blocks, and :func:`pair_scores`,
+The payment rule itself is assembled once, in :func:`_assemble_payments`,
+over arrays of T rounds of n agents, from a base-payment and a
+classification-reward lookup.  :func:`_round_payments` computes them from
+reported predictions; :func:`realized_payments` feeds it :class:`Report`
+objects with one or T matchings, and :func:`pair_scores`,
 :func:`pairwise_payment` and :func:`classification_pair_score` apply the same
-formulas to single reports.  Scores are reached only through
-:class:`~peerpred.scoring.ProperScoringRule` methods.
+formulas to single reports.  :func:`monte_carlo_payments` scores every
+ordered pair of reachable (agent, signal, report) cells once into tables and
+looks each sampled payment up; it falls back to the kernel, with identical
+results, when the tables would pass ``_MC_TABLE_ENTRIES`` entries or hold a
+pair outside the scoring rule's domain.  Its trials run in fixed blocks, each
+drawn from its own Philox stream keyed by (seed, block), so its estimates
+depend on the seed and the trial count alone.  Scores are reached only
+through :class:`~peerpred.scoring.ProperScoringRule` methods.
 
 Average per-agent welfare of the disagreement variant equals the
 classification score Diversity - Inconsistency; :func:`welfare_metrics`
@@ -46,7 +53,6 @@ remain quadratic in n.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -55,7 +61,7 @@ import numpy as np
 
 from .divergence import hellinger
 from .priors import LatentStatePrior, PairwisePrior, sample_categorical
-from .scoring import ProperScoringRule, get_rule
+from .scoring import ProperScoringRule, ScoreDomainError, get_rule
 from .strategy import StrategyProfile
 
 __all__ = [
@@ -246,23 +252,38 @@ def zero_sum_group_scores(
     return out
 
 
-def _round_payments(config: MechanismConfig, signals, preds, peers, pairs) -> np.ndarray:
-    """Payments of T rounds: the one implementation of the payment rule.
+def _assemble_payments(config: MechanismConfig, base, reward, peers, pairs) -> np.ndarray:
+    """The payment rule over T rounds of n agents, written once.
 
-    ``signals`` (T, n) and ``preds`` (T, n, m) hold each round's reported
-    signals and predictions, ``peers`` (T, n) the base-payment peers and
-    ``pairs`` (T, n, 2) the classification pairs (disagreement variant only).
-    Matchings are taken as valid.
+    ``base(x)`` is every agent's base payment against the agents ``x`` (T, n)
+    names, and ``reward(j, k)`` the classification reward of the pairs (j, k);
+    :func:`_round_payments` computes both from reported predictions and the
+    Monte Carlo tables look them up.  ``peers`` (T, n) are the base-payment
+    peers and ``pairs`` (T, n, 2) the classification pairs (disagreement
+    variant only).  Matchings are taken as valid.
     """
-    rows = np.arange(peers.shape[0])[:, None]
-    base = _base_payments(config, signals, preds, signals[rows, peers], preds[rows, peers])
+    payments = base(peers)
     if config.variant == "truthful":
-        return base
-    payments = zero_sum_group_scores(base, *config.groups(peers.shape[1]))
-    j, k = pairs[..., 0], pairs[..., 1]
-    return payments + _classification_reward(
-        signals[rows, j], preds[rows, j], signals[rows, k], preds[rows, k]
-    )
+        return payments
+    payments = zero_sum_group_scores(payments, *config.groups(peers.shape[1]))
+    return payments + reward(pairs[..., 0], pairs[..., 1])
+
+
+def _round_payments(config: MechanismConfig, signals, preds, peers, pairs) -> np.ndarray:
+    """Payments of T rounds from ``signals`` (T, n) and ``preds`` (T, n, m),
+    each round's reported signals and predictions; the rest as in
+    :func:`_assemble_payments`."""
+    rows = np.arange(peers.shape[0])[:, None]
+
+    def base(x):
+        return _base_payments(config, signals, preds, signals[rows, x], preds[rows, x])
+
+    def reward(j, k):
+        return _classification_reward(
+            signals[rows, j], preds[rows, j], signals[rows, k], preds[rows, k]
+        )
+
+    return _assemble_payments(config, base, reward, peers, pairs)
 
 
 def realized_payments(
@@ -316,9 +337,9 @@ def realized_payments(
     return _round_payments(config, signals, preds, rounds, pairs).reshape(peers.shape)
 
 
-# Cells per block of the array passes (trials x n x m in Monte Carlo scoring,
-# rows x m x m x types in the welfare passes): bounds the arrays they gather,
-# whatever the chunk size or n.
+# Cells per block of the array passes (trials x n x m when the kernel scores
+# Monte Carlo rounds, cells x cells x m when its tables are built, rows x m x
+# m x types in the welfare passes): bounds the arrays they gather, whatever n.
 _BLOCK_CELLS = 2**16
 
 
@@ -473,87 +494,200 @@ def _skip(draw: np.ndarray, i) -> np.ndarray:
     return draw + (draw >= i)
 
 
+# Trials per Monte Carlo block.  Block b draws from its own stream, so the
+# estimates depend on the seed and the trial count alone.
+_MC_BLOCK = 4096
+# Most entries of a cell-pair payment table; larger tables are not built.
+_MC_TABLE_ENTRIES = 2**22
+
+
+def _mc_tables(config: MechanismConfig, profile: StrategyProfile, reachable, trials: int):
+    """Cell-pair payment tables for Monte Carlo, or None to score by the kernel.
+
+    The cells are the reachable (agent, private signal, report) triples; a
+    sampled reporter always sits in one of them.  Returns ``cell_of`` (n, m,
+    m), the index of each reachable cell, and the (C, C) tables ``base[c,
+    c']``, the base payment of a reporter in cell c matched with one in cell
+    c', and ``reward[c, c']``, the classification reward of the pair (c, c')
+    (disagreement variant only).  Entries are scored by :func:`_base_payments`
+    and :func:`_classification_reward` in row blocks of ``_BLOCK_CELLS``
+    cells.  None when C^2 exceeds ``_MC_TABLE_ENTRIES`` or the trials' n *
+    trials sampled pairs, and when any entry, sampled or not, is outside the
+    scoring rule's domain: the kernel then scores the sampled pairs alone.
+    """
+    agent, sig, rep = np.nonzero(reachable)
+    cells = agent.size
+    if cells * cells > min(_MC_TABLE_ENTRIES, trials * profile.n):
+        return None
+    cell_of = np.full(reachable.shape, -1)
+    cell_of[agent, sig, rep] = np.arange(cells)
+    preds = profile.predictions[agent, sig, rep]
+    base = np.empty((cells, cells))
+    reward = np.empty((cells, cells)) if config.variant == "disagreement" else None
+    rows_per_block = max(1, _BLOCK_CELLS // (cells * profile.m))
+    for lo in range(0, cells, rows_per_block):
+        x = slice(lo, lo + rows_per_block)
+        shape = (rep[x].size, cells)
+        sig_i, sig_j = np.broadcast_to(rep[x, None], shape), np.broadcast_to(rep, shape)
+        pred_i = np.broadcast_to(preds[x, None], shape + preds.shape[1:])
+        pred_j = np.broadcast_to(preds, shape + preds.shape[1:])
+        try:
+            base[x] = _base_payments(config, sig_i, pred_i, sig_j, pred_j)
+        except ScoreDomainError:
+            return None
+        if reward is not None:
+            reward[x] = _classification_reward(sig_i, pred_i, sig_j, pred_j)
+    return cell_of, base, reward
+
+
+def _moments(x: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """(count, mean, sum of squared deviations) over the first axis."""
+    mean = x.mean(axis=0)
+    dev = x - mean
+    return x.shape[0], mean, (dev * dev).sum(axis=0)
+
+
+def _merge_moments(a, b):
+    """Moments of the union of two samples (Chan, Golub and LeVeque, 1983)."""
+    count_a, mean_a, m2_a = a
+    count_b, mean_b, m2_b = b
+    count = count_a + count_b
+    delta = mean_b - mean_a
+    return (
+        count,
+        mean_a + delta * (count_b / count),
+        m2_a + m2_b + delta * delta * (count_a * count_b / count),
+    )
+
+
 def monte_carlo_payments(
     config: MechanismConfig,
     latent: LatentStatePrior,
     profile: StrategyProfile,
     trials: int,
     seed: int = 0,
-    chunk: int = 65536,
 ) -> MonteCarloPayments:
     """Unbiased sampled payments under the full mechanism.
 
-    Samples latent states, conditionally independent signals, mixed reports,
-    and uniform matchings, ``chunk`` trials at a time, from a Philox
-    generator keyed by ``seed``; each chunk is then scored by the payment
-    kernel in row blocks.  The same seed and chunk reproduce the result
-    exactly.  The order of the draws depends on ``chunk``, so another chunk
-    size gives another, equally valid sample with different estimates, and
-    the trials cannot be split across workers without changing the result.
+    The trials run in blocks of ``_MC_BLOCK``: block b holds the B trials
+    from b * _MC_BLOCK on and draws them from the counter-based stream
+    ``Generator(Philox(key=(seed, b)))`` (Philox key words seed and b), each
+    quantity for all B rounds of n agents at once, in this order:
+
+    1. signals, (B, n): ``latent.sample_signals(n, B, rng)``, a latent state
+       per round and then each agent's signal;
+    2. reports, (B, n): ``sample_categorical`` of each agent's cumulative
+       report distribution at its signal against ``rng.random((B, n))``;
+    3. base-payment peers, (B, n): ``d = rng.integers(0, L, (B, n))``, where
+       L is the least common multiple of the agents' mate counts; agent i
+       is matched with entry d mod (its count) of its mates, the other agents
+       of its pool in pool order.  The pool is every agent (truthful variant)
+       or the agent's group from :meth:`MechanismConfig.groups`;
+    4. classification pairs (disagreement variant only), (B, n, 2):
+       ``rng.integers(0, n - 1, (B, n))`` onto the agents other than i, then
+       ``rng.integers(0, n - 2, (B, n))`` onto the agents other than i and
+       j, in increasing order.
+
+    The result therefore depends only on (config, latent, profile, trials,
+    seed); blocks split across workers draw the same numbers, and merging
+    their moments in block order gives the same bits.  Per-agent and welfare
+    means and squared deviations are taken per block and merged block by
+    block with Chan, Golub and LeVeque's pairwise formula; stderr is
+    sqrt(variance / trials), with the variance over the trials.
+
+    Every sampled payment is a table lookup: ``_mc_tables`` scores every
+    ordered pair of reachable (agent, signal, report) cells once.  When the
+    tables would exceed ``_MC_TABLE_ENTRIES`` entries or the sampled pairs,
+    or hold a pair outside the scoring rule's domain, each block is scored
+    by the payment kernel on its gathered predictions in row blocks of
+    ``_BLOCK_CELLS`` cells instead; both give identical results, and a
+    :class:`~peerpred.scoring.ScoreDomainError` is raised exactly when a
+    sampled pair is undefined.  Memory is O(_MC_BLOCK * n * m +
+    _MC_TABLE_ENTRIES).  ``seed`` must be an integer in [0, 2**64).
     """
     if trials < 1:
         raise MechanismError("need at least one trial")
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise MechanismError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     n, m = profile.n, profile.m
-    disagreement = config.variant == "disagreement"
-    rng = np.random.Generator(np.random.Philox(seed))
+    if latent.m != m:
+        raise MechanismError(f"the prior has {latent.m} signals but the profile has {m}")
     agents = np.arange(n)
-    if disagreement:
-        group_a, group_b = config.groups(n)
-        mates = []
-        for i in range(n):
-            own = group_a if i in group_a else group_b
-            mates.append(np.array([j for j in own if j != i]))
-    report_cums = np.cumsum(profile.thetas, axis=1).transpose(0, 2, 1)  # [agent, signal, report]
-    block = max(1, _BLOCK_CELLS // (n * m))
+    disagreement = config.variant == "disagreement"
+    # agent i's mates are pools[pool_of[i]] without i, which sits at pos[i];
+    # a draw below the common multiple of the mate counts, taken modulo
+    # agent i's count, is uniform over its mates
+    groups = config.groups(n) if disagreement else (tuple(range(n)),)
+    pools = np.zeros((len(groups), max(map(len, groups))), dtype=int)
+    pool_of, pos = np.empty(n, dtype=int), np.empty(n, dtype=int)
+    for g, members in enumerate(groups):
+        pools[g, : len(members)] = members
+        pool_of[list(members)] = g
+        pos[list(members)] = np.arange(len(members))
+    sizes = np.array([len(members) - 1 for members in groups])[pool_of]
+    draws = int(np.lcm.reduce(sizes))
+    pool_at = pools.shape[1] * pool_of
 
-    pay_sum = np.zeros(n)
-    pay_sumsq = np.zeros(n)
-    welfare_sum = 0.0
-    welfare_sumsq = 0.0
+    # report_cums[i * m + s] is agent i's cumulative report distribution at signal s
+    report_cums = np.cumsum(profile.thetas, axis=1).transpose(0, 2, 1)
+    reachable = profile.thetas.transpose(0, 2, 1) > 0.0
+    # the sampler clamps a draw past a cumulative sum that rounds below 1 to
+    # the last report, whatever its probability
+    reachable[..., -1] |= report_cums[..., -2] < 1.0
+    report_cums = report_cums.reshape(n * m, m)
+    tables = _mc_tables(config, profile, reachable, trials)
+    rows_per_block = max(1, _BLOCK_CELLS // (n * m))
 
-    done = 0
-    while done < trials:
-        k = min(chunk, trials - done)
-        done += k
+    def score(at, reports, peers, pairs):
+        """Payments of one block; ``at`` (B, n) indexes (agent, signal) as i * m + s."""
+        if tables is None:
+            out = np.empty(peers.shape)
+            preds = profile.predictions.reshape(n * m, m, m)
+            for lo in range(0, peers.shape[0], rows_per_block):
+                x = slice(lo, lo + rows_per_block)
+                out[x] = _round_payments(
+                    config,
+                    reports[x],
+                    preds[at[x], reports[x]],
+                    peers[x],
+                    None if pairs is None else pairs[x],
+                )
+            return out
+        cell_of, base, reward = tables
+        cells = np.take(cell_of, at * m + reports)
 
-        signals = latent.sample_signals(n, k, rng)  # (k, n)
-        reports = np.empty((k, n), dtype=int)
-        for i in range(n):
-            reports[:, i] = sample_categorical(report_cums[i, signals[:, i]], rng.random(k))
-        # base-payment peer: uniform over the eligible set minus self
-        peers = np.empty((k, n), dtype=int)
-        for i in range(n):
-            if disagreement:
-                peers[:, i] = mates[i][rng.integers(0, mates[i].size, size=k)]
-            else:
-                peers[:, i] = _skip(rng.integers(0, n - 1, size=k), i)
+        def cells_of(x):
+            return np.take_along_axis(cells, x, axis=1)
+
+        return _assemble_payments(
+            config,
+            lambda x: base[cells, cells_of(x)],
+            lambda j, k: reward[cells_of(j), cells_of(k)],
+            peers,
+            pairs,
+        )
+
+    moments = None
+    for b, lo in enumerate(range(0, trials, _MC_BLOCK)):
+        size = min(_MC_BLOCK, trials - lo)
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
+        at = agents * m + latent.sample_signals(n, size, rng)
+        reports = sample_categorical(np.take(report_cums, at, axis=0), rng.random((size, n)))
+        d = rng.integers(0, draws, (size, n)) % sizes
+        peers = np.take(pools, pool_at + _skip(d, pos))
         pairs = None
         if disagreement:
-            pairs = np.empty((k, n, 2), dtype=int)
-            for i in range(n):
-                j = _skip(rng.integers(0, n - 1, size=k), i)
-                draw_k = rng.integers(0, n - 2, size=k)
-                pairs[:, i, 0] = j
-                pairs[:, i, 1] = _skip(_skip(draw_k, np.minimum(i, j)), np.maximum(i, j))
-
-        payments = np.empty((k, n))
-        for lo in range(0, k, block):
-            rows = slice(lo, lo + block)
-            preds = profile.predictions[agents, signals[rows], reports[rows]]
-            payments[rows] = _round_payments(
-                config, reports[rows], preds, peers[rows], None if pairs is None else pairs[rows]
+            pairs = np.stack(
+                [rng.integers(0, n - 1, (size, n)), rng.integers(0, n - 2, (size, n))], axis=-1
             )
+            j, k = pairs[..., 0], pairs[..., 1]  # views: _skip in place
+            j += j >= agents
+            k += k >= np.minimum(agents, j)
+            k += k >= np.maximum(agents, j)
+        payments = score(at, reports, peers, pairs)
+        block = _moments(np.column_stack([payments, payments.mean(axis=1)]))
+        moments = block if moments is None else _merge_moments(moments, block)
 
-        # summed per chunk, so the estimates do not depend on the block size
-        pay_sum += payments.sum(axis=0)
-        pay_sumsq += (payments * payments).sum(axis=0)
-        w = payments.mean(axis=1)
-        welfare_sum += w.sum()
-        welfare_sumsq += float(w @ w)
-
-    mean = pay_sum / trials
-    var = np.maximum(pay_sumsq / trials - mean * mean, 0.0)
-    stderr = np.sqrt(var / trials)
-    wmean = welfare_sum / trials
-    wvar = max(welfare_sumsq / trials - wmean * wmean, 0.0)
-    return MonteCarloPayments(mean, stderr, wmean, math.sqrt(wvar / trials), trials)
+    _, mean, m2 = moments
+    stderr = np.sqrt(m2 / trials / trials)
+    return MonteCarloPayments(mean[:n], stderr[:n], float(mean[n]), float(stderr[n]), trials)

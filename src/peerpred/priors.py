@@ -188,10 +188,14 @@ def sample_categorical(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Index of the first entry of ``cum[..., :]`` exceeding ``u[...]``.
 
     ``cum`` holds cumulative probabilities over the last axis and broadcasts
-    against ``u``.  The index is clamped at m - 1, so a cumulative sum that
-    rounds to just under 1 never yields an index past the last category.
+    against ``u``.  The index counts the m - 1 comparisons u >= cum[..., t]
+    for t < m - 1, so it is clamped at m - 1: a cumulative sum that rounds to
+    just under 1 never yields an index past the last category.
     """
-    return np.minimum((u[..., None] >= cum).sum(axis=-1), cum.shape[-1] - 1)
+    index = np.zeros(np.broadcast_shapes(cum.shape[:-1], u.shape), dtype=np.intp)
+    for t in range(cum.shape[-1] - 1):
+        index += u >= cum[..., t]
+    return index
 
 
 @dataclass(frozen=True)

@@ -55,12 +55,21 @@ def validate_signal_strategy(theta: np.ndarray, tol: float = STOCHASTIC_TOL) -> 
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 2 or theta.shape[0] != theta.shape[1]:
         raise ProfileError(f"signal strategy must be square, got shape {theta.shape}")
-    if np.any(theta < 0.0):
-        raise ProfileError("signal strategy entries must be non-negative")
-    colsums = theta.sum(axis=0)
-    if np.max(np.abs(colsums - 1.0)) > tol:
-        raise ProfileError(f"columns must sum to 1, got {colsums}")
+    _check_columns(theta[None], tol)
     return theta
+
+
+def _check_columns(thetas: np.ndarray, tol: float = STOCHASTIC_TOL):
+    """Raise for the first strategy of the stack ``thetas`` (k, m, m) with a
+    negative entry or a column that does not sum to 1."""
+    negative = (thetas < 0.0).any(axis=(1, 2))
+    colsums = thetas.sum(axis=1)
+    bad = negative | (np.abs(colsums - 1.0).max(axis=1) > tol)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if negative[i]:
+            raise ProfileError("signal strategy entries must be non-negative")
+        raise ProfileError(f"columns must sum to 1, got {colsums[i]}")
 
 
 @dataclass(frozen=True)
@@ -84,8 +93,7 @@ class StrategyProfile:
             raise ProfileError(
                 f"predictions must have shape ({n}, {m}, {m}, {m}), got {predictions.shape}"
             )
-        for i in range(n):
-            validate_signal_strategy(thetas[i])
+        _check_columns(thetas)
         if np.any(predictions < 0.0) or np.max(np.abs(predictions.sum(axis=-1) - 1.0)) > 1e-9:
             raise ProfileError("every prediction cell must be a probability vector")
         thetas.setflags(write=False)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +11,8 @@ from peerpred.io import save_mechanism, save_prior, save_profile
 from peerpred.mechanism import MechanismConfig
 from peerpred.priors import from_latent, random_snife_prior
 from peerpred.strategy import truth_telling_profile
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 EXAMPLE_PRIOR = {
     "signals": ["s1", "s2", "s3"],
@@ -287,6 +293,9 @@ class TestErrorsAndDeterminism:
             ["sweep-n", "--n", "8", "--samples", "-2"],
             ["audit", "--profile", "truth", "--eps", "0"],
             ["payout", "--profile", "truth", "--trials", "0"],
+            ["payout", "--profile", "truth", "--trials", "10", "--seed", "-1"],
+            ["gen-prior", "--m", "3", "--seed", "-1"],
+            ["sweep-n", "--n", "8", "--seed", "-1"],
         ],
     )
     def test_bad_profile_spec_exits_1(self, prior_file, argv, capsys):
@@ -294,6 +303,30 @@ class TestErrorsAndDeterminism:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), "x"])
+    def test_seed_out_of_range_exits_1(self, seed, capsys):
+        assert main(["gen-prior", "--m", "3", "--seed", seed]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument --seed:")
+        assert "Traceback" not in err
+
+    def test_usage_error_leaves_parser_intact(self, prior_file, capsys):
+        argv = ["payout", "--prior", prior_file, "--profile", "truth", "--trials", "50"]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        fresh = subprocess.run(
+            [sys.executable, "-m", "peerpred.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert fresh.returncode == 0, fresh.stderr
+        assert main(["payout", "--prior", prior_file, "--profile"]) == 1
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == fresh.stdout
 
     def test_flags_override_mechanism_file(self, tmp_path, prior_file, mech_file, capsys):
         argv = ["payout", "--prior", prior_file, "--profile", "uniform"]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peerpred import scoring
+from peerpred import mechanism, scoring
 from peerpred.divergence import hellinger
 from peerpred.mechanism import (
     Matching,
@@ -310,8 +310,8 @@ def test_third_rule_scored_by_its_own_methods(monkeypatch, latent3, variant):
         atol=1e-12,
     )
 
-    a = monte_carlo_payments(doubled, latent3, profile, trials=3000, seed=2, chunk=1000)
-    b = monte_carlo_payments(log, latent3, profile, trials=3000, seed=2, chunk=1000)
+    a = monte_carlo_payments(doubled, latent3, profile, trials=3000, seed=2)
+    b = monte_carlo_payments(log, latent3, profile, trials=3000, seed=2)
     np.testing.assert_allclose(a.mean, b.mean, rtol=0, atol=1e-12)
     assert a.welfare_mean == pytest.approx(b.welfare_mean, abs=1e-12)
 
@@ -544,32 +544,33 @@ class TestMonteCarlo:
                 MechanismConfig(), latent3, truth_telling_profile(prior, 4), trials=0
             )
 
-    # Recorded from the implementation that scored Monte Carlo rounds inline:
-    # (mean per agent, welfare mean, welfare stderr) for seed 4, chunk 1000.
+    # Recorded from the block streams Generator(Philox(key=(seed, b))), 4096
+    # trials per block b: (mean per agent, welfare mean, welfare stderr) for
+    # seed 4.
     PINNED = {
         ("log", "truthful"): (
-            [-1.5122710926975638, -1.4201650751756463, -1.7644364521165339,
-             -1.4523100557766782, -1.5081521513008131],
-            -1.5314669654134447,
-            0.009251161461465008,
+            [-1.4958550507737234, -1.4166830600597444, -1.7475033062906153,
+             -1.4529180030580673, -1.4830092151060432],
+            -1.5191937270576332,
+            0.009445934693301924,
         ),
         ("log", "disagreement"): (
-            [0.872276372787511, 0.8458047837710423, -0.620694223996011,
-             -0.45716065958842583, -0.3125039944010233],
-            0.06554445571461878,
-            0.004768934860741787,
+            [0.8940761118623745, 0.8813309528654787, -0.6227584293301648,
+             -0.46874208308542337, -0.35724272928307094],
+            0.0653327646058389,
+            0.004729971437329684,
         ),
         ("quadratic", "truthful"): (
-            [0.1546525993492632, 0.17530350217522092, 0.11603359598607521,
-             0.15245110354459065, 0.11556302835996278],
-            0.1428007658830226,
-            0.0044588922368568,
+            [0.1672025850063549, 0.17847877450357846, 0.12039709867351624,
+             0.1555069264757871, 0.13343440027682685],
+            0.15100395698721306,
+            0.004563111063160654,
         ),
         ("quadratic", "disagreement"): (
-            [0.05159204656760369, -0.03063179047079101, 0.09767908871476941,
-             0.07747751657482599, 0.13160541718668617],
-            0.06554445571461878,
-            0.004768934860741787,
+            [0.054104500781782666, 0.002494765609122178, 0.09166040339244297,
+             0.07299011433989838, 0.10541403890594939],
+            0.06533276460583891,
+            0.004729971437329683,
         ),
     }  # fmt: skip
 
@@ -577,8 +578,125 @@ class TestMonteCarlo:
     def test_pinned_values(self, latent3, rule, variant):
         profile = random_profile(np.random.default_rng(8), 3, 5)
         config = MechanismConfig(1.0, 0.05, rule, variant)
-        mc = monte_carlo_payments(config, latent3, profile, trials=2500, seed=4, chunk=1000)
+        mc = monte_carlo_payments(config, latent3, profile, trials=2500, seed=4)
         mean, welfare_mean, welfare_stderr = self.PINNED[rule, variant]
         np.testing.assert_allclose(mc.mean, mean, rtol=0, atol=1e-12)
         assert mc.welfare_mean == pytest.approx(welfare_mean, abs=1e-12)
         assert mc.welfare_stderr == pytest.approx(welfare_stderr, abs=1e-12)
+
+
+def monte_carlo_oracle(config, latent, profile, trials, seed):
+    """Monte Carlo from the documented block streams, one round at a time.
+
+    Block b draws from Generator(Philox(key=(seed, b))): signals, report
+    uniforms, mate draws below the common multiple of the mate counts, and in
+    the disagreement variant the draws of j and k.  Rounds are scored by
+    ``realized_payments``; means and variances are taken in two passes over
+    all trials."""
+    n, m = profile.n, profile.m
+    disagreement = config.variant == "disagreement"
+    pools = config.groups(n) if disagreement else (tuple(range(n)),)
+    mates = [next([j for j in pool if j != i] for pool in pools if i in pool) for i in range(n)]
+    common = math.lcm(*map(len, mates))
+    cums = np.cumsum(profile.thetas, axis=1)
+    block = mechanism._MC_BLOCK
+    payments = []
+    for b in range(-(-trials // block)):
+        size = min(block, trials - b * block)
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
+        signals = latent.sample_signals(n, size, rng)
+        uniforms = rng.random((size, n))
+        mate_draws = rng.integers(0, common, (size, n))
+        if disagreement:
+            j_draws = rng.integers(0, n - 1, (size, n))
+            k_draws = rng.integers(0, n - 2, (size, n))
+        for t in range(size):
+            reports, peers, pairs = [], [], []
+            for i in range(n):
+                s = signals[t, i]
+                r = min(int(np.sum(uniforms[t, i] >= cums[i, :, s])), m - 1)
+                reports.append(Report(r, profile.predictions[i, s, r]))
+                peers.append(mates[i][mate_draws[t, i] % len(mates[i])])
+                if disagreement:
+                    j = [x for x in range(n) if x != i][j_draws[t, i]]
+                    k = [x for x in range(n) if x not in (i, j)][k_draws[t, i]]
+                    pairs.append((j, k))
+            matching = Matching(np.array(peers), np.array(pairs) if disagreement else None)
+            payments.append(realized_payments(config, reports, matching))
+    payments = np.array(payments)
+    welfare = payments.mean(axis=1)
+    mean = payments.mean(axis=0)
+    var = ((payments - mean) ** 2).mean(axis=0)
+    wvar = float(((welfare - welfare.mean()) ** 2).mean())
+    return mean, np.sqrt(var / trials), float(welfare.mean()), math.sqrt(wvar / trials)
+
+
+class TestMonteCarloStreams:
+    BLOCK = 64
+
+    @pytest.mark.parametrize("trials", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+    @pytest.mark.parametrize("rule", ["log", "quadratic"])
+    @pytest.mark.parametrize(
+        "variant, group", [("truthful", None), ("disagreement", None), ("disagreement", (4, 1))]
+    )
+    def test_matches_block_stream_oracle(self, monkeypatch, latent3, trials, rule, variant, group):
+        monkeypatch.setattr(mechanism, "_MC_BLOCK", self.BLOCK)
+        profile = random_profile(np.random.default_rng(8), 3, 5)
+        config = MechanismConfig(1.0, 0.05, rule, variant, group)
+        mc = monte_carlo_payments(config, latent3, profile, trials=trials, seed=4)
+        mean, stderr, welfare_mean, welfare_stderr = monte_carlo_oracle(
+            config, latent3, profile, trials, seed=4
+        )
+        np.testing.assert_allclose(mc.mean, mean, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(mc.stderr, stderr, rtol=0, atol=1e-12)
+        assert mc.welfare_mean == pytest.approx(welfare_mean, abs=1e-12)
+        assert mc.welfare_stderr == pytest.approx(welfare_stderr, abs=1e-12)
+
+    @pytest.mark.parametrize("rule", ["log", "quadratic"])
+    @pytest.mark.parametrize("variant", ["truthful", "disagreement"])
+    def test_tables_equal_kernel(self, monkeypatch, latent3, rule, variant):
+        monkeypatch.setattr(mechanism, "_BLOCK_CELLS", 64)
+        profile = random_profile(np.random.default_rng(3), 3, 7)
+        config = MechanismConfig(1.0, 0.05, rule, variant)
+        reachable = profile.thetas.transpose(0, 2, 1) > 0.0
+        assert mechanism._mc_tables(config, profile, reachable, 5000) is not None
+        tables = monte_carlo_payments(config, latent3, profile, trials=5000, seed=9)
+        monkeypatch.setattr(mechanism, "_MC_TABLE_ENTRIES", 0)
+        kernel = monte_carlo_payments(config, latent3, profile, trials=5000, seed=9)
+        assert np.array_equal(tables.mean, kernel.mean)
+        assert np.array_equal(tables.stderr, kernel.stderr)
+        assert tables.welfare_mean == kernel.welfare_mean
+        assert tables.welfare_stderr == kernel.welfare_stderr
+
+    def test_domain_error_only_on_sampled_pairs(self, latent3):
+        """Agents 0 and 1 always report signal 0 and predict zero mass on
+        signal 2, which agents 2 and 3 report.  Their in-group matches are
+        defined; a match across the groups is not."""
+        thetas = np.stack([np.eye(3)] * 4)
+        thetas[:2] = [[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+        predictions = np.full((4, 3, 3, 3), 1.0 / 3.0)
+        predictions[:2] = [0.5, 0.5, 0.0]
+        profile = StrategyProfile(thetas, predictions)
+        config = MechanismConfig(1.0, 0.05, "log", "disagreement")
+        mc = monte_carlo_payments(config, latent3, profile, trials=3000, seed=1)
+        assert np.all(np.isfinite(mc.mean))
+        with pytest.raises(scoring.ScoreDomainError):
+            monte_carlo_payments(
+                MechanismConfig(1.0, 0.05, "log"), latent3, profile, trials=3000, seed=1
+            )
+
+    def test_signal_count_mismatch_rejected(self, latent3):
+        profile = truth_telling_profile(from_latent(random_snife_prior(2, 2, seed=1)), 4)
+        with pytest.raises(MechanismError, match="signals"):
+            monte_carlo_payments(MechanismConfig(), latent3, profile, trials=10)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+    def test_seed_out_of_range_rejected(self, latent3, seed):
+        profile = truth_telling_profile(from_latent(latent3), 4)
+        with pytest.raises(MechanismError, match="seed"):
+            monte_carlo_payments(MechanismConfig(), latent3, profile, trials=10, seed=seed)
+
+    def test_largest_seed_accepted(self, latent3):
+        profile = truth_telling_profile(from_latent(latent3), 4)
+        mc = monte_carlo_payments(MechanismConfig(), latent3, profile, trials=10, seed=2**64 - 1)
+        assert mc.trials == 10

@@ -36,7 +36,8 @@ def test_script_runs(script, args, header):
 def test_bench_layers_writes_json(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    args = ["--label", "tiny", "--ns", "4", "--ms", "2", "--repeats", "2", "--out-dir", str(tmp_path)]
+    args = ["--label", "tiny", "--ns", "4", "--ms", "2", "--mc-ns", "4", "--mc-trials", "200",
+            "--repeats", "2", "--out-dir", str(tmp_path)]  # fmt: skip
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "bench_layers.py"), *args],
         capture_output=True,
@@ -47,10 +48,18 @@ def test_bench_layers_writes_json(tmp_path):
     assert done.returncode == 0, done.stderr
     record = json.loads((tmp_path / "BENCH_tiny.json").read_text())
     assert {"python", "numpy", "cpu_count"} <= set(record)
-    cells = {(row["layer"], row["profile"]) for row in record["rows"]}
+    mc = [row for row in record["rows"] if row["layer"] == "monte_carlo_payments"]
+    exact = [row for row in record["rows"] if row["layer"] != "monte_carlo_payments"]
+    cells = {(row["layer"], row["profile"]) for row in exact}
     assert cells == {
         (layer, profile)
         for layer in ("welfare_metrics", "check_equilibrium")
         for profile in ("truth", "solved")
     }
-    assert all(row["m"] == 2 and row["n"] == 4 and row["median_s"] > 0 for row in record["rows"])
+    assert all(row["m"] == 2 and row["n"] == 4 and row["median_s"] > 0 for row in exact)
+    assert {(row["variant"], row["profile"]) for row in mc} == {
+        (variant, profile)
+        for variant in ("truthful", "disagreement")
+        for profile in ("truth", "solved")
+    }
+    assert all(row["m"] == 3 and row["n"] == 4 and row["trials_per_s"] > 0 for row in mc)

@@ -102,6 +102,21 @@ class TestValidation:
         with pytest.raises(ProfileError):
             validate_signal_strategy(np.array([[1.2, 0.0], [-0.2, 1.0]]))
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({1: [[0.6, 0.5], [0.6, 0.5]], 2: [[1.2, 0.0], [-0.2, 1.0]]}, "got [1.2 1. ]"),
+            ({1: [[1.2, 0.0], [-0.2, 1.0]], 2: [[0.6, 0.5], [0.6, 0.5]]}, "non-negative"),
+        ],
+    )
+    def test_profile_reports_first_failing_agent(self, bad, message):
+        thetas = np.broadcast_to(np.eye(2), (4, 2, 2)).copy()
+        for i, theta in bad.items():
+            thetas[i] = theta
+        with pytest.raises(ProfileError) as info:
+            StrategyProfile(thetas, np.full((4, 2, 2, 2), 0.5))
+        assert message in str(info.value)
+
     def test_profile_shapes(self, prior2):
         with pytest.raises(ProfileError):
             StrategyProfile(np.eye(2)[None], np.full((1, 2, 2, 2), 0.5))  # n = 1
