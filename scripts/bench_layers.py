@@ -1,4 +1,5 @@
-"""Per-layer timings of welfare_metrics, check_equilibrium and monte_carlo_payments.
+"""Per-layer timings of welfare_metrics, check_equilibrium,
+aggregation_error_audit and monte_carlo_payments.
 
 For every signal count m a validated random prior is sampled (fixed seed) and
 two profiles are built per agent count n: truth-telling, and random signal
@@ -9,6 +10,10 @@ one run, and the larger n of the same (layer, profile, m) are skipped.
 Setup (prior sampling, prediction solving) is not timed.
 
 welfare_metrics and check_equilibrium run over ``--ns`` x ``--ms``.
+aggregation_error_audit runs over ``--ns`` at m = 2 and 3 (eps = 10, which
+every n >= 3 clears) on two strategy lists: random strategies ("random", n
+agent types) and truth-tellers with one random deviant ("one-deviant", two
+types).
 monte_carlo_payments runs ``--mc-trials`` trials (seed 0) at m = 3 and n in
 ``--mc-ns``, for both variants, and its rows add ``trials_per_s``.
 
@@ -29,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from peerpred.audits import aggregation_error_audit
 from peerpred.equilibrium import check_equilibrium, solved_profile
 from peerpred.mechanism import MechanismConfig, monte_carlo_payments, welfare_metrics
 from peerpred.priors import from_latent, random_snife_prior
@@ -37,6 +43,8 @@ from peerpred.strategy import random_signal_strategy, truth_telling_profile
 BUDGET_S = 5.0
 SEED = 7
 MC_M = 3
+AUDIT_MS = (2, 3)
+AUDIT_EPS = 10.0
 
 
 def _ints(text):
@@ -80,7 +88,20 @@ def main():
     }
     rows = []
     over_budget = set()
-    print(f"{'layer':<18} {'profile':<7} {'m':>2} {'n':>5} {'median_s':>10} {'runs':>4}")
+
+    def record(layer, name, m, n, call):
+        row = {"layer": layer, "profile": name, "m": m, "n": n}
+        if (layer, name, m) in over_budget:
+            rows.append({**row, "skipped": True})
+            return
+        runs = _time(call, args.repeats)
+        if runs[0] > BUDGET_S:
+            over_budget.add((layer, name, m))
+        median = statistics.median(runs)
+        rows.append({**row, "median_s": median, "runs": len(runs)})
+        print(f"{layer:<23} {name:<11} {m:>2} {n:>5} {median:>10.3g} {len(runs):>4}")
+
+    print(f"{'layer':<23} {'profile':<11} {'m':>2} {'n':>5} {'median_s':>10} {'runs':>4}")
     for m in args.ms:
         prior = from_latent(random_snife_prior(m, 2, seed=SEED + m))
         config = MechanismConfig(alpha=1.0, beta=1.0 / (8.0 * m), rule="log")
@@ -88,20 +109,27 @@ def main():
             profiles = _profiles(config, prior, n, seed=SEED + 1000 * m + n)
             for layer, run in layers.items():
                 for name, profile in profiles.items():
-                    row = {"layer": layer, "profile": name, "m": m, "n": n}
-                    if (layer, name, m) in over_budget:
-                        rows.append({**row, "skipped": True})
-                        continue
-                    runs = _time(lambda: run(config, prior, profile), args.repeats)
-                    if runs[0] > BUDGET_S:
-                        over_budget.add((layer, name, m))
-                    median = statistics.median(runs)
-                    rows.append({**row, "median_s": median, "runs": len(runs)})
-                    print(f"{layer:<18} {name:<7} {m:>2} {n:>5} {median:>10.3g} {len(runs):>4}")
+                    record(layer, name, m, n, lambda: run(config, prior, profile))
+
+    for m in AUDIT_MS:
+        prior = from_latent(random_snife_prior(m, 2, seed=SEED + m))
+        for n in sorted(args.ns):
+            rng = np.random.default_rng(SEED + 1000 * m + n)
+            lists = {"random": np.stack([random_signal_strategy(rng, m) for _ in range(n)])}
+            lists["one-deviant"] = np.broadcast_to(np.eye(m), (n, m, m)).copy()
+            lists["one-deviant"][0] = lists["random"][0]
+            for name, thetas in lists.items():
+                record(
+                    "aggregation_error_audit",
+                    name,
+                    m,
+                    n,
+                    lambda: aggregation_error_audit(prior, thetas, AUDIT_EPS),
+                )
 
     latent = random_snife_prior(MC_M, 2, seed=SEED + MC_M)
     prior = from_latent(latent)
-    print(f"{'variant':<18} {'profile':<7} {'m':>2} {'n':>5} {'median_s':>10} {'runs':>4} trials/s")
+    print(f"{'variant':<23} {'profile':<11} {'m':>2} {'n':>5} {'median_s':>10} {'runs':>4} trials/s")
     for variant in ("truthful", "disagreement"):
         config = MechanismConfig(1.0, 1.0 / (8.0 * MC_M), "log", variant)
         for n in sorted(args.mc_ns):
@@ -126,7 +154,7 @@ def main():
                         "trials_per_s": rate,
                     }
                 )
-                cell = f"{variant:<18} {name:<7} {MC_M:>2} {n:>5}"
+                cell = f"{variant:<23} {name:<11} {MC_M:>2} {n:>5}"
                 print(f"{cell} {median:>10.3g} {len(runs):>4} {rate:.4g}")
 
     out = Path(args.out_dir) / f"BENCH_{args.label}.json"

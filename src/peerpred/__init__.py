@@ -8,16 +8,7 @@ prediction solving, welfare decomposition into diversity and inconsistency,
 and numeric audits of the welfare-ordering guarantees.
 """
 
-from .divergence import (
-    HELLINGER,
-    KL,
-    ConvexGenerator,
-    DivergenceDomainError,
-    convex_gap_lower_bound,
-    f_divergence,
-    hellinger,
-    monotonicity_strict_predicate,
-)
+from .divergence import DivergenceDomainError, hellinger, monotonicity_strict_predicate
 from .equilibrium import (
     BestResponse,
     EquilibriumReport,
@@ -35,9 +26,7 @@ from .mechanism import (
     MonteCarloPayments,
     Report,
     WelfareBreakdown,
-    classification_pair_score,
     monte_carlo_payments,
-    pair_scores,
     pairwise_payment,
     realized_payments,
     welfare_metrics,
@@ -71,12 +60,9 @@ from .strategy import (
     candidate_profiles,
     constant_report_profile,
     counterexample_profile,
-    matrix_classify,
     permutation_profile,
     permute_profile,
     random_signal_strategy,
-    symmetric_profile,
-    symmetrized_best_prediction,
     tau_closeness,
     truth_telling_profile,
     uniform_report_profile,

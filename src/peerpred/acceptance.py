@@ -79,16 +79,6 @@ def _result(number, name, start, passed, detail) -> CriterionResult:
     return CriterionResult(number, name, bool(passed), time.time() - start, detail)
 
 
-def _random_priors(count, seed0, ms):
-    """Deterministic stream of validated random priors cycling over ``ms``."""
-    out = []
-    for k in range(count):
-        m = ms[k % len(ms)]
-        latent = random_snife_prior(m, 2, seed=seed0 + k)
-        out.append((latent, from_latent(latent)))
-    return out
-
-
 def criterion_1_truthful_strictness() -> CriterionResult:
     """Truth-telling is an exact equilibrium with strictly worse alternatives."""
     start = time.time()

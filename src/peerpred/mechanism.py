@@ -18,23 +18,21 @@ Two variants share one report format (a signal plus a prediction):
 
 The zero-sum-plus-classification construction is generic: it upgrades any
 decomposable pairwise payment, not just the truthful one, which is what
-:func:`zero_sum_group_scores` together with :func:`classification_pair_score`
-expresses.
+:func:`zero_sum_group_scores` expresses.
 
 The payment rule itself is assembled once, in :func:`_assemble_payments`,
 over arrays of T rounds of n agents, from a base-payment and a
 classification-reward lookup.  :func:`_round_payments` computes them from
 reported predictions; :func:`realized_payments` feeds it :class:`Report`
-objects with one or T matchings, and :func:`pair_scores`,
-:func:`pairwise_payment` and :func:`classification_pair_score` apply the same
-formulas to single reports.  :func:`monte_carlo_payments` scores every
-ordered pair of reachable (agent, signal, report) cells once into tables and
-looks each sampled payment up; it falls back to the kernel, with identical
-results, when the tables would pass ``_MC_TABLE_ENTRIES`` entries or hold a
-pair outside the scoring rule's domain.  Its trials run in fixed blocks, each
-drawn from its own Philox stream keyed by (seed, block), so its estimates
-depend on the seed and the trial count alone.  Scores are reached only
-through :class:`~peerpred.scoring.ProperScoringRule` methods.
+objects with one or T matchings, and :func:`pairwise_payment` applies the
+base payment to a single pair of reports.  :func:`monte_carlo_payments`
+scores every ordered pair of reachable (agent, signal, report) cells once
+into tables and looks each sampled payment up; it falls back to the kernel,
+with identical results, when the tables would pass ``_MC_TABLE_ENTRIES``
+entries or hold a pair outside the scoring rule's domain.  Its trials run in
+fixed blocks, each drawn from its own Philox stream keyed by (seed, block),
+so its estimates depend on the seed and the trial count alone.  Scores are
+reached only through :class:`~peerpred.scoring.ProperScoringRule` methods.
 
 Average per-agent welfare of the disagreement variant equals the
 classification score Diversity - Inconsistency; :func:`welfare_metrics`
@@ -60,9 +58,9 @@ from typing import Sequence
 import numpy as np
 
 from .divergence import hellinger
-from .priors import LatentStatePrior, PairwisePrior, sample_categorical
+from .priors import PROBABILITY_TOL, LatentStatePrior, PairwisePrior, sample_categorical
 from .scoring import ProperScoringRule, ScoreDomainError, get_rule
-from .strategy import StrategyProfile
+from .strategy import StrategyProfile, agent_types, check_signal_count
 
 __all__ = [
     "MechanismConfig",
@@ -71,9 +69,7 @@ __all__ = [
     "WelfareBreakdown",
     "MonteCarloPayments",
     "MechanismError",
-    "pair_scores",
     "pairwise_payment",
-    "classification_pair_score",
     "zero_sum_group_scores",
     "realized_payments",
     "welfare_metrics",
@@ -161,7 +157,8 @@ class Report:
     def __post_init__(self):
         prediction = np.asarray(self.prediction, dtype=float)
         object.__setattr__(self, "prediction", prediction)
-        if prediction.ndim != 1 or abs(prediction.sum() - 1.0) > 1e-9 or np.any(prediction < 0):
+        off = abs(prediction.sum() - 1.0)
+        if prediction.ndim != 1 or off > PROBABILITY_TOL or np.any(prediction < 0):
             raise MechanismError("a report's prediction must be a probability vector")
         if not 0 <= self.signal < prediction.size:
             raise MechanismError(f"signal index {self.signal} out of range")
@@ -214,22 +211,8 @@ def _classification_reward(sig_j, pred_j, sig_k, pred_k):
     return np.where(sig_j == sig_k, -np.sqrt(d), d)
 
 
-def pair_scores(config: MechanismConfig, r_i: Report, r_j: Report) -> tuple[float, float]:
-    """(score_P, score_I) for agent i matched with agent j."""
-    score_p, score_i = _pair_terms(
-        config.scoring_rule(), r_i.signal, r_i.prediction, r_j.signal, r_j.prediction
-    )
-    return float(score_p), float(score_i)
-
-
 def pairwise_payment(config: MechanismConfig, r_i: Report, r_j: Report) -> float:
     return float(_base_payments(config, r_i.signal, r_i.prediction, r_j.signal, r_j.prediction))
-
-
-def classification_pair_score(r_j: Report, r_k: Report) -> float:
-    """Hellinger divergence of the two predictions on differing reported
-    signals; minus the Hellinger distance on matching ones."""
-    return float(_classification_reward(r_j.signal, r_j.prediction, r_k.signal, r_k.prediction))
 
 
 def zero_sum_group_scores(
@@ -339,7 +322,8 @@ def realized_payments(
 
 # Cells per block of the array passes (trials x n x m when the kernel scores
 # Monte Carlo rounds, cells x cells x m when its tables are built, rows x m x
-# m x types in the welfare passes): bounds the arrays they gather, whatever n.
+# m x types in the welfare passes and in the aggregation-error audit): bounds
+# the arrays they gather, whatever n.
 _BLOCK_CELLS = 2**16
 
 
@@ -401,12 +385,11 @@ def welfare_metrics(prior: PairwisePrior, profile: StrategyProfile) -> WelfareBr
     (T = 1), quadratic in n for heterogeneous ones (T = n).
     """
     n, m = profile.n, profile.m
+    check_signal_count(prior, m)
     joint = prior.joint()  # joint[a, b] = Pr(one agent a, another b)
 
     # agents with byte-identical rows form one type; c counts its agents
-    rows = np.concatenate([profile.thetas.reshape(n, -1), profile.predictions.reshape(n, -1)], 1)
-    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
-    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    first, counts = agent_types(profile.thetas, profile.predictions)
     c = counts.astype(float)
     types = c.size
 

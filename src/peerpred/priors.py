@@ -42,6 +42,11 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
+# Largest |sum - 1| accepted for a probability vector given as input: a
+# latent prior's state distribution and emission rows, a prediction, and the
+# signal strategy of the far-from-permutation audit.  It admits vectors
+# written out to nine or more digits, as in hand-entered files.
+PROBABILITY_TOL = 1e-9
 
 
 class PriorError(ValueError):
@@ -144,13 +149,13 @@ class LatentStatePrior:
         object.__setattr__(self, "emissions", emissions)
         if probs.ndim != 1 or probs.size < 1:
             raise PriorError("state_probs must be a non-empty vector")
-        if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
+        if np.any(probs < 0) or abs(probs.sum() - 1.0) > PROBABILITY_TOL:
             raise PriorError("state_probs must be a probability vector")
         if emissions.shape != (probs.size, self.space.m):
             raise PriorError(
                 f"emissions shape {emissions.shape} != ({probs.size}, {self.space.m})"
             )
-        if np.any(emissions < 0) or np.max(np.abs(emissions.sum(axis=1) - 1.0)) > 1e-9:
+        if np.any(emissions < 0) or np.max(np.abs(emissions.sum(axis=1) - 1.0)) > PROBABILITY_TOL:
             raise PriorError("each emissions row must be a probability vector")
         probs.setflags(write=False)
         emissions.setflags(write=False)
@@ -165,16 +170,6 @@ class LatentStatePrior:
 
     def marginal(self) -> np.ndarray:
         return self.state_probs @ self.emissions
-
-    def state_posterior(self, s: int) -> np.ndarray:
-        """Pr(state | own signal s)."""
-        w = self.state_probs * self.emissions[:, s]
-        total = w.sum()
-        if total <= 0.0:
-            raise PriorError(
-                f"signal {self.space.labels[s]!r} has zero marginal probability"
-            )
-        return w / total
 
     def sample_signals(self, n: int, trials: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``trials`` independent rounds of ``n`` agents' signals, shape (trials, n)."""

@@ -19,12 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .priors import PairwisePrior, PermutationMap, PriorError, all_permutations
+from .priors import (
+    PROBABILITY_TOL,
+    PairwisePrior,
+    PermutationMap,
+    PriorError,
+    all_permutations,
+)
 
 __all__ = [
     "StrategyProfile",
     "AggregateStrategies",
-    "MatrixClass",
     "ProfileError",
     "truth_telling_profile",
     "permutation_profile",
@@ -35,9 +40,8 @@ __all__ = [
     "aggregate_strategies",
     "best_prediction_profile",
     "prediction_anchors",
-    "symmetrized_best_prediction",
-    "symmetric_profile",
-    "matrix_classify",
+    "agent_types",
+    "check_signal_count",
     "permute_profile",
     "validate_signal_strategy",
     "random_signal_strategy",
@@ -94,7 +98,8 @@ class StrategyProfile:
                 f"predictions must have shape ({n}, {m}, {m}, {m}), got {predictions.shape}"
             )
         _check_columns(thetas)
-        if np.any(predictions < 0.0) or np.max(np.abs(predictions.sum(axis=-1) - 1.0)) > 1e-9:
+        off = np.max(np.abs(predictions.sum(axis=-1) - 1.0))
+        if np.any(predictions < 0.0) or off > PROBABILITY_TOL:
             raise ProfileError("every prediction cell must be a probability vector")
         thetas.setflags(write=False)
         predictions.setflags(write=False)
@@ -138,10 +143,29 @@ def _aggregate(thetas: np.ndarray) -> AggregateStrategies:
     return AggregateStrategies(theta_bar, theta_minus)
 
 
+def check_signal_count(prior: PairwisePrior, m: int):
+    """Raise unless strategies over ``m`` signals fit the prior's signal space."""
+    if m != prior.m:
+        raise ProfileError(f"the prior has {prior.m} signals but the strategies have {m}")
+
+
+def agent_types(*arrays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group agents whose rows in every array of ``arrays`` (each (n, ...)) are
+    byte-identical.  Returns the index of each type's first agent and the
+    type's agent count, types in the order of their bytes."""
+    n = arrays[0].shape[0]
+    rows = np.concatenate([np.asarray(a, dtype=float).reshape(n, -1) for a in arrays], axis=1)
+    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    return first, counts
+
+
 def prediction_anchors(prior: PairwisePrior, thetas: np.ndarray) -> np.ndarray:
     """The prediction-score maximizers theta_minus[i] @ q_s of every agent at
     every private signal, shape (n, m, m) indexed [agent, private, coordinate]."""
-    theta_minus = _aggregate(np.asarray(thetas, dtype=float)).theta_minus
+    thetas = np.asarray(thetas, dtype=float)
+    check_signal_count(prior, thetas.shape[-1])
+    theta_minus = _aggregate(thetas).theta_minus
     return np.einsum("iuv,vs->isu", theta_minus, prior.conditional)
 
 
@@ -250,47 +274,6 @@ def best_prediction_profile(profile: StrategyProfile, prior: PairwisePrior) -> S
     maximizer theta_minus[i] @ q_s (independent of the reported signal)."""
     anchors = prediction_anchors(prior, profile.thetas)
     return profile.with_predictions(_filled_predictions(profile.n, anchors))
-
-
-def symmetrized_best_prediction(profile: StrategyProfile, prior: PairwisePrior) -> StrategyProfile:
-    """Like :func:`best_prediction_profile` but with the population average
-    theta_bar @ q_s for every agent."""
-    agg = aggregate_strategies(profile)
-    per_signal = (agg.theta_bar @ prior.conditional).T  # row s
-    return profile.with_predictions(_filled_predictions(profile.n, per_signal))
-
-
-def symmetric_profile(prior: PairwisePrior, n: int, theta: np.ndarray) -> StrategyProfile:
-    """All agents play ``theta`` and predict theta @ q_s."""
-    theta = validate_signal_strategy(theta)
-    thetas = np.broadcast_to(theta, (n, theta.shape[0], theta.shape[1])).copy()
-    per_signal = (theta @ prior.conditional).T
-    return StrategyProfile(thetas, _filled_predictions(n, per_signal))
-
-
-@dataclass(frozen=True)
-class MatrixClass:
-    is_permutation: bool
-    is_tau_close: bool
-
-
-def matrix_classify(theta: np.ndarray, tau: float, tol: float = STOCHASTIC_TOL) -> MatrixClass:
-    """Row-wise classification of a column-stochastic matrix.
-
-    A column-stochastic matrix is a permutation matrix exactly when every row
-    has at most one entry above ``tol``; it is tau-close to a permutation when
-    every row has at most one entry strictly above ``tau`` (ties at tau do not
-    count as exceeding).
-    """
-    theta = validate_signal_strategy(theta, tol=1e-9)
-    if not (0.0 < tau < 1.0):
-        raise ProfileError(f"tau must lie in (0, 1), got {tau}")
-    per_row_big = (theta > tol).sum(axis=1)
-    per_row_tau = (theta > tau).sum(axis=1)
-    return MatrixClass(
-        is_permutation=bool(np.all(per_row_big <= 1)),
-        is_tau_close=bool(np.all(per_row_tau <= 1)),
-    )
 
 
 def random_signal_strategy(rng: np.random.Generator, m: int) -> np.ndarray:

@@ -1,6 +1,12 @@
+from functools import cache
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from peerpred import audits
 from peerpred.audits import (
     AuditError,
     aggregation_error_audit,
@@ -26,10 +32,10 @@ from peerpred.priors import (
 )
 from peerpred.strategy import (
     StrategyProfile,
-    matrix_classify,
     permutation_profile,
+    prediction_anchors,
     random_signal_strategy,
-    symmetric_profile,
+    tau_closeness,
     truth_telling_profile,
 )
 
@@ -70,7 +76,55 @@ class TestClassificationBound:
         assert result.context["equilibrium_max_gap"] <= 1e-12
 
 
+def aggregation_error_oracle(prior, thetas):
+    """The former aggregation_error_audit lhs: D* over every pair of (agent,
+    signal) anchors through the Gram form sum x + sum y - 2 <sqrt x, sqrt y>,
+    as dense (n m)^2 arrays, with each agent's pairs with itself set to 0."""
+    n, m = thetas.shape[0], thetas.shape[1]
+    points = prediction_anchors(prior, thetas).reshape(n * m, m)
+    sq = np.sqrt(points)
+    gram = sq @ sq.T
+    norms = points.sum(axis=1)
+    dists = norms[:, None] + norms[None, :] - 2.0 * gram
+    ref_points = (thetas.mean(axis=0) @ prior.conditional).T
+    ref = hellinger(ref_points[:, None, :], ref_points[None, :, :])
+    dev = np.abs(dists.reshape(n, m, n, m) - ref[None, :, None, :])
+    dev[np.arange(n), :, np.arange(n), :] = 0.0
+    return float(np.max(dev))
+
+
+@cache
+def cached_prior(m, seed):
+    return from_latent(random_snife_prior(m, 2, seed=seed))
+
+
+@st.composite
+def strategy_lists(draw):
+    """A prior and a strategy list drawn from a small pool, so that types
+    repeat: random strategies, the identity, and strategies with a column
+    holding zeros; one more agent plays a strategy of its own."""
+    m = draw(st.integers(2, 3))
+    prior = cached_prior(m, draw(st.integers(0, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = [random_signal_strategy(rng, m) for _ in range(3)] + [np.eye(m)]
+    for theta in pool[:2]:
+        theta[:, draw(st.integers(0, m - 1))] = np.eye(m)[draw(st.integers(0, m - 1))]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=60))
+    thetas = np.stack([pool[k] for k in picks] + [random_signal_strategy(rng, m)])
+    return prior, thetas
+
+
 class TestAggregationError:
+    @settings(max_examples=150, deadline=None)
+    @given(strategy_lists(), st.sampled_from((1, 7, 2**16)))
+    def test_matches_dense_oracle(self, case, block_cells):
+        prior, thetas = case
+        # an anchor that rounding pushes below zero has a NaN root in both
+        with np.errstate(invalid="ignore"), mock.patch.object(audits, "_BLOCK_CELLS", block_cells):
+            lhs = aggregation_error_audit(prior, thetas, eps=100.0).lhs
+            oracle = aggregation_error_oracle(prior, thetas)
+        np.testing.assert_allclose(lhs, oracle, rtol=0, atol=1e-15)
+
     def test_equal_strategies_zero(self, prior2):
         theta = random_signal_strategy(np.random.default_rng(1), 2)
         thetas = np.stack([theta] * 600)
@@ -208,7 +262,7 @@ class TestTheoremConsequences:
         for seed in range(5):
             prior = from_latent(random_snife_prior(3, 2, seed=50 + seed))
             theta = random_signal_strategy(rng, 3)
-            if matrix_classify(theta, tau=0.5).is_permutation:
+            if tau_closeness(theta) <= 1e-12:
                 continue
             best_drop = max(
                 float(hellinger(prior.q_sigma(a), prior.q_sigma(b)))
@@ -253,4 +307,4 @@ class TestTheoremConsequences:
                 gamma1 = 1e-12
             tau1 = bounds.tau1(gamma1)
             if tau1 < 1.0:
-                assert matrix_classify(theta, tau=max(tau1, 1e-9)).is_tau_close
+                assert tau_closeness(theta) <= max(tau1, 1e-9)

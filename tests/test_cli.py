@@ -30,6 +30,17 @@ def prior_file(tmp_path):
     return str(path)
 
 
+# stands for a profile file over three signals, against the two-signal prior
+M3_PROFILE = "<m3-profile>"
+
+
+@pytest.fixture
+def m3_profile_file(tmp_path):
+    path = tmp_path / "profile3.json"
+    save_profile(truth_telling_profile(from_latent(random_snife_prior(3, 2, seed=3)), 4), path)
+    return str(path)
+
+
 @pytest.fixture
 def mech_file(tmp_path):
     path = tmp_path / "mech.json"
@@ -296,9 +307,15 @@ class TestErrorsAndDeterminism:
             ["payout", "--profile", "truth", "--trials", "10", "--seed", "-1"],
             ["gen-prior", "--m", "3", "--seed", "-1"],
             ["sweep-n", "--n", "8", "--seed", "-1"],
+            ["welfare", "--profile", M3_PROFILE],
+            ["check-eq", "--profile", M3_PROFILE],
+            ["payout", "--profile", M3_PROFILE],
+            ["audit", "--profile", M3_PROFILE],
+            ["solve-predictions", "--profile", M3_PROFILE],
         ],
     )
-    def test_bad_profile_spec_exits_1(self, prior_file, argv, capsys):
+    def test_bad_profile_spec_exits_1(self, prior_file, m3_profile_file, argv, capsys):
+        argv = [m3_profile_file if arg == M3_PROFILE else arg for arg in argv]
         assert main([*argv, "--prior", prior_file]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")

@@ -3,21 +3,25 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import column_stochastic, simplex
-from peerpred.divergence import (
-    HELLINGER,
-    KL,
-    DivergenceDomainError,
-    convex_gap_lower_bound,
-    f_divergence,
-    get_generator,
-    hellinger,
-    monotonicity_strict_predicate,
-)
+from peerpred.divergence import DivergenceDomainError, hellinger, monotonicity_strict_predicate
 from peerpred.priors import all_permutations
 
 APPENDIX_P = np.array([0.1, 0.2, 0.7])
 APPENDIX_Q = np.array([0.2, 0.4, 0.4])
 APPENDIX_THETA = np.array([[0.3, 0.6, 0.0], [0.7, 0.4, 0.0], [0.0, 0.0, 1.0]])
+
+
+def kl_divergence(p, q) -> float:
+    """KL(p||q), the f-divergence sum_s q(s) f(p(s) / q(s)) of f(x) = x log x:
+    terms with p(s) = 0 vanish, and p(s) > 0 = q(s) is outside its domain."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if p.shape != q.shape:
+        raise DivergenceDomainError(f"shape mismatch {p.shape} vs {q.shape}")
+    if np.any((q == 0.0) & (p > 0.0)):
+        raise DivergenceDomainError("KL is unbounded where q is zero and p is not")
+    support = p > 0.0
+    return float(np.sum(p[support] * np.log(p[support] / q[support])))
 
 
 class TestHellinger:
@@ -32,9 +36,9 @@ class TestHellinger:
         assert float(hellinger(APPENDIX_P, APPENDIX_Q)) == pytest.approx(0.093171, abs=1e-6)
 
     def test_generic_matches_closed_form(self):
-        assert f_divergence(HELLINGER, APPENDIX_P, APPENDIX_Q) == float(
-            hellinger(APPENDIX_P, APPENDIX_Q)
-        )
+        # the f-divergence sum_s q(s) f(p(s) / q(s)) of f(x) = (sqrt(x) - 1)^2
+        generic = np.sum(APPENDIX_Q * (np.sqrt(APPENDIX_P / APPENDIX_Q) - 1.0) ** 2)
+        assert float(hellinger(APPENDIX_P, APPENDIX_Q)) == pytest.approx(generic, abs=1e-15)
 
     def test_broadcasting(self):
         pts = np.array([[0.5, 0.5], [0.9, 0.1]])
@@ -73,25 +77,20 @@ class TestKL:
         p = np.array([0.5, 0.5])
         q = np.array([0.25, 0.75])
         expected = 0.5 * np.log(0.5 / 0.25) + 0.5 * np.log(0.5 / 0.75)
-        assert f_divergence(KL, p, q) == pytest.approx(expected, abs=1e-15)
+        assert kl_divergence(p, q) == pytest.approx(expected, abs=1e-15)
 
     def test_zero_numerator_ok(self):
-        assert f_divergence(KL, np.array([0.0, 1.0]), np.array([0.5, 0.5])) == pytest.approx(
+        assert kl_divergence(np.array([0.0, 1.0]), np.array([0.5, 0.5])) == pytest.approx(
             np.log(2.0)
         )
 
     def test_unbounded_at_zero_denominator(self):
         with pytest.raises(DivergenceDomainError, match="unbounded"):
-            f_divergence(KL, np.array([0.5, 0.5]), np.array([0.0, 1.0]))
-
-    def test_lookup_by_id(self):
-        assert get_generator("kl") is KL
-        with pytest.raises(DivergenceDomainError):
-            get_generator("renyi")
+            kl_divergence(np.array([0.5, 0.5]), np.array([0.0, 1.0]))
 
     def test_shape_mismatch(self):
         with pytest.raises(DivergenceDomainError):
-            f_divergence(KL, np.array([1.0]), np.array([0.5, 0.5]))
+            kl_divergence(np.array([1.0]), np.array([0.5, 0.5]))
 
 
 class TestMonotonicity:
@@ -99,8 +98,8 @@ class TestMonotonicity:
     @given(column_stochastic(3), simplex(3), simplex(3))
     def test_never_increases(self, theta, p, q):
         assert float(hellinger(theta @ p, theta @ q)) <= float(hellinger(p, q)) + 1e-12
-        kl_before = f_divergence(KL, p, q)
-        kl_after = f_divergence(KL, theta @ p, theta @ q)
+        kl_before = kl_divergence(p, q)
+        kl_after = kl_divergence(theta @ p, theta @ q)
         assert kl_after <= kl_before + 1e-12
 
     @settings(max_examples=200, deadline=None)
@@ -128,8 +127,8 @@ class TestStrictPredicate:
         after = float(hellinger(APPENDIX_THETA @ APPENDIX_P, APPENDIX_THETA @ APPENDIX_Q))
         assert abs(before - after) <= 1e-12
         # equality holds for any convex generator, not just Hellinger
-        assert f_divergence(KL, APPENDIX_THETA @ APPENDIX_P, APPENDIX_THETA @ APPENDIX_Q) == (
-            pytest.approx(f_divergence(KL, APPENDIX_P, APPENDIX_Q), abs=1e-12)
+        assert kl_divergence(APPENDIX_THETA @ APPENDIX_P, APPENDIX_THETA @ APPENDIX_Q) == (
+            pytest.approx(kl_divergence(APPENDIX_P, APPENDIX_Q), abs=1e-12)
         )
 
     def test_identity_never_strict(self):
@@ -148,34 +147,3 @@ class TestStrictPredicate:
         with pytest.raises(DivergenceDomainError):
             monotonicity_strict_predicate(np.eye(3), np.array([0.5, 0.5]), np.array([0.5, 0.5]))
 
-
-class TestConvexGap:
-    def test_equal_points(self):
-        assert convex_gap_lower_bound([0.5, 0.5], [1.0, 1.0], 0, 1, d2=2.0) == 0.0
-
-    def test_quadratic_tight(self):
-        # g(x) = x^2 has g'' = 2; Jensen gap of {0, 1} at weights (1/2, 1/2) is 1/4
-        bound = convex_gap_lower_bound([0.5, 0.5], [0.0, 1.0], 0, 1, d2=2.0)
-        actual = 0.5 * 0.0 + 0.5 * 1.0 - 0.25
-        assert bound == pytest.approx(actual, abs=1e-15)
-
-    def test_vector_points(self):
-        pts = np.array([[0.0, 0.0], [1.0, 1.0], [0.3, 0.3]])
-        bound = convex_gap_lower_bound([0.25, 0.25, 0.5], pts, 0, 1, d2=1.0)
-        assert bound == pytest.approx(0.5 * 0.125 * 2.0)
-
-    def test_zero_weights_rejected(self):
-        with pytest.raises(DivergenceDomainError):
-            convex_gap_lower_bound([0.0, 0.0, 1.0], [0.0, 1.0, 2.0], 0, 1, d2=1.0)
-
-    @settings(max_examples=200, deadline=None)
-    @given(simplex(4, min_value=1e-2))
-    def test_lower_bounds_quadratic_gap(self, w):
-        xs = np.array([0.1, 0.9, 0.4, 0.6])
-        gap = float(np.dot(w, xs**2) - np.dot(w, xs) ** 2)
-        bound = convex_gap_lower_bound(w, xs, 0, 1, d2=2.0)
-        assert bound <= gap + 1e-12
-
-    def test_hellinger_curvature_bound(self):
-        # d2 on [a, b] for the Hellinger generator is attained at b
-        assert HELLINGER.d2_lower_bound(0.25, 4.0) == pytest.approx(0.5 * 4.0**-1.5)

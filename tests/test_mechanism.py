@@ -13,10 +13,10 @@ from peerpred.mechanism import (
     MechanismConfig,
     MechanismError,
     Report,
+    _classification_reward,
+    _pair_terms,
     _round_payments,
-    classification_pair_score,
     monte_carlo_payments,
-    pair_scores,
     pairwise_payment,
     realized_payments,
     welfare_metrics,
@@ -32,6 +32,20 @@ from peerpred.strategy import (
     random_signal_strategy,
     truth_telling_profile,
 )
+
+
+def pair_scores(config, r_i, r_j):
+    """(score_P, score_I) of agent i matched with agent j, from the payment
+    kernel's pair terms."""
+    score_p, score_i = _pair_terms(
+        config.scoring_rule(), r_i.signal, r_i.prediction, r_j.signal, r_j.prediction
+    )
+    return float(score_p), float(score_i)
+
+
+def classification_pair_score(r_j, r_k):
+    """The payment kernel's classification reward for watching agents j and k."""
+    return float(_classification_reward(r_j.signal, r_j.prediction, r_k.signal, r_k.prediction))
 
 
 def random_profile(rng, m, n):

@@ -49,7 +49,8 @@ def test_bench_layers_writes_json(tmp_path):
     record = json.loads((tmp_path / "BENCH_tiny.json").read_text())
     assert {"python", "numpy", "cpu_count"} <= set(record)
     mc = [row for row in record["rows"] if row["layer"] == "monte_carlo_payments"]
-    exact = [row for row in record["rows"] if row["layer"] != "monte_carlo_payments"]
+    audit = [row for row in record["rows"] if row["layer"] == "aggregation_error_audit"]
+    exact = [row for row in record["rows"] if row not in mc and row not in audit]
     cells = {(row["layer"], row["profile"]) for row in exact}
     assert cells == {
         (layer, profile)
@@ -57,6 +58,10 @@ def test_bench_layers_writes_json(tmp_path):
         for profile in ("truth", "solved")
     }
     assert all(row["m"] == 2 and row["n"] == 4 and row["median_s"] > 0 for row in exact)
+    assert sorted((row["profile"], row["m"]) for row in audit) == [
+        (name, m) for name in ("one-deviant", "random") for m in (2, 3)
+    ]
+    assert all(row["n"] == 4 and row["median_s"] > 0 for row in audit)
     assert {(row["variant"], row["profile"]) for row in mc} == {
         (variant, profile)
         for variant in ("truthful", "disagreement")

@@ -12,12 +12,9 @@ from peerpred.strategy import (
     candidate_profiles,
     constant_report_profile,
     counterexample_profile,
-    matrix_classify,
     permutation_profile,
     permute_profile,
     random_signal_strategy,
-    symmetric_profile,
-    symmetrized_best_prediction,
     tau_closeness,
     truth_telling_profile,
     uniform_report_profile,
@@ -25,6 +22,15 @@ from peerpred.strategy import (
 )
 
 APPENDIX_THETA = np.array([[0.3, 0.6, 0.0], [0.7, 0.4, 0.0], [0.0, 0.0, 1.0]])
+
+
+def symmetric_profile(prior, n, theta):
+    """All agents play ``theta`` and predict theta @ q_s."""
+    theta = validate_signal_strategy(theta)
+    m = theta.shape[0]
+    per_signal = (theta @ prior.conditional).T  # row s = theta q_s
+    thetas = np.broadcast_to(theta, (n, m, m)).copy()
+    return StrategyProfile(thetas, np.broadcast_to(per_signal[:, None, :], (n, m, m, m)).copy())
 
 
 def random_profile(rng, m, n):
@@ -197,45 +203,15 @@ class TestBestPrediction:
             assert np.allclose(bp.predictions[0, s, 0], swap @ prior2.q_sigma(s), atol=1e-15)
             mixed = 0.5 * (np.eye(2) + swap) @ prior2.q_sigma(s)
             assert np.allclose(bp.predictions[1, s, 0], mixed, atol=1e-15)
-        sym = symmetrized_best_prediction(profile, prior2)
-        avg = (np.eye(2) + 2 * swap) / 3
-        for i in range(3):
-            for s in range(2):
-                assert np.allclose(sym.predictions[i, s, 1], avg @ prior2.q_sigma(s), atol=1e-14)
 
     def test_symmetric_profile_matches_best_prediction(self, prior3):
         theta = random_signal_strategy(np.random.default_rng(5), 3)
         profile = symmetric_profile(prior3, 4, theta)
         bp = best_prediction_profile(profile, prior3)
-        sym = symmetrized_best_prediction(profile, prior3)
-        assert np.allclose(bp.predictions, sym.predictions, atol=1e-14)
         assert np.allclose(profile.predictions, bp.predictions, atol=1e-14)
 
 
-class TestMatrixClassify:
-    def test_identity(self):
-        out = matrix_classify(np.eye(3), tau=0.5)
-        assert out.is_permutation and out.is_tau_close
-
-    def test_appendix_matrix(self):
-        out = matrix_classify(APPENDIX_THETA, tau=0.65)
-        assert not out.is_permutation
-        assert out.is_tau_close  # second-largest row entries are 0.3, 0.4, 0
-        assert not matrix_classify(APPENDIX_THETA, tau=0.25).is_tau_close
-
-    def test_uniform(self):
-        theta = np.full((4, 4), 0.25)
-        out = matrix_classify(theta, tau=0.2)
-        assert not out.is_permutation and not out.is_tau_close
-
-    def test_tau_tie_not_exceeding(self):
-        theta = np.array([[0.5, 0.5], [0.5, 0.5]])
-        assert matrix_classify(theta, tau=0.5).is_tau_close
-
-    def test_tau_range(self):
-        with pytest.raises(ProfileError):
-            matrix_classify(np.eye(2), tau=1.5)
-
+class TestTauCloseness:
     def test_against_exact_permutation_oracle(self):
         rng = np.random.default_rng(9)
         perms = all_permutations(3)
@@ -244,7 +220,7 @@ class TestMatrixClassify:
                 theta = perms[k % len(perms)].matrix()
             else:
                 theta = random_signal_strategy(rng, 3)
-            is_perm = matrix_classify(theta, tau=0.5).is_permutation
+            is_perm = tau_closeness(theta) <= 1e-12
             exact = any(np.allclose(theta, p.matrix(), atol=1e-12) for p in perms)
             assert is_perm == exact
 
