@@ -1,4 +1,5 @@
 """Per-layer timings of welfare_metrics, check_equilibrium,
+solve_equilibrium_predictions, classification_bound_audit,
 aggregation_error_audit and monte_carlo_payments.
 
 For every signal count m a validated random prior is sampled (fixed seed) and
@@ -9,7 +10,9 @@ cell whose first run takes longer than BUDGET_S seconds is recorded with that
 one run, and the larger n of the same (layer, profile, m) are skipped.
 Setup (prior sampling, prediction solving) is not timed.
 
-welfare_metrics and check_equilibrium run over ``--ns`` x ``--ms``.
+welfare_metrics, check_equilibrium, solve_equilibrium_predictions (of the
+profile's signal strategies) and classification_bound_audit run over
+``--ns`` x ``--ms``.
 aggregation_error_audit runs over ``--ns`` at m = 2 and 3 (eps = 10, which
 every n >= 3 clears) on two strategy lists: random strategies ("random", n
 agent types) and truth-tellers with one random deviant ("one-deviant", two
@@ -34,8 +37,8 @@ from pathlib import Path
 
 import numpy as np
 
-from peerpred.audits import aggregation_error_audit
-from peerpred.equilibrium import check_equilibrium, solved_profile
+from peerpred.audits import aggregation_error_audit, classification_bound_audit
+from peerpred.equilibrium import check_equilibrium, solve_equilibrium_predictions, solved_profile
 from peerpred.mechanism import MechanismConfig, monte_carlo_payments, welfare_metrics
 from peerpred.priors import from_latent, random_snife_prior
 from peerpred.strategy import random_signal_strategy, truth_telling_profile
@@ -85,6 +88,10 @@ def main():
     layers = {
         "welfare_metrics": lambda config, prior, profile: welfare_metrics(prior, profile),
         "check_equilibrium": check_equilibrium,
+        "solve_equilibrium_predictions": lambda config, prior, profile: (
+            solve_equilibrium_predictions(config, prior, profile.thetas)
+        ),
+        "classification_bound_audit": classification_bound_audit,
     }
     rows = []
     over_budget = set()
@@ -99,9 +106,9 @@ def main():
             over_budget.add((layer, name, m))
         median = statistics.median(runs)
         rows.append({**row, "median_s": median, "runs": len(runs)})
-        print(f"{layer:<23} {name:<11} {m:>2} {n:>5} {median:>10.3g} {len(runs):>4}")
+        print(f"{layer:<29} {name:<11} {m:>2} {n:>5} {median:>10.3g} {len(runs):>4}")
 
-    print(f"{'layer':<23} {'profile':<11} {'m':>2} {'n':>5} {'median_s':>10} {'runs':>4}")
+    print(f"{'layer':<29} {'profile':<11} {'m':>2} {'n':>5} {'median_s':>10} {'runs':>4}")
     for m in args.ms:
         prior = from_latent(random_snife_prior(m, 2, seed=SEED + m))
         config = MechanismConfig(alpha=1.0, beta=1.0 / (8.0 * m), rule="log")
@@ -129,7 +136,7 @@ def main():
 
     latent = random_snife_prior(MC_M, 2, seed=SEED + MC_M)
     prior = from_latent(latent)
-    print(f"{'variant':<23} {'profile':<11} {'m':>2} {'n':>5} {'median_s':>10} {'runs':>4} trials/s")
+    print(f"{'variant':<29} {'profile':<11} {'m':>2} {'n':>5} {'median_s':>10} {'runs':>4} trials/s")
     for variant in ("truthful", "disagreement"):
         config = MechanismConfig(1.0, 1.0 / (8.0 * MC_M), "log", variant)
         for n in sorted(args.mc_ns):
@@ -154,7 +161,7 @@ def main():
                         "trials_per_s": rate,
                     }
                 )
-                cell = f"{variant:<23} {name:<11} {MC_M:>2} {n:>5}"
+                cell = f"{variant:<29} {name:<11} {MC_M:>2} {n:>5}"
                 print(f"{cell} {median:>10.3g} {len(runs):>4} {rate:.4g}")
 
     out = Path(args.out_dir) / f"BENCH_{args.label}.json"

@@ -20,14 +20,7 @@ import numpy as np
 from .divergence import hellinger
 from .equilibrium import check_equilibrium, report_values, solved_profile
 from .mechanism import _BLOCK_CELLS, MechanismConfig, welfare_metrics
-from .priors import (
-    PROBABILITY_TOL,
-    PairwisePrior,
-    PermutationMap,
-    PriorError,
-    permute_prior,
-    prior_constants,
-)
+from .priors import PairwisePrior, PermutationMap, PriorError, permute_prior, prior_constants
 from .strategy import (
     StrategyProfile,
     agent_types,
@@ -41,6 +34,7 @@ from .strategy import (
     truth_telling_profile,
     validate_signal_strategy,
 )
+from .tolerances import AUDIT_TOL, BEST_PREDICTION_TOL, BOUND_TOL, PROBABILITY_TOL
 
 __all__ = [
     "AuditResult",
@@ -89,7 +83,7 @@ def classification_bound_audit(
     config: MechanismConfig,
     prior: PairwisePrior,
     profile: StrategyProfile,
-    tol: float = 1e-10,
+    tol: float = BOUND_TOL,
 ) -> AuditResult:
     """classification_score(s) <= total_divergence(s with best predictions).
 
@@ -114,7 +108,7 @@ def classification_bound_audit(
         "best_prediction_distance": bp_distance,
         "equality": equality,
         "equality_conditions_hold": bool(
-            not equality or (breakdown.inconsistency <= tol and bp_distance <= 1e-6)
+            not equality or (breakdown.inconsistency <= tol and bp_distance <= BEST_PREDICTION_TOL)
         ),
     }
     return AuditResult("classification-bound", lhs, rhs, slack, slack >= -tol, context)
@@ -196,7 +190,7 @@ def total_divergence_symmetric(prior: PairwisePrior, theta: np.ndarray) -> float
 
 
 def far_from_permutation_gap(
-    prior: PairwisePrior, theta: np.ndarray, tau: float, tol: float = 1e-12
+    prior: PairwisePrior, theta: np.ndarray, tau: float, tol: float = AUDIT_TOL
 ) -> AuditResult:
     """Welfare loss of signal strategies that are not tau-close to a
     permutation: total_divergence(truth) - total_divergence(s_theta) is at
@@ -232,7 +226,7 @@ def relabeling_cycle_audit(
     prior: PairwisePrior,
     profile: StrategyProfile,
     perm: PermutationMap,
-    tol: float = 1e-12,
+    tol: float = AUDIT_TOL,
 ) -> list[AuditResult]:
     """Welfare equalities along the relabeling cycle.
 

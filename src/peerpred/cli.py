@@ -63,6 +63,7 @@ from .strategy import (
     truth_telling_profile,
     uniform_report_profile,
 )
+from .tolerances import DEFAULT_TOL, EQUILIBRIUM_EPS
 
 __all__ = ["main"]
 
@@ -191,7 +192,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("validate-prior", help="check the prior assumptions")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out")
 
@@ -212,7 +213,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("check-eq", help="best-response gaps of a profile")
     common(p, profile=True, mech=True)
-    p.add_argument("--eps", type=float, default=1e-9)
+    p.add_argument("--eps", type=float, default=EQUILIBRIUM_EPS)
 
     p = sub.add_parser("solve-predictions", help="equilibrium predictions for fixed signal strategies")
     common(p, profile=True, mech=True)

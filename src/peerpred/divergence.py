@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .tolerances import RATIO_TOL
+
 __all__ = [
     "hellinger",
     "monotonicity_strict_predicate",
@@ -42,7 +44,7 @@ def hellinger(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def monotonicity_strict_predicate(
-    theta: np.ndarray, p, q, tol: float = 1e-12
+    theta: np.ndarray, p, q, tol: float = RATIO_TOL
 ) -> bool:
     """Whether post-processing by ``theta`` strictly lowers the divergence.
 

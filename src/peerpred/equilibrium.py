@@ -39,6 +39,7 @@ import numpy as np
 from .mechanism import MechanismConfig, MechanismError, Report
 from .priors import PairwisePrior
 from .strategy import StrategyProfile, prediction_anchors
+from .tolerances import EQUILIBRIUM_EPS, SOLVER_TOL, TIE_TOL
 
 __all__ = [
     "BestResponse",
@@ -51,9 +52,6 @@ __all__ = [
     "solve_equilibrium_predictions_direct",
     "solved_profile",
 ]
-
-TIE_TOL = 1e-12
-
 
 def _neighbor_sum(cond: np.ndarray, thetas: np.ndarray, field: np.ndarray | None = None):
     """(1/(n-1)) sum_{j != i} sum_v q(v|s) theta_j[r, v] field_j[v, r, ...] for
@@ -217,7 +215,7 @@ def check_equilibrium(
     config: MechanismConfig,
     prior: PairwisePrior,
     profile: StrategyProfile,
-    eps: float = 1e-9,
+    eps: float = EQUILIBRIUM_EPS,
 ) -> EquilibriumReport:
     terms = _payoff_terms(config, prior, profile)
     best_values = terms.values(config, terms.best).max(axis=-1)
@@ -229,7 +227,7 @@ def solve_equilibrium_predictions(
     config: MechanismConfig,
     prior: PairwisePrior,
     thetas: np.ndarray | Sequence[np.ndarray],
-    tol: float = 1e-12,
+    tol: float = SOLVER_TOL,
     max_iter: int = 10_000,
 ) -> tuple[np.ndarray, float]:
     """Solve the equilibrium prediction tables for fixed signal strategies.
@@ -265,7 +263,7 @@ def solved_profile(
     config: MechanismConfig,
     prior: PairwisePrior,
     thetas: np.ndarray | Sequence[np.ndarray],
-    tol: float = 1e-12,
+    tol: float = SOLVER_TOL,
 ) -> StrategyProfile:
     """Profile with the given signal strategies and solved prediction tables."""
     thetas = np.asarray(thetas, dtype=float)

@@ -38,19 +38,22 @@ Average per-agent welfare of the disagreement variant equals the
 classification score Diversity - Inconsistency; :func:`welfare_metrics`
 computes the exact finite sums over agent pairs, private-signal pairs, and
 report pairs.  It groups byte-identical agents into T types and sums over
-type pairs, in O(T^2 m^4) rather than O(n^2 m^5): diversity through the
+type pairs rather than agent pairs: diversity in O(T m^4) through the
 bilinear form D*(p, q) = sum p + sum q - 2 <sqrt p, sqrt q> summed over the
-report pairs r != r' only, and inconsistency together with the same-report
-divergence through one elementwise pass over the cells that share a report.
-Total divergence is diversity plus the same-report divergence, so it equals
-diversity bit for bit whenever no two cells sharing a report differ, as for
-truth-telling and permutation profiles.  T = 1 for symmetric profiles, whose
-welfare therefore costs the same at any n; heterogeneous profiles (T = n)
-remain quadratic in n.
+report pairs r != r' only, with the rank-one-plus-diagonal pair weight, and
+inconsistency together with the same-report divergence through one
+elementwise pass over the pairs of cells that share a report, each
+unordered pair of types once, in O(T^2 m^4 / 2).  Total divergence is
+diversity plus the same-report divergence, so it equals diversity bit for
+bit whenever no two cells sharing a report differ, as for truth-telling and
+permutation profiles.  T = 1 for symmetric profiles, whose welfare therefore
+costs the same at any n; heterogeneous profiles (T = n) remain quadratic in
+n.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -58,9 +61,10 @@ from typing import Sequence
 import numpy as np
 
 from .divergence import hellinger
-from .priors import PROBABILITY_TOL, LatentStatePrior, PairwisePrior, sample_categorical
+from .priors import LatentStatePrior, PairwisePrior, sample_categorical
 from .scoring import ProperScoringRule, ScoreDomainError, get_rule
 from .strategy import StrategyProfile, agent_types, check_signal_count
+from .tolerances import PROBABILITY_TOL
 
 __all__ = [
     "MechanismConfig",
@@ -321,9 +325,9 @@ def realized_payments(
 
 
 # Cells per block of the array passes (trials x n x m when the kernel scores
-# Monte Carlo rounds, cells x cells x m when its tables are built, rows x m x
-# m x types in the welfare passes and in the aggregation-error audit): bounds
-# the arrays they gather, whatever n.
+# Monte Carlo rounds, cells x cells x m when its tables are built, the
+# differences m x m x rows x columns of a welfare tile, rows x m x types in
+# the aggregation-error audit): bounds the arrays they gather, whatever n.
 _BLOCK_CELLS = 2**16
 
 
@@ -371,18 +375,26 @@ def welfare_metrics(prior: PairwisePrior, profile: StrategyProfile) -> WelfareBr
       actual sums of p and q, aggregated per report pair (r, r') and then
       summed over the blocks r != r' only, never as a total minus a
       same-report part, so a profile with a single report has diversity
-      exactly 0;
+      exactly 0.  The pair weight is rank one plus a diagonal, so this
+      costs O(T m^4);
     * one elementwise pass over the pairs of (type, signal) cells that share
-      a report, in row blocks of at most ``_BLOCK_CELLS`` cells; it gives
-      the inconsistency, sum w sqrt(D*), and the same-report divergence,
-      sum w D*, and takes no square root of a cancelling difference;
+      a report, all reports at once, in tiles of whole types of at most
+      ``_BLOCK_CELLS`` differences (or one type pair's m^4).  It gives the
+      inconsistency, sum w sqrt(D*), and the same-report divergence,
+      sum w D*, takes D* as sum_f (sqrt p_f - sqrt q_f)^2 and so no square
+      root of a cancelling difference.  Both sums are symmetric in the pair
+      once the joint is replaced by its symmetric part, so each pair of
+      different blocks is visited once and counted twice: O(T^2 m^4 / 2).
+      The weights enter by matrix products, with same-type pairs weighted
+      explicitly, so every term is non-negative and inconsistency >= 0;
     * total = diversity + same-report divergence, so total == diversity bit
       for bit whenever every same-report distance is exactly 0, as for
       truth-telling and permutation profiles.
 
-    Cost O(T^2 m^4) time and O(T m^3 + _BLOCK_CELLS) memory: independent of
+    Memory O(T m^3 + _BLOCK_CELLS + m^4) beyond the profile: independent of
     n for truth-telling, permutation, constant and other symmetric profiles
-    (T = 1), quadratic in n for heterogeneous ones (T = n).
+    (T = 1), whose time is too; quadratic time in n for heterogeneous ones
+    (T = n).
     """
     n, m = profile.n, profile.m
     check_signal_count(prior, m)
@@ -392,12 +404,7 @@ def welfare_metrics(prior: PairwisePrior, profile: StrategyProfile) -> WelfareBr
     first, counts = agent_types(profile.thetas, profile.predictions)
     c = counts.astype(float)
     types = c.size
-
-    def pair_weights(t):
-        """Rows t of the ordered type-pair weight (c c^T - diag(c)) / (n(n-1))."""
-        out = np.outer(c[t], c)
-        out[np.arange(t.size), t] -= c[t]
-        return out / (n * (n - 1))
+    pairs = n * (n - 1)
 
     # cell (t, a, r): type t at private signal a reports r with weight w
     thetas, preds = profile.thetas[first], profile.predictions[first]
@@ -412,38 +419,83 @@ def welfare_metrics(prior: PairwisePrior, profile: StrategyProfile) -> WelfareBr
     left = np.concatenate([weighted[:, :, None], w[:, :, None], weighted_roots], axis=2)
     right = np.concatenate([w[:, :, None], weighted[:, :, None], -2.0 * weighted_roots], axis=2)
     spread = (joint @ right.reshape(types, m, -1)).reshape(types, -1)
-    rows_per_block = max(1, _BLOCK_CELLS // types)
-    paired = np.concatenate(
-        [
-            pair_weights(np.arange(lo, min(lo + rows_per_block, types))) @ spread
-            for lo in range(0, types, rows_per_block)
-        ]
-    )
+    # the pair weight (c c^T - diag c) / (n(n-1)) is rank one plus a diagonal:
+    # sum_u pair[t, u] v_u = c_t (c . v - v_t) / (n(n-1))
+    paired = (c / pairs)[:, None] * (c @ spread - spread)
     per_report = left.reshape(-1, m).T @ paired.reshape(-1, m)
     # + 0.0 turns a sum of signed zeros into +0.0
-    diversity = float(per_report[~np.eye(m, dtype=bool)].sum()) + 0.0
+    identity = np.eye(m)
+    diversity = float(per_report[identity == 0.0].sum()) + 0.0
 
-    # same-report pass: rows are the cells (t, a, r) of positive weight,
-    # columns every cell (u, b) at the same report r, stored [r, ..., b, u]
-    # so that the inner loops run over types
-    cols_w = np.ascontiguousarray(thetas.transpose(1, 2, 0))
-    cols_roots = np.ascontiguousarray(roots.transpose(2, 3, 1, 0))
-    typ, sig, rep = np.nonzero(w)
-    cell_w, cell_roots = w[typ, sig, rep], roots[typ, sig, rep]
-    rows_per_block = max(1, _BLOCK_CELLS // (types * m * m))
-    inconsistency = same = 0.0
-    for lo in range(0, typ.size, rows_per_block):
-        x = slice(lo, lo + rows_per_block)
-        weight = joint[sig[x], :, None] * pair_weights(typ[x])[:, None, :]
-        weight *= cols_w[rep[x]]
-        weight *= cell_w[x, None, None]
-        # in place: the out-of-place subtraction of a gathered block measured
-        # about ten times slower at this block size
-        diff = cols_roots[rep[x]]
-        diff -= cell_roots[x, :, None, None]
-        dstar = np.square(diff, out=diff).sum(axis=1)
-        inconsistency += float(np.vdot(weight, np.sqrt(dstar)))
-        same += float(np.vdot(weight, dstar))
+    # same-report pass over the cells x = (t, a), types in order, all reports
+    # at once.  D* and the weight are symmetric once the joint is replaced by
+    # its symmetric part, which leaves the sum unchanged; so a block of types
+    # pairs with itself once, where same-type pairs count c_t (c_t - 1), and
+    # with the types after it twice.
+    cells = types * m
+    sym = 0.5 * (joint + joint.T)
+    cell_w = thetas.transpose(1, 0, 2).reshape(m, cells)  # [r, x]
+    # every difference sqrt p_f - sqrt q_f is the product [sqrt p_f, 1] @
+    # [1, -sqrt q_f]: both terms are exact and their sum rounds once, as the
+    # subtraction does, which numpy's broadcasting took three times as long for
+    row_pairs = np.empty((m, m, types, m, 2))  # [r, f, t, a, (sqrt p_f, 1)]
+    row_pairs[..., 0] = roots.transpose(2, 3, 0, 1)
+    row_pairs[..., 1] = 1.0
+    row_pairs = row_pairs.reshape(m, m, cells, 2)
+    col_pairs = np.empty((m, m, 2, cells))  # [r, f, (1, -sqrt q_f), y]
+    col_pairs[:, :, 0] = 1.0
+    np.negative(row_pairs[..., 0], out=col_pairs[:, :, 1])
+
+    # Tiles of whole types, a block of `rows` types against `span` types, hold
+    # at most _BLOCK_CELLS differences (or one type pair's m^4).  One tile
+    # when the whole triangle fits; else about square tiles, and blocks of at
+    # most an eighth of the types, since a block against itself sums both
+    # orders of its pairs.
+    per_pair = m**4
+    if per_pair * types * types <= _BLOCK_CELLS:
+        rows = types
+    else:
+        rows = max(1, min(math.isqrt(_BLOCK_CELLS // per_pair), types // 8))
+    span = max(rows, _BLOCK_CELLS // (per_pair * rows))
+    if rows < types:
+        # weights by matmul: with column weights G[r, (u, b), b'] = c_u w [b = b']
+        # and row weights H[r, (t, a), b] = c_t w sym[a, b], the distances
+        # D[r, x, y] of a tile of different types sum to <H, D @ G>
+        counted = (cell_w * np.repeat(c, m)).reshape(m, types, m, 1)
+        col_weights = (counted * identity).reshape(m, cells, m)
+        row_weights = (counted * sym).reshape(m, cells, m)
+    # one buffer each for the largest tile: fresh arrays of that size cost
+    # page faults on every tile
+    largest = rows * m * min(span, types) * m
+    diff_buffer, dist_buffer = np.empty(m * m * largest), np.empty(2 * m * largest)
+    block_identity = np.eye(rows)
+    sums = np.zeros(2)  # (inconsistency, same-report divergence) * n(n-1)
+    for lo in range(0, types, rows):
+        hi = min(lo + rows, types)
+        x = slice(lo * m, hi * m)
+        size = x.stop - x.start
+        # a block against itself: c_t (c_u - [t = u]) pairs of types t, u
+        block_c = c[lo:hi]
+        block_pairs = block_c[:, None] * (block_c - block_identity[: hi - lo, : hi - lo])
+        square = cell_w[:, x, None] * cell_w[:, None, x]
+        square *= (block_pairs[:, None, :, None] * sym[:, None, :]).reshape(size, size)
+        for start in range(lo, types, span):
+            y = slice(start * m, min(start + span, types) * m)
+            width = y.stop - y.start
+            diff = diff_buffer[: m * m * size * width].reshape(m, m, size, width)
+            np.matmul(row_pairs[:, :, x], col_pairs[..., y], out=diff)  # [r, f, x, y]
+            dist = dist_buffer[: 2 * m * size * width].reshape(m, 2, size, width)
+            np.einsum("rfxy,rfxy->rxy", diff, diff, out=dist[:, 1])  # [r, (sqrt D*, D*), x, y]
+            np.sqrt(dist[:, 1], out=dist[:, 0])
+            after = 0
+            if start == lo:
+                after = size
+                sums += np.einsum("rkxy,rxy->k", dist[..., :size], square)
+            if after < width:
+                columns = col_weights[:, y.start + after : y.stop]
+                pulled = (dist[..., after:].reshape(m, 2 * size, -1) @ columns).reshape(m, 2, size, m)
+                sums += 2.0 * np.einsum("rkxb,rxb->k", pulled, row_weights[:, x])
+    inconsistency, same = (float(v) for v in sums / pairs)
 
     classification = diversity - inconsistency
     return WelfareBreakdown(

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .tolerances import DEFAULT_TOL, PROBABILITY_TOL, SAMPLED_PRIOR_TOL
+
 __all__ = [
     "SignalSpace",
     "PairwisePrior",
@@ -40,13 +42,6 @@ __all__ = [
     "all_permutations",
     "sample_categorical",
 ]
-
-DEFAULT_TOL = 1e-9
-# Largest |sum - 1| accepted for a probability vector given as input: a
-# latent prior's state distribution and emission rows, a prediction, and the
-# signal strategy of the far-from-permutation audit.  It admits vectors
-# written out to nine or more digits, as in hand-entered files.
-PROBABILITY_TOL = 1e-9
 
 
 class PriorError(ValueError):
@@ -447,7 +442,7 @@ def random_snife_prior(
     m: int,
     num_states: int = 2,
     seed: int = 0,
-    tol: float = 1e-6,
+    tol: float = SAMPLED_PRIOR_TOL,
     max_draws: int = 10_000,
 ) -> LatentStatePrior:
     """Rejection-sample a latent prior whose pairwise moments pass all checks.

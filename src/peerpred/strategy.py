@@ -19,13 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .priors import (
-    PROBABILITY_TOL,
-    PairwisePrior,
-    PermutationMap,
-    PriorError,
-    all_permutations,
-)
+from .priors import PairwisePrior, PermutationMap, PriorError, all_permutations
+from .tolerances import PROBABILITY_TOL, STOCHASTIC_TOL
 
 __all__ = [
     "StrategyProfile",
@@ -47,9 +42,6 @@ __all__ = [
     "random_signal_strategy",
     "tau_closeness",
 ]
-
-STOCHASTIC_TOL = 1e-12
-
 
 class ProfileError(ValueError):
     """Raised for malformed strategies or profiles."""
@@ -120,7 +112,8 @@ class StrategyProfile:
 class AggregateStrategies:
     """Average signal strategy and the leave-one-out averages.
 
-    Satisfies (n - 1) theta_minus[i] + thetas[i] = n * theta_bar entrywise.
+    Satisfies (n - 1) theta_minus[i] + thetas[i] = n * theta_bar entrywise up
+    to rounding, with theta_minus clipped at 0.
     """
 
     theta_bar: np.ndarray
@@ -140,6 +133,9 @@ def _aggregate(thetas: np.ndarray) -> AggregateStrategies:
     n = thetas.shape[0]
     theta_bar = thetas.mean(axis=0)
     theta_minus = (n * theta_bar[None, :, :] - thetas) / (n - 1)
+    # n * theta_bar - theta_i rounds below zero when agent i alone puts mass
+    # on an entry; clipped, the anchors theta_minus q_s stay non-negative
+    np.maximum(theta_minus, 0.0, out=theta_minus)
     return AggregateStrategies(theta_bar, theta_minus)
 
 

@@ -29,3 +29,14 @@ def prior2():
 @pytest.fixture(scope="session")
 def latent3():
     return random_snife_prior(3, 2, seed=7)
+
+
+@pytest.fixture
+def lone_reporter():
+    """A latent prior and 49 signal strategies: 48 agents always report
+    signal 0 and one tells the truth, so it alone ever reports signal 1.
+    There n * theta_bar - theta_i once rounded below zero."""
+    thetas = np.zeros((49, 2, 2))
+    thetas[:, 0, :] = 1.0
+    thetas[-1] = np.eye(2)
+    return random_snife_prior(2, 2, seed=801), thetas

@@ -119,10 +119,10 @@ class TestAggregationError:
     @given(strategy_lists(), st.sampled_from((1, 7, 2**16)))
     def test_matches_dense_oracle(self, case, block_cells):
         prior, thetas = case
-        # an anchor that rounding pushes below zero has a NaN root in both
-        with np.errstate(invalid="ignore"), mock.patch.object(audits, "_BLOCK_CELLS", block_cells):
+        with mock.patch.object(audits, "_BLOCK_CELLS", block_cells):
             lhs = aggregation_error_audit(prior, thetas, eps=100.0).lhs
             oracle = aggregation_error_oracle(prior, thetas)
+        assert np.isfinite(lhs)
         np.testing.assert_allclose(lhs, oracle, rtol=0, atol=1e-15)
 
     def test_equal_strategies_zero(self, prior2):
@@ -149,6 +149,12 @@ class TestAggregationError:
         result = aggregation_error_audit(prior2, thetas, eps=0.5)
         assert result.passed
         assert result.context["threshold"] == pytest.approx(512.0)
+
+    def test_lone_reporter_finite(self, lone_reporter):
+        latent, thetas = lone_reporter
+        result = aggregation_error_audit(from_latent(latent), thetas, eps=10.0)
+        assert np.isfinite(result.lhs)
+        assert result.passed
 
     def test_one_deviant_scales_inversely(self, prior2):
         deviant = random_signal_strategy(np.random.default_rng(3), 2)

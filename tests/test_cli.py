@@ -1,16 +1,18 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from peerpred.cli import main
 from peerpred.io import save_mechanism, save_prior, save_profile
 from peerpred.mechanism import MechanismConfig
 from peerpred.priors import from_latent, random_snife_prior
-from peerpred.strategy import truth_telling_profile
+from peerpred.strategy import StrategyProfile, truth_telling_profile
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -255,6 +257,33 @@ class TestAuditAndImpossibility:
         assert "relabeling-step-0" in out and "relabeling-closure" in out
         for line in out.strip().splitlines()[1:]:
             assert ",True," in line
+
+
+@pytest.fixture
+def lone_reporter_files(tmp_path, lone_reporter):
+    latent, thetas = lone_reporter
+    prior = tmp_path / "prior801.json"
+    save_prior(latent, prior)
+    profile = tmp_path / "lone.json"
+    save_profile(StrategyProfile(thetas, np.full((49, 2, 2, 2), 0.5)), profile)
+    return str(prior), str(profile)
+
+
+class TestLoneReporter:
+    def test_solve_predictions_exits_0(self, lone_reporter_files, mech_file, capsys):
+        prior, profile = lone_reporter_files
+        argv = ["solve-predictions", "--prior", prior, "--profile", profile, "--mech", mech_file]
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 1 + 49 * 2 * 2
+
+    def test_audit_lhs_finite(self, lone_reporter_files, mech_file, capsys):
+        prior, profile = lone_reporter_files
+        argv = ["audit", "--prior", prior, "--profile", profile, "--mech", mech_file,
+                "--eps", "10", "--format", "json"]  # fmt: skip
+        assert main(argv) == 0
+        rows = {row["name"]: row for row in json.loads(capsys.readouterr().out)}
+        assert math.isfinite(rows["aggregation-error"]["lhs"])
+        assert rows["aggregation-error"]["passed"]
 
 
 class TestSweepN:

@@ -1,5 +1,6 @@
 import math
 from functools import cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from peerpred.mechanism import (
     welfare_metrics,
     zero_sum_group_scores,
 )
-from peerpred.priors import PermutationMap, from_latent, random_snife_prior
+from peerpred.priors import PermutationMap, build_pairwise_prior, from_latent, random_snife_prior
 from peerpred.scoring import ProperScoringRule
 from peerpred.strategy import (
     StrategyProfile,
@@ -452,15 +453,30 @@ def cached_prior(m, seed):
     return from_latent(random_snife_prior(m, 2, seed=seed))
 
 
+def typed_profile(rng, m, agents):
+    """A profile whose agent i plays random type agents[i]; some strategy
+    columns report one signal and some predictions hold zeros."""
+    types = int(agents.max()) + 1
+    thetas = np.stack([random_signal_strategy(rng, m) for _ in range(types)])
+    point = rng.random((types, m)) < 0.4  # these columns report one signal
+    thetas[point.nonzero()[0], :, point.nonzero()[1]] = np.eye(m)[rng.integers(m, size=point.sum())]
+    predictions = rng.dirichlet(np.ones(m), size=(types, m, m))
+    predictions[rng.random((types, m, m)) < 0.3, 0] = 0.0
+    predictions /= predictions.sum(axis=-1, keepdims=True)
+    return StrategyProfile(thetas[agents], predictions[agents])
+
+
 @st.composite
 def welfare_cases(draw):
     """(kind, prior, profile) for m in 2..5 and n in 2..12.  Random profiles
     repeat agent types and have zero entries in some strategy columns and
-    some predictions."""
+    some predictions; mixed profiles hold types of two or more agents next
+    to single-agent types, in shuffled agent order."""
     m = draw(st.integers(2, 5))
     n = draw(st.integers(2, 12))
     prior = cached_prior(m, draw(st.integers(0, 2)))
-    kind = draw(st.sampled_from(["random", "truth", "permutation", "constant", "counterexample"]))
+    kinds = ["random", "mixed", "truth", "permutation", "constant", "counterexample"]
+    kind = draw(st.sampled_from(kinds))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "truth":
         return kind, prior, truth_telling_profile(prior, n)
@@ -471,34 +487,64 @@ def welfare_cases(draw):
         return kind, prior, constant_report_profile(prior, n, int(rng.integers(m)))
     if kind == "counterexample":
         return kind, prior, counterexample_profile(prior, m)
-    types = draw(st.integers(1, n))
-    thetas = np.stack([random_signal_strategy(rng, m) for _ in range(types)])
-    point = rng.random((types, m)) < 0.4  # these columns report one signal
-    thetas[point.nonzero()[0], :, point.nonzero()[1]] = np.eye(m)[rng.integers(m, size=point.sum())]
-    predictions = rng.dirichlet(np.ones(m), size=(types, m, m))
-    predictions[rng.random((types, m, m)) < 0.3, 0] = 0.0
-    predictions /= predictions.sum(axis=-1, keepdims=True)
-    agents = rng.integers(types, size=n)
-    return kind, prior, StrategyProfile(thetas[agents], predictions[agents])
+    if kind == "mixed":
+        n = max(n, 3)
+        singles = draw(st.integers(1, n - 2))
+        repeated = draw(st.integers(1, (n - singles) // 2))
+        extra = rng.integers(repeated, size=n - singles - 2 * repeated)
+        agents = np.concatenate([np.arange(repeated).repeat(2), extra, repeated + np.arange(singles)])
+        agents = rng.permutation(agents)
+    else:
+        agents = rng.integers(draw(st.integers(1, n)), size=n)
+    return kind, prior, typed_profile(rng, m, agents)
 
 
 class TestWelfareAgainstPairwiseOracle:
-    @settings(max_examples=80, deadline=None)
-    @given(welfare_cases())
-    def test_matches_pairwise_oracle(self, case):
+    # 1 and 7 put one type pair in each tile, 100 one row type against
+    # several column types, 2**10 several row types per block, and 2**16 a
+    # single tile at these sizes
+    @settings(max_examples=150, deadline=None)
+    @given(welfare_cases(), st.sampled_from((1, 7, 100, 2**10, 2**16)))
+    def test_matches_pairwise_oracle(self, case, block_cells):
         kind, prior, profile = case
-        wb = welfare_metrics(prior, profile)
+        with mock.patch.object(mechanism, "_BLOCK_CELLS", block_cells):
+            wb = welfare_metrics(prior, profile)
         div, inc, total = welfare_pairwise_oracle(prior, profile)
         assert abs(wb.diversity - div) <= 1e-13
         assert abs(wb.inconsistency - inc) <= 1e-13
         assert abs(wb.total_divergence - total) <= 1e-13
         assert wb.classification_score == wb.diversity - wb.inconsistency
+        assert wb.inconsistency >= 0.0
         if kind == "constant":
             assert wb.diversity == 0.0
             assert wb.total_divergence == 0.0
         if kind in ("truth", "permutation"):
             assert wb.inconsistency == 0.0
             assert wb.total_divergence == wb.diversity
+        if kind == "counterexample":
+            # no two agents ever share a report
+            assert wb.inconsistency == 0.0
+
+    @pytest.mark.parametrize("block_cells", (1, 7, 100, 2**10, 2**16))
+    @pytest.mark.parametrize("m", (2, 3))
+    def test_tiles_of_many_types(self, m, block_cells):
+        # 30 agents: six types of three agents and twelve single-agent types.
+        # The joint is asymmetric within the input tolerance, so a sum that
+        # pairs each tile twice must use its symmetric part.
+        base = cached_prior(m, 0)
+        conditional = base.conditional.copy()
+        conditional[:2, 1] += (4e-10, -4e-10)
+        prior = build_pairwise_prior(base.marginal, conditional)
+        assert prior.symmetry_residual() > 1e-11
+        rng = np.random.default_rng(m)
+        profile = typed_profile(rng, m, rng.permutation(np.r_[np.arange(6).repeat(3), 6 + np.arange(12)]))
+        with mock.patch.object(mechanism, "_BLOCK_CELLS", block_cells):
+            wb = welfare_metrics(prior, profile)
+        div, inc, total = welfare_pairwise_oracle(prior, profile)
+        assert abs(wb.diversity - div) <= 1e-13
+        assert abs(wb.inconsistency - inc) <= 1e-13
+        assert abs(wb.total_divergence - total) <= 1e-13
+        assert wb.inconsistency >= 0.0
 
     def test_truth_independent_of_n(self, prior3):
         small = welfare_metrics(prior3, truth_telling_profile(prior3, 4)).to_dict()

@@ -52,11 +52,13 @@ def test_bench_layers_writes_json(tmp_path):
     audit = [row for row in record["rows"] if row["layer"] == "aggregation_error_audit"]
     exact = [row for row in record["rows"] if row not in mc and row not in audit]
     cells = {(row["layer"], row["profile"]) for row in exact}
-    assert cells == {
-        (layer, profile)
-        for layer in ("welfare_metrics", "check_equilibrium")
-        for profile in ("truth", "solved")
-    }
+    layers = (
+        "welfare_metrics",
+        "check_equilibrium",
+        "solve_equilibrium_predictions",
+        "classification_bound_audit",
+    )
+    assert cells == {(layer, profile) for layer in layers for profile in ("truth", "solved")}
     assert all(row["m"] == 2 and row["n"] == 4 and row["median_s"] > 0 for row in exact)
     assert sorted((row["profile"], row["m"]) for row in audit) == [
         (name, m) for name in ("one-deviant", "random") for m in (2, 3)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peerpred.priors import PermutationMap, all_permutations
+from peerpred.priors import PermutationMap, all_permutations, from_latent
 from peerpred.strategy import (
     ProfileError,
     StrategyProfile,
@@ -14,6 +14,7 @@ from peerpred.strategy import (
     counterexample_profile,
     permutation_profile,
     permute_profile,
+    prediction_anchors,
     random_signal_strategy,
     tau_closeness,
     truth_telling_profile,
@@ -164,6 +165,14 @@ class TestAggregates:
         lhs = (n - 1) * agg.theta_minus + profile.thetas
         rhs = n * agg.theta_bar[None]
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
+
+    def test_lone_reporter_anchors_nonnegative(self, lone_reporter):
+        latent, thetas = lone_reporter
+        prior = from_latent(latent)
+        profile = StrategyProfile(thetas, np.full((49, 2, 2, 2), 0.5))
+        assert aggregate_strategies(profile).theta_minus.min() == 0.0
+        assert prediction_anchors(prior, thetas).min() >= 0.0
+        best_prediction_profile(profile, prior)  # a valid profile, no ProfileError
 
     def test_report_distribution_enumeration(self):
         rng = np.random.default_rng(3)
