@@ -1,9 +1,11 @@
 """Self-contained acceptance battery.
 
-Each criterion function exercises one end-to-end guarantee at fixed seeds and
-pinned tolerances and returns a :class:`CriterionResult`.  ``run_all`` powers
-both the pytest acceptance module and the ``suite`` CLI subcommand, printing
-one pass/fail line per criterion.
+Each criterion is a plain check: it exercises one end-to-end guarantee at
+fixed seeds and pinned tolerances and returns ``(passed, detail)``.
+:data:`CRITERIA` pairs each check with its printed name, in order.  The one
+runner, :func:`run`, numbers a check by its place in that list, times it and
+builds its :class:`CriterionResult`; ``run_all`` (the ``suite`` CLI
+subcommand) and the pytest acceptance module both go through it.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from .strategy import (
     uniform_report_profile,
 )
 
-__all__ = ["CriterionResult", "run_all", "CRITERIA"]
+__all__ = ["CriterionResult", "run", "run_all", "CRITERIA"]
 
 
 @dataclass(frozen=True)
@@ -75,13 +77,8 @@ class CriterionResult:
         return f"[{status}] criterion {self.number:2d} {self.name} ({self.runtime:.2f}s): {self.detail}"
 
 
-def _result(number, name, start, passed, detail) -> CriterionResult:
-    return CriterionResult(number, name, bool(passed), time.time() - start, detail)
-
-
-def criterion_1_truthful_strictness() -> CriterionResult:
+def criterion_1_truthful_strictness() -> tuple[bool, str]:
     """Truth-telling is an exact equilibrium with strictly worse alternatives."""
-    start = time.time()
     worst_gap = -np.inf
     min_margin = np.inf
     count = 0
@@ -105,18 +102,13 @@ def criterion_1_truthful_strictness() -> CriterionResult:
     # sampled priors (conditional columns ~1e-6 apart) and still sit four
     # orders of magnitude above the ~1e-16 evaluation noise
     passed = worst_gap <= 1e-12 and min_margin > 0.0
-    return _result(
-        1,
-        "truthful strictness",
-        start,
-        passed,
-        f"{count} priors, max gap {worst_gap:.2e}, min deviation margin {min_margin:.2e}",
+    return passed, (
+        f"{count} priors, max gap {worst_gap:.2e}, min deviation margin {min_margin:.2e}"
     )
 
 
-def criterion_2_postprocessing_equality_example() -> CriterionResult:
+def criterion_2_postprocessing_equality_example() -> tuple[bool, str]:
     """The 3-signal example where mixing rows cannot strictly lower D*."""
-    start = time.time()
     p = np.array([0.1, 0.2, 0.7])
     q = np.array([0.2, 0.4, 0.4])
     theta = np.array([[0.3, 0.6, 0.0], [0.7, 0.4, 0.0], [0.0, 0.0, 1.0]])
@@ -128,35 +120,25 @@ def criterion_2_postprocessing_equality_example() -> CriterionResult:
         and abs(d_before - d_after) <= 1e-12
         and abs(d_before - 0.093171) <= 1e-6
     )
-    return _result(
-        2,
-        "no-strict-decrease example",
-        start,
-        passed,
-        f"predicate={predicate}, D*={d_before:.6f}, |diff|={abs(d_before - d_after):.2e}",
+    return passed, (
+        f"predicate={predicate}, D*={d_before:.6f}, |diff|={abs(d_before - d_after):.2e}"
     )
 
 
-def criterion_3_coarse_prior_example() -> CriterionResult:
+def criterion_3_coarse_prior_example() -> tuple[bool, str]:
     """The 3x3 conditional whose first two rows are proportional."""
-    start = time.time()
     conditional = np.array([[0.1, 0.2, 0.3], [0.2, 0.4, 0.6], [0.7, 0.4, 0.1]])
     prior = PairwisePrior(SignalSpace.of_size(3), np.full(3, 1.0 / 3.0), conditional)
     report = validate_snife(prior)
     passed = (not report.finegrained_ok) and report.witnesses.get("finegrained") == (0, 1)
-    return _result(
-        3,
-        "coarse prior detection",
-        start,
-        passed,
-        f"finegrained_ok={report.finegrained_ok}, witness={report.witnesses.get('finegrained')}",
+    return passed, (
+        f"finegrained_ok={report.finegrained_ok}, witness={report.witnesses.get('finegrained')}"
     )
 
 
-def criterion_4_information_monotonicity() -> CriterionResult:
+def criterion_4_information_monotonicity() -> tuple[bool, str]:
     """Random post-processing never raises D*; permutations preserve it; the
     strictness predicate tracks observed strict decrease."""
-    start = time.time()
     rng = np.random.default_rng(4)
     worst_violation = -np.inf
     worst_perm = 0.0
@@ -179,13 +161,9 @@ def criterion_4_information_monotonicity() -> CriterionResult:
         tp = perm.matrix()
         worst_perm = max(worst_perm, abs(float(hellinger(tp @ p, tp @ q)) - d0))
     passed = worst_violation <= 1e-12 and worst_perm <= 1e-14 and agree
-    return _result(
-        4,
-        "information monotonicity",
-        start,
-        passed,
+    return passed, (
         f"max increase {worst_violation:.2e}, max permutation drift {worst_perm:.2e}, "
-        f"predicate agreement {agree}",
+        f"predicate agreement {agree}"
     )
 
 
@@ -251,10 +229,9 @@ def _enumerated_average_welfare(config, latent, profile) -> float:
     return total
 
 
-def criterion_5_zero_sum_and_welfare_identities() -> CriterionResult:
+def criterion_5_zero_sum_and_welfare_identities() -> tuple[bool, str]:
     """Zero-sum base payments; enumerated average welfare equals the
     classification score; decomposition identities."""
-    start = time.time()
     rng = np.random.default_rng(5)
 
     # zero-sum identity on realized rounds, even and odd group sizes
@@ -304,19 +281,14 @@ def criterion_5_zero_sum_and_welfare_identities() -> CriterionResult:
         and identities_ok
         and equivalence_ok
     )
-    return _result(
-        5,
-        "zero-sum and welfare identities",
-        start,
-        passed,
+    return passed, (
         f"max |sum score_M| {worst_zero:.1e}, max enumeration gap {worst_welfare:.1e}, "
-        f"identities {identities_ok}, equivalence {equivalence_ok}",
+        f"identities {identities_ok}, equivalence {equivalence_ok}"
     )
 
 
-def criterion_6_permutation_parity() -> CriterionResult:
+def criterion_6_permutation_parity() -> tuple[bool, str]:
     """Permutation profiles match truth-telling's welfare; relabeling cycles close."""
-    start = time.time()
     worst_parity = 0.0
     worst_cycle = 0.0
     for m in (2, 3, 4):
@@ -334,19 +306,12 @@ def criterion_6_permutation_parity() -> CriterionResult:
             for res in relabeling_cycle_audit(prior, profile, perm):
                 worst_cycle = max(worst_cycle, abs(res.slack))
     passed = worst_parity <= 1e-12 and worst_cycle <= 1e-12
-    return _result(
-        6,
-        "permutation parity",
-        start,
-        passed,
-        f"max parity drift {worst_parity:.1e}, max cycle drift {worst_cycle:.1e}",
-    )
+    return passed, f"max parity drift {worst_parity:.1e}, max cycle drift {worst_cycle:.1e}"
 
 
-def criterion_7_classification_bound() -> CriterionResult:
+def criterion_7_classification_bound() -> tuple[bool, str]:
     """Solved profiles never beat the total divergence of their best-prediction
     counterparts; equality only at consistent best-prediction play."""
-    start = time.time()
     rng = np.random.default_rng(7)
     min_slack = np.inf
     conditions_ok = True
@@ -374,19 +339,12 @@ def criterion_7_classification_bound() -> CriterionResult:
         if abs(res.slack) <= 1e-10 and res.context["inconsistency"] > 1e-10:
             conditions_ok = False
     passed = min_slack >= -1e-10 and conditions_ok
-    return _result(
-        7,
-        "classification bound",
-        start,
-        passed,
-        f"min slack {min_slack:.2e}, equality conditions {conditions_ok}",
-    )
+    return passed, f"min slack {min_slack:.2e}, equality conditions {conditions_ok}"
 
 
-def criterion_8_aggregation_error() -> CriterionResult:
+def criterion_8_aggregation_error() -> tuple[bool, str]:
     """Leave-one-out vs population-average divergences: bounded at n = 600 for
     eps = 0.5 (threshold 512) and decaying like 1/n on a sweep."""
-    start = time.time()
     rng = np.random.default_rng(8)
     m, eps = 2, 0.5
     prior = from_latent(random_snife_prior(m, 2, seed=800))
@@ -409,18 +367,11 @@ def criterion_8_aggregation_error() -> CriterionResult:
         devs.append(aggregation_error_audit(prior, thetas, eps=10.0).lhs)
     slope = np.polyfit(np.log(ns), np.log(devs), 1)[0]
     passed = all_pass and -1.25 <= slope <= -0.8
-    return _result(
-        8,
-        "aggregation error decay",
-        start,
-        passed,
-        f"all 20 runs under eps: {all_pass}, one-deviant sweep slope {slope:.3f}",
-    )
+    return passed, f"all 20 runs under eps: {all_pass}, one-deviant sweep slope {slope:.3f}"
 
 
-def criterion_9_far_from_permutation() -> CriterionResult:
+def criterion_9_far_from_permutation() -> tuple[bool, str]:
     """Uniform-row strategies lose at least the constant-chain welfare bound."""
-    start = time.time()
     min_slack = np.inf
     for k in range(20):
         m = (2, 3, 4)[k % 3]
@@ -429,13 +380,7 @@ def criterion_9_far_from_permutation() -> CriterionResult:
         res = far_from_permutation_gap(prior, theta, tau=1.0 / (2.0 * m))
         min_slack = min(min_slack, res.slack)
     passed = min_slack >= -1e-12
-    return _result(
-        9,
-        "far-from-permutation gap",
-        start,
-        passed,
-        f"min slack {min_slack:.2e}",
-    )
+    return passed, f"min slack {min_slack:.2e}"
 
 
 def _simplex_grid(m: int, steps: int) -> np.ndarray:
@@ -466,12 +411,11 @@ def _grid_values(config, terms, cell, grid) -> np.ndarray:
     return values - config.beta * terms.self_score[cell]
 
 
-def criterion_10_solver_cross_checks() -> CriterionResult:
+def criterion_10_solver_cross_checks() -> tuple[bool, str]:
     """Iterative vs direct prediction solves; exact beta = 0 anchors;
     closed-form best response vs simplex grid search."""
     from .equilibrium import _payoff_terms
 
-    start = time.time()
     rng = np.random.default_rng(10)
     worst_solver = 0.0
     beta0_exact = True
@@ -518,19 +462,14 @@ def criterion_10_solver_cross_checks() -> CriterionResult:
         and worst_grid_value <= 1e-12
         and worst_grid_dist <= 1.5 * h
     )
-    return _result(
-        10,
-        "solver cross-checks",
-        start,
-        passed,
+    return passed, (
         f"iter/direct {worst_solver:.1e}, beta0 exact {beta0_exact}, "
-        f"grid value excess {worst_grid_value:.1e}, grid distance {worst_grid_dist:.3f}",
+        f"grid value excess {worst_grid_value:.1e}, grid distance {worst_grid_dist:.3f}"
     )
 
 
-def criterion_11_monte_carlo_consistency() -> CriterionResult:
+def criterion_11_monte_carlo_consistency() -> tuple[bool, str]:
     """Million-trial sampled welfare within 4 standard errors of exact."""
-    start = time.time()
     latent = random_snife_prior(3, 2, seed=1100)
     prior = from_latent(latent)
     config = MechanismConfig(1.0, 1.0 / 24.0, "log", "disagreement")
@@ -539,19 +478,14 @@ def criterion_11_monte_carlo_consistency() -> CriterionResult:
     exact = welfare_metrics(prior, truth).classification_score
     z = abs(mc.welfare_mean - exact) / mc.welfare_stderr
     passed = z <= 4.0
-    return _result(
-        11,
-        "Monte Carlo consistency",
-        start,
-        passed,
-        f"sampled {mc.welfare_mean:.6f} +- {mc.welfare_stderr:.6f}, exact {exact:.6f}, z={z:.2f}",
+    return passed, (
+        f"sampled {mc.welfare_mean:.6f} +- {mc.welfare_stderr:.6f}, exact {exact:.6f}, z={z:.2f}"
     )
 
 
-def criterion_12_quasi_focal_ordering() -> CriterionResult:
+def criterion_12_quasi_focal_ordering() -> tuple[bool, str]:
     """Collusive and uninformative profiles score strictly below truth-telling;
     the one-agent-per-signal profile scores above it."""
-    start = time.time()
     min_below = np.inf
     min_above = np.inf
     gaps = []
@@ -577,31 +511,35 @@ def criterion_12_quasi_focal_ordering() -> CriterionResult:
         min_above = min(min_above, ce_score - truth_small)
         gaps.append(check_equilibrium(config, prior, ce).max_gap)
     passed = min_below > 0.0 and min_above > 0.0
-    return _result(
-        12,
-        "quasi-focal ordering",
-        start,
-        passed,
+    return passed, (
         f"min margin below truth {min_below:.2e}, counterexample excess {min_above:.2e}, "
-        f"max counterexample eq gap {max(gaps):.3f}",
+        f"max counterexample eq gap {max(gaps):.3f}"
     )
 
 
 CRITERIA = [
-    criterion_1_truthful_strictness,
-    criterion_2_postprocessing_equality_example,
-    criterion_3_coarse_prior_example,
-    criterion_4_information_monotonicity,
-    criterion_5_zero_sum_and_welfare_identities,
-    criterion_6_permutation_parity,
-    criterion_7_classification_bound,
-    criterion_8_aggregation_error,
-    criterion_9_far_from_permutation,
-    criterion_10_solver_cross_checks,
-    criterion_11_monte_carlo_consistency,
-    criterion_12_quasi_focal_ordering,
+    ("truthful strictness", criterion_1_truthful_strictness),
+    ("no-strict-decrease example", criterion_2_postprocessing_equality_example),
+    ("coarse prior detection", criterion_3_coarse_prior_example),
+    ("information monotonicity", criterion_4_information_monotonicity),
+    ("zero-sum and welfare identities", criterion_5_zero_sum_and_welfare_identities),
+    ("permutation parity", criterion_6_permutation_parity),
+    ("classification bound", criterion_7_classification_bound),
+    ("aggregation error decay", criterion_8_aggregation_error),
+    ("far-from-permutation gap", criterion_9_far_from_permutation),
+    ("solver cross-checks", criterion_10_solver_cross_checks),
+    ("Monte Carlo consistency", criterion_11_monte_carlo_consistency),
+    ("quasi-focal ordering", criterion_12_quasi_focal_ordering),
 ]
 
 
+def run(number: int) -> CriterionResult:
+    """Run criterion ``number`` (1-based, its place in :data:`CRITERIA`) and time it."""
+    name, check = CRITERIA[number - 1]
+    start = time.time()
+    passed, detail = check()
+    return CriterionResult(number, name, bool(passed), time.time() - start, detail)
+
+
 def run_all() -> list[CriterionResult]:
-    return [criterion() for criterion in CRITERIA]
+    return [run(number) for number in range(1, len(CRITERIA) + 1)]

@@ -45,7 +45,6 @@ __all__ = [
     "relabeling_cycle_audit",
     "welfare_comparison",
     "WelfareRow",
-    "SymmetricDynamics",
     "symmetric_fixed_points",
     "total_divergence_symmetric",
 ]
@@ -275,16 +274,6 @@ def relabeling_cycle_audit(
     return results
 
 
-@dataclass(frozen=True)
-class SymmetricDynamics:
-    """Outcome of best-response dynamics over deterministic symmetric signal
-    maps: maps fixed under the best-response operator, and any cycles hit
-    within the iteration cap (reported, not resolved)."""
-
-    fixed_points: list[tuple[int, ...]]
-    cycles: list[tuple[tuple[int, ...], ...]]
-
-
 def _map_matrix(g: tuple[int, ...], m: int) -> np.ndarray:
     theta = np.zeros((m, m))
     theta[list(g), range(m)] = 1.0
@@ -292,41 +281,23 @@ def _map_matrix(g: tuple[int, ...], m: int) -> np.ndarray:
 
 
 def symmetric_fixed_points(
-    config: MechanismConfig,
-    prior: PairwisePrior,
-    n: int,
-    max_iter: int = 200,
-) -> SymmetricDynamics:
-    """Best-response dynamics on the m^m deterministic symmetric signal maps.
+    config: MechanismConfig, prior: PairwisePrior, n: int
+) -> dict[tuple[int, ...], StrategyProfile]:
+    """Fixed points of best-response dynamics on the m^m deterministic
+    symmetric signal maps, in sorted order, each with its solved profile.
 
     For each map, all agents play it with solved predictions; the
-    best-response map sends each private signal to the optimal report.  The
-    operator is deterministic, so trajectories either reach a fixed point or
-    enter a cycle.
+    best-response map sends each private signal to the optimal report.  A map
+    is fixed when it is its own best response.
     """
     m = prior.m
-    br_of: dict[tuple[int, ...], tuple[int, ...]] = {}
+    fixed = {}
     for g in itertools.product(range(m), repeat=m):
         profile = solved_profile(config, prior, [_map_matrix(g, m)] * n)
         best = report_values(config, prior, profile)[0].argmax(axis=-1)
-        br_of[g] = tuple(int(r) for r in best)
-
-    fixed = sorted(g for g, image in br_of.items() if image == g)
-    cycles: set[tuple[tuple[int, ...], ...]] = set()
-    for start in br_of:
-        seen: dict[tuple[int, ...], int] = {}
-        g = start
-        for step in range(max_iter):
-            if g in seen:
-                cycle = tuple(list(seen)[seen[g] :])
-                if len(cycle) > 1:
-                    # canonical rotation so each cycle is reported once
-                    k = cycle.index(min(cycle))
-                    cycles.add(cycle[k:] + cycle[:k])
-                break
-            seen[g] = step
-            g = br_of[g]
-    return SymmetricDynamics(fixed, sorted(cycles))
+        if tuple(int(r) for r in best) == g:
+            fixed[g] = profile
+    return fixed
 
 
 @dataclass(frozen=True)
@@ -365,12 +336,8 @@ def welfare_comparison(
     uniform = profiles.pop("uniform")
     profiles["uniform"] = solved_profile(config, prior, uniform.thetas)
     if include_dynamics:
-        dynamics = symmetric_fixed_points(config, prior, n)
-        for g in dynamics.fixed_points:
-            name = f"solved:{','.join(map(str, g))}"
-            profiles.setdefault(
-                name, solved_profile(config, prior, [_map_matrix(g, prior.m)] * n)
-            )
+        for g, profile in symmetric_fixed_points(config, prior, n).items():
+            profiles.setdefault(f"solved:{','.join(map(str, g))}", profile)
 
     truth_score = welfare_metrics(prior, truth_telling_profile(prior, n)).classification_score
     rows = []

@@ -2,9 +2,11 @@
 
 Subcommands wire the file formats to the library: validate-prior, gen-prior,
 payout, welfare, check-eq, solve-predictions, audit, impossibility, sweep-n,
-and suite.  Results go to stdout (or --out) as CSV or JSON; human-facing
-status lines go to stderr so machine output stays byte-deterministic for
-fixed inputs and seed.
+and suite.  :func:`_resolve` turns the inputs a subcommand declares (prior
+file, mechanism, profile) into objects once, before its handler runs.  Results
+go through one writer, :func:`_write`, to stdout (or --out) as CSV or JSON;
+human-facing status lines go to stderr so machine output stays
+byte-deterministic for fixed inputs and seed.
 
 Exit codes: 0 success, 1 usage or input errors, 2 validation failures (a
 prior failing its assumption checks, or acceptance-suite failures).
@@ -18,6 +20,7 @@ import dataclasses
 import functools
 import io as _io
 import json
+import math
 import sys
 
 import numpy as np
@@ -40,7 +43,6 @@ from .io import (
     pairwise_from_loaded,
     prior_to_dict,
     profile_to_dict,
-    save_prior,
 )
 from .mechanism import MechanismConfig, MechanismError, monte_carlo_payments, welfare_metrics
 from .priors import (
@@ -85,41 +87,52 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _emit(rows: list[dict], args, payload_key="rows"):
-    """Write rows as CSV (one header from the first row) or a JSON list."""
-    if args.format == "json":
-        text = json.dumps(rows, indent=2) + "\n"
-    else:
-        buf = _io.StringIO()
-        if rows:
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(rows[0].keys())
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row.values()])
-        text = buf.getvalue()
-    if args.out:
+def _write(text: str, args):
+    """The one writer of results: ``--out`` when given, else stdout."""
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {args.out}: {exc.strerror}") from None
+
+
+def _emit(rows: list[dict], args):
+    """Write rows as CSV (one header from the first row) or a JSON list."""
+    if args.format == "json":
+        return _write(json.dumps(rows, indent=2) + "\n", args)
+    buf = _io.StringIO()
+    if rows:
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(rows[0].keys())
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row.values()])
+    _write(buf.getvalue(), args)
 
 
 def _status(message: str):
     print(message, file=sys.stderr)
 
 
-def _load_pairwise(path):
-    return pairwise_from_loaded(load_prior(path))
-
-
-def _mechanism(args) -> MechanismConfig:
-    config = load_mechanism(args.mech) if args.mech else MechanismConfig()
-    overrides = {
-        key: getattr(args, key)
-        for key in ("alpha", "beta", "rule")
-        if getattr(args, key) is not None
-    }
-    return dataclasses.replace(config, **overrides)
+def _resolve(args):
+    """Replace each input the subcommand declares by the object it names, in
+    this order: ``prior`` (a path) by its pairwise moments, keeping the prior
+    as loaded in ``loaded``; ``mech`` (a path or None) by the mechanism with
+    the ``--alpha/--beta/--rule`` overrides; ``profile`` (a spec) by the
+    profile of ``--n`` agents.  Handlers only read the objects."""
+    declared = vars(args)
+    if "prior" not in declared:
+        return
+    args.loaded = load_prior(args.prior)
+    args.prior = pairwise_from_loaded(args.loaded)
+    if "mech" in declared:
+        config = load_mechanism(args.mech) if args.mech else MechanismConfig()
+        overrides = {k: declared[k] for k in ("alpha", "beta", "rule") if declared[k] is not None}
+        args.mech = dataclasses.replace(config, **overrides)
+    if "profile" in declared:
+        args.profile = _resolve_profile(args.profile, args.prior, args.n)
 
 
 def _parse_indices(text: str, what: str) -> tuple[int, ...]:
@@ -166,6 +179,17 @@ def _seed(text: str) -> int:
     raise argparse.ArgumentTypeError(f"must be an integer in [0, 2**64), got {text!r}")
 
 
+def _finite(text: str) -> float:
+    """A real-valued option: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isfinite(value):
+        return value
+    raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     """The one parser of the process; parsing leaves it unchanged."""
@@ -186,13 +210,13 @@ def _build_parser() -> _Parser:
             p.add_argument("--n", type=int, default=4, help="agents for named profiles")
         if mech:
             p.add_argument("--mech", help="mechanism JSON file")
-            p.add_argument("--alpha", type=float)
-            p.add_argument("--beta", type=float)
+            p.add_argument("--alpha", type=_finite)
+            p.add_argument("--beta", type=_finite)
             p.add_argument("--rule", choices=("log", "quadratic"))
 
     p = sub.add_parser("validate-prior", help="check the prior assumptions")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--in", dest="prior", metavar="INFILE", required=True)
+    p.add_argument("--tol", type=_finite, default=DEFAULT_TOL)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out")
 
@@ -201,7 +225,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--states", type=int, default=2)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out")
-    p.add_argument("--format", choices=("csv", "json"), default="json")
 
     p = sub.add_parser("payout", help="expected payoffs, or sampled payments with --trials")
     common(p, profile=True, mech=True)
@@ -213,7 +236,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("check-eq", help="best-response gaps of a profile")
     common(p, profile=True, mech=True)
-    p.add_argument("--eps", type=float, default=EQUILIBRIUM_EPS)
+    p.add_argument("--eps", type=_finite, default=EQUILIBRIUM_EPS)
 
     p = sub.add_parser("solve-predictions", help="equilibrium predictions for fixed signal strategies")
     common(p, profile=True, mech=True)
@@ -225,8 +248,8 @@ def _build_parser() -> _Parser:
         choices=("classification-bound", "far-from-permutation", "aggregation-error", "all"),
         default="all",
     )
-    p.add_argument("--tau", type=float, default=0.2)
-    p.add_argument("--eps", type=float, default=0.5)
+    p.add_argument("--tau", type=_finite, default=0.2)
+    p.add_argument("--eps", type=_finite, default=0.5)
 
     p = sub.add_parser("impossibility", help="relabeling welfare-cycle identities")
     common(p, profile=True)
@@ -243,19 +266,14 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_validate_prior(args) -> int:
-    prior = _load_pairwise(args.infile)
-    report = validate_snife(prior, tol=args.tol)
+    report = validate_snife(args.prior, tol=args.tol)
     rows = [
-        {
-            "assumption": name,
-            "ok": ok,
-            "witness": ";".join(map(str, report.witnesses.get(key, ()))),
-        }
-        for name, key, ok in (
-            ("symmetric", "symmetric", report.symmetric_ok),
-            ("nonzero", "nonzero", report.nonzero_ok),
-            ("informative", "informative", report.informative_ok),
-            ("finegrained", "finegrained", report.finegrained_ok),
+        {"assumption": name, "ok": ok, "witness": ";".join(map(str, report.witnesses.get(name, ())))}
+        for name, ok in (
+            ("symmetric", report.symmetric_ok),
+            ("nonzero", report.nonzero_ok),
+            ("informative", report.informative_ok),
+            ("finegrained", report.finegrained_ok),
         )
     ]
     _emit(rows, args)
@@ -267,24 +285,18 @@ def _cmd_validate_prior(args) -> int:
 
 def _cmd_gen_prior(args) -> int:
     latent = random_snife_prior(args.m, args.states, seed=args.seed)
-    if args.out:
-        save_prior(latent, args.out)
-    else:
-        sys.stdout.write(json.dumps(prior_to_dict(latent), indent=2) + "\n")
+    _write(json.dumps(prior_to_dict(latent), indent=2) + "\n", args)
     return 0
 
 
 def _cmd_payout(args) -> int:
-    loaded = load_prior(args.prior)
-    prior = pairwise_from_loaded(loaded)
-    config = _mechanism(args)
-    profile = _resolve_profile(args.profile, prior, args.n)
+    prior, profile = args.prior, args.profile
     if args.trials is not None:
         if args.trials < 1:
             raise CliError(f"--trials must be at least 1, got {args.trials}")
-        if not isinstance(loaded, LatentStatePrior):
+        if not isinstance(args.loaded, LatentStatePrior):
             raise CliError("--trials needs a latent prior (sampling requires the full joint)")
-        mc = monte_carlo_payments(config, loaded, profile, args.trials, seed=args.seed)
+        mc = monte_carlo_payments(args.mech, args.loaded, profile, args.trials, seed=args.seed)
         rows = [
             {"agent": i, "mean_payment": mc.mean[i], "stderr": mc.stderr[i]}
             for i in range(profile.n)
@@ -294,7 +306,7 @@ def _cmd_payout(args) -> int:
         )
         _emit(rows, args)
         return 0
-    report = check_equilibrium(config, prior, profile)
+    report = check_equilibrium(args.mech, prior, profile)
     rows = [
         {
             "agent": i,
@@ -310,19 +322,13 @@ def _cmd_payout(args) -> int:
 
 
 def _cmd_welfare(args) -> int:
-    prior = _load_pairwise(args.prior)
-    config = _mechanism(args)
-    config.warn_if_outside_regime(prior.m)
-    profile = _resolve_profile(args.profile, prior, args.n)
-    _emit([welfare_metrics(prior, profile).to_dict()], args)
+    args.mech.warn_if_outside_regime(args.prior.m)
+    _emit([welfare_metrics(args.prior, args.profile).to_dict()], args)
     return 0
 
 
 def _cmd_check_eq(args) -> int:
-    prior = _load_pairwise(args.prior)
-    config = _mechanism(args)
-    profile = _resolve_profile(args.profile, prior, args.n)
-    report = check_equilibrium(config, prior, profile, eps=args.eps)
+    report = check_equilibrium(args.mech, args.prior, args.profile, eps=args.eps)
     _emit(report.to_rows(), args)
     _status(
         f"max_gap={report.max_gap:.3e} eps={args.eps:g} "
@@ -332,99 +338,79 @@ def _cmd_check_eq(args) -> int:
 
 
 def _cmd_solve_predictions(args) -> int:
-    prior = _load_pairwise(args.prior)
-    config = _mechanism(args)
-    profile = _resolve_profile(args.profile, prior, args.n)
-    solved = solved_profile(config, prior, profile.thetas)
+    prior = args.prior
+    solved = solved_profile(args.mech, prior, args.profile.thetas)
     if args.format == "json":
         # a profile object, directly reusable as a --profile input
-        text = json.dumps(profile_to_dict(solved), indent=2) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    else:
-        rows = [
-            {
-                "agent": i,
-                "signal": prior.space.labels[s],
-                "report": prior.space.labels[r],
-                **{
-                    f"p_{prior.space.labels[u]}": float(solved.predictions[i, s, r, u])
-                    for u in range(prior.m)
-                },
-            }
-            for i in range(solved.n)
-            for s in range(prior.m)
-            for r in range(prior.m)
-        ]
-        _emit(rows, args)
+        _write(json.dumps(profile_to_dict(solved), indent=2) + "\n", args)
+        return 0
+    rows = [
+        {
+            "agent": i,
+            "signal": prior.space.labels[s],
+            "report": prior.space.labels[r],
+            **{
+                f"p_{prior.space.labels[u]}": float(solved.predictions[i, s, r, u])
+                for u in range(prior.m)
+            },
+        }
+        for i in range(solved.n)
+        for s in range(prior.m)
+        for r in range(prior.m)
+    ]
+    _emit(rows, args)
     return 0
 
 
 def _cmd_audit(args) -> int:
-    prior = _load_pairwise(args.prior)
-    config = _mechanism(args)
-    profile = _resolve_profile(args.profile, prior, args.n)
+    prior, profile = args.prior, args.profile
     if not args.eps > 0:
         raise CliError(f"--eps must be positive, got {args.eps:g}")
+    audits = {
+        "classification-bound": lambda: classification_bound_audit(args.mech, prior, profile),
+        "far-from-permutation": lambda: far_from_permutation_gap(
+            prior, aggregate_strategies(profile).theta_bar, tau=args.tau
+        ),
+        "aggregation-error": lambda: aggregation_error_audit(prior, profile.thetas, eps=args.eps),
+    }
     results = []
-    if args.which in ("classification-bound", "all"):
-        results.append(classification_bound_audit(config, prior, profile))
-    if args.which in ("far-from-permutation", "all"):
-        theta_bar = aggregate_strategies(profile).theta_bar
+    for name, audit in audits.items():
+        if args.which not in (name, "all"):
+            continue
         try:
-            results.append(far_from_permutation_gap(prior, theta_bar, tau=args.tau))
+            results.append(audit())
         except AuditError as exc:
             if args.which != "all":
                 raise
-            _status(f"far-from-permutation skipped: {exc}")
-    if args.which in ("aggregation-error", "all"):
-        try:
-            results.append(aggregation_error_audit(prior, profile.thetas, eps=args.eps))
-        except AuditError as exc:
-            if args.which != "all":
-                raise
-            _status(f"aggregation-error skipped: {exc}")
+            _status(f"{name} skipped: {exc}")
     _emit([_audit_row(r) for r in results], args)
     return 0
 
 
 def _audit_row(result) -> dict:
-    return {
-        "name": result.name,
-        "lhs": result.lhs,
-        "rhs": result.rhs,
-        "slack": result.slack,
-        "passed": result.passed,
-        "context": json.dumps(result.context, sort_keys=True, default=str),
-    }
+    return {**result.to_dict(), "context": json.dumps(result.context, sort_keys=True, default=str)}
 
 
 def _cmd_impossibility(args) -> int:
-    prior = _load_pairwise(args.prior)
-    profile = _resolve_profile(args.profile, prior, args.n)
     perm = PermutationMap(_parse_indices(args.perm, "--perm"))
-    results = relabeling_cycle_audit(prior, profile, perm)
+    results = relabeling_cycle_audit(args.prior, args.profile, perm)
     _emit([_audit_row(r) for r in results], args)
     return 0
 
 
 def _cmd_sweep_n(args) -> int:
-    prior = _load_pairwise(args.prior)
-    config = _mechanism(args)
+    prior, config = args.prior, args.mech
     bounds = theorem_bounds(prior_constants(prior), prior.m)
     ns = _parse_indices(args.n, "--n")
     if args.samples < 1:
         raise CliError(f"--samples must be at least 1, got {args.samples}")
 
     def unit(n: int) -> dict:
-        # per-n generator, so a row does not depend on the other agent counts
-        rng = np.random.default_rng([args.seed, n])
         truth_score = welfare_metrics(
             prior, truth_telling_profile(prior, n)
         ).classification_score
+        # per-n generator, so a row does not depend on the other agent counts
+        rng = np.random.default_rng([args.seed, n])
         max_gap = -np.inf
         for _ in range(args.samples):
             thetas = np.stack([random_signal_strategy(rng, prior.m) for _ in range(n)])
@@ -470,6 +456,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        _resolve(args)
         return _COMMANDS[args.command](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -484,6 +471,10 @@ def main(argv=None) -> int:
         AuditError,
     ) as exc:
         print(f"error: {type(exc).__module__.split('.')[-1]}: {exc}", file=sys.stderr)
+        return 1
+    except (MemoryError, ValueError) as exc:
+        # numpy refusing an array whose size comes from an input count (--n, --m, --states)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

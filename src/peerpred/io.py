@@ -78,24 +78,19 @@ def prior_to_dict(prior: LatentStatePrior | PairwisePrior) -> dict:
 
 def prior_from_dict(data: dict, path=None) -> LatentStatePrior | PairwisePrior:
     labels = _require(data, "signals", path)
-    space = SignalSpace(tuple(labels))
     kind = data.get("kind", "pairwise")
+    if kind == "latent":
+        cls, keys = LatentStatePrior, ("state_probs", "emissions")
+    elif kind == "pairwise":
+        cls, keys = PairwisePrior, ("marginal", "conditional")
+    else:
+        raise FormatError(f"unknown prior kind {kind!r}")
+    first, second = (_require(data, key, path) for key in keys)
     try:
-        if kind == "latent":
-            return LatentStatePrior(
-                space,
-                np.asarray(_require(data, "state_probs", path), dtype=float),
-                np.asarray(_require(data, "emissions", path), dtype=float),
-            )
-        if kind == "pairwise":
-            return PairwisePrior(
-                space,
-                np.asarray(_require(data, "marginal", path), dtype=float),
-                np.asarray(_require(data, "conditional", path), dtype=float),
-            )
-    except PriorError as exc:
+        space = SignalSpace(tuple(labels))
+        return cls(space, np.asarray(first, dtype=float), np.asarray(second, dtype=float))
+    except (PriorError, TypeError, ValueError) as exc:
         raise FormatError(f"invalid prior{f' in {path}' if path else ''}: {exc}") from exc
-    raise FormatError(f"unknown prior kind {kind!r}")
 
 
 def pairwise_from_loaded(prior: LatentStatePrior | PairwisePrior) -> PairwisePrior:
@@ -132,7 +127,7 @@ def profile_from_dict(data: dict, path=None) -> StrategyProfile:
         thetas = np.asarray([a["theta"] for a in agents], dtype=float)
         predictions = np.asarray([a["predictions"] for a in agents], dtype=float)
         profile = StrategyProfile(thetas, predictions)
-    except (KeyError, ProfileError, ValueError) as exc:
+    except (KeyError, ProfileError, TypeError, ValueError) as exc:
         raise FormatError(f"invalid profile{f' in {path}' if path else ''}: {exc}") from exc
     declared = data.get("n", profile.n)
     if declared != profile.n:
@@ -172,11 +167,16 @@ def save_mechanism(config: MechanismConfig, path):
 def _load_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError:
         raise FormatError(f"no such file: {path}") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc.strerror}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError(f"malformed JSON in {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise FormatError(f"expected a JSON object in {path}")
+    return data
 
 
 def _dump_json(data: dict, path):

@@ -103,8 +103,10 @@ class MechanismConfig:
     group_a: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta < 0:
-            raise MechanismError(f"need alpha > 0 and beta >= 0, got {self.alpha}, {self.beta}")
+        if not (0 < self.alpha < math.inf and 0 <= self.beta < math.inf):
+            raise MechanismError(
+                f"need finite alpha > 0 and beta >= 0, got {self.alpha}, {self.beta}"
+            )
         if self.variant not in ("truthful", "disagreement"):
             raise MechanismError(f"unknown variant {self.variant!r}")
         get_rule(self.rule)
@@ -162,7 +164,7 @@ class Report:
         prediction = np.asarray(self.prediction, dtype=float)
         object.__setattr__(self, "prediction", prediction)
         off = abs(prediction.sum() - 1.0)
-        if prediction.ndim != 1 or off > PROBABILITY_TOL or np.any(prediction < 0):
+        if not (prediction.ndim == 1 and off <= PROBABILITY_TOL and np.all(prediction >= 0)):
             raise MechanismError("a report's prediction must be a probability vector")
         if not 0 <= self.signal < prediction.size:
             raise MechanismError(f"signal index {self.signal} out of range")

@@ -82,8 +82,8 @@ class PairwisePrior:
     """First two moments of a symmetric prior.
 
     ``conditional[a, b] = q(sigma_a | sigma_b)``; column ``b`` is the peer
-    distribution given own signal ``b``.  Construction here performs shape
-    checks only; use :func:`build_pairwise_prior` for full validation, or
+    distribution given own signal ``b``.  Construction here checks shapes and
+    finiteness only; use :func:`build_pairwise_prior` for full validation, or
     :func:`validate_snife` for an itemized report.
     """
 
@@ -101,6 +101,8 @@ class PairwisePrior:
             raise PriorError(f"marginal shape {marginal.shape} != ({m},)")
         if conditional.shape != (m, m):
             raise PriorError(f"conditional shape {conditional.shape} != ({m}, {m})")
+        if not (np.isfinite(marginal).all() and np.isfinite(conditional).all()):
+            raise PriorError("marginal and conditional entries must be finite")
         marginal.setflags(write=False)
         conditional.setflags(write=False)
 
@@ -144,13 +146,15 @@ class LatentStatePrior:
         object.__setattr__(self, "emissions", emissions)
         if probs.ndim != 1 or probs.size < 1:
             raise PriorError("state_probs must be a non-empty vector")
-        if np.any(probs < 0) or abs(probs.sum() - 1.0) > PROBABILITY_TOL:
+        # stated positively: NaN fails every comparison, so it fails these checks
+        if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= PROBABILITY_TOL):
             raise PriorError("state_probs must be a probability vector")
         if emissions.shape != (probs.size, self.space.m):
             raise PriorError(
                 f"emissions shape {emissions.shape} != ({probs.size}, {self.space.m})"
             )
-        if np.any(emissions < 0) or np.max(np.abs(emissions.sum(axis=1) - 1.0)) > PROBABILITY_TOL:
+        off = np.max(np.abs(emissions.sum(axis=1) - 1.0))
+        if not (np.all(emissions >= 0) and off <= PROBABILITY_TOL):
             raise PriorError("each emissions row must be a probability vector")
         probs.setflags(write=False)
         emissions.setflags(write=False)
@@ -453,10 +457,11 @@ def random_snife_prior(
     if m < 2 or num_states < 2:
         raise PriorError("need m >= 2 signals and at least 2 latent states")
     rng = np.random.default_rng(seed)
+    ones = np.ones(m)  # before the labels, so that an m too large for numpy fails at once
     space = SignalSpace.of_size(m)
     for _ in range(max_draws):
         state_probs = rng.dirichlet(np.ones(num_states))
-        emissions = rng.dirichlet(np.ones(m), size=num_states)
+        emissions = rng.dirichlet(ones, size=num_states)
         latent = LatentStatePrior(space, state_probs, emissions)
         marginal = latent.marginal()
         if np.any(marginal <= 0.0):

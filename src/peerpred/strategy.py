@@ -56,11 +56,13 @@ def validate_signal_strategy(theta: np.ndarray, tol: float = STOCHASTIC_TOL) -> 
 
 
 def _check_columns(thetas: np.ndarray, tol: float = STOCHASTIC_TOL):
-    """Raise for the first strategy of the stack ``thetas`` (k, m, m) with a
-    negative entry or a column that does not sum to 1."""
-    negative = (thetas < 0.0).any(axis=(1, 2))
+    """Raise for the first strategy of the stack ``thetas`` (k, m, m) with an
+    entry that is not a non-negative number or a column that does not sum to 1.
+    The checks are stated positively, so NaN, which fails every comparison,
+    fails them."""
+    negative = ~(thetas >= 0.0).all(axis=(1, 2))
     colsums = thetas.sum(axis=1)
-    bad = negative | (np.abs(colsums - 1.0).max(axis=1) > tol)
+    bad = negative | ~(np.abs(colsums - 1.0).max(axis=1) <= tol)
     if bad.any():
         i = int(np.argmax(bad))
         if negative[i]:
@@ -91,7 +93,7 @@ class StrategyProfile:
             )
         _check_columns(thetas)
         off = np.max(np.abs(predictions.sum(axis=-1) - 1.0))
-        if np.any(predictions < 0.0) or off > PROBABILITY_TOL:
+        if not (np.all(predictions >= 0.0) and off <= PROBABILITY_TOL):
             raise ProfileError("every prediction cell must be a probability vector")
         thetas.setflags(write=False)
         predictions.setflags(write=False)
@@ -203,6 +205,8 @@ def permutation_profile(prior: PairwisePrior, n: int, perm: PermutationMap) -> S
 
 def constant_report_profile(prior: PairwisePrior, n: int, target: int) -> StrategyProfile:
     """Everyone reports ``target`` and predicts a point mass on it."""
+    if n < 2:
+        raise ProfileError("need n >= 2")
     m = prior.m
     theta = np.zeros((m, m))
     theta[target, :] = 1.0
@@ -216,6 +220,8 @@ def constant_report_profile(prior: PairwisePrior, n: int, target: int) -> Strate
 def uniform_report_profile(prior: PairwisePrior, n: int) -> StrategyProfile:
     """Reports uniform at random; predictions are the induced best prediction,
     which is the uniform vector."""
+    if n < 2:
+        raise ProfileError("need n >= 2")
     m = prior.m
     thetas = np.full((n, m, m), 1.0 / m)
     predictions = np.full((n, m, m, m), 1.0 / m)

@@ -1,7 +1,7 @@
 """Acceptance battery: every criterion at its pinned tolerance.
 
-Each test prints one pass/fail line; ``peerpred suite`` runs the same
-functions from the command line.
+Each test runs one criterion through the runner that ``peerpred suite``
+uses and prints its pass/fail line.
 """
 
 import pytest
@@ -10,9 +10,11 @@ from peerpred import acceptance
 
 
 @pytest.mark.parametrize(
-    "criterion", acceptance.CRITERIA, ids=lambda c: c.__name__.replace("criterion_", "")
+    "number",
+    range(1, len(acceptance.CRITERIA) + 1),
+    ids=[check.__name__.replace("criterion_", "") for _, check in acceptance.CRITERIA],
 )
-def test_criterion(criterion):
-    result = criterion()
+def test_criterion(number):
+    result = acceptance.run(number)
     print(result.line())
     assert result.passed, result.line()

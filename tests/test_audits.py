@@ -254,8 +254,9 @@ class TestWelfareComparison:
         assert rows[0].name == "counterexample"
 
     def test_dynamics_find_truth_as_fixed_point(self, prior2, config):
-        dynamics = symmetric_fixed_points(config, prior2, n=4)
-        assert (0, 1) in dynamics.fixed_points  # identity map
+        fixed = symmetric_fixed_points(config, prior2, n=4)
+        assert (0, 1) in fixed  # identity map
+        np.testing.assert_array_equal(fixed[(0, 1)].thetas, np.broadcast_to(np.eye(2), (4, 2, 2)))
         rows = welfare_comparison(config, prior2, n=4, include_dynamics=True)
         assert any(r.name.startswith("solved:") for r in rows)
 

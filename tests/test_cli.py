@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peerpred.cli import main
-from peerpred.io import save_mechanism, save_prior, save_profile
+from peerpred.io import prior_to_dict, profile_to_dict, save_mechanism, save_prior, save_profile
 from peerpred.mechanism import MechanismConfig
 from peerpred.priors import from_latent, random_snife_prior
 from peerpred.strategy import StrategyProfile, truth_telling_profile
@@ -32,15 +36,44 @@ def prior_file(tmp_path):
     return str(path)
 
 
-# stands for a profile file over three signals, against the two-signal prior
+# placeholders for the input files of `bad_files`: a profile file over three
+# signals (against the two-signal prior), profiles, priors and a mechanism
+# holding a NaN, a JSON number and an output path in a missing directory
 M3_PROFILE = "<m3-profile>"
+NAN_THETA = "<nan-theta>"
+NAN_PREDICTION = "<nan-prediction>"
+NAN_LATENT = "<nan-latent>"
+NAN_PAIRWISE = "<nan-pairwise>"
+NAN_MECH = "<nan-mech>"
+JSON_NUMBER = "<json-number>"
+OUT_IN_MISSING_DIR = "<out-in-missing-dir>"
 
 
 @pytest.fixture
-def m3_profile_file(tmp_path):
+def bad_files(tmp_path):
+    prior = from_latent(random_snife_prior(2, 2, seed=3))
+    truth = profile_to_dict(truth_telling_profile(prior, 4))
+    nan_theta = json.loads(json.dumps(truth))
+    nan_theta["agents"][2]["theta"][1][0] = math.nan
+    nan_prediction = json.loads(json.dumps(truth))
+    nan_prediction["agents"][0]["predictions"][0][0][1] = math.nan
+    latent = prior_to_dict(random_snife_prior(2, 2, seed=3))
+    contents = {
+        NAN_THETA: nan_theta,
+        NAN_PREDICTION: nan_prediction,
+        NAN_LATENT: {**latent, "state_probs": [math.nan, 0.5]},
+        NAN_PAIRWISE: {**prior_to_dict(prior), "conditional": [[math.nan, 0.3], [0.3, 0.7]]},
+        NAN_MECH: {"alpha": 1.0, "beta": math.nan},
+        JSON_NUMBER: 7,
+    }
+    paths = {OUT_IN_MISSING_DIR: str(tmp_path / "missing" / "out.csv")}
+    for key, data in contents.items():
+        paths[key] = str(tmp_path / f"{key.strip('<>')}.json")
+        Path(paths[key]).write_text(json.dumps(data))
     path = tmp_path / "profile3.json"
     save_profile(truth_telling_profile(from_latent(random_snife_prior(3, 2, seed=3)), 4), path)
-    return str(path)
+    paths[M3_PROFILE] = str(path)
+    return paths
 
 
 @pytest.fixture
@@ -341,11 +374,30 @@ class TestErrorsAndDeterminism:
             ["payout", "--profile", M3_PROFILE],
             ["audit", "--profile", M3_PROFILE],
             ["solve-predictions", "--profile", M3_PROFILE],
+            ["welfare", "--profile", NAN_THETA],
+            ["welfare", "--profile", NAN_PREDICTION],
+            ["check-eq", "--profile", "truth", "--alpha", "nan"],
+            ["check-eq", "--profile", "truth", "--beta", "nan"],
+            ["check-eq", "--profile", "truth", "--mech", NAN_MECH],
+            ["check-eq", "--profile", "truth", "--eps", "nan"],
+            ["audit", "--profile", "truth", "--tau", "inf"],
+            ["welfare", "--profile", "truth", "--prior", NAN_LATENT],
+            ["payout", "--profile", "truth", "--trials", "10", "--prior", NAN_LATENT],
+            ["validate-prior", "--in", NAN_PAIRWISE],
+            ["gen-prior", "--m", "2", "--format", "csv"],
+            ["welfare", "--profile", "uniform", "--n", "-1"],
+            ["welfare", "--profile", "truth", "--n", str(10**30)],
+            ["sweep-n", "--n", "-3"],
+            ["gen-prior", "--m", str(10**30)],
+            ["welfare", "--profile", "truth", "--prior", JSON_NUMBER],
+            ["welfare", "--profile", "truth", "--out", OUT_IN_MISSING_DIR],
         ],
     )
-    def test_bad_profile_spec_exits_1(self, prior_file, m3_profile_file, argv, capsys):
-        argv = [m3_profile_file if arg == M3_PROFILE else arg for arg in argv]
-        assert main([*argv, "--prior", prior_file]) == 1
+    def test_bad_profile_spec_exits_1(self, prior_file, bad_files, argv, capsys):
+        argv = [bad_files.get(arg, arg) for arg in argv]
+        if argv[0] not in ("gen-prior", "validate-prior") and "--prior" not in argv:
+            argv += ["--prior", prior_file]
+        assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "Traceback" not in err
@@ -407,3 +459,145 @@ class TestErrorsAndDeterminism:
         first = capsys.readouterr().out
         assert main(argv) == 0
         assert capsys.readouterr().out == first
+
+
+class TestFuzz:
+    """Random argv from the subcommand grammar: any mix of valid and invalid
+    options, numbers and input files.  Counts that set the amount of work
+    (``--trials``, ``--samples``) stay small, and agent and signal counts are
+    either small or far beyond any array numpy can describe, so that no
+    example allocates or computes for long."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzz")
+        latent = random_snife_prior(2, 2, seed=3)
+        prior = from_latent(latent)
+        good_profile = profile_to_dict(truth_telling_profile(prior, 4))
+        nan_profile = json.loads(json.dumps(good_profile))
+        nan_profile["agents"][1]["theta"][0][0] = math.nan
+        inf_profile = json.loads(json.dumps(good_profile))
+        inf_profile["agents"][0]["predictions"][0][0][0] = math.inf
+        m3 = profile_to_dict(truth_telling_profile(from_latent(random_snife_prior(3, 2, seed=3)), 4))
+        texts = {
+            "latent": prior_to_dict(latent),
+            "pairwise": prior_to_dict(prior),
+            "coarse": EXAMPLE_PRIOR,
+            "nan-latent": {**prior_to_dict(latent), "state_probs": [math.nan, 0.5]},
+            "nan-pairwise": {**prior_to_dict(prior), "marginal": [math.nan, 0.5]},
+            "no-emissions": {"signals": ["a", "b"], "kind": "latent", "state_probs": [1.0]},
+            "bad-shape": {**prior_to_dict(latent), "emissions": [[0.5, 0.5], [1.0]]},
+            "bad-signals": {**prior_to_dict(latent), "signals": 5},
+            "nested-signals": {**prior_to_dict(latent), "signals": [[1], [2]]},
+            "bad-kind": {**prior_to_dict(latent), "kind": ["latent"]},
+            "profile": good_profile,
+            "nan-profile": nan_profile,
+            "inf-profile": inf_profile,
+            "m3-profile": m3,
+            "no-agents": {"n": 4},
+            "agents-number": {"agents": 3},
+            "agents-lists": {"agents": [[1, 2], [3, 4]]},
+            "wrong-n": {**good_profile, "n": 5},
+            "mech": MechanismConfig(1.0, 0.03, "quadratic", "disagreement").to_dict(),
+            "nan-mech": {"alpha": 1.0, "beta": math.nan},
+            "string-mech": {"alpha": "x", "rule": 5, "groupA": "ab"},
+            "group-mech": {"variant": "disagreement", "groupA": [0, 9]},
+            "list": [1, 2, 3],
+            "number": 7,
+            "null": None,
+        }
+        paths = {}
+        for name, data in texts.items():
+            paths[name] = root / f"{name}.json"
+            paths[name].write_text(json.dumps(data))
+        for name, raw in (("not-json", b"{"), ("empty", b""), ("binary", b"\xff\xfe\x00")):
+            paths[name] = root / name
+            paths[name].write_bytes(raw)
+        paths["directory"] = root
+        paths["missing"] = root / "missing.json"
+        paths["out"] = root / "out.txt"
+        paths["out-missing-dir"] = root / "nowhere" / "out.txt"
+        return {name: str(path) for name, path in paths.items()}
+
+    # (valid, invalid) values per kind of argument; an argument is invalid
+    # one time in six, so that most runs reach the computation
+    COUNTS = ("2", "3", "4", "6"), ("-3", "0", "1", str(10**30), "2.5", "x", "")
+    REALS = ("1e-3", "0.02", "1"), ("-1", "0", "1e308", "-1e308", "nan", "inf", "-inf", "x")
+    SEEDS = ("0", "7"), ("-1", str(2**64), "x")
+    SPECS = (
+        ("truth", "uniform", "counterexample", "constant:s1", "constant:1", "permutation:1,0",
+         "profile", "inf-profile"),
+        ("constant:zz", "constant:", "constant:-1", "permutation:0,1", "permutation:1,x",
+         "permutation:", f"permutation:{10**30},0", "bogus", "nan-profile", "m3-profile",
+         "no-agents", "agents-number", "agents-lists", "wrong-n", "list", "not-json",
+         "directory", "missing"),
+    )  # fmt: skip
+    PRIORS = (
+        ("latent", "pairwise", "coarse"),
+        ("nan-latent", "nan-pairwise", "no-emissions", "bad-shape", "bad-signals",
+         "nested-signals", "bad-kind", "list", "number", "null", "not-json", "empty", "binary",
+         "directory", "missing"),
+    )  # fmt: skip
+    MECHS = ("mech",), ("nan-mech", "string-mech", "group-mech", "list", "not-json", "missing")
+
+    @classmethod
+    def argv(cls, files, draw):
+        def pick(kind):
+            return draw(st.sampled_from(kind[1] if draw(st.integers(0, 5)) == 5 else kind[0]))
+
+        def opt(flag, kind, p=0.5):
+            if draw(st.integers(1, 20)) > 20 * p:
+                return []
+            value = pick(kind)
+            return [flag, files.get(value, value)]
+
+        commands = ("validate-prior", "gen-prior", "payout", "welfare", "check-eq",
+                    "solve-predictions", "audit", "impossibility", "sweep-n")  # fmt: skip
+        command = draw(st.sampled_from(commands))
+        args = [command]
+        if command == "validate-prior":
+            args += opt("--in", cls.PRIORS, 0.95) + opt("--tol", cls.REALS)
+        elif command == "gen-prior":
+            args += opt("--m", (("2", "3"), ("-1", "0", "x", str(10**30))), 0.95)
+            args += opt("--states", (("2", "3"), ("1", "-2", str(10**30))))
+            args += opt("--seed", cls.SEEDS)
+        else:
+            args += opt("--prior", cls.PRIORS, 0.95)
+        if command not in ("validate-prior", "gen-prior", "sweep-n"):
+            args += opt("--profile", cls.SPECS, 0.95) + opt("--n", cls.COUNTS)
+        if command not in ("validate-prior", "gen-prior", "impossibility"):
+            args += opt("--mech", cls.MECHS) + opt("--alpha", cls.REALS)
+            args += opt("--beta", cls.REALS) + opt("--rule", (("log", "quadratic"), ("x",)))
+        if command == "payout":
+            args += opt("--trials", (("1", "300"), ("-5", "0", "x"))) + opt("--seed", cls.SEEDS)
+        elif command == "check-eq":
+            args += opt("--eps", cls.REALS)
+        elif command == "audit":
+            which = ("classification-bound", "far-from-permutation", "aggregation-error", "all")
+            args += opt("--which", (which, ("x",))) + opt("--tau", cls.REALS)
+            args += opt("--eps", (("0.5", "10", "1e308"), cls.REALS[1]))
+        elif command == "impossibility":
+            args += opt("--perm", (("1,0",), ("0,1", "1,2,0", "1,x", "", f"{10**30},0")), 0.95)
+        elif command == "sweep-n":
+            counts = [pick(cls.COUNTS) for _ in range(draw(st.integers(1, 3)))]
+            args += ["--n", ",".join(counts)] if draw(st.integers(0, 9)) else []
+            args += opt("--samples", (("1", "2"), ("-1", "0"))) + opt("--seed", cls.SEEDS)
+        if command != "gen-prior":
+            args += opt("--format", (("csv", "json"), ("xml",)))
+        return args + opt("--out", (("out",), ("out-missing-dir",)), 0.2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_exits_cleanly_and_deterministically(self, files, data):
+        argv = self.argv(files, data.draw)
+        runs = []
+        for _ in range(2):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2), argv
+            assert "Traceback" not in err.getvalue(), argv
+            if code == 1:
+                assert any(line.startswith("error:") for line in err.getvalue().splitlines())
+            runs.append(out.getvalue())
+        assert runs[0] == runs[1], argv

@@ -61,6 +61,11 @@ class TestConfig:
             MechanismConfig(alpha=0.0)
         with pytest.raises(MechanismError):
             MechanismConfig(beta=-0.1)
+        for alpha, beta in ((math.nan, 0.05), (math.inf, 0.05), (1.0, math.nan), (1.0, math.inf)):
+            with pytest.raises(MechanismError, match="finite"):
+                MechanismConfig(alpha=alpha, beta=beta)
+        with pytest.raises(MechanismError, match="probability vector"):
+            Report(0, np.array([math.nan, 0.5]))
 
     def test_variant_names(self):
         with pytest.raises(MechanismError):
