@@ -21,6 +21,7 @@ import functools
 import io as _io
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -77,6 +78,13 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads a value such as -1e308 or -inf as an option unless it
+        # looks like a negative number; no option here starts with a digit,
+        # '.', 'inf' or 'nan', so every such value reaches its type check
+        self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
     def error(self, message):  # exit 1 on usage errors instead of argparse's 2
         raise CliError(message)
 

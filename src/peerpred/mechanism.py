@@ -138,7 +138,8 @@ class MechanismConfig:
             a = self.group_a
             if any(i < 0 or i >= n for i in a):
                 raise MechanismError(f"group indices out of range for n={n}: {a}")
-        b = tuple(i for i in range(n) if i not in set(a))
+        members = set(a)
+        b = tuple(i for i in range(n) if i not in members)
         if len(a) < 2 or len(b) < 2:
             raise MechanismError(
                 f"the zero-sum split needs two agents per group (every agent needs an "
@@ -234,11 +235,11 @@ def zero_sum_group_scores(
     """
     base = np.asarray(base_payments, dtype=float)
     a, b = list(group_a), list(group_b)
-    base_a, base_b = base[..., a], base[..., b]
-    out = np.empty_like(base)
-    out[..., a] = base_a - base_b.sum(axis=-1, keepdims=True) / len(a)
-    out[..., b] = base_b - base_a.sum(axis=-1, keepdims=True) / len(b)
-    return out
+    sum_a = base[..., a].sum(axis=-1, keepdims=True)
+    sum_b = base[..., b].sum(axis=-1, keepdims=True)
+    in_a = np.zeros(base.shape[-1], dtype=bool)
+    in_a[a] = True
+    return base - np.where(in_a, sum_b / len(a), sum_a / len(b))
 
 
 def _assemble_payments(config: MechanismConfig, base, reward, peers, pairs) -> np.ndarray:
@@ -248,19 +249,20 @@ def _assemble_payments(config: MechanismConfig, base, reward, peers, pairs) -> n
     names, and ``reward(j, k)`` the classification reward of the pairs (j, k);
     :func:`_round_payments` computes both from reported predictions and the
     Monte Carlo tables look them up.  ``peers`` (T, n) are the base-payment
-    peers and ``pairs`` (T, n, 2) the classification pairs (disagreement
-    variant only).  Matchings are taken as valid.
+    peers and ``pairs`` the two (T, n) arrays (j, k) of classification pairs
+    (disagreement variant only).  Matchings are taken as valid.
     """
     payments = base(peers)
     if config.variant == "truthful":
         return payments
     payments = zero_sum_group_scores(payments, *config.groups(peers.shape[1]))
-    return payments + reward(pairs[..., 0], pairs[..., 1])
+    return payments + reward(*pairs)
 
 
 def _round_payments(config: MechanismConfig, signals, preds, peers, pairs) -> np.ndarray:
     """Payments of T rounds from ``signals`` (T, n) and ``preds`` (T, n, m),
-    each round's reported signals and predictions; the rest as in
+    each round's reported signals and predictions, peers (T, n) and, in the
+    disagreement variant, classification pairs (T, n, 2); the rest as in
     :func:`_assemble_payments`."""
     rows = np.arange(peers.shape[0])[:, None]
 
@@ -272,6 +274,7 @@ def _round_payments(config: MechanismConfig, signals, preds, peers, pairs) -> np
             signals[rows, j], preds[rows, j], signals[rows, k], preds[rows, k]
         )
 
+    pairs = None if pairs is None else (pairs[..., 0], pairs[..., 1])
     return _assemble_payments(config, base, reward, peers, pairs)
 
 
@@ -526,11 +529,6 @@ class MonteCarloPayments:
         }
 
 
-def _skip(draw: np.ndarray, i) -> np.ndarray:
-    """Map uniform draws over range(n - 1) onto range(n) without ``i``."""
-    return draw + (draw >= i)
-
-
 # Trials per Monte Carlo block.  Block b draws from its own stream, so the
 # estimates depend on the seed and the trial count alone.
 _MC_BLOCK = 4096
@@ -543,7 +541,7 @@ def _mc_tables(config: MechanismConfig, profile: StrategyProfile, reachable, tri
 
     The cells are the reachable (agent, private signal, report) triples; a
     sampled reporter always sits in one of them.  Returns ``cell_of`` (n, m,
-    m), the index of each reachable cell, and the (C, C) tables ``base[c,
+    m) in int32, the index of each reachable cell, and the (C, C) tables ``base[c,
     c']``, the base payment of a reporter in cell c matched with one in cell
     c', and ``reward[c, c']``, the classification reward of the pair (c, c')
     (disagreement variant only).  Entries are scored by :func:`_base_payments`
@@ -556,7 +554,7 @@ def _mc_tables(config: MechanismConfig, profile: StrategyProfile, reachable, tri
     cells = agent.size
     if cells * cells > min(_MC_TABLE_ENTRIES, trials * profile.n):
         return None
-    cell_of = np.full(reachable.shape, -1)
+    cell_of = np.full(reachable.shape, -1, dtype=np.int32)
     cell_of[agent, sig, rep] = np.arange(cells)
     preds = profile.predictions[agent, sig, rep]
     base = np.empty((cells, cells))
@@ -597,6 +595,8 @@ def _merge_moments(a, b):
     )
 
 
+# overflow is caught once, in the merged moments, rather than warned about per block
+@np.errstate(over="ignore", invalid="ignore")
 def monte_carlo_payments(
     config: MechanismConfig,
     latent: LatentStatePrior,
@@ -649,29 +649,36 @@ def monte_carlo_payments(
     n, m = profile.n, profile.m
     if latent.m != m:
         raise MechanismError(f"the prior has {latent.m} signals but the profile has {m}")
-    agents = np.arange(n)
     disagreement = config.variant == "disagreement"
     # agent i's mates are pools[pool_of[i]] without i, which sits at pos[i];
     # a draw below the common multiple of the mate counts, taken modulo
     # agent i's count, is uniform over its mates
     groups = config.groups(n) if disagreement else (tuple(range(n)),)
-    pools = np.zeros((len(groups), max(map(len, groups))), dtype=int)
     pool_of, pos = np.empty(n, dtype=int), np.empty(n, dtype=int)
     for g, members in enumerate(groups):
-        pools[g, : len(members)] = members
         pool_of[list(members)] = g
         pos[list(members)] = np.arange(len(members))
     sizes = np.array([len(members) - 1 for members in groups])[pool_of]
     draws = int(np.lcm.reduce(sizes))
-    pool_at = pools.shape[1] * pool_of
+    # indices are int32 unless one of a block's could pass its range: a mate
+    # draw, a cell at * m + report, or a flat (trial, agent) position
+    bound = max(draws, n * m * m, n * min(trials, _MC_BLOCK))
+    index = np.int32 if bound <= np.iinfo(np.int32).max else np.int64
+    agents = np.arange(n, dtype=index)
+    pools = np.zeros((len(groups), max(map(len, groups))), dtype=index)
+    for g, members in enumerate(groups):
+        pools[g, : len(members)] = members
+    pool_at = (pools.shape[1] * pool_of).astype(index)
+    sizes, pos = sizes.astype(index), pos.astype(index)
 
-    # report_cums[i * m + s] is agent i's cumulative report distribution at signal s
-    report_cums = np.cumsum(profile.thetas, axis=1).transpose(0, 2, 1)
+    # cums[i, s, r]: agent i's probability at signal s of reports 0..r
+    cums = np.cumsum(profile.thetas, axis=1).transpose(0, 2, 1)
     reachable = profile.thetas.transpose(0, 2, 1) > 0.0
     # the sampler clamps a draw past a cumulative sum that rounds below 1 to
     # the last report, whatever its probability
-    reachable[..., -1] |= report_cums[..., -2] < 1.0
-    report_cums = report_cums.reshape(n * m, m)
+    reachable[..., -1] |= cums[..., -2] < 1.0
+    # thresholds[t, i * m + s] = cums[i, s, t], the m - 1 that the sampler reads
+    thresholds = np.ascontiguousarray(cums[..., :-1].reshape(n * m, m - 1).T)
     tables = _mc_tables(config, profile, reachable, trials)
     rows_per_block = max(1, _BLOCK_CELLS // (n * m))
 
@@ -687,19 +694,22 @@ def monte_carlo_payments(
                     reports[x],
                     preds[at[x], reports[x]],
                     peers[x],
-                    None if pairs is None else pairs[x],
+                    None if pairs is None else np.stack([pairs[0][x], pairs[1][x]], axis=-1),
                 )
             return out
         cell_of, base, reward = tables
+        width = base.shape[0]
+        # flat lookups: cells[t, i] sits at t * n + i, table entry (c, c') at c * C + c'
         cells = np.take(cell_of, at * m + reports)
+        offsets = np.arange(peers.shape[0], dtype=index)[:, None] * n
 
         def cells_of(x):
-            return np.take_along_axis(cells, x, axis=1)
+            return np.take(cells, x + offsets)
 
         return _assemble_payments(
             config,
-            lambda x: base[cells, cells_of(x)],
-            lambda j, k: reward[cells_of(j), cells_of(k)],
+            lambda x: np.take(base, cells * width + cells_of(x)),
+            lambda j, k: np.take(reward, cells_of(j) * width + cells_of(k)),
             peers,
             pairs,
         )
@@ -709,22 +719,27 @@ def monte_carlo_payments(
         size = min(_MC_BLOCK, trials - lo)
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
         at = agents * m + latent.sample_signals(n, size, rng)
-        reports = sample_categorical(np.take(report_cums, at, axis=0), rng.random((size, n)))
-        d = rng.integers(0, draws, (size, n)) % sizes
-        peers = np.take(pools, pool_at + _skip(d, pos))
+        reports = sample_categorical(np.take(thresholds, at, axis=1), rng.random((size, n)))
+        d = rng.integers(0, draws, (size, n), dtype=index) % sizes
+        d += d >= pos  # skip agent i itself
+        peers = np.take(pools, pool_at + d)
         pairs = None
         if disagreement:
-            pairs = np.stack(
-                [rng.integers(0, n - 1, (size, n)), rng.integers(0, n - 2, (size, n))], axis=-1
-            )
-            j, k = pairs[..., 0], pairs[..., 1]  # views: _skip in place
+            j = rng.integers(0, n - 1, (size, n), dtype=index)
+            k = rng.integers(0, n - 2, (size, n), dtype=index)
             j += j >= agents
             k += k >= np.minimum(agents, j)
             k += k >= np.maximum(agents, j)
+            pairs = (j, k)
         payments = score(at, reports, peers, pairs)
         block = _moments(np.column_stack([payments, payments.mean(axis=1)]))
         moments = block if moments is None else _merge_moments(moments, block)
 
     _, mean, m2 = moments
+    if not (np.isfinite(mean).all() and np.isfinite(m2).all()):
+        raise MechanismError(
+            "sampled payments overflow: their mean or variance is not finite "
+            f"(alpha = {config.alpha:g}, beta = {config.beta:g})"
+        )
     stderr = np.sqrt(m2 / trials / trials)
     return MonteCarloPayments(mean[:n], stderr[:n], float(mean[n]), float(stderr[n]), trials)

@@ -173,22 +173,23 @@ class LatentStatePrior:
     def sample_signals(self, n: int, trials: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``trials`` independent rounds of ``n`` agents' signals, shape (trials, n)."""
         states = rng.choice(self.num_states, size=trials, p=self.state_probs)
-        cum = np.cumsum(self.emissions, axis=1)
+        thresholds = np.cumsum(self.emissions[:, :-1], axis=1)
         u = rng.random((trials, n))
-        return sample_categorical(cum[states][:, None, :], u)
+        return sample_categorical(thresholds[states].T[:, :, None], u)
 
 
-def sample_categorical(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Index of the first entry of ``cum[..., :]`` exceeding ``u[...]``.
+def sample_categorical(thresholds: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Category index of each uniform draw ``u``, as int32.
 
-    ``cum`` holds cumulative probabilities over the last axis and broadcasts
-    against ``u``.  The index counts the m - 1 comparisons u >= cum[..., t]
-    for t < m - 1, so it is clamped at m - 1: a cumulative sum that rounds to
-    just under 1 never yields an index past the last category.
+    ``thresholds[t]`` is the cumulative probability of categories 0..t, for
+    t < m - 1 along the first axis; each broadcasts against ``u``.  The index
+    counts the m - 1 comparisons u >= thresholds[t].  The last category's
+    cumulative sum is never read, so the index is clamped at m - 1: a sum
+    that rounds to just under 1 never yields an index past the last category.
     """
-    index = np.zeros(np.broadcast_shapes(cum.shape[:-1], u.shape), dtype=np.intp)
-    for t in range(cum.shape[-1] - 1):
-        index += u >= cum[..., t]
+    index = np.zeros(np.broadcast_shapes(thresholds.shape[1:], u.shape), dtype=np.int32)
+    for row in thresholds:
+        index += u >= row
     return index
 
 

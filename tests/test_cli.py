@@ -224,6 +224,17 @@ class TestPayout:
         assert code == 1
         assert "latent" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("variant", ["truthful", "disagreement"])
+    def test_overflowing_payments_exit_1(self, tmp_path, prior_file, variant, capsys):
+        path = tmp_path / "mech.json"
+        save_mechanism(MechanismConfig(1.0, 0.05, "log", variant), path)
+        argv = ["payout", "--prior", prior_file, "--profile", "truth", "--mech", str(path)]
+        assert main([*argv, "--alpha", "1e308", "--beta", "1e308", "--trials", "10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: mechanism: sampled payments overflow")
+
 
 class TestSolvePredictions:
     def test_csv_rows(self, prior_file, mech_file, capsys):
@@ -401,6 +412,22 @@ class TestErrorsAndDeterminism:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, option, value, message",
+        [
+            ("check-eq", "--beta", "-1e308", "error: mechanism: need finite alpha > 0 and beta >= 0"),
+            ("check-eq", "--alpha", "-inf", "error: argument --alpha: must be a finite number"),
+            ("check-eq", "--alpha", "-NaN", "error: argument --alpha: must be a finite number"),
+            ("audit", "--eps", "-1E-3", "error: --eps must be positive, got -0.001"),
+        ],
+    )
+    def test_negative_reals_reach_their_checks(
+        self, prior_file, command, option, value, message, capsys
+    ):
+        argv = [command, "--prior", prior_file, "--profile", "truth", option, value]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(message)
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64), "x"])
     def test_seed_out_of_range_exits_1(self, seed, capsys):

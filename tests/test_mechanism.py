@@ -81,6 +81,12 @@ class TestConfig:
         config = MechanismConfig(variant="disagreement")
         assert config.groups(5) == ((0, 1), (2, 3, 4))
 
+    @pytest.mark.parametrize("group_a", [None, (4, 1, 7, 30), tuple(range(0, 40, 3))])
+    def test_groups_complement(self, group_a):
+        a, b = MechanismConfig(variant="disagreement", group_a=group_a).groups(40)
+        assert a == (tuple(range(20)) if group_a is None else group_a)
+        assert b == tuple(i for i in range(40) if i not in set(a))
+
     def test_small_groups_rejected(self):
         config = MechanismConfig(variant="disagreement")
         with pytest.raises(MechanismError, match="two agents per group"):
@@ -749,6 +755,35 @@ class TestMonteCarloStreams:
             monte_carlo_payments(
                 MechanismConfig(1.0, 0.05, "log"), latent3, profile, trials=3000, seed=1
             )
+
+    def test_int64_indices_past_int32_range(self):
+        """Mate counts 46343 and 46345 have a common multiple past 2**31 - 1,
+        so the mate draws, and with them every index, are int64.  One trial of
+        truth-tellers is scored by ``realized_payments`` on the matching drawn
+        from the documented stream of block 0."""
+        n, size_a, seed = 92690, 46344, 1
+        latent = random_snife_prior(2, 2, seed=3)
+        profile = truth_telling_profile(from_latent(latent), n)
+        config = MechanismConfig(1.0, 0.05, "log", "disagreement", tuple(range(size_a)))
+        mc = monte_carlo_payments(config, latent, profile, trials=1, seed=seed)
+
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+        signals = latent.sample_signals(n, 1, rng)[0]
+        rng.random(n)  # report uniforms: truth-tellers report their signal
+        mates = np.where(np.arange(n) < size_a, size_a - 1, n - size_a - 1)
+        draw = rng.integers(0, (size_a - 1) * (n - size_a - 1), n) % mates
+        start = np.where(np.arange(n) < size_a, 0, size_a)
+        peers = start + draw + (start + draw >= np.arange(n))
+        agents = np.arange(n)
+        j = rng.integers(0, n - 1, n)
+        k = rng.integers(0, n - 2, n)
+        j += j >= agents
+        k += k >= np.minimum(agents, j)
+        k += k >= np.maximum(agents, j)
+        reports = [Report(int(s), profile.predictions[i, s, s]) for i, s in enumerate(signals)]
+        expected = realized_payments(config, reports, Matching(peers, np.stack([j, k], axis=-1)))
+        np.testing.assert_allclose(mc.mean, expected, rtol=0, atol=1e-12)
+        assert np.all(mc.stderr == 0.0)
 
     def test_signal_count_mismatch_rejected(self, latent3):
         profile = truth_telling_profile(from_latent(random_snife_prior(2, 2, seed=1)), 4)

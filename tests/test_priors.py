@@ -15,6 +15,7 @@ from peerpred.priors import (
     permute_prior,
     prior_constants,
     random_snife_prior,
+    sample_categorical,
     theorem_bounds,
     validate_snife,
 )
@@ -80,6 +81,19 @@ class TestBuildPairwisePrior:
         pw = from_latent(latent)
         rebuilt = build_pairwise_prior(pw.marginal, pw.conditional, tol=1e-12)
         assert rebuilt.symmetry_residual() <= 1e-15
+
+
+class TestSampleCategorical:
+    def test_counts_thresholds_as_int32(self):
+        # m = 3 categories: [0, 0.2), [0.2, 0.5) and [0.5, 1)
+        index = sample_categorical(np.array([[0.2], [0.5]]), np.array([0.0, 0.2, 0.49, 0.5, 0.99]))
+        assert index.dtype == np.int32
+        assert index.tolist() == [0, 1, 1, 2, 2]
+
+    def test_sum_below_one_clamps_to_last_category(self):
+        # a draw past every cumulative sum, the last of which rounded below 1
+        thresholds = np.array([[0.5], [1.0 - 2**-52]])
+        assert sample_categorical(thresholds, np.array([1.0 - 2**-53])).tolist() == [2]
 
 
 class TestFromLatent:
