@@ -172,7 +172,7 @@ class LatentStatePrior:
 
     def sample_signals(self, n: int, trials: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``trials`` independent rounds of ``n`` agents' signals, shape (trials, n)."""
-        states = rng.choice(self.num_states, size=trials, p=self.state_probs)
+        states = sample_categorical(np.cumsum(self.state_probs[:-1]), rng.random(trials))
         thresholds = np.cumsum(self.emissions[:, :-1], axis=1)
         u = rng.random((trials, n))
         return sample_categorical(thresholds[states].T[:, :, None], u)

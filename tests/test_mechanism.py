@@ -617,7 +617,10 @@ class TestMonteCarlo:
 
     # Recorded from the block streams Generator(Philox(key=(seed, b))), 4096
     # trials per block b: (mean per agent, welfare mean, welfare stderr) for
-    # seed 4.
+    # seed 4.  Re-checked when sample_signals moved its state draw from
+    # rng.choice(p=...) to sample_categorical: both read one uniform per
+    # trial against the same cumulative sums (rng.choice rescales them by
+    # their last entry, exactly 1 for this prior), so no value moved.
     PINNED = {
         ("log", "truthful"): (
             [-1.4958550507737234, -1.4166830600597444, -1.7475033062906153,
