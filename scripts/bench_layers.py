@@ -20,6 +20,11 @@ types).
 monte_carlo_payments runs ``--mc-trials`` trials (seed 0) at m = 3 and n in
 ``--mc-ns``, for both variants, and its rows add ``trials_per_s``.
 
+Every run first records a ``control`` row: a fixed numpy workload (generator
+fills, a sort, a matrix product and a gather) that calls nothing from
+peerpred.  Only the machine's speed moves it, so comparing the control rows
+of two files separates the machine's drift from the change between them.
+
 The results go to ``BENCH_<label>.json`` with the python and numpy versions
 and the CPU count, so that files written on one machine can be compared:
 
@@ -61,6 +66,14 @@ def _profiles(config, prior, n, seed):
         "truth": truth_telling_profile(prior, n),
         "solved": solved_profile(config, prior, thetas),
     }
+
+
+def _control():
+    """Fixed numpy work that calls nothing from peerpred."""
+    rng = np.random.default_rng(SEED)
+    x = rng.random((256, 256))
+    np.sort(rng.random(2**18))
+    np.take(x @ x, rng.integers(0, x.size, 2**18))
 
 
 def _time(call, repeats):
@@ -109,6 +122,10 @@ def main():
         print(f"{layer:<29} {name:<11} {m:>2} {n:>5} {median:>10.3g} {len(runs):>4}")
 
     print(f"{'layer':<29} {'profile':<11} {'m':>2} {'n':>5} {'median_s':>10} {'runs':>4}")
+    runs = _time(_control, args.repeats)
+    median = statistics.median(runs)
+    rows.append({"layer": "control", "median_s": median, "runs": len(runs)})
+    print(f"{'control':<29} {'':<11} {'':>2} {'':>5} {median:>10.3g} {len(runs):>4}")
     for m in args.ms:
         prior = from_latent(random_snife_prior(m, 2, seed=SEED + m))
         config = MechanismConfig(alpha=1.0, beta=1.0 / (8.0 * m), rule="log")

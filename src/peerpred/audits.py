@@ -198,6 +198,8 @@ def far_from_permutation_gap(
     ``s_theta`` is the symmetric profile whose agents play theta and predict
     theta q_s.  Errors if theta is tau-close (the bound is vacuous there).
     """
+    if not tau >= 0.0:
+        raise AuditError(f"tau must be non-negative, got {tau}")
     theta = validate_signal_strategy(theta, tol=PROBABILITY_TOL)
     check_signal_count(prior, theta.shape[0])
     if tau_closeness(theta) <= tau:

@@ -30,8 +30,9 @@ scores every ordered pair of reachable (agent, signal, report) cells once
 into tables and looks each sampled payment up; it falls back to the kernel,
 with identical results, when the tables would pass ``_MC_TABLE_ENTRIES``
 entries or hold a pair outside the scoring rule's domain.  Its trials run in
-fixed blocks, each drawn from its own Philox stream keyed by (seed, block),
-so its estimates depend on the seed and the trial count alone.  Scores are
+fixed blocks, each drawn once, as int32 indices that both scoring paths read,
+from its own Philox stream keyed by (seed, block), so its estimates depend on
+the seed and the trial count alone.  Scores are
 reached only through :class:`~peerpred.scoring.ProperScoringRule` methods.
 
 Average per-agent welfare of the disagreement variant equals the
@@ -541,12 +542,12 @@ def _mc_tables(config: MechanismConfig, profile: StrategyProfile, reachable, tri
 
     The cells are the reachable (agent, private signal, report) triples; a
     sampled reporter always sits in one of them.  Returns ``cell_of`` (n, m,
-    m) in int32, the index of each reachable cell, and the (C, C) tables ``base[c,
-    c']``, the base payment of a reporter in cell c matched with one in cell
-    c', and ``reward[c, c']``, the classification reward of the pair (c, c')
-    (disagreement variant only).  Entries are scored by :func:`_base_payments`
-    and :func:`_classification_reward` in row blocks of ``_BLOCK_CELLS``
-    cells.  None when C^2 exceeds ``_MC_TABLE_ENTRIES`` or the trials' n *
+    m), the int32 index of each reachable cell, and the (C, C) tables
+    ``base[c, c']``, the base payment of a reporter in cell c matched with one
+    in cell c', and ``reward[c, c']``, the classification reward of the pair
+    (c, c') (disagreement variant only).  Entries are scored by
+    :func:`_base_payments` and :func:`_classification_reward` in row blocks
+    of ``_BLOCK_CELLS`` cells.  None when C^2 exceeds ``_MC_TABLE_ENTRIES`` or the trials' n *
     trials sampled pairs, and when any entry, sampled or not, is outside the
     scoring rule's domain: the kernel then scores the sampled pairs alone.
     """
@@ -612,18 +613,24 @@ def monte_carlo_payments(
     quantity for all B rounds of n agents at once, in this order:
 
     1. signals, (B, n): ``latent.sample_signals(n, B, rng)``, a latent state
-       per round and then each agent's signal;
-    2. reports, (B, n): ``sample_categorical`` of each agent's cumulative
-       report distribution at its signal against ``rng.random((B, n))``;
+       per round and then each agent's signal, both by ``sample_categorical``;
+    2. reports, (B, n): ``sample_categorical`` of the m - 1 cumulative report
+       probabilities of each agent at its signal against ``rng.random((B, n))``;
     3. base-payment peers, (B, n): ``d = rng.integers(0, L, (B, n))``, where
        L is the least common multiple of the agents' mate counts; agent i
        is matched with entry d mod (its count) of its mates, the other agents
        of its pool in pool order.  The pool is every agent (truthful variant)
        or the agent's group from :meth:`MechanismConfig.groups`;
-    4. classification pairs (disagreement variant only), (B, n, 2):
-       ``rng.integers(0, n - 1, (B, n))`` onto the agents other than i, then
-       ``rng.integers(0, n - 2, (B, n))`` onto the agents other than i and
-       j, in increasing order.
+    4. classification pairs (disagreement variant only), j and k, each
+       (B, n): ``rng.integers(0, n - 1, (B, n))`` onto the agents other than
+       i, then ``rng.integers(0, n - 2, (B, n))`` onto the agents other than
+       i and j, in increasing order.
+
+    Each draw is made once per block and held as an int32 array (int64 only
+    when a mate draw, an (agent, signal, report) cell or a flat (trial,
+    agent) position could pass the int32 range); the payment tables and the
+    kernel fallback both read the same arrays, and the integer draws take
+    the same values in either width.
 
     The result therefore depends only on (config, latent, profile, trials,
     seed); blocks split across workers draw the same numbers, and merging
@@ -633,14 +640,19 @@ def monte_carlo_payments(
     sqrt(variance / trials), with the variance over the trials.
 
     Every sampled payment is a table lookup: ``_mc_tables`` scores every
-    ordered pair of reachable (agent, signal, report) cells once.  When the
+    ordered pair of reachable (agent, signal, report) cells once, and a
+    block's lookups are flat ``np.take`` gathers, a trial's agents offset by
+    trial * n and a table entry (c, c') at c * C + c'.  When the
     tables would exceed ``_MC_TABLE_ENTRIES`` entries or the sampled pairs,
     or hold a pair outside the scoring rule's domain, each block is scored
     by the payment kernel on its gathered predictions in row blocks of
     ``_BLOCK_CELLS`` cells instead; both give identical results, and a
     :class:`~peerpred.scoring.ScoreDomainError` is raised exactly when a
     sampled pair is undefined.  Memory is O(_MC_BLOCK * n * m +
-    _MC_TABLE_ENTRIES).  ``seed`` must be an integer in [0, 2**64).
+    _MC_TABLE_ENTRIES).  ``seed`` must be an integer in [0, 2**64).  A
+    :class:`MechanismError` is raised when the merged means or squared
+    deviations overflow to a non-finite value, as huge ``alpha`` and
+    ``beta`` make them.
     """
     if trials < 1:
         raise MechanismError("need at least one trial")
@@ -654,22 +666,20 @@ def monte_carlo_payments(
     # a draw below the common multiple of the mate counts, taken modulo
     # agent i's count, is uniform over its mates
     groups = config.groups(n) if disagreement else (tuple(range(n)),)
-    pool_of, pos = np.empty(n, dtype=int), np.empty(n, dtype=int)
-    for g, members in enumerate(groups):
-        pool_of[list(members)] = g
-        pos[list(members)] = np.arange(len(members))
-    sizes = np.array([len(members) - 1 for members in groups])[pool_of]
-    draws = int(np.lcm.reduce(sizes))
+    draws = math.lcm(*(len(members) - 1 for members in groups))
     # indices are int32 unless one of a block's could pass its range: a mate
     # draw, a cell at * m + report, or a flat (trial, agent) position
     bound = max(draws, n * m * m, n * min(trials, _MC_BLOCK))
     index = np.int32 if bound <= np.iinfo(np.int32).max else np.int64
     agents = np.arange(n, dtype=index)
     pools = np.zeros((len(groups), max(map(len, groups))), dtype=index)
+    pool_of, pos = np.empty(n, dtype=index), np.empty(n, dtype=index)
     for g, members in enumerate(groups):
         pools[g, : len(members)] = members
-    pool_at = (pools.shape[1] * pool_of).astype(index)
-    sizes, pos = sizes.astype(index), pos.astype(index)
+        pool_of[list(members)] = g
+        pos[list(members)] = np.arange(len(members))
+    sizes = np.array([len(members) - 1 for members in groups], dtype=index)[pool_of]
+    pool_at = pools.shape[1] * pool_of
 
     # cums[i, s, r]: agent i's probability at signal s of reports 0..r
     cums = np.cumsum(profile.thetas, axis=1).transpose(0, 2, 1)

@@ -190,6 +190,12 @@ class TestFarFromPermutation:
         with pytest.raises(AuditError, match="tau-close"):
             far_from_permutation_gap(prior2, np.eye(2), tau=0.3)
 
+    @pytest.mark.parametrize("tau", [-0.1, -1e200, float("nan")])
+    def test_negative_tau_rejected(self, prior2, tau):
+        theta = np.array([[0.6, 0.4], [0.4, 0.6]])
+        with pytest.raises(AuditError, match="non-negative"):
+            far_from_permutation_gap(prior2, theta, tau=tau)
+
 
 class TestRelabelingCycle:
     def test_identity_rejected(self, prior3):

@@ -50,7 +50,9 @@ def test_bench_layers_writes_json(tmp_path):
     assert {"python", "numpy", "cpu_count"} <= set(record)
     mc = [row for row in record["rows"] if row["layer"] == "monte_carlo_payments"]
     audit = [row for row in record["rows"] if row["layer"] == "aggregation_error_audit"]
-    exact = [row for row in record["rows"] if row not in mc and row not in audit]
+    control = [row for row in record["rows"] if row["layer"] == "control"]
+    assert len(control) == 1 and control[0]["median_s"] > 0
+    exact = [row for row in record["rows"] if row not in mc + audit + control]
     cells = {(row["layer"], row["profile"]) for row in exact}
     layers = (
         "welfare_metrics",
