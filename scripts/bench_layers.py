@@ -1,6 +1,7 @@
 """Per-layer timings of welfare_metrics, check_equilibrium,
 solve_equilibrium_predictions, classification_bound_audit,
-aggregation_error_audit and monte_carlo_payments.
+relabeling_cycle_audit, sweep_row, aggregation_error_audit and
+monte_carlo_payments.
 
 For every signal count m a validated random prior is sampled (fixed seed) and
 two profiles are built per agent count n: truth-telling, and random signal
@@ -11,8 +12,11 @@ one run, and the larger n of the same (layer, profile, m) are skipped.
 Setup (prior sampling, prediction solving) is not timed.
 
 welfare_metrics, check_equilibrium, solve_equilibrium_predictions (of the
-profile's signal strategies) and classification_bound_audit run over
-``--ns`` x ``--ms``.
+profile's signal strategies), classification_bound_audit and
+relabeling_cycle_audit (swapping signals 0 and 1, five scenarios) run over
+``--ns`` x ``--ms``.  sweep_row, one row of ``sweep-n`` (SWEEP_SAMPLES random
+strategy lists drawn, solved and scored against truth-telling), runs over the
+same grid as profile "random".
 aggregation_error_audit runs over ``--ns`` at m = 2 and 3 (eps = 10, which
 every n >= 3 clears) on two strategy lists: random strategies ("random", n
 agent types) and truth-tellers with one random deviant ("one-deviant", two
@@ -42,17 +46,23 @@ from pathlib import Path
 
 import numpy as np
 
-from peerpred.audits import aggregation_error_audit, classification_bound_audit
+from peerpred.audits import (
+    aggregation_error_audit,
+    classification_bound_audit,
+    relabeling_cycle_audit,
+    sweep_row,
+)
 from peerpred.equilibrium import check_equilibrium, solve_equilibrium_predictions, solved_profile
 from peerpred.mechanism import MechanismConfig, monte_carlo_payments, welfare_metrics
-from peerpred.priors import from_latent, random_snife_prior
-from peerpred.strategy import random_signal_strategy, truth_telling_profile
+from peerpred.priors import PermutationMap, from_latent, random_snife_prior
+from peerpred.strategy import random_signal_strategies, truth_telling_profile
 
 BUDGET_S = 5.0
 SEED = 7
 MC_M = 3
 AUDIT_MS = (2, 3)
 AUDIT_EPS = 10.0
+SWEEP_SAMPLES = 5
 
 
 def _ints(text):
@@ -61,7 +71,7 @@ def _ints(text):
 
 def _profiles(config, prior, n, seed):
     rng = np.random.default_rng(seed)
-    thetas = np.stack([random_signal_strategy(rng, prior.m) for _ in range(n)])
+    thetas = random_signal_strategies(rng, prior.m, (n,))
     return {
         "truth": truth_telling_profile(prior, n),
         "solved": solved_profile(config, prior, thetas),
@@ -105,6 +115,9 @@ def main():
             solve_equilibrium_predictions(config, prior, profile.thetas)
         ),
         "classification_bound_audit": classification_bound_audit,
+        "relabeling_cycle_audit": lambda config, prior, profile: relabeling_cycle_audit(
+            prior, profile, PermutationMap((1, 0, *range(2, prior.m)))
+        ),
     }
     rows = []
     over_budget = set()
@@ -134,12 +147,19 @@ def main():
             for layer, run in layers.items():
                 for name, profile in profiles.items():
                     record(layer, name, m, n, lambda: run(config, prior, profile))
+            record(
+                "sweep_row",
+                "random",
+                m,
+                n,
+                lambda: sweep_row(config, prior, n, SWEEP_SAMPLES, np.random.default_rng(SEED)),
+            )
 
     for m in AUDIT_MS:
         prior = from_latent(random_snife_prior(m, 2, seed=SEED + m))
         for n in sorted(args.ns):
             rng = np.random.default_rng(SEED + 1000 * m + n)
-            lists = {"random": np.stack([random_signal_strategy(rng, m) for _ in range(n)])}
+            lists = {"random": random_signal_strategies(rng, m, (n,))}
             lists["one-deviant"] = np.broadcast_to(np.eye(m), (n, m, m)).copy()
             lists["one-deviant"][0] = lists["random"][0]
             for name, thetas in lists.items():

@@ -12,11 +12,10 @@ import argparse
 
 import numpy as np
 
-from peerpred.audits import aggregation_error_audit
-from peerpred.equilibrium import solved_profile
-from peerpred.mechanism import MechanismConfig, welfare_metrics
+from peerpred.audits import aggregation_error_audit, sweep_row
+from peerpred.mechanism import MechanismConfig
 from peerpred.priors import from_latent, prior_constants, random_snife_prior, theorem_bounds
-from peerpred.strategy import random_signal_strategy, truth_telling_profile
+from peerpred.strategy import random_signal_strategy
 
 
 def main():
@@ -36,15 +35,7 @@ def main():
 
     print(f"{'n':>6}  {'max gap':>12}  {'gamma2(n)':>12}  {'agg error':>12}  {'n*error':>10}")
     for n in ns:
-        rng = np.random.default_rng([args.seed, n])
-        truth_score = welfare_metrics(
-            prior, truth_telling_profile(prior, n)
-        ).classification_score
-        max_gap = -np.inf
-        for _ in range(args.samples):
-            thetas = np.stack([random_signal_strategy(rng, args.m) for _ in range(n)])
-            score = welfare_metrics(prior, solved_profile(config, prior, thetas)).classification_score
-            max_gap = max(max_gap, score - truth_score)
+        max_gap = sweep_row(config, prior, n, args.samples, np.random.default_rng([args.seed, n]))
         thetas = np.broadcast_to(np.eye(args.m), (n, args.m, args.m)).copy()
         thetas[0] = deviant
         err = aggregation_error_audit(prior, thetas, eps=10.0).lhs

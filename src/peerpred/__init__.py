@@ -17,6 +17,7 @@ from .equilibrium import (
     expected_conditional_payoff,
     solve_equilibrium_predictions,
     solve_equilibrium_predictions_direct,
+    solve_prediction_stack,
     solved_profile,
 )
 from .mechanism import (
@@ -29,6 +30,7 @@ from .mechanism import (
     monte_carlo_payments,
     pairwise_payment,
     realized_payments,
+    welfare_batch,
     welfare_metrics,
     zero_sum_group_scores,
 )
@@ -62,6 +64,7 @@ from .strategy import (
     counterexample_profile,
     permutation_profile,
     permute_profile,
+    random_signal_strategies,
     random_signal_strategy,
     tau_closeness,
     truth_telling_profile,

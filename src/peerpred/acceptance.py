@@ -56,6 +56,7 @@ from .strategy import (
     counterexample_profile,
     permutation_profile,
     prediction_anchors,
+    random_signal_strategies,
     random_signal_strategy,
     truth_telling_profile,
     uniform_report_profile,
@@ -174,7 +175,7 @@ def _random_profile(rng, prior, n, deterministic=False) -> StrategyProfile:
         for i in range(n):
             thetas[i, rng.integers(0, m, size=m), range(m)] = 1.0
     else:
-        thetas = np.stack([random_signal_strategy(rng, m) for _ in range(n)])
+        thetas = random_signal_strategies(rng, m, (n,))
     predictions = rng.dirichlet(np.ones(m), size=(n, m, m))
     return StrategyProfile(thetas, predictions)
 
@@ -328,7 +329,7 @@ def criterion_7_classification_bound() -> tuple[bool, str]:
             theta = random_signal_strategy(rng, m)
             thetas = np.stack([theta] * n)
         else:
-            thetas = np.stack([random_signal_strategy(rng, m) for _ in range(n)])
+            thetas = random_signal_strategies(rng, m, (n,))
         profile = solved_profile(config, prior, thetas)
         res = classification_bound_audit(config, prior, profile)
         min_slack = min(min_slack, res.slack)
@@ -350,7 +351,7 @@ def criterion_8_aggregation_error() -> tuple[bool, str]:
     prior = from_latent(random_snife_prior(m, 2, seed=800))
     all_pass = True
     for _ in range(20):
-        thetas = np.stack([random_signal_strategy(rng, m) for _ in range(600)])
+        thetas = random_signal_strategies(rng, m, (600,))
         res = aggregation_error_audit(prior, thetas, eps)
         all_pass = all_pass and res.passed
 
@@ -424,7 +425,7 @@ def criterion_10_solver_cross_checks() -> tuple[bool, str]:
         n = 3 + k % 4
         prior = from_latent(random_snife_prior(m, 2, seed=1000 + k))
         config = MechanismConfig(1.0, 0.04 + 0.01 * (k % 3), "log")
-        thetas = np.stack([random_signal_strategy(rng, m) for _ in range(n)])
+        thetas = random_signal_strategies(rng, m, (n,))
         x_iter, _ = solve_equilibrium_predictions(config, prior, thetas)
         x_direct = solve_equilibrium_predictions_direct(config, prior, thetas)
         worst_solver = max(worst_solver, float(np.max(np.abs(x_iter - x_direct))))

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .divergence import hellinger
-from .equilibrium import check_equilibrium, report_values, solved_profile
-from .mechanism import _BLOCK_CELLS, MechanismConfig, welfare_metrics
+from .equilibrium import check_equilibrium, report_values, solve_prediction_stack, solved_profile
+from .mechanism import _BLOCK_CELLS, MechanismConfig, welfare_batch, welfare_metrics
 from .priors import PairwisePrior, PermutationMap, PriorError, permute_prior, prior_constants
 from .strategy import (
     StrategyProfile,
@@ -30,6 +30,7 @@ from .strategy import (
     check_signal_count,
     permute_profile,
     prediction_anchors,
+    random_signal_strategies,
     tau_closeness,
     truth_telling_profile,
     validate_signal_strategy,
@@ -43,6 +44,7 @@ __all__ = [
     "aggregation_error_audit",
     "far_from_permutation_gap",
     "relabeling_cycle_audit",
+    "sweep_row",
     "welfare_comparison",
     "WelfareRow",
     "symmetric_fixed_points",
@@ -91,10 +93,10 @@ def classification_bound_audit(
     equality the profile must be consistent (inconsistency 0) and already play
     best predictions on every realized report cell; both are reported.
     """
-    breakdown = welfare_metrics(prior, profile)
-    lhs = breakdown.classification_score
     bp = best_prediction_profile(profile, prior)
-    rhs = welfare_metrics(prior, bp).total_divergence
+    breakdown, bp_breakdown = welfare_batch([prior, prior], [profile, bp])
+    lhs = breakdown.classification_score
+    rhs = bp_breakdown.total_divergence
     slack = rhs - lhs
 
     realized = profile.thetas.transpose(0, 2, 1)[..., None] > 0.0  # [i, s, r, 1]
@@ -243,15 +245,19 @@ def relabeling_cycle_audit(
         raise AuditError("the relabeling cycle needs a non-identity permutation")
 
     permuted_profile = permute_profile(profile, perm)
+    order = perm.order
     priors_k = [prior]
-    for _ in range(perm.order):
+    for _ in range(order):
         priors_k.append(permute_prior(priors_k[-1], perm))
 
+    # one batch: (Q_k, s) for k = 0..ord, then (Q_k, perm(s)) for k < ord
+    scenarios = welfare_batch(
+        priors_k + priors_k[:order], [profile] * (order + 1) + [permuted_profile] * order
+    )
+    welfare = [wb.average_welfare for wb in scenarios]
     results = []
-    aw_first = welfare_metrics(priors_k[0], profile).average_welfare
-    for k in range(perm.order):
-        lhs = welfare_metrics(priors_k[k + 1], profile).average_welfare
-        rhs = welfare_metrics(priors_k[k], permuted_profile).average_welfare
+    for k in range(order):
+        lhs, rhs = welfare[k + 1], welfare[order + 1 + k]
         results.append(
             AuditResult(
                 f"relabeling-step-{k}",
@@ -259,10 +265,11 @@ def relabeling_cycle_audit(
                 rhs,
                 rhs - lhs,
                 abs(rhs - lhs) <= tol,
-                {"k": k, "order": perm.order},
+                {"k": k, "order": order},
             )
         )
-    aw_last = welfare_metrics(priors_k[perm.order], profile).average_welfare
+    # Q_ord is a bit-exact copy of Q, and a batch scores equal scenarios alike
+    aw_first, aw_last = welfare[0], welfare[order]
     results.append(
         AuditResult(
             "relabeling-closure",
@@ -270,10 +277,34 @@ def relabeling_cycle_audit(
             aw_first,
             aw_first - aw_last,
             abs(aw_first - aw_last) <= tol,
-            {"order": perm.order},
+            {"order": order},
         )
     )
     return results
+
+
+def sweep_row(
+    config: MechanismConfig,
+    prior: PairwisePrior,
+    n: int,
+    samples: int,
+    rng: np.random.Generator,
+) -> float:
+    """Largest welfare gain over truth-telling among ``samples`` random
+    signal-strategy lists of n agents with solved predictions: the max over
+    the samples of classification score minus truth-telling's, the quantity
+    that the n-dependence bound gamma2(n) caps.
+
+    The lists come from one draw of ``rng``, are solved as one stack and
+    scored as one batch; each is the list, and each score the value within
+    rounding, that drawing, solving and scoring them one at a time gives.
+    """
+    truth = welfare_metrics(prior, truth_telling_profile(prior, n)).classification_score
+    thetas = random_signal_strategies(rng, prior.m, (samples, n))
+    predictions, _ = solve_prediction_stack(config, prior, thetas)
+    profiles = [StrategyProfile(t, p) for t, p in zip(thetas, predictions)]
+    scores = welfare_batch([prior] * samples, profiles)
+    return max(wb.classification_score - truth for wb in scores)
 
 
 def _map_matrix(g: tuple[int, ...], m: int) -> np.ndarray:

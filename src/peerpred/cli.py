@@ -33,6 +33,7 @@ from .audits import (
     classification_bound_audit,
     far_from_permutation_gap,
     relabeling_cycle_audit,
+    sweep_row,
 )
 from .divergence import DivergenceDomainError
 from .equilibrium import check_equilibrium, solved_profile
@@ -62,7 +63,6 @@ from .strategy import (
     constant_report_profile,
     counterexample_profile,
     permutation_profile,
-    random_signal_strategy,
     truth_telling_profile,
     uniform_report_profile,
 )
@@ -274,6 +274,8 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_validate_prior(args) -> int:
+    if not args.tol >= 0:
+        raise CliError(f"--tol must be non-negative, got {args.tol:g}")
     report = validate_snife(args.prior, tol=args.tol)
     rows = [
         {"assumption": name, "ok": ok, "witness": ";".join(map(str, report.witnesses.get(name, ())))}
@@ -336,6 +338,8 @@ def _cmd_welfare(args) -> int:
 
 
 def _cmd_check_eq(args) -> int:
+    if not args.eps >= 0:
+        raise CliError(f"--eps must be non-negative, got {args.eps:g}")
     report = check_equilibrium(args.mech, args.prior, args.profile, eps=args.eps)
     _emit(report.to_rows(), args)
     _status(
@@ -414,17 +418,8 @@ def _cmd_sweep_n(args) -> int:
         raise CliError(f"--samples must be at least 1, got {args.samples}")
 
     def unit(n: int) -> dict:
-        truth_score = welfare_metrics(
-            prior, truth_telling_profile(prior, n)
-        ).classification_score
         # per-n generator, so a row does not depend on the other agent counts
-        rng = np.random.default_rng([args.seed, n])
-        max_gap = -np.inf
-        for _ in range(args.samples):
-            thetas = np.stack([random_signal_strategy(rng, prior.m) for _ in range(n)])
-            profile = solved_profile(config, prior, thetas)
-            score = welfare_metrics(prior, profile).classification_score
-            max_gap = max(max_gap, score - truth_score)
+        max_gap = sweep_row(config, prior, n, args.samples, np.random.default_rng([args.seed, n]))
         gamma2 = bounds.gamma2(n)
         return {
             "n": n,

@@ -23,10 +23,11 @@ minus self; :func:`check_equilibrium` is one vectorized pass over the result
 and :func:`best_response` and :func:`expected_conditional_payoff` read one
 cell of it.  The optimal prediction for report r is the mixture
 (alpha * anchor + beta * mix) / (alpha + beta * weight), so equilibrium
-predictions solve a linear fixed point: :func:`solve_equilibrium_predictions`
-iterates the same kernel and map (a strict contraction for alpha > 0), and
-:func:`solve_equilibrium_predictions_direct` solves it densely from its own
-coupling matrix for cross-checks.
+predictions solve a linear fixed point: :func:`solve_prediction_stack`
+iterates the same kernel and map (a strict contraction for alpha > 0) over a
+stack of strategy lists, :func:`solve_equilibrium_predictions` is its stack of
+one, and :func:`solve_equilibrium_predictions_direct` solves it densely from
+its own coupling matrix for cross-checks.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .mechanism import MechanismConfig, MechanismError, Report
+from .mechanism import _BLOCK_CELLS, MechanismConfig, MechanismError, Report
 from .priors import PairwisePrior
 from .strategy import StrategyProfile, prediction_anchors
 from .tolerances import EQUILIBRIUM_EPS, SOLVER_TOL, TIE_TOL
@@ -49,29 +50,39 @@ __all__ = [
     "report_values",
     "check_equilibrium",
     "solve_equilibrium_predictions",
+    "solve_prediction_stack",
     "solve_equilibrium_predictions_direct",
     "solved_profile",
 ]
 
 def _neighbor_sum(cond: np.ndarray, thetas: np.ndarray, field: np.ndarray | None = None):
     """(1/(n-1)) sum_{j != i} sum_v q(v|s) theta_j[r, v] field_j[v, r, ...] for
-    every (i, s, r) as totals minus self; F = 1 without a field.  Subscripts
-    are spelled out per rank: an ellipsis einsum slows the solver's steps."""
+    every (i, s, r) as totals minus self; F = 1 without a field.  ``thetas``
+    is (n, m, m), or (S, n, m, m) for a stack of S strategy lists under one
+    prior, whose leading axis the field and the result share.  Subscripts are
+    spelled out per rank: an ellipsis einsum slows the solver's steps."""
+    stack = "k" * (thetas.ndim - 3)
     if field is None:
-        per_agent = np.einsum("vs,jrv->jsr", cond, thetas)
+        per_agent = np.einsum(f"vs,{stack}jrv->{stack}jsr", cond, thetas)
     else:
-        tail = "u" * (field.ndim - 3)
-        per_agent = np.einsum(f"vs,jrv,jvr{tail}->jsr{tail}", cond, thetas, field)
-    return (per_agent.sum(axis=0)[None] - per_agent) / (thetas.shape[0] - 1)
+        tail = "u" * (field.ndim - thetas.ndim)
+        per_agent = np.einsum(
+            f"vs,{stack}jrv,{stack}jvr{tail}->{stack}jsr{tail}", cond, thetas, field
+        )
+    agents = len(stack)
+    total = per_agent.sum(axis=agents, keepdims=True)
+    return (total - per_agent) / (thetas.shape[agents] - 1)
 
 
 def _best_prediction_map(config: MechanismConfig, anchors: np.ndarray, weight: np.ndarray):
     """mix -> (alpha * anchor + beta * mix) / (alpha + beta * weight): the
-    optimal prediction at every (i, s, r) given the neighbors' mixture."""
+    optimal prediction at every (i, s, r) given the neighbors' mixture.  With
+    ``live``, an index of the leading stack axis, the map takes the mixtures
+    of those stack members only."""
     # materialized per report: adding a broadcast array slows the solver's steps
-    base = np.repeat(config.alpha * anchors[:, :, None, :], weight.shape[-1], axis=2)
+    base = np.repeat(config.alpha * anchors[..., None, :], weight.shape[-1], axis=-2)
     denom = (config.alpha + config.beta * weight)[..., None]
-    return lambda mix: (base + config.beta * mix) / denom
+    return lambda mix, live=...: (base[live] + config.beta * mix) / denom[live]
 
 
 @dataclass(frozen=True)
@@ -237,23 +248,67 @@ def solve_equilibrium_predictions(
     beta W / (alpha + beta W) < 1, so plain iteration converges for any
     alpha > 0.  With beta = 0 the anchors are returned unchanged (exact).
     Returns (predictions with shape (n, m, m, m), last sup-norm update).
+    This is :func:`solve_prediction_stack` on a stack of one.
     """
     thetas = np.asarray(thetas, dtype=float)
-    n, m = thetas.shape[0], thetas.shape[1]
+    predictions, deltas = solve_prediction_stack(config, prior, thetas[None], tol, max_iter)
+    return predictions[0], float(deltas[0])
+
+
+def solve_prediction_stack(
+    config: MechanismConfig,
+    prior: PairwisePrior,
+    thetas: np.ndarray,
+    tol: float = SOLVER_TOL,
+    max_iter: int = 10_000,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`solve_equilibrium_predictions` for a stack ``thetas`` (S, n, m, m)
+    of S strategy lists under one prior.  Returns the predictions (S, n, m, m,
+    m) and each member's last sup-norm update (S,).
+
+    Each member iterates as it would alone and stops at its own first update
+    below ``tol``, so its result is the one it gets alone, bit for bit.  A
+    pass iterates at most ``_BLOCK_CELLS // (n m^4)`` members (at least one)
+    at once, which bounds its arrays whatever S.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    size, n, m = thetas.shape[0], thetas.shape[1], thetas.shape[2]
+    predictions = np.empty((size, n, m, m, m))
+    deltas = np.zeros(size)
+    per_pass = max(1, _BLOCK_CELLS // (n * m**4))
+    for lo in range(0, size, per_pass):
+        hi = min(lo + per_pass, size)
+        _solve_pass(config, prior, thetas[lo:hi], tol, max_iter, predictions[lo:hi], deltas[lo:hi])
+    return predictions, deltas
+
+
+def _solve_pass(config, prior, thetas, tol, max_iter, predictions, deltas):
+    """Iterate the members of the stack ``thetas`` until each converges,
+    writing each member's fixed point into ``predictions`` and its last update
+    into ``deltas`` as it finishes."""
     cond = prior.conditional
-    anchors = prediction_anchors(prior, thetas)  # (n, s, u)
-    base = np.broadcast_to(anchors[:, :, None, :], (n, m, m, m)).copy()
+    anchors = prediction_anchors(prior, thetas)  # (S, n, s, u)
+    x = np.broadcast_to(anchors[..., None, :], predictions.shape).copy()
     if config.beta == 0.0:
-        return base, 0.0
+        predictions[...] = x
+        return
 
     best = _best_prediction_map(config, anchors, _neighbor_sum(cond, thetas))
-    x = base
+    live = np.arange(thetas.shape[0])  # members still iterating
+    rows = ...  # the map's rows of the live members: all, until one finishes
     for _ in range(max_iter):
-        x_new = best(_neighbor_sum(cond, thetas, x))
-        delta = float(np.max(np.abs(x_new - x)))
+        x_new = best(_neighbor_sum(cond, thetas, x), rows)
+        delta = np.abs(x_new - x).max(axis=(1, 2, 3, 4))
+        if delta.min() < tol:
+            done = delta < tol
+            predictions[live[done]] = x_new[done]
+            deltas[live[done]] = delta[done]
+            if done.all():
+                return
+            going = ~done
+            live, thetas, x_new = live[going], thetas[going], x_new[going]
+            rows = live
         x = x_new
-        if delta < tol:
-            return x, delta
     raise MechanismError(
         f"prediction fixed point did not reach {tol:g} within {max_iter} iterations"
     )

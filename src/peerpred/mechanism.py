@@ -49,7 +49,9 @@ diversity plus the same-report divergence, so it equals diversity bit for
 bit whenever no two cells sharing a report differ, as for truth-telling and
 permutation profiles.  T = 1 for symmetric profiles, whose welfare therefore
 costs the same at any n; heterogeneous profiles (T = n) remain quadratic in
-n.
+n.  :func:`welfare_batch` scores scenarios that share (n, m) with a leading
+scenario axis through the same steps, and :func:`welfare_metrics` is its
+batch of one.
 """
 
 from __future__ import annotations
@@ -78,6 +80,7 @@ __all__ = [
     "zero_sum_group_scores",
     "realized_payments",
     "welfare_metrics",
+    "welfare_batch",
     "monte_carlo_payments",
 ]
 
@@ -372,10 +375,11 @@ def welfare_metrics(prior: PairwisePrior, profile: StrategyProfile) -> WelfareBr
     divergence), inconsistency keeps report-matching pairs (Hellinger
     distance), total divergence drops the indicator.
 
-    The sums run over the T distinct agent types, agents with byte-identical
-    strategy and prediction rows; with c_t agents of type t, the ordered
-    type pair (t, u) stands for c_t c_u - [t = u] c_t agent pairs, a count
-    that is exact in floats.  Three exact pieces:
+    This is :func:`welfare_batch` on a batch of one scenario.  The sums run
+    over the T distinct agent types, agents with byte-identical strategy and
+    prediction rows; with c_t agents of type t, the ordered type pair (t, u)
+    stands for c_t c_u - [t = u] c_t agent pairs, a count that is exact in
+    floats.  Three exact pieces:
 
     * diversity from D*(p, q) = sum p + sum q - 2 <sqrt p, sqrt q> with the
       actual sums of p and q, aggregated per report pair (r, r') and then
@@ -402,36 +406,86 @@ def welfare_metrics(prior: PairwisePrior, profile: StrategyProfile) -> WelfareBr
     (T = 1), whose time is too; quadratic time in n for heterogeneous ones
     (T = n).
     """
-    n, m = profile.n, profile.m
-    check_signal_count(prior, m)
-    joint = prior.joint()  # joint[a, b] = Pr(one agent a, another b)
+    return welfare_batch([prior], [profile])[0]
 
-    # agents with byte-identical rows form one type; c counts its agents
-    first, counts = agent_types(profile.thetas, profile.predictions)
-    c = counts.astype(float)
-    types = c.size
+
+def welfare_batch(
+    priors: Sequence[PairwisePrior], profiles: Sequence[StrategyProfile]
+) -> list[WelfareBreakdown]:
+    """:func:`welfare_metrics` of every scenario (priors[k], profiles[k]);
+    the profiles share n and m.
+
+    Scenarios are scored in order, in passes of S scenarios with
+    S T m^4 <= ``_BLOCK_CELLS`` (at least one), T being the most agent types
+    of a scenario in the pass; the others are padded with types of no agents,
+    which add exact zeros.  A pass carries the scenario axis through every
+    step, and its same-report tiles hold at most ``_BLOCK_CELLS`` differences
+    over all S, so a batch of one does the arithmetic of a single scenario.
+    A scenario with fewer types than its pass, or a pass tiled for S > 1,
+    can sum in another order and move the last bits.
+    """
+    if len(priors) != len(profiles):
+        raise MechanismError(f"got {len(priors)} priors for {len(profiles)} profiles")
+    if not profiles:
+        return []
+    n, m = profiles[0].n, profiles[0].m
+    for prior, profile in zip(priors, profiles):
+        if (profile.n, profile.m) != (n, m):
+            raise MechanismError(
+                f"a batch shares n and m: got ({profile.n}, {profile.m}) after ({n}, {m})"
+            )
+        check_signal_count(prior, m)
+    # agents with byte-identical rows form one type; counts[t] is its agents
+    grouped = [agent_types(p.thetas, p.predictions) for p in profiles]
+
+    out: list[WelfareBreakdown] = []
+    lo = 0
+    while lo < len(profiles):
+        hi, types = lo + 1, grouped[lo][0].size
+        while hi < len(profiles):
+            wider = max(types, grouped[hi][0].size)
+            if (hi + 1 - lo) * wider * m**4 > _BLOCK_CELLS:
+                break
+            hi, types = hi + 1, wider
+        out += _welfare_pass(n, m, types, priors[lo:hi], profiles[lo:hi], grouped[lo:hi])
+        lo = hi
+    return out
+
+
+def _welfare_pass(n, m, types, priors, profiles, grouped) -> list[WelfareBreakdown]:
+    """One pass of :func:`welfare_batch` over S scenarios padded to ``types``
+    agent types; every array carries the scenario axis s first."""
+    batch = len(profiles)
+    joint = np.empty((batch, m, m))  # joint[s, a, b]
+    c = np.zeros((batch, types))
+    thetas = np.zeros((batch, types, m, m))
+    preds = np.zeros((batch, types, m, m, m))
+    for s, (prior, profile, (first, counts)) in enumerate(zip(priors, profiles, grouped)):
+        joint[s] = prior.joint()
+        c[s, : first.size] = counts
+        thetas[s, : first.size] = profile.thetas[first]
+        preds[s, : first.size] = profile.predictions[first]
     pairs = n * (n - 1)
 
     # cell (t, a, r): type t at private signal a reports r with weight w
-    thetas, preds = profile.thetas[first], profile.predictions[first]
-    w = thetas.transpose(0, 2, 1)
+    w = thetas.transpose(0, 1, 3, 2)
     roots = np.sqrt(preds)
 
     # diversity: sum_{x, y} pair[t, u] joint[a, b] left[x, f, r] right[y, f, r']
     # over cells x = (t, a), y = (u, b) and fields f pairing the terms of
     # sum p + sum q - 2 <sqrt p, sqrt q> of the two reported predictions
     weighted = w * preds.sum(axis=-1)
-    weighted_roots = (w[..., None] * roots).transpose(0, 1, 3, 2)
-    left = np.concatenate([weighted[:, :, None], w[:, :, None], weighted_roots], axis=2)
-    right = np.concatenate([w[:, :, None], weighted[:, :, None], -2.0 * weighted_roots], axis=2)
-    spread = (joint @ right.reshape(types, m, -1)).reshape(types, -1)
+    weighted_roots = (w[..., None] * roots).transpose(0, 1, 2, 4, 3)
+    left = np.concatenate([weighted[..., None, :], w[..., None, :], weighted_roots], axis=3)
+    right = np.concatenate([w[..., None, :], weighted[..., None, :], -2.0 * weighted_roots], axis=3)
+    spread = (joint[:, None] @ right.reshape(batch, types, m, -1)).reshape(batch, types, -1)
     # the pair weight (c c^T - diag c) / (n(n-1)) is rank one plus a diagonal:
     # sum_u pair[t, u] v_u = c_t (c . v - v_t) / (n(n-1))
-    paired = (c / pairs)[:, None] * (c @ spread - spread)
-    per_report = left.reshape(-1, m).T @ paired.reshape(-1, m)
+    paired = (c / pairs)[..., None] * (c[:, None] @ spread - spread)
+    per_report = left.reshape(batch, -1, m).transpose(0, 2, 1) @ paired.reshape(batch, -1, m)
     # + 0.0 turns a sum of signed zeros into +0.0
     identity = np.eye(m)
-    diversity = float(per_report[identity == 0.0].sum()) + 0.0
+    diversity = per_report[:, identity == 0.0].sum(axis=-1) + 0.0
 
     # same-report pass over the cells x = (t, a), types in order, all reports
     # at once.  D* and the weight are symmetric once the joint is replaced by
@@ -439,74 +493,83 @@ def welfare_metrics(prior: PairwisePrior, profile: StrategyProfile) -> WelfareBr
     # pairs with itself once, where same-type pairs count c_t (c_t - 1), and
     # with the types after it twice.
     cells = types * m
-    sym = 0.5 * (joint + joint.T)
-    cell_w = thetas.transpose(1, 0, 2).reshape(m, cells)  # [r, x]
+    sym = 0.5 * (joint + joint.transpose(0, 2, 1))
+    cell_w = thetas.transpose(0, 2, 1, 3).reshape(batch, m, cells)  # [s, r, x]
     # every difference sqrt p_f - sqrt q_f is the product [sqrt p_f, 1] @
     # [1, -sqrt q_f]: both terms are exact and their sum rounds once, as the
     # subtraction does, which numpy's broadcasting took three times as long for
-    row_pairs = np.empty((m, m, types, m, 2))  # [r, f, t, a, (sqrt p_f, 1)]
-    row_pairs[..., 0] = roots.transpose(2, 3, 0, 1)
+    row_pairs = np.empty((batch, m, m, types, m, 2))  # [s, r, f, t, a, (sqrt p_f, 1)]
+    row_pairs[..., 0] = roots.transpose(0, 3, 4, 1, 2)
     row_pairs[..., 1] = 1.0
-    row_pairs = row_pairs.reshape(m, m, cells, 2)
-    col_pairs = np.empty((m, m, 2, cells))  # [r, f, (1, -sqrt q_f), y]
-    col_pairs[:, :, 0] = 1.0
-    np.negative(row_pairs[..., 0], out=col_pairs[:, :, 1])
+    row_pairs = row_pairs.reshape(batch, m, m, cells, 2)
+    col_pairs = np.empty((batch, m, m, 2, cells))  # [s, r, f, (1, -sqrt q_f), y]
+    col_pairs[:, :, :, 0] = 1.0
+    np.negative(row_pairs[..., 0], out=col_pairs[:, :, :, 1])
 
-    # Tiles of whole types, a block of `rows` types against `span` types, hold
-    # at most _BLOCK_CELLS differences (or one type pair's m^4).  One tile
-    # when the whole triangle fits; else about square tiles, and blocks of at
-    # most an eighth of the types, since a block against itself sums both
-    # orders of its pairs.
+    # Tiles of whole types, a block of `rows` types against `span` types of
+    # all S scenarios, hold at most _BLOCK_CELLS differences (or one type
+    # pair's m^4 per scenario).  One tile when the whole triangle fits; else
+    # about square tiles, and blocks of at most an eighth of the types, since
+    # a block against itself sums both orders of its pairs.
     per_pair = m**4
-    if per_pair * types * types <= _BLOCK_CELLS:
+    budget = _BLOCK_CELLS // batch
+    if per_pair * types * types <= budget:
         rows = types
     else:
-        rows = max(1, min(math.isqrt(_BLOCK_CELLS // per_pair), types // 8))
-    span = max(rows, _BLOCK_CELLS // (per_pair * rows))
+        rows = max(1, min(math.isqrt(budget // per_pair), types // 8))
+    span = max(rows, budget // (per_pair * rows))
     if rows < types:
         # weights by matmul: with column weights G[r, (u, b), b'] = c_u w [b = b']
         # and row weights H[r, (t, a), b] = c_t w sym[a, b], the distances
         # D[r, x, y] of a tile of different types sum to <H, D @ G>
-        counted = (cell_w * np.repeat(c, m)).reshape(m, types, m, 1)
-        col_weights = (counted * identity).reshape(m, cells, m)
-        row_weights = (counted * sym).reshape(m, cells, m)
+        counted = (cell_w * np.repeat(c, m, axis=-1)[:, None]).reshape(batch, m, types, m, 1)
+        col_weights = (counted * identity).reshape(batch, m, cells, m)
+        row_weights = (counted * sym[:, None, None]).reshape(batch, m, cells, m)
     # one buffer each for the largest tile: fresh arrays of that size cost
     # page faults on every tile
-    largest = rows * m * min(span, types) * m
+    largest = batch * rows * m * min(span, types) * m
     diff_buffer, dist_buffer = np.empty(m * m * largest), np.empty(2 * m * largest)
     block_identity = np.eye(rows)
-    sums = np.zeros(2)  # (inconsistency, same-report divergence) * n(n-1)
+    sums = np.zeros((batch, 2))  # (inconsistency, same-report divergence) * n(n-1)
     for lo in range(0, types, rows):
         hi = min(lo + rows, types)
         x = slice(lo * m, hi * m)
-        size = x.stop - x.start
+        height = x.stop - x.start
         # a block against itself: c_t (c_u - [t = u]) pairs of types t, u
-        block_c = c[lo:hi]
-        block_pairs = block_c[:, None] * (block_c - block_identity[: hi - lo, : hi - lo])
-        square = cell_w[:, x, None] * cell_w[:, None, x]
-        square *= (block_pairs[:, None, :, None] * sym[:, None, :]).reshape(size, size)
+        block_c = c[:, lo:hi]
+        own = block_identity[: hi - lo, : hi - lo]
+        block_pairs = block_c[:, :, None] * (block_c[:, None] - own)
+        square = cell_w[:, :, x, None] * cell_w[:, :, None, x]
+        square *= (block_pairs[:, :, None, :, None] * sym[:, None, :, None]).reshape(
+            batch, 1, height, height
+        )
         for start in range(lo, types, span):
             y = slice(start * m, min(start + span, types) * m)
             width = y.stop - y.start
-            diff = diff_buffer[: m * m * size * width].reshape(m, m, size, width)
-            np.matmul(row_pairs[:, :, x], col_pairs[..., y], out=diff)  # [r, f, x, y]
-            dist = dist_buffer[: 2 * m * size * width].reshape(m, 2, size, width)
-            np.einsum("rfxy,rfxy->rxy", diff, diff, out=dist[:, 1])  # [r, (sqrt D*, D*), x, y]
-            np.sqrt(dist[:, 1], out=dist[:, 0])
+            diff = diff_buffer[: batch * m * m * height * width].reshape(batch, m, m, height, width)
+            np.matmul(row_pairs[:, :, :, x], col_pairs[..., y], out=diff)  # [s, r, f, x, y]
+            dist = dist_buffer[: batch * 2 * m * height * width].reshape(batch, m, 2, height, width)
+            # [s, r, (sqrt D*, D*), x, y]
+            np.einsum("srfxy,srfxy->srxy", diff, diff, out=dist[:, :, 1])
+            np.sqrt(dist[:, :, 1], out=dist[:, :, 0])
             after = 0
             if start == lo:
-                after = size
-                sums += np.einsum("rkxy,rxy->k", dist[..., :size], square)
+                after = height
+                sums += np.einsum("srkxy,srxy->sk", dist[..., :height], square)
             if after < width:
-                columns = col_weights[:, y.start + after : y.stop]
-                pulled = (dist[..., after:].reshape(m, 2 * size, -1) @ columns).reshape(m, 2, size, m)
-                sums += 2.0 * np.einsum("rkxb,rxb->k", pulled, row_weights[:, x])
-    inconsistency, same = (float(v) for v in sums / pairs)
+                columns = col_weights[:, :, y.start + after : y.stop]
+                pulled = (dist[..., after:].reshape(batch, m, 2 * height, -1) @ columns).reshape(
+                    batch, m, 2, height, m
+                )
+                sums += 2.0 * np.einsum("srkxb,srxb->sk", pulled, row_weights[:, :, x])
 
-    classification = diversity - inconsistency
-    return WelfareBreakdown(
-        diversity, inconsistency, diversity + same, classification, classification
-    )
+    out = []
+    for div, (inconsistency, same) in zip(diversity.tolist(), (sums / pairs).tolist()):
+        classification = div - inconsistency
+        out.append(
+            WelfareBreakdown(div, inconsistency, div + same, classification, classification)
+        )
+    return out
 
 
 @dataclass(frozen=True)

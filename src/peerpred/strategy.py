@@ -40,6 +40,7 @@ __all__ = [
     "permute_profile",
     "validate_signal_strategy",
     "random_signal_strategy",
+    "random_signal_strategies",
     "tau_closeness",
 ]
 
@@ -132,9 +133,11 @@ def aggregate_strategies(profile: StrategyProfile) -> AggregateStrategies:
 
 
 def _aggregate(thetas: np.ndarray) -> AggregateStrategies:
-    n = thetas.shape[0]
-    theta_bar = thetas.mean(axis=0)
-    theta_minus = (n * theta_bar[None, :, :] - thetas) / (n - 1)
+    """Aggregates over the agent axis of ``thetas`` (..., n, m, m); leading
+    axes are independent strategy lists."""
+    n = thetas.shape[-3]
+    theta_bar = thetas.mean(axis=-3)
+    theta_minus = (n * theta_bar[..., None, :, :] - thetas) / (n - 1)
     # n * theta_bar - theta_i rounds below zero when agent i alone puts mass
     # on an entry; clipped, the anchors theta_minus q_s stay non-negative
     np.maximum(theta_minus, 0.0, out=theta_minus)
@@ -160,11 +163,12 @@ def agent_types(*arrays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def prediction_anchors(prior: PairwisePrior, thetas: np.ndarray) -> np.ndarray:
     """The prediction-score maximizers theta_minus[i] @ q_s of every agent at
-    every private signal, shape (n, m, m) indexed [agent, private, coordinate]."""
+    every private signal, shape (n, m, m) indexed [agent, private, coordinate];
+    strategy lists stacked on leading axes of ``thetas`` keep them."""
     thetas = np.asarray(thetas, dtype=float)
     check_signal_count(prior, thetas.shape[-1])
     theta_minus = _aggregate(thetas).theta_minus
-    return np.einsum("iuv,vs->isu", theta_minus, prior.conditional)
+    return np.einsum("...iuv,vs->...isu", theta_minus, prior.conditional)
 
 
 def _filled_predictions(n: int, per_signal: np.ndarray) -> np.ndarray:
@@ -281,6 +285,16 @@ def best_prediction_profile(profile: StrategyProfile, prior: PairwisePrior) -> S
 def random_signal_strategy(rng: np.random.Generator, m: int) -> np.ndarray:
     """Column-stochastic matrix with columns uniform on the simplex."""
     return rng.dirichlet(np.ones(m), size=m).T
+
+
+def random_signal_strategies(
+    rng: np.random.Generator, m: int, shape: tuple[int, ...]
+) -> np.ndarray:
+    """An array of ``shape`` random signal strategies, (*shape, m, m), from
+    one draw: the generator is consumed as by :func:`random_signal_strategy`
+    called for each strategy in C order, and the entries and their strides
+    are those of ``np.stack`` over such calls."""
+    return rng.dirichlet(np.ones(m), size=(*shape, m)).swapaxes(-1, -2)
 
 
 def tau_closeness(theta: np.ndarray) -> float:

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peerpred import audits
+from peerpred import audits, mechanism
 from peerpred.audits import (
     AuditError,
     aggregation_error_audit,
     classification_bound_audit,
     far_from_permutation_gap,
     relabeling_cycle_audit,
+    sweep_row,
     symmetric_fixed_points,
     total_divergence_symmetric,
     welfare_comparison,
@@ -34,6 +35,7 @@ from peerpred.strategy import (
     StrategyProfile,
     permutation_profile,
     prediction_anchors,
+    random_signal_strategies,
     random_signal_strategy,
     tau_closeness,
     truth_telling_profile,
@@ -230,6 +232,39 @@ class TestRelabelingCycle:
         for r in results:
             assert r.passed
             assert abs(r.slack) <= 1e-12
+
+
+    @pytest.mark.parametrize("block_cells", (1, 2**12, 2**16))
+    @pytest.mark.parametrize("m", (2, 3, 4))
+    def test_closure_slack_exactly_zero(self, m, block_cells):
+        # 1 and 2**12 split the 2 ord + 1 scenarios over several passes
+        prior = from_latent(random_snife_prior(m, 2, seed=60 + m))
+        rng = np.random.default_rng(m)
+        for perm in all_permutations(m)[1:]:
+            thetas = random_signal_strategies(rng, m, (5,))
+            profile = StrategyProfile(thetas, rng.dirichlet(np.ones(m), size=(5, m, m)))
+            with mock.patch.object(mechanism, "_BLOCK_CELLS", block_cells):
+                results = relabeling_cycle_audit(prior, profile, perm)
+            closure = results[-1]
+            assert closure.name == "relabeling-closure"
+            assert closure.slack == 0.0
+            assert closure.lhs == results[-2].lhs  # the last step's welfare on Q_ord
+
+
+class TestSweepRow:
+    @pytest.mark.parametrize("m, n, samples", [(2, 6, 3), (3, 4, 5), (3, 16, 2), (4, 8, 5)])
+    def test_matches_scoring_one_sample_at_a_time(self, m, n, samples):
+        prior = from_latent(random_snife_prior(m, 2, seed=70 + m))
+        config = MechanismConfig(1.0, 1.0 / (8.0 * m), "log")
+        rng = np.random.default_rng([5, n])
+        truth = welfare_metrics(prior, truth_telling_profile(prior, n)).classification_score
+        gaps = []
+        for _ in range(samples):
+            thetas = np.stack([random_signal_strategy(rng, m) for _ in range(n)])
+            profile = solved_profile(config, prior, thetas)
+            gaps.append(welfare_metrics(prior, profile).classification_score - truth)
+        row = sweep_row(config, prior, n, samples, np.random.default_rng([5, n]))
+        assert abs(row - max(gaps)) <= 1e-15
 
 
 class TestWelfareComparison:

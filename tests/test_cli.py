@@ -47,6 +47,8 @@ NAN_PAIRWISE = "<nan-pairwise>"
 NAN_MECH = "<nan-mech>"
 JSON_NUMBER = "<json-number>"
 OUT_IN_MISSING_DIR = "<out-in-missing-dir>"
+# and for the valid prior file of `prior_file`, where an argv names it itself
+PRIOR = "<prior>"
 
 
 @pytest.fixture
@@ -402,10 +404,12 @@ class TestErrorsAndDeterminism:
             ["gen-prior", "--m", str(10**30)],
             ["welfare", "--profile", "truth", "--prior", JSON_NUMBER],
             ["welfare", "--profile", "truth", "--out", OUT_IN_MISSING_DIR],
+            ["check-eq", "--profile", "truth", "--eps", "-1"],
+            ["validate-prior", "--in", PRIOR, "--tol", "-1"],
         ],
     )
     def test_bad_profile_spec_exits_1(self, prior_file, bad_files, argv, capsys):
-        argv = [bad_files.get(arg, arg) for arg in argv]
+        argv = [{PRIOR: prior_file, **bad_files}.get(arg, arg) for arg in argv]
         if argv[0] not in ("gen-prior", "validate-prior") and "--prior" not in argv:
             argv += ["--prior", prior_file]
         assert main(argv) == 1

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from peerpred import equilibrium
 from peerpred.equilibrium import (
     best_response,
     check_equilibrium,
@@ -10,6 +13,7 @@ from peerpred.equilibrium import (
     report_values,
     solve_equilibrium_predictions,
     solve_equilibrium_predictions_direct,
+    solve_prediction_stack,
     solved_profile,
 )
 from peerpred.mechanism import MechanismConfig, MechanismError, Report
@@ -21,6 +25,7 @@ from peerpred.strategy import (
     constant_report_profile,
     counterexample_profile,
     permutation_profile,
+    random_signal_strategies,
     random_signal_strategy,
     truth_telling_profile,
 )
@@ -366,3 +371,66 @@ class TestPredictionSolver:
         thetas = np.broadcast_to(np.eye(3), (4, 3, 3)).copy()
         with pytest.raises(MechanismError, match="iterations"):
             solve_equilibrium_predictions(config, prior, thetas, tol=1e-12, max_iter=1)
+
+
+def solver_iterations(config, prior, thetas):
+    """Iterations of one solve: the kernel calls that carry a field."""
+    calls = []
+
+    def counting(cond, stack, field=None):
+        calls.append(field is not None)
+        return kernel(cond, stack, field)
+
+    kernel = equilibrium._neighbor_sum
+    with mock.patch.object(equilibrium, "_neighbor_sum", counting):
+        solve_equilibrium_predictions(config, prior, thetas)
+    return sum(calls)
+
+
+class TestPredictionStack:
+    @pytest.mark.parametrize("m", (2, 3, 4, 8))
+    @pytest.mark.parametrize("beta", (0.0, 0.05, 0.5))
+    def test_members_equal_solving_alone(self, m, beta):
+        prior = from_latent(random_snife_prior(m, 2, seed=40 + m))
+        config = MechanismConfig(1.0, beta, "log")
+        rng = np.random.default_rng(m)
+        thetas = random_signal_strategies(rng, m, (4, 5))
+        thetas[1] = np.eye(m)  # truth-telling: a fixed point from another start
+        predictions, deltas = solve_prediction_stack(config, prior, thetas)
+        for k in range(4):
+            alone, delta = solve_equilibrium_predictions(config, prior, thetas[k])
+            assert predictions[k].tobytes() == alone.tobytes()
+            assert deltas[k] == delta
+        if beta > 0.0:
+            counts = {solver_iterations(config, prior, thetas[k]) for k in range(4)}
+            assert len(counts) > 1, "the members should stop at different iterations"
+        else:
+            assert np.all(deltas == 0.0)
+
+    def test_passes_split_the_stack(self, prior3):
+        config = MechanismConfig(1.0, 0.05, "log")
+        rng = np.random.default_rng(9)
+        thetas = random_signal_strategies(rng, 3, (5, 4))
+        whole, _ = solve_prediction_stack(config, prior3, thetas)
+        # one member per pass
+        with mock.patch.object(equilibrium, "_BLOCK_CELLS", 1):
+            split, _ = solve_prediction_stack(config, prior3, thetas)
+        assert whole.tobytes() == split.tobytes()
+
+    def test_iteration_cap(self, prior3):
+        thetas = np.broadcast_to(np.eye(3), (2, 4, 3, 3))
+        with pytest.raises(MechanismError, match="iterations"):
+            solve_prediction_stack(
+                MechanismConfig(1.0, 0.05, "log"), prior3, thetas, tol=1e-12, max_iter=1
+            )
+
+
+def test_random_signal_strategies_match_single_draws():
+    for m in (2, 3, 8):
+        one, many = np.random.default_rng(m), np.random.default_rng(m)
+        expected = np.stack(
+            [np.stack([random_signal_strategy(one, m) for _ in range(4)]) for _ in range(3)]
+        )
+        drawn = random_signal_strategies(many, m, (3, 4))
+        assert drawn.tobytes() == expected.tobytes() and drawn.strides == expected.strides
+        assert one.random() == many.random()

@@ -20,6 +20,7 @@ from peerpred.mechanism import (
     monte_carlo_payments,
     pairwise_payment,
     realized_payments,
+    welfare_batch,
     welfare_metrics,
     zero_sum_group_scores,
 )
@@ -562,6 +563,69 @@ class TestWelfareAgainstPairwiseOracle:
         large = welfare_metrics(prior3, truth_telling_profile(prior3, 10_000)).to_dict()
         for key in small:
             assert abs(large[key] - small[key]) <= 1e-15
+
+
+@st.composite
+def welfare_batches(draw):
+    """Scenarios sharing (n, m) under different priors, whose profiles have
+    different numbers of agent types, so every pass pads some of them."""
+    m = draw(st.integers(2, 4))
+    n = draw(st.integers(2, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    priors, profiles = [], []
+    for types in draw(st.lists(st.integers(1, n), min_size=2, max_size=6, unique=True)):
+        priors.append(cached_prior(m, draw(st.integers(0, 2))))
+        agents = rng.permutation(np.r_[np.arange(types), rng.integers(types, size=n - types)])
+        profiles.append(typed_profile(rng, m, agents))
+    if draw(st.booleans()):
+        priors.append(priors[0])
+        profiles.append(truth_telling_profile(priors[0], n))
+    return priors, profiles
+
+
+class TestWelfareBatch:
+    # 2**16 scores small batches in one pass; 2**10 splits them into passes
+    # and tiles the passes; 1 scores one scenario per pass, tile by tile
+    @settings(max_examples=100, deadline=None)
+    @given(welfare_batches(), st.sampled_from((1, 2**10, 2**16)))
+    def test_each_entry_matches_its_scenario_alone(self, batch, block_cells):
+        priors, profiles = batch
+        with mock.patch.object(mechanism, "_BLOCK_CELLS", block_cells):
+            together = welfare_batch(priors, profiles)
+            alone = [welfare_metrics(prior, profile) for prior, profile in zip(priors, profiles)]
+        assert len(together) == len(profiles)
+        for wb, single in zip(together, alone):
+            for key, value in single.to_dict().items():
+                assert abs(wb.to_dict()[key] - value) <= 1e-15
+            assert wb.classification_score == wb.diversity - wb.inconsistency
+
+    def test_equal_scenarios_score_alike(self, prior3):
+        rng = np.random.default_rng(3)
+        profile = typed_profile(rng, 3, rng.integers(4, size=7))
+        other = typed_profile(rng, 3, np.arange(7))
+        first, _, third = welfare_batch([prior3] * 3, [profile, other, profile])
+        assert first == third
+
+    def test_layout_does_not_move_bits(self, prior3):
+        rng = np.random.default_rng(5)
+        profile = typed_profile(rng, 3, rng.integers(3, size=6))
+        c_order = StrategyProfile(
+            np.ascontiguousarray(profile.thetas), np.ascontiguousarray(profile.predictions)
+        )
+        assert not profile.thetas.flags.c_contiguous
+        assert welfare_metrics(prior3, profile) == welfare_metrics(prior3, c_order)
+
+    def test_empty_batch(self):
+        assert welfare_batch([], []) == []
+
+    def test_shape_mismatch_rejected(self, prior3):
+        with pytest.raises(MechanismError, match="shares n and m"):
+            welfare_batch(
+                [prior3, prior3],
+                [truth_telling_profile(prior3, 4), truth_telling_profile(prior3, 5)],
+            )
+        with pytest.raises(MechanismError, match="1 priors for 2 profiles"):
+            welfare_batch([prior3], [truth_telling_profile(prior3, 4)] * 2)
 
 
 class TestMonteCarlo:

@@ -53,14 +53,18 @@ def test_bench_layers_writes_json(tmp_path):
     control = [row for row in record["rows"] if row["layer"] == "control"]
     assert len(control) == 1 and control[0]["median_s"] > 0
     exact = [row for row in record["rows"] if row not in mc + audit + control]
-    cells = {(row["layer"], row["profile"]) for row in exact}
+    cells = [(row["layer"], row["profile"]) for row in exact]
     layers = (
         "welfare_metrics",
         "check_equilibrium",
         "solve_equilibrium_predictions",
         "classification_bound_audit",
+        "relabeling_cycle_audit",
     )
-    assert cells == {(layer, profile) for layer in layers for profile in ("truth", "solved")}
+    assert sorted(cells) == sorted(
+        [(layer, profile) for layer in layers for profile in ("truth", "solved")]
+        + [("sweep_row", "random")]
+    )
     assert all(row["m"] == 2 and row["n"] == 4 and row["median_s"] > 0 for row in exact)
     assert sorted((row["profile"], row["m"]) for row in audit) == [
         (name, m) for name in ("one-deviant", "random") for m in (2, 3)
