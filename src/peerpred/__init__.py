@@ -28,7 +28,6 @@ from .mechanism import (
     Report,
     WelfareBreakdown,
     monte_carlo_payments,
-    pairwise_payment,
     realized_payments,
     welfare_batch,
     welfare_metrics,
@@ -54,10 +53,8 @@ from .priors import (
 )
 from .scoring import ProperScoringRule, ScoreDomainError, get_rule
 from .strategy import (
-    AggregateStrategies,
     ProfileError,
     StrategyProfile,
-    aggregate_strategies,
     best_prediction_profile,
     candidate_profiles,
     constant_report_profile,

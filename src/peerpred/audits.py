@@ -24,7 +24,6 @@ from .priors import PairwisePrior, PermutationMap, PriorError, permute_prior, pr
 from .strategy import (
     StrategyProfile,
     agent_types,
-    aggregate_strategies,
     best_prediction_profile,
     candidate_profiles,
     check_signal_count,
@@ -136,7 +135,7 @@ def aggregation_error_audit(
         raise AuditError(f"eps must be positive, got {eps}")
     thetas = np.asarray(theta_list, dtype=float)
     n, m = thetas.shape[0], thetas.shape[1]
-    needed = 32.0 * m * m / (eps * eps)
+    needed = 32.0 * m * m / eps / eps
     if n <= needed:
         raise AuditError(
             f"need more than {needed:.0f} agents for eps={eps} (m={m}), got {n}"
@@ -377,7 +376,7 @@ def welfare_comparison(
     for name, profile in profiles.items():
         score = welfare_metrics(prior, profile).classification_score
         gap = check_equilibrium(config, prior, profile).max_gap
-        closeness = tau_closeness(aggregate_strategies(profile).theta_bar)
+        closeness = tau_closeness(profile.thetas.mean(axis=0))
         rows.append(WelfareRow(name, score, gap, closeness, truth_score - score))
     rows.sort(key=lambda row: (-row.classification_score, row.name))
     return rows

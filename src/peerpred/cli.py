@@ -59,7 +59,6 @@ from .priors import (
 from .scoring import ScoreDomainError
 from .strategy import (
     ProfileError,
-    aggregate_strategies,
     constant_report_profile,
     counterexample_profile,
     permutation_profile,
@@ -381,7 +380,7 @@ def _cmd_audit(args) -> int:
     audits = {
         "classification-bound": lambda: classification_bound_audit(args.mech, prior, profile),
         "far-from-permutation": lambda: far_from_permutation_gap(
-            prior, aggregate_strategies(profile).theta_bar, tau=args.tau
+            prior, profile.thetas.mean(axis=0), tau=args.tau
         ),
         "aggregation-error": lambda: aggregation_error_audit(prior, profile.thetas, eps=args.eps),
     }

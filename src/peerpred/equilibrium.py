@@ -17,12 +17,15 @@ Conditional on private signal s and a report (r, p), the expected payment is
 
 Proper scores are linear in their first argument, so the second line needs
 only the leave-one-out neighbor sums (1/(n-1)) sum_{j != i} sum_v q(v|s)
-theta_j[r, v] F_j[v, r, ...] of F = 1, the prediction tables and their
+theta_j[r, v] F_j[v, r, ...] of two fields F: the prediction tables and their
 self-scores.  One kernel computes them for every (i, s, r) at once as totals
 minus self; :func:`check_equilibrium` is one vectorized pass over the result
 and :func:`best_response` and :func:`expected_conditional_payoff` read one
-cell of it.  The optimal prediction for report r is the mixture
-(alpha * anchor + beta * mix) / (alpha + beta * weight), so equilibrium
+cell of it.  The same sum with F = 1, the neighbors' weight on report r, is
+coordinate r of the anchor theta_minus_i q_s, the distribution of a random
+other agent's report (:func:`peerpred.strategy.prediction_anchors`).  The
+optimal prediction for report r is the mixture
+(alpha * anchor + beta * mix) / (alpha + beta * anchor[r]), so equilibrium
 predictions solve a linear fixed point: :func:`solve_prediction_stack`
 iterates the same kernel and map (a strict contraction for alpha > 0) over a
 stack of strategy lists, :func:`solve_equilibrium_predictions` is its stack of
@@ -55,33 +58,31 @@ __all__ = [
     "solved_profile",
 ]
 
-def _neighbor_sum(cond: np.ndarray, thetas: np.ndarray, field: np.ndarray | None = None):
+def _neighbor_sum(cond: np.ndarray, thetas: np.ndarray, field: np.ndarray):
     """(1/(n-1)) sum_{j != i} sum_v q(v|s) theta_j[r, v] field_j[v, r, ...] for
-    every (i, s, r) as totals minus self; F = 1 without a field.  ``thetas``
-    is (n, m, m), or (S, n, m, m) for a stack of S strategy lists under one
-    prior, whose leading axis the field and the result share.  Subscripts are
-    spelled out per rank: an ellipsis einsum slows the solver's steps."""
+    every (i, s, r) as totals minus self.  ``thetas`` is (n, m, m), or
+    (S, n, m, m) for a stack of S strategy lists under one prior, whose
+    leading axis the field and the result share.  Subscripts are spelled out
+    per rank: an ellipsis einsum slows the solver's steps."""
     stack = "k" * (thetas.ndim - 3)
-    if field is None:
-        per_agent = np.einsum(f"vs,{stack}jrv->{stack}jsr", cond, thetas)
-    else:
-        tail = "u" * (field.ndim - thetas.ndim)
-        per_agent = np.einsum(
-            f"vs,{stack}jrv,{stack}jvr{tail}->{stack}jsr{tail}", cond, thetas, field
-        )
+    tail = "u" * (field.ndim - thetas.ndim)
+    per_agent = np.einsum(
+        f"vs,{stack}jrv,{stack}jvr{tail}->{stack}jsr{tail}", cond, thetas, field
+    )
     agents = len(stack)
     total = per_agent.sum(axis=agents, keepdims=True)
     return (total - per_agent) / (thetas.shape[agents] - 1)
 
 
-def _best_prediction_map(config: MechanismConfig, anchors: np.ndarray, weight: np.ndarray):
-    """mix -> (alpha * anchor + beta * mix) / (alpha + beta * weight): the
-    optimal prediction at every (i, s, r) given the neighbors' mixture.  With
+def _best_prediction_map(config: MechanismConfig, anchors: np.ndarray):
+    """mix -> (alpha * anchor + beta * mix) / (alpha + beta * anchor[r]): the
+    optimal prediction at every (i, s, r) given the neighbors' mixture, where
+    coordinate r of the anchor is the neighbors' weight on report r.  With
     ``live``, an index of the leading stack axis, the map takes the mixtures
     of those stack members only."""
     # materialized per report: adding a broadcast array slows the solver's steps
-    base = np.repeat(config.alpha * anchors[..., None, :], weight.shape[-1], axis=-2)
-    denom = (config.alpha + config.beta * weight)[..., None]
+    base = np.repeat(config.alpha * anchors[..., None, :], anchors.shape[-1], axis=-2)
+    denom = (config.alpha + config.beta * anchors)[..., None]
     return lambda mix, live=...: (base[live] + config.beta * mix) / denom[live]
 
 
@@ -116,7 +117,7 @@ def _payoff_terms(
     anchors = prediction_anchors(prior, thetas)
     mix = _neighbor_sum(cond, thetas, profile.predictions)
     self_score = _neighbor_sum(cond, thetas, config.scoring_rule().self_score(profile.predictions))
-    best = _best_prediction_map(config, anchors, _neighbor_sum(cond, thetas))(mix)
+    best = _best_prediction_map(config, anchors)(mix)
     return _PayoffTerms(np.broadcast_to(anchors[:, :, None, :], mix.shape), mix, self_score, best)
 
 
@@ -171,7 +172,7 @@ def best_response(
     """Closed-form best response of agent i at private signal s.
 
     For each candidate report the optimal prediction is the mixture
-    (alpha * anchor + beta * neighbor_mix) / (alpha + beta * neighbor_weight);
+    (alpha * anchor + beta * neighbor_mix) / (alpha + beta * anchor[r]);
     the best report maximizes the resulting value, lowest index on ties.
     """
     terms = _payoff_terms(config, prior, profile)
@@ -293,7 +294,7 @@ def _solve_pass(config, prior, thetas, tol, max_iter, predictions, deltas):
         predictions[...] = x
         return
 
-    best = _best_prediction_map(config, anchors, _neighbor_sum(cond, thetas))
+    best = _best_prediction_map(config, anchors)
     live = np.arange(thetas.shape[0])  # members still iterating
     rows = ...  # the map's rows of the live members: all, until one finishes
     for _ in range(max_iter):

@@ -24,8 +24,7 @@ The payment rule itself is assembled once, in :func:`_assemble_payments`,
 over arrays of T rounds of n agents, from a base-payment and a
 classification-reward lookup.  :func:`_round_payments` computes them from
 reported predictions; :func:`realized_payments` feeds it :class:`Report`
-objects with one or T matchings, and :func:`pairwise_payment` applies the
-base payment to a single pair of reports.  :func:`monte_carlo_payments`
+objects with one or T matchings.  :func:`monte_carlo_payments`
 scores every ordered pair of reachable (agent, signal, report) cells once
 into tables and looks each sampled payment up; it falls back to the kernel,
 with identical results, when the tables would pass ``_MC_TABLE_ENTRIES``
@@ -76,7 +75,6 @@ __all__ = [
     "WelfareBreakdown",
     "MonteCarloPayments",
     "MechanismError",
-    "pairwise_payment",
     "zero_sum_group_scores",
     "realized_payments",
     "welfare_metrics",
@@ -220,10 +218,6 @@ def _classification_reward(sig_j, pred_j, sig_k, pred_k):
     minus the Hellinger distance on matching ones.  Broadcasts."""
     d = hellinger(pred_j, pred_k)
     return np.where(sig_j == sig_k, -np.sqrt(d), d)
-
-
-def pairwise_payment(config: MechanismConfig, r_i: Report, r_j: Report) -> float:
-    return float(_base_payments(config, r_i.signal, r_i.prediction, r_j.signal, r_j.prediction))
 
 
 def zero_sum_group_scores(

@@ -24,7 +24,6 @@ from .tolerances import PROBABILITY_TOL, STOCHASTIC_TOL
 
 __all__ = [
     "StrategyProfile",
-    "AggregateStrategies",
     "ProfileError",
     "truth_telling_profile",
     "permutation_profile",
@@ -32,7 +31,6 @@ __all__ = [
     "uniform_report_profile",
     "counterexample_profile",
     "candidate_profiles",
-    "aggregate_strategies",
     "best_prediction_profile",
     "prediction_anchors",
     "agent_types",
@@ -111,39 +109,6 @@ class StrategyProfile:
         return StrategyProfile(self.thetas, predictions)
 
 
-@dataclass(frozen=True)
-class AggregateStrategies:
-    """Average signal strategy and the leave-one-out averages.
-
-    Satisfies (n - 1) theta_minus[i] + thetas[i] = n * theta_bar entrywise up
-    to rounding, with theta_minus clipped at 0.
-    """
-
-    theta_bar: np.ndarray
-    theta_minus: np.ndarray
-
-    def report_distribution(self, omega: np.ndarray) -> np.ndarray:
-        """Distribution of a uniformly chosen agent's report when private
-        signals follow ``omega``."""
-        return self.theta_bar @ np.asarray(omega, dtype=float)
-
-
-def aggregate_strategies(profile: StrategyProfile) -> AggregateStrategies:
-    return _aggregate(profile.thetas)
-
-
-def _aggregate(thetas: np.ndarray) -> AggregateStrategies:
-    """Aggregates over the agent axis of ``thetas`` (..., n, m, m); leading
-    axes are independent strategy lists."""
-    n = thetas.shape[-3]
-    theta_bar = thetas.mean(axis=-3)
-    theta_minus = (n * theta_bar[..., None, :, :] - thetas) / (n - 1)
-    # n * theta_bar - theta_i rounds below zero when agent i alone puts mass
-    # on an entry; clipped, the anchors theta_minus q_s stay non-negative
-    np.maximum(theta_minus, 0.0, out=theta_minus)
-    return AggregateStrategies(theta_bar, theta_minus)
-
-
 def check_signal_count(prior: PairwisePrior, m: int):
     """Raise unless strategies over ``m`` signals fit the prior's signal space."""
     if m != prior.m:
@@ -163,11 +128,16 @@ def agent_types(*arrays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def prediction_anchors(prior: PairwisePrior, thetas: np.ndarray) -> np.ndarray:
     """The prediction-score maximizers theta_minus[i] @ q_s of every agent at
-    every private signal, shape (n, m, m) indexed [agent, private, coordinate];
-    strategy lists stacked on leading axes of ``thetas`` keep them."""
+    every private signal, shape (n, m, m) indexed [agent, private, coordinate]:
+    the distribution of a uniformly chosen other agent's report, with the
+    leave-one-out average theta_minus[i] = (sum_j theta_j - theta_i) / (n - 1).
+    Every term of the sum is non-negative, so its rounded total is at least
+    theta_i and no entry rounds below zero.  Strategy lists stacked on leading
+    axes of ``thetas`` keep them."""
     thetas = np.asarray(thetas, dtype=float)
     check_signal_count(prior, thetas.shape[-1])
-    theta_minus = _aggregate(thetas).theta_minus
+    n = thetas.shape[-3]
+    theta_minus = (thetas.sum(axis=-3, keepdims=True) - thetas) / (n - 1)
     return np.einsum("...iuv,vs->...isu", theta_minus, prior.conditional)
 
 

@@ -35,7 +35,8 @@ def latent3():
 def lone_reporter():
     """A latent prior and 49 signal strategies: 48 agents always report
     signal 0 and one tells the truth, so it alone ever reports signal 1.
-    There n * theta_bar - theta_i once rounded below zero."""
+    A leave-one-out average formed as n * theta_bar - theta_i rounds below
+    zero there."""
     thetas = np.zeros((49, 2, 2))
     thetas[:, 0, :] = 1.0
     thetas[-1] = np.eye(2)

@@ -406,6 +406,7 @@ class TestErrorsAndDeterminism:
             ["welfare", "--profile", "truth", "--out", OUT_IN_MISSING_DIR],
             ["check-eq", "--profile", "truth", "--eps", "-1"],
             ["validate-prior", "--in", PRIOR, "--tol", "-1"],
+            ["audit", "--profile", "truth", "--eps", "1e-170", "--which", "aggregation-error"],
         ],
     )
     def test_bad_profile_spec_exits_1(self, prior_file, bad_files, argv, capsys):
@@ -606,7 +607,7 @@ class TestFuzz:
         elif command == "audit":
             which = ("classification-bound", "far-from-permutation", "aggregation-error", "all")
             args += opt("--which", (which, ("x",))) + opt("--tau", cls.REALS)
-            args += opt("--eps", (("0.5", "10", "1e308"), cls.REALS[1]))
+            args += opt("--eps", (("0.5", "10", "1e308", "1e-170"), cls.REALS[1]))
         elif command == "impossibility":
             args += opt("--perm", (("1,0",), ("0,1", "1,2,0", "1,x", "", f"{10**30},0")), 0.95)
         elif command == "sweep-n":

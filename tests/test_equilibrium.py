@@ -21,7 +21,6 @@ from peerpred.priors import PermutationMap, from_latent, random_snife_prior
 from peerpred.scoring import get_rule
 from peerpred.strategy import (
     StrategyProfile,
-    aggregate_strategies,
     constant_report_profile,
     counterexample_profile,
     permutation_profile,
@@ -35,9 +34,9 @@ def oracle_terms(config, prior, profile, i, s):
     """Agent i's payoff terms at signal s, summed over an explicit list of
     the other agents: (anchor, neighbor weight, mix, self-score) per report."""
     n = profile.n
-    anchor = aggregate_strategies(profile).theta_minus[i] @ prior.q_sigma(s)
-    self_scores = config.scoring_rule().self_score(profile.predictions)
     others = [j for j in range(n) if j != i]
+    anchor = profile.thetas[others].mean(axis=0) @ prior.q_sigma(s)
+    self_scores = config.scoring_rule().self_score(profile.predictions)
     # w[j, r, v] = q(v|s) * theta_j[r, v] / (n - 1)
     w = prior.q_sigma(s)[None, None, :] * profile.thetas[others] / (n - 1)
     weight = w.sum(axis=(0, 2))
@@ -374,17 +373,17 @@ class TestPredictionSolver:
 
 
 def solver_iterations(config, prior, thetas):
-    """Iterations of one solve: the kernel calls that carry a field."""
+    """Iterations of one solve: one kernel call each."""
     calls = []
 
-    def counting(cond, stack, field=None):
-        calls.append(field is not None)
+    def counting(cond, stack, field):
+        calls.append(1)
         return kernel(cond, stack, field)
 
     kernel = equilibrium._neighbor_sum
     with mock.patch.object(equilibrium, "_neighbor_sum", counting):
         solve_equilibrium_predictions(config, prior, thetas)
-    return sum(calls)
+    return len(calls)
 
 
 class TestPredictionStack:

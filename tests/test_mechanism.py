@@ -18,7 +18,6 @@ from peerpred.mechanism import (
     _pair_terms,
     _round_payments,
     monte_carlo_payments,
-    pairwise_payment,
     realized_payments,
     welfare_batch,
     welfare_metrics,
@@ -186,7 +185,9 @@ class TestRealizedPayments:
                 for i in group:
                     mates = [j for j in group if j != i]
                     peers[i] = mates[rng.integers(0, len(mates))]
-            base = [pairwise_payment(config, reports[i], reports[peers[i]]) for i in range(n)]
+            # the truthful variant pays the base payments alpha score_P + beta score_I
+            truthful = MechanismConfig(1.0, 0.05, "quadratic")
+            base = realized_payments(truthful, reports, Matching(peers))
             scores = zero_sum_group_scores(base, group_a, group_b)
             assert abs(math.fsum(scores)) <= 1e-12
             # full payments are the zero-sum scores plus the watched-pair reward

@@ -1,13 +1,14 @@
+from functools import cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peerpred.priors import PermutationMap, all_permutations, from_latent
+from peerpred.priors import PermutationMap, all_permutations, from_latent, random_snife_prior
 from peerpred.strategy import (
     ProfileError,
     StrategyProfile,
-    aggregate_strategies,
     best_prediction_profile,
     candidate_profiles,
     constant_report_profile,
@@ -15,6 +16,7 @@ from peerpred.strategy import (
     permutation_profile,
     permute_profile,
     prediction_anchors,
+    random_signal_strategies,
     random_signal_strategy,
     tau_closeness,
     truth_telling_profile,
@@ -49,9 +51,7 @@ class TestConstructors:
             # off-path cells carry the reported signal's conditional
             other = 1 - s
             assert np.array_equal(profile.predictions[0, s, other], prior2.q_sigma(other))
-        agg = aggregate_strategies(profile)
-        assert np.array_equal(agg.theta_bar, np.eye(2))
-        assert np.allclose(agg.report_distribution(prior2.marginal), prior2.marginal)
+        assert np.array_equal(prediction_anchors(prior2, profile.thetas)[0], prior2.conditional.T)
 
     def test_permutation_identity_is_truth(self, prior3):
         profile = permutation_profile(prior3, 4, PermutationMap.identity(3))
@@ -132,59 +132,90 @@ class TestValidation:
             StrategyProfile(thetas, np.full((2, 2, 2, 2), 0.3))
 
 
-class TestAggregates:
+@cache
+def prior_on(m):
+    return from_latent(random_snife_prior(m, 2, seed=40 + m))
+
+
+class TestPredictionAnchors:
     def test_two_agent_swap_example(self, prior2):
-        thetas = np.stack([np.eye(2), PermutationMap((1, 0)).matrix()])
-        predictions = np.full((2, 2, 2, 2), 0.5)
-        profile = StrategyProfile(thetas, predictions)
-        agg = aggregate_strategies(profile)
-        assert np.allclose(agg.theta_bar, 0.5)
-        assert np.allclose(agg.report_distribution(np.array([0.5, 0.5])), [0.5, 0.5])
-        # exact enumeration of a uniformly chosen agent's report
-        omega = np.array([0.3, 0.7])
-        enumerated = np.zeros(2)
-        for i in range(2):
-            for s in range(2):
-                for r in range(2):
-                    enumerated[r] += 0.5 * omega[s] * thetas[i, r, s]
-        assert np.allclose(enumerated, agg.report_distribution(omega), atol=1e-15)
+        swap = PermutationMap((1, 0)).matrix()
+        thetas = np.stack([np.eye(2), swap])
+        anchors = prediction_anchors(prior2, thetas)
+        # each agent's only neighbor is the other one
+        assert np.array_equal(anchors[0], (swap @ prior2.conditional).T)
+        assert np.array_equal(anchors[1], prior2.conditional.T)
+
+    def test_other_reports_enumeration(self, prior3):
+        rng = np.random.default_rng(3)
+        n, m = 4, 3
+        thetas = random_profile(rng, m, n).thetas
+        cond = prior3.conditional
+        # Pr(a uniformly chosen other agent reports u | agent i's signal s)
+        enumerated = np.zeros((n, m, m))
+        for i in range(n):
+            for s in range(m):
+                for j in range(n):
+                    if j == i:
+                        continue
+                    for v in range(m):
+                        for u in range(m):
+                            enumerated[i, s, u] += cond[v, s] * thetas[j, u, v] / (n - 1)
+        anchors = prediction_anchors(prior3, thetas)
+        assert np.max(np.abs(anchors - enumerated)) <= 1e-15
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from((2, 3, 4)), st.integers(2, 8), st.integers(1, 3), st.data())
+    def test_explicit_mean_of_others(self, m, n, size, data):
+        prior = prior_on(m)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        stack = random_signal_strategies(rng, m, (size, n))
+        anchors = prediction_anchors(prior, stack)
+        assert anchors.shape == (size, n, m, m)
+        for k in range(size):
+            alone = prediction_anchors(prior, stack[k])
+            assert anchors[k].tobytes() == alone.tobytes()
+            for i in range(n):
+                others = [j for j in range(n) if j != i]
+                mean = np.mean([stack[k, j] @ prior.conditional for j in others], axis=0)
+                assert np.max(np.abs(alone[i] - mean.T)) <= 1e-15
 
     def test_equal_strategies_collapse(self, prior3):
         theta = random_signal_strategy(np.random.default_rng(0), 3)
         profile = symmetric_profile(prior3, 5, theta)
-        agg = aggregate_strategies(profile)
-        assert np.allclose(agg.theta_bar, theta, atol=1e-15)
-        assert np.allclose(agg.theta_minus, theta[None], atol=1e-14)
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(2, 6), st.data())
-    def test_consistency_identity(self, n, data):
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        profile = random_profile(rng, 3, n)
-        agg = aggregate_strategies(profile)
-        lhs = (n - 1) * agg.theta_minus + profile.thetas
-        rhs = n * agg.theta_bar[None]
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12
+        anchors = prediction_anchors(prior3, profile.thetas)
+        assert np.allclose(anchors, (theta @ prior3.conditional).T[None], atol=1e-15)
 
     def test_lone_reporter_anchors_nonnegative(self, lone_reporter):
         latent, thetas = lone_reporter
         prior = from_latent(latent)
         profile = StrategyProfile(thetas, np.full((49, 2, 2, 2), 0.5))
-        assert aggregate_strategies(profile).theta_minus.min() == 0.0
-        assert prediction_anchors(prior, thetas).min() >= 0.0
+        assert prediction_anchors(prior, thetas).min() == 0.0
         best_prediction_profile(profile, prior)  # a valid profile, no ProfileError
 
-    def test_report_distribution_enumeration(self):
-        rng = np.random.default_rng(3)
-        profile = random_profile(rng, 3, 4)
-        omega = rng.dirichlet(np.ones(3))
-        agg = aggregate_strategies(profile)
-        enumerated = np.zeros(3)
-        for i in range(4):
-            for s in range(3):
-                for r in range(3):
-                    enumerated[r] += 0.25 * omega[s] * profile.thetas[i, r, s]
-        assert np.max(np.abs(enumerated - agg.report_distribution(omega))) <= 1e-12
+    @pytest.mark.parametrize("n", (2, 3, 49, 257, 4097))
+    @pytest.mark.parametrize("mass", (1e-8, 1e-11, 1e-14, 1e-16, 1e-17, 1e-18, 0.0))
+    def test_lone_reporter_with_neighbor_mass(self, prior2, n, mass):
+        """One agent always reports 1 and every other agent reports 1 with a
+        tiny ``mass``: the lone agent's neighbors put (almost) no mass there,
+        and its own 1 is what the total loses again."""
+        thetas = np.empty((n, 2, 2))
+        thetas[:, 0, :] = 1.0 - mass
+        thetas[:, 1, :] = mass
+        thetas[-1] = [[0.0, 0.0], [1.0, 1.0]]
+        anchors = prediction_anchors(prior2, thetas)
+        assert anchors.min() >= 0.0
+        assert np.all(anchors[-1, :, 1] <= 2 * mass)
+
+    def test_zero_one_lists_are_exact(self, prior3):
+        n = 5
+        profiles = [truth_telling_profile(prior3, n)]
+        profiles += [permutation_profile(prior3, n, perm) for perm in all_permutations(3)]
+        profiles += [constant_report_profile(prior3, n, t) for t in range(3)]
+        for profile in profiles:
+            expected = (profile.thetas[0] @ prior3.conditional).T  # row s = theta q_s
+            anchors = prediction_anchors(prior3, profile.thetas)
+            assert anchors.tobytes() == np.broadcast_to(expected, anchors.shape).tobytes()
 
 
 class TestBestPrediction:
