@@ -10,9 +10,7 @@ and numeric audits of the welfare-ordering guarantees.
 
 from .divergence import DivergenceDomainError, hellinger, monotonicity_strict_predicate
 from .equilibrium import (
-    BestResponse,
     EquilibriumReport,
-    best_response,
     check_equilibrium,
     expected_conditional_payoff,
     solve_equilibrium_predictions,

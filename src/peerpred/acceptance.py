@@ -25,9 +25,7 @@ from .audits import (
 )
 from .divergence import hellinger, monotonicity_strict_predicate
 from .equilibrium import (
-    best_response,
     check_equilibrium,
-    report_values,
     solve_equilibrium_predictions,
     solve_equilibrium_predictions_direct,
     solved_profile,
@@ -92,10 +90,9 @@ def criterion_1_truthful_strictness() -> tuple[bool, str]:
         truth = truth_telling_profile(prior, n)
         report = check_equilibrium(config, prior, truth)
         worst_gap = max(worst_gap, report.max_gap)
-        all_values = report_values(config, prior, truth)
         for i in range(n):
             for s in range(m):
-                values = all_values[i, s]
+                values = report.values[i, s]
                 margin = values[s] - max(values[r] for r in range(m) if r != s)
                 min_margin = min(min_margin, margin)
         count += 1
@@ -144,6 +141,7 @@ def criterion_4_information_monotonicity() -> tuple[bool, str]:
     worst_violation = -np.inf
     worst_perm = 0.0
     agree = True
+    perm_matrices = {m: [perm.matrix() for perm in all_permutations(m)] for m in (2, 3, 4)}
     for _ in range(10_000):
         m = int(rng.integers(2, 5))
         p = rng.dirichlet(np.ones(m))
@@ -157,9 +155,7 @@ def criterion_4_information_monotonicity() -> tuple[bool, str]:
             agree = False
         if not predicate and d0 - d1 > 1e-12:
             agree = False
-        perms = all_permutations(m)
-        perm = perms[int(rng.integers(len(perms)))]
-        tp = perm.matrix()
+        tp = perm_matrices[m][int(rng.integers(len(perm_matrices[m])))]
         worst_perm = max(worst_perm, abs(float(hellinger(tp @ p, tp @ q)) - d0))
     passed = worst_violation <= 1e-12 and worst_perm <= 1e-14 and agree
     return passed, (
@@ -448,14 +444,14 @@ def criterion_10_solver_cross_checks() -> tuple[bool, str]:
         profile = _random_profile(rng, prior, n)
         grid = _simplex_grid(m, steps[m])
         terms = _payoff_terms(config, prior, profile)
+        report = check_equilibrium(config, prior, profile)
         for s in range(m):
-            br = best_response(config, prior, profile, 0, s)
-            values = _grid_values(config, terms, (0, s, br.signal), grid)
+            r = int(report.values[0, s].argmax())
+            values = _grid_values(config, terms, (0, s, r), grid)
             top = int(np.argmax(values))
-            worst_grid_value = max(worst_grid_value, float(values[top]) - br.value)
-            worst_grid_dist = max(
-                worst_grid_dist, float(np.max(np.abs(grid[top] - br.prediction)))
-            )
+            worst_grid_value = max(worst_grid_value, float(values[top] - report.values[0, s, r]))
+            best = report.best_predictions[0, s, r]
+            worst_grid_dist = max(worst_grid_dist, float(np.max(np.abs(grid[top] - best))))
     h = 1.0 / steps[3]
     passed = (
         worst_solver <= 1e-10

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .divergence import hellinger
-from .equilibrium import check_equilibrium, report_values, solve_prediction_stack, solved_profile
+from .equilibrium import check_equilibrium, solve_prediction_stack, solved_profile
 from .mechanism import _BLOCK_CELLS, MechanismConfig, welfare_batch, welfare_metrics
 from .priors import PairwisePrior, PermutationMap, PriorError, permute_prior, prior_constants
 from .strategy import (
@@ -326,7 +326,7 @@ def symmetric_fixed_points(
     fixed = {}
     for g in itertools.product(range(m), repeat=m):
         profile = solved_profile(config, prior, [_map_matrix(g, m)] * n)
-        best = report_values(config, prior, profile)[0].argmax(axis=-1)
+        best = check_equilibrium(config, prior, profile).values[0].argmax(axis=-1)
         if tuple(int(r) for r in best) == g:
             fixed[g] = profile
     return fixed

@@ -21,6 +21,7 @@ import functools
 import io as _io
 import json
 import math
+import os
 import re
 import sys
 
@@ -98,6 +99,7 @@ def _write(text: str, args):
     """The one writer of results: ``--out`` when given, else stdout."""
     if not args.out:
         sys.stdout.write(text)
+        sys.stdout.flush()  # so that a closed pipe raises here, inside main
         return
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -268,7 +270,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=5)
     p.add_argument("--seed", type=_seed, default=0)
 
-    sub.add_parser("suite", help="run the acceptance battery")
+    sub.add_parser("suite", help="run the acceptance battery").set_defaults(out=None)
     return parser
 
 
@@ -433,10 +435,9 @@ def _cmd_sweep_n(args) -> int:
 
 def _cmd_suite(args) -> int:
     results = acceptance.run_all()
-    for result in results:
-        print(result.line())
     failed = [r for r in results if not r.passed]
-    print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
+    summary = f"{len(results) - len(failed)}/{len(results)} criteria passed\n"
+    _write("".join(r.line() + "\n" for r in results) + summary, args)
     return 2 if failed else 0
 
 
@@ -460,6 +461,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         _resolve(args)
         return _COMMANDS[args.command](args)
+    except BrokenPipeError:
+        # the reader left early: stdout to devnull, so the final flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -19,12 +19,13 @@ Proper scores are linear in their first argument, so the second line needs
 only the leave-one-out neighbor sums (1/(n-1)) sum_{j != i} sum_v q(v|s)
 theta_j[r, v] F_j[v, r, ...] of two fields F: the prediction tables and their
 self-scores.  One kernel computes them for every (i, s, r) at once as totals
-minus self; :func:`check_equilibrium` is one vectorized pass over the result
-and :func:`best_response` and :func:`expected_conditional_payoff` read one
-cell of it.  The same sum with F = 1, the neighbors' weight on report r, is
-coordinate r of the anchor theta_minus_i q_s, the distribution of a random
-other agent's report (:func:`peerpred.strategy.prediction_anchors`).  The
-optimal prediction for report r is the mixture
+minus self; :func:`check_equilibrium` is one vectorized pass over the result,
+whose report holds every report's value at its optimal prediction, and
+:func:`expected_conditional_payoff` reads one cell of its payoffs.  The same
+sum with F = 1, the neighbors' weight on report r, is coordinate r of the
+anchor theta_minus_i q_s, the distribution of a random other agent's report
+(:func:`peerpred.strategy.prediction_anchors`).  The optimal prediction for
+report r is the mixture
 (alpha * anchor + beta * mix) / (alpha + beta * anchor[r]), so equilibrium
 predictions solve a linear fixed point: :func:`solve_prediction_stack`
 iterates the same kernel and map (a strict contraction for alpha > 0) over a
@@ -40,17 +41,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .mechanism import _BLOCK_CELLS, MechanismConfig, MechanismError, Report
+from .mechanism import _BLOCK_CELLS, MechanismConfig, MechanismError
 from .priors import PairwisePrior
 from .strategy import StrategyProfile, prediction_anchors
-from .tolerances import EQUILIBRIUM_EPS, SOLVER_TOL, TIE_TOL
+from .tolerances import EQUILIBRIUM_EPS, SOLVER_TOL
 
 __all__ = [
-    "BestResponse",
     "EquilibriumReport",
     "expected_conditional_payoff",
-    "best_response",
-    "report_values",
     "check_equilibrium",
     "solve_equilibrium_predictions",
     "solve_prediction_stack",
@@ -95,19 +93,12 @@ class _PayoffTerms:
     self_score: np.ndarray  # neighbors' weighted self-scores, (n, m, m)
     best: np.ndarray        # optimal prediction per report, (n, m, m, m)
 
-    def values(self, config: MechanismConfig, prediction, cell=...) -> np.ndarray:
-        """Value of reporting r with ``prediction`` at the cells ``self[cell]``."""
+    def values(self, config: MechanismConfig, prediction) -> np.ndarray:
+        """Value of reporting r with ``prediction[i, s, r]`` at every (i, s, r)."""
         rule = config.scoring_rule()
-        return config.alpha * rule.weighted_score(self.anchor[cell], prediction) + config.beta * (
-            rule.weighted_score(self.mix[cell], prediction) - self.self_score[cell]
+        return config.alpha * rule.weighted_score(self.anchor, prediction) + config.beta * (
+            rule.weighted_score(self.mix, prediction) - self.self_score
         )
-
-    def mixed_value(self, config: MechanismConfig, weights, predictions, cell=...) -> np.ndarray:
-        """sum_r weights[..., r] * value of report r with predictions[..., r, :].
-        Reports of weight zero are scored at the optimal prediction instead, so
-        a log rule never probes the predictions of reports that are not played."""
-        played = np.where((weights > 0.0)[..., None], predictions, self.best[cell])
-        return np.sum(weights * self.values(config, played, cell), axis=-1)
 
 
 def _payoff_terms(
@@ -121,89 +112,20 @@ def _payoff_terms(
     return _PayoffTerms(np.broadcast_to(anchors[:, :, None, :], mix.shape), mix, self_score, best)
 
 
-def expected_conditional_payoff(
-    config: MechanismConfig,
-    prior: PairwisePrior,
-    profile: StrategyProfile,
-    i: int,
-    s: int,
-    deviation: Report | Sequence[tuple[float, Report]] | None = None,
-) -> float:
-    """Expected action-relevant payment of agent i conditional on signal s.
-
-    Without a deviation the profile's own play is evaluated: the signal
-    strategy's mixture over reports, each with its table prediction.  A
-    deviation replaces agent i's play at s by a single report or a weighted
-    mixture of reports.
-    """
-    terms = _payoff_terms(config, prior, profile)
-    if deviation is None:
-        return float(
-            terms.mixed_value(config, profile.thetas[i, :, s], profile.predictions[i, s], (i, s))
-        )
-    if isinstance(deviation, Report):
-        deviation = [(1.0, deviation)]
-    weights = np.array([w for w, _ in deviation], dtype=float)
-    reports = np.array([rep.signal for _, rep in deviation], dtype=int)
-    predictions = np.array([rep.prediction for _, rep in deviation], dtype=float)
-    return float(terms.mixed_value(config, weights, predictions, (i, s, reports)))
-
-
-@dataclass(frozen=True)
-class BestResponse:
-    """Optimal report at one (agent, signal): the report index, its closed-form
-    optimal prediction, the achieved value, per-report optimal values, and
-    whether the leading reports tie within tolerance (lowest index wins)."""
-
-    signal: int
-    prediction: np.ndarray
-    value: float
-    report_values: np.ndarray
-    tied: bool
-
-
-def best_response(
-    config: MechanismConfig,
-    prior: PairwisePrior,
-    profile: StrategyProfile,
-    i: int,
-    s: int,
-) -> BestResponse:
-    """Closed-form best response of agent i at private signal s.
-
-    For each candidate report the optimal prediction is the mixture
-    (alpha * anchor + beta * neighbor_mix) / (alpha + beta * anchor[r]);
-    the best report maximizes the resulting value, lowest index on ties.
-    """
-    terms = _payoff_terms(config, prior, profile)
-    predictions = terms.best[i, s]
-    values = terms.values(config, predictions, (i, s))
-    best = int(np.argmax(values))
-    tied = bool(np.sum(values >= values[best] - TIE_TOL) > 1)
-    return BestResponse(best, predictions[best].copy(), float(values[best]), values, tied)
-
-
-def report_values(
-    config: MechanismConfig, prior: PairwisePrior, profile: StrategyProfile
-) -> np.ndarray:
-    """Value of every report with its closed-form optimal prediction, shape
-    (n, m, m) indexed [agent, private signal, report], from one batch: row
-    (i, s) is ``best_response(..., i, s).report_values``, and its argmax
-    (lowest index on ties) is that best response's report."""
-    terms = _payoff_terms(config, prior, profile)
-    return terms.values(config, terms.best)
-
-
 @dataclass(frozen=True)
 class EquilibriumReport:
-    """Per-(agent, signal) value of the profile's prescribed play
-    (``payoffs``) and improvement gap: best-response value minus that value.
-    Payoffs are linear in the agent's report distribution, so the maximum over
-    mixed deviations is attained at a pure report with its closed-form
-    prediction."""
+    """Per (agent i, signal s): ``values[i, s, r]``, the value of report r with
+    its closed-form optimal prediction ``best_predictions[i, s, r]``;
+    ``payoffs[i, s]``, the value of the profile's prescribed play; and
+    ``gaps[i, s]``, the best value minus that payoff.  Payoffs are linear in
+    the agent's report distribution, so the best mixed deviation is a pure
+    report with its optimal prediction: ``values[i, s].argmax()``, lowest
+    index on ties, is a best response."""
 
     gaps: np.ndarray
     payoffs: np.ndarray
+    values: np.ndarray
+    best_predictions: np.ndarray
     eps: float
 
     @property
@@ -230,9 +152,25 @@ def check_equilibrium(
     eps: float = EQUILIBRIUM_EPS,
 ) -> EquilibriumReport:
     terms = _payoff_terms(config, prior, profile)
-    best_values = terms.values(config, terms.best).max(axis=-1)
-    payoffs = terms.mixed_value(config, profile.thetas.transpose(0, 2, 1), profile.predictions)
-    return EquilibriumReport(best_values - payoffs, payoffs, eps)
+    values = terms.values(config, terms.best)
+    weights = profile.thetas.transpose(0, 2, 1)
+    # reports of weight zero are scored at the optimal prediction instead, so a
+    # log rule never probes the predictions of reports that are not played
+    played = np.where((weights > 0.0)[..., None], profile.predictions, terms.best)
+    payoffs = np.sum(weights * terms.values(config, played), axis=-1)
+    return EquilibriumReport(values.max(axis=-1) - payoffs, payoffs, values, terms.best, eps)
+
+
+def expected_conditional_payoff(
+    config: MechanismConfig,
+    prior: PairwisePrior,
+    profile: StrategyProfile,
+    i: int,
+    s: int,
+) -> float:
+    """Expected action-relevant payment of agent i conditional on signal s under
+    the profile's own play: one cell of :func:`check_equilibrium`'s payoffs."""
+    return float(check_equilibrium(config, prior, profile).payoffs[i, s])
 
 
 def solve_equilibrium_predictions(

@@ -29,8 +29,10 @@ from pathlib import Path
 import numpy as np
 
 from .mechanism import MechanismConfig
-from .priors import LatentStatePrior, PairwisePrior, PriorError, SignalSpace, from_latent
+from .priors import LatentStatePrior, PairwisePrior, PriorError, SignalSpace
+from .priors import _check_stochastic, from_latent
 from .strategy import ProfileError, StrategyProfile
+from .tolerances import PROBABILITY_TOL
 
 __all__ = [
     "prior_to_dict",
@@ -88,7 +90,10 @@ def prior_from_dict(data: dict, path=None) -> LatentStatePrior | PairwisePrior:
     first, second = (_require(data, key, path) for key in keys)
     try:
         space = SignalSpace(tuple(labels))
-        return cls(space, np.asarray(first, dtype=float), np.asarray(second, dtype=float))
+        prior = cls(space, np.asarray(first, dtype=float), np.asarray(second, dtype=float))
+        if kind == "pairwise":  # symmetry is left to validate_snife's verdict
+            _check_stochastic(prior, PROBABILITY_TOL)
+        return prior
     except (PriorError, TypeError, ValueError) as exc:
         raise FormatError(f"invalid prior{f' in {path}' if path else ''}: {exc}") from exc
 

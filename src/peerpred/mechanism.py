@@ -477,9 +477,10 @@ def _welfare_pass(n, m, types, priors, profiles, grouped) -> list[WelfareBreakdo
     # sum_u pair[t, u] v_u = c_t (c . v - v_t) / (n(n-1))
     paired = (c / pairs)[..., None] * (c[:, None] @ spread - spread)
     per_report = left.reshape(batch, -1, m).transpose(0, 2, 1) @ paired.reshape(batch, -1, m)
-    # + 0.0 turns a sum of signed zeros into +0.0
+    # every D* is >= 0, so a sum below zero is rounding; + 0.0 turns a sum of
+    # signed zeros into +0.0
     identity = np.eye(m)
-    diversity = per_report[:, identity == 0.0].sum(axis=-1) + 0.0
+    diversity = np.maximum(per_report[:, identity == 0.0].sum(axis=-1), 0.0) + 0.0
 
     # same-report pass over the cells x = (t, a), types in order, all reports
     # at once.  D* and the weight are symmetric once the joint is replaced by

@@ -323,6 +323,16 @@ class TheoremBounds:
         return (128.0 * self.m**2 / (n * c.c1**6 * prod**2)) ** (1.0 / 6.0)
 
 
+def _check_stochastic(prior: PairwisePrior, tol: float):
+    """Raise :class:`PriorError` unless the marginal and every conditional
+    column are non-negative and sum to 1 within ``tol``."""
+    if np.any(prior.marginal < 0.0) or abs(prior.marginal.sum() - 1.0) > tol:
+        raise PriorError("marginal is not a probability vector within tolerance")
+    colsums = prior.conditional.sum(axis=0)
+    if np.any(prior.conditional < 0.0) or np.max(np.abs(colsums - 1.0)) > tol:
+        raise PriorError("conditional columns are not stochastic within tolerance")
+
+
 def build_pairwise_prior(
     marginal,
     conditional,
@@ -331,19 +341,16 @@ def build_pairwise_prior(
 ) -> PairwisePrior:
     """Validate and build a pairwise prior.
 
-    Checks that the marginal and every conditional column are stochastic and
-    that the two-agent joint is symmetric (q(b) q(a|b) = q(a) q(b|a)), all
-    within ``tol``.  Raises :class:`PriorError` otherwise.
+    Checks that the marginal and every conditional column are non-negative
+    with sums within ``tol`` of 1, and that the two-agent joint is symmetric
+    (q(b) q(a|b) = q(a) q(b|a)) within ``tol``.  Raises :class:`PriorError`
+    otherwise.
     """
     marginal = np.asarray(marginal, dtype=float)
     if space is None:
         space = SignalSpace.of_size(marginal.size)
     prior = PairwisePrior(space, marginal, np.asarray(conditional, dtype=float))
-    if np.any(prior.marginal < -tol) or abs(prior.marginal.sum() - 1.0) > tol:
-        raise PriorError("marginal is not a probability vector within tolerance")
-    colsums = prior.conditional.sum(axis=0)
-    if np.any(prior.conditional < -tol) or np.max(np.abs(colsums - 1.0)) > tol:
-        raise PriorError("conditional columns are not stochastic within tolerance")
+    _check_stochastic(prior, tol)
     residual = prior.symmetry_residual()
     if residual > tol:
         raise PriorError(

@@ -10,7 +10,6 @@ __all__ = [
     "DEFAULT_TOL",
     "SAMPLED_PRIOR_TOL",
     "STOCHASTIC_TOL",
-    "TIE_TOL",
     "SOLVER_TOL",
     "EQUILIBRIUM_EPS",
     "RATIO_TOL",
@@ -22,8 +21,9 @@ __all__ = [
 # Input checks on numbers from outside the program.
 #
 # Largest |sum - 1| accepted for a probability vector given as input: a
-# latent prior's state distribution and emission rows, a prediction, and the
-# signal strategy of the far-from-permutation audit.  It admits vectors
+# latent prior's state distribution and emission rows, a pairwise prior
+# file's marginal and conditional columns, a prediction, and the signal
+# strategy of the far-from-permutation audit.  It admits vectors
 # written out to nine or more digits, as in hand-entered files.
 PROBABILITY_TOL = 1e-9
 # Default tolerance of a pairwise prior given as input: its stochasticity and
@@ -39,8 +39,6 @@ SAMPLED_PRIOR_TOL = 1e-6
 #
 # Largest |column sum - 1| of a signal strategy that a profile holds.
 STOCHASTIC_TOL = 1e-12
-# Report values within this of the best count as a tie in ``best_response``.
-TIE_TOL = 1e-12
 # The prediction fixed-point iteration stops once its sup-norm update falls
 # below this; the map contracts, so the solution is about as close.
 SOLVER_TOL = 1e-12

@@ -38,12 +38,15 @@ def prior_file(tmp_path):
 
 # placeholders for the input files of `bad_files`: a profile file over three
 # signals (against the two-signal prior), profiles, priors and a mechanism
-# holding a NaN, a JSON number and an output path in a missing directory
+# holding a NaN, pairwise priors that are not probabilities, a JSON number
+# and an output path in a missing directory
 M3_PROFILE = "<m3-profile>"
 NAN_THETA = "<nan-theta>"
 NAN_PREDICTION = "<nan-prediction>"
 NAN_LATENT = "<nan-latent>"
 NAN_PAIRWISE = "<nan-pairwise>"
+OFF_MARGINAL = "<off-marginal>"
+NEGATIVE_CONDITIONAL = "<negative-conditional>"
 NAN_MECH = "<nan-mech>"
 JSON_NUMBER = "<json-number>"
 OUT_IN_MISSING_DIR = "<out-in-missing-dir>"
@@ -65,6 +68,13 @@ def bad_files(tmp_path):
         NAN_PREDICTION: nan_prediction,
         NAN_LATENT: {**latent, "state_probs": [math.nan, 0.5]},
         NAN_PAIRWISE: {**prior_to_dict(prior), "conditional": [[math.nan, 0.3], [0.3, 0.7]]},
+        # columns [0.7, 0.3] and [0.2, 0.8] under a marginal summing to 1.8
+        OFF_MARGINAL: {
+            **prior_to_dict(prior),
+            "marginal": [0.9, 0.9],
+            "conditional": [[0.7, 0.2], [0.3, 0.8]],
+        },
+        NEGATIVE_CONDITIONAL: {**prior_to_dict(prior), "conditional": [[1.2, 0.3], [-0.2, 0.7]]},
         NAN_MECH: {"alpha": 1.0, "beta": math.nan},
         JSON_NUMBER: 7,
     }
@@ -397,6 +407,9 @@ class TestErrorsAndDeterminism:
             ["welfare", "--profile", "truth", "--prior", NAN_LATENT],
             ["payout", "--profile", "truth", "--trials", "10", "--prior", NAN_LATENT],
             ["validate-prior", "--in", NAN_PAIRWISE],
+            ["welfare", "--profile", "truth", "--prior", OFF_MARGINAL],
+            ["validate-prior", "--in", OFF_MARGINAL],
+            ["validate-prior", "--in", NEGATIVE_CONDITIONAL],
             ["gen-prior", "--m", "2", "--format", "csv"],
             ["welfare", "--profile", "uniform", "--n", "-1"],
             ["welfare", "--profile", "truth", "--n", str(10**30)],
@@ -440,6 +453,34 @@ class TestErrorsAndDeterminism:
         err = capsys.readouterr().err
         assert err.startswith("error: argument --seed:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen-prior", "--m", "3", "--seed", "1"],
+            # about 300 kB of CSV rows, several times a pipe's buffer
+            ["check-eq", "--prior", PRIOR, "--profile", "truth", "--n", "5000"],
+        ],
+    )
+    def test_closed_stdout_exits_1_quietly(self, prior_file, argv):
+        argv = [prior_file if arg == PRIOR else arg for arg in argv]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the command starts
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "peerpred.cli", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
 
     def test_usage_error_leaves_parser_intact(self, prior_file, capsys):
         argv = ["payout", "--prior", prior_file, "--profile", "truth", "--trials", "50"]

@@ -7,16 +7,14 @@ from hypothesis import strategies as st
 
 from peerpred import equilibrium
 from peerpred.equilibrium import (
-    best_response,
     check_equilibrium,
     expected_conditional_payoff,
-    report_values,
     solve_equilibrium_predictions,
     solve_equilibrium_predictions_direct,
     solve_prediction_stack,
     solved_profile,
 )
-from peerpred.mechanism import MechanismConfig, MechanismError, Report
+from peerpred.mechanism import MechanismConfig, MechanismError
 from peerpred.priors import PermutationMap, from_latent, random_snife_prior
 from peerpred.scoring import get_rule
 from peerpred.strategy import (
@@ -119,32 +117,27 @@ class TestBatchedMatchesOracle:
                 payoff = oracle_payoff(config, prior, profile, i, s)
                 assert abs(report.payoffs[i, s] - payoff) <= 1e-13
                 assert abs(report.gaps[i, s] - (np.max(values) - payoff)) <= 1e-13
-                own = expected_conditional_payoff(config, prior, profile, i, s)
-                assert abs(own - payoff) <= 1e-13
-
-                br = best_response(config, prior, profile, i, s)
-                assert br.signal == int(np.argmax(values)) or br.tied
-                np.testing.assert_allclose(br.report_values, values, rtol=0, atol=1e-13)
-                np.testing.assert_allclose(br.prediction, preds[br.signal], rtol=0, atol=1e-13)
-
-                r = int(rng.integers(m))
-                pred = rng.dirichlet(np.ones(m))
-                single = expected_conditional_payoff(
-                    config, prior, profile, i, s, deviation=Report(r, pred)
+                assert expected_conditional_payoff(config, prior, profile, i, s) == (
+                    report.payoffs[i, s]
                 )
-                oracle = oracle_payoff(config, prior, profile, i, s, [(1.0, r, pred)])
-                assert abs(single - oracle) <= 1e-13
+                np.testing.assert_allclose(report.values[i, s], values, rtol=0, atol=1e-13)
+                np.testing.assert_allclose(report.best_predictions[i, s], preds, rtol=0, atol=1e-13)
+
+                # no single or mixed deviation beats the best report's value
+                best = report.values[i, s].max()
+                r = int(rng.integers(m))
+                single = oracle_payoff(
+                    config, prior, profile, i, s, [(1.0, r, rng.dirichlet(np.ones(m)))]
+                )
+                assert single <= best + 1e-13
 
                 weights = rng.dirichlet(np.ones(3))
                 weights[0] = 0.0  # a zero-weight play with a zero entry is never scored
+                weights /= weights.sum()
                 plays = [(weights[0], r, np.eye(m)[(r + 1) % m])] + [
                     (w, int(rng.integers(m)), rng.dirichlet(np.ones(m))) for w in weights[1:]
                 ]
-                deviation = [(w, Report(q, p)) for w, q, p in plays]
-                mixed = expected_conditional_payoff(
-                    config, prior, profile, i, s, deviation=deviation
-                )
-                assert abs(mixed - oracle_payoff(config, prior, profile, i, s, plays)) <= 1e-13
+                assert oracle_payoff(config, prior, profile, i, s, plays) <= best + 1e-13
 
 
 @pytest.fixture(scope="module")
@@ -164,18 +157,15 @@ class TestExpectedPayoff:
             expected = config.alpha * rule.expected_score(prior.q_sigma(s), prior.q_sigma(s))
             assert value == pytest.approx(expected, abs=1e-13)
 
-    def test_wrong_signal_with_truthful_prediction_is_worse(self, setting):
+    def test_wrong_signal_is_worse_at_its_best_prediction(self, setting):
         prior, config = setting
         truth = truth_telling_profile(prior, 5)
+        report = check_equilibrium(config, prior, truth)
         for s in range(3):
             honest = expected_conditional_payoff(config, prior, truth, 0, s)
             for r in range(3):
-                if r == s:
-                    continue
-                deviated = expected_conditional_payoff(
-                    config, prior, truth, 0, s, deviation=Report(r, prior.q_sigma(s))
-                )
-                assert deviated < honest
+                if r != s:
+                    assert report.values[0, s, r] < honest
 
     def test_beta_zero_reduces_to_prediction_score(self, setting):
         prior, _ = setting
@@ -186,48 +176,51 @@ class TestExpectedPayoff:
         rule = get_rule("quadratic")
         n = 4
         theta_minus = (thetas.sum(axis=0)[None] - thetas) / (n - 1)
+        report = check_equilibrium(config, prior, profile)
         for s in range(3):
             anchor = theta_minus[1] @ prior.q_sigma(s)
-            pred = rng.dirichlet(np.ones(3))
-            value = expected_conditional_payoff(
-                config, prior, profile, 1, s, deviation=Report(0, pred)
+            played = sum(
+                thetas[1, r, s] * rule.expected_score(anchor, profile.predictions[1, s, r])
+                for r in range(3)
             )
-            assert value == pytest.approx(rule.expected_score(anchor, pred), abs=1e-13)
-            br = best_response(config, prior, profile, 1, s)
-            assert np.allclose(br.prediction, anchor, atol=1e-12)
+            assert report.payoffs[1, s] == pytest.approx(played, abs=1e-13)
+            assert np.allclose(report.best_predictions[1, s], anchor, atol=1e-12)
 
-    def test_mixed_deviation_weighting(self, setting):
+    def test_mixed_play_weighting(self, setting):
         prior, config = setting
         truth = truth_telling_profile(prior, 4)
-        r0 = Report(0, prior.q_sigma(0))
-        r1 = Report(1, prior.q_sigma(1))
-        mixed = expected_conditional_payoff(
-            config, prior, truth, 0, 0, deviation=[(0.25, r0), (0.75, r1)]
-        )
-        v0 = expected_conditional_payoff(config, prior, truth, 0, 0, deviation=r0)
-        v1 = expected_conditional_payoff(config, prior, truth, 0, 0, deviation=r1)
-        assert mixed == pytest.approx(0.25 * v0 + 0.75 * v1, abs=1e-14)
+
+        def payoff(weights):
+            """Agent 0's payoff at signal 0 when it plays reports 0 and 1 with
+            ``weights``, each with that signal's posterior as prediction."""
+            thetas, predictions = truth.thetas.copy(), truth.predictions.copy()
+            thetas[0, :, 0] = [weights[0], weights[1], 0.0]
+            predictions[0, 0, :2] = [prior.q_sigma(0), prior.q_sigma(1)]
+            profile = StrategyProfile(thetas, predictions)
+            return expected_conditional_payoff(config, prior, profile, 0, 0)
+
+        mixed = payoff((0.25, 0.75))
+        assert mixed == pytest.approx(0.25 * payoff((1, 0)) + 0.75 * payoff((0, 1)), abs=1e-14)
 
 
-class TestBestResponse:
+class TestReportValues:
     def test_truthful_opponents(self, setting):
         prior, config = setting
-        truth = truth_telling_profile(prior, 5)
+        report = check_equilibrium(config, prior, truth_telling_profile(prior, 5))
         for i in (0, 3):
             for s in range(3):
-                br = best_response(config, prior, truth, i, s)
-                assert br.signal == s
-                assert np.allclose(br.prediction, prior.q_sigma(s), atol=1e-12)
-                assert not br.tied
+                values = report.values[i, s]
+                assert int(values.argmax()) == s
+                assert np.allclose(report.best_predictions[i, s, s], prior.q_sigma(s), atol=1e-12)
+                assert np.sum(values >= values[s] - 1e-12) == 1  # no tie
 
     def test_constant_report_opponents_mixture(self, setting):
         prior, config = setting
         profile = constant_report_profile(prior, 4, target=2)
         point = np.zeros(3)
         point[2] = 1.0
+        report = check_equilibrium(config, prior, profile)
         for s in range(3):
-            br = best_response(config, prior, profile, 0, s)
-            n = 4
             theta_minus = np.zeros((3, 3))
             theta_minus[2, :] = 1.0
             anchor = theta_minus @ prior.q_sigma(s)
@@ -235,7 +228,7 @@ class TestBestResponse:
             expected = (config.alpha * anchor + config.beta * weight * point) / (
                 config.alpha + config.beta * weight
             )
-            np.testing.assert_allclose(br.prediction, expected, atol=1e-12)
+            np.testing.assert_allclose(report.best_predictions[0, s, 2], expected, atol=1e-12)
 
     def test_beta_limit_recovers_anchor(self, setting):
         prior, _ = setting
@@ -245,24 +238,26 @@ class TestBestResponse:
         theta_minus = (thetas.sum(axis=0)[None] - thetas) / 3
         for beta in (1e-6, 1e-9):
             config = MechanismConfig(alpha=1.0, beta=beta, rule="quadratic")
-            br = best_response(config, prior, profile, 0, 1)
+            best = check_equilibrium(config, prior, profile).best_predictions[0, 1]
             anchor = theta_minus[0] @ prior.q_sigma(1)
-            assert np.max(np.abs(br.prediction - anchor)) <= 5 * beta
-
+            assert np.max(np.abs(best - anchor)) <= 5 * beta
 
     @pytest.mark.parametrize("rule", ["log", "quadratic"])
-    def test_report_values_batch_matches_cells(self, setting, rule):
+    def test_gaps_are_best_values_minus_payoffs(self, setting, rule):
         prior, _ = setting
         config = MechanismConfig(alpha=1.0, beta=0.04, rule=rule)
         rng = np.random.default_rng(8)
         thetas = np.stack([random_signal_strategy(rng, 3) for _ in range(5)])
         for profile in (solved_profile(config, prior, thetas), truth_telling_profile(prior, 5)):
-            values = report_values(config, prior, profile)
+            report = check_equilibrium(config, prior, profile)
+            assert np.array_equal(report.gaps, report.values.max(axis=-1) - report.payoffs)
             for i in range(5):
                 for s in range(3):
-                    br = best_response(config, prior, profile, i, s)
-                    assert np.array_equal(values[i, s], br.report_values)
-                    assert int(values[i, s].argmax()) == br.signal
+                    values, preds = oracle_best_response(config, prior, profile, i, s)
+                    np.testing.assert_allclose(report.values[i, s], values, rtol=0, atol=1e-13)
+                    np.testing.assert_allclose(
+                        report.best_predictions[i, s], preds, rtol=0, atol=1e-13
+                    )
 
 
 class TestCheckEquilibrium:
@@ -354,16 +349,15 @@ class TestPredictionSolver:
         rng = np.random.default_rng(6)
         thetas = np.stack([random_signal_strategy(rng, 3) for _ in range(4)])
         profile = solved_profile(config, prior, thetas)
+        report = check_equilibrium(config, prior, profile)
+        assert np.max(np.abs(report.best_predictions - profile.predictions)) <= 1e-10
         for i in range(4):
             for s in range(3):
-                br = best_response(config, prior, profile, i, s)
+                terms = oracle_terms(config, prior, profile, i, s)
                 for r in range(3):
                     # each table cell maximizes the payoff for its own report
-                    cell = profile.predictions[i, s, r]
-                    value_cell = expected_conditional_payoff(
-                        config, prior, profile, i, s, deviation=Report(r, cell)
-                    )
-                    assert value_cell >= br.report_values[r] - 1e-12
+                    value_cell = oracle_value(config, terms, r, profile.predictions[i, s, r])
+                    assert value_cell >= report.values[i, s, r] - 1e-12
 
     def test_iteration_cap(self, setting):
         prior, config = setting

@@ -32,6 +32,7 @@ from peerpred.strategy import (
     permutation_profile,
     random_signal_strategy,
     truth_telling_profile,
+    uniform_report_profile,
 )
 
 
@@ -410,6 +411,17 @@ class TestWelfareMetrics:
             "classification_score": 0.0,
             "average_welfare": 0.0,
         }
+
+    def test_identical_predictions_have_no_negative_divergence(self):
+        # every agent predicts the same, so each Hellinger term is 0 and the
+        # bilinear diversity sum cancels to rounding noise of either sign
+        for m in (2, 3, 4):
+            for seed in range(1, 31):
+                prior = from_latent(random_snife_prior(m, 2, seed=seed))
+                for n in (4, 7):
+                    wb = welfare_metrics(prior, uniform_report_profile(prior, n))
+                    assert wb.diversity >= 0.0
+                    assert wb.total_divergence >= 0.0
 
     def test_matches_nested_loop_oracle(self, prior3):
         rng = np.random.default_rng(4)
