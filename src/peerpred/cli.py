@@ -2,11 +2,15 @@
 
 Subcommands wire the file formats to the library: validate-prior, gen-prior,
 payout, welfare, check-eq, solve-predictions, audit, impossibility, sweep-n,
-and suite.  :func:`_resolve` turns the inputs a subcommand declares (prior
-file, mechanism, profile) into objects once, before its handler runs.  Results
-go through one writer, :func:`_write`, to stdout (or --out) as CSV or JSON;
-human-facing status lines go to stderr so machine output stays
-byte-deterministic for fixed inputs and seed.
+and suite.  :func:`_parse` hands the arguments after a subcommand name
+straight to that subcommand's parser, which yields the namespace the
+top-level parser would; anything else (no arguments, -h, an unknown command)
+goes through the top-level parser and its messages.  :func:`_resolve` turns
+the inputs a subcommand declares (prior file, mechanism, profile) into
+objects once, before its handler runs.  Results go through one writer,
+:func:`_write`, to stdout (or --out) as CSV or JSON; human-facing status
+lines go to stderr so machine output stays byte-deterministic for fixed
+inputs and seed.
 
 Exit codes: 0 success, 1 usage or input errors, 2 validation failures (a
 prior failing its assumption checks, or acceptance-suite failures).
@@ -27,7 +31,6 @@ import sys
 
 import numpy as np
 
-from . import acceptance
 from .audits import (
     AuditError,
     aggregation_error_audit,
@@ -89,12 +92,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
-
-
 def _write(text: str, args):
     """The one writer of results: ``--out`` when given, else stdout."""
     if not args.out:
@@ -109,15 +106,18 @@ def _write(text: str, args):
 
 
 def _emit(rows: list[dict], args):
-    """Write rows as CSV (one header from the first row) or a JSON list."""
+    """Write rows as CSV (one header from the first row; floats in 17
+    significant digits, which round-trip) or a JSON list."""
     if args.format == "json":
         return _write(json.dumps(rows, indent=2) + "\n", args)
     buf = _io.StringIO()
     if rows:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(rows[0].keys())
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row.values()])
+        writer.writerows(
+            [f"{v:.17g}" if isinstance(v, float) else str(v) for v in row.values()]
+            for row in rows
+        )
     _write(buf.getvalue(), args)
 
 
@@ -201,7 +201,8 @@ def _finite(text: str) -> float:
 
 @functools.cache
 def _build_parser() -> _Parser:
-    """The one parser of the process; parsing leaves it unchanged."""
+    """The one parser of the process; parsing leaves it unchanged.  Its
+    ``commands`` map each subcommand name to the subcommand's parser."""
     parser = _Parser(prog="peerpred", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -271,7 +272,21 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=_seed, default=0)
 
     sub.add_parser("suite", help="run the acceptance battery").set_defaults(out=None)
+    parser.commands = sub.choices
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace of ``parser.parse_args(argv)``.  When ``argv`` starts
+    with a subcommand, that subcommand's parser reads the rest directly, as
+    the top-level parser would pass it on, and ``command`` is set after."""
+    parser = _build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:  # usage errors, -h: the top-level parser's messages
+        return parser.parse_args(argv)
+    args = command.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
 
 
 def _cmd_validate_prior(args) -> int:
@@ -318,15 +333,11 @@ def _cmd_payout(args) -> int:
         _emit(rows, args)
         return 0
     report = check_equilibrium(args.mech, prior, profile)
+    labels = prior.space.labels
     rows = [
-        {
-            "agent": i,
-            "signal": prior.space.labels[s],
-            "payoff": float(report.payoffs[i, s]),
-            "gap": float(report.gaps[i, s]),
-        }
-        for i in range(profile.n)
-        for s in range(prior.m)
+        {"agent": i, "signal": label, "payoff": payoff, "gap": gap}
+        for i, (payoffs, gaps) in enumerate(zip(report.payoffs.tolist(), report.gaps.tolist()))
+        for label, payoff, gap in zip(labels, payoffs, gaps)
     ]
     _emit(rows, args)
     return 0
@@ -357,19 +368,13 @@ def _cmd_solve_predictions(args) -> int:
         # a profile object, directly reusable as a --profile input
         _write(json.dumps(profile_to_dict(solved), indent=2) + "\n", args)
         return 0
+    labels = prior.space.labels
+    columns = [f"p_{label}" for label in labels]
     rows = [
-        {
-            "agent": i,
-            "signal": prior.space.labels[s],
-            "report": prior.space.labels[r],
-            **{
-                f"p_{prior.space.labels[u]}": float(solved.predictions[i, s, r, u])
-                for u in range(prior.m)
-            },
-        }
-        for i in range(solved.n)
-        for s in range(prior.m)
-        for r in range(prior.m)
+        {"agent": i, "signal": signal, "report": report, **dict(zip(columns, prediction))}
+        for i, tables in enumerate(solved.predictions.tolist())
+        for signal, table in zip(labels, tables)
+        for report, prediction in zip(labels, table)
     ]
     _emit(rows, args)
     return 0
@@ -434,6 +439,8 @@ def _cmd_sweep_n(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    from . import acceptance  # only this subcommand needs it: imported when it runs
+
     results = acceptance.run_all()
     failed = [r for r in results if not r.passed]
     summary = f"{len(results) - len(failed)}/{len(results)} criteria passed\n"
@@ -456,9 +463,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
         _resolve(args)
         return _COMMANDS[args.command](args)
     except BrokenPipeError:

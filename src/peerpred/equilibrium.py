@@ -43,7 +43,7 @@ import numpy as np
 
 from .mechanism import _BLOCK_CELLS, MechanismConfig, MechanismError
 from .priors import PairwisePrior
-from .strategy import StrategyProfile, prediction_anchors
+from .strategy import StrategyProfile, _repeated, prediction_anchors
 from .tolerances import EQUILIBRIUM_EPS, SOLVER_TOL
 
 __all__ = [
@@ -94,7 +94,8 @@ class _PayoffTerms:
     best: np.ndarray        # optimal prediction per report, (n, m, m, m)
 
     def values(self, config: MechanismConfig, prediction) -> np.ndarray:
-        """Value of reporting r with ``prediction[i, s, r]`` at every (i, s, r)."""
+        """Value of reporting r with ``prediction[..., i, s, r]`` at every
+        (i, s, r); predictions stacked on leading axes keep them."""
         rule = config.scoring_rule()
         return config.alpha * rule.weighted_score(self.anchor, prediction) + config.beta * (
             rule.weighted_score(self.mix, prediction) - self.self_score
@@ -137,11 +138,10 @@ class EquilibriumReport:
         return self.max_gap <= self.eps
 
     def to_rows(self) -> list[dict]:
-        n, m = self.gaps.shape
         return [
-            {"agent": i, "signal": s, "gap": float(self.gaps[i, s])}
-            for i in range(n)
-            for s in range(m)
+            {"agent": i, "signal": s, "gap": gap}
+            for i, gaps in enumerate(self.gaps.tolist())
+            for s, gap in enumerate(gaps)
         ]
 
 
@@ -152,12 +152,14 @@ def check_equilibrium(
     eps: float = EQUILIBRIUM_EPS,
 ) -> EquilibriumReport:
     terms = _payoff_terms(config, prior, profile)
-    values = terms.values(config, terms.best)
     weights = profile.thetas.transpose(0, 2, 1)
     # reports of weight zero are scored at the optimal prediction instead, so a
     # log rule never probes the predictions of reports that are not played
     played = np.where((weights > 0.0)[..., None], profile.predictions, terms.best)
-    payoffs = np.sum(weights * terms.values(config, played), axis=-1)
+    # one scoring pass over both predictions: every value is computed
+    # elementwise and summed over the last axis, as by two separate passes
+    values, played_values = terms.values(config, np.stack([terms.best, played]))
+    payoffs = np.sum(weights * played_values, axis=-1)
     return EquilibriumReport(values.max(axis=-1) - payoffs, payoffs, values, terms.best, eps)
 
 
@@ -227,7 +229,7 @@ def _solve_pass(config, prior, thetas, tol, max_iter, predictions, deltas):
     into ``deltas`` as it finishes."""
     cond = prior.conditional
     anchors = prediction_anchors(prior, thetas)  # (S, n, s, u)
-    x = np.broadcast_to(anchors[..., None, :], predictions.shape).copy()
+    x = _repeated(anchors[..., None, :], predictions.shape)
     if config.beta == 0.0:
         predictions[...] = x
         return

@@ -6,9 +6,9 @@ moments::
     {"signals": [...], "kind": "latent", "state_probs": [...], "emissions": [[...]]}
     {"signals": [...], "kind": "pairwise", "marginal": [...], "conditional": [[...]]}
 
-The conditional is stored row-major with rows indexed by the conditioned
-signal and columns by the conditioning signal (``conditional[a][b] =
-q(a|b)``).  Profile files::
+``signals`` lists distinct strings.  The conditional is stored row-major
+with rows indexed by the conditioned signal and columns by the conditioning
+signal (``conditional[a][b] = q(a|b)``).  Profile files::
 
     {"n": ..., "agents": [{"theta": [[...]], "predictions": [[[...]]]}, ...]}
 
@@ -17,7 +17,7 @@ probability vector.  Mechanism files::
 
     {"alpha": ..., "beta": ..., "rule": "log", "variant": "disagreement", "groupA": [...]}
 
-All reals are IEEE doubles; Python's default float printing is the shortest
+with ``groupA`` a list of integer agent indices.  All reals are IEEE doubles; Python's default float printing is the shortest
 representation that round-trips exactly.
 """
 
@@ -89,6 +89,9 @@ def prior_from_dict(data: dict, path=None) -> LatentStatePrior | PairwisePrior:
         raise FormatError(f"unknown prior kind {kind!r}")
     first, second = (_require(data, key, path) for key in keys)
     try:
+        # a JSON string would pass as its characters, and numbers as labels
+        if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+            raise PriorError(f"signals must be a list of strings, got {labels!r}")
         space = SignalSpace(tuple(labels))
         prior = cls(space, np.asarray(first, dtype=float), np.asarray(second, dtype=float))
         if kind == "pairwise":  # symmetry is left to validate_snife's verdict
@@ -171,8 +174,10 @@ def save_mechanism(config: MechanismConfig, path):
 
 def _load_json(path) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        # bytes decoded at once: no newline translation, so a CR counts in the
+        # offsets of a JSON error
+        with open(path, "rb") as fh:
+            data = json.loads(fh.read().decode("utf-8"))
     except FileNotFoundError:
         raise FormatError(f"no such file: {path}") from None
     except OSError as exc:

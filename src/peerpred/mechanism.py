@@ -56,6 +56,7 @@ batch of one.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -113,7 +114,11 @@ class MechanismConfig:
             raise MechanismError(f"unknown variant {self.variant!r}")
         get_rule(self.rule)
         if self.group_a is not None:
-            group_a = tuple(int(i) for i in self.group_a)
+            group_a = tuple(self.group_a)
+            # int() would truncate 1.7 and parse "0"; bool is an int subclass
+            if any(isinstance(i, bool) or not isinstance(i, numbers.Integral) for i in group_a):
+                raise MechanismError(f"group_a entries must be integers, got {group_a}")
+            group_a = tuple(int(i) for i in group_a)
             if len(set(group_a)) != len(group_a):
                 raise MechanismError(f"group_a lists an agent more than once: {group_a}")
             object.__setattr__(self, "group_a", group_a)
@@ -429,8 +434,14 @@ def welfare_batch(
                 f"a batch shares n and m: got ({profile.n}, {profile.m}) after ({n}, {m})"
             )
         check_signal_count(prior, m)
-    # agents with byte-identical rows form one type; counts[t] is its agents
-    grouped = [agent_types(p.thetas, p.predictions) for p in profiles]
+    # agents with byte-identical rows form one type; counts[t] is its agents.
+    # A profile listed more than once (the relabeling cycle repeats two) is
+    # grouped once.
+    types_of = {}
+    for p in profiles:
+        if id(p) not in types_of:
+            types_of[id(p)] = agent_types(p.thetas, p.predictions)
+    grouped = [types_of[id(p)] for p in profiles]
 
     out: list[WelfareBreakdown] = []
     lo = 0

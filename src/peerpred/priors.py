@@ -146,15 +146,16 @@ class LatentStatePrior:
         object.__setattr__(self, "emissions", emissions)
         if probs.ndim != 1 or probs.size < 1:
             raise PriorError("state_probs must be a non-empty vector")
-        # stated positively: NaN fails every comparison, so it fails these checks
-        if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= PROBABILITY_TOL):
+        # stated positively: NaN fails every comparison, and propagates
+        # through min, max and sum, so it fails these checks
+        if not (abs(probs.sum() - 1.0) <= PROBABILITY_TOL and probs.min() >= 0):
             raise PriorError("state_probs must be a probability vector")
         if emissions.shape != (probs.size, self.space.m):
             raise PriorError(
                 f"emissions shape {emissions.shape} != ({probs.size}, {self.space.m})"
             )
-        off = np.max(np.abs(emissions.sum(axis=1) - 1.0))
-        if not (np.all(emissions >= 0) and off <= PROBABILITY_TOL):
+        off = np.abs(emissions.sum(axis=1) - 1.0).max()
+        if not (off <= PROBABILITY_TOL and emissions.min() >= 0):
             raise PriorError("each emissions row must be a probability vector")
         probs.setflags(write=False)
         emissions.setflags(write=False)
@@ -490,12 +491,11 @@ def prior_constants(prior: PairwisePrior) -> PriorConstants:
 
     # ratio[u, s, t] = q(u|s) / q(u|t)
     ratio = c[:, :, None] / c[:, None, :]
-    c3 = np.inf
-    for u in range(m):
-        for v in range(m):
-            if u == v:
-                continue
-            c3 = min(c3, float(np.max((ratio[u] - ratio[v]) ** 2)))
+    # spread[u, v] = max_{s,t} (ratio[u, s, t] - ratio[v, s, t])^2, and c3 its
+    # least entry off the diagonal; fmin passes over a pair whose spread is
+    # NaN (from inf - inf), as Python's min over the pairs does
+    spread = ((ratio[:, None] - ratio[None, :]) ** 2).max(axis=(2, 3))
+    c3 = np.fmin.reduce(spread[~np.eye(m, dtype=bool)], initial=np.inf)
     # f''(x) = x^(-3/2) / 2 is decreasing, so the minimum sits at the largest ratio
     c4 = float(0.5 * np.max(ratio) ** (-1.5))
     return PriorConstants(c1, c2, float(c3), c4)

@@ -86,14 +86,15 @@ class LogRule(ProperScoringRule):
     def weighted_score(self, weights, prediction) -> np.ndarray:
         weights = np.asarray(weights, dtype=float)
         prediction = np.asarray(prediction, dtype=float)
-        bad = (weights > 0.0) & (prediction <= 0.0)
-        if np.any(bad):
+        weighted = weights > 0.0
+        bad = weighted & (prediction <= 0.0)
+        if bad.any():
             s = int(np.argwhere(bad)[0][-1])
             raise ScoreDomainError(
                 f"log score undefined: prediction assigns 0 to signal index {s} with positive weight"
             )
         logs = np.log(np.where(prediction > 0.0, prediction, 1.0))
-        return np.sum(np.where(weights > 0.0, weights * logs, 0.0), axis=-1)
+        return np.where(weighted, weights * logs, 0.0).sum(axis=-1)
 
     def self_score(self, prediction) -> np.ndarray:
         prediction = np.asarray(prediction, dtype=float)

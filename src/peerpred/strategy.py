@@ -58,9 +58,13 @@ def _check_columns(thetas: np.ndarray, tol: float = STOCHASTIC_TOL):
     """Raise for the first strategy of the stack ``thetas`` (k, m, m) with an
     entry that is not a non-negative number or a column that does not sum to 1.
     The checks are stated positively, so NaN, which fails every comparison,
-    fails them."""
-    negative = ~(thetas >= 0.0).all(axis=(1, 2))
+    fails them.  The verdict comes first, from two reductions over the whole
+    stack (a NaN propagates through both); the offending strategy is located
+    only when it fails."""
     colsums = thetas.sum(axis=1)
+    if np.abs(colsums - 1.0).max() <= tol and thetas.min() >= 0.0:
+        return
+    negative = ~(thetas >= 0.0).all(axis=(1, 2))
     bad = negative | ~(np.abs(colsums - 1.0).max(axis=1) <= tol)
     if bad.any():
         i = int(np.argmax(bad))
@@ -91,8 +95,8 @@ class StrategyProfile:
                 f"predictions must have shape ({n}, {m}, {m}, {m}), got {predictions.shape}"
             )
         _check_columns(thetas)
-        off = np.max(np.abs(predictions.sum(axis=-1) - 1.0))
-        if not (np.all(predictions >= 0.0) and off <= PROBABILITY_TOL):
+        off = np.abs(predictions.sum(axis=-1) - 1.0).max()
+        if not (off <= PROBABILITY_TOL and predictions.min() >= 0.0):
             raise ProfileError("every prediction cell must be a probability vector")
         thetas.setflags(write=False)
         predictions.setflags(write=False)
@@ -122,8 +126,15 @@ def agent_types(*arrays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = arrays[0].shape[0]
     rows = np.concatenate([np.asarray(a, dtype=float).reshape(n, -1) for a in arrays], axis=1)
     keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
-    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
-    return first, counts
+    # np.unique's grouping, without the unique keys it also gathers: after a
+    # stable sort each type's first agent leads its run of equal keys
+    order = keys.argsort(kind="stable")
+    ordered = keys[order]
+    edge = np.empty(n + 1, dtype=bool)  # edge[k]: a run starts at k, or k = n
+    edge[0] = edge[n] = True
+    edge[1:n] = ordered[1:] != ordered[:-1]
+    bounds = edge.nonzero()[0]
+    return order[bounds[:-1]], bounds[1:] - bounds[:-1]
 
 
 def prediction_anchors(prior: PairwisePrior, thetas: np.ndarray) -> np.ndarray:
@@ -141,10 +152,19 @@ def prediction_anchors(prior: PairwisePrior, thetas: np.ndarray) -> np.ndarray:
     return np.einsum("...iuv,vs->...isu", theta_minus, prior.conditional)
 
 
+def _repeated(block: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A new array of ``shape`` holding ``block`` broadcast to it: the values
+    of ``np.broadcast_to(block, shape).copy()``, at a fraction of its fixed
+    cost."""
+    out = np.empty(shape)
+    out[...] = block
+    return out
+
+
 def _filled_predictions(n: int, per_signal: np.ndarray) -> np.ndarray:
     """Tile (m, m) or per-agent (n, m, m) predictions to (n, m, m, m), same for every report."""
     m = per_signal.shape[-1]
-    return np.broadcast_to(per_signal[..., None, :], (n, m, m, m)).copy()
+    return _repeated(per_signal[..., None, :], (n, m, m, m))
 
 
 def truth_telling_profile(prior: PairwisePrior, n: int) -> StrategyProfile:
@@ -156,10 +176,10 @@ def truth_telling_profile(prior: PairwisePrior, n: int) -> StrategyProfile:
     if n < 2:
         raise ProfileError("need n >= 2")
     m = prior.m
-    thetas = np.broadcast_to(np.eye(m), (n, m, m)).copy()
+    thetas = _repeated(np.eye(m), (n, m, m))
     # predictions[i, s, r] = q_r  (diagonal r = s gives the truthful q_s)
     per_report = prior.conditional.T  # row r = q_r
-    predictions = np.broadcast_to(per_report[None, None, :, :], (n, m, m, m)).copy()
+    predictions = _repeated(per_report, (n, m, m, m))
     return StrategyProfile(thetas, predictions)
 
 
@@ -172,7 +192,7 @@ def permutation_profile(prior: PairwisePrior, n: int, perm: PermutationMap) -> S
         raise PriorError(f"permutation on {perm.m} signals, prior has {prior.m}")
     m = prior.m
     theta_pi = perm.matrix()
-    thetas = np.broadcast_to(theta_pi, (n, m, m)).copy()
+    thetas = _repeated(theta_pi, (n, m, m))
     per_signal = (theta_pi @ prior.conditional).T  # row s = theta_pi q_s
     return StrategyProfile(thetas, _filled_predictions(n, per_signal))
 
@@ -186,8 +206,8 @@ def constant_report_profile(prior: PairwisePrior, n: int, target: int) -> Strate
     theta[target, :] = 1.0
     point = np.zeros(m)
     point[target] = 1.0
-    thetas = np.broadcast_to(theta, (n, m, m)).copy()
-    predictions = np.broadcast_to(point, (n, m, m, m)).copy()
+    thetas = _repeated(theta, (n, m, m))
+    predictions = _repeated(point, (n, m, m, m))
     return StrategyProfile(thetas, predictions)
 
 

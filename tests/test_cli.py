@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peerpred.cli import main
+from peerpred import cli
+from peerpred.cli import CliError, main
 from peerpred.io import prior_to_dict, profile_to_dict, save_mechanism, save_prior, save_profile
 from peerpred.mechanism import MechanismConfig
 from peerpred.priors import from_latent, random_snife_prior
@@ -38,8 +39,9 @@ def prior_file(tmp_path):
 
 # placeholders for the input files of `bad_files`: a profile file over three
 # signals (against the two-signal prior), profiles, priors and a mechanism
-# holding a NaN, pairwise priors that are not probabilities, a JSON number
-# and an output path in a missing directory
+# holding a NaN, pairwise priors that are not probabilities, priors whose
+# signals are a string or numbers, a mechanism with fractional group
+# indices, a JSON number and an output path in a missing directory
 M3_PROFILE = "<m3-profile>"
 NAN_THETA = "<nan-theta>"
 NAN_PREDICTION = "<nan-prediction>"
@@ -48,6 +50,9 @@ NAN_PAIRWISE = "<nan-pairwise>"
 OFF_MARGINAL = "<off-marginal>"
 NEGATIVE_CONDITIONAL = "<negative-conditional>"
 NAN_MECH = "<nan-mech>"
+STRING_LABELS = "<string-labels>"
+NUMBER_LABELS = "<number-labels>"
+FRACTIONAL_GROUP = "<fractional-group>"
 JSON_NUMBER = "<json-number>"
 OUT_IN_MISSING_DIR = "<out-in-missing-dir>"
 # and for the valid prior file of `prior_file`, where an argv names it itself
@@ -76,6 +81,10 @@ def bad_files(tmp_path):
         },
         NEGATIVE_CONDITIONAL: {**prior_to_dict(prior), "conditional": [[1.2, 0.3], [-0.2, 0.7]]},
         NAN_MECH: {"alpha": 1.0, "beta": math.nan},
+        # two labels each, as the prior has signals: read as labels, they load
+        STRING_LABELS: {**latent, "signals": "ab"},
+        NUMBER_LABELS: {**latent, "signals": [1, 2]},
+        FRACTIONAL_GROUP: {"variant": "disagreement", "groupA": [0.5, 1.7]},
         JSON_NUMBER: 7,
     }
     paths = {OUT_IN_MISSING_DIR: str(tmp_path / "missing" / "out.csv")}
@@ -420,6 +429,9 @@ class TestErrorsAndDeterminism:
             ["check-eq", "--profile", "truth", "--eps", "-1"],
             ["validate-prior", "--in", PRIOR, "--tol", "-1"],
             ["audit", "--profile", "truth", "--eps", "1e-170", "--which", "aggregation-error"],
+            ["welfare", "--profile", "truth", "--prior", STRING_LABELS],
+            ["welfare", "--profile", "truth", "--prior", NUMBER_LABELS],
+            ["payout", "--profile", "truth", "--trials", "10", "--mech", FRACTIONAL_GROUP],
         ],
     )
     def test_bad_profile_spec_exits_1(self, prior_file, bad_files, argv, capsys):
@@ -658,6 +670,22 @@ class TestFuzz:
         if command != "gen-prior":
             args += opt("--format", (("csv", "json"), ("xml",)))
         return args + opt("--out", (("out",), ("out-missing-dir",)), 0.2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_dispatch_parses_as_the_top_level_parser(self, files, data):
+        argv = self.argv(files, data.draw)
+        if data.draw(st.integers(0, 9)) == 0:  # no subcommand first
+            argv[0] = data.draw(st.sampled_from(["frobnicate", "", "--prior", "-x"]))
+            argv = argv[data.draw(st.integers(0, 1)) :]
+
+        def outcome(parse):
+            try:
+                return vars(parse(list(argv)))
+            except CliError as exc:
+                return f"error: {exc}"
+
+        assert outcome(cli._parse) == outcome(cli._build_parser().parse_args), argv
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())

@@ -16,7 +16,7 @@ from peerpred.equilibrium import (
 )
 from peerpred.mechanism import MechanismConfig, MechanismError
 from peerpred.priors import PermutationMap, from_latent, random_snife_prior
-from peerpred.scoring import get_rule
+from peerpred.scoring import ScoreDomainError, get_rule
 from peerpred.strategy import (
     StrategyProfile,
     constant_report_profile,
@@ -138,6 +138,50 @@ class TestBatchedMatchesOracle:
                     (w, int(rng.integers(m)), rng.dirichlet(np.ones(m))) for w in weights[1:]
                 ]
                 assert oracle_payoff(config, prior, profile, i, s, plays) <= best + 1e-13
+
+
+def two_pass_check(config, prior, profile):
+    """check_equilibrium's (values, payoffs, gaps) from two scoring passes,
+    the optimal predictions and the played ones apart."""
+    terms = equilibrium._payoff_terms(config, prior, profile)
+    values = terms.values(config, terms.best)
+    weights = profile.thetas.transpose(0, 2, 1)
+    played = np.where((weights > 0.0)[..., None], profile.predictions, terms.best)
+    payoffs = np.sum(weights * terms.values(config, played), axis=-1)
+    return values, payoffs, values.max(axis=-1) - payoffs
+
+
+class TestOneScoringPass:
+    @settings(max_examples=100, deadline=None)
+    @given(equilibrium_cases(), st.sampled_from([None, 0.0]))
+    def test_bit_equal_to_two_passes(self, case, beta):
+        config, prior, profile, _ = case
+        if beta is not None:
+            config = MechanismConfig(config.alpha, beta, config.rule)
+        # with beta = 0 the optimal prediction is the anchor, which the log
+        # rule cannot score against a neighbour mixture that it puts 0 under
+        try:
+            expected = two_pass_check(config, prior, profile)
+        except ScoreDomainError as exc:
+            with pytest.raises(ScoreDomainError) as raised:
+                check_equilibrium(config, prior, profile)
+            assert str(raised.value) == str(exc)
+            return
+        report = check_equilibrium(config, prior, profile)
+        for got, want in zip((report.values, report.payoffs, report.gaps), expected):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("rule", ["log", "quadratic"])
+    def test_two_weighted_score_calls(self, setting, rule):
+        prior, _ = setting
+        config = MechanismConfig(1.0, 0.02, rule)
+        scoring_rule = config.scoring_rule()
+        with mock.patch.object(
+            type(scoring_rule), "weighted_score", autospec=True,
+            side_effect=type(scoring_rule).weighted_score,
+        ) as counted:  # fmt: skip
+            check_equilibrium(config, prior, truth_telling_profile(prior, 5))
+        assert counted.call_count == 2
 
 
 @pytest.fixture(scope="module")

@@ -100,6 +100,11 @@ class TestMechanismFiles:
         with pytest.raises(FormatError):
             mechanism_from_dict({"alpha": -1.0})
 
+    @pytest.mark.parametrize("group", [[0.5, 1.7], [0, 1.0], ["0", "1"], [True, False]])
+    def test_group_indices_must_be_integers(self, group):
+        with pytest.raises(FormatError, match="group_a entries must be integers"):
+            mechanism_from_dict({"variant": "disagreement", "groupA": group})
+
     def test_doubles_round_trip_exactly(self, tmp_path):
         # shortest-repr printing preserves every bit of the double
         value = 0.1 + 0.2  # 0.30000000000000004

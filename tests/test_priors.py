@@ -96,6 +96,24 @@ class TestSampleCategorical:
         assert sample_categorical(thresholds, np.array([1.0 - 2**-53])).tolist() == [2]
 
 
+class TestLatentValidation:
+    @pytest.mark.parametrize(
+        "probs", [[0.25, 0.5, -0.25, 0.5], [0.25, 0.25, np.nan, 0.5], [0.25, 0.25, 0.25, 0.3]]
+    )
+    def test_state_probs_checked_at_every_state(self, probs):
+        with pytest.raises(PriorError, match="state_probs must be a probability vector"):
+            LatentStatePrior(SignalSpace.of_size(3), probs, np.full((4, 3), 1.0 / 3.0))
+
+    @pytest.mark.parametrize(
+        "row", [[1.25, -0.25, 0.0], [0.5, np.nan, 0.5], [0.5, 0.25, 0.3], [1e308, 1e308, 0.0]]
+    )
+    def test_emission_rows_checked_at_every_state(self, row):
+        emissions = np.full((4, 3), 1.0 / 3.0)
+        emissions[2] = row
+        with pytest.raises(PriorError, match="each emissions row must be a probability vector"):
+            LatentStatePrior(SignalSpace.of_size(3), np.full(4, 0.25), emissions)
+
+
 class TestFromLatent:
     def test_single_state_gives_independent_signals(self):
         latent = LatentStatePrior(SignalSpace.of_size(2), [1.0], [[0.3, 0.7]])
@@ -288,6 +306,22 @@ class TestPriorConstants:
         assert consts.c4 == pytest.approx(c4, rel=1e-12)
         assert consts.c4 <= 0.5
         assert consts.all_positive
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_c3_bit_equal_to_pair_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        m = 2 + seed % 3
+        conditional = rng.dirichlet(np.ones(m), size=m).T
+        if seed >= 6:  # tiny entries: ratios overflow, and inf - inf gives NaN pairs
+            conditional[:, 0] = [1.0 - (m - 1) * 1e-320] + [1e-320] * (m - 1)
+        prior = PairwisePrior(SignalSpace.of_size(m), np.full(m, 1.0 / m), conditional)
+        ratio = conditional[:, :, None] / conditional[:, None, :]
+        c3 = np.inf
+        for u in range(m):
+            for v in range(m):
+                if u != v:
+                    c3 = min(c3, float(np.max((ratio[u] - ratio[v]) ** 2)))
+        assert prior_constants(prior).c3 == c3
 
     def test_zero_conditional_rejected(self):
         prior = PairwisePrior(SignalSpace.of_size(2), [0.5, 0.5], np.eye(2))

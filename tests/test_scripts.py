@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -76,3 +77,39 @@ def test_bench_layers_writes_json(tmp_path):
         for profile in ("truth", "solved")
     }
     assert all(row["m"] == 3 and row["n"] == 4 and row["trials_per_s"] > 0 for row in mc)
+
+
+def compare_trees(parent, change):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "compare_trees.py"), str(parent), str(change),
+         "--workload", "monte-carlo", "--tiny", "--rounds", "1"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )  # fmt: skip
+
+
+def test_compare_trees_finds_no_diff_against_itself():
+    done = compare_trees(ROOT, ROOT)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "monte-carlo: 3 CLI jobs, 0 with differing output"
+    assert lines[1].startswith("time ratio change/parent over 1 rounds: median ")
+
+
+def test_compare_trees_reports_a_perturbed_copy(tmp_path):
+    shutil.copytree(
+        ROOT / "src" / "peerpred",
+        tmp_path / "src" / "peerpred",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    cli = tmp_path / "src" / "peerpred" / "cli.py"
+    text = cli.read_text()
+    assert text.count('"mean_payment"') == 2
+    cli.write_text(text.replace('"mean_payment"', '"mean_paid"'))
+    done = compare_trees(ROOT, tmp_path)
+    assert done.returncode == 1, done.stderr
+    assert "monte-carlo: 3 CLI jobs, 3 with differing output" in done.stdout
+    assert done.stdout.count("differs: payout --prior ") == 3
+    assert "-agent,mean_payment,stderr" in done.stdout
+    assert "+agent,mean_paid,stderr" in done.stdout

@@ -9,6 +9,8 @@ from peerpred.priors import PermutationMap, all_permutations, from_latent, rando
 from peerpred.strategy import (
     ProfileError,
     StrategyProfile,
+    _check_columns,
+    agent_types,
     best_prediction_profile,
     candidate_profiles,
     constant_report_profile,
@@ -23,6 +25,7 @@ from peerpred.strategy import (
     uniform_report_profile,
     validate_signal_strategy,
 )
+from peerpred.tolerances import STOCHASTIC_TOL
 
 APPENDIX_THETA = np.array([[0.3, 0.6, 0.0], [0.7, 0.4, 0.0], [0.0, 0.0, 1.0]])
 
@@ -100,6 +103,34 @@ class TestConstructors:
         assert "counterexample" not in named4
 
 
+def reference_check_columns(thetas, tol=STOCHASTIC_TOL):
+    """The column check located strategy by strategy, with no whole-stack
+    verdict first: raises for the first offending strategy."""
+    negative = ~(thetas >= 0.0).all(axis=(1, 2))
+    colsums = thetas.sum(axis=1)
+    bad = negative | ~(np.abs(colsums - 1.0).max(axis=1) <= tol)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if negative[i]:
+            raise ProfileError("signal strategy entries must be non-negative")
+        raise ProfileError(f"columns must sum to 1, got {colsums[i]}")
+
+
+def spoil_column(theta, defect):
+    """Make a column of ``theta`` (m, m) fail the check, in place: a negative
+    entry in a column that still sums to 1, a NaN, a sum off 1 by 1e-3, or
+    finite entries whose sum overflows."""
+    if defect == "negative":
+        theta[:, 0] = 0.0
+        theta[0, 0], theta[1, 0] = -0.25, 1.25
+    elif defect == "nan":
+        theta[1, -1] = np.nan
+    elif defect == "off-sum":
+        theta[:, 1] *= 1.001
+    else:
+        theta[:, 0] = 1e308
+
+
 class TestValidation:
     def test_column_sums(self):
         with pytest.raises(ProfileError):
@@ -124,12 +155,70 @@ class TestValidation:
             StrategyProfile(thetas, np.full((4, 2, 2, 2), 0.5))
         assert message in str(info.value)
 
+    @pytest.mark.parametrize(
+        "defects",
+        [
+            {3: "negative"},
+            {2: "nan"},
+            {4: "off-sum"},
+            {1: "huge"},
+            {5: "negative", 2: "off-sum"},
+            {4: "nan", 2: "negative"},
+            {3: "off-sum", 5: "nan"},
+            {1: "nan", 3: "huge"},
+        ],
+    )
+    def test_names_the_strategy_located_one_by_one(self, defects):
+        thetas = random_signal_strategies(np.random.default_rng(4), 3, (6,))
+        for k, defect in defects.items():
+            spoil_column(thetas[k], defect)
+        with pytest.raises(ProfileError) as expected:
+            reference_check_columns(thetas)
+        with pytest.raises(ProfileError) as stack:
+            _check_columns(thetas)
+        with pytest.raises(ProfileError) as profile:
+            StrategyProfile(thetas, np.full((6, 3, 3, 3), 1.0 / 3.0))
+        assert str(stack.value) == str(profile.value) == str(expected.value)
+
+    @pytest.mark.parametrize("defect", ["negative", "nan", "off-sum", "huge"])
+    def test_prediction_cells_checked_at_every_agent(self, defect):
+        thetas = random_signal_strategies(np.random.default_rng(4), 3, (6,))
+        predictions = np.full((6, 3, 3, 3), 1.0 / 3.0)
+        spoil_column(predictions[4, 2].T, defect)  # the cells of agent 4 at signal 2
+        with pytest.raises(ProfileError, match="every prediction cell must be a probability"):
+            StrategyProfile(thetas, predictions)
+
     def test_profile_shapes(self, prior2):
         with pytest.raises(ProfileError):
             StrategyProfile(np.eye(2)[None], np.full((1, 2, 2, 2), 0.5))  # n = 1
         with pytest.raises(ProfileError, match="probability"):
             thetas = np.broadcast_to(np.eye(2), (2, 2, 2)).copy()
             StrategyProfile(thetas, np.full((2, 2, 2, 2), 0.3))
+
+
+def reference_agent_types(*arrays):
+    """np.unique over the agents' row bytes: each type's first agent and count."""
+    n = arrays[0].shape[0]
+    rows = np.concatenate([np.asarray(a, dtype=float).reshape(n, -1) for a in arrays], axis=1)
+    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    return first, counts
+
+
+class TestAgentTypes:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 4), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_matches_unique_grouping(self, n, m, kinds, seed):
+        rng = np.random.default_rng(seed)
+        palette = rng.random((kinds + 2, m, m))
+        palette[-2:] = 0.0
+        palette[-1, 0, 0] = -0.0  # equal to the row before it, but not byte for byte
+        thetas = palette[rng.integers(kinds + 2, size=n)]
+        predictions = rng.random((2, m))[rng.integers(2, size=n)]
+        for arrays in ((thetas,), (thetas, predictions)):
+            got, want = agent_types(*arrays), reference_agent_types(*arrays)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 @cache
