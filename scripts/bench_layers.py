@@ -1,7 +1,7 @@
-"""Per-layer timings of welfare_metrics, check_equilibrium,
-solve_equilibrium_predictions, classification_bound_audit,
-relabeling_cycle_audit, sweep_row, aggregation_error_audit and
-monte_carlo_payments.
+"""Per-layer timings of prior validation, far_from_permutation_gap,
+welfare_metrics, check_equilibrium, solve_equilibrium_predictions,
+classification_bound_audit, relabeling_cycle_audit, sweep_row,
+aggregation_error_audit and monte_carlo_payments.
 
 For every signal count m a validated random prior is sampled (fixed seed) and
 two profiles are built per agent count n: truth-telling, and random signal
@@ -10,6 +10,11 @@ timed on each profile, and the median of ``--repeats`` runs is recorded.  A
 cell whose first run takes longer than BUDGET_S seconds is recorded with that
 one run, and the larger n of the same (layer, profile, m) are skipped.
 Setup (prior sampling, prediction solving) is not timed.
+
+Prior validation (``load_prior`` of the sampled latent prior's JSON file, its
+pairwise moments and ``validate_snife``, as ``validate-prior`` runs them) and
+far_from_permutation_gap (the uniform signal strategy at tau = 1/(2m)) do not
+depend on n; they run once per m of ``--ms``, with n recorded as null.
 
 welfare_metrics, check_equilibrium, solve_equilibrium_predictions (of the
 profile's signal strategies), classification_bound_audit and
@@ -41,6 +46,7 @@ import os
 import platform
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -49,12 +55,14 @@ import numpy as np
 from peerpred.audits import (
     aggregation_error_audit,
     classification_bound_audit,
+    far_from_permutation_gap,
     relabeling_cycle_audit,
     sweep_row,
 )
 from peerpred.equilibrium import check_equilibrium, solve_equilibrium_predictions, solved_profile
 from peerpred.mechanism import MechanismConfig, monte_carlo_payments, welfare_metrics
-from peerpred.priors import PermutationMap, from_latent, random_snife_prior
+from peerpred.io import load_prior, pairwise_from_loaded, save_prior
+from peerpred.priors import PermutationMap, from_latent, random_snife_prior, validate_snife
 from peerpred.strategy import random_signal_strategies, truth_telling_profile
 
 BUDGET_S = 5.0
@@ -132,28 +140,48 @@ def main():
             over_budget.add((layer, name, m))
         median = statistics.median(runs)
         rows.append({**row, "median_s": median, "runs": len(runs)})
-        print(f"{layer:<29} {name:<11} {m:>2} {n:>5} {median:>10.3g} {len(runs):>4}")
+        size = "" if n is None else n
+        print(f"{layer:<29} {name:<11} {m:>2} {size:>5} {median:>10.3g} {len(runs):>4}")
 
     print(f"{'layer':<29} {'profile':<11} {'m':>2} {'n':>5} {'median_s':>10} {'runs':>4}")
     runs = _time(_control, args.repeats)
     median = statistics.median(runs)
     rows.append({"layer": "control", "median_s": median, "runs": len(runs)})
     print(f"{'control':<29} {'':<11} {'':>2} {'':>5} {median:>10.3g} {len(runs):>4}")
-    for m in args.ms:
-        prior = from_latent(random_snife_prior(m, 2, seed=SEED + m))
-        config = MechanismConfig(alpha=1.0, beta=1.0 / (8.0 * m), rule="log")
-        for n in sorted(args.ns):
-            profiles = _profiles(config, prior, n, seed=SEED + 1000 * m + n)
-            for layer, run in layers.items():
-                for name, profile in profiles.items():
-                    record(layer, name, m, n, lambda: run(config, prior, profile))
+    with tempfile.TemporaryDirectory() as scratch:
+        for m in args.ms:
+            latent = random_snife_prior(m, 2, seed=SEED + m)
+            prior = from_latent(latent)
+            config = MechanismConfig(alpha=1.0, beta=1.0 / (8.0 * m), rule="log")
+            path = Path(scratch) / f"prior{m}.json"
+            save_prior(latent, path)
             record(
-                "sweep_row",
-                "random",
+                "validate_prior",
+                "latent",
                 m,
-                n,
-                lambda: sweep_row(config, prior, n, SWEEP_SAMPLES, np.random.default_rng(SEED)),
+                None,
+                lambda: validate_snife(pairwise_from_loaded(load_prior(path))),
             )
+            uniform = np.full((m, m), 1.0 / m)
+            record(
+                "far_from_permutation_gap",
+                "uniform",
+                m,
+                None,
+                lambda: far_from_permutation_gap(prior, uniform, tau=1.0 / (2.0 * m)),
+            )
+            for n in sorted(args.ns):
+                profiles = _profiles(config, prior, n, seed=SEED + 1000 * m + n)
+                for layer, run in layers.items():
+                    for name, profile in profiles.items():
+                        record(layer, name, m, n, lambda: run(config, prior, profile))
+                record(
+                    "sweep_row",
+                    "random",
+                    m,
+                    n,
+                    lambda: sweep_row(config, prior, n, SWEEP_SAMPLES, np.random.default_rng(SEED)),
+                )
 
     for m in AUDIT_MS:
         prior = from_latent(random_snife_prior(m, 2, seed=SEED + m))

@@ -43,6 +43,7 @@ from .priors import (
     PairwisePrior,
     PermutationMap,
     SignalSpace,
+    _map_strategy,
     all_permutations,
     from_latent,
     random_snife_prior,
@@ -169,7 +170,7 @@ def _random_profile(rng, prior, n, deterministic=False) -> StrategyProfile:
     if deterministic:
         thetas = np.zeros((n, m, m))
         for i in range(n):
-            thetas[i, rng.integers(0, m, size=m), range(m)] = 1.0
+            thetas[i] = _map_strategy(rng.integers(0, m, size=m))
     else:
         thetas = random_signal_strategies(rng, m, (n,))
     predictions = rng.dirichlet(np.ones(m), size=(n, m, m))

@@ -20,7 +20,14 @@ import numpy as np
 from .divergence import hellinger
 from .equilibrium import check_equilibrium, solve_prediction_stack, solved_profile
 from .mechanism import _BLOCK_CELLS, MechanismConfig, welfare_batch, welfare_metrics
-from .priors import PairwisePrior, PermutationMap, PriorError, permute_prior, prior_constants
+from .priors import (
+    PairwisePrior,
+    PermutationMap,
+    PriorError,
+    _map_strategy,
+    permute_prior,
+    prior_constants,
+)
 from .strategy import (
     StrategyProfile,
     agent_types,
@@ -83,7 +90,6 @@ def classification_bound_audit(
     config: MechanismConfig,
     prior: PairwisePrior,
     profile: StrategyProfile,
-    tol: float = BOUND_TOL,
 ) -> AuditResult:
     """classification_score(s) <= total_divergence(s with best predictions).
 
@@ -101,17 +107,18 @@ def classification_bound_audit(
     realized = profile.thetas.transpose(0, 2, 1)[..., None] > 0.0  # [i, s, r, 1]
     bp_distance = float(np.max(np.abs(profile.predictions - bp.predictions) * realized))
     eq_gap = check_equilibrium(config, prior, profile).max_gap
-    equality = abs(slack) <= tol
+    equality = abs(slack) <= BOUND_TOL
     context = {
         "inconsistency": breakdown.inconsistency,
         "equilibrium_max_gap": eq_gap,
         "best_prediction_distance": bp_distance,
         "equality": equality,
         "equality_conditions_hold": bool(
-            not equality or (breakdown.inconsistency <= tol and bp_distance <= BEST_PREDICTION_TOL)
+            not equality
+            or (breakdown.inconsistency <= BOUND_TOL and bp_distance <= BEST_PREDICTION_TOL)
         ),
     }
-    return AuditResult("classification-bound", lhs, rhs, slack, slack >= -tol, context)
+    return AuditResult("classification-bound", lhs, rhs, slack, slack >= -BOUND_TOL, context)
 
 
 def aggregation_error_audit(
@@ -189,9 +196,7 @@ def total_divergence_symmetric(prior: PairwisePrior, theta: np.ndarray) -> float
     return float(np.sum(prior.joint() * dmat))
 
 
-def far_from_permutation_gap(
-    prior: PairwisePrior, theta: np.ndarray, tau: float, tol: float = AUDIT_TOL
-) -> AuditResult:
+def far_from_permutation_gap(prior: PairwisePrior, theta: np.ndarray, tau: float) -> AuditResult:
     """Welfare loss of signal strategies that are not tau-close to a
     permutation: total_divergence(truth) - total_divergence(s_theta) is at
     least c2 (tau c1)^3 c4 c3.
@@ -219,7 +224,7 @@ def far_from_permutation_gap(
         lhs,
         rhs,
         rhs - lhs,
-        rhs >= lhs - tol,
+        rhs >= lhs - AUDIT_TOL,
         {"tau": tau, **consts.to_dict()},
     )
 
@@ -228,7 +233,6 @@ def relabeling_cycle_audit(
     prior: PairwisePrior,
     profile: StrategyProfile,
     perm: PermutationMap,
-    tol: float = AUDIT_TOL,
 ) -> list[AuditResult]:
     """Welfare equalities along the relabeling cycle.
 
@@ -263,7 +267,7 @@ def relabeling_cycle_audit(
                 lhs,
                 rhs,
                 rhs - lhs,
-                abs(rhs - lhs) <= tol,
+                abs(rhs - lhs) <= AUDIT_TOL,
                 {"k": k, "order": order},
             )
         )
@@ -275,7 +279,7 @@ def relabeling_cycle_audit(
             aw_last,
             aw_first,
             aw_first - aw_last,
-            abs(aw_first - aw_last) <= tol,
+            abs(aw_first - aw_last) <= AUDIT_TOL,
             {"order": order},
         )
     )
@@ -306,12 +310,6 @@ def sweep_row(
     return max(wb.classification_score - truth for wb in scores)
 
 
-def _map_matrix(g: tuple[int, ...], m: int) -> np.ndarray:
-    theta = np.zeros((m, m))
-    theta[list(g), range(m)] = 1.0
-    return theta
-
-
 def symmetric_fixed_points(
     config: MechanismConfig, prior: PairwisePrior, n: int
 ) -> dict[tuple[int, ...], StrategyProfile]:
@@ -325,7 +323,7 @@ def symmetric_fixed_points(
     m = prior.m
     fixed = {}
     for g in itertools.product(range(m), repeat=m):
-        profile = solved_profile(config, prior, [_map_matrix(g, m)] * n)
+        profile = solved_profile(config, prior, [_map_strategy(g)] * n)
         best = check_equilibrium(config, prior, profile).values[0].argmax(axis=-1)
         if tuple(int(r) for r in best) == g:
             fixed[g] = profile

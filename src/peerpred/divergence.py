@@ -43,15 +43,13 @@ def hellinger(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sum(d * d, axis=-1)
 
 
-def monotonicity_strict_predicate(
-    theta: np.ndarray, p, q, tol: float = RATIO_TOL
-) -> bool:
+def monotonicity_strict_predicate(theta: np.ndarray, p, q) -> bool:
     """Whether post-processing by ``theta`` strictly lowers the divergence.
 
     True iff some row of ``theta`` carries positive p-mass from two signals
     whose p:q likelihood ratios differ, i.e. there exist s, s', s'' with
     theta[s, s'] p(s') > 0, theta[s, s''] p(s'') > 0 and
-    p(s'') / p(s') != q(s'') / q(s') (compared by cross products at ``tol``).
+    p(s'') / p(s') != q(s'') / q(s') (compared by cross products at ``RATIO_TOL``).
     For strictly convex generators this is equivalent to
     D_f(theta p, theta q) < D_f(p, q).
     """
@@ -71,7 +69,7 @@ def monotonicity_strict_predicate(
         pa, qa = p[active], q[active]
         # ratios differ iff p(s'') q(s') != p(s') q(s'')
         cross = np.abs(pa[:, None] * qa[None, :] - pa[None, :] * qa[:, None])
-        if np.max(cross) > tol:
+        if np.max(cross) > RATIO_TOL:
             return True
     return False
 

@@ -95,11 +95,14 @@ class _PayoffTerms:
 
     def values(self, config: MechanismConfig, prediction) -> np.ndarray:
         """Value of reporting r with ``prediction[..., i, s, r]`` at every
-        (i, s, r); predictions stacked on leading axes keep them."""
+        (i, s, r); predictions stacked on leading axes keep them.  At
+        beta = 0 the agreement term is not scored, so the log rule does not
+        probe the prediction against the neighbors' mixture."""
         rule = config.scoring_rule()
-        return config.alpha * rule.weighted_score(self.anchor, prediction) + config.beta * (
-            rule.weighted_score(self.mix, prediction) - self.self_score
-        )
+        value = config.alpha * rule.weighted_score(self.anchor, prediction)
+        if config.beta == 0.0:
+            return value
+        return value + config.beta * (rule.weighted_score(self.mix, prediction) - self.self_score)
 
 
 def _payoff_terms(
@@ -259,11 +262,11 @@ def solved_profile(
     config: MechanismConfig,
     prior: PairwisePrior,
     thetas: np.ndarray | Sequence[np.ndarray],
-    tol: float = SOLVER_TOL,
 ) -> StrategyProfile:
-    """Profile with the given signal strategies and solved prediction tables."""
+    """Profile with the given signal strategies and prediction tables solved
+    to ``SOLVER_TOL``."""
     thetas = np.asarray(thetas, dtype=float)
-    predictions, _ = solve_equilibrium_predictions(config, prior, thetas, tol=tol)
+    predictions, _ = solve_equilibrium_predictions(config, prior, thetas)
     return StrategyProfile(thetas.copy(), predictions)
 
 

@@ -196,26 +196,24 @@ class Matching:
             object.__setattr__(self, "pairs", np.asarray(self.pairs, dtype=int))
 
 
-def _pair_terms(rule: ProperScoringRule, sig_i, pred_i, sig_j, pred_j):
-    """(score_P, score_I) of agents i matched with peers j, over leading axes.
+def _base_payments(config: MechanismConfig, sig_i, pred_i, sig_j, pred_j):
+    """alpha * score_P + beta * score_I of agents i matched with peers j, over
+    leading axes.
 
     score_P = PS(sigma_hat_j, p_hat_i).  score_I is 0 on differing reported
     signals; otherwise -(PS(p_j, p_j) - PS(p_j, p_i)), which is <= 0 with
-    equality iff the predictions coincide.  Pairs with differing signals never
-    reach the rule, so the log rule does not probe their predictions.
+    equality iff the predictions coincide.  score_I is scored only for pairs
+    with matching signals, and not at all when beta = 0, so the log rule
+    never probes predictions that the payment does not use.
     """
-    score_p = rule.point_score(sig_j, pred_i)
+    rule = config.scoring_rule()
+    payments = config.alpha * rule.point_score(sig_j, pred_i)
+    if config.beta == 0.0:
+        return payments
     same = np.asarray(sig_i == sig_j)
     score_i = np.zeros(same.shape)
-    score_i[same] = rule.weighted_score(pred_j[same], pred_i[same]) - rule.weighted_score(
-        pred_j[same], pred_j[same]
-    )
-    return score_p, score_i
-
-
-def _base_payments(config: MechanismConfig, sig_i, pred_i, sig_j, pred_j):
-    score_p, score_i = _pair_terms(config.scoring_rule(), sig_i, pred_i, sig_j, pred_j)
-    return config.alpha * score_p + config.beta * score_i
+    score_i[same] = rule.weighted_score(pred_j[same], pred_i[same]) - rule.self_score(pred_j[same])
+    return payments + config.beta * score_i
 
 
 def _classification_reward(sig_j, pred_j, sig_k, pred_k):
@@ -420,8 +418,9 @@ def welfare_batch(
     which add exact zeros.  A pass carries the scenario axis through every
     step, and its same-report tiles hold at most ``_BLOCK_CELLS`` differences
     over all S, so a batch of one does the arithmetic of a single scenario.
-    A scenario with fewer types than its pass, or a pass tiled for S > 1,
-    can sum in another order and move the last bits.
+    A scenario with as many types as its pass, in a pass of one tile, gets
+    the bits of a single call; one with fewer types than its pass, or in a
+    pass tiled for S > 1, can sum in another order and move the last bits.
     """
     if len(priors) != len(profiles):
         raise MechanismError(f"got {len(priors)} priors for {len(profiles)} profiles")
@@ -489,9 +488,12 @@ def _welfare_pass(n, m, types, priors, profiles, grouped) -> list[WelfareBreakdo
     paired = (c / pairs)[..., None] * (c[:, None] @ spread - spread)
     per_report = left.reshape(batch, -1, m).transpose(0, 2, 1) @ paired.reshape(batch, -1, m)
     # every D* is >= 0, so a sum below zero is rounding; + 0.0 turns a sum of
-    # signed zeros into +0.0
+    # signed zeros into +0.0.  Boolean indexing returns the blocks r != r' of
+    # S > 1 scenarios column-major; made contiguous, each scenario sums them
+    # in the order a batch of one does.
     identity = np.eye(m)
-    diversity = np.maximum(per_report[:, identity == 0.0].sum(axis=-1), 0.0) + 0.0
+    off_diagonal = np.ascontiguousarray(per_report[:, identity == 0.0])
+    diversity = np.maximum(off_diagonal.sum(axis=-1), 0.0) + 0.0
 
     # same-report pass over the cells x = (t, a), types in order, all reports
     # at once.  D* and the weight are symmetric once the joint is replaced by

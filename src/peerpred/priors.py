@@ -266,13 +266,20 @@ class PermutationMap:
 
     def matrix(self) -> np.ndarray:
         """The induced 0/1 signal strategy: row ``mapping[s]``, column ``s`` is 1."""
-        theta = np.zeros((self.m, self.m))
-        theta[list(self.mapping), range(self.m)] = 1.0
-        return theta
+        return _map_strategy(self.mapping)
 
     @classmethod
     def identity(cls, m: int) -> "PermutationMap":
         return cls(tuple(range(m)))
+
+
+def _map_strategy(images) -> np.ndarray:
+    """The 0/1 signal strategy of the signal map s -> images[s]: row
+    ``images[s]``, column ``s`` is 1."""
+    m = len(images)
+    theta = np.zeros((m, m))
+    theta[list(images), range(m)] = 1.0
+    return theta
 
 
 def all_permutations(m: int) -> list[PermutationMap]:
@@ -334,12 +341,7 @@ def _check_stochastic(prior: PairwisePrior, tol: float):
         raise PriorError("conditional columns are not stochastic within tolerance")
 
 
-def build_pairwise_prior(
-    marginal,
-    conditional,
-    tol: float = DEFAULT_TOL,
-    space: SignalSpace | None = None,
-) -> PairwisePrior:
+def build_pairwise_prior(marginal, conditional, tol: float = DEFAULT_TOL) -> PairwisePrior:
     """Validate and build a pairwise prior.
 
     Checks that the marginal and every conditional column are non-negative
@@ -348,8 +350,7 @@ def build_pairwise_prior(
     otherwise.
     """
     marginal = np.asarray(marginal, dtype=float)
-    if space is None:
-        space = SignalSpace.of_size(marginal.size)
+    space = SignalSpace.of_size(marginal.size)
     prior = PairwisePrior(space, marginal, np.asarray(conditional, dtype=float))
     _check_stochastic(prior, tol)
     residual = prior.symmetry_residual()
@@ -451,14 +452,13 @@ def permute_prior(prior: PairwisePrior, perm: PermutationMap) -> PairwisePrior:
     return PairwisePrior(prior.space, marginal, conditional)
 
 
-def random_snife_prior(
-    m: int,
-    num_states: int = 2,
-    seed: int = 0,
-    tol: float = SAMPLED_PRIOR_TOL,
-    max_draws: int = 10_000,
-) -> LatentStatePrior:
-    """Rejection-sample a latent prior whose pairwise moments pass all checks.
+# Draws :func:`random_snife_prior` makes before it gives up.
+_MAX_PRIOR_DRAWS = 10_000
+
+
+def random_snife_prior(m: int, num_states: int = 2, seed: int = 0) -> LatentStatePrior:
+    """Rejection-sample a latent prior whose pairwise moments pass all checks
+    at ``SAMPLED_PRIOR_TOL``, in at most ``_MAX_PRIOR_DRAWS`` draws.
 
     State probabilities and emission rows are uniform on the simplex
     (Dirichlet with all-ones concentration).  Deterministic for a fixed seed.
@@ -468,16 +468,18 @@ def random_snife_prior(
     rng = np.random.default_rng(seed)
     ones = np.ones(m)  # before the labels, so that an m too large for numpy fails at once
     space = SignalSpace.of_size(m)
-    for _ in range(max_draws):
+    for _ in range(_MAX_PRIOR_DRAWS):
         state_probs = rng.dirichlet(np.ones(num_states))
         emissions = rng.dirichlet(ones, size=num_states)
         latent = LatentStatePrior(space, state_probs, emissions)
         marginal = latent.marginal()
         if np.any(marginal <= 0.0):
             continue
-        if validate_snife(from_latent(latent), tol=tol).all_ok:
+        if validate_snife(from_latent(latent), tol=SAMPLED_PRIOR_TOL).all_ok:
             return latent
-    raise PriorError(f"no valid prior found in {max_draws} draws (m={m}, states={num_states})")
+    raise PriorError(
+        f"no valid prior found in {_MAX_PRIOR_DRAWS} draws (m={m}, states={num_states})"
+    )
 
 
 def prior_constants(prior: PairwisePrior) -> PriorConstants:

@@ -4,7 +4,10 @@ A rule scores a prediction against a realized signal; in expectation over a
 signal distribution ``delta`` the score is uniquely maximized by predicting
 ``delta`` itself.  Both rules here extend linearly in the first argument:
 ``PS(sum_u w_u delta_u, p) = sum_u w_u PS(delta_u, p)``, which is what makes
-weighted-mixture best responses closed-form.
+weighted-mixture best responses closed-form.  A rule therefore codes its
+formula once, as :meth:`ProperScoringRule.weighted_score`; the point score
+(the weights of a realized signal are its one-hot), the expected score and
+the self-score ``PS(p, p)`` are that one formula at particular weights.
 
 Shipped rules: ``log`` (ln of the probability assigned to the realized
 signal; rejects zero-probability predictions) and ``quadratic``
@@ -31,57 +34,43 @@ class ScoreDomainError(ValueError):
 
 
 class ProperScoringRule:
-    """Interface: point_score(s, p) for a realized signal index, and
-    expected_score(delta, p) = E_{s ~ delta} point_score(s, p).
+    """Interface: a rule defines ``weighted_score(w, p)``, sum_s w[s] PS(s, p)
+    for weights w over the signals that need not normalize, and nothing else.
 
-    ``point_score``, ``weighted_score`` and ``self_score`` broadcast over
-    leading axes, so the payment rule scores many agents and rounds at once
-    through these methods alone.
+    ``point_score(s, p)`` is its score at the one-hot of the realized signal
+    index s, ``expected_score(delta, p)`` at a distribution delta, and
+    ``self_score(p)`` at w = p.  All of them broadcast over leading axes, so
+    the payment rule scores many agents and rounds at once through these
+    methods alone.
     """
 
     id: str
 
+    def weighted_score(self, weights: np.ndarray, prediction: np.ndarray) -> np.ndarray:
+        """sum_s weights[..., s] * PS(s, prediction[..., :]), broadcast over
+        leading axes.  Zero-weight signals never probe the prediction."""
+        raise NotImplementedError
+
     def point_score(self, s, prediction: np.ndarray) -> np.ndarray:
         """Score of prediction[..., :] against the realized signal index s[...]."""
-        raise NotImplementedError
+        prediction = np.asarray(prediction, dtype=float)
+        one_hot = np.arange(prediction.shape[-1]) == np.asarray(s)[..., None]
+        return self.weighted_score(one_hot, prediction)[()]
 
     def expected_score(self, delta: np.ndarray, prediction: np.ndarray) -> float:
+        """E_{s ~ delta} PS(s, prediction)."""
         return float(self.weighted_score(delta, prediction))
-
-    def weighted_score(self, weights: np.ndarray, prediction: np.ndarray) -> np.ndarray:
-        """sum_s weights[..., s] * point_score(s, prediction[..., :]).
-
-        Like expected_score but the weights need not normalize; broadcasts
-        over leading axes.  Zero-weight signals never probe the prediction.
-        """
-        raise NotImplementedError
 
     def self_score(self, prediction: np.ndarray) -> np.ndarray:
         """expected_score(p, p) over the last axis, broadcast over leading axes."""
-        raise NotImplementedError
+        return self.weighted_score(prediction, prediction)
 
     def __repr__(self):
         return f"{type(self).__name__}()"
 
 
-def _at(prediction: np.ndarray, s) -> np.ndarray:
-    """prediction[..., s[...]], with s broadcast over the leading axes of prediction."""
-    s = np.broadcast_to(s, prediction.shape[:-1])
-    return np.take_along_axis(prediction, s[..., None], axis=-1)[..., 0]
-
-
 class LogRule(ProperScoringRule):
     id = "log"
-
-    def point_score(self, s, prediction) -> np.ndarray:
-        value = _at(np.asarray(prediction, dtype=float), s)
-        bad = value <= 0.0
-        if bad.any():
-            raise ScoreDomainError(
-                f"log score undefined: prediction assigns {value[bad].flat[0]} "
-                f"to signal index {np.broadcast_to(s, bad.shape)[bad].flat[0]}"
-            )
-        return np.log(value)[()]
 
     def weighted_score(self, weights, prediction) -> np.ndarray:
         weights = np.asarray(weights, dtype=float)
@@ -96,18 +85,9 @@ class LogRule(ProperScoringRule):
         logs = np.log(np.where(prediction > 0.0, prediction, 1.0))
         return np.where(weighted, weights * logs, 0.0).sum(axis=-1)
 
-    def self_score(self, prediction) -> np.ndarray:
-        prediction = np.asarray(prediction, dtype=float)
-        logs = np.log(np.where(prediction > 0.0, prediction, 1.0))
-        return np.sum(prediction * logs, axis=-1)
-
 
 class QuadraticRule(ProperScoringRule):
     id = "quadratic"
-
-    def point_score(self, s, prediction) -> np.ndarray:
-        prediction = np.asarray(prediction, dtype=float)
-        return (2.0 * _at(prediction, s) - np.sum(prediction * prediction, axis=-1))[()]
 
     def weighted_score(self, weights, prediction) -> np.ndarray:
         weights = np.asarray(weights, dtype=float)
@@ -116,10 +96,6 @@ class QuadraticRule(ProperScoringRule):
         return 2.0 * np.sum(weights * prediction, axis=-1) - total * np.sum(
             prediction * prediction, axis=-1
         )
-
-    def self_score(self, prediction) -> np.ndarray:
-        prediction = np.asarray(prediction, dtype=float)
-        return np.sum(prediction * prediction, axis=-1)
 
 
 _RULES = {"log": LogRule(), "quadratic": QuadraticRule()}

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .priors import PairwisePrior, PermutationMap, PriorError, all_permutations
+from .priors import PairwisePrior, PermutationMap, PriorError, _map_strategy, all_permutations
 from .tolerances import PROBABILITY_TOL, STOCHASTIC_TOL
 
 __all__ = [
@@ -202,8 +202,7 @@ def constant_report_profile(prior: PairwisePrior, n: int, target: int) -> Strate
     if n < 2:
         raise ProfileError("need n >= 2")
     m = prior.m
-    theta = np.zeros((m, m))
-    theta[target, :] = 1.0
+    theta = _map_strategy([target] * m)
     point = np.zeros(m)
     point[target] = 1.0
     thetas = _repeated(theta, (n, m, m))

@@ -1,8 +1,12 @@
 """Every numeric tolerance of the package, named once.
 
-Each constant says what it guards.  Functions take them as keyword
-defaults, so a caller can still pass its own value; the acceptance
-criteria in :mod:`peerpred.acceptance` pin their own thresholds.
+Each constant says what it guards.  Most functions read their constant
+directly; a tolerance is a keyword default only where callers choose it:
+``validate_snife`` (``validate-prior --tol``), ``build_pairwise_prior``,
+``validate_signal_strategy`` (input strategies are checked at
+PROBABILITY_TOL), ``check_equilibrium`` (``check-eq --eps``) and the
+prediction solvers.  The acceptance criteria in :mod:`peerpred.acceptance`
+pin their own thresholds.
 """
 
 __all__ = [

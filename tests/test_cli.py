@@ -194,6 +194,27 @@ class TestCheckEq:
         assert captured.out.splitlines()[0] == "agent,signal,gap"
 
 
+    def test_zero_beta_log_rule_scores_prediction_term_alone(self, tmp_path, capsys):
+        # everyone reports s1 and predicts (0.5, 0.5); at beta = 0 the best
+        # prediction is the anchor (1, 0), which the log rule cannot score
+        # against the neighbors' mixture: that term must not be scored
+        prior = tmp_path / "prior.json"
+        assert main(["gen-prior", "--m", "2", "--seed", "1", "--out", str(prior)]) == 0
+        thetas = np.zeros((4, 2, 2))
+        thetas[:, 0, :] = 1.0
+        profile = tmp_path / "profile.json"
+        save_profile(StrategyProfile(thetas, np.full((4, 2, 2, 2), 0.5)), profile)
+        argv = ["--prior", str(prior), "--profile", str(profile), "--rule", "log", "--beta", "0"]
+        capsys.readouterr()
+        assert main(["check-eq", *argv]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[1:] == [f"{i},{s},0.69314718055994529" for i in range(4) for s in range(2)]
+        assert main(["payout", *argv]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        cells = [(i, s) for i in range(4) for s in ("s1", "s2")]
+        assert rows[1:] == [f"{i},{s},-0.69314718055994529,0.69314718055994529" for i, s in cells]
+
+
 class TestPayout:
     def test_exact_rows(self, prior_file, mech_file, capsys):
         assert (

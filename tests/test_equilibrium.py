@@ -16,7 +16,7 @@ from peerpred.equilibrium import (
 )
 from peerpred.mechanism import MechanismConfig, MechanismError
 from peerpred.priors import PermutationMap, from_latent, random_snife_prior
-from peerpred.scoring import ScoreDomainError, get_rule
+from peerpred.scoring import get_rule
 from peerpred.strategy import (
     StrategyProfile,
     constant_report_profile,
@@ -158,21 +158,13 @@ class TestOneScoringPass:
         config, prior, profile, _ = case
         if beta is not None:
             config = MechanismConfig(config.alpha, beta, config.rule)
-        # with beta = 0 the optimal prediction is the anchor, which the log
-        # rule cannot score against a neighbour mixture that it puts 0 under
-        try:
-            expected = two_pass_check(config, prior, profile)
-        except ScoreDomainError as exc:
-            with pytest.raises(ScoreDomainError) as raised:
-                check_equilibrium(config, prior, profile)
-            assert str(raised.value) == str(exc)
-            return
+        expected = two_pass_check(config, prior, profile)
         report = check_equilibrium(config, prior, profile)
         for got, want in zip((report.values, report.payoffs, report.gaps), expected):
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("rule", ["log", "quadratic"])
-    def test_two_weighted_score_calls(self, setting, rule):
+    def test_three_weighted_score_calls(self, setting, rule):
         prior, _ = setting
         config = MechanismConfig(1.0, 0.02, rule)
         scoring_rule = config.scoring_rule()
@@ -181,7 +173,9 @@ class TestOneScoringPass:
             side_effect=type(scoring_rule).weighted_score,
         ) as counted:  # fmt: skip
             check_equilibrium(config, prior, truth_telling_profile(prior, 5))
-        assert counted.call_count == 2
+        # the neighbors' self-scores, then the anchor and the mixture terms of
+        # one pass over the optimal and the played predictions
+        assert counted.call_count == 3
 
 
 @pytest.fixture(scope="module")

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 from peerpred import mechanism, scoring
 from peerpred.divergence import hellinger
+from peerpred.equilibrium import check_equilibrium
 from peerpred.mechanism import (
     Matching,
     MechanismConfig,
     MechanismError,
     Report,
+    _base_payments,
     _classification_reward,
-    _pair_terms,
     _round_payments,
     monte_carlo_payments,
     realized_payments,
@@ -38,11 +39,12 @@ from peerpred.strategy import (
 
 def pair_scores(config, r_i, r_j):
     """(score_P, score_I) of agent i matched with agent j, from the payment
-    kernel's pair terms."""
-    score_p, score_i = _pair_terms(
-        config.scoring_rule(), r_i.signal, r_i.prediction, r_j.signal, r_j.prediction
-    )
-    return float(score_p), float(score_i)
+    kernel's base payments at (alpha, beta) = (1, 0) and (1, 1); score_I is
+    their difference, exact up to the rounding of the second sum."""
+    pair = (r_i.signal, r_i.prediction, r_j.signal, r_j.prediction)
+    score_p = float(_base_payments(MechanismConfig(1.0, 0.0, config.rule), *pair))
+    both = float(_base_payments(MechanismConfig(1.0, 1.0, config.rule), *pair))
+    return score_p, both - score_p
 
 
 def classification_pair_score(r_j, r_k):
@@ -201,6 +203,20 @@ class TestRealizedPayments:
                 expected = scores[i] + classification_pair_score(reports[j], reports[k])
                 assert payments[i] == pytest.approx(expected, abs=1e-15)
 
+    @pytest.mark.parametrize("alpha", [1.0, 0.3])
+    def test_zero_beta_pays_alpha_score_p(self, alpha):
+        # agent 0 predicts (1, 0) and is matched with agent 1, who reports
+        # the same signal and predicts (0.5, 0.5): the agreement term, which
+        # beta = 0 multiplies away, is undefined under the log rule
+        config = MechanismConfig(alpha, 0.0, "log")
+        predictions = [[1.0, 0.0], [0.5, 0.5], [1.0, 0.0]]
+        reports = [Report(0, np.array(p)) for p in predictions]
+        payments = realized_payments(config, reports, Matching(np.array([1, 0, 0])))
+        rule = config.scoring_rule()
+        expected = [alpha * rule.point_score(0, np.array(p)) for p in predictions]
+        assert payments.tolist() == expected
+        assert payments.tolist() == [0.0, alpha * math.log(0.5), 0.0]
+
     def test_matching_validation(self):
         config = MechanismConfig(rule="log")
         reports = [Report(0, np.array([0.5, 0.5]))] * 4
@@ -304,25 +320,20 @@ class TestPaymentKernel:
 
 
 class DoubledLogRule(ProperScoringRule):
-    """Twice the log score: a rule that only its own methods score correctly."""
+    """Twice the log score, defined by its weighted score alone, as every
+    rule is: its point and self-scores are derived from it."""
 
     id = "doubled-log"
     _log = scoring.LogRule()
 
-    def point_score(self, s, prediction):
-        return 2.0 * self._log.point_score(s, prediction)
-
     def weighted_score(self, weights, prediction):
         return 2.0 * self._log.weighted_score(weights, prediction)
-
-    def self_score(self, prediction):
-        return 2.0 * self._log.self_score(prediction)
 
 
 @pytest.mark.parametrize("variant", ["truthful", "disagreement"])
 def test_third_rule_scored_by_its_own_methods(monkeypatch, latent3, variant):
     """Doubling every score equals doubling alpha and beta under the log rule,
-    in both the realized and the Monte Carlo path."""
+    in the realized and the Monte Carlo path and in the equilibrium check."""
     monkeypatch.setitem(scoring._RULES, DoubledLogRule.id, DoubledLogRule())
     doubled = MechanismConfig(1.0, 0.05, DoubledLogRule.id, variant)
     log = MechanismConfig(2.0, 0.1, "log", variant)
@@ -343,6 +354,12 @@ def test_third_rule_scored_by_its_own_methods(monkeypatch, latent3, variant):
     b = monte_carlo_payments(log, latent3, profile, trials=3000, seed=2)
     np.testing.assert_allclose(a.mean, b.mean, rtol=0, atol=1e-12)
     assert a.welfare_mean == pytest.approx(b.welfare_mean, abs=1e-12)
+
+    prior = from_latent(latent3)
+    a = check_equilibrium(doubled, prior, profile)
+    b = check_equilibrium(log, prior, profile)
+    for got, want in ((a.values, b.values), (a.payoffs, b.payoffs), (a.gaps, b.gaps)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def welfare_oracle(prior, profile):
@@ -618,6 +635,17 @@ class TestWelfareBatch:
         other = typed_profile(rng, 3, np.arange(7))
         first, _, third = welfare_batch([prior3] * 3, [profile, other, profile])
         assert first == third
+
+    def test_batch_of_two_equals_single_call(self):
+        # no padding and one tile: a scenario's bits are its single call's,
+        # diversity included, whose m(m - 1) = 12 report blocks a batch of
+        # two once summed in another order
+        cycle = PermutationMap((1, 2, 3, 0))
+        for seed in range(40):
+            prior = cached_prior(4, seed)
+            for profile in (truth_telling_profile(prior, 6), permutation_profile(prior, 6, cycle)):
+                pair = welfare_batch([prior, prior], [profile, profile])
+                assert pair[0] == pair[1] == welfare_metrics(prior, profile)
 
     def test_layout_does_not_move_bits(self, prior3):
         rng = np.random.default_rng(5)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import simplex
 from peerpred.scoring import RULE_IDS, ScoreDomainError, get_rule
@@ -143,3 +144,43 @@ class TestVectorizedHelpers:
     def test_log_weighted_score_domain_error(self):
         with pytest.raises(ScoreDomainError):
             get_rule("log").weighted_score(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
+
+
+@st.composite
+def predictions_and_signals(draw):
+    """A stack of predictions over m signals, some entries exactly zero, and
+    a realized signal index per prediction."""
+    m = draw(st.integers(2, 5))
+    k = draw(st.integers(1, 4))
+    preds = np.stack([draw(simplex(m)) for _ in range(k)])
+    zeros = np.array(draw(st.lists(st.booleans(), min_size=k * m, max_size=k * m)))
+    preds[zeros.reshape(k, m)] = 0.0
+    signals = np.array(draw(st.lists(st.integers(0, m - 1), min_size=k, max_size=k)))
+    return preds, signals
+
+
+class TestDerivedScores:
+    """A rule defines weighted_score alone; the point score and the
+    self-score derived from it equal the rules' direct forms bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(predictions_and_signals())
+    def test_point_score(self, case):
+        preds, signals = case
+        at = preds[np.arange(len(signals)), signals]
+        quadratic = 2.0 * at - np.sum(preds * preds, axis=-1)
+        assert np.array_equal(get_rule("quadratic").point_score(signals, preds), quadratic)
+        for p, s, value in zip(preds, signals.tolist(), at):
+            assert get_rule("quadratic").point_score(s, p) == 2.0 * value - np.sum(p * p)
+            if value > 0.0:
+                assert get_rule("log").point_score(s, p) == np.log(value)
+            else:
+                with pytest.raises(ScoreDomainError, match=f"index {s}"):
+                    get_rule("log").point_score(s, p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(predictions_and_signals())
+    def test_log_self_score(self, case):
+        preds, _ = case
+        direct = np.sum(preds * np.log(np.where(preds > 0.0, preds, 1.0)), axis=-1)
+        assert np.array_equal(get_rule("log").self_score(preds), direct)

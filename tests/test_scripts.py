@@ -53,7 +53,13 @@ def test_bench_layers_writes_json(tmp_path):
     audit = [row for row in record["rows"] if row["layer"] == "aggregation_error_audit"]
     control = [row for row in record["rows"] if row["layer"] == "control"]
     assert len(control) == 1 and control[0]["median_s"] > 0
-    exact = [row for row in record["rows"] if row not in mc + audit + control]
+    per_m = [row for row in record["rows"] if row.get("n", 0) is None]
+    assert sorted((row["layer"], row["profile"], row["m"]) for row in per_m) == [
+        ("far_from_permutation_gap", "uniform", 2),
+        ("validate_prior", "latent", 2),
+    ]
+    assert all(row["median_s"] > 0 for row in per_m)
+    exact = [row for row in record["rows"] if row not in mc + audit + control + per_m]
     cells = [(row["layer"], row["profile"]) for row in exact]
     layers = (
         "welfare_metrics",
