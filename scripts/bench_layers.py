@@ -1,7 +1,8 @@
 """Per-layer timings of prior validation, far_from_permutation_gap,
 welfare_metrics, check_equilibrium, solve_equilibrium_predictions,
 classification_bound_audit, relabeling_cycle_audit, sweep_row,
-aggregation_error_audit and monte_carlo_payments.
+save_profile, load_profile, one CLI call, aggregation_error_audit and
+monte_carlo_payments.
 
 For every signal count m a validated random prior is sampled (fixed seed) and
 two profiles are built per agent count n: truth-telling, and random signal
@@ -29,6 +30,12 @@ types).
 monte_carlo_payments runs ``--mc-trials`` trials (seed 0) at m = 3 and n in
 ``--mc-ns``, for both variants, and its rows add ``trials_per_s``.
 
+The I/O layer runs at m = 3 on the solved profile: save_profile and
+load_profile over ``--io-ns``, and one in-process ``cli.main`` call of
+``solve-predictions --format json --out`` (prior, mechanism and profile
+files in, the solved profile file out) at n = CLI_N, recorded as layer
+``cli:solve-predictions``.
+
 Every run first records a ``control`` row: a fixed numpy workload (generator
 fills, a sort, a matrix product and a gather) that calls nothing from
 peerpred.  Only the machine's speed moves it, so comparing the control rows
@@ -52,6 +59,7 @@ from pathlib import Path
 
 import numpy as np
 
+from peerpred import cli
 from peerpred.audits import (
     aggregation_error_audit,
     classification_bound_audit,
@@ -61,7 +69,14 @@ from peerpred.audits import (
 )
 from peerpred.equilibrium import check_equilibrium, solve_equilibrium_predictions, solved_profile
 from peerpred.mechanism import MechanismConfig, monte_carlo_payments, welfare_metrics
-from peerpred.io import load_prior, pairwise_from_loaded, save_prior
+from peerpred.io import (
+    load_prior,
+    load_profile,
+    pairwise_from_loaded,
+    save_mechanism,
+    save_prior,
+    save_profile,
+)
 from peerpred.priors import PermutationMap, from_latent, random_snife_prior, validate_snife
 from peerpred.strategy import random_signal_strategies, truth_telling_profile
 
@@ -71,6 +86,8 @@ MC_M = 3
 AUDIT_MS = (2, 3)
 AUDIT_EPS = 10.0
 SWEEP_SAMPLES = 5
+IO_M = 3
+CLI_N = 512
 
 
 def _ints(text):
@@ -112,6 +129,7 @@ def main():
     parser.add_argument("--ms", type=_ints, default=[2, 3, 4, 8])
     parser.add_argument("--mc-ns", type=_ints, default=[6, 16, 32])
     parser.add_argument("--mc-trials", type=int, default=20000)
+    parser.add_argument("--io-ns", type=_ints, default=[64, 512, 4096])
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--out-dir", default=".")
     args = parser.parse_args()
@@ -182,6 +200,27 @@ def main():
                     n,
                     lambda: sweep_row(config, prior, n, SWEEP_SAMPLES, np.random.default_rng(SEED)),
                 )
+
+        latent = random_snife_prior(IO_M, 2, seed=SEED + IO_M)
+        prior = from_latent(latent)
+        config = MechanismConfig(alpha=1.0, beta=1.0 / (8.0 * IO_M), rule="log")
+        files = {name: Path(scratch) / f"io-{name}.json" for name in ("prior", "mech", "out")}
+        save_prior(latent, files["prior"])
+        save_mechanism(config, files["mech"])
+        for n in sorted({*args.io_ns, CLI_N}):
+            solved = _profiles(config, prior, n, seed=SEED + 1000 * IO_M + n)["solved"]
+            path = Path(scratch) / f"io-profile{n}.json"
+            save_profile(solved, path)
+            if n in args.io_ns:
+                record("save_profile", "solved", IO_M, n, lambda: save_profile(solved, path))
+                record("load_profile", "solved", IO_M, n, lambda: load_profile(path))
+            if n == CLI_N:
+                argv = ["solve-predictions", "--prior", str(files["prior"]), "--profile",
+                        str(path), "--mech", str(files["mech"]), "--format", "json",
+                        "--out", str(files["out"])]  # fmt: skip
+                if cli.main(argv) != 0:
+                    raise SystemExit(f"bench_layers: {' '.join(argv)} failed")
+                record("cli:solve-predictions", "random", IO_M, n, lambda: cli.main(argv))
 
     for m in AUDIT_MS:
         prior = from_latent(random_snife_prior(m, 2, seed=SEED + m))

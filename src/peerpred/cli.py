@@ -8,7 +8,8 @@ top-level parser would; anything else (no arguments, -h, an unknown command)
 goes through the top-level parser and its messages.  :func:`_resolve` turns
 the inputs a subcommand declares (prior file, mechanism, profile) into
 objects once, before its handler runs.  Results go through one writer,
-:func:`_write`, to stdout (or --out) as CSV or JSON; human-facing status
+:func:`_write`, to stdout (or --out) as CSV or as one line of JSON from
+:func:`peerpred.io.json_text`, the writer of the files; human-facing status
 lines go to stderr so machine output stays byte-deterministic for fixed
 inputs and seed.
 
@@ -43,6 +44,7 @@ from .divergence import DivergenceDomainError
 from .equilibrium import check_equilibrium, solved_profile
 from .io import (
     FormatError,
+    json_text,
     load_mechanism,
     load_prior,
     load_profile,
@@ -109,7 +111,7 @@ def _emit(rows: list[dict], args):
     """Write rows as CSV (one header from the first row; floats in 17
     significant digits, which round-trip) or a JSON list."""
     if args.format == "json":
-        return _write(json.dumps(rows, indent=2) + "\n", args)
+        return _write(json_text(rows), args)
     buf = _io.StringIO()
     if rows:
         writer = csv.writer(buf, lineterminator="\n")
@@ -311,7 +313,7 @@ def _cmd_validate_prior(args) -> int:
 
 def _cmd_gen_prior(args) -> int:
     latent = random_snife_prior(args.m, args.states, seed=args.seed)
-    _write(json.dumps(prior_to_dict(latent), indent=2) + "\n", args)
+    _write(json_text(prior_to_dict(latent)), args)
     return 0
 
 
@@ -366,7 +368,7 @@ def _cmd_solve_predictions(args) -> int:
     solved = solved_profile(args.mech, prior, args.profile.thetas)
     if args.format == "json":
         # a profile object, directly reusable as a --profile input
-        _write(json.dumps(profile_to_dict(solved), indent=2) + "\n", args)
+        _write(json_text(profile_to_dict(solved)), args)
         return 0
     labels = prior.space.labels
     columns = [f"p_{label}" for label in labels]

@@ -90,7 +90,8 @@ class _PayoffTerms:
 
     anchor: np.ndarray      # theta_minus_i q_s for every report, (n, m, m, m)
     mix: np.ndarray         # neighbors' weighted predictions, (n, m, m, m)
-    self_score: np.ndarray  # neighbors' weighted self-scores, (n, m, m)
+    self_score: np.ndarray | None  # neighbors' weighted self-scores, (n, m, m); unread
+                                   # at beta = 0, so None there
     best: np.ndarray        # optimal prediction per report, (n, m, m, m)
 
     def values(self, config: MechanismConfig, prediction) -> np.ndarray:
@@ -111,7 +112,11 @@ def _payoff_terms(
     cond, thetas = prior.conditional, profile.thetas
     anchors = prediction_anchors(prior, thetas)
     mix = _neighbor_sum(cond, thetas, profile.predictions)
-    self_score = _neighbor_sum(cond, thetas, config.scoring_rule().self_score(profile.predictions))
+    self_score = None
+    if config.beta != 0.0:
+        self_score = _neighbor_sum(
+            cond, thetas, config.scoring_rule().self_score(profile.predictions)
+        )
     best = _best_prediction_map(config, anchors)(mix)
     return _PayoffTerms(np.broadcast_to(anchors[:, :, None, :], mix.shape), mix, self_score, best)
 

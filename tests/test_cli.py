@@ -14,10 +14,19 @@ from hypothesis import strategies as st
 
 from peerpred import cli
 from peerpred.cli import CliError, main
-from peerpred.io import prior_to_dict, profile_to_dict, save_mechanism, save_prior, save_profile
+from peerpred.equilibrium import check_equilibrium, solved_profile
+from peerpred.io import (
+    json_text,
+    load_profile,
+    prior_to_dict,
+    profile_to_dict,
+    save_mechanism,
+    save_prior,
+    save_profile,
+)
 from peerpred.mechanism import MechanismConfig
 from peerpred.priors import from_latent, random_snife_prior
-from peerpred.strategy import StrategyProfile, truth_telling_profile
+from peerpred.strategy import StrategyProfile, random_signal_strategies, truth_telling_profile
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -322,6 +331,66 @@ class TestSolvePredictions:
             == 0
         )
         capsys.readouterr()
+
+
+@pytest.fixture
+def heterogeneous(tmp_path):
+    """Files and objects of one heterogeneous case: a latent m = 3 prior, a
+    log mechanism and n = 7 random signal strategies with random prediction
+    tables, so no solved float is round."""
+    latent = random_snife_prior(3, 2, seed=13)
+    config = MechanismConfig(1.0, 0.03, "log")
+    rng = np.random.default_rng(13)
+    profile = StrategyProfile(
+        random_signal_strategies(rng, 3, (7,)), rng.dirichlet(np.ones(3), size=(7, 3, 3))
+    )
+    paths = {name: tmp_path / f"{name}.json" for name in ("prior", "mech", "profile")}
+    save_prior(latent, paths["prior"])
+    save_mechanism(config, paths["mech"])
+    save_profile(profile, paths["profile"])
+    argv = ["--prior", str(paths["prior"]), "--profile", str(paths["profile"]),
+            "--mech", str(paths["mech"]), "--format", "json"]  # fmt: skip
+    return argv, from_latent(latent), config, profile
+
+
+class TestJsonWriter:
+    """Every JSON file and JSON output is the text of ``io.json_text``: one
+    line, values as the library builds them."""
+
+    @staticmethod
+    def _assert_one_line(text):
+        assert text.endswith("\n") and text.count("\n") == 1
+
+    def test_profile_files_round_trip(self, tmp_path, heterogeneous, capsys):
+        argv, prior, config, profile = heterogeneous
+        solved = solved_profile(config, prior, profile.thetas)
+        assert np.all(solved.predictions % 0.25 != 0.0)
+        from_cli, from_save = tmp_path / "cli.json", tmp_path / "save.json"
+        assert main(["solve-predictions", *argv, "--out", str(from_cli)]) == 0
+        assert capsys.readouterr().out == ""
+        save_profile(solved, from_save)
+        for path in (from_cli, from_save):
+            loaded = load_profile(path)
+            assert np.array_equal(loaded.thetas, solved.thetas)
+            assert np.array_equal(loaded.predictions, solved.predictions)
+            text = path.read_text(encoding="utf-8")
+            assert text == json_text(profile_to_dict(solved))
+            self._assert_one_line(text)
+
+    def test_stdout_equals_library_objects(self, heterogeneous, capsys):
+        argv, prior, config, profile = heterogeneous
+        expected = {
+            ("gen-prior", "--m", "3", "--seed", "5"): prior_to_dict(random_snife_prior(3, seed=5)),
+            ("solve-predictions", *argv): profile_to_dict(
+                solved_profile(config, prior, profile.thetas)
+            ),
+            ("check-eq", *argv): check_equilibrium(config, prior, profile).to_rows(),
+        }
+        for call, want in expected.items():
+            assert main(list(call)) == 0
+            out = capsys.readouterr().out
+            assert json.loads(out) == want
+            self._assert_one_line(out)
 
 
 class TestAuditAndImpossibility:

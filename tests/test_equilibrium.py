@@ -164,18 +164,23 @@ class TestOneScoringPass:
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("rule", ["log", "quadratic"])
-    def test_three_weighted_score_calls(self, setting, rule):
+    @pytest.mark.parametrize(
+        "beta, calls",
+        # the neighbors' self-scores, then the anchor and the mixture terms of
+        # one pass over the optimal and the played predictions; at beta = 0
+        # the anchor term alone
+        [(0.02, 3), (0.0, 1)],
+    )
+    def test_weighted_score_calls(self, setting, rule, beta, calls):
         prior, _ = setting
-        config = MechanismConfig(1.0, 0.02, rule)
+        config = MechanismConfig(1.0, beta, rule)
         scoring_rule = config.scoring_rule()
         with mock.patch.object(
             type(scoring_rule), "weighted_score", autospec=True,
             side_effect=type(scoring_rule).weighted_score,
         ) as counted:  # fmt: skip
             check_equilibrium(config, prior, truth_telling_profile(prior, 5))
-        # the neighbors' self-scores, then the anchor and the mixture terms of
-        # one pass over the optimal and the played predictions
-        assert counted.call_count == 3
+        assert counted.call_count == calls
 
 
 @pytest.fixture(scope="module")

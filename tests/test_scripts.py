@@ -38,7 +38,7 @@ def test_bench_layers_writes_json(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     args = ["--label", "tiny", "--ns", "4", "--ms", "2", "--mc-ns", "4", "--mc-trials", "200",
-            "--repeats", "2", "--out-dir", str(tmp_path)]  # fmt: skip
+            "--io-ns", "4", "--repeats", "2", "--out-dir", str(tmp_path)]  # fmt: skip
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "bench_layers.py"), *args],
         capture_output=True,
@@ -59,7 +59,15 @@ def test_bench_layers_writes_json(tmp_path):
         ("validate_prior", "latent", 2),
     ]
     assert all(row["median_s"] > 0 for row in per_m)
-    exact = [row for row in record["rows"] if row not in mc + audit + control + per_m]
+    io_layers = ("save_profile", "load_profile", "cli:solve-predictions")
+    io = [row for row in record["rows"] if row["layer"] in io_layers]
+    assert [(row["layer"], row["profile"], row["m"], row["n"]) for row in io] == [
+        ("save_profile", "solved", 3, 4),
+        ("load_profile", "solved", 3, 4),
+        ("cli:solve-predictions", "random", 3, 512),
+    ]
+    assert all(row["median_s"] > 0 for row in io)
+    exact = [row for row in record["rows"] if row not in mc + audit + control + per_m + io]
     cells = [(row["layer"], row["profile"]) for row in exact]
     layers = (
         "welfare_metrics",
