@@ -20,9 +20,11 @@ depend on n; they run once per m of ``--ms``, with n recorded as null.
 welfare_metrics, check_equilibrium, solve_equilibrium_predictions (of the
 profile's signal strategies), classification_bound_audit and
 relabeling_cycle_audit (swapping signals 0 and 1, five scenarios) run over
-``--ns`` x ``--ms``.  sweep_row, one row of ``sweep-n`` (SWEEP_SAMPLES random
-strategy lists drawn, solved and scored against truth-telling), runs over the
-same grid as profile "random".
+``--ns`` x ``--ms`` at beta = alpha/(8m), and solve_equilibrium_predictions
+once more at beta = 10 alpha, as layer
+``solve_equilibrium_predictions:beta=10``.  sweep_row, one row of ``sweep-n``
+(SWEEP_SAMPLES random strategy lists drawn, solved and scored against
+truth-telling), runs over the same grid as profile "random".
 aggregation_error_audit runs over ``--ns`` at m = 2 and 3 (eps = 10, which
 every n >= 3 clears) on two strategy lists: random strategies ("random", n
 agent types) and truth-tellers with one random deviant ("one-deviant", two
@@ -139,6 +141,13 @@ def main():
         "check_equilibrium": check_equilibrium,
         "solve_equilibrium_predictions": lambda config, prior, profile: (
             solve_equilibrium_predictions(config, prior, profile.thetas)
+        ),
+        "solve_equilibrium_predictions:beta=10": lambda config, prior, profile: (
+            solve_equilibrium_predictions(
+                MechanismConfig(config.alpha, 10.0 * config.alpha, config.rule),
+                prior,
+                profile.thetas,
+            )
         ),
         "classification_bound_audit": classification_bound_audit,
         "relabeling_cycle_audit": lambda config, prior, profile: relabeling_cycle_audit(

@@ -12,10 +12,13 @@ one untimed round, then ``--rounds`` timed rounds, alternating per job and
 round which tree runs first.
 
 Printed: for each job whose exit code or stdout differs between the trees,
-its argv and the first lines of a diff of the two outputs; then the paired
-time ratio, CHANGE over PARENT summed over the jobs of a round, as the median
-and range over the timed rounds.  Library calls of the workload (jobs
-without an argv) are skipped.  Exits 1 when any output differs.
+its argv, the largest |change - parent| between the numbers at the same place
+of the two outputs (same line, same position among the line's numbers) and
+the first lines of a diff of the two outputs; then the number of differing
+jobs and, when there are any, the largest such |change - parent| over all of
+them; then the paired time ratio, CHANGE over PARENT summed over the jobs of a
+round, as the median and range over the timed rounds.  Library calls of the
+workload (jobs without an argv) are skipped.  Exits 1 when any output differs.
 """
 
 import argparse
@@ -24,6 +27,7 @@ import difflib
 import importlib
 import importlib.util
 import io
+import re
 import statistics
 import sys
 import tempfile
@@ -33,6 +37,8 @@ from time import perf_counter
 CHANGE_PACKAGE = "peerpred_change"
 SEED = 1
 DIFF_LINES = 12
+# a decimal number that is not part of a word such as a signal label "s1"
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
 
 
 def _import_change(src: Path):
@@ -57,22 +63,38 @@ def _run(cli, argv) -> tuple[tuple[int, str], float]:
     return (code, out.getvalue()), elapsed
 
 
-def _diff(argv, parent, change) -> str:
-    lines = [f"differs: {' '.join(argv)}"]
+def _largest_delta(parent: str, change: str) -> float:
+    """Largest |change - parent| between the numbers at the same place of two
+    outputs; 0 when no number pairs up."""
+    return max(
+        (
+            abs(float(a) - float(b))
+            for x, y in zip(parent.splitlines(), change.splitlines())
+            for a, b in zip(NUMBER.findall(x), NUMBER.findall(y))
+        ),
+        default=0.0,
+    )
+
+
+def _diff(argv, parent, change) -> tuple[str, float]:
+    """The report of one differing job, and its largest numeric |change - parent|."""
+    delta = _largest_delta(parent[1], change[1])
+    lines = [f"differs: {' '.join(argv)}", f"  largest |change - parent| of a number: {delta:.1e}"]
     if parent[0] != change[0]:
         lines.append(f"  exit code {parent[0]} -> {change[0]}")
     body = difflib.unified_diff(
         parent[1].splitlines(), change[1].splitlines(), "parent", "change", lineterm="", n=0
     )
     lines += [f"  {line}" for line in list(body)[:DIFF_LINES]]
-    return "\n".join(lines)
+    return "\n".join(lines), delta
 
 
-def compare(jobs, parent_cli, change_cli, rounds: int) -> tuple[list[str], list[float]]:
-    """Run every job through both trees; return the diff reports and each
-    timed round's time ratio, change over parent."""
+def compare(jobs, parent_cli, change_cli, rounds: int):
+    """Run every job through both trees; return the (report, largest numeric
+    |change - parent|) of each differing job and each timed round's time
+    ratio, change over parent."""
     clis = (parent_cli, change_cli)
-    differing: dict[int, str] = {}
+    differing: dict[int, tuple[str, float]] = {}
     ratios = []
     for round_ in range(rounds + 1):
         totals = [0.0, 0.0]
@@ -112,9 +134,12 @@ def main(argv=None) -> int:
         jobs = [job.argv for job in built if job.argv is not None]
         diffs, ratios = compare(jobs, parent_cli, change_cli, args.rounds)
 
-    for report in diffs:
+    for report, _ in diffs:
         print(report)
     print(f"{args.workload}: {len(jobs)} CLI jobs, {len(diffs)} with differing output")
+    if diffs:
+        largest = max(delta for _, delta in diffs)
+        print(f"largest |change - parent| of a number over the differing jobs: {largest:.1e}")
     print(
         f"time ratio change/parent over {len(ratios)} rounds: median "
         f"{statistics.median(ratios):.3f} [{min(ratios):.3f}, {max(ratios):.3f}]"

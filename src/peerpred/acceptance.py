@@ -410,22 +410,22 @@ def _grid_values(config, terms, cell, grid) -> np.ndarray:
 
 
 def criterion_10_solver_cross_checks() -> tuple[bool, str]:
-    """Iterative vs direct prediction solves; exact beta = 0 anchors;
-    closed-form best response vs simplex grid search."""
+    """Exact vs direct prediction solves, each within its error bound; exact
+    beta = 0 anchors; closed-form best response vs simplex grid search."""
     from .equilibrium import _payoff_terms
 
     rng = np.random.default_rng(10)
-    worst_solver = 0.0
-    beta0_exact = True
+    worst_solver, bounds_hold, beta0_exact = 0.0, True, True
     for k in range(20):
         m = 2 + k % 3
         n = 3 + k % 4
         prior = from_latent(random_snife_prior(m, 2, seed=1000 + k))
         config = MechanismConfig(1.0, 0.04 + 0.01 * (k % 3), "log")
         thetas = random_signal_strategies(rng, m, (n,))
-        x_iter, _ = solve_equilibrium_predictions(config, prior, thetas)
+        x_exact, bound = solve_equilibrium_predictions(config, prior, thetas)
         x_direct = solve_equilibrium_predictions_direct(config, prior, thetas)
-        worst_solver = max(worst_solver, float(np.max(np.abs(x_iter - x_direct))))
+        error = float(np.max(np.abs(x_exact - x_direct)))
+        worst_solver, bounds_hold = max(worst_solver, error), bounds_hold and error <= bound
 
         config0 = MechanismConfig(1.0, 0.0, "log")
         x0, _ = solve_equilibrium_predictions(config0, prior, thetas)
@@ -455,13 +455,14 @@ def criterion_10_solver_cross_checks() -> tuple[bool, str]:
             worst_grid_dist = max(worst_grid_dist, float(np.max(np.abs(grid[top] - best))))
     h = 1.0 / steps[3]
     passed = (
-        worst_solver <= 1e-10
+        worst_solver <= 1e-12
+        and bounds_hold
         and beta0_exact
         and worst_grid_value <= 1e-12
         and worst_grid_dist <= 1.5 * h
     )
     return passed, (
-        f"iter/direct {worst_solver:.1e}, beta0 exact {beta0_exact}, "
+        f"exact/direct {worst_solver:.1e}, bounds hold {bounds_hold}, beta0 exact {beta0_exact}, "
         f"grid value excess {worst_grid_value:.1e}, grid distance {worst_grid_dist:.3f}"
     )
 

@@ -27,11 +27,10 @@ anchor theta_minus_i q_s, the distribution of a random other agent's report
 (:func:`peerpred.strategy.prediction_anchors`).  The optimal prediction for
 report r is the mixture
 (alpha * anchor + beta * mix) / (alpha + beta * anchor[r]), so equilibrium
-predictions solve a linear fixed point: :func:`solve_prediction_stack`
-iterates the same kernel and map (a strict contraction for alpha > 0) over a
-stack of strategy lists, :func:`solve_equilibrium_predictions` is its stack of
-one, and :func:`solve_equilibrium_predictions_direct` solves it densely from
-its own coupling matrix for cross-checks.
+predictions solve a linear system: :func:`solve_prediction_stack` solves it
+exactly over a stack of strategy lists, :func:`solve_equilibrium_predictions`
+is its stack of one, and :func:`solve_equilibrium_predictions_direct` solves
+it densely from its own coupling matrix, as cross-check and fallback.
 """
 
 from __future__ import annotations
@@ -41,9 +40,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .mechanism import _BLOCK_CELLS, MechanismConfig, MechanismError
+from .mechanism import _BLOCK_CELLS, MechanismConfig
 from .priors import PairwisePrior
-from .strategy import StrategyProfile, _repeated, prediction_anchors
+from .strategy import StrategyProfile, prediction_anchors
 from .tolerances import EQUILIBRIUM_EPS, SOLVER_TOL
 
 __all__ = [
@@ -61,7 +60,7 @@ def _neighbor_sum(cond: np.ndarray, thetas: np.ndarray, field: np.ndarray):
     every (i, s, r) as totals minus self.  ``thetas`` is (n, m, m), or
     (S, n, m, m) for a stack of S strategy lists under one prior, whose
     leading axis the field and the result share.  Subscripts are spelled out
-    per rank: an ellipsis einsum slows the solver's steps."""
+    per rank: an ellipsis einsum is slower."""
     stack = "k" * (thetas.ndim - 3)
     tail = "u" * (field.ndim - thetas.ndim)
     per_agent = np.einsum(
@@ -70,18 +69,6 @@ def _neighbor_sum(cond: np.ndarray, thetas: np.ndarray, field: np.ndarray):
     agents = len(stack)
     total = per_agent.sum(axis=agents, keepdims=True)
     return (total - per_agent) / (thetas.shape[agents] - 1)
-
-
-def _best_prediction_map(config: MechanismConfig, anchors: np.ndarray):
-    """mix -> (alpha * anchor + beta * mix) / (alpha + beta * anchor[r]): the
-    optimal prediction at every (i, s, r) given the neighbors' mixture, where
-    coordinate r of the anchor is the neighbors' weight on report r.  With
-    ``live``, an index of the leading stack axis, the map takes the mixtures
-    of those stack members only."""
-    # materialized per report: adding a broadcast array slows the solver's steps
-    base = np.repeat(config.alpha * anchors[..., None, :], anchors.shape[-1], axis=-2)
-    denom = (config.alpha + config.beta * anchors)[..., None]
-    return lambda mix, live=...: (base[live] + config.beta * mix) / denom[live]
 
 
 @dataclass(frozen=True)
@@ -117,7 +104,8 @@ def _payoff_terms(
         self_score = _neighbor_sum(
             cond, thetas, config.scoring_rule().self_score(profile.predictions)
         )
-    best = _best_prediction_map(config, anchors)(mix)
+    denom = (config.alpha + config.beta * anchors)[..., None]
+    best = (config.alpha * anchors[..., None, :] + config.beta * mix) / denom
     return _PayoffTerms(np.broadcast_to(anchors[:, :, None, :], mix.shape), mix, self_score, best)
 
 
@@ -184,105 +172,116 @@ def expected_conditional_payoff(
 
 
 def solve_equilibrium_predictions(
-    config: MechanismConfig,
-    prior: PairwisePrior,
-    thetas: np.ndarray | Sequence[np.ndarray],
-    tol: float = SOLVER_TOL,
-    max_iter: int = 10_000,
+    config: MechanismConfig, prior: PairwisePrior, thetas: np.ndarray | Sequence[np.ndarray]
 ) -> tuple[np.ndarray, float]:
-    """Solve the equilibrium prediction tables for fixed signal strategies.
-
-    Iterates the best-response mixture map until the sup-norm update falls
-    below ``tol``.  The map contracts with modulus at most
-    beta W / (alpha + beta W) < 1, so plain iteration converges for any
-    alpha > 0.  With beta = 0 the anchors are returned unchanged (exact).
-    Returns (predictions with shape (n, m, m, m), last sup-norm update).
-    This is :func:`solve_prediction_stack` on a stack of one.
-    """
+    """Solve the equilibrium prediction tables for fixed signal strategies
+    exactly.  Returns (predictions with shape (n, m, m, m), a bound on their
+    sup-norm error); with beta = 0 these are the anchors and 0.  This is
+    :func:`solve_prediction_stack` on a stack of one."""
     thetas = np.asarray(thetas, dtype=float)
-    predictions, deltas = solve_prediction_stack(config, prior, thetas[None], tol, max_iter)
-    return predictions[0], float(deltas[0])
+    predictions, bounds = solve_prediction_stack(config, prior, thetas[None])
+    return predictions[0], float(bounds[0])
 
 
 def solve_prediction_stack(
-    config: MechanismConfig,
-    prior: PairwisePrior,
-    thetas: np.ndarray,
-    tol: float = SOLVER_TOL,
-    max_iter: int = 10_000,
+    config: MechanismConfig, prior: PairwisePrior, thetas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`solve_equilibrium_predictions` for a stack ``thetas`` (S, n, m, m)
-    of S strategy lists under one prior.  Returns the predictions (S, n, m, m,
-    m) and each member's last sup-norm update (S,).
+    of S strategy lists under one prior: the predictions (S, n, m, m, m) and
+    each member's error bound (S,).
 
-    Each member iterates as it would alone and stops at its own first update
-    below ``tol``, so its result is the one it gets alone, bit for bit.  A
-    pass iterates at most ``_BLOCK_CELLS // (n m^4)`` members (at least one)
-    at once, which bounds its arrays whatever S.
+    Per report r the system is lhs x = alpha anchor, where c = beta/(n-1),
+    lhs = blockdiag_i(A_i) - c (1_n (x) q^T) [diag theta_1[r] ... diag theta_n[r]]
+    and A_i = diag(alpha + beta anchor_i[:, r]) + c q^T diag theta_i[r]: n
+    blocks of m x m plus a rank-m term, which Woodbury solves.  Each row of
+    lhs has diagonal alpha + beta w and off-diagonal mass beta w, so the
+    sup-norm error is at most ||lhs x - rhs|| / alpha: the bound, widened by
+    the roundoff of the residual's terms.  Members with a singular block or a
+    bound above ``SOLVER_TOL`` are solved densely instead.  The exact
+    solution is non-negative, so solutions are clipped at 0.  Each member's
+    result is the one it gets alone, bit for bit; a pass holds at most
+    ``_BLOCK_CELLS // (n m^4)`` members (at least one).
     """
     thetas = np.asarray(thetas, dtype=float)
     size, n, m = thetas.shape[0], thetas.shape[1], thetas.shape[2]
     predictions = np.empty((size, n, m, m, m))
-    deltas = np.zeros(size)
+    bounds = np.zeros(size)
     per_pass = max(1, _BLOCK_CELLS // (n * m**4))
     for lo in range(0, size, per_pass):
         hi = min(lo + per_pass, size)
-        _solve_pass(config, prior, thetas[lo:hi], tol, max_iter, predictions[lo:hi], deltas[lo:hi])
-    return predictions, deltas
+        _solve_pass(config, prior, thetas[lo:hi], predictions[lo:hi], bounds[lo:hi])
+    return predictions, bounds
 
 
-def _solve_pass(config, prior, thetas, tol, max_iter, predictions, deltas):
-    """Iterate the members of the stack ``thetas`` until each converges,
-    writing each member's fixed point into ``predictions`` and its last update
-    into ``deltas`` as it finishes."""
-    cond = prior.conditional
+def _solve_pass(config, prior, thetas, predictions, bounds):
+    """Solve the stack ``thetas`` into ``predictions`` and ``bounds``."""
     anchors = prediction_anchors(prior, thetas)  # (S, n, s, u)
-    x = _repeated(anchors[..., None, :], predictions.shape)
     if config.beta == 0.0:
-        predictions[...] = x
+        predictions[...] = anchors[..., None, :]
         return
+    try:
+        predictions[...] = _woodbury_solve(config, prior, thetas, anchors)
+    except np.linalg.LinAlgError:  # a singular block: solve one member at a time
+        if len(thetas) > 1:
+            for k in range(len(thetas)):
+                one = slice(k, k + 1)
+                _solve_pass(config, prior, thetas[one], predictions[one], bounds[one])
+            return
+        predictions[...] = np.nan
+    np.maximum(predictions, 0.0, out=predictions)
+    bounds[...] = _error_bounds(config, prior, thetas, anchors, predictions)
+    for k in np.flatnonzero(~(bounds <= SOLVER_TOL)):  # NaN included
+        dense, one = solve_equilibrium_predictions_direct(config, prior, thetas[k]), slice(k, k + 1)
+        predictions[k] = np.maximum(dense, 0.0)
+        bounds[one] = _error_bounds(config, prior, thetas[one], anchors[one], predictions[one])
 
-    best = _best_prediction_map(config, anchors)
-    live = np.arange(thetas.shape[0])  # members still iterating
-    rows = ...  # the map's rows of the live members: all, until one finishes
-    for _ in range(max_iter):
-        x_new = best(_neighbor_sum(cond, thetas, x), rows)
-        delta = np.abs(x_new - x).max(axis=(1, 2, 3, 4))
-        if delta.min() < tol:
-            done = delta < tol
-            predictions[live[done]] = x_new[done]
-            deltas[live[done]] = delta[done]
-            if done.all():
-                return
-            going = ~done
-            live, thetas, x_new = live[going], thetas[going], x_new[going]
-            rows = live
-        x = x_new
-    raise MechanismError(
-        f"prediction fixed point did not reach {tol:g} within {max_iter} iterations"
-    )
+
+def _woodbury_solve(config, prior, thetas, anchors):
+    """Predictions (S, n, s, r, u) of a stack.  With Z_i = A_i^-1 q^T and
+    P_i = alpha theta_minus_i^T, so that alpha anchor_i = q^T P_i, they are
+    x_i = Z_i (P_i + c W), where (I - c sum_j diag theta_j[r] Z_j) W
+    = sum_j diag theta_j[r] Z_j P_j."""
+    alpha, beta, n, m = config.alpha, config.beta, thetas.shape[1], thetas.shape[2]
+    c = beta / (n - 1)
+    qt = prior.conditional.T  # q(v|s) at [s, v]
+    blocks = c * np.einsum("sv,kirv->krisv", qt, thetas)  # A_i at [k, r, i, s, v]
+    diagonal = np.arange(m)
+    blocks[..., diagonal, diagonal] += alpha + beta * anchors.transpose(0, 3, 1, 2)
+    z = np.linalg.solve(blocks, qt)  # qt broadcast over the blocks
+    theta_minus = (thetas.sum(axis=1, keepdims=True) - thetas) / (n - 1)
+    y = z @ (alpha * theta_minus.transpose(0, 1, 3, 2))[:, None]  # Z_i P_i
+    vz = np.einsum("kirv,krivt->krvt", thetas, z)
+    vy = np.einsum("kirv,krivu->krvu", thetas, y)
+    w = np.linalg.solve(np.eye(m) - c * vz, vy)
+    return (y + c * z @ w[:, :, None]).transpose(0, 2, 3, 1, 4)
+
+
+def _error_bounds(config, prior, thetas, anchors, x):
+    """||lhs x - alpha anchor|| / alpha of every member of a stack, with four
+    units of roundoff of each row's terms added to its residual."""
+    alpha, beta = config.alpha, config.beta
+    lead = (alpha + beta * anchors)[..., None] * x
+    rest = beta * _neighbor_sum(prior.conditional, thetas, x) + alpha * anchors[..., None, :]
+    rounding = 4.0 * np.finfo(float).eps * (lead + rest)
+    return (np.abs(lead - rest) + rounding).max(axis=(1, 2, 3, 4)) / alpha
 
 
 def solved_profile(
-    config: MechanismConfig,
-    prior: PairwisePrior,
-    thetas: np.ndarray | Sequence[np.ndarray],
+    config: MechanismConfig, prior: PairwisePrior, thetas: np.ndarray | Sequence[np.ndarray]
 ) -> StrategyProfile:
-    """Profile with the given signal strategies and prediction tables solved
-    to ``SOLVER_TOL``."""
+    """Profile with the given signal strategies and exactly solved predictions."""
     thetas = np.asarray(thetas, dtype=float)
     predictions, _ = solve_equilibrium_predictions(config, prior, thetas)
     return StrategyProfile(thetas.copy(), predictions)
 
 
 def solve_equilibrium_predictions_direct(
-    config: MechanismConfig,
-    prior: PairwisePrior,
-    thetas: np.ndarray | Sequence[np.ndarray],
+    config: MechanismConfig, prior: PairwisePrior, thetas: np.ndarray | Sequence[np.ndarray]
 ) -> np.ndarray:
     """Dense linear solve of the same prediction system, one report block at
-    a time with all m coordinates as right-hand sides; cross-check for the
-    iterative path, so it assembles its coupling without the shared kernel."""
+    a time with all m coordinates as right-hand sides: the oracle of the
+    Woodbury path, so it assembles its coupling without the shared kernel,
+    and its fallback for members with singular blocks."""
     thetas = np.asarray(thetas, dtype=float)
     n, m = thetas.shape[0], thetas.shape[1]
     alpha, beta = config.alpha, config.beta

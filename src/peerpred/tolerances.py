@@ -43,8 +43,8 @@ SAMPLED_PRIOR_TOL = 1e-6
 #
 # Largest |column sum - 1| of a signal strategy that a profile holds.
 STOCHASTIC_TOL = 1e-12
-# The prediction fixed-point iteration stops once its sup-norm update falls
-# below this; the map contracts, so the solution is about as close.
+# Largest error bound of an exact prediction solve; a member whose bound
+# exceeds it is solved again by the dense solve.
 SOLVER_TOL = 1e-12
 # Largest best-response gain at which ``check_equilibrium`` (and
 # ``check-eq --eps``) still calls a profile an equilibrium.

@@ -37,6 +37,20 @@ EXAMPLE_PRIOR = {
     "conditional": [[0.1, 0.2, 0.3], [0.2, 0.4, 0.6], [0.7, 0.4, 0.1]],
 }
 
+# a pairwise prior whose joint is not PSD, and a profile under which agent 0's
+# prediction block for report s1 is singular at alpha = 1, beta = 1.25
+SINGULAR_PRIOR = {
+    "signals": ["s1", "s2"],
+    "kind": "pairwise",
+    "marginal": [0.5, 0.5],
+    "conditional": [[0.1, 0.9], [0.9, 0.1]],
+}
+SINGULAR_PROFILE = profile_to_dict(
+    StrategyProfile(
+        np.array([[[1.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 1.0]]]), np.full((2, 2, 2, 2), 0.5)
+    )
+)
+
 
 @pytest.fixture
 def prior_file(tmp_path):
@@ -441,6 +455,33 @@ class TestLoneReporter:
         assert rows["aggregation-error"]["passed"]
 
 
+class TestExactSolve:
+    def test_large_beta_exits_0(self, tmp_path, capsys):
+        prior = tmp_path / "prior.json"
+        save_prior(random_snife_prior(3, 2, seed=5), prior)
+        thetas = random_signal_strategies(np.random.default_rng(8), 3, (8,))
+        profile = tmp_path / "profile.json"
+        save_profile(StrategyProfile(thetas, np.full((8, 3, 3, 3), 1 / 3)), profile)
+        argv = ["solve-predictions", "--prior", str(prior), "--profile", str(profile),
+                "--beta", "1e4"]  # fmt: skip
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 8 * 3 * 3
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_singular_block_exits_0_without_negative_values(self, tmp_path, capsys, fmt):
+        paths = []
+        for name, data in (("prior", SINGULAR_PRIOR), ("profile", SINGULAR_PROFILE)):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(data))
+        argv = ["solve-predictions", "--prior", str(paths[0]), "--profile", str(paths[1]),
+                "--alpha", "1", "--beta", "1.25", "--format", fmt]  # fmt: skip
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "-" not in out
+        if fmt == "json":
+            assert np.min([a["predictions"] for a in json.loads(out)["agents"]]) == 0.0
+
+
 class TestSweepN:
     def test_rows_and_bound(self, prior_file, mech_file, capsys):
         code = main(
@@ -669,6 +710,8 @@ class TestFuzz:
             "nan-profile": nan_profile,
             "inf-profile": inf_profile,
             "m3-profile": m3,
+            "singular-prior": SINGULAR_PRIOR,
+            "singular-profile": SINGULAR_PROFILE,
             "no-agents": {"n": 4},
             "agents-number": {"agents": 3},
             "agents-lists": {"agents": [[1, 2], [3, 4]]},
@@ -701,14 +744,14 @@ class TestFuzz:
     SEEDS = ("0", "7"), ("-1", str(2**64), "x")
     SPECS = (
         ("truth", "uniform", "counterexample", "constant:s1", "constant:1", "permutation:1,0",
-         "profile", "inf-profile"),
+         "profile", "inf-profile", "singular-profile"),
         ("constant:zz", "constant:", "constant:-1", "permutation:0,1", "permutation:1,x",
          "permutation:", f"permutation:{10**30},0", "bogus", "nan-profile", "m3-profile",
          "no-agents", "agents-number", "agents-lists", "wrong-n", "list", "not-json",
          "directory", "missing"),
     )  # fmt: skip
     PRIORS = (
-        ("latent", "pairwise", "coarse"),
+        ("latent", "pairwise", "coarse", "singular-prior"),
         ("nan-latent", "nan-pairwise", "no-emissions", "bad-shape", "bad-signals",
          "nested-signals", "bad-kind", "list", "number", "null", "not-json", "empty", "binary",
          "directory", "missing"),

@@ -14,8 +14,13 @@ from peerpred.equilibrium import (
     solve_prediction_stack,
     solved_profile,
 )
-from peerpred.mechanism import MechanismConfig, MechanismError
-from peerpred.priors import PermutationMap, from_latent, random_snife_prior
+from peerpred.mechanism import MechanismConfig
+from peerpred.priors import (
+    PermutationMap,
+    build_pairwise_prior,
+    from_latent,
+    random_snife_prior,
+)
 from peerpred.scoring import get_rule
 from peerpred.strategy import (
     StrategyProfile,
@@ -181,6 +186,16 @@ class TestOneScoringPass:
         ) as counted:  # fmt: skip
             check_equilibrium(config, prior, truth_telling_profile(prior, 5))
         assert counted.call_count == calls
+
+
+def non_psd_pairwise_prior(rng, m):
+    """A pairwise prior over m signals whose symmetric joint is not PSD."""
+    while True:
+        joint = rng.random((m, m))
+        joint = (joint + joint.T) / np.sum(joint + joint.T)
+        if np.linalg.eigvalsh(joint).min() < 0.0:
+            marginal = joint.sum(axis=0)
+            return build_pairwise_prior(marginal, joint / marginal)
 
 
 @pytest.fixture(scope="module")
@@ -368,17 +383,63 @@ class TestPredictionSolver:
                 target = perm.matrix() @ prior.q_sigma(s)
                 assert np.max(np.abs(predictions[i, s, perm(s)] - target)) <= 1e-12
 
-    def test_iterative_matches_direct(self, setting):
+    def test_exact_matches_direct(self, setting):
         prior, _ = setting
         rng = np.random.default_rng(4)
         for k in range(5):
             n = 3 + k
             config = MechanismConfig(1.0, 0.02 + 0.01 * k, "log")
             thetas = np.stack([random_signal_strategy(rng, 3) for _ in range(n)])
-            x_iter, residual = solve_equilibrium_predictions(config, prior, thetas)
+            x_exact, bound = solve_equilibrium_predictions(config, prior, thetas)
             x_direct = solve_equilibrium_predictions_direct(config, prior, thetas)
-            assert residual < 1e-12
-            assert np.max(np.abs(x_iter - x_direct)) <= 1e-10
+            error = np.max(np.abs(x_exact - x_direct))
+            assert error <= bound < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 4),
+        st.integers(2, 64),
+        st.floats(-3.0, 3.0),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_members_match_dense_oracle(self, m, n, log_ratio, latent, seed):
+        """Every member lies within 1e-12 of the dense solve, and its bound
+        is at least the distance, for beta/alpha in [1e-3, 1e3] and priors
+        whose joint is PSD (latent) or not."""
+        rng = np.random.default_rng(seed)
+        if latent:
+            prior = from_latent(random_snife_prior(m, 2, seed=int(rng.integers(1000))))
+        else:
+            prior = non_psd_pairwise_prior(rng, m)
+        alpha = float(10.0 ** rng.uniform(-1.0, 1.0))
+        config = MechanismConfig(alpha, alpha * 10.0**log_ratio, "quadratic")
+        thetas = random_signal_strategies(rng, m, (3, n))
+        predictions, bounds = solve_prediction_stack(config, prior, thetas)
+        for k in range(3):
+            dense = solve_equilibrium_predictions_direct(config, prior, thetas[k])
+            error = np.max(np.abs(predictions[k] - dense))
+            assert error <= 1e-12
+            assert bounds[k] >= error
+
+    def test_singular_block_falls_back_to_dense(self):
+        """Agent 0 always reports s1, so its block for report s1 is
+        I + 1.25 q^T, singular for this prior; the exact tables hold zeros."""
+        prior = build_pairwise_prior([0.5, 0.5], [[0.1, 0.9], [0.9, 0.1]])
+        config = MechanismConfig(1.0, 1.25, "log")
+        thetas = np.array([[[1.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 1.0]]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(np.eye(2) + 1.25 * prior.conditional.T, np.eye(2))
+        predictions, bound = solve_equilibrium_predictions(config, prior, thetas)
+        dense = solve_equilibrium_predictions_direct(config, prior, thetas)
+        assert np.max(np.abs(predictions - dense)) <= bound <= 1e-12
+        assert predictions.min() == 0.0
+        # in a stack, only the singular member goes dense
+        stack = np.stack([thetas, np.full((2, 2, 2), 0.5)])
+        stacked, bounds = solve_prediction_stack(config, prior, stack)
+        assert stacked[0].tobytes() == predictions.tobytes() and bounds[0] == bound
+        alone, _ = solve_equilibrium_predictions(config, prior, stack[1])
+        assert stacked[1].tobytes() == alone.tobytes()
 
     def test_solutions_are_simplex_tables(self, setting):
         prior, config = setting
@@ -402,26 +463,6 @@ class TestPredictionSolver:
                     value_cell = oracle_value(config, terms, r, profile.predictions[i, s, r])
                     assert value_cell >= report.values[i, s, r] - 1e-12
 
-    def test_iteration_cap(self, setting):
-        prior, config = setting
-        thetas = np.broadcast_to(np.eye(3), (4, 3, 3)).copy()
-        with pytest.raises(MechanismError, match="iterations"):
-            solve_equilibrium_predictions(config, prior, thetas, tol=1e-12, max_iter=1)
-
-
-def solver_iterations(config, prior, thetas):
-    """Iterations of one solve: one kernel call each."""
-    calls = []
-
-    def counting(cond, stack, field):
-        calls.append(1)
-        return kernel(cond, stack, field)
-
-    kernel = equilibrium._neighbor_sum
-    with mock.patch.object(equilibrium, "_neighbor_sum", counting):
-        solve_equilibrium_predictions(config, prior, thetas)
-    return len(calls)
-
 
 class TestPredictionStack:
     @pytest.mark.parametrize("m", (2, 3, 4, 8))
@@ -437,10 +478,7 @@ class TestPredictionStack:
             alone, delta = solve_equilibrium_predictions(config, prior, thetas[k])
             assert predictions[k].tobytes() == alone.tobytes()
             assert deltas[k] == delta
-        if beta > 0.0:
-            counts = {solver_iterations(config, prior, thetas[k]) for k in range(4)}
-            assert len(counts) > 1, "the members should stop at different iterations"
-        else:
+        if beta == 0.0:
             assert np.all(deltas == 0.0)
 
     def test_passes_split_the_stack(self, prior3):
@@ -452,13 +490,6 @@ class TestPredictionStack:
         with mock.patch.object(equilibrium, "_BLOCK_CELLS", 1):
             split, _ = solve_prediction_stack(config, prior3, thetas)
         assert whole.tobytes() == split.tobytes()
-
-    def test_iteration_cap(self, prior3):
-        thetas = np.broadcast_to(np.eye(3), (2, 4, 3, 3))
-        with pytest.raises(MechanismError, match="iterations"):
-            solve_prediction_stack(
-                MechanismConfig(1.0, 0.05, "log"), prior3, thetas, tol=1e-12, max_iter=1
-            )
 
 
 def test_random_signal_strategies_match_single_draws():

@@ -73,6 +73,7 @@ def test_bench_layers_writes_json(tmp_path):
         "welfare_metrics",
         "check_equilibrium",
         "solve_equilibrium_predictions",
+        "solve_equilibrium_predictions:beta=10",
         "classification_bound_audit",
         "relabeling_cycle_audit",
     )
@@ -111,7 +112,8 @@ def test_compare_trees_finds_no_diff_against_itself():
     assert lines[1].startswith("time ratio change/parent over 1 rounds: median ")
 
 
-def test_compare_trees_reports_a_perturbed_copy(tmp_path):
+def perturbed_cli(tmp_path, old, new):
+    """A copy of the sources whose cli.py has its one ``old`` replaced by ``new``."""
     shutil.copytree(
         ROOT / "src" / "peerpred",
         tmp_path / "src" / "peerpred",
@@ -119,11 +121,30 @@ def test_compare_trees_reports_a_perturbed_copy(tmp_path):
     )
     cli = tmp_path / "src" / "peerpred" / "cli.py"
     text = cli.read_text()
-    assert text.count('"mean_payment"') == 2
-    cli.write_text(text.replace('"mean_payment"', '"mean_paid"'))
-    done = compare_trees(ROOT, tmp_path)
+    assert text.count(old) == 1
+    cli.write_text(text.replace(old, new))
+    return tmp_path
+
+
+def test_compare_trees_reports_a_perturbed_copy(tmp_path):
+    change = perturbed_cli(tmp_path, '"agent": i, "mean_payment"', '"agent": i, "mean_paid"')
+    done = compare_trees(ROOT, change)
     assert done.returncode == 1, done.stderr
     assert "monte-carlo: 3 CLI jobs, 3 with differing output" in done.stdout
     assert done.stdout.count("differs: payout --prior ") == 3
     assert "-agent,mean_payment,stderr" in done.stdout
     assert "+agent,mean_paid,stderr" in done.stdout
+    # the renamed header holds no number, so no number moved
+    assert done.stdout.count("  largest |change - parent| of a number: 0.0e+00") == 3
+
+
+def test_compare_trees_reports_the_largest_moved_number(tmp_path):
+    old = '"stderr": mc.welfare_stderr}'
+    change = perturbed_cli(tmp_path, old, old.replace("}", " + 0.25}"))
+    done = compare_trees(ROOT, change)
+    assert done.returncode == 1, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines.count("  largest |change - parent| of a number: 2.5e-01") == 3
+    summary = lines.index("monte-carlo: 3 CLI jobs, 3 with differing output")
+    overall = "largest |change - parent| of a number over the differing jobs: 2.5e-01"
+    assert lines[summary + 1] == overall
