@@ -25,18 +25,21 @@ once more at beta = 10 alpha, as layer
 ``solve_equilibrium_predictions:beta=10``.  sweep_row, one row of ``sweep-n``
 (SWEEP_SAMPLES random strategy lists drawn, solved and scored against
 truth-telling), runs over the same grid as profile "random".
-aggregation_error_audit runs over ``--ns`` at m = 2 and 3 (eps = 10, which
-every n >= 3 clears) on two strategy lists: random strategies ("random", n
-agent types) and truth-tellers with one random deviant ("one-deviant", two
-types).
+aggregation_error_audit runs over ``--ns`` and LARGE_N at m = 2 and 3
+(eps = 10, which every n >= 3 clears) on two strategy lists: random
+strategies ("random", n agent types) and truth-tellers with one random
+deviant ("one-deviant", two types).
 monte_carlo_payments runs ``--mc-trials`` trials (seed 0) at m = 3 and n in
 ``--mc-ns``, for both variants, and its rows add ``trials_per_s``.
 
 The I/O layer runs at m = 3 on the solved profile: save_profile and
-load_profile over ``--io-ns``, and one in-process ``cli.main`` call of
-``solve-predictions --format json --out`` (prior, mechanism and profile
-files in, the solved profile file out) at n = CLI_N, recorded as layer
-``cli:solve-predictions``.
+load_profile over ``--io-ns``, and three in-process ``cli.main`` calls at
+n = LARGE_N, the agent count of the exact-large benchmark workload (prior,
+mechanism and profile files in, the output to a file): ``solve-predictions
+--format json --out``, which writes the solved profile, recorded as layer
+``cli:solve-predictions``; and ``solve-predictions`` and ``check-eq`` with
+CSV ``--out``, the n m^2 and n m row tables, recorded as layers
+``cli:solve-predictions:csv`` and ``cli:check-eq:csv``.
 
 Every run first records a ``control`` row: a fixed numpy workload (generator
 fills, a sort, a matrix product and a gather) that calls nothing from
@@ -89,7 +92,7 @@ AUDIT_MS = (2, 3)
 AUDIT_EPS = 10.0
 SWEEP_SAMPLES = 5
 IO_M = 3
-CLI_N = 512
+LARGE_N = 512
 
 
 def _ints(text):
@@ -216,24 +219,29 @@ def main():
         files = {name: Path(scratch) / f"io-{name}.json" for name in ("prior", "mech", "out")}
         save_prior(latent, files["prior"])
         save_mechanism(config, files["mech"])
-        for n in sorted({*args.io_ns, CLI_N}):
+        for n in sorted({*args.io_ns, LARGE_N}):
             solved = _profiles(config, prior, n, seed=SEED + 1000 * IO_M + n)["solved"]
             path = Path(scratch) / f"io-profile{n}.json"
             save_profile(solved, path)
             if n in args.io_ns:
                 record("save_profile", "solved", IO_M, n, lambda: save_profile(solved, path))
                 record("load_profile", "solved", IO_M, n, lambda: load_profile(path))
-            if n == CLI_N:
-                argv = ["solve-predictions", "--prior", str(files["prior"]), "--profile",
-                        str(path), "--mech", str(files["mech"]), "--format", "json",
-                        "--out", str(files["out"])]  # fmt: skip
-                if cli.main(argv) != 0:
-                    raise SystemExit(f"bench_layers: {' '.join(argv)} failed")
-                record("cli:solve-predictions", "random", IO_M, n, lambda: cli.main(argv))
+            if n == LARGE_N:
+                inputs = ["--prior", str(files["prior"]), "--profile", str(path),
+                          "--mech", str(files["mech"]), "--out", str(files["out"])]  # fmt: skip
+                calls = {
+                    "cli:solve-predictions": ["solve-predictions", *inputs, "--format", "json"],
+                    "cli:solve-predictions:csv": ["solve-predictions", *inputs],
+                    "cli:check-eq:csv": ["check-eq", *inputs],
+                }
+                for layer, argv in calls.items():
+                    if cli.main(argv) != 0:
+                        raise SystemExit(f"bench_layers: {' '.join(argv)} failed")
+                    record(layer, "random", IO_M, n, lambda: cli.main(argv))
 
     for m in AUDIT_MS:
         prior = from_latent(random_snife_prior(m, 2, seed=SEED + m))
-        for n in sorted(args.ns):
+        for n in sorted({*args.ns, LARGE_N}):
             rng = np.random.default_rng(SEED + 1000 * m + n)
             lists = {"random": random_signal_strategies(rng, m, (n,))}
             lists["one-deviant"] = np.broadcast_to(np.eye(m), (n, m, m)).copy()

@@ -132,11 +132,14 @@ def aggregation_error_audit(
 
     Agents with byte-identical strategies have bit-identical anchors
     theta_minus q_s, so the maximum runs over the T agent types instead: over
-    ordered pairs of distinct types, and over a type paired with itself when
-    it has at least two agents.  D* is taken elementwise, as :func:`hellinger`
-    defines it, from each anchor's square roots, in row blocks of
-    ``_BLOCK_CELLS`` entries: O(T^2 m^3) time and O(n m^2 + _BLOCK_CELLS)
-    memory.
+    pairs of distinct types, and over a type paired with itself when it has
+    at least two agents.  D* and the reference are symmetric bit for bit, so
+    each unordered pair of types is visited once: a row block of whole types
+    against the types from its own first one onward.  D* is taken
+    elementwise, as :func:`hellinger` defines it, from each anchor's square
+    roots, its squared differences summed in coordinate order; each row block
+    holds at most ``_BLOCK_CELLS`` cell pairs (or one type's row).  That is
+    O(T^2 m^3 / 2) time and O(n m^2 + m _BLOCK_CELLS) memory.
     """
     if not eps > 0.0:
         raise AuditError(f"eps must be positive, got {eps}")
@@ -149,32 +152,43 @@ def aggregation_error_audit(
         )
     first, counts = agent_types(thetas)
     types = first.size
-    # cell (t, s): type t at private signal s; cols[v] holds coordinate v of
-    # every cell's anchor root
+    cells = types * m
+    # cell (t, s): type t at private signal s.  Every difference sqrt x_f -
+    # sqrt y_f is the product [sqrt x_f, 1] @ [1, -sqrt y_f]: both terms are
+    # exact and their sum rounds once, as the subtraction does, so one matmul
+    # per block gives the subtraction's bits
     roots = np.sqrt(prediction_anchors(prior, thetas)[first])
-    cols = np.ascontiguousarray(roots.reshape(types * m, m).T)
-    cell_type, cell_sig = np.divmod(np.arange(types * m), m)
+    row_pairs = np.empty((m, cells, 2))  # [f, x, (sqrt x_f, 1)]
+    row_pairs[..., 0] = roots.reshape(cells, m).T
+    row_pairs[..., 1] = 1.0
+    col_pairs = np.empty((m, 2, cells))  # [f, (1, -sqrt y_f), y]
+    col_pairs[:, 0] = 1.0
+    np.negative(row_pairs[..., 0], out=col_pairs[:, 1])
     # a single agent's type does not pair with itself: the bound quantifies
     # distinct agents
-    alone = counts[cell_type] < 2
+    alone = counts < 2
 
     ref_points = (thetas.mean(axis=0) @ prior.conditional).T  # row s = theta_bar q_s
     ref = hellinger(ref_points[:, None, :], ref_points[None, :, :])  # (m, m)
 
     lhs = 0.0
-    rows_per_block = max(1, _BLOCK_CELLS // (types * m))
-    for lo in range(0, types * m, rows_per_block):
-        x = slice(lo, lo + rows_per_block)
-        # in place: allocating each term measured up to twice as slow at m = 2
-        dstar = np.zeros((cols[0, x].size, types * m))
-        for col in cols:
-            diff = np.subtract.outer(col[x], col)
-            dstar += np.square(diff, out=diff)
-        dev = dstar.reshape(-1, types, m)
-        dev -= ref[cell_sig[x], None, :]
+    rows = max(1, _BLOCK_CELLS // (cells * m))  # types per row block
+    # one buffer for the widest block: fresh arrays cost page faults per block
+    buffer = np.empty(m * min(rows, types) * m * cells)
+    for lo in range(0, types, rows):
+        hi = min(lo + rows, types)
+        height, width = (hi - lo) * m, (types - lo) * m
+        diff = buffer[: m * height * width].reshape(m, height, width)
+        np.matmul(row_pairs[:, lo * m : hi * m], col_pairs[..., lo * m :], out=diff)
+        np.square(diff, out=diff)
+        dstar = diff[0]
+        for term in diff[1:]:
+            dstar += term
+        dev = dstar.reshape(hi - lo, m, types - lo, m)
+        dev -= ref[:, None, :]
         np.abs(dev, out=dev)
-        own = np.nonzero(alone[x])[0]
-        dev[own, cell_type[x][own]] = 0.0
+        own = np.flatnonzero(alone[lo:hi])
+        dev[own, :, own] = 0.0
         lhs = np.maximum(lhs, dev.max())  # keeps a NaN, as np.max does
     lhs = float(lhs)
     return AuditResult(

@@ -107,20 +107,27 @@ def _write(text: str, args):
         raise CliError(f"cannot write {args.out}: {exc.strerror}") from None
 
 
-def _emit(rows: list[dict], args):
-    """Write rows as CSV (one header from the first row; floats in 17
-    significant digits, which round-trip) or a JSON list."""
+def _emit(header: tuple, rows: list[tuple], args):
+    """Write a table: with ``--format json`` a JSON list of one object per
+    row, else CSV by ``csv.writer``, the header line first (floats in 17
+    significant digits, which round-trip; a table without rows writes
+    nothing)."""
     if args.format == "json":
-        return _write(json_text(rows), args)
+        return _write(json_text([dict(zip(header, row)) for row in rows]), args)
     buf = _io.StringIO()
     if rows:
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(rows[0].keys())
+        writer.writerow(header)
         writer.writerows(
-            [f"{v:.17g}" if isinstance(v, float) else str(v) for v in row.values()]
-            for row in rows
+            [f"{v:.17g}" if isinstance(v, float) else str(v) for v in row] for row in rows
         )
     _write(buf.getvalue(), args)
+
+
+def _emit_records(records: list[dict], args):
+    """:func:`_emit` of rows given as dicts with the same keys in one order."""
+    header = tuple(records[0]) if records else ()
+    _emit(header, [tuple(record.values()) for record in records], args)
 
 
 def _status(message: str):
@@ -296,7 +303,7 @@ def _cmd_validate_prior(args) -> int:
         raise CliError(f"--tol must be non-negative, got {args.tol:g}")
     report = validate_snife(args.prior, tol=args.tol)
     rows = [
-        {"assumption": name, "ok": ok, "witness": ";".join(map(str, report.witnesses.get(name, ())))}
+        (name, ok, ";".join(map(str, report.witnesses.get(name, ()))))
         for name, ok in (
             ("symmetric", report.symmetric_ok),
             ("nonzero", report.nonzero_ok),
@@ -304,9 +311,9 @@ def _cmd_validate_prior(args) -> int:
             ("finegrained", report.finegrained_ok),
         )
     ]
-    _emit(rows, args)
+    _emit(("assumption", "ok", "witness"), rows, args)
     if not report.all_ok:
-        _status("validation failed: " + ", ".join(r["assumption"] for r in rows if not r["ok"]))
+        _status("validation failed: " + ", ".join(name for name, ok, _ in rows if not ok))
         return 2
     return 0
 
@@ -325,29 +332,24 @@ def _cmd_payout(args) -> int:
         if not isinstance(args.loaded, LatentStatePrior):
             raise CliError("--trials needs a latent prior (sampling requires the full joint)")
         mc = monte_carlo_payments(args.mech, args.loaded, profile, args.trials, seed=args.seed)
-        rows = [
-            {"agent": i, "mean_payment": mc.mean[i], "stderr": mc.stderr[i]}
-            for i in range(profile.n)
-        ]
-        rows.append(
-            {"agent": "average", "mean_payment": mc.welfare_mean, "stderr": mc.welfare_stderr}
-        )
-        _emit(rows, args)
+        rows = [(i, mc.mean[i], mc.stderr[i]) for i in range(profile.n)]
+        rows.append(("average", mc.welfare_mean, mc.welfare_stderr))
+        _emit(("agent", "mean_payment", "stderr"), rows, args)
         return 0
     report = check_equilibrium(args.mech, prior, profile)
     labels = prior.space.labels
     rows = [
-        {"agent": i, "signal": label, "payoff": payoff, "gap": gap}
+        (i, label, payoff, gap)
         for i, (payoffs, gaps) in enumerate(zip(report.payoffs.tolist(), report.gaps.tolist()))
         for label, payoff, gap in zip(labels, payoffs, gaps)
     ]
-    _emit(rows, args)
+    _emit(("agent", "signal", "payoff", "gap"), rows, args)
     return 0
 
 
 def _cmd_welfare(args) -> int:
     args.mech.warn_if_outside_regime(args.prior.m)
-    _emit([welfare_metrics(args.prior, args.profile).to_dict()], args)
+    _emit_records([welfare_metrics(args.prior, args.profile).to_dict()], args)
     return 0
 
 
@@ -355,7 +357,9 @@ def _cmd_check_eq(args) -> int:
     if not args.eps >= 0:
         raise CliError(f"--eps must be non-negative, got {args.eps:g}")
     report = check_equilibrium(args.mech, args.prior, args.profile, eps=args.eps)
-    _emit(report.to_rows(), args)
+    gaps = report.gaps.tolist()
+    rows = [(i, s, gap) for i, row in enumerate(gaps) for s, gap in enumerate(row)]
+    _emit(("agent", "signal", "gap"), rows, args)
     _status(
         f"max_gap={report.max_gap:.3e} eps={args.eps:g} "
         f"is_eps_equilibrium={report.is_eps_equilibrium}"
@@ -371,14 +375,13 @@ def _cmd_solve_predictions(args) -> int:
         _write(json_text(profile_to_dict(solved)), args)
         return 0
     labels = prior.space.labels
-    columns = [f"p_{label}" for label in labels]
     rows = [
-        {"agent": i, "signal": signal, "report": report, **dict(zip(columns, prediction))}
+        (i, signal, report, *prediction)
         for i, tables in enumerate(solved.predictions.tolist())
         for signal, table in zip(labels, tables)
         for report, prediction in zip(labels, table)
     ]
-    _emit(rows, args)
+    _emit(("agent", "signal", "report", *(f"p_{label}" for label in labels)), rows, args)
     return 0
 
 
@@ -403,7 +406,7 @@ def _cmd_audit(args) -> int:
             if args.which != "all":
                 raise
             _status(f"{name} skipped: {exc}")
-    _emit([_audit_row(r) for r in results], args)
+    _emit_records([_audit_row(r) for r in results], args)
     return 0
 
 
@@ -414,7 +417,7 @@ def _audit_row(result) -> dict:
 def _cmd_impossibility(args) -> int:
     perm = PermutationMap(_parse_indices(args.perm, "--perm"))
     results = relabeling_cycle_audit(args.prior, args.profile, perm)
-    _emit([_audit_row(r) for r in results], args)
+    _emit_records([_audit_row(r) for r in results], args)
     return 0
 
 
@@ -436,7 +439,7 @@ def _cmd_sweep_n(args) -> int:
             "within_bound": bool(max_gap <= gamma2),
         }
 
-    _emit([unit(n) for n in ns], args)
+    _emit_records([unit(n) for n in ns], args)
     return 0
 
 

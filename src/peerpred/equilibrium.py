@@ -40,10 +40,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .mechanism import _BLOCK_CELLS, MechanismConfig
+from .mechanism import _BLOCK_CELLS, MechanismConfig, MechanismError
 from .priors import PairwisePrior
 from .strategy import StrategyProfile, prediction_anchors
-from .tolerances import EQUILIBRIUM_EPS, SOLVER_TOL
+from .tolerances import EQUILIBRIUM_EPS, PROBABILITY_TOL, SOLVER_TOL
 
 __all__ = [
     "EquilibriumReport",
@@ -201,6 +201,11 @@ def solve_prediction_stack(
     solution is non-negative, so solutions are clipped at 0.  Each member's
     result is the one it gets alone, bit for bit; a pass holds at most
     ``_BLOCK_CELLS // (n m^4)`` members (at least one).
+
+    The system's condition number grows like beta/alpha: from beta/alpha of
+    about 1e8 the solved tables miss the simplex by more than a prediction
+    may (``PROBABILITY_TOL``), and :class:`MechanismError` is raised, naming
+    beta/alpha and the miss.
     """
     thetas = np.asarray(thetas, dtype=float)
     size, n, m = thetas.shape[0], thetas.shape[1], thetas.shape[2]
@@ -210,6 +215,13 @@ def solve_prediction_stack(
     for lo in range(0, size, per_pass):
         hi = min(lo + per_pass, size)
         _solve_pass(config, prior, thetas[lo:hi], predictions[lo:hi], bounds[lo:hi])
+    miss = float(np.abs(predictions.sum(axis=-1) - 1.0).max()) if predictions.size else 0.0
+    if not miss <= PROBABILITY_TOL:
+        raise MechanismError(
+            f"at beta/alpha = {config.beta / config.alpha:.3g} the solved prediction tables "
+            f"miss the simplex by {miss:.3g}, more than {PROBABILITY_TOL:g}: the prediction "
+            "system's condition number grows like beta/alpha"
+        )
     return predictions, bounds
 
 

@@ -33,6 +33,7 @@ from peerpred.priors import (
 )
 from peerpred.strategy import (
     StrategyProfile,
+    agent_types,
     permutation_profile,
     prediction_anchors,
     random_signal_strategies,
@@ -95,6 +96,37 @@ def aggregation_error_oracle(prior, thetas):
     return float(np.max(dev))
 
 
+def aggregation_error_full_square(prior, thetas, block_cells=2**16):
+    """The aggregation_error_audit lhs over every ordered pair of (type,
+    signal) cells, D* summed from subtracted roots in coordinate order, in
+    row blocks of ``block_cells`` entries: the bit-level oracle of the
+    audit's one-visit-per-pair scan."""
+    m = thetas.shape[1]
+    first, counts = agent_types(thetas)
+    types = first.size
+    roots = np.sqrt(prediction_anchors(prior, thetas)[first])
+    cols = np.ascontiguousarray(roots.reshape(types * m, m).T)
+    cell_type, cell_sig = np.divmod(np.arange(types * m), m)
+    alone = counts[cell_type] < 2
+    ref_points = (thetas.mean(axis=0) @ prior.conditional).T
+    ref = hellinger(ref_points[:, None, :], ref_points[None, :, :])
+    lhs = 0.0
+    rows_per_block = max(1, block_cells // (types * m))
+    for lo in range(0, types * m, rows_per_block):
+        x = slice(lo, lo + rows_per_block)
+        dstar = np.zeros((cols[0, x].size, types * m))
+        for col in cols:
+            diff = np.subtract.outer(col[x], col)
+            dstar += np.square(diff, out=diff)
+        dev = dstar.reshape(-1, types, m)
+        dev -= ref[cell_sig[x], None, :]
+        np.abs(dev, out=dev)
+        own = np.nonzero(alone[x])[0]
+        dev[own, cell_type[x][own]] = 0.0
+        lhs = np.maximum(lhs, dev.max())
+    return float(lhs)
+
+
 @cache
 def cached_prior(m, seed):
     return from_latent(random_snife_prior(m, 2, seed=seed))
@@ -126,6 +158,15 @@ class TestAggregationError:
             oracle = aggregation_error_oracle(prior, thetas)
         assert np.isfinite(lhs)
         np.testing.assert_allclose(lhs, oracle, rtol=0, atol=1e-15)
+
+    @settings(max_examples=150, deadline=None)
+    @given(strategy_lists(), st.sampled_from((1, 7, 2**16)))
+    def test_matches_full_square_bits(self, case, block_cells):
+        prior, thetas = case
+        with mock.patch.object(audits, "_BLOCK_CELLS", block_cells):
+            lhs = aggregation_error_audit(prior, thetas, eps=100.0).lhs
+        oracle = aggregation_error_full_square(prior, thetas, block_cells)
+        assert lhs.hex() == oracle.hex() or (np.isnan(lhs) and np.isnan(oracle))
 
     def test_equal_strategies_zero(self, prior2):
         theta = random_signal_strategy(np.random.default_rng(1), 2)

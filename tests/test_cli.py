@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -407,6 +408,87 @@ class TestJsonWriter:
             self._assert_one_line(out)
 
 
+def reference_csv(records: list[dict]) -> str:
+    """The CSV text of dict rows as csv.writer wrote it: one header from the
+    first row's keys, floats in 17 significant digits, other cells by str."""
+    buf = io.StringIO()
+    if records:
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(records[0].keys())
+        writer.writerows(
+            [f"{v:.17g}" if isinstance(v, float) else str(v) for v in row.values()]
+            for row in records
+        )
+    return buf.getvalue()
+
+
+class TestCsvWriter:
+    """Every CSV output is the text csv.writer gives for the rows of the same
+    call's JSON output."""
+
+    LABELS = ["a,b", 'say "hi"', "naïve"]  # a comma, a quote, a space, non-ASCII
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        latent = random_snife_prior(3, 2, seed=13)
+        data = {**prior_to_dict(latent), "signals": self.LABELS}
+        paths = {name: str(tmp_path / f"{name}.json") for name in ("prior", "mech", "profile")}
+        Path(paths["prior"]).write_text(json.dumps(data))
+        config = MechanismConfig(1.0, 0.03, "log")
+        save_mechanism(config, paths["mech"])
+        thetas = random_signal_strategies(np.random.default_rng(13), 3, (6,))
+        save_profile(solved_profile(config, from_latent(latent), thetas), paths["profile"])
+        return paths
+
+    @staticmethod
+    def _run(argv, capsys) -> str:
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    def test_csv_matches_csv_writer(self, files, capsys):
+        inputs = ["--prior", files["prior"], "--profile", files["profile"]]
+        mech = ["--mech", files["mech"]]
+        calls = [
+            ["welfare", *inputs, *mech],
+            ["check-eq", *inputs, *mech],
+            ["payout", *inputs, *mech],
+            ["payout", *inputs, *mech, "--trials", "300", "--seed", "4"],
+            ["audit", *inputs, *mech, "--eps", "10"],
+            ["impossibility", *inputs, "--perm", "1,2,0"],
+            ["sweep-n", "--prior", files["prior"], *mech, "--n", "4,6", "--samples", "2"],
+            ["validate-prior", "--in", files["prior"]],
+        ]
+        for argv in calls:
+            records = json.loads(self._run([*argv, "--format", "json"], capsys))
+            assert records, argv
+            assert self._run(argv, capsys) == reference_csv(records), argv
+
+    def test_solve_predictions_csv_matches_csv_writer(self, files, capsys):
+        argv = ["solve-predictions", "--prior", files["prior"], "--profile", files["profile"],
+                "--mech", files["mech"]]  # fmt: skip
+        agents = json.loads(self._run([*argv, "--format", "json"], capsys))["agents"]
+        records = [
+            {"agent": i, "signal": signal, "report": report,
+             **{f"p_{label}": p for label, p in zip(self.LABELS, prediction)}}
+            for i, agent in enumerate(agents)
+            for signal, tables in zip(self.LABELS, agent["predictions"])
+            for report, prediction in zip(self.LABELS, tables)
+        ]  # fmt: skip
+        out = self._run(argv, capsys)
+        assert out == reference_csv(records)
+        assert out.startswith('agent,signal,report,"p_a,b","p_say ""hi""",p_naïve\n')
+
+    def test_bools_and_ints_print_apart(self, capsys):
+        args = cli._parse(["welfare", "--prior", "unused.json", "--profile", "truth"])
+        cli._emit(("flag", "count", "label"), [(True, 1, "1"), (1, True, "True")], args)
+        assert capsys.readouterr().out == "flag,count,label\nTrue,1,1\n1,True,True\n"
+
+    def test_no_rows_no_output(self, capsys):
+        args = cli._parse(["welfare", "--prior", "unused.json", "--profile", "truth"])
+        cli._emit(("a",), [], args)
+        assert capsys.readouterr().out == ""
+
+
 class TestAuditAndImpossibility:
     def test_audit_table(self, prior_file, mech_file, capsys):
         code = main(
@@ -466,6 +548,25 @@ class TestExactSolve:
                 "--beta", "1e4"]  # fmt: skip
         assert main(argv) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + 8 * 3 * 3
+
+    @pytest.mark.parametrize("beta", ["1e8", "1e308"])
+    @pytest.mark.parametrize("profile", ["uniform", "random", "sweep-n"])
+    def test_beta_past_conditioning_names_beta_over_alpha(self, tmp_path, capsys, beta, profile):
+        prior = tmp_path / "prior.json"
+        save_prior(random_snife_prior(3, 2, seed=5), prior)
+        if profile == "sweep-n":
+            argv = ["sweep-n", "--prior", str(prior), "--n", "4,8"]
+        else:
+            if profile == "random":
+                thetas = random_signal_strategies(np.random.default_rng(8), 3, (8,))
+                profile = str(tmp_path / "profile.json")
+                save_profile(StrategyProfile(thetas, np.full((8, 3, 3, 3), 1 / 3)), profile)
+            argv = ["solve-predictions", "--prior", str(prior), "--profile", profile, "--n", "8"]
+        assert main([*argv, "--beta", beta]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: mechanism: at beta/alpha = {float(beta):.3g} ")
+        assert "miss the simplex by" in captured.err
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_singular_block_exits_0_without_negative_values(self, tmp_path, capsys, fmt):

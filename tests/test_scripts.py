@@ -59,12 +59,15 @@ def test_bench_layers_writes_json(tmp_path):
         ("validate_prior", "latent", 2),
     ]
     assert all(row["median_s"] > 0 for row in per_m)
-    io_layers = ("save_profile", "load_profile", "cli:solve-predictions")
+    io_layers = ("save_profile", "load_profile", "cli:solve-predictions",
+                 "cli:solve-predictions:csv", "cli:check-eq:csv")  # fmt: skip
     io = [row for row in record["rows"] if row["layer"] in io_layers]
     assert [(row["layer"], row["profile"], row["m"], row["n"]) for row in io] == [
         ("save_profile", "solved", 3, 4),
         ("load_profile", "solved", 3, 4),
         ("cli:solve-predictions", "random", 3, 512),
+        ("cli:solve-predictions:csv", "random", 3, 512),
+        ("cli:check-eq:csv", "random", 3, 512),
     ]
     assert all(row["median_s"] > 0 for row in io)
     exact = [row for row in record["rows"] if row not in mc + audit + control + per_m + io]
@@ -82,10 +85,10 @@ def test_bench_layers_writes_json(tmp_path):
         + [("sweep_row", "random")]
     )
     assert all(row["m"] == 2 and row["n"] == 4 and row["median_s"] > 0 for row in exact)
-    assert sorted((row["profile"], row["m"]) for row in audit) == [
-        (name, m) for name in ("one-deviant", "random") for m in (2, 3)
+    assert sorted((row["profile"], row["m"], row["n"]) for row in audit) == [
+        (name, m, n) for name in ("one-deviant", "random") for m in (2, 3) for n in (4, 512)
     ]
-    assert all(row["n"] == 4 and row["median_s"] > 0 for row in audit)
+    assert all(row["median_s"] > 0 for row in audit)
     assert {(row["variant"], row["profile"]) for row in mc} == {
         (variant, profile)
         for variant in ("truthful", "disagreement")
@@ -127,7 +130,7 @@ def perturbed_cli(tmp_path, old, new):
 
 
 def test_compare_trees_reports_a_perturbed_copy(tmp_path):
-    change = perturbed_cli(tmp_path, '"agent": i, "mean_payment"', '"agent": i, "mean_paid"')
+    change = perturbed_cli(tmp_path, '"mean_payment", "stderr"', '"mean_paid", "stderr"')
     done = compare_trees(ROOT, change)
     assert done.returncode == 1, done.stderr
     assert "monte-carlo: 3 CLI jobs, 3 with differing output" in done.stdout
@@ -139,8 +142,8 @@ def test_compare_trees_reports_a_perturbed_copy(tmp_path):
 
 
 def test_compare_trees_reports_the_largest_moved_number(tmp_path):
-    old = '"stderr": mc.welfare_stderr}'
-    change = perturbed_cli(tmp_path, old, old.replace("}", " + 0.25}"))
+    old = "mc.welfare_stderr)"
+    change = perturbed_cli(tmp_path, old, old.replace(")", " + 0.25)"))
     done = compare_trees(ROOT, change)
     assert done.returncode == 1, done.stderr
     lines = done.stdout.splitlines()
