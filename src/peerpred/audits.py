@@ -96,7 +96,8 @@ def classification_bound_audit(
     The bound is meaningful when the profile's predictions are best responses
     (solved); the audit runs regardless and records the equilibrium gap.  At
     equality the profile must be consistent (inconsistency 0) and already play
-    best predictions on every realized report cell; both are reported.
+    best predictions on every realized report cell; both are reported.  The
+    two sides are scored as one batch, each bit for bit as alone.
     """
     bp = best_prediction_profile(profile, prior)
     breakdown, bp_breakdown = welfare_batch([prior, prior], [profile, bp])
@@ -254,7 +255,8 @@ def relabeling_cycle_audit(
     to (Q_k, perm(s)); average welfare therefore cannot strictly drop at every
     relabeling step, because after ord(perm) steps the starting scenario
     returns.  Each step's equality is checked exactly, plus the closure of the
-    cycle.
+    cycle.  The 2 ord + 1 scenarios are scored as one batch, each bit for bit
+    as alone.
     """
     if perm.m != prior.m:
         raise PriorError(f"permutation on {perm.m} signals, prior has {prior.m}")
@@ -285,7 +287,7 @@ def relabeling_cycle_audit(
                 {"k": k, "order": order},
             )
         )
-    # Q_ord is a bit-exact copy of Q, and a batch scores equal scenarios alike
+    # Q_ord is a bit-exact copy of Q, so the closure's two scores are equal
     aw_first, aw_last = welfare[0], welfare[order]
     results.append(
         AuditResult(
@@ -313,15 +315,16 @@ def sweep_row(
     that the n-dependence bound gamma2(n) caps.
 
     The lists come from one draw of ``rng``, are solved as one stack and
-    scored as one batch; each is the list, and each score the value within
-    rounding, that drawing, solving and scoring them one at a time gives.
+    scored, with truth-telling, as one batch; each is the list, and each
+    score the value bit for bit, that drawing, solving and scoring them one
+    at a time gives.
     """
-    truth = welfare_metrics(prior, truth_telling_profile(prior, n)).classification_score
+    truth = truth_telling_profile(prior, n)  # first, as it checks n
     thetas = random_signal_strategies(rng, prior.m, (samples, n))
     predictions, _ = solve_prediction_stack(config, prior, thetas)
     profiles = [StrategyProfile(t, p) for t, p in zip(thetas, predictions)]
-    scores = welfare_batch([prior] * samples, profiles)
-    return max(wb.classification_score - truth for wb in scores)
+    *scores, truth = welfare_batch([prior] * (samples + 1), profiles + [truth])
+    return max(wb.classification_score - truth.classification_score for wb in scores)
 
 
 def symmetric_fixed_points(

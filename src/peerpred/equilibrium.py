@@ -196,8 +196,9 @@ def solve_prediction_stack(
     blocks of m x m plus a rank-m term, which Woodbury solves.  Each row of
     lhs has diagonal alpha + beta w and off-diagonal mass beta w, so the
     sup-norm error is at most ||lhs x - rhs|| / alpha: the bound, widened by
-    the roundoff of the residual's terms.  Members with a singular block or a
-    bound above ``SOLVER_TOL`` are solved densely instead.  The exact
+    the roundoff of the residual's terms.  Members with a singular block, a
+    non-finite bound, or a residual that exceeds that roundoff by more than
+    ``SOLVER_TOL`` are solved densely instead.  The exact
     solution is non-negative, so solutions are clipped at 0.  Each member's
     result is the one it gets alone, bit for bit; a pass holds at most
     ``_BLOCK_CELLS // (n m^4)`` members (at least one).
@@ -241,11 +242,11 @@ def _solve_pass(config, prior, thetas, predictions, bounds):
             return
         predictions[...] = np.nan
     np.maximum(predictions, 0.0, out=predictions)
-    bounds[...] = _error_bounds(config, prior, thetas, anchors, predictions)
-    for k in np.flatnonzero(~(bounds <= SOLVER_TOL)):  # NaN included
+    bounds[...], excess = _error_bounds(config, prior, thetas, anchors, predictions)
+    for k in np.flatnonzero(~(np.isfinite(bounds) & (excess <= SOLVER_TOL))):
         dense, one = solve_equilibrium_predictions_direct(config, prior, thetas[k]), slice(k, k + 1)
         predictions[k] = np.maximum(dense, 0.0)
-        bounds[one] = _error_bounds(config, prior, thetas[one], anchors[one], predictions[one])
+        bounds[one] = _error_bounds(config, prior, thetas[one], anchors[one], predictions[one])[0]
 
 
 def _woodbury_solve(config, prior, thetas, anchors):
@@ -269,13 +270,16 @@ def _woodbury_solve(config, prior, thetas, anchors):
 
 
 def _error_bounds(config, prior, thetas, anchors, x):
-    """||lhs x - alpha anchor|| / alpha of every member of a stack, with four
-    units of roundoff of each row's terms added to its residual."""
+    """Per member of a stack: ||lhs x - alpha anchor|| / alpha with four units
+    of roundoff of each row's terms added to its residual, the error bound;
+    and the most that a row's residual exceeds that roundoff, over alpha."""
     alpha, beta = config.alpha, config.beta
     lead = (alpha + beta * anchors)[..., None] * x
     rest = beta * _neighbor_sum(prior.conditional, thetas, x) + alpha * anchors[..., None, :]
     rounding = 4.0 * np.finfo(float).eps * (lead + rest)
-    return (np.abs(lead - rest) + rounding).max(axis=(1, 2, 3, 4)) / alpha
+    residual, rows = np.abs(lead - rest), (1, 2, 3, 4)
+    bounds = (residual + rounding).max(axis=rows) / alpha
+    return bounds, (residual - rounding).max(axis=rows) / alpha
 
 
 def solved_profile(

@@ -231,16 +231,21 @@ def zero_sum_group_scores(
     """Subtract the other group's payments, split evenly over one's own group.
 
     Generic over how the base payments were produced; agents lie on the last
-    axis, and leading axes are independent rounds.  Each round sums to zero
-    across all agents up to float rounding of the group averages.
+    axis, and leading axes are independent rounds; the two groups partition
+    the agents.  Each round sums to zero across all agents up to float
+    rounding of the group averages.
     """
-    base = np.asarray(base_payments, dtype=float)
+    return _zero_sum(np.array(base_payments, dtype=float), group_a, group_b)
+
+
+def _zero_sum(payments: np.ndarray, group_a, group_b) -> np.ndarray:
+    """:func:`zero_sum_group_scores` in place on ``payments``."""
     a, b = list(group_a), list(group_b)
-    sum_a = base[..., a].sum(axis=-1, keepdims=True)
-    sum_b = base[..., b].sum(axis=-1, keepdims=True)
-    in_a = np.zeros(base.shape[-1], dtype=bool)
-    in_a[a] = True
-    return base - np.where(in_a, sum_b / len(a), sum_a / len(b))
+    sum_a = payments[..., a].sum(axis=-1, keepdims=True)
+    sum_b = payments[..., b].sum(axis=-1, keepdims=True)
+    payments[..., a] -= sum_b / len(a)
+    payments[..., b] -= sum_a / len(b)
+    return payments
 
 
 def _assemble_payments(config: MechanismConfig, base, reward, peers, pairs) -> np.ndarray:
@@ -251,13 +256,14 @@ def _assemble_payments(config: MechanismConfig, base, reward, peers, pairs) -> n
     :func:`_round_payments` computes both from reported predictions and the
     Monte Carlo tables look them up.  ``peers`` (T, n) are the base-payment
     peers and ``pairs`` the two (T, n) arrays (j, k) of classification pairs
-    (disagreement variant only).  Matchings are taken as valid.
+    (disagreement variant only).  Matchings are taken as valid.  The zero-sum
+    and the reward steps work in place on the array that ``base`` returns.
     """
     payments = base(peers)
-    if config.variant == "truthful":
-        return payments
-    payments = zero_sum_group_scores(payments, *config.groups(peers.shape[1]))
-    return payments + reward(*pairs)
+    if config.variant == "disagreement":
+        _zero_sum(payments, *config.groups(peers.shape[1]))
+        payments += reward(*pairs)
+    return payments
 
 
 def _round_payments(config: MechanismConfig, signals, preds, peers, pairs) -> np.ndarray:
@@ -409,66 +415,65 @@ def welfare_metrics(prior: PairwisePrior, profile: StrategyProfile) -> WelfareBr
 def welfare_batch(
     priors: Sequence[PairwisePrior], profiles: Sequence[StrategyProfile]
 ) -> list[WelfareBreakdown]:
-    """:func:`welfare_metrics` of every scenario (priors[k], profiles[k]);
-    the profiles share n and m.
+    """:func:`welfare_metrics` of every scenario (priors[k], profiles[k]),
+    in input order; the profiles share n and m.  Each entry is its
+    scenario's single call, bit for bit.
 
-    Scenarios are scored in order, in passes of S scenarios with
-    S T m^4 <= ``_BLOCK_CELLS`` (at least one), T being the most agent types
-    of a scenario in the pass; the others are padded with types of no agents,
-    which add exact zeros.  A pass carries the scenario axis through every
-    step, and its same-report tiles hold at most ``_BLOCK_CELLS`` differences
-    over all S, so a batch of one does the arithmetic of a single scenario.
-    A scenario with as many types as its pass, in a pass of one tile, gets
-    the bits of a single call; one with fewer types than its pass, or in a
-    pass tiled for S > 1, can sum in another order and move the last bits.
+    A pass holds only scenarios with the same number T of agent types, S of
+    them with S T m^4 <= ``_BLOCK_CELLS`` (at least one), in input order; a
+    profile listed more than once is grouped once.  A scenario's tiles
+    depend on its own (T, m) alone, so a single call, a short pass and a
+    full pass tile it alike, and every sum across the scenario axis is taken
+    scenario by scenario.  The pass tiles as many scenarios at a time as
+    keep their tiles within ``_BLOCK_CELLS`` differences (at least one), so
+    its memory is O(_BLOCK_CELLS + T m^4) beyond the profiles.
     """
     if len(priors) != len(profiles):
         raise MechanismError(f"got {len(priors)} priors for {len(profiles)} profiles")
     if not profiles:
         return []
     n, m = profiles[0].n, profiles[0].m
-    for prior, profile in zip(priors, profiles):
+    # agents with byte-identical rows form one type; counts[t] is its agents.
+    # A profile listed more than once (the relabeling cycle repeats two) is
+    # grouped once.  alike[T] lists the scenarios with T types, in order.
+    types_of, scenarios, alike = {}, [], {}
+    for k, (prior, profile) in enumerate(zip(priors, profiles)):
         if (profile.n, profile.m) != (n, m):
             raise MechanismError(
                 f"a batch shares n and m: got ({profile.n}, {profile.m}) after ({n}, {m})"
             )
         check_signal_count(prior, m)
-    # agents with byte-identical rows form one type; counts[t] is its agents.
-    # A profile listed more than once (the relabeling cycle repeats two) is
-    # grouped once.
-    types_of = {}
-    for p in profiles:
-        if id(p) not in types_of:
-            types_of[id(p)] = agent_types(p.thetas, p.predictions)
-    grouped = [types_of[id(p)] for p in profiles]
+        if id(profile) not in types_of:
+            types_of[id(profile)] = agent_types(profile.thetas, profile.predictions)
+        first, counts = types_of[id(profile)]
+        scenarios.append((prior, profile, (first, counts)))
+        alike.setdefault(first.size, []).append(k)
 
-    out: list[WelfareBreakdown] = []
-    lo = 0
-    while lo < len(profiles):
-        hi, types = lo + 1, grouped[lo][0].size
-        while hi < len(profiles):
-            wider = max(types, grouped[hi][0].size)
-            if (hi + 1 - lo) * wider * m**4 > _BLOCK_CELLS:
-                break
-            hi, types = hi + 1, wider
-        out += _welfare_pass(n, m, types, priors[lo:hi], profiles[lo:hi], grouped[lo:hi])
-        lo = hi
+    out: list[WelfareBreakdown] = [None] * len(profiles)
+    for types, ks in alike.items():
+        per_pass = max(1, _BLOCK_CELLS // (types * m**4))
+        for lo in range(0, len(ks), per_pass):
+            chunk = ks[lo : lo + per_pass]
+            scored = _welfare_pass(n, m, types, [scenarios[k] for k in chunk])
+            for k, breakdown in zip(chunk, scored):
+                out[k] = breakdown
     return out
 
 
-def _welfare_pass(n, m, types, priors, profiles, grouped) -> list[WelfareBreakdown]:
-    """One pass of :func:`welfare_batch` over S scenarios padded to ``types``
-    agent types; every array carries the scenario axis s first."""
-    batch = len(profiles)
+def _welfare_pass(n, m, types, scenarios) -> list[WelfareBreakdown]:
+    """One pass of :func:`welfare_batch` over S scenarios (prior, profile,
+    its agent types), each with ``types`` agent types; every array carries
+    the scenario axis s first."""
+    batch = len(scenarios)
     joint = np.empty((batch, m, m))  # joint[s, a, b]
-    c = np.zeros((batch, types))
-    thetas = np.zeros((batch, types, m, m))
-    preds = np.zeros((batch, types, m, m, m))
-    for s, (prior, profile, (first, counts)) in enumerate(zip(priors, profiles, grouped)):
+    c = np.empty((batch, types))
+    thetas = np.empty((batch, types, m, m))
+    preds = np.empty((batch, types, m, m, m))
+    for s, (prior, profile, (first, counts)) in enumerate(scenarios):
         joint[s] = prior.joint()
-        c[s, : first.size] = counts
-        thetas[s, : first.size] = profile.thetas[first]
-        preds[s, : first.size] = profile.predictions[first]
+        c[s] = counts
+        thetas[s] = profile.thetas[first]
+        preds[s] = profile.predictions[first]
     pairs = n * (n - 1)
 
     # cell (t, a, r): type t at private signal a reports r with weight w
@@ -490,7 +495,7 @@ def _welfare_pass(n, m, types, priors, profiles, grouped) -> list[WelfareBreakdo
     # every D* is >= 0, so a sum below zero is rounding; + 0.0 turns a sum of
     # signed zeros into +0.0.  Boolean indexing returns the blocks r != r' of
     # S > 1 scenarios column-major; made contiguous, each scenario sums them
-    # in the order a batch of one does.
+    # in the order of its single call.
     identity = np.eye(m)
     off_diagonal = np.ascontiguousarray(per_report[:, identity == 0.0])
     diversity = np.maximum(off_diagonal.sum(axis=-1), 0.0) + 0.0
@@ -514,18 +519,20 @@ def _welfare_pass(n, m, types, priors, profiles, grouped) -> list[WelfareBreakdo
     col_pairs[:, :, :, 0] = 1.0
     np.negative(row_pairs[..., 0], out=col_pairs[:, :, :, 1])
 
-    # Tiles of whole types, a block of `rows` types against `span` types of
-    # all S scenarios, hold at most _BLOCK_CELLS differences (or one type
-    # pair's m^4 per scenario).  One tile when the whole triangle fits; else
-    # about square tiles, and blocks of at most an eighth of the types, since
-    # a block against itself sums both orders of its pairs.
+    # Tiles of whole types, a block of `rows` types against `span` types,
+    # hold at most _BLOCK_CELLS differences per scenario (or one type pair's
+    # m^4).  One tile when the whole triangle fits; else about square tiles,
+    # and blocks of at most an eighth of the types, since a block against
+    # itself sums both orders of its pairs.  The pass tiles `group`
+    # scenarios at a time, whose tiles hold at most _BLOCK_CELLS differences
+    # (or one scenario's).
     per_pair = m**4
-    budget = _BLOCK_CELLS // batch
-    if per_pair * types * types <= budget:
+    if per_pair * types * types <= _BLOCK_CELLS:
         rows = types
     else:
-        rows = max(1, min(math.isqrt(budget // per_pair), types // 8))
-    span = max(rows, budget // (per_pair * rows))
+        rows = max(1, min(math.isqrt(_BLOCK_CELLS // per_pair), types // 8))
+    span = min(types, max(rows, _BLOCK_CELLS // (per_pair * rows)))
+    group = max(1, _BLOCK_CELLS // (per_pair * rows * span))
     if rows < types:
         # weights by matmul: with column weights G[r, (u, b), b'] = c_u w [b = b']
         # and row weights H[r, (t, a), b] = c_t w sym[a, b], the distances
@@ -535,41 +542,47 @@ def _welfare_pass(n, m, types, priors, profiles, grouped) -> list[WelfareBreakdo
         row_weights = (counted * sym[:, None, None]).reshape(batch, m, cells, m)
     # one buffer each for the largest tile: fresh arrays of that size cost
     # page faults on every tile
-    largest = batch * rows * m * min(span, types) * m
+    largest = min(group, batch) * rows * m * span * m
     diff_buffer, dist_buffer = np.empty(m * m * largest), np.empty(2 * m * largest)
     block_identity = np.eye(rows)
-    sums = np.zeros((batch, 2))  # (inconsistency, same-report divergence) * n(n-1)
-    for lo in range(0, types, rows):
-        hi = min(lo + rows, types)
-        x = slice(lo * m, hi * m)
-        height = x.stop - x.start
-        # a block against itself: c_t (c_u - [t = u]) pairs of types t, u
-        block_c = c[:, lo:hi]
-        own = block_identity[: hi - lo, : hi - lo]
-        block_pairs = block_c[:, :, None] * (block_c[:, None] - own)
-        square = cell_w[:, :, x, None] * cell_w[:, :, None, x]
-        square *= (block_pairs[:, :, None, :, None] * sym[:, None, :, None]).reshape(
-            batch, 1, height, height
-        )
-        for start in range(lo, types, span):
-            y = slice(start * m, min(start + span, types) * m)
-            width = y.stop - y.start
-            diff = diff_buffer[: batch * m * m * height * width].reshape(batch, m, m, height, width)
-            np.matmul(row_pairs[:, :, :, x], col_pairs[..., y], out=diff)  # [s, r, f, x, y]
-            dist = dist_buffer[: batch * 2 * m * height * width].reshape(batch, m, 2, height, width)
-            # [s, r, (sqrt D*, D*), x, y]
-            np.einsum("srfxy,srfxy->srxy", diff, diff, out=dist[:, :, 1])
-            np.sqrt(dist[:, :, 1], out=dist[:, :, 0])
-            after = 0
-            if start == lo:
-                after = height
-                sums += np.einsum("srkxy,srxy->sk", dist[..., :height], square)
-            if after < width:
-                columns = col_weights[:, :, y.start + after : y.stop]
-                pulled = (dist[..., after:].reshape(batch, m, 2 * height, -1) @ columns).reshape(
-                    batch, m, 2, height, m
-                )
-                sums += 2.0 * np.einsum("srkxb,srxb->sk", pulled, row_weights[:, :, x])
+    # (inconsistency, same-report divergence) * n(n-1), each scenario's
+    # summed apart, as its single call sums it
+    sums = np.zeros((batch, 2))
+    for s0 in range(0, batch, group):
+        g, size = slice(s0, s0 + group), min(group, batch - s0)
+        for lo in range(0, types, rows):
+            hi = min(lo + rows, types)
+            x = slice(lo * m, hi * m)
+            height = x.stop - x.start
+            # a block against itself: c_t (c_u - [t = u]) pairs of types t, u
+            block_c = c[g, lo:hi]
+            own = block_identity[: hi - lo, : hi - lo]
+            block_pairs = block_c[:, :, None] * (block_c[:, None] - own)
+            square = cell_w[g, :, x, None] * cell_w[g, :, None, x]
+            square *= (block_pairs[:, :, None, :, None] * sym[g, None, :, None]).reshape(
+                size, 1, height, height
+            )
+            for start in range(lo, types, span):
+                y = slice(start * m, min(start + span, types) * m)
+                width = y.stop - y.start
+                diff = diff_buffer[: size * m * m * height * width].reshape(size, m, m, height, width)
+                np.matmul(row_pairs[g, :, :, x], col_pairs[g, ..., y], out=diff)  # [s, r, f, x, y]
+                dist = dist_buffer[: size * 2 * m * height * width].reshape(size, m, 2, height, width)
+                # [s, r, (sqrt D*, D*), x, y]
+                np.einsum("srfxy,srfxy->srxy", diff, diff, out=dist[:, :, 1])
+                np.sqrt(dist[:, :, 1], out=dist[:, :, 0])
+                after = 0
+                if start == lo:
+                    after = height
+                    for s in range(size):
+                        sums[s0 + s] += np.einsum("rkxy,rxy->k", dist[s, ..., :height], square[s])
+                if after < width:
+                    columns = col_weights[g, :, y.start + after : y.stop]
+                    pulled = dist[..., after:].reshape(size, m, 2 * height, -1) @ columns
+                    pulled = pulled.reshape(size, m, 2, height, m)
+                    for s in range(size):
+                        weights = row_weights[s0 + s, :, x]
+                        sums[s0 + s] += 2.0 * np.einsum("rkxb,rxb->k", pulled[s], weights)
 
     out = []
     for div, (inconsistency, same) in zip(diversity.tolist(), (sums / pairs).tolist()):
@@ -648,10 +661,12 @@ def _mc_tables(config: MechanismConfig, profile: StrategyProfile, reachable, tri
 
 
 def _moments(x: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    """(count, mean, sum of squared deviations) over the first axis."""
+    """(count, mean, sum of squared deviations) over the first axis; ``x``
+    is overwritten by the squared deviations."""
     mean = x.mean(axis=0)
-    dev = x - mean
-    return x.shape[0], mean, (dev * dev).sum(axis=0)
+    x -= mean
+    np.square(x, out=x)
+    return x.shape[0], mean, x.sum(axis=0)
 
 
 def _merge_moments(a, b):
@@ -763,10 +778,10 @@ def monte_carlo_payments(
     tables = _mc_tables(config, profile, reachable, trials)
     rows_per_block = max(1, _BLOCK_CELLS // (n * m))
 
-    def score(at, reports, peers, pairs):
-        """Payments of one block; ``at`` (B, n) indexes (agent, signal) as i * m + s."""
+    def score(at, reports, peers, pairs, out):
+        """Payments of one block into ``out`` (B, n); ``at`` (B, n) indexes
+        (agent, signal) as i * m + s."""
         if tables is None:
-            out = np.empty(peers.shape)
             preds = profile.predictions.reshape(n * m, m, m)
             for lo in range(0, peers.shape[0], rows_per_block):
                 x = slice(lo, lo + rows_per_block)
@@ -777,7 +792,7 @@ def monte_carlo_payments(
                     peers[x],
                     None if pairs is None else np.stack([pairs[0][x], pairs[1][x]], axis=-1),
                 )
-            return out
+            return
         cell_of, base, reward = tables
         width = base.shape[0]
         # flat lookups: cells[t, i] sits at t * n + i, table entry (c, c') at c * C + c'
@@ -787,20 +802,28 @@ def monte_carlo_payments(
         def cells_of(x):
             return np.take(cells, x + offsets)
 
-        return _assemble_payments(
+        # the base payments land in out, where the zero-sum and reward steps
+        # then work in place
+        _assemble_payments(
             config,
-            lambda x: np.take(base, cells * width + cells_of(x)),
+            lambda x: np.take(base, cells * width + cells_of(x), out=out, mode="clip"),
             lambda j, k: np.take(reward, cells_of(j) * width + cells_of(k)),
             peers,
             pairs,
         )
 
+    # one array for every block: the payments, their mean over agents in the
+    # last column, then the squared deviations.  Until scoring, its memory
+    # holds the report thresholds at the sampled signals, one row at a time.
+    paid = np.empty((min(trials, _MC_BLOCK), n + 1))
     moments = None
     for b, lo in enumerate(range(0, trials, _MC_BLOCK)):
         size = min(_MC_BLOCK, trials - lo)
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
         at = agents * m + latent.sample_signals(n, size, rng)
-        reports = sample_categorical(np.take(thresholds, at, axis=1), rng.random((size, n)))
+        gathered = paid.reshape(-1)[: size * n].reshape(size, n)
+        rows = (np.take(row, at, out=gathered, mode="clip") for row in thresholds)
+        reports = sample_categorical(rows, rng.random((size, n)))
         d = rng.integers(0, draws, (size, n), dtype=index) % sizes
         d += d >= pos  # skip agent i itself
         peers = np.take(pools, pool_at + d)
@@ -812,8 +835,10 @@ def monte_carlo_payments(
             k += k >= np.minimum(agents, j)
             k += k >= np.maximum(agents, j)
             pairs = (j, k)
-        payments = score(at, reports, peers, pairs)
-        block = _moments(np.column_stack([payments, payments.mean(axis=1)]))
+        payments = paid[:size]
+        score(at, reports, peers, pairs, payments[:, :n])
+        np.mean(payments[:, :n], axis=1, out=payments[:, n])
+        block = _moments(payments)
         moments = block if moments is None else _merge_moments(moments, block)
 
     _, mean, m2 = moments

@@ -182,13 +182,13 @@ class LatentStatePrior:
 def sample_categorical(thresholds: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Category index of each uniform draw ``u``, as int32.
 
-    ``thresholds[t]`` is the cumulative probability of categories 0..t, for
-    t < m - 1 along the first axis; each broadcasts against ``u``.  The index
-    counts the m - 1 comparisons u >= thresholds[t].  The last category's
-    cumulative sum is never read, so the index is clamped at m - 1: a sum
-    that rounds to just under 1 never yields an index past the last category.
+    ``thresholds`` yields (an array by rows, or any iterable) for t < m - 1
+    the cumulative probability of categories 0..t, broadcast to u's shape.
+    The index counts the m - 1 comparisons u >= thresholds[t].  The last
+    category's cumulative sum is never read, so the index is clamped at m - 1:
+    a sum that rounds to just under 1 never yields an index past it.
     """
-    index = np.zeros(np.broadcast_shapes(thresholds.shape[1:], u.shape), dtype=np.int32)
+    index = np.zeros(u.shape, dtype=np.int32)
     for row in thresholds:
         index += u >= row
     return index

@@ -18,14 +18,16 @@ from peerpred.cli import CliError, main
 from peerpred.equilibrium import check_equilibrium, solved_profile
 from peerpred.io import (
     json_text,
+    load_prior,
     load_profile,
+    pairwise_from_loaded,
     prior_to_dict,
     profile_to_dict,
     save_mechanism,
     save_prior,
     save_profile,
 )
-from peerpred.mechanism import MechanismConfig
+from peerpred.mechanism import MechanismConfig, welfare_metrics
 from peerpred.priors import from_latent, random_snife_prior
 from peerpred.strategy import StrategyProfile, random_signal_strategies, truth_telling_profile
 
@@ -605,6 +607,26 @@ class TestSweepN:
         assert lines[0] == "n,max_welfare_gap,gamma2,within_bound"
         assert len(lines) == 3
         assert all(line.endswith("True") for line in lines[1:])
+
+    def test_rows_equal_single_calls_bit_for_bit(self, tmp_path, capsys):
+        """Each row's gap is the one that drawing the row's lists from
+        default_rng([seed, n]), solving each alone and scoring each alone
+        gives, minus truth-telling's score (m = 4, n = 8 and 16)."""
+        path = tmp_path / "prior.json"
+        save_prior(random_snife_prior(4, 2, seed=0), path)
+        argv = ["sweep-n", "--prior", str(path), "--alpha", "1", "--beta", "0.03", "--rule", "log",
+                "--n", "8,16", "--samples", "5", "--seed", "0", "--format", "json"]  # fmt: skip
+        assert main(argv) == 0
+        rows = json.loads(capsys.readouterr().out)
+        prior = pairwise_from_loaded(load_prior(path))
+        config = MechanismConfig(1.0, 0.03, "log")
+        for row in rows:
+            n = row["n"]
+            thetas = random_signal_strategies(np.random.default_rng([0, n]), 4, (5, n))
+            truth = welfare_metrics(prior, truth_telling_profile(prior, n)).classification_score
+            scores = [welfare_metrics(prior, solved_profile(config, prior, t)) for t in thetas]
+            gap = max(wb.classification_score - truth for wb in scores)
+            assert row["max_welfare_gap"].hex() == gap.hex(), n
 
 
 class TestErrorsAndDeterminism:

@@ -31,6 +31,7 @@ from peerpred.strategy import (
     random_signal_strategy,
     truth_telling_profile,
 )
+from peerpred.tolerances import SOLVER_TOL
 
 
 def oracle_terms(config, prior, profile, i, s):
@@ -440,6 +441,22 @@ class TestPredictionSolver:
         assert stacked[0].tobytes() == predictions.tobytes() and bounds[0] == bound
         alone, _ = solve_equilibrium_predictions(config, prior, stack[1])
         assert stacked[1].tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("n", (8, 64))
+    def test_roundoff_alone_does_not_go_dense(self, n):
+        """At beta/alpha = 1e4 the bound passes SOLVER_TOL by its roundoff
+        widening alone, which a dense solve cannot shrink: no member goes
+        dense, and each stays within its bound of the dense solve."""
+        prior = from_latent(random_snife_prior(3, 2, seed=7))
+        config = MechanismConfig(1.0, 1e4, "log")
+        thetas = random_signal_strategies(np.random.default_rng(n), 3, (3, n))
+        dense = solve_equilibrium_predictions_direct
+        with mock.patch.object(equilibrium, dense.__name__, wraps=dense) as spy:
+            predictions, bounds = solve_prediction_stack(config, prior, thetas)
+        assert spy.call_count == 0
+        assert bounds.max() > SOLVER_TOL
+        for k in range(3):
+            assert np.max(np.abs(predictions[k] - dense(config, prior, thetas[k]))) <= bounds[k]
 
     def test_solutions_are_simplex_tables(self, setting):
         prior, config = setting

@@ -597,13 +597,18 @@ class TestWelfareAgainstPairwiseOracle:
 
 @st.composite
 def welfare_batches(draw):
-    """Scenarios sharing (n, m) under different priors, whose profiles have
-    different numbers of agent types, so every pass pads some of them."""
+    """Scenarios sharing (n, m) under different priors: profiles with
+    different numbers of agent types, or up to 7 with one number, as sweep
+    rows and relabeling cycles make."""
     m = draw(st.integers(2, 4))
     n = draw(st.integers(2, 10))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        counts = [draw(st.integers(1, n))] * draw(st.integers(2, 7))
+    else:
+        counts = draw(st.lists(st.integers(1, n), min_size=2, max_size=6, unique=True))
     priors, profiles = [], []
-    for types in draw(st.lists(st.integers(1, n), min_size=2, max_size=6, unique=True)):
+    for types in counts:
         priors.append(cached_prior(m, draw(st.integers(0, 2))))
         agents = rng.permutation(np.r_[np.arange(types), rng.integers(types, size=n - types)])
         profiles.append(typed_profile(rng, m, agents))
@@ -615,7 +620,8 @@ def welfare_batches(draw):
 
 class TestWelfareBatch:
     # 2**16 scores small batches in one pass; 2**10 splits them into passes
-    # and tiles the passes; 1 scores one scenario per pass, tile by tile
+    # and the passes' tiles into groups of scenarios; 1 scores one scenario
+    # per pass, tile by tile
     @settings(max_examples=100, deadline=None)
     @given(welfare_batches(), st.sampled_from((1, 2**10, 2**16)))
     def test_each_entry_matches_its_scenario_alone(self, batch, block_cells):
@@ -626,7 +632,7 @@ class TestWelfareBatch:
         assert len(together) == len(profiles)
         for wb, single in zip(together, alone):
             for key, value in single.to_dict().items():
-                assert abs(wb.to_dict()[key] - value) <= 1e-15
+                assert wb.to_dict()[key].hex() == value.hex(), key
             assert wb.classification_score == wb.diversity - wb.inconsistency
 
     def test_equal_scenarios_score_alike(self, prior3):
