@@ -9,10 +9,92 @@ best-response dynamics.
 """
 
 import argparse
+import itertools
 
-from peerpred.audits import welfare_comparison
-from peerpred.mechanism import MechanismConfig
-from peerpred.priors import from_latent, random_snife_prior
+import numpy as np
+
+from peerpred.equilibrium import check_equilibrium, solve_prediction_stack, solved_profile
+from peerpred.mechanism import MechanismConfig, welfare_batch
+from peerpred.priors import _map_strategy, all_permutations, from_latent, random_snife_prior
+from peerpred.strategy import (
+    StrategyProfile,
+    constant_report_profile,
+    counterexample_profile,
+    permutation_profile,
+    tau_closeness,
+    truth_telling_profile,
+    uniform_report_profile,
+)
+
+
+def candidate_profiles(prior, n: int) -> dict[str, StrategyProfile]:
+    """Named catalogue of benchmark profiles for welfare comparisons."""
+    m = prior.m
+    out = {"truth": truth_telling_profile(prior, n)}
+    if m <= 4:
+        for perm in all_permutations(m):
+            if not perm.is_identity:
+                name = f"permutation:{','.join(map(str, perm.mapping))}"
+                out[name] = permutation_profile(prior, n, perm)
+    for target in range(m):
+        out[f"constant:{prior.space.labels[target]}"] = constant_report_profile(prior, n, target)
+    out["uniform"] = uniform_report_profile(prior, n)
+    if n == m:
+        out["counterexample"] = counterexample_profile(prior, n)
+    return out
+
+
+def symmetric_fixed_points(config, prior, n: int) -> dict[tuple[int, ...], StrategyProfile]:
+    """Fixed points of best-response dynamics on the m^m deterministic
+    symmetric signal maps, in sorted order, each with its solved profile.
+
+    For each map, all agents play it with solved predictions; the
+    best-response map sends each private signal to the optimal report.  A map
+    is fixed when it is its own best response.  The maps are solved as one
+    stack, each member bit for bit as alone, so the stack holds m^m n m^3
+    predictions.
+    """
+    m = prior.m
+    maps = list(itertools.product(range(m), repeat=m))
+    thetas = np.repeat(np.stack([_map_strategy(g) for g in maps])[:, None], n, axis=1)
+    predictions, _ = solve_prediction_stack(config, prior, thetas)
+    fixed = {}
+    for g, theta, prediction in zip(maps, thetas, predictions):
+        profile = StrategyProfile(theta, prediction)
+        best = check_equilibrium(config, prior, profile).values[0].argmax(axis=-1)
+        if tuple(best.tolist()) == g:
+            fixed[g] = profile
+    return fixed
+
+
+def welfare_comparison(config, prior, n: int, include_dynamics: bool = True) -> list[tuple]:
+    """Rows (name, classification score, equilibrium max gap, tau-closeness of
+    the mean strategy, margin to truth) of the benchmark profiles, sorted
+    best first.
+
+    Covers truth-telling, every permutation profile, constant-report
+    collusion, uniform reporting with solved predictions, the one-agent-per-
+    signal counterexample when n = m, and (optionally) the fixed points of
+    symmetric best-response dynamics with solved predictions.  Every profile
+    is scored in one batch, each bit for bit as alone.
+    """
+    config.warn_if_outside_regime(prior.m)
+    profiles = candidate_profiles(prior, n)
+    profiles["uniform"] = solved_profile(config, prior, profiles.pop("uniform").thetas)
+    if include_dynamics:
+        for g, profile in symmetric_fixed_points(config, prior, n).items():
+            profiles.setdefault(f"solved:{','.join(map(str, g))}", profile)
+
+    scores = dict(zip(profiles, welfare_batch([prior] * len(profiles), list(profiles.values()))))
+    truth_score = scores["truth"].classification_score
+    rows = []
+    for name, profile in profiles.items():
+        score = scores[name].classification_score
+        gap = check_equilibrium(config, prior, profile).max_gap
+        closeness = tau_closeness(profile.thetas.mean(axis=0))
+        rows.append((name, score, gap, closeness, truth_score - score))
+    rows.sort(key=lambda row: (-row[1], row[0]))
+    return rows
 
 
 def main():
@@ -31,13 +113,11 @@ def main():
     config = MechanismConfig(alpha=args.alpha, beta=beta, rule=args.rule)
 
     rows = welfare_comparison(config, prior, args.n, include_dynamics=not args.no_dynamics)
-    width = max(len(r.name) for r in rows)
+    width = max(len(name) for name, *_ in rows)
     print(f"{'profile':<{width}}  {'score':>12}  {'eq gap':>10}  {'tau*':>8}  {'vs truth':>12}")
-    for r in rows:
+    for name, score, gap, closeness, margin in rows:
         print(
-            f"{r.name:<{width}}  {r.classification_score:>12.6f}  "
-            f"{r.equilibrium_max_gap:>10.2e}  {r.theta_bar_tau_closeness:>8.4f}  "
-            f"{-r.margin_to_truth:>+12.6f}"
+            f"{name:<{width}}  {score:>12.6f}  {gap:>10.2e}  {closeness:>8.4f}  {-margin:>+12.6f}"
         )
 
 

@@ -54,7 +54,6 @@ from .strategy import (
     ProfileError,
     StrategyProfile,
     best_prediction_profile,
-    candidate_profiles,
     constant_report_profile,
     counterexample_profile,
     permutation_profile,

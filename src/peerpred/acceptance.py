@@ -51,7 +51,7 @@ from .priors import (
 )
 from .strategy import (
     StrategyProfile,
-    candidate_profiles,
+    constant_report_profile,
     counterexample_profile,
     permutation_profile,
     prediction_anchors,
@@ -494,10 +494,9 @@ def criterion_12_quasi_focal_ordering() -> tuple[bool, str]:
         config = MechanismConfig(1.0, 1.0 / (8.0 * m), "log")
         n = 5
         truth_score = welfare_metrics(prior, truth_telling_profile(prior, n)).classification_score
-        for name, profile in candidate_profiles(prior, n).items():
-            if name.startswith("constant"):
-                score = welfare_metrics(prior, profile).classification_score
-                min_below = min(min_below, truth_score - score)
+        for target in range(m):
+            score = welfare_metrics(prior, constant_report_profile(prior, n, target))
+            min_below = min(min_below, truth_score - score.classification_score)
         uniform = solved_profile(config, prior, uniform_report_profile(prior, n).thetas)
         min_below = min(
             min_below, truth_score - welfare_metrics(prior, uniform).classification_score

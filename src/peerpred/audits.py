@@ -12,27 +12,18 @@ strictly above all relabelings.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .divergence import hellinger
-from .equilibrium import check_equilibrium, solve_prediction_stack, solved_profile
-from .mechanism import _BLOCK_CELLS, MechanismConfig, welfare_batch, welfare_metrics
-from .priors import (
-    PairwisePrior,
-    PermutationMap,
-    PriorError,
-    _map_strategy,
-    permute_prior,
-    prior_constants,
-)
+from .equilibrium import check_equilibrium, solve_prediction_stack
+from .mechanism import _BLOCK_CELLS, MechanismConfig, welfare_batch
+from .priors import PairwisePrior, PermutationMap, PriorError, permute_prior, prior_constants
 from .strategy import (
     StrategyProfile,
     agent_types,
     best_prediction_profile,
-    candidate_profiles,
     check_signal_count,
     permute_profile,
     prediction_anchors,
@@ -51,9 +42,6 @@ __all__ = [
     "far_from_permutation_gap",
     "relabeling_cycle_audit",
     "sweep_row",
-    "welfare_comparison",
-    "WelfareRow",
-    "symmetric_fixed_points",
     "total_divergence_symmetric",
 ]
 
@@ -325,73 +313,3 @@ def sweep_row(
     profiles = [StrategyProfile(t, p) for t, p in zip(thetas, predictions)]
     *scores, truth = welfare_batch([prior] * (samples + 1), profiles + [truth])
     return max(wb.classification_score - truth.classification_score for wb in scores)
-
-
-def symmetric_fixed_points(
-    config: MechanismConfig, prior: PairwisePrior, n: int
-) -> dict[tuple[int, ...], StrategyProfile]:
-    """Fixed points of best-response dynamics on the m^m deterministic
-    symmetric signal maps, in sorted order, each with its solved profile.
-
-    For each map, all agents play it with solved predictions; the
-    best-response map sends each private signal to the optimal report.  A map
-    is fixed when it is its own best response.
-    """
-    m = prior.m
-    fixed = {}
-    for g in itertools.product(range(m), repeat=m):
-        profile = solved_profile(config, prior, [_map_strategy(g)] * n)
-        best = check_equilibrium(config, prior, profile).values[0].argmax(axis=-1)
-        if tuple(int(r) for r in best) == g:
-            fixed[g] = profile
-    return fixed
-
-
-@dataclass(frozen=True)
-class WelfareRow:
-    name: str
-    classification_score: float
-    equilibrium_max_gap: float
-    theta_bar_tau_closeness: float
-    margin_to_truth: float
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "classification_score": self.classification_score,
-            "equilibrium_max_gap": self.equilibrium_max_gap,
-            "theta_bar_tau_closeness": self.theta_bar_tau_closeness,
-            "margin_to_truth": self.margin_to_truth,
-        }
-
-
-def welfare_comparison(
-    config: MechanismConfig,
-    prior: PairwisePrior,
-    n: int,
-    include_dynamics: bool = True,
-) -> list[WelfareRow]:
-    """Classification scores of the benchmark profiles, sorted best first.
-
-    Covers truth-telling, every permutation profile, constant-report
-    collusion, uniform reporting with solved predictions, the one-agent-per-
-    signal counterexample when n = m, and (optionally) the fixed points of
-    symmetric best-response dynamics with solved predictions.
-    """
-    config.warn_if_outside_regime(prior.m)
-    profiles = dict(candidate_profiles(prior, n))
-    uniform = profiles.pop("uniform")
-    profiles["uniform"] = solved_profile(config, prior, uniform.thetas)
-    if include_dynamics:
-        for g, profile in symmetric_fixed_points(config, prior, n).items():
-            profiles.setdefault(f"solved:{','.join(map(str, g))}", profile)
-
-    truth_score = welfare_metrics(prior, truth_telling_profile(prior, n)).classification_score
-    rows = []
-    for name, profile in profiles.items():
-        score = welfare_metrics(prior, profile).classification_score
-        gap = check_equilibrium(config, prior, profile).max_gap
-        closeness = tau_closeness(profile.thetas.mean(axis=0))
-        rows.append(WelfareRow(name, score, gap, closeness, truth_score - score))
-    rows.sort(key=lambda row: (-row.classification_score, row.name))
-    return rows

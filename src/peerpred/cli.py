@@ -425,6 +425,8 @@ def _cmd_sweep_n(args) -> int:
     prior, config = args.prior, args.mech
     bounds = theorem_bounds(prior_constants(prior), prior.m)
     ns = _parse_indices(args.n, "--n")
+    if min(ns) < 2:  # checked before any row runs
+        raise CliError(f"--n {min(ns)}: need n >= 2")
     if args.samples < 1:
         raise CliError(f"--samples must be at least 1, got {args.samples}")
 

@@ -42,7 +42,7 @@ import numpy as np
 
 from .mechanism import _BLOCK_CELLS, MechanismConfig, MechanismError
 from .priors import PairwisePrior
-from .strategy import StrategyProfile, prediction_anchors
+from .strategy import StrategyProfile, leave_one_out, prediction_anchors
 from .tolerances import EQUILIBRIUM_EPS, PROBABILITY_TOL, SOLVER_TOL
 
 __all__ = [
@@ -198,7 +198,7 @@ def solve_prediction_stack(
     sup-norm error is at most ||lhs x - rhs|| / alpha: the bound, widened by
     the roundoff of the residual's terms.  Members with a singular block, a
     non-finite bound, or a residual that exceeds that roundoff by more than
-    ``SOLVER_TOL`` are solved densely instead.  The exact
+    ``SOLVER_TOL * max(1, beta/alpha)`` are solved densely instead.  The exact
     solution is non-negative, so solutions are clipped at 0.  Each member's
     result is the one it gets alone, bit for bit; a pass holds at most
     ``_BLOCK_CELLS // (n m^4)`` members (at least one).
@@ -243,7 +243,8 @@ def _solve_pass(config, prior, thetas, predictions, bounds):
         predictions[...] = np.nan
     np.maximum(predictions, 0.0, out=predictions)
     bounds[...], excess = _error_bounds(config, prior, thetas, anchors, predictions)
-    for k in np.flatnonzero(~(np.isfinite(bounds) & (excess <= SOLVER_TOL))):
+    tol = SOLVER_TOL * max(1.0, config.beta / config.alpha)  # residuals grow with beta/alpha
+    for k in np.flatnonzero(~(np.isfinite(bounds) & (excess <= tol))):
         dense, one = solve_equilibrium_predictions_direct(config, prior, thetas[k]), slice(k, k + 1)
         predictions[k] = np.maximum(dense, 0.0)
         bounds[one] = _error_bounds(config, prior, thetas[one], anchors[one], predictions[one])[0]
@@ -261,8 +262,7 @@ def _woodbury_solve(config, prior, thetas, anchors):
     diagonal = np.arange(m)
     blocks[..., diagonal, diagonal] += alpha + beta * anchors.transpose(0, 3, 1, 2)
     z = np.linalg.solve(blocks, qt)  # qt broadcast over the blocks
-    theta_minus = (thetas.sum(axis=1, keepdims=True) - thetas) / (n - 1)
-    y = z @ (alpha * theta_minus.transpose(0, 1, 3, 2))[:, None]  # Z_i P_i
+    y = z @ (alpha * leave_one_out(thetas).transpose(0, 1, 3, 2))[:, None]  # Z_i P_i
     vz = np.einsum("kirv,krivt->krvt", thetas, z)
     vy = np.einsum("kirv,krivu->krvu", thetas, y)
     w = np.linalg.solve(np.eye(m) - c * vz, vy)

@@ -269,8 +269,8 @@ def _assemble_payments(config: MechanismConfig, base, reward, peers, pairs) -> n
 def _round_payments(config: MechanismConfig, signals, preds, peers, pairs) -> np.ndarray:
     """Payments of T rounds from ``signals`` (T, n) and ``preds`` (T, n, m),
     each round's reported signals and predictions, peers (T, n) and, in the
-    disagreement variant, classification pairs (T, n, 2); the rest as in
-    :func:`_assemble_payments`."""
+    disagreement variant, the classification pairs as the two (T, n) arrays
+    (j, k); the rest as in :func:`_assemble_payments`."""
     rows = np.arange(peers.shape[0])[:, None]
 
     def base(x):
@@ -281,7 +281,6 @@ def _round_payments(config: MechanismConfig, signals, preds, peers, pairs) -> np
             signals[rows, j], preds[rows, j], signals[rows, k], preds[rows, k]
         )
 
-    pairs = None if pairs is None else (pairs[..., 0], pairs[..., 1])
     return _assemble_payments(config, base, reward, peers, pairs)
 
 
@@ -327,7 +326,7 @@ def realized_payments(
             raise MechanismError(
                 f"agent {at[-1]}'s pair {tuple(pairs[at].tolist())} must be two distinct other agents"
             )
-        pairs = pairs.reshape(-1, n, 2)
+        pairs = (j.reshape(-1, n), k.reshape(-1, n))
 
     rounds = peers.reshape(-1, n)
     signals = np.broadcast_to([r.signal for r in reports], rounds.shape)
@@ -604,15 +603,6 @@ class MonteCarloPayments:
     welfare_stderr: float
     trials: int
 
-    def to_dict(self) -> dict:
-        return {
-            "mean": self.mean.tolist(),
-            "stderr": self.stderr.tolist(),
-            "welfare_mean": self.welfare_mean,
-            "welfare_stderr": self.welfare_stderr,
-            "trials": self.trials,
-        }
-
 
 # Trials per Monte Carlo block.  Block b draws from its own stream, so the
 # estimates depend on the seed and the trial count alone.
@@ -790,7 +780,7 @@ def monte_carlo_payments(
                     reports[x],
                     preds[at[x], reports[x]],
                     peers[x],
-                    None if pairs is None else np.stack([pairs[0][x], pairs[1][x]], axis=-1),
+                    None if pairs is None else (pairs[0][x], pairs[1][x]),
                 )
             return
         cell_of, base, reward = tables

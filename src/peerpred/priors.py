@@ -214,15 +214,6 @@ class AssumptionReport:
             and self.finegrained_ok
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "symmetric_ok": self.symmetric_ok,
-            "nonzero_ok": self.nonzero_ok,
-            "informative_ok": self.informative_ok,
-            "finegrained_ok": self.finegrained_ok,
-            "witnesses": {k: list(v) for k, v in self.witnesses.items()},
-        }
-
 
 @dataclass(frozen=True)
 class PermutationMap:

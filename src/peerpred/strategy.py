@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .priors import PairwisePrior, PermutationMap, PriorError, _map_strategy, all_permutations
+from .priors import PairwisePrior, PermutationMap, PriorError, _map_strategy
 from .tolerances import PROBABILITY_TOL, STOCHASTIC_TOL
 
 __all__ = [
@@ -30,9 +30,9 @@ __all__ = [
     "constant_report_profile",
     "uniform_report_profile",
     "counterexample_profile",
-    "candidate_profiles",
     "best_prediction_profile",
     "prediction_anchors",
+    "leave_one_out",
     "agent_types",
     "check_signal_count",
     "permute_profile",
@@ -109,9 +109,6 @@ class StrategyProfile:
     def m(self) -> int:
         return self.thetas.shape[1]
 
-    def with_predictions(self, predictions: np.ndarray) -> "StrategyProfile":
-        return StrategyProfile(self.thetas, predictions)
-
 
 def check_signal_count(prior: PairwisePrior, m: int):
     """Raise unless strategies over ``m`` signals fit the prior's signal space."""
@@ -147,9 +144,12 @@ def prediction_anchors(prior: PairwisePrior, thetas: np.ndarray) -> np.ndarray:
     axes of ``thetas`` keep them."""
     thetas = np.asarray(thetas, dtype=float)
     check_signal_count(prior, thetas.shape[-1])
-    n = thetas.shape[-3]
-    theta_minus = (thetas.sum(axis=-3, keepdims=True) - thetas) / (n - 1)
-    return np.einsum("...iuv,vs->...isu", theta_minus, prior.conditional)
+    return np.einsum("...iuv,vs->...isu", leave_one_out(thetas), prior.conditional)
+
+
+def leave_one_out(thetas: np.ndarray) -> np.ndarray:
+    """theta_minus of :func:`prediction_anchors` for the agents on axis -3 of ``thetas``."""
+    return (thetas.sum(axis=-3, keepdims=True) - thetas) / (thetas.shape[-3] - 1)
 
 
 def _repeated(block: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -243,32 +243,11 @@ def counterexample_profile(prior: PairwisePrior, n: int) -> StrategyProfile:
     return StrategyProfile(thetas, predictions)
 
 
-def candidate_profiles(prior: PairwisePrior, n: int) -> dict[str, StrategyProfile]:
-    """Named catalogue of benchmark profiles for welfare comparisons."""
-    if n < 2:
-        raise ProfileError("need n >= 2")
-    m = prior.m
-    out: dict[str, StrategyProfile] = {"truth": truth_telling_profile(prior, n)}
-    if m <= 4:
-        for perm in all_permutations(m):
-            if perm.is_identity:
-                continue
-            out[f"permutation:{','.join(map(str, perm.mapping))}"] = permutation_profile(
-                prior, n, perm
-            )
-    for target in range(m):
-        out[f"constant:{prior.space.labels[target]}"] = constant_report_profile(prior, n, target)
-    out["uniform"] = uniform_report_profile(prior, n)
-    if n == m:
-        out["counterexample"] = counterexample_profile(prior, n)
-    return out
-
-
 def best_prediction_profile(profile: StrategyProfile, prior: PairwisePrior) -> StrategyProfile:
     """Keep signal strategies, replace every prediction by the prediction-score
     maximizer theta_minus[i] @ q_s (independent of the reported signal)."""
     anchors = prediction_anchors(prior, profile.thetas)
-    return profile.with_predictions(_filled_predictions(profile.n, anchors))
+    return StrategyProfile(profile.thetas, _filled_predictions(profile.n, anchors))
 
 
 def random_signal_strategy(rng: np.random.Generator, m: int) -> np.ndarray:

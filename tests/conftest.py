@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from peerpred.mechanism import MechanismConfig
 from peerpred.priors import from_latent, random_snife_prior
 
 
@@ -24,6 +25,11 @@ def prior3():
 @pytest.fixture(scope="session")
 def prior2():
     return from_latent(random_snife_prior(2, 2, seed=11))
+
+
+@pytest.fixture(scope="session")
+def config():
+    return MechanismConfig(alpha=1.0, beta=1.0 / 24.0, rule="log")
 
 
 @pytest.fixture(scope="session")

@@ -14,9 +14,7 @@ from peerpred.audits import (
     far_from_permutation_gap,
     relabeling_cycle_audit,
     sweep_row,
-    symmetric_fixed_points,
     total_divergence_symmetric,
-    welfare_comparison,
 )
 from peerpred.divergence import hellinger
 from peerpred.equilibrium import solved_profile
@@ -41,11 +39,6 @@ from peerpred.strategy import (
     tau_closeness,
     truth_telling_profile,
 )
-
-
-@pytest.fixture(scope="module")
-def config():
-    return MechanismConfig(alpha=1.0, beta=1.0 / 24.0, rule="log")
 
 
 class TestClassificationBound:
@@ -306,41 +299,6 @@ class TestSweepRow:
             gaps.append(welfare_metrics(prior, profile).classification_score - truth)
         row = sweep_row(config, prior, n, samples, np.random.default_rng([5, n]))
         assert abs(row - max(gaps)) <= 1e-15
-
-
-class TestWelfareComparison:
-    def test_ordering_and_ties(self, prior3, config):
-        rows = welfare_comparison(config, prior3, n=4, include_dynamics=False)
-        by_name = {r.name: r for r in rows}
-        truth = by_name["truth"]
-        assert truth.equilibrium_max_gap <= 1e-12
-        assert truth.theta_bar_tau_closeness == 0.0
-        for name, row in by_name.items():
-            if name.startswith("permutation:"):
-                assert abs(row.margin_to_truth) <= 1e-12
-                assert row.equilibrium_max_gap <= 1e-12
-            if name.startswith("constant:") or name == "uniform":
-                assert row.classification_score < truth.classification_score
-        # permutations and truth share the top of the table
-        top = {r.name.split(":")[0] for r in rows[: 1 + 5]}
-        assert top <= {"truth", "permutation"}
-
-    def test_counterexample_outranks_truth(self, config):
-        prior = from_latent(random_snife_prior(3, 2, seed=33))
-        rows = welfare_comparison(config, prior, n=3, include_dynamics=False)
-        by_name = {r.name: r for r in rows}
-        assert (
-            by_name["counterexample"].classification_score
-            > by_name["truth"].classification_score
-        )
-        assert rows[0].name == "counterexample"
-
-    def test_dynamics_find_truth_as_fixed_point(self, prior2, config):
-        fixed = symmetric_fixed_points(config, prior2, n=4)
-        assert (0, 1) in fixed  # identity map
-        np.testing.assert_array_equal(fixed[(0, 1)].thetas, np.broadcast_to(np.eye(2), (4, 2, 2)))
-        rows = welfare_comparison(config, prior2, n=4, include_dynamics=True)
-        assert any(r.name.startswith("solved:") for r in rows)
 
 
 class TestTheoremConsequences:

@@ -713,6 +713,13 @@ class TestErrorsAndDeterminism:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith(message)
 
+    @pytest.mark.parametrize("values, first", [("2,-3", "-3"), ("1", "1"), ("4,8,0", "0")])
+    def test_sweep_n_checks_every_n_first(self, prior_file, values, first, capsys):
+        assert main(["sweep-n", "--prior", prior_file, "--n", values]) == 1
+        out, err = capsys.readouterr()
+        assert err == f"error: --n {first}: need n >= 2\n"
+        assert out == ""  # no row ran
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64), "x"])
     def test_seed_out_of_range_exits_1(self, seed, capsys):
         assert main(["gen-prior", "--m", "3", "--seed", seed]) == 1

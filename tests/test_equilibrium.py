@@ -458,6 +458,21 @@ class TestPredictionSolver:
         for k in range(3):
             assert np.max(np.abs(predictions[k] - dense(config, prior, thetas[k]))) <= bounds[k]
 
+    @pytest.mark.parametrize("beta", (1e5, 1e6))
+    def test_large_beta_does_not_go_dense(self, beta):
+        """Past beta/alpha of about 1e4 the residual of any backward-stable
+        solve grows like beta/alpha units of roundoff, which a dense solve
+        cannot shrink either: at n = 512 no member goes dense, and the bound
+        still covers the distance to the dense solve."""
+        prior = from_latent(random_snife_prior(3, 2, seed=1))
+        config = MechanismConfig(1.0, beta, "log")
+        thetas = random_signal_strategies(np.random.default_rng(2), 3, (512,))
+        dense = solve_equilibrium_predictions_direct
+        with mock.patch.object(equilibrium, dense.__name__, wraps=dense) as spy:
+            predictions, bound = solve_equilibrium_predictions(config, prior, thetas)
+        assert spy.call_count == 0
+        assert np.max(np.abs(predictions - dense(config, prior, thetas))) <= bound
+
     def test_solutions_are_simplex_tables(self, setting):
         prior, config = setting
         rng = np.random.default_rng(5)

@@ -297,7 +297,7 @@ class TestPaymentKernel:
         config = MechanismConfig(rng.uniform(0.1, 3.0), rng.uniform(0.0, 1.0), rule, variant)
         signals, preds = random_reports(rng, n, m, size=(rounds,))
         peers, pairs = random_matchings(rng, config, n, rounds)
-        payments = _round_payments(config, signals, preds, peers, pairs)
+        payments = _round_payments(config, signals, preds, peers, (pairs[..., 0], pairs[..., 1]))
         for t in range(rounds):
             expected = payments_oracle(config, signals[t], preds[t], peers[t], pairs[t])
             np.testing.assert_allclose(payments[t], expected, rtol=0, atol=1e-12)

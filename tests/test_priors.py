@@ -210,7 +210,7 @@ class TestPermutePrior:
         base = validate_snife(prior3)
         for perm in all_permutations(3):
             report = validate_snife(permute_prior(prior3, perm))
-            assert report.to_dict().keys() == base.to_dict().keys()
+            assert report.witnesses.keys() == base.witnesses.keys()
             assert (
                 report.symmetric_ok,
                 report.nonzero_ok,

@@ -1,5 +1,8 @@
-"""Smoke tests: the experiment scripts run end to end and print their tables."""
+"""The experiment scripts: they run end to end and print their tables, and
+the welfare table matches its one-profile-at-a-time oracle bit for bit."""
 
+import importlib.util
+import itertools
 import json
 import os
 import shutil
@@ -7,9 +10,25 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from peerpred.equilibrium import check_equilibrium, solved_profile
+from peerpred.mechanism import MechanismConfig, welfare_metrics
+from peerpred.priors import _map_strategy, from_latent, random_snife_prior
+from peerpred.strategy import tau_closeness, truth_telling_profile
+
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+welfare_table = load_script("welfare_table")
 
 
 @pytest.mark.parametrize(
@@ -151,3 +170,98 @@ def test_compare_trees_reports_the_largest_moved_number(tmp_path):
     summary = lines.index("monte-carlo: 3 CLI jobs, 3 with differing output")
     overall = "largest |change - parent| of a number over the differing jobs: 2.5e-01"
     assert lines[summary + 1] == overall
+
+
+def oracle_fixed_points(config, prior, n):
+    """The symmetric fixed points map by map: one solved_profile and one
+    check_equilibrium per map."""
+    m = prior.m
+    fixed = {}
+    for g in itertools.product(range(m), repeat=m):
+        profile = solved_profile(config, prior, [_map_strategy(g)] * n)
+        best = check_equilibrium(config, prior, profile).values[0].argmax(axis=-1)
+        if tuple(int(r) for r in best) == g:
+            fixed[g] = profile
+    return fixed
+
+
+def oracle_rows(config, prior, n, include_dynamics):
+    """The welfare table row by row: one welfare_metrics call per profile."""
+    profiles = dict(welfare_table.candidate_profiles(prior, n))
+    uniform = profiles.pop("uniform")
+    profiles["uniform"] = solved_profile(config, prior, uniform.thetas)
+    if include_dynamics:
+        for g, profile in oracle_fixed_points(config, prior, n).items():
+            profiles.setdefault(f"solved:{','.join(map(str, g))}", profile)
+    truth_score = welfare_metrics(prior, truth_telling_profile(prior, n)).classification_score
+    rows = []
+    for name, profile in profiles.items():
+        score = welfare_metrics(prior, profile).classification_score
+        gap = check_equilibrium(config, prior, profile).max_gap
+        closeness = tau_closeness(profile.thetas.mean(axis=0))
+        rows.append((name, score, gap, closeness, truth_score - score))
+    rows.sort(key=lambda row: (-row[1], row[0]))
+    return rows
+
+
+def hexed(rows):
+    return [(name, *(float(value).hex() for value in values)) for name, *values in rows]
+
+
+class TestWelfareTable:
+    @pytest.mark.parametrize("m, n", [(2, 2), (2, 4), (3, 3), (3, 4)])
+    @pytest.mark.parametrize("dynamics", [True, False])
+    def test_rows_match_the_per_row_oracle(self, m, n, dynamics):
+        prior = from_latent(random_snife_prior(m, 2, seed=60 + m))
+        config = MechanismConfig(1.0, 1.0 / (8.0 * m), "log")
+        rows = welfare_table.welfare_comparison(config, prior, n, include_dynamics=dynamics)
+        assert hexed(rows) == hexed(oracle_rows(config, prior, n, dynamics))
+
+    @pytest.mark.parametrize("m, n", [(2, 4), (3, 3)])
+    def test_fixed_points_match_the_per_map_oracle(self, config, m, n):
+        prior = from_latent(random_snife_prior(m, 2, seed=60 + m))
+        fixed = welfare_table.symmetric_fixed_points(config, prior, n)
+        oracle = oracle_fixed_points(config, prior, n)
+        assert list(fixed) == list(oracle)
+        for g, profile in fixed.items():
+            assert profile.thetas.tobytes() == oracle[g].thetas.tobytes()
+            assert profile.predictions.tobytes() == oracle[g].predictions.tobytes()
+
+    def test_ordering_and_ties(self, prior3, config):
+        rows = welfare_table.welfare_comparison(config, prior3, n=4, include_dynamics=False)
+        by_name = {name: row for name, *row in rows}
+        truth_score, truth_gap, truth_closeness, _ = by_name["truth"]
+        assert truth_gap <= 1e-12
+        assert truth_closeness == 0.0
+        for name, (score, gap, _, margin) in by_name.items():
+            if name.startswith("permutation:"):
+                assert abs(margin) <= 1e-12
+                assert gap <= 1e-12
+            if name.startswith("constant:") or name == "uniform":
+                assert score < truth_score
+        # permutations and truth share the top of the table
+        top = {name.split(":")[0] for name, *_ in rows[: 1 + 5]}
+        assert top <= {"truth", "permutation"}
+
+    def test_counterexample_outranks_truth(self, config):
+        prior = from_latent(random_snife_prior(3, 2, seed=33))
+        rows = welfare_table.welfare_comparison(config, prior, n=3, include_dynamics=False)
+        scores = {name: score for name, score, *_ in rows}
+        assert scores["counterexample"] > scores["truth"]
+        assert rows[0][0] == "counterexample"
+
+    def test_dynamics_find_truth_as_fixed_point(self, prior2, config):
+        fixed = welfare_table.symmetric_fixed_points(config, prior2, n=4)
+        assert (0, 1) in fixed  # identity map
+        np.testing.assert_array_equal(fixed[(0, 1)].thetas, np.broadcast_to(np.eye(2), (4, 2, 2)))
+        rows = welfare_table.welfare_comparison(config, prior2, n=4, include_dynamics=True)
+        assert any(name.startswith("solved:") for name, *_ in rows)
+
+    def test_candidate_catalogue(self, prior2):
+        named = welfare_table.candidate_profiles(prior2, 2)
+        permutations = [k for k in named if k.startswith("permutation:")]
+        assert len(permutations) == 1  # identity listed as "truth"
+        assert "counterexample" in named  # n == m == 2
+        assert "constant:s1" in named and "constant:s2" in named and "uniform" in named
+        named4 = welfare_table.candidate_profiles(prior2, 4)
+        assert "counterexample" not in named4

@@ -12,7 +12,6 @@ from peerpred.strategy import (
     _check_columns,
     agent_types,
     best_prediction_profile,
-    candidate_profiles,
     constant_report_profile,
     counterexample_profile,
     permutation_profile,
@@ -92,15 +91,6 @@ class TestConstructors:
     def test_counterexample_needs_n_equal_m(self, prior3):
         with pytest.raises(ProfileError, match="n = m"):
             counterexample_profile(prior3, 4)
-
-    def test_candidate_catalogue(self, prior2):
-        named = candidate_profiles(prior2, 2)
-        permutations = [k for k in named if k.startswith("permutation:")]
-        assert len(permutations) == 1  # identity listed as "truth"
-        assert "counterexample" in named  # n == m == 2
-        assert "constant:s1" in named and "constant:s2" in named and "uniform" in named
-        named4 = candidate_profiles(prior2, 4)
-        assert "counterexample" not in named4
 
 
 def reference_check_columns(thetas, tol=STOCHASTIC_TOL):
