@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 
 from peerpred.equilibrium import check_equilibrium, solve_prediction_stack, solved_profile
-from peerpred.mechanism import MechanismConfig, welfare_batch
+from peerpred.mechanism import _BLOCK_CELLS, MechanismConfig, welfare_batch
 from peerpred.priors import _map_strategy, all_permutations, from_latent, random_snife_prior
 from peerpred.strategy import (
     StrategyProfile,
@@ -44,26 +44,33 @@ def candidate_profiles(prior, n: int) -> dict[str, StrategyProfile]:
     return out
 
 
-def symmetric_fixed_points(config, prior, n: int) -> dict[tuple[int, ...], StrategyProfile]:
+def symmetric_fixed_points(
+    config, prior, n: int
+) -> dict[tuple[int, ...], tuple[StrategyProfile, float]]:
     """Fixed points of best-response dynamics on the m^m deterministic
-    symmetric signal maps, in sorted order, each with its solved profile.
+    symmetric signal maps, in sorted order, each with its solved profile and
+    that profile's equilibrium max gap.
 
     For each map, all agents play it with solved predictions; the
     best-response map sends each private signal to the optimal report.  A map
-    is fixed when it is its own best response.  The maps are solved as one
-    stack, each member bit for bit as alone, so the stack holds m^m n m^3
-    predictions.
+    is fixed when it is its own best response.  The maps are solved in
+    stacks of at most ``_BLOCK_CELLS`` prediction entries (at least one map),
+    each member bit for bit as alone, and a fixed point keeps a copy of its
+    member only, so memory stays bounded whatever m^m.
     """
     m = prior.m
     maps = list(itertools.product(range(m), repeat=m))
-    thetas = np.repeat(np.stack([_map_strategy(g) for g in maps])[:, None], n, axis=1)
-    predictions, _ = solve_prediction_stack(config, prior, thetas)
+    per_stack = max(1, _BLOCK_CELLS // (n * m**3))
     fixed = {}
-    for g, theta, prediction in zip(maps, thetas, predictions):
-        profile = StrategyProfile(theta, prediction)
-        best = check_equilibrium(config, prior, profile).values[0].argmax(axis=-1)
-        if tuple(best.tolist()) == g:
-            fixed[g] = profile
+    for lo in range(0, len(maps), per_stack):
+        stack = maps[lo : lo + per_stack]
+        thetas = np.repeat(np.stack([_map_strategy(g) for g in stack])[:, None], n, axis=1)
+        predictions, _ = solve_prediction_stack(config, prior, thetas)
+        for g, theta, prediction in zip(stack, thetas, predictions):
+            profile = StrategyProfile(theta.copy(), prediction.copy())
+            report = check_equilibrium(config, prior, profile)
+            if tuple(report.values[0].argmax(axis=-1).tolist()) == g:
+                fixed[g] = (profile, report.max_gap)
     return fixed
 
 
@@ -81,16 +88,18 @@ def welfare_comparison(config, prior, n: int, include_dynamics: bool = True) -> 
     config.warn_if_outside_regime(prior.m)
     profiles = candidate_profiles(prior, n)
     profiles["uniform"] = solved_profile(config, prior, profiles.pop("uniform").thetas)
+    gaps = {}  # a fixed point's gap from its own search
     if include_dynamics:
-        for g, profile in symmetric_fixed_points(config, prior, n).items():
-            profiles.setdefault(f"solved:{','.join(map(str, g))}", profile)
+        for g, (profile, gap) in symmetric_fixed_points(config, prior, n).items():
+            name = f"solved:{','.join(map(str, g))}"
+            profiles[name], gaps[name] = profile, gap
 
     scores = dict(zip(profiles, welfare_batch([prior] * len(profiles), list(profiles.values()))))
     truth_score = scores["truth"].classification_score
     rows = []
     for name, profile in profiles.items():
         score = scores[name].classification_score
-        gap = check_equilibrium(config, prior, profile).max_gap
+        gap = gaps[name] if name in gaps else check_equilibrium(config, prior, profile).max_gap
         closeness = tau_closeness(profile.thetas.mean(axis=0))
         rows.append((name, score, gap, closeness, truth_score - score))
     rows.sort(key=lambda row: (-row[1], row[0]))

@@ -31,11 +31,10 @@ from .equilibrium import (
     solved_profile,
 )
 from .mechanism import (
-    Matching,
     MechanismConfig,
-    Report,
+    _round_payments,
     monte_carlo_payments,
-    realized_payments,
+    welfare_batch,
     welfare_metrics,
     zero_sum_group_scores,
 )
@@ -178,53 +177,33 @@ def _random_profile(rng, prior, n, deterministic=False) -> StrategyProfile:
 
 
 def _enumerated_average_welfare(config, latent, profile) -> float:
-    """Average per-agent expected payment by full enumeration.
-
-    Enumerates every signal vector under the latent joint, every report
-    vector's probability, each agent's in-group peer assignment, and the
-    ordered (j, k) classification pairs, scoring every concrete round of one
-    report vector in one batched call of the realized payment rule.
-    Independent of the closed-form welfare path.
-    """
+    """Average per-agent expected payment by full enumeration: every signal
+    vector (latent joint) with every report vector (signal strategies), each
+    pair of positive probability played under every (in-group peer, ordered
+    (j, k) pair) matching, all rounds scored in one payment-kernel call.
+    Independent of the closed-form welfare path."""
     n, m = profile.n, profile.m
     group_a, group_b = config.groups(n)
-    peer_choices = []
-    for i in range(n):
-        own = group_a if i in group_a else group_b
-        peer_choices.append([j for j in own if j != i])
-    pair_options = [
-        [(j, k) for j in range(n) if j != i for k in range(n) if k != i and k != j]
-        for i in range(n)
-    ]
-    num_pairs = len(pair_options[0])
-    peer_cfgs = np.array(list(itertools.product(*peer_choices)))
-    pair_cfgs = np.array([[pair_options[i][t] for i in range(n)] for t in range(num_pairs)])
-    # every (peer assignment, pair assignment) combination is one round
-    matching = Matching(
-        np.repeat(peer_cfgs, num_pairs, axis=0), np.tile(pair_cfgs, (len(peer_cfgs), 1, 1))
-    )
-
-    states = range(latent.num_states)
-    total = 0.0
-    for signals in itertools.product(range(m), repeat=n):
-        p_signals = sum(
-            latent.state_probs[t] * np.prod([latent.emissions[t, s] for s in signals])
-            for t in states
-        )
-        if p_signals == 0.0:
-            continue
-        support = [np.nonzero(profile.thetas[i][:, signals[i]] > 0)[0] for i in range(n)]
-        for reports_vec in itertools.product(*support):
-            p_reports = np.prod(
-                [profile.thetas[i][reports_vec[i], signals[i]] for i in range(n)]
-            )
-            reports = [
-                Report(reports_vec[i], profile.predictions[i, signals[i], reports_vec[i]])
-                for i in range(n)
-            ]
-            pays = realized_payments(config, reports, matching)
-            total += p_signals * p_reports / n * pays.sum() / len(pays)
-    return total
+    own = [group_a if i in group_a else group_b for i in range(n)]
+    peers = np.array(list(itertools.product(*[[j for j in own[i] if j != i] for i in range(n)])))
+    # pair assignment t gives every agent its t-th ordered pair of two others
+    first, second = np.array([
+        [(j, k) for j in range(n) if j != i for k in range(n) if k not in (i, j)] for i in range(n)
+    ]).T
+    vectors = np.array(list(itertools.product(range(m), repeat=n)))
+    agents = np.arange(n)
+    p_signals = latent.state_probs @ latent.emissions[:, vectors].prod(axis=-1)
+    p_reports = profile.thetas[agents, vectors[None], vectors[:, None]].prod(axis=-1)
+    s, r = np.nonzero(p_signals[:, None] * p_reports > 0)
+    # each kept (signal vector, report vector) pair is played under every matching
+    matchings, copies = len(peers) * len(first), len(s) * len(peers)
+    signals = np.repeat(vectors[r], matchings, axis=0)
+    preds = np.repeat(profile.predictions[agents, vectors[s], vectors[r]], matchings, axis=0)
+    peer_rounds = np.tile(np.repeat(peers, len(first), axis=0), (len(s), 1))
+    pairs = (np.tile(first, (copies, 1)), np.tile(second, (copies, 1)))
+    pays = _round_payments(config, signals, preds, peer_rounds, pairs)
+    weights = p_signals[s] * p_reports[s, r]
+    return weights @ pays.reshape(len(s), -1).sum(axis=1) / (n * matchings)
 
 
 def criterion_5_zero_sum_and_welfare_identities() -> tuple[bool, str]:
@@ -257,16 +236,12 @@ def criterion_5_zero_sum_and_welfare_identities() -> tuple[bool, str]:
     identities_ok = True
     equivalence_ok = True
     prior = from_latent(random_snife_prior(3, 2, seed=53))
-    zero_inc_profiles = [
+    profiles = [
         truth_telling_profile(prior, 4),
         permutation_profile(prior, 4, PermutationMap((1, 2, 0))),
     ]
-    for k in range(1000):
-        if k < len(zero_inc_profiles):
-            profile = zero_inc_profiles[k]
-        else:
-            profile = _random_profile(rng, prior, 4, deterministic=bool(k % 2))
-        wb = welfare_metrics(prior, profile)
+    profiles += [_random_profile(rng, prior, 4, deterministic=bool(k % 2)) for k in range(2, 1000)]
+    for wb in welfare_batch([prior] * len(profiles), profiles):
         if wb.classification_score != wb.diversity - wb.inconsistency:
             identities_ok = False
         if wb.total_divergence < wb.diversity - 1e-12:

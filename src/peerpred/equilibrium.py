@@ -57,18 +57,16 @@ __all__ = [
 
 def _neighbor_sum(cond: np.ndarray, thetas: np.ndarray, field: np.ndarray):
     """(1/(n-1)) sum_{j != i} sum_v q(v|s) theta_j[r, v] field_j[v, r, ...] for
-    every (i, s, r) as totals minus self.  ``thetas`` is (n, m, m), or
-    (S, n, m, m) for a stack of S strategy lists under one prior, whose
-    leading axis the field and the result share.  Subscripts are spelled out
-    per rank: an ellipsis einsum is slower."""
+    every (i, s, r): the leave-one-out average of the per-agent terms.
+    ``thetas`` is (n, m, m), or (S, n, m, m) for a stack of S strategy lists
+    under one prior, whose leading axis the field and the result share.
+    Subscripts are spelled out per rank: an ellipsis einsum is slower."""
     stack = "k" * (thetas.ndim - 3)
     tail = "u" * (field.ndim - thetas.ndim)
     per_agent = np.einsum(
         f"vs,{stack}jrv,{stack}jvr{tail}->{stack}jsr{tail}", cond, thetas, field
     )
-    agents = len(stack)
-    total = per_agent.sum(axis=agents, keepdims=True)
-    return (total - per_agent) / (thetas.shape[agents] - 1)
+    return leave_one_out(per_agent, axis=len(stack))
 
 
 @dataclass(frozen=True)

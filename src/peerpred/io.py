@@ -100,12 +100,32 @@ def prior_from_dict(data: dict, path=None) -> LatentStatePrior | PairwisePrior:
         if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
             raise PriorError(f"signals must be a list of strings, got {labels!r}")
         space = SignalSpace(tuple(labels))
-        prior = cls(space, np.asarray(first, dtype=float), np.asarray(second, dtype=float))
+        prior = cls(space, _real_array(first, keys[0]), _real_array(second, keys[1]))
         if kind == "pairwise":  # symmetry is left to validate_snife's verdict
             _check_stochastic(prior, PROBABILITY_TOL)
         return prior
-    except (PriorError, TypeError, ValueError) as exc:
+    except (OverflowError, PriorError, TypeError, ValueError) as exc:
         raise FormatError(f"invalid prior{f' in {path}' if path else ''}: {exc}") from exc
+
+
+def _real_array(value, key: str) -> np.ndarray:
+    """``value`` as a float array; a JSON string or boolean anywhere in it is
+    not a number, though ``float`` would read one as such."""
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, list):
+            pending.extend(reversed(item))
+        elif isinstance(item, (bool, str)):
+            raise FormatError(f"{key} entries must be numbers, got {item!r}")
+    return np.asarray(value, dtype=float)
+
+
+def _real(data: dict, key: str, default: float) -> float:
+    value = data.get(key, default)
+    if isinstance(value, (bool, str)):
+        raise FormatError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
 def pairwise_from_loaded(prior: LatentStatePrior | PairwisePrior) -> PairwisePrior:
@@ -142,7 +162,7 @@ def profile_from_dict(data: dict, path=None) -> StrategyProfile:
         thetas = np.asarray([a["theta"] for a in agents], dtype=float)
         predictions = np.asarray([a["predictions"] for a in agents], dtype=float)
         profile = StrategyProfile(thetas, predictions)
-    except (KeyError, ProfileError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, ProfileError, TypeError, ValueError) as exc:
         raise FormatError(f"invalid profile{f' in {path}' if path else ''}: {exc}") from exc
     declared = data.get("n", profile.n)
     if declared != profile.n:
@@ -161,13 +181,13 @@ def save_profile(profile: StrategyProfile, path):
 def mechanism_from_dict(data: dict, path=None) -> MechanismConfig:
     try:
         return MechanismConfig(
-            alpha=float(data.get("alpha", 1.0)),
-            beta=float(data.get("beta", 0.05)),
+            alpha=_real(data, "alpha", 1.0),
+            beta=_real(data, "beta", 0.05),
             rule=data.get("rule", "log"),
             variant=data.get("variant", "truthful"),
             group_a=tuple(data["groupA"]) if "groupA" in data else None,
         )
-    except (ValueError, TypeError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"invalid mechanism{f' in {path}' if path else ''}: {exc}") from exc
 
 

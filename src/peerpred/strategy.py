@@ -147,9 +147,10 @@ def prediction_anchors(prior: PairwisePrior, thetas: np.ndarray) -> np.ndarray:
     return np.einsum("...iuv,vs->...isu", leave_one_out(thetas), prior.conditional)
 
 
-def leave_one_out(thetas: np.ndarray) -> np.ndarray:
-    """theta_minus of :func:`prediction_anchors` for the agents on axis -3 of ``thetas``."""
-    return (thetas.sum(axis=-3, keepdims=True) - thetas) / (thetas.shape[-3] - 1)
+def leave_one_out(thetas: np.ndarray, axis: int = -3) -> np.ndarray:
+    """theta_minus of :func:`prediction_anchors` for the agents on ``axis`` of
+    ``thetas``: every agent's (total - own) / (n - 1), for any per-agent array."""
+    return (thetas.sum(axis=axis, keepdims=True) - thetas) / (thetas.shape[axis] - 1)
 
 
 def _repeated(block: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -80,6 +80,8 @@ STRING_LABELS = "<string-labels>"
 NUMBER_LABELS = "<number-labels>"
 FRACTIONAL_GROUP = "<fractional-group>"
 JSON_NUMBER = "<json-number>"
+# an integer literal of 401 digits, too large for a double
+BIG = 10**400
 OUT_IN_MISSING_DIR = "<out-in-missing-dir>"
 # and for the valid prior file of `prior_file`, where an argv names it itself
 PRIOR = "<prior>"
@@ -712,6 +714,45 @@ class TestErrorsAndDeterminism:
         argv = [command, "--prior", prior_file, "--profile", "truth", option, value]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith(message)
+
+    @pytest.mark.parametrize(
+        "kind, field, value, message",
+        [
+            ("mechanism", "alpha", BIG, "int too large to convert to float"),
+            ("mechanism", "beta", "0.02", "beta must be a number, got '0.02'"),
+            ("mechanism", "alpha", True, "alpha must be a number, got True"),
+            ("pairwise", "marginal", [BIG, 0.5], "int too large to convert to float"),
+            ("pairwise", "marginal", ["0.5", "0.5"], "marginal entries must be numbers, got '0.5'"),
+            ("latent", "state_probs", [True, False], "state_probs entries must be numbers, got True"),
+            ("latent", "emissions", [[1, 0], [0, "1"]], "emissions entries must be numbers, got '1'"),
+            ("profile", "theta", [[BIG, 0.0], [0.0, 1.0]], "int too large to convert to float"),
+        ],
+        ids=["big-alpha", "string-beta", "bool-alpha", "big-marginal", "string-marginal",
+             "bool-state-probs", "string-emission", "big-theta"],
+    )
+    def test_number_errors_in_files_exit_1(
+        self, tmp_path, prior_file, kind, field, value, message, capsys
+    ):
+        """An integer too large for a double, or a string or a boolean where a
+        mechanism or prior file holds a number: one error line, no traceback."""
+        prior = from_latent(random_snife_prior(2, 2, seed=3))
+        data = {
+            "mechanism": {"alpha": 1.0, "beta": 0.05},
+            "pairwise": prior_to_dict(prior),
+            "latent": prior_to_dict(random_snife_prior(2, 2, seed=3)),
+            "profile": profile_to_dict(truth_telling_profile(prior, 4)),
+        }[kind]
+        (data["agents"][1] if kind == "profile" else data)[field] = value
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        what = {"mechanism": "mechanism", "profile": "profile"}.get(kind, "prior")
+        inputs = {"prior": prior_file, "profile": "truth", "mech": None}
+        inputs[{"mechanism": "mech"}.get(what, what)] = str(path)
+        argv = ["check-eq"]
+        for option, name in inputs.items():
+            argv += [f"--{option}", name] if name else []
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: io: invalid {what} in {path}: {message}\n"
 
     @pytest.mark.parametrize("values, first", [("2,-3", "-3"), ("1", "1"), ("4,8,0", "0")])
     def test_sweep_n_checks_every_n_first(self, prior_file, values, first, capsys):

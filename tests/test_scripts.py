@@ -223,9 +223,22 @@ class TestWelfareTable:
         fixed = welfare_table.symmetric_fixed_points(config, prior, n)
         oracle = oracle_fixed_points(config, prior, n)
         assert list(fixed) == list(oracle)
-        for g, profile in fixed.items():
+        for g, (profile, gap) in fixed.items():
             assert profile.thetas.tobytes() == oracle[g].thetas.tobytes()
             assert profile.predictions.tobytes() == oracle[g].predictions.tobytes()
+            assert gap.hex() == check_equilibrium(config, prior, oracle[g]).max_gap.hex()
+
+    def test_fixed_points_alike_in_small_stacks(self, monkeypatch, config):
+        m, n = 3, 3
+        prior = from_latent(random_snife_prior(m, 2, seed=60 + m))
+        whole = welfare_table.symmetric_fixed_points(config, prior, n)
+        # stacks of two maps, the last one short
+        monkeypatch.setattr(welfare_table, "_BLOCK_CELLS", 2 * n * m**3)
+        small = welfare_table.symmetric_fixed_points(config, prior, n)
+        assert list(small) == list(whole)
+        for g, (profile, gap) in small.items():
+            assert profile.predictions.tobytes() == whole[g][0].predictions.tobytes()
+            assert gap.hex() == whole[g][1].hex()
 
     def test_ordering_and_ties(self, prior3, config):
         rows = welfare_table.welfare_comparison(config, prior3, n=4, include_dynamics=False)
@@ -253,7 +266,9 @@ class TestWelfareTable:
     def test_dynamics_find_truth_as_fixed_point(self, prior2, config):
         fixed = welfare_table.symmetric_fixed_points(config, prior2, n=4)
         assert (0, 1) in fixed  # identity map
-        np.testing.assert_array_equal(fixed[(0, 1)].thetas, np.broadcast_to(np.eye(2), (4, 2, 2)))
+        profile, gap = fixed[(0, 1)]
+        np.testing.assert_array_equal(profile.thetas, np.broadcast_to(np.eye(2), (4, 2, 2)))
+        assert gap <= 1e-12
         rows = welfare_table.welfare_comparison(config, prior2, n=4, include_dynamics=True)
         assert any(name.startswith("solved:") for name, *_ in rows)
 

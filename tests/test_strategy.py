@@ -14,6 +14,7 @@ from peerpred.strategy import (
     best_prediction_profile,
     constant_report_profile,
     counterexample_profile,
+    leave_one_out,
     permutation_profile,
     permute_profile,
     prediction_anchors,
@@ -295,6 +296,15 @@ class TestPredictionAnchors:
             expected = (profile.thetas[0] @ prior3.conditional).T  # row s = theta q_s
             anchors = prediction_anchors(prior3, profile.thetas)
             assert anchors.tobytes() == np.broadcast_to(expected, anchors.shape).tobytes()
+
+
+    @pytest.mark.parametrize("axis", [0, 1, -3])
+    def test_leave_one_out_on_any_agent_axis(self, axis):
+        x = np.random.default_rng(5).random((3, 4, 5, 2))
+        out = leave_one_out(x, axis=axis)
+        for i in range(x.shape[axis]):
+            others = np.delete(x, i, axis=axis).sum(axis=axis) / (x.shape[axis] - 1)
+            np.testing.assert_allclose(np.take(out, i, axis=axis), others, rtol=1e-14)
 
 
 class TestBestPrediction:
