@@ -32,6 +32,11 @@ deviant ("one-deviant", two types).
 monte_carlo_payments runs ``--mc-trials`` trials (seed 0) at m = 3 and n in
 ``--mc-ns``, for both variants, and its rows add ``trials_per_s``.
 
+Every timed row also records ``minflt_per_call``: the process's minor page
+faults (``ru_minflt``) over its timed runs, divided by the number of runs.
+A fault costs a few microseconds of system time; the count shows the
+memory a layer maps afresh on each call.
+
 The I/O layer runs at m = 3 on the solved profile: save_profile and
 load_profile over ``--io-ns``, and three in-process ``cli.main`` calls at
 n = LARGE_N, the agent count of the exact-large benchmark workload (prior,
@@ -56,6 +61,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import sys
 import tempfile
@@ -116,15 +122,22 @@ def _control():
     np.take(x @ x, rng.integers(0, x.size, 2**18))
 
 
+def _minflt():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def _time(call, repeats):
+    """Seconds of each run, stopping after the first if it took more than
+    BUDGET_S, and the minor page faults per run."""
     runs = []
+    faults = _minflt()
     for _ in range(repeats):
         start = time.perf_counter()
         call()
         runs.append(time.perf_counter() - start)
         if runs[0] > BUDGET_S:
             break
-    return runs
+    return runs, (_minflt() - faults) / len(runs)
 
 
 def main():
@@ -165,19 +178,24 @@ def main():
         if (layer, name, m) in over_budget:
             rows.append({**row, "skipped": True})
             return
-        runs = _time(call, args.repeats)
+        runs, faults = _time(call, args.repeats)
         if runs[0] > BUDGET_S:
             over_budget.add((layer, name, m))
         median = statistics.median(runs)
-        rows.append({**row, "median_s": median, "runs": len(runs)})
+        rows.append({**row, "median_s": median, "runs": len(runs), "minflt_per_call": faults})
         size = "" if n is None else n
-        print(f"{layer:<29} {name:<11} {m:>2} {size:>5} {median:>10.3g} {len(runs):>4}")
+        cell = f"{layer:<29} {name:<11} {m:>2} {size:>5}"
+        print(f"{cell} {median:>10.3g} {len(runs):>4} {faults:>8.0f}")
 
-    print(f"{'layer':<29} {'profile':<11} {'m':>2} {'n':>5} {'median_s':>10} {'runs':>4}")
-    runs = _time(_control, args.repeats)
+    header = f"{'profile':<11} {'m':>2} {'n':>5} {'median_s':>10} {'runs':>4} {'minflt':>8}"
+    print(f"{'layer':<29} {header}")
+    runs, faults = _time(_control, args.repeats)
     median = statistics.median(runs)
-    rows.append({"layer": "control", "median_s": median, "runs": len(runs)})
-    print(f"{'control':<29} {'':<11} {'':>2} {'':>5} {median:>10.3g} {len(runs):>4}")
+    rows.append(
+        {"layer": "control", "median_s": median, "runs": len(runs), "minflt_per_call": faults}
+    )
+    cell = f"{'control':<29} {'':<11} {'':>2} {'':>5}"
+    print(f"{cell} {median:>10.3g} {len(runs):>4} {faults:>8.0f}")
     with tempfile.TemporaryDirectory() as scratch:
         for m in args.ms:
             latent = random_snife_prior(m, 2, seed=SEED + m)
@@ -257,13 +275,13 @@ def main():
 
     latent = random_snife_prior(MC_M, 2, seed=SEED + MC_M)
     prior = from_latent(latent)
-    print(f"{'variant':<29} {'profile':<11} {'m':>2} {'n':>5} {'median_s':>10} {'runs':>4} trials/s")
+    print(f"{'variant':<29} {header} trials/s")
     for variant in ("truthful", "disagreement"):
         config = MechanismConfig(1.0, 1.0 / (8.0 * MC_M), "log", variant)
         for n in sorted(args.mc_ns):
             profiles = _profiles(config, prior, n, seed=SEED + 1000 * MC_M + n)
             for name, profile in profiles.items():
-                runs = _time(
+                runs, faults = _time(
                     lambda: monte_carlo_payments(config, latent, profile, args.mc_trials),
                     args.repeats,
                 )
@@ -280,10 +298,11 @@ def main():
                         "median_s": median,
                         "runs": len(runs),
                         "trials_per_s": rate,
+                        "minflt_per_call": faults,
                     }
                 )
                 cell = f"{variant:<29} {name:<11} {MC_M:>2} {n:>5}"
-                print(f"{cell} {median:>10.3g} {len(runs):>4} {rate:.4g}")
+                print(f"{cell} {median:>10.3g} {len(runs):>4} {faults:>8.0f} {rate:.4g}")
 
     out = Path(args.out_dir) / f"BENCH_{args.label}.json"
     record = {

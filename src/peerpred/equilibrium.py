@@ -194,12 +194,14 @@ def solve_prediction_stack(
     blocks of m x m plus a rank-m term, which Woodbury solves.  Each row of
     lhs has diagonal alpha + beta w and off-diagonal mass beta w, so the
     sup-norm error is at most ||lhs x - rhs|| / alpha: the bound, widened by
-    the roundoff of the residual's terms.  Members with a singular block, a
-    non-finite bound, or a residual that exceeds that roundoff by more than
-    ``SOLVER_TOL * max(1, beta/alpha)`` are solved densely instead.  The exact
-    solution is non-negative, so solutions are clipped at 0.  Each member's
-    result is the one it gets alone, bit for bit; a pass holds at most
-    ``_BLOCK_CELLS // (n m^4)`` members (at least one).
+    the roundoff of the residual's terms.  A member whose residual exceeds
+    that roundoff by more than ``SOLVER_TOL`` takes one step of iterative
+    refinement, a Woodbury solve of its residual; members with a singular
+    block, a non-finite bound, or a residual that still exceeds that roundoff
+    by more than ``SOLVER_TOL * max(1, beta/alpha)`` are solved densely
+    instead.  The exact solution is non-negative, so solutions are clipped
+    at 0.  Each member's result is the one it gets alone, bit for bit; a
+    pass holds at most ``_BLOCK_CELLS // (n m^4)`` members (at least one).
 
     The system's condition number grows like beta/alpha: from beta/alpha of
     about 1e8 the solved tables miss the simplex by more than a prediction
@@ -241,6 +243,15 @@ def _solve_pass(config, prior, thetas, predictions, bounds):
         predictions[...] = np.nan
     np.maximum(predictions, 0.0, out=predictions)
     bounds[...], excess = _error_bounds(config, prior, thetas, anchors, predictions)
+    # one step of iterative refinement on the same blocks, x <- x - lhs^-1 (lhs x - rhs),
+    # for the members whose residual passes its roundoff by SOLVER_TOL
+    refine = np.flatnonzero(np.isfinite(bounds) & (excess > SOLVER_TOL))
+    if refine.size:
+        some = thetas[refine], anchors[refine]
+        x = predictions[refine]
+        x -= _woodbury_solve(config, prior, *some, rhs=_residual(config, prior, *some, x)[0])
+        predictions[refine] = np.maximum(x, 0.0)
+        bounds[refine], excess[refine] = _error_bounds(config, prior, *some, predictions[refine])
     tol = SOLVER_TOL * max(1.0, config.beta / config.alpha)  # residuals grow with beta/alpha
     for k in np.flatnonzero(~(np.isfinite(bounds) & (excess <= tol))):
         dense, one = solve_equilibrium_predictions_direct(config, prior, thetas[k]), slice(k, k + 1)
@@ -248,11 +259,12 @@ def _solve_pass(config, prior, thetas, predictions, bounds):
         bounds[one] = _error_bounds(config, prior, thetas[one], anchors[one], predictions[one])[0]
 
 
-def _woodbury_solve(config, prior, thetas, anchors):
-    """Predictions (S, n, s, r, u) of a stack.  With Z_i = A_i^-1 q^T and
-    P_i = alpha theta_minus_i^T, so that alpha anchor_i = q^T P_i, they are
-    x_i = Z_i (P_i + c W), where (I - c sum_j diag theta_j[r] Z_j) W
-    = sum_j diag theta_j[r] Z_j P_j."""
+def _woodbury_solve(config, prior, thetas, anchors, rhs=None):
+    """Solutions (S, n, s, r, u) of lhs x = rhs over a stack, rhs = alpha
+    anchor by default.  With Z_i = A_i^-1 q^T and Y_i = A_i^-1 rhs_i they are
+    x_i = Y_i + c Z_i W, where (I - c sum_j diag theta_j[r] Z_j) W
+    = sum_j diag theta_j[r] Y_j.  For alpha anchor_i = q^T P_i, with
+    P_i = alpha theta_minus_i^T, Y_i = Z_i P_i."""
     alpha, beta, n, m = config.alpha, config.beta, thetas.shape[1], thetas.shape[2]
     c = beta / (n - 1)
     qt = prior.conditional.T  # q(v|s) at [s, v]
@@ -260,24 +272,33 @@ def _woodbury_solve(config, prior, thetas, anchors):
     diagonal = np.arange(m)
     blocks[..., diagonal, diagonal] += alpha + beta * anchors.transpose(0, 3, 1, 2)
     z = np.linalg.solve(blocks, qt)  # qt broadcast over the blocks
-    y = z @ (alpha * leave_one_out(thetas).transpose(0, 1, 3, 2))[:, None]  # Z_i P_i
+    if rhs is None:
+        y = z @ (alpha * leave_one_out(thetas).transpose(0, 1, 3, 2))[:, None]
+    else:
+        y = np.linalg.solve(blocks, rhs.transpose(0, 3, 1, 2, 4))
     vz = np.einsum("kirv,krivt->krvt", thetas, z)
     vy = np.einsum("kirv,krivu->krvu", thetas, y)
     w = np.linalg.solve(np.eye(m) - c * vz, vy)
     return (y + c * z @ w[:, :, None]).transpose(0, 2, 3, 1, 4)
 
 
+def _residual(config, prior, thetas, anchors, x):
+    """lhs x - alpha anchor over a stack, and four units of roundoff of each
+    row's terms."""
+    alpha, beta = config.alpha, config.beta
+    lead = (alpha + beta * anchors)[..., None] * x
+    rest = beta * _neighbor_sum(prior.conditional, thetas, x) + alpha * anchors[..., None, :]
+    return lead - rest, 4.0 * np.finfo(float).eps * (lead + rest)
+
+
 def _error_bounds(config, prior, thetas, anchors, x):
     """Per member of a stack: ||lhs x - alpha anchor|| / alpha with four units
     of roundoff of each row's terms added to its residual, the error bound;
     and the most that a row's residual exceeds that roundoff, over alpha."""
-    alpha, beta = config.alpha, config.beta
-    lead = (alpha + beta * anchors)[..., None] * x
-    rest = beta * _neighbor_sum(prior.conditional, thetas, x) + alpha * anchors[..., None, :]
-    rounding = 4.0 * np.finfo(float).eps * (lead + rest)
-    residual, rows = np.abs(lead - rest), (1, 2, 3, 4)
-    bounds = (residual + rounding).max(axis=rows) / alpha
-    return bounds, (residual - rounding).max(axis=rows) / alpha
+    residual, rounding = _residual(config, prior, thetas, anchors, x)
+    residual, rows = np.abs(residual), (1, 2, 3, 4)
+    bounds = (residual + rounding).max(axis=rows) / config.alpha
+    return bounds, (residual - rounding).max(axis=rows) / config.alpha
 
 
 def solved_profile(

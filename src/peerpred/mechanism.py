@@ -64,7 +64,7 @@ from typing import Sequence
 import numpy as np
 
 from .divergence import hellinger
-from .priors import LatentStatePrior, PairwisePrior, sample_categorical
+from .priors import _DRAW_BYTES, LatentStatePrior, PairwisePrior, sample_categorical
 from .scoring import ProperScoringRule, ScoreDomainError, get_rule
 from .strategy import StrategyProfile, agent_types, check_signal_count
 from .tolerances import PROBABILITY_TOL
@@ -650,6 +650,18 @@ def _mc_tables(config: MechanismConfig, profile: StrategyProfile, reachable, tri
     return cell_of, base, reward
 
 
+def _fill_integers(rng: np.random.Generator, high: int, out: np.ndarray) -> np.ndarray:
+    """``out[...] = rng.integers(0, high, out.shape, dtype=out.dtype)``, drawn
+    a run of rows at a time through temporaries of at most ``_DRAW_BYTES``
+    (at least one row), since ``Generator.integers`` has no ``out=``.  Each
+    run continues the stream, so the values are those of the whole draw."""
+    rows = max(1, _DRAW_BYTES // out[0].nbytes)
+    for lo in range(0, out.shape[0], rows):
+        part = out[lo : lo + rows]
+        part[...] = rng.integers(0, high, part.shape, dtype=out.dtype)
+    return out
+
+
 def _moments(x: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     """(count, mean, sum of squared deviations) over the first axis; ``x``
     is overwritten by the squared deviations."""
@@ -706,7 +718,23 @@ def monte_carlo_payments(
     when a mate draw, an (agent, signal, report) cell or a flat (trial,
     agent) position could pass the int32 range); the payment tables and the
     kernel fallback both read the same arrays, and the integer draws take
-    the same values in either width.
+    the same values in either width.  The mate draw skips ``mod`` when every
+    mate count is L, as for the truthful pool and for even halves.
+
+    Each call allocates one workspace of block arrays that every block
+    reuses, so no block maps fresh pages: the payments (B, n + 1) with the
+    welfare in the last column, one float (B, n) for the report uniforms and
+    then the rewards, the three (truthful) or five int (B, n) draws, a bool
+    (B, n) mask and one intp (B, n + 1) index array.  That is about 45 B n
+    bytes in the disagreement variant at int32, 6.0 MB at B = 4096, n = 32.
+    Uniforms are drawn by ``rng.random(out=...)``; integer draws fill their
+    rows a run of at most ``_DRAW_BYTES`` at a time, since
+    ``Generator.integers`` has no ``out=``, and continue the stream, so they
+    equal the whole draw.  Every ``np.take`` reads intp indices from the
+    workspace and writes to a C-contiguous ``out=`` with ``mode="clip"``
+    (every index is in range): with int32 indices it would copy them to
+    intp first, and with ``mode="raise"`` or a strided ``out=`` it would
+    buffer its output.
 
     The result therefore depends only on (config, latent, profile, trials,
     seed); blocks split across workers draw the same numbers, and merging
@@ -724,8 +752,9 @@ def monte_carlo_payments(
     by the payment kernel on its gathered predictions in row blocks of
     ``_BLOCK_CELLS`` cells instead; both give identical results, and a
     :class:`~peerpred.scoring.ScoreDomainError` is raised exactly when a
-    sampled pair is undefined.  Memory is O(_MC_BLOCK * n * m +
-    _MC_TABLE_ENTRIES).  ``seed`` must be an integer in [0, 2**64).  A
+    sampled pair is undefined.  Memory is the workspace plus
+    O(n m^2 + _BLOCK_CELLS m + _MC_TABLE_ENTRIES), the cells, the kernel's
+    row blocks and the tables.  ``seed`` must be an integer in [0, 2**64).  A
     :class:`MechanismError` is raised when the merged means or squared
     deviations overflow to a non-finite value, as huge ``alpha`` and
     ``beta`` make them.
@@ -768,14 +797,40 @@ def monte_carlo_payments(
     tables = _mc_tables(config, profile, reachable, trials)
     rows_per_block = max(1, _BLOCK_CELLS // (n * m))
 
-    def score(at, reports, peers, pairs, out):
-        """Payments of one block into ``out`` (B, n); ``at`` (B, n) indexes
-        (agent, signal) as i * m + s."""
+    # The workspace: every block's arrays, allocated once per call, since
+    # fresh (B, n) arrays per block cost a page fault per page.  ``paid``
+    # holds the payments, their mean over agents in the last column, then the
+    # squared deviations; until scoring, its memory holds the report
+    # thresholds at the sampled signals, one row at a time.  ``uniforms``
+    # holds the report uniforms, then the classification rewards.  Every take
+    # reads intp indices from ``spots``, as np.take would otherwise copy them
+    # to intp, and writes to a C-contiguous out=, as it would otherwise
+    # buffer its output.  ``skip`` holds the comparisons that skip agents.
+    capacity = min(trials, _MC_BLOCK)
+    paid = np.empty((capacity, n + 1))
+    uniforms = np.empty(capacity * n)
+    spots = np.empty(capacity * (n + 1), dtype=np.intp)
+    skip = np.empty(capacity * n, dtype=bool)
+    # at, reports, mate draws (then peers) and, in the disagreement variant, j and k
+    ints = np.empty((5 if disagreement else 3, capacity * n), dtype=index)
+    offsets = np.arange(capacity, dtype=np.intp)[:, None] * n
+    agent_at = agents * m  # at = i * m + s
+    pools = pools.reshape(-1)
+    # d % sizes is d itself when every mate count is the draw range
+    identity = bool((sizes == draws).all())
+
+    def score(at, reports, peers, pairs, out, lookups, rewards):
+        """Payments of one block into ``out`` (B, n + 1), whose last column
+        is left to the welfare; ``at`` (B, n) indexes (agent, signal) as
+        i * m + s.  The table lookups overwrite ``reports`` by the block's
+        cells, ``peers`` and ``pairs`` by their agents' cells, the intp
+        ``lookups`` (B, n + 1) by take indices and ``rewards`` (B, n) by the
+        classification rewards."""
         if tables is None:
             preds = profile.predictions.reshape(n * m, m, m)
             for lo in range(0, peers.shape[0], rows_per_block):
                 x = slice(lo, lo + rows_per_block)
-                out[x] = _round_payments(
+                out[x, :n] = _round_payments(
                     config,
                     reports[x],
                     preds[at[x], reports[x]],
@@ -786,50 +841,70 @@ def monte_carlo_payments(
         cell_of, base, reward = tables
         width = base.shape[0]
         # flat lookups: cells[t, i] sits at t * n + i, table entry (c, c') at c * C + c'
-        cells = np.take(cell_of, at * m + reports)
-        offsets = np.arange(peers.shape[0], dtype=index)[:, None] * n
+        positions = lookups.reshape(-1)[: at.size].reshape(at.shape)
+        np.multiply(at, m, out=positions)
+        np.add(positions, reports, out=positions)
+        cells = np.take(cell_of, positions, out=reports, mode="clip")
 
         def cells_of(x):
-            return np.take(cells, x + offsets)
+            np.add(x, offsets[: x.shape[0]], out=positions)
+            return np.take(cells, positions, out=x, mode="clip")
+
+        def entries(c, c2, out):
+            np.multiply(c, width, out=out)
+            return np.add(out, c2, out=out)
+
+        def base_payments(x):
+            # the lookup fills whole rows of out, so that its out= is
+            # contiguous; the last column reads entry 0 until the welfare
+            entries(cells, cells_of(x), lookups[:, :n])
+            lookups[:, n] = 0
+            return np.take(base, lookups, out=out, mode="clip")[:, :n]
+
+        def classification_rewards(j, k):
+            entries(cells_of(j), cells_of(k), positions)
+            return np.take(reward, positions, out=rewards, mode="clip")
 
         # the base payments land in out, where the zero-sum and reward steps
         # then work in place
-        _assemble_payments(
-            config,
-            lambda x: np.take(base, cells * width + cells_of(x), out=out, mode="clip"),
-            lambda j, k: np.take(reward, cells_of(j) * width + cells_of(k)),
-            peers,
-            pairs,
-        )
+        _assemble_payments(config, base_payments, classification_rewards, peers, pairs)
 
-    # one array for every block: the payments, their mean over agents in the
-    # last column, then the squared deviations.  Until scoring, its memory
-    # holds the report thresholds at the sampled signals, one row at a time.
-    paid = np.empty((min(trials, _MC_BLOCK), n + 1))
     moments = None
     for b, lo in enumerate(range(0, trials, _MC_BLOCK)):
         size = min(_MC_BLOCK, trials - lo)
+
+        def block(buffer, columns=n):
+            return buffer[: size * columns].reshape(size, columns)
+
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
-        at = agents * m + latent.sample_signals(n, size, rng)
-        gathered = paid.reshape(-1)[: size * n].reshape(size, n)
-        rows = (np.take(row, at, out=gathered, mode="clip") for row in thresholds)
-        reports = sample_categorical(rows, rng.random((size, n)))
-        d = rng.integers(0, draws, (size, n), dtype=index) % sizes
-        d += d >= pos  # skip agent i itself
-        peers = np.take(pools, pool_at + d)
-        pairs = None
+        at, reports, d, *pairs = map(block, ints)
+        positions, mask = block(spots), block(skip)
+        latent.sample_signals(n, size, rng, out=at)
+        at += agent_at
+        np.copyto(positions, at)
+        gathered = block(paid.reshape(-1))
+        rows = (np.take(row, positions, out=gathered, mode="clip") for row in thresholds)
+        sample_categorical(rows, rng.random(out=block(uniforms)), out=reports)
+        _fill_integers(rng, draws, d)
+        if not identity:
+            np.remainder(d, sizes, out=d)
+        d += np.greater_equal(d, pos, out=mask)  # skip agent i itself
+        peers = np.take(pools, np.add(d, pool_at, out=positions), out=d, mode="clip")
         if disagreement:
-            j = rng.integers(0, n - 1, (size, n), dtype=index)
-            k = rng.integers(0, n - 2, (size, n), dtype=index)
-            j += j >= agents
-            k += k >= np.minimum(agents, j)
-            k += k >= np.maximum(agents, j)
-            pairs = (j, k)
+            j, k = pairs
+            _fill_integers(rng, n - 1, j)
+            _fill_integers(rng, n - 2, k)
+            j += np.greater_equal(j, agents, out=mask)
+            # onto the agents other than i and j, in increasing order; the
+            # uniforms' memory is free from the report draw to the rewards
+            spare = block(uniforms.view(index))
+            for bound in (np.minimum, np.maximum):
+                k += np.greater_equal(k, bound(agents, j, out=spare), out=mask)
         payments = paid[:size]
-        score(at, reports, peers, pairs, payments[:, :n])
+        score(at, reports, peers, pairs or None, payments, block(spots, n + 1), block(uniforms))
         np.mean(payments[:, :n], axis=1, out=payments[:, n])
-        block = _moments(payments)
-        moments = block if moments is None else _merge_moments(moments, block)
+        block_moments = _moments(payments)
+        moments = block_moments if moments is None else _merge_moments(moments, block_moments)
 
     _, mean, m2 = moments
     if not (np.isfinite(mean).all() and np.isfinite(m2).all()):

@@ -171,16 +171,42 @@ class LatentStatePrior:
     def marginal(self) -> np.ndarray:
         return self.state_probs @ self.emissions
 
-    def sample_signals(self, n: int, trials: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``trials`` independent rounds of ``n`` agents' signals, shape (trials, n)."""
+    def sample_signals(
+        self, n: int, trials: int, rng: np.random.Generator, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Draw ``trials`` independent rounds of ``n`` agents' signals, shape
+        (trials, n), as int32 or into the integer array ``out``.
+
+        A latent state per round from ``rng.random(trials)``, then each
+        agent's signal from ``rng.random((trials, n))``, both by
+        :func:`sample_categorical`.  The second uniforms are drawn a run of
+        rows at a time into one buffer of at most ``_DRAW_BYTES`` (at least
+        one row); each run continues the stream, so the values are those of
+        the whole draw.  Memory beyond the signals is O(trials m) plus that
+        buffer, whatever n, so a caller that passes ``out`` maps no (trials,
+        n) temporary.
+        """
         states = sample_categorical(np.cumsum(self.state_probs[:-1]), rng.random(trials))
-        thresholds = np.cumsum(self.emissions[:, :-1], axis=1)
-        u = rng.random((trials, n))
-        return sample_categorical(thresholds[states].T[:, :, None], u)
+        thresholds = np.cumsum(self.emissions[:, :-1], axis=1)[states].T[:, :, None]
+        signals = np.empty((trials, n), dtype=np.int32) if out is None else out
+        rows = max(1, _DRAW_BYTES // (8 * n))
+        u = np.empty((min(rows, trials), n))
+        for lo in range(0, trials, rows):
+            hi = min(lo + rows, trials)
+            rng.random(out=u[: hi - lo])
+            sample_categorical(thresholds[:, lo:hi], u[: hi - lo], out=signals[lo:hi])
+        return signals
 
 
-def sample_categorical(thresholds: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Category index of each uniform draw ``u``, as int32.
+# Most bytes of a temporary that holds part of a larger draw
+_DRAW_BYTES = 2**16
+
+
+def sample_categorical(
+    thresholds: np.ndarray, u: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Category index of each uniform draw ``u``, as int32 or into the
+    integer array ``out`` of u's shape.
 
     ``thresholds`` yields (an array by rows, or any iterable) for t < m - 1
     the cumulative probability of categories 0..t, broadcast to u's shape.
@@ -188,7 +214,8 @@ def sample_categorical(thresholds: np.ndarray, u: np.ndarray) -> np.ndarray:
     category's cumulative sum is never read, so the index is clamped at m - 1:
     a sum that rounds to just under 1 never yields an index past it.
     """
-    index = np.zeros(u.shape, dtype=np.int32)
+    index = np.empty(u.shape, dtype=np.int32) if out is None else out
+    index[...] = 0
     for row in thresholds:
         index += u >= row
     return index

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from peerpred import equilibrium
@@ -404,6 +404,10 @@ class TestPredictionSolver:
         st.booleans(),
         st.integers(0, 2**32 - 1),
     )
+    # beta/alpha = 1e3 on a prior whose joint is not PSD: member 0's Woodbury
+    # residual passes its roundoff, and the solve lies 2.07e-12 from the dense
+    # one until a refinement step
+    @example(m=3, n=2, log_ratio=3.0, latent=False, seed=3)
     def test_members_match_dense_oracle(self, m, n, log_ratio, latent, seed):
         """Every member lies within 1e-12 of the dense solve, and its bound
         is at least the distance, for beta/alpha in [1e-3, 1e3] and priors

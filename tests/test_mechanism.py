@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import cache
 from unittest import mock
 
@@ -814,6 +815,178 @@ def monte_carlo_oracle(config, latent, profile, trials, seed):
     var = ((payments - mean) ** 2).mean(axis=0)
     wvar = float(((welfare - welfare.mean()) ** 2).mean())
     return mean, np.sqrt(var / trials), float(welfare.mean()), math.sqrt(wvar / trials)
+
+
+def vectorized_monte_carlo_oracle(config, latent, profile, trials, seed):
+    """The block loop of ``monte_carlo_payments`` as it was before its
+    per-call workspace: fresh arrays in every block, int32 take indices, the
+    signal uniforms drawn whole and every mate draw taken modulo its count.
+    It returns (mean, stderr, welfare mean, welfare stderr), which the
+    workspace must reproduce bit for bit."""
+    n, m = profile.n, profile.m
+    block_size = mechanism._MC_BLOCK
+    disagreement = config.variant == "disagreement"
+    groups = config.groups(n) if disagreement else (tuple(range(n)),)
+    draws = math.lcm(*(len(members) - 1 for members in groups))
+    bound = max(draws, n * m * m, n * min(trials, block_size))
+    index = np.int32 if bound <= np.iinfo(np.int32).max else np.int64
+    agents = np.arange(n, dtype=index)
+    pools = np.zeros((len(groups), max(map(len, groups))), dtype=index)
+    pool_of, pos = np.empty(n, dtype=index), np.empty(n, dtype=index)
+    for g, members in enumerate(groups):
+        pools[g, : len(members)] = members
+        pool_of[list(members)] = g
+        pos[list(members)] = np.arange(len(members))
+    sizes = np.array([len(members) - 1 for members in groups], dtype=index)[pool_of]
+    pool_at = pools.shape[1] * pool_of
+    cums = np.cumsum(profile.thetas, axis=1).transpose(0, 2, 1)
+    reachable = profile.thetas.transpose(0, 2, 1) > 0.0
+    reachable[..., -1] |= cums[..., -2] < 1.0
+    thresholds = np.ascontiguousarray(cums[..., :-1].reshape(n * m, m - 1).T)
+    tables = mechanism._mc_tables(config, profile, reachable, trials)
+    rows_per_block = max(1, mechanism._BLOCK_CELLS // (n * m))
+
+    def categorical(rows, u):
+        index = np.zeros(u.shape, dtype=np.int32)
+        for row in rows:
+            index += u >= row
+        return index
+
+    def score(at, reports, peers, pairs, out):
+        if tables is None:
+            preds = profile.predictions.reshape(n * m, m, m)
+            for lo in range(0, peers.shape[0], rows_per_block):
+                x = slice(lo, lo + rows_per_block)
+                out[x] = _round_payments(
+                    config,
+                    reports[x],
+                    preds[at[x], reports[x]],
+                    peers[x],
+                    None if pairs is None else (pairs[0][x], pairs[1][x]),
+                )
+            return
+        cell_of, base, reward = tables
+        width = base.shape[0]
+        cells = np.take(cell_of, at * m + reports)
+        offsets = np.arange(peers.shape[0], dtype=index)[:, None] * n
+
+        def cells_of(x):
+            return np.take(cells, x + offsets)
+
+        mechanism._assemble_payments(
+            config,
+            lambda x: np.take(base, cells * width + cells_of(x), out=out, mode="clip"),
+            lambda j, k: np.take(reward, cells_of(j) * width + cells_of(k)),
+            peers,
+            pairs,
+        )
+
+    paid = np.empty((min(trials, block_size), n + 1))
+    moments = None
+    for b, lo in enumerate(range(0, trials, block_size)):
+        size = min(block_size, trials - lo)
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
+        states = categorical(np.cumsum(latent.state_probs[:-1]), rng.random(size))
+        emitted = np.cumsum(latent.emissions[:, :-1], axis=1)[states].T[:, :, None]
+        at = agents * m + categorical(emitted, rng.random((size, n)))
+        gathered = paid.reshape(-1)[: size * n].reshape(size, n)
+        rows = (np.take(row, at, out=gathered, mode="clip") for row in thresholds)
+        reports = categorical(rows, rng.random((size, n)))
+        d = rng.integers(0, draws, (size, n), dtype=index) % sizes
+        d += d >= pos
+        peers = np.take(pools, pool_at + d)
+        pairs = None
+        if disagreement:
+            j = rng.integers(0, n - 1, (size, n), dtype=index)
+            k = rng.integers(0, n - 2, (size, n), dtype=index)
+            j += j >= agents
+            k += k >= np.minimum(agents, j)
+            k += k >= np.maximum(agents, j)
+            pairs = (j, k)
+        payments = paid[:size]
+        score(at, reports, peers, pairs, payments[:, :n])
+        np.mean(payments[:, :n], axis=1, out=payments[:, n])
+        block = mechanism._moments(payments)
+        moments = block if moments is None else mechanism._merge_moments(moments, block)
+    _, mean, m2 = moments
+    stderr = np.sqrt(m2 / trials / trials)
+    return mean[:n], stderr[:n], float(mean[n]), float(stderr[n])
+
+
+class TestMonteCarloWorkspace:
+    @pytest.mark.parametrize("tables", [True, False])
+    @pytest.mark.parametrize("blocks", [(1, -1), (1, 0), (3, 7)])
+    @pytest.mark.parametrize("rule", ["log", "quadratic"])
+    @pytest.mark.parametrize(
+        "variant, group",
+        [
+            ("truthful", None),
+            ("disagreement", None),
+            ("disagreement", (4, 1)),
+            ("disagreement", (0, 2, 3)),  # mate counts 2 and n - 4: d % sizes is no identity
+        ],
+    )
+    @pytest.mark.parametrize("n", [5, 16, 33])
+    def test_matches_vectorized_oracle(
+        self, monkeypatch, latent3, n, variant, group, rule, blocks, tables
+    ):
+        """Bit for bit the block loop that allocated fresh arrays per block,
+        on both scoring paths, over one block short of full, one full block
+        and four blocks with a partial last one."""
+        m = 3
+        # every profile gets tables from n m^4 trials on (C^2 <= trials n); the
+        # kernel, slower, runs short blocks
+        block_size = n * m**4 + 1 if tables else 64
+        monkeypatch.setattr(mechanism, "_MC_BLOCK", block_size)
+        if not tables:
+            monkeypatch.setattr(mechanism, "_MC_TABLE_ENTRIES", 0)
+        count, extra = blocks
+        trials = count * block_size + extra
+        profile = random_profile(np.random.default_rng(n), m, n)
+        config = MechanismConfig(1.0, 0.05, rule, variant, group)
+        reachable = profile.thetas.transpose(0, 2, 1) > 0.0
+        built = mechanism._mc_tables(config, profile, reachable, trials) is not None
+        assert built == tables
+        mc = monte_carlo_payments(config, latent3, profile, trials=trials, seed=6)
+        mean, stderr, welfare_mean, welfare_stderr = vectorized_monte_carlo_oracle(
+            config, latent3, profile, trials, seed=6
+        )
+        assert np.array_equal(mc.mean, mean)
+        assert np.array_equal(mc.stderr, stderr)
+        assert mc.welfare_mean == welfare_mean
+        assert mc.welfare_stderr == welfare_stderr
+
+    @pytest.mark.parametrize(
+        "dtype, high", [(np.int32, 15), (np.int64, 15), (np.int64, 2**31 + 12345)]
+    )
+    def test_chunked_integer_draws_equal_whole_draw(self, dtype, high):
+        """Rows drawn a block of at most _DRAW_BYTES at a time take the
+        values of one whole draw and leave the stream where it leaves it."""
+        shape = (50_000, 3)  # 10 blocks at int32, 19 at int64
+        out = np.empty(shape, dtype=dtype)
+        chunked = np.random.Generator(np.random.Philox(key=3))
+        whole = np.random.Generator(np.random.Philox(key=3))
+        assert mechanism._fill_integers(chunked, high, out) is out
+        expected = whole.integers(0, high, shape, dtype=dtype)
+        assert out.nbytes > 8 * mechanism._DRAW_BYTES
+        assert np.array_equal(out, expected)
+        assert chunked.random() == whole.random()
+
+    # tracemalloc peak of the call below when every block allocated its
+    # arrays afresh: 8,742,019 to 8,747,604 bytes over three runs (numpy
+    # 2.4.6, Python 3.11.7), the least of them kept
+    PEAK_BEFORE = 8_742_019
+
+    def test_peak_memory_not_above_fresh_arrays(self, latent3):
+        profile = random_profile(np.random.default_rng(8), 3, 32)
+        config = MechanismConfig(1.0, 0.05, "log", "disagreement")
+        tracemalloc.start()
+        try:
+            monte_carlo_payments(config, latent3, profile, trials=60_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.PEAK_BEFORE
 
 
 class TestMonteCarloStreams:

@@ -95,6 +95,27 @@ class TestSampleCategorical:
         thresholds = np.array([[0.5], [1.0 - 2**-52]])
         assert sample_categorical(thresholds, np.array([1.0 - 2**-53])).tolist() == [2]
 
+    def test_out_is_overwritten(self):
+        out = np.full(3, 7, dtype=np.int64)
+        index = sample_categorical(np.array([[0.5]]), np.array([0.1, 0.5, 0.9]), out=out)
+        assert index is out and out.tolist() == [0, 1, 1]
+
+    # n = 3: runs of 2730 rows, three for 6000 trials; n = 9000: a run per row
+    @pytest.mark.parametrize("n", [3, 9000])
+    def test_signals_equal_one_whole_draw(self, n):
+        """The signal uniforms, drawn a run of rows at a time, give the
+        signals of the whole (trials, n) draw, into ``out`` or not."""
+        latent = random_snife_prior(3, 3, seed=4)
+        trials = 6000 if n == 3 else 4
+        whole = np.random.default_rng(9)
+        states = sample_categorical(np.cumsum(latent.state_probs[:-1]), whole.random(trials))
+        rows = np.cumsum(latent.emissions[:, :-1], axis=1)[states].T[:, :, None]
+        expected = sample_categorical(rows, whole.random((trials, n)))
+        assert np.array_equal(latent.sample_signals(n, trials, np.random.default_rng(9)), expected)
+        out = np.empty((trials, n), dtype=np.int64)
+        assert latent.sample_signals(n, trials, np.random.default_rng(9), out=out) is out
+        assert np.array_equal(out, expected)
+
 
 class TestLatentValidation:
     @pytest.mark.parametrize(

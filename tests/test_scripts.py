@@ -114,6 +114,9 @@ def test_bench_layers_writes_json(tmp_path):
         for profile in ("truth", "solved")
     }
     assert all(row["m"] == 3 and row["n"] == 4 and row["trials_per_s"] > 0 for row in mc)
+    timed = [row for row in record["rows"] if not row.get("skipped")]
+    assert all(row["minflt_per_call"] >= 0 for row in timed)
+    assert any(row["minflt_per_call"] > 0 for row in timed)
 
 
 def compare_trees(parent, change):
