@@ -55,9 +55,21 @@ The results go to ``BENCH_<label>.json`` with the python and numpy versions
 and the CPU count, so that files written on one machine can be compared:
 
     python3 scripts/bench_layers.py --label before --out-dir .
+
+With ``--parent PATH`` one run times two source trees: PATH's
+``src/peerpred``, imported under the package name ``peerpred_parent`` (as
+``compare_trees.py`` imports a second tree), and this checkout's.  Each
+tree builds its own inputs from the same seeds, and every row alternates the
+two trees' repeats, the first tree of a repeat alternating too, so both
+trees' numbers of a row come from the same stretch of the machine's time.
+The run writes ``BENCH_<label>_before.json`` (PATH) and
+``BENCH_<label>_after.json`` (this checkout):
+
+    python3 scripts/bench_layers.py --parent ../parent --label bound --ns 512,2048 --ms 3
 """
 
 import argparse
+import importlib
 import json
 import os
 import platform
@@ -67,29 +79,11 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
-from peerpred import cli
-from peerpred.audits import (
-    aggregation_error_audit,
-    classification_bound_audit,
-    far_from_permutation_gap,
-    relabeling_cycle_audit,
-    sweep_row,
-)
-from peerpred.equilibrium import check_equilibrium, solve_equilibrium_predictions, solved_profile
-from peerpred.mechanism import MechanismConfig, monte_carlo_payments, welfare_metrics
-from peerpred.io import (
-    load_prior,
-    load_profile,
-    pairwise_from_loaded,
-    save_mechanism,
-    save_prior,
-    save_profile,
-)
-from peerpred.priors import PermutationMap, from_latent, random_snife_prior, validate_snife
-from peerpred.strategy import random_signal_strategies, truth_telling_profile
+from compare_trees import import_tree
 
 BUDGET_S = 5.0
 SEED = 7
@@ -99,18 +93,55 @@ AUDIT_EPS = 10.0
 SWEEP_SAMPLES = 5
 IO_M = 3
 LARGE_N = 512
+PARENT_PACKAGE = "peerpred_parent"
+MODULES = ("audits", "cli", "equilibrium", "io", "mechanism", "priors", "strategy")
+
+# exact layers over --ns x --ms: each a call of (library, config, prior, profile)
+LAYERS = {
+    "welfare_metrics": lambda lib, config, prior, profile: lib.mechanism.welfare_metrics(
+        prior, profile
+    ),
+    "check_equilibrium": lambda lib, config, prior, profile: lib.equilibrium.check_equilibrium(
+        config, prior, profile
+    ),
+    "solve_equilibrium_predictions": lambda lib, config, prior, profile: (
+        lib.equilibrium.solve_equilibrium_predictions(config, prior, profile.thetas)
+    ),
+    "solve_equilibrium_predictions:beta=10": lambda lib, config, prior, profile: (
+        lib.equilibrium.solve_equilibrium_predictions(
+            lib.mechanism.MechanismConfig(config.alpha, 10.0 * config.alpha, config.rule),
+            prior,
+            profile.thetas,
+        )
+    ),
+    "classification_bound_audit": lambda lib, config, prior, profile: (
+        lib.audits.classification_bound_audit(config, prior, profile)
+    ),
+    "relabeling_cycle_audit": lambda lib, config, prior, profile: (
+        lib.audits.relabeling_cycle_audit(
+            prior, profile, lib.priors.PermutationMap((1, 0, *range(2, prior.m)))
+        )
+    ),
+}
 
 
 def _ints(text):
     return [int(x) for x in text.split(",")]
 
 
-def _profiles(config, prior, n, seed):
+def _library(package: str) -> SimpleNamespace:
+    """The modules of one source tree, imported as ``package``."""
+    return SimpleNamespace(
+        **{name: importlib.import_module(f"{package}.{name}") for name in MODULES}
+    )
+
+
+def _profiles(lib, config, prior, n, seed):
     rng = np.random.default_rng(seed)
-    thetas = random_signal_strategies(rng, prior.m, (n,))
+    thetas = lib.strategy.random_signal_strategies(rng, prior.m, (n,))
     return {
-        "truth": truth_telling_profile(prior, n),
-        "solved": solved_profile(config, prior, thetas),
+        "truth": lib.strategy.truth_telling_profile(prior, n),
+        "solved": lib.equilibrium.solved_profile(config, prior, thetas),
     }
 
 
@@ -126,18 +157,63 @@ def _minflt():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def _time(call, repeats):
-    """Seconds of each run, stopping after the first if it took more than
-    BUDGET_S, and the minor page faults per run."""
-    runs = []
-    faults = _minflt()
-    for _ in range(repeats):
-        start = time.perf_counter()
-        call()
-        runs.append(time.perf_counter() - start)
-        if runs[0] > BUDGET_S:
+def _time(calls: dict, repeats: int) -> dict:
+    """{tree: (seconds of each run, minor page faults per run)} of each
+    tree's call.  A repeat runs every tree once, in an order that alternates
+    between repeats; the runs stop after the first repeat if a tree's run
+    took more than BUDGET_S."""
+    runs = {tree: [] for tree in calls}
+    faults = dict.fromkeys(calls, 0)
+    for k in range(repeats):
+        for tree in list(calls)[:: 1 if k % 2 == 0 else -1]:
+            before = _minflt()
+            start = time.perf_counter()
+            calls[tree]()
+            runs[tree].append(time.perf_counter() - start)
+            faults[tree] += _minflt() - before
+        if max(times[0] for times in runs.values()) > BUDGET_S:
             break
-    return runs, (_minflt() - faults) / len(runs)
+    return {tree: (runs[tree], faults[tree] / len(runs[tree])) for tree in calls}
+
+
+class _Recorder:
+    """The rows of every tree, and the printed table."""
+
+    def __init__(self, trees, repeats):
+        self.trees, self.repeats = trees, repeats
+        self.rows = {tree: [] for tree in trees}
+        self.over_budget = set()
+        medians = " ".join(f"{f'{tree}_s':>10}" for tree in trees)
+        self.columns = f"{'profile':<11} {'m':>2} {'n':>5} {medians} {'runs':>4} {'minflt':>8}"
+
+    def time(self, key, row, cell, calls, extra=lambda seconds: {}, note=lambda seconds: ""):
+        """Time ``calls`` {tree: call}; add ``row`` with its median, run
+        count, page faults and ``extra(median)`` to each tree's rows.  A
+        row whose ``key`` (None: never skipped) ran over budget at a smaller
+        n is recorded as skipped.  The printed line holds every tree's
+        median and the last tree's runs and faults."""
+        if key in self.over_budget:
+            for tree in self.trees:
+                self.rows[tree].append({**row, "skipped": True})
+            return
+        timed = _time(calls, self.repeats)
+        printed = []
+        for tree, (runs, faults) in timed.items():
+            if runs[0] > BUDGET_S and key is not None:
+                self.over_budget.add(key)
+            median = statistics.median(runs)
+            entry = {"median_s": median, "runs": len(runs), "minflt_per_call": faults}
+            self.rows[tree].append({**row, **entry, **extra(median)})
+            printed.append((median, len(runs), faults))
+        medians = " ".join(f"{median:>10.3g}" for median, _, _ in printed)
+        _, count, faults = printed[-1]
+        print(f"{cell} {medians} {count:>4} {faults:>8.0f}{note(printed[-1][0])}")
+
+    def record(self, layer, name, m, n, calls):
+        row = {"layer": layer, "profile": name, "m": m, "n": n}
+        size = "" if n is None else n
+        cell = f"{layer:<29} {name:<11} {m:>2} {size:>5}"
+        self.time((layer, name, m), row, cell, calls)
 
 
 def main():
@@ -150,174 +226,205 @@ def main():
     parser.add_argument("--io-ns", type=_ints, default=[64, 512, 4096])
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--out-dir", default=".")
+    parser.add_argument(
+        "--parent", type=Path, help="root of a second source tree, timed beside this one"
+    )
     args = parser.parse_args()
 
-    layers = {
-        "welfare_metrics": lambda config, prior, profile: welfare_metrics(prior, profile),
-        "check_equilibrium": check_equilibrium,
-        "solve_equilibrium_predictions": lambda config, prior, profile: (
-            solve_equilibrium_predictions(config, prior, profile.thetas)
-        ),
-        "solve_equilibrium_predictions:beta=10": lambda config, prior, profile: (
-            solve_equilibrium_predictions(
-                MechanismConfig(config.alpha, 10.0 * config.alpha, config.rule),
-                prior,
-                profile.thetas,
-            )
-        ),
-        "classification_bound_audit": classification_bound_audit,
-        "relabeling_cycle_audit": lambda config, prior, profile: relabeling_cycle_audit(
-            prior, profile, PermutationMap((1, 0, *range(2, prior.m)))
-        ),
-    }
-    rows = []
-    over_budget = set()
+    libs = {"after": _library("peerpred")}
+    if args.parent is not None:
+        src = args.parent.resolve() / "src"
+        if not (src / "peerpred" / "__init__.py").is_file():
+            parser.error(f"no src/peerpred under {args.parent}")
+        import_tree(src, PARENT_PACKAGE)
+        libs = {"before": _library(PARENT_PACKAGE), **libs}
+    rec = _Recorder(list(libs), args.repeats)
 
-    def record(layer, name, m, n, call):
-        row = {"layer": layer, "profile": name, "m": m, "n": n}
-        if (layer, name, m) in over_budget:
-            rows.append({**row, "skipped": True})
-            return
-        runs, faults = _time(call, args.repeats)
-        if runs[0] > BUDGET_S:
-            over_budget.add((layer, name, m))
-        median = statistics.median(runs)
-        rows.append({**row, "median_s": median, "runs": len(runs), "minflt_per_call": faults})
-        size = "" if n is None else n
-        cell = f"{layer:<29} {name:<11} {m:>2} {size:>5}"
-        print(f"{cell} {median:>10.3g} {len(runs):>4} {faults:>8.0f}")
+    def each(build):
+        """{tree: build(library)}"""
+        return {tree: build(lib) for tree, lib in libs.items()}
 
-    header = f"{'profile':<11} {'m':>2} {'n':>5} {'median_s':>10} {'runs':>4} {'minflt':>8}"
-    print(f"{'layer':<29} {header}")
-    runs, faults = _time(_control, args.repeats)
-    median = statistics.median(runs)
-    rows.append(
-        {"layer": "control", "median_s": median, "runs": len(runs), "minflt_per_call": faults}
-    )
+    print(f"{'layer':<29} {rec.columns}")
     cell = f"{'control':<29} {'':<11} {'':>2} {'':>5}"
-    print(f"{cell} {median:>10.3g} {len(runs):>4} {faults:>8.0f}")
-    with tempfile.TemporaryDirectory() as scratch:
+    rec.time(None, {"layer": "control"}, cell, dict.fromkeys(libs, _control))
+    with tempfile.TemporaryDirectory() as workdir:
         for m in args.ms:
-            latent = random_snife_prior(m, 2, seed=SEED + m)
-            prior = from_latent(latent)
-            config = MechanismConfig(alpha=1.0, beta=1.0 / (8.0 * m), rule="log")
-            path = Path(scratch) / f"prior{m}.json"
-            save_prior(latent, path)
-            record(
+
+            def setup(lib):
+                latent = lib.priors.random_snife_prior(m, 2, seed=SEED + m)
+                path = Path(workdir) / f"prior{m}-{lib.priors.__name__}.json"
+                lib.io.save_prior(latent, path)
+                config = lib.mechanism.MechanismConfig(1.0, 1.0 / (8.0 * m), "log")
+                return SimpleNamespace(
+                    lib=lib, prior=lib.priors.from_latent(latent), config=config, path=path
+                )
+
+            env = each(setup)
+            rec.record(
                 "validate_prior",
                 "latent",
                 m,
                 None,
-                lambda: validate_snife(pairwise_from_loaded(load_prior(path))),
+                {
+                    tree: lambda e=e: e.lib.priors.validate_snife(
+                        e.lib.io.pairwise_from_loaded(e.lib.io.load_prior(e.path))
+                    )
+                    for tree, e in env.items()
+                },
             )
             uniform = np.full((m, m), 1.0 / m)
-            record(
+            rec.record(
                 "far_from_permutation_gap",
                 "uniform",
                 m,
                 None,
-                lambda: far_from_permutation_gap(prior, uniform, tau=1.0 / (2.0 * m)),
+                {
+                    tree: lambda e=e: e.lib.audits.far_from_permutation_gap(
+                        e.prior, uniform, tau=1.0 / (2.0 * m)
+                    )
+                    for tree, e in env.items()
+                },
             )
             for n in sorted(args.ns):
-                profiles = _profiles(config, prior, n, seed=SEED + 1000 * m + n)
-                for layer, run in layers.items():
-                    for name, profile in profiles.items():
-                        record(layer, name, m, n, lambda: run(config, prior, profile))
-                record(
-                    "sweep_row",
-                    "random",
-                    m,
-                    n,
-                    lambda: sweep_row(config, prior, n, SWEEP_SAMPLES, np.random.default_rng(SEED)),
-                )
-
-        latent = random_snife_prior(IO_M, 2, seed=SEED + IO_M)
-        prior = from_latent(latent)
-        config = MechanismConfig(alpha=1.0, beta=1.0 / (8.0 * IO_M), rule="log")
-        files = {name: Path(scratch) / f"io-{name}.json" for name in ("prior", "mech", "out")}
-        save_prior(latent, files["prior"])
-        save_mechanism(config, files["mech"])
-        for n in sorted({*args.io_ns, LARGE_N}):
-            solved = _profiles(config, prior, n, seed=SEED + 1000 * IO_M + n)["solved"]
-            path = Path(scratch) / f"io-profile{n}.json"
-            save_profile(solved, path)
-            if n in args.io_ns:
-                record("save_profile", "solved", IO_M, n, lambda: save_profile(solved, path))
-                record("load_profile", "solved", IO_M, n, lambda: load_profile(path))
-            if n == LARGE_N:
-                inputs = ["--prior", str(files["prior"]), "--profile", str(path),
-                          "--mech", str(files["mech"]), "--out", str(files["out"])]  # fmt: skip
-                calls = {
-                    "cli:solve-predictions": ["solve-predictions", *inputs, "--format", "json"],
-                    "cli:solve-predictions:csv": ["solve-predictions", *inputs],
-                    "cli:check-eq:csv": ["check-eq", *inputs],
+                profiles = {
+                    tree: _profiles(e.lib, e.config, e.prior, n, seed=SEED + 1000 * m + n)
+                    for tree, e in env.items()
                 }
-                for layer, argv in calls.items():
-                    if cli.main(argv) != 0:
-                        raise SystemExit(f"bench_layers: {' '.join(argv)} failed")
-                    record(layer, "random", IO_M, n, lambda: cli.main(argv))
+                for layer, run in LAYERS.items():
+                    for name in ("truth", "solved"):
+                        calls = {
+                            tree: lambda e=e, p=profiles[tree][name]: run(
+                                e.lib, e.config, e.prior, p
+                            )
+                            for tree, e in env.items()
+                        }
+                        rec.record(layer, name, m, n, calls)
+                calls = {
+                    tree: lambda e=e: e.lib.audits.sweep_row(
+                        e.config, e.prior, n, SWEEP_SAMPLES, np.random.default_rng(SEED)
+                    )
+                    for tree, e in env.items()
+                }
+                rec.record("sweep_row", "random", m, n, calls)
+
+        def io_setup(lib):
+            latent = lib.priors.random_snife_prior(IO_M, 2, seed=SEED + IO_M)
+            config = lib.mechanism.MechanismConfig(1.0, 1.0 / (8.0 * IO_M), "log")
+            stem = Path(workdir) / f"io-{lib.priors.__name__}"
+            files = {name: Path(f"{stem}-{name}.json") for name in ("prior", "mech", "out")}
+            lib.io.save_prior(latent, files["prior"])
+            lib.io.save_mechanism(config, files["mech"])
+            prior = lib.priors.from_latent(latent)
+            return SimpleNamespace(lib=lib, prior=prior, config=config, stem=stem, files=files)
+
+        env = each(io_setup)
+        for n in sorted({*args.io_ns, LARGE_N}):
+            paths = {}
+            for tree, e in env.items():
+                seed = SEED + 1000 * IO_M + n
+                solved = _profiles(e.lib, e.config, e.prior, n, seed)["solved"]
+                paths[tree] = (solved, Path(f"{e.stem}-profile{n}.json"))
+                e.lib.io.save_profile(solved, paths[tree][1])
+            if n in args.io_ns:
+                save = {
+                    tree: lambda e=e, sp=paths[tree]: e.lib.io.save_profile(*sp)
+                    for tree, e in env.items()
+                }
+                load = {
+                    tree: lambda e=e, sp=paths[tree]: e.lib.io.load_profile(sp[1])
+                    for tree, e in env.items()
+                }
+                rec.record("save_profile", "solved", IO_M, n, save)
+                rec.record("load_profile", "solved", IO_M, n, load)
+            if n == LARGE_N:
+                for layer, extra in (
+                    ("cli:solve-predictions", ["solve-predictions", "--format", "json"]),
+                    ("cli:solve-predictions:csv", ["solve-predictions"]),
+                    ("cli:check-eq:csv", ["check-eq"]),
+                ):
+                    calls = {}
+                    for tree, e in env.items():
+                        argv = [*extra, "--prior", str(e.files["prior"]), "--profile",
+                                str(paths[tree][1]), "--mech", str(e.files["mech"]),
+                                "--out", str(e.files["out"])]  # fmt: skip
+                        if e.lib.cli.main(argv) != 0:
+                            raise SystemExit(f"bench_layers: {' '.join(argv)} failed")
+                        calls[tree] = lambda e=e, argv=argv: e.lib.cli.main(argv)
+                    rec.record(layer, "random", IO_M, n, calls)
 
     for m in AUDIT_MS:
-        prior = from_latent(random_snife_prior(m, 2, seed=SEED + m))
+        priors = each(
+            lambda lib: lib.priors.from_latent(lib.priors.random_snife_prior(m, 2, seed=SEED + m))
+        )
         for n in sorted({*args.ns, LARGE_N}):
+            # strategy lists are plain arrays, which both trees read
             rng = np.random.default_rng(SEED + 1000 * m + n)
-            lists = {"random": random_signal_strategies(rng, m, (n,))}
+            lists = {"random": libs["after"].strategy.random_signal_strategies(rng, m, (n,))}
             lists["one-deviant"] = np.broadcast_to(np.eye(m), (n, m, m)).copy()
             lists["one-deviant"][0] = lists["random"][0]
             for name, thetas in lists.items():
-                record(
-                    "aggregation_error_audit",
-                    name,
-                    m,
-                    n,
-                    lambda: aggregation_error_audit(prior, thetas, AUDIT_EPS),
-                )
+                calls = {
+                    tree: lambda lib=lib, prior=priors[tree]: lib.audits.aggregation_error_audit(
+                        prior, thetas, AUDIT_EPS
+                    )
+                    for tree, lib in libs.items()
+                }
+                rec.record("aggregation_error_audit", name, m, n, calls)
 
-    latent = random_snife_prior(MC_M, 2, seed=SEED + MC_M)
-    prior = from_latent(latent)
-    print(f"{'variant':<29} {header} trials/s")
+    print(f"{'variant':<29} {rec.columns} trials/s")
     for variant in ("truthful", "disagreement"):
-        config = MechanismConfig(1.0, 1.0 / (8.0 * MC_M), "log", variant)
-        for n in sorted(args.mc_ns):
-            profiles = _profiles(config, prior, n, seed=SEED + 1000 * MC_M + n)
-            for name, profile in profiles.items():
-                runs, faults = _time(
-                    lambda: monte_carlo_payments(config, latent, profile, args.mc_trials),
-                    args.repeats,
-                )
-                median = statistics.median(runs)
-                rate = args.mc_trials / median
-                rows.append(
-                    {
-                        "layer": "monte_carlo_payments",
-                        "variant": variant,
-                        "profile": name,
-                        "m": MC_M,
-                        "n": n,
-                        "trials": args.mc_trials,
-                        "median_s": median,
-                        "runs": len(runs),
-                        "trials_per_s": rate,
-                        "minflt_per_call": faults,
-                    }
-                )
-                cell = f"{variant:<29} {name:<11} {MC_M:>2} {n:>5}"
-                print(f"{cell} {median:>10.3g} {len(runs):>4} {faults:>8.0f} {rate:.4g}")
 
-    out = Path(args.out_dir) / f"BENCH_{args.label}.json"
-    record = {
-        "label": args.label,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "cpu_count": os.cpu_count(),
-        "machine": platform.machine(),
-        "repeats": args.repeats,
-        "budget_s": BUDGET_S,
-        "seed": SEED,
-        "rows": rows,
-    }
-    out.write_text(json.dumps(record, indent=1) + "\n")
-    print(f"wrote {out}", file=sys.stderr)
+        def mc_setup(lib):
+            latent = lib.priors.random_snife_prior(MC_M, 2, seed=SEED + MC_M)
+            config = lib.mechanism.MechanismConfig(1.0, 1.0 / (8.0 * MC_M), "log", variant)
+            return SimpleNamespace(
+                lib=lib, latent=latent, prior=lib.priors.from_latent(latent), config=config
+            )
+
+        env = each(mc_setup)
+        for n in sorted(args.mc_ns):
+            profiles = {
+                tree: _profiles(e.lib, e.config, e.prior, n, seed=SEED + 1000 * MC_M + n)
+                for tree, e in env.items()
+            }
+            for name in ("truth", "solved"):
+                calls = {
+                    tree: lambda e=e, p=profiles[tree][name]: (
+                        e.lib.mechanism.monte_carlo_payments(e.config, e.latent, p, args.mc_trials)
+                    )
+                    for tree, e in env.items()
+                }
+                row = {"layer": "monte_carlo_payments", "variant": variant, "profile": name,
+                       "m": MC_M, "n": n, "trials": args.mc_trials}  # fmt: skip
+                rec.time(
+                    None,
+                    row,
+                    f"{variant:<29} {name:<11} {MC_M:>2} {n:>5}",
+                    calls,
+                    extra=lambda median: {"trials_per_s": args.mc_trials / median},
+                    note=lambda median: f" {args.mc_trials / median:.4g}",
+                )
+
+    if len(libs) == 1:
+        names = {"after": args.label}
+    else:
+        names = {tree: f"{args.label}_{tree}" for tree in libs}
+    for tree, label in names.items():
+        out = Path(args.out_dir) / f"BENCH_{label}.json"
+        record = {
+            "label": label,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+            "machine": platform.machine(),
+            "repeats": args.repeats,
+            "budget_s": BUDGET_S,
+            "seed": SEED,
+            "trees": list(libs),
+            "rows": rec.rows[tree],
+        }
+        out.write_text(json.dumps(record, indent=1) + "\n")
+        print(f"wrote {out}", file=sys.stderr)
 
 
 if __name__ == "__main__":

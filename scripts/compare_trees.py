@@ -41,16 +41,17 @@ DIFF_LINES = 12
 NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
 
 
-def _import_change(src: Path):
-    """Import ``src/peerpred`` as the package CHANGE_PACKAGE; return its cli."""
+def import_tree(src: Path, name: str):
+    """Import ``src/peerpred`` as the package ``name``, beside any other
+    ``peerpred`` of the process; return the package."""
     package = src / "peerpred"
     spec = importlib.util.spec_from_file_location(
-        CHANGE_PACKAGE, package / "__init__.py", submodule_search_locations=[str(package)]
+        name, package / "__init__.py", submodule_search_locations=[str(package)]
     )
     module = importlib.util.module_from_spec(spec)
-    sys.modules[CHANGE_PACKAGE] = module
+    sys.modules[name] = module
     spec.loader.exec_module(module)
-    return importlib.import_module(f"{CHANGE_PACKAGE}.cli")
+    return module
 
 
 def _run(cli, argv) -> tuple[tuple[int, str], float]:
@@ -128,7 +129,8 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(parent / "src"), str(parent / "bench")]
     workloads = importlib.import_module("workloads")
     parent_cli = importlib.import_module("peerpred.cli")
-    change_cli = _import_change(change / "src")
+    import_tree(change / "src", CHANGE_PACKAGE)
+    change_cli = importlib.import_module(f"{CHANGE_PACKAGE}.cli")
     with tempfile.TemporaryDirectory() as directory:
         built = workloads.build(args.workload, SEED, Path(directory), args.tiny)
         jobs = [job.argv for job in built if job.argv is not None]

@@ -18,12 +18,11 @@ import numpy as np
 
 from .divergence import hellinger
 from .equilibrium import check_equilibrium, solve_prediction_stack
-from .mechanism import _BLOCK_CELLS, MechanismConfig, welfare_batch
+from .mechanism import _BLOCK_CELLS, MechanismConfig, welfare_batch, welfare_metrics
 from .priors import PairwisePrior, PermutationMap, PriorError, permute_prior, prior_constants
 from .strategy import (
     StrategyProfile,
     agent_types,
-    best_prediction_profile,
     check_signal_count,
     permute_profile,
     prediction_anchors,
@@ -39,6 +38,7 @@ __all__ = [
     "AuditError",
     "classification_bound_audit",
     "aggregation_error_audit",
+    "best_prediction_total_divergence",
     "far_from_permutation_gap",
     "relabeling_cycle_audit",
     "sweep_row",
@@ -84,17 +84,23 @@ def classification_bound_audit(
     The bound is meaningful when the profile's predictions are best responses
     (solved); the audit runs regardless and records the equilibrium gap.  At
     equality the profile must be consistent (inconsistency 0) and already play
-    best predictions on every realized report cell; both are reported.  The
-    two sides are scored as one batch, each bit for bit as alone.
+    best predictions on every realized report cell; both are reported.
+
+    The left side is the profile's :func:`welfare_metrics`.  Best predictions
+    ignore the report, so the right side is
+    :func:`best_prediction_total_divergence` of the signal strategies, one
+    scan over the pairs of agent types' anchors theta_minus q_s; the same
+    anchors give the distance of the profile's predictions to them.
     """
-    bp = best_prediction_profile(profile, prior)
-    breakdown, bp_breakdown = welfare_batch([prior, prior], [profile, bp])
+    thetas = profile.thetas
+    anchors = prediction_anchors(prior, thetas)  # [i, s, coordinate]
+    breakdown = welfare_metrics(prior, profile)
     lhs = breakdown.classification_score
-    rhs = bp_breakdown.total_divergence
+    rhs = _anchor_divergence(prior, anchors, *agent_types(thetas))
     slack = rhs - lhs
 
-    realized = profile.thetas.transpose(0, 2, 1)[..., None] > 0.0  # [i, s, r, 1]
-    bp_distance = float(np.max(np.abs(profile.predictions - bp.predictions) * realized))
+    realized = thetas.transpose(0, 2, 1)[..., None] > 0.0  # [i, s, r, 1]
+    bp_distance = float(np.max(np.abs(profile.predictions - anchors[:, :, None]) * realized))
     eq_gap = check_equilibrium(config, prior, profile).max_gap
     equality = abs(slack) <= BOUND_TOL
     context = {
@@ -110,6 +116,85 @@ def classification_bound_audit(
     return AuditResult("classification-bound", lhs, rhs, slack, slack >= -BOUND_TOL, context)
 
 
+def _anchor_pairs(type_anchors: np.ndarray):
+    """The scan over pairs of (type, signal) anchors, one per agent type t
+    and private signal a in ``type_anchors`` (T, m, m).  Yields, per row
+    block of whole types [lo, hi), ``(lo, hi, dstar)`` with
+    dstar[a, t - lo, u - lo, b] = D*(anchor[t, a], anchor[u, b]) for the
+    types u >= lo, so each unordered pair of types is visited once.
+
+    D* is taken elementwise, as :func:`hellinger` defines it: from each
+    anchor's square roots, the squared differences summed in coordinate
+    order, with no square root of a difference.  A block holds at most
+    ``_BLOCK_CELLS`` cell pairs (or one type's row), in one buffer that the
+    next block overwrites: O(T^2 m^3 / 2) time and O(T m^2 + m _BLOCK_CELLS)
+    memory.
+    """
+    types, m = type_anchors.shape[0], type_anchors.shape[1]
+    cells = types * m
+    # every difference sqrt x_f - sqrt y_f is the product [sqrt x_f, 1] @
+    # [1, -sqrt y_f]: both terms are exact and their sum rounds once, as the
+    # subtraction does, so one matmul per block gives the subtraction's bits
+    factors = np.ones(4 * m * cells)
+    row_pairs = factors[: 2 * m * cells].reshape(m, m, types, 2)  # [f, a, t, (sqrt x_f, 1)]
+    col_pairs = factors[2 * m * cells :].reshape(m, 2, cells)  # [f, (1, -sqrt y_f), (u, b)]
+    roots = np.sqrt(type_anchors.transpose(2, 1, 0), out=row_pairs[..., 0])  # [f, a, t]
+    np.negative(roots.transpose(0, 2, 1), out=col_pairs[:, 1].reshape(m, types, m))
+
+    rows = max(1, _BLOCK_CELLS // (cells * m))  # types per row block
+    # one buffer for the widest block: fresh arrays cost page faults per block
+    buffer = np.empty(m * m * min(rows, types) * cells)
+    for lo in range(0, types, rows):
+        hi = min(lo + rows, types)
+        height, width = hi - lo, (types - lo) * m
+        diff = buffer[: m * m * height * width].reshape(m, m, height, width)
+        np.matmul(row_pairs[:, :, lo:hi], col_pairs[:, None, :, lo * m :], out=diff)
+        np.square(diff, out=diff)
+        dstar = diff[0]
+        for term in diff[1:]:
+            dstar += term
+        yield lo, hi, dstar.reshape(m, height, types - lo, m)
+
+
+def _anchor_divergence(prior: PairwisePrior, anchors, first, counts) -> float:
+    """:func:`best_prediction_total_divergence` from every agent's anchors
+    (n, m, m) and the agent types (first agent, count) of the strategies."""
+    n, m = anchors.shape[0], anchors.shape[1]
+    # both orders of a pair of types hold the same D*, so twice the symmetric
+    # part of the joint weighs the pair in either order
+    joint = prior.joint()
+    twice_sym = joint + joint.T
+    c = counts.astype(float)
+    total = 0.0
+    for lo, hi, dstar in _anchor_pairs(anchors[first]):
+        # c_t (c_u - [t = u]) ordered agent pairs of types t, u in the block,
+        # and both orders of a pair with a type past it: exact in floats
+        height, width = hi - lo, c.size - lo
+        pairs = c[lo:hi, None] * c[lo:]
+        pairs.reshape(-1)[: height * (width + 1) : width + 1] -= c[lo:hi]
+        pairs[:, height:] *= 2.0
+        # the block's D* at each signal pair (a, b), weighted by agent pairs
+        total += np.vdot(twice_sym, pairs.reshape(-1) @ dstar.reshape(m, -1, m))
+    return 0.5 * float(total) / (n * (n - 1))
+
+
+def best_prediction_total_divergence(prior: PairwisePrior, thetas: np.ndarray) -> float:
+    """Total divergence of the signal strategies ``thetas`` (n, m, m) played
+    with best predictions: the right side of the classification bound.
+
+    Agent i's best prediction theta_minus[i] q_s ignores the report, so the
+    total divergence is the sum over ordered agent pairs j != k and signal
+    pairs (a, b) of joint[a, b] D*(anchor[j, a], anchor[k, b]) / (n (n - 1)).
+    With c_t agents of type t (byte-identical strategies, hence anchors),
+    the sum runs over the scan of :func:`_anchor_pairs`: each pair of types
+    once, weighted c_t (c_u - [t = u]) by the symmetric part of the joint,
+    and twice when the types differ.  Every term is non-negative, so nothing
+    cancels.  O(T^2 m^3 / 2) time for T agent types.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    return _anchor_divergence(prior, prediction_anchors(prior, thetas), *agent_types(thetas))
+
+
 def aggregation_error_audit(
     prior: PairwisePrior, theta_list: np.ndarray, eps: float
 ) -> AuditResult:
@@ -123,12 +208,9 @@ def aggregation_error_audit(
     theta_minus q_s, so the maximum runs over the T agent types instead: over
     pairs of distinct types, and over a type paired with itself when it has
     at least two agents.  D* and the reference are symmetric bit for bit, so
-    each unordered pair of types is visited once: a row block of whole types
-    against the types from its own first one onward.  D* is taken
-    elementwise, as :func:`hellinger` defines it, from each anchor's square
-    roots, its squared differences summed in coordinate order; each row block
-    holds at most ``_BLOCK_CELLS`` cell pairs (or one type's row).  That is
-    O(T^2 m^3 / 2) time and O(n m^2 + m _BLOCK_CELLS) memory.
+    the maximum reads the scan of :func:`_anchor_pairs`, which visits each
+    unordered pair of types once: O(T^2 m^3 / 2) time and
+    O(n m^2 + m _BLOCK_CELLS) memory.
     """
     if not eps > 0.0:
         raise AuditError(f"eps must be positive, got {eps}")
@@ -140,19 +222,6 @@ def aggregation_error_audit(
             f"need more than {needed:.0f} agents for eps={eps} (m={m}), got {n}"
         )
     first, counts = agent_types(thetas)
-    types = first.size
-    cells = types * m
-    # cell (t, s): type t at private signal s.  Every difference sqrt x_f -
-    # sqrt y_f is the product [sqrt x_f, 1] @ [1, -sqrt y_f]: both terms are
-    # exact and their sum rounds once, as the subtraction does, so one matmul
-    # per block gives the subtraction's bits
-    roots = np.sqrt(prediction_anchors(prior, thetas)[first])
-    row_pairs = np.empty((m, cells, 2))  # [f, x, (sqrt x_f, 1)]
-    row_pairs[..., 0] = roots.reshape(cells, m).T
-    row_pairs[..., 1] = 1.0
-    col_pairs = np.empty((m, 2, cells))  # [f, (1, -sqrt y_f), y]
-    col_pairs[:, 0] = 1.0
-    np.negative(row_pairs[..., 0], out=col_pairs[:, 1])
     # a single agent's type does not pair with itself: the bound quantifies
     # distinct agents
     alone = counts < 2
@@ -161,23 +230,11 @@ def aggregation_error_audit(
     ref = hellinger(ref_points[:, None, :], ref_points[None, :, :])  # (m, m)
 
     lhs = 0.0
-    rows = max(1, _BLOCK_CELLS // (cells * m))  # types per row block
-    # one buffer for the widest block: fresh arrays cost page faults per block
-    buffer = np.empty(m * min(rows, types) * m * cells)
-    for lo in range(0, types, rows):
-        hi = min(lo + rows, types)
-        height, width = (hi - lo) * m, (types - lo) * m
-        diff = buffer[: m * height * width].reshape(m, height, width)
-        np.matmul(row_pairs[:, lo * m : hi * m], col_pairs[..., lo * m :], out=diff)
-        np.square(diff, out=diff)
-        dstar = diff[0]
-        for term in diff[1:]:
-            dstar += term
-        dev = dstar.reshape(hi - lo, m, types - lo, m)
-        dev -= ref[:, None, :]
+    for lo, hi, dev in _anchor_pairs(prediction_anchors(prior, thetas)[first]):
+        dev -= ref[:, None, None, :]
         np.abs(dev, out=dev)
         own = np.flatnonzero(alone[lo:hi])
-        dev[own, :, own] = 0.0
+        dev[:, own, own] = 0.0
         lhs = np.maximum(lhs, dev.max())  # keeps a NaN, as np.max does
     lhs = float(lhs)
     return AuditResult(

@@ -107,27 +107,33 @@ def _write(text: str, args):
         raise CliError(f"cannot write {args.out}: {exc.strerror}") from None
 
 
-def _emit(header: tuple, rows: list[tuple], args):
-    """Write a table: with ``--format json`` a JSON list of one object per
-    row, else CSV by ``csv.writer``, the header line first (floats in 17
-    significant digits, which round-trip; a table without rows writes
-    nothing)."""
+def _emit(header: tuple, columns: list, args):
+    """Write a table given as its columns, sequences of one length: with
+    ``--format json`` a JSON list of one object per row, else CSV by
+    ``csv.writer``, the header line first (floats in 17 significant digits,
+    which round-trip; a table without rows writes nothing)."""
     if args.format == "json":
-        return _write(json_text([dict(zip(header, row)) for row in rows]), args)
+        return _write(json_text([dict(zip(header, row)) for row in zip(*columns)]), args)
     buf = _io.StringIO()
-    if rows:
+    if columns and columns[0]:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(
-            [f"{v:.17g}" if isinstance(v, float) else str(v) for v in row] for row in rows
-        )
+        writer.writerows(zip(*map(_column_text, columns)))
     _write(buf.getvalue(), args)
+
+
+def _column_text(column):
+    """The CSV text of one column: a column of floats alone by one ``map``,
+    any other value by value, ``.17g`` for a float and ``str`` else."""
+    if set(map(type, column)) == {float}:
+        return map("%.17g".__mod__, column)
+    return [f"{v:.17g}" if isinstance(v, float) else str(v) for v in column]
 
 
 def _emit_records(records: list[dict], args):
     """:func:`_emit` of rows given as dicts with the same keys in one order."""
     header = tuple(records[0]) if records else ()
-    _emit(header, [tuple(record.values()) for record in records], args)
+    _emit(header, list(zip(*(record.values() for record in records))), args)
 
 
 def _status(message: str):
@@ -302,18 +308,16 @@ def _cmd_validate_prior(args) -> int:
     if not args.tol >= 0:
         raise CliError(f"--tol must be non-negative, got {args.tol:g}")
     report = validate_snife(args.prior, tol=args.tol)
-    rows = [
-        (name, ok, ";".join(map(str, report.witnesses.get(name, ()))))
-        for name, ok in (
-            ("symmetric", report.symmetric_ok),
-            ("nonzero", report.nonzero_ok),
-            ("informative", report.informative_ok),
-            ("finegrained", report.finegrained_ok),
-        )
-    ]
-    _emit(("assumption", "ok", "witness"), rows, args)
+    checks = {
+        "symmetric": report.symmetric_ok,
+        "nonzero": report.nonzero_ok,
+        "informative": report.informative_ok,
+        "finegrained": report.finegrained_ok,
+    }
+    witnesses = [";".join(map(str, report.witnesses.get(name, ()))) for name in checks]
+    _emit(("assumption", "ok", "witness"), [list(checks), list(checks.values()), witnesses], args)
     if not report.all_ok:
-        _status("validation failed: " + ", ".join(name for name, ok, _ in rows if not ok))
+        _status("validation failed: " + ", ".join(name for name, ok in checks.items() if not ok))
         return 2
     return 0
 
@@ -332,18 +336,22 @@ def _cmd_payout(args) -> int:
         if not isinstance(args.loaded, LatentStatePrior):
             raise CliError("--trials needs a latent prior (sampling requires the full joint)")
         mc = monte_carlo_payments(args.mech, args.loaded, profile, args.trials, seed=args.seed)
-        rows = [(i, mc.mean[i], mc.stderr[i]) for i in range(profile.n)]
-        rows.append(("average", mc.welfare_mean, mc.welfare_stderr))
-        _emit(("agent", "mean_payment", "stderr"), rows, args)
+        columns = [
+            [*range(profile.n), "average"],
+            np.append(mc.mean, mc.welfare_mean).tolist(),
+            np.append(mc.stderr, mc.welfare_stderr).tolist(),
+        ]
+        _emit(("agent", "mean_payment", "stderr"), columns, args)
         return 0
     report = check_equilibrium(args.mech, prior, profile)
-    labels = prior.space.labels
-    rows = [
-        (i, label, payoff, gap)
-        for i, (payoffs, gaps) in enumerate(zip(report.payoffs.tolist(), report.gaps.tolist()))
-        for label, payoff, gap in zip(labels, payoffs, gaps)
+    n, m = report.gaps.shape
+    columns = [
+        np.repeat(np.arange(n), m).tolist(),
+        list(prior.space.labels) * n,
+        report.payoffs.ravel().tolist(),
+        report.gaps.ravel().tolist(),
     ]
-    _emit(("agent", "signal", "payoff", "gap"), rows, args)
+    _emit(("agent", "signal", "payoff", "gap"), columns, args)
     return 0
 
 
@@ -357,9 +365,9 @@ def _cmd_check_eq(args) -> int:
     if not args.eps >= 0:
         raise CliError(f"--eps must be non-negative, got {args.eps:g}")
     report = check_equilibrium(args.mech, args.prior, args.profile, eps=args.eps)
-    gaps = report.gaps.tolist()
-    rows = [(i, s, gap) for i, row in enumerate(gaps) for s, gap in enumerate(row)]
-    _emit(("agent", "signal", "gap"), rows, args)
+    n, m = report.gaps.shape
+    columns = [np.repeat(np.arange(n), m).tolist(), list(range(m)) * n]
+    _emit(("agent", "signal", "gap"), [*columns, report.gaps.ravel().tolist()], args)
     _status(
         f"max_gap={report.max_gap:.3e} eps={args.eps:g} "
         f"is_eps_equilibrium={report.is_eps_equilibrium}"
@@ -374,14 +382,16 @@ def _cmd_solve_predictions(args) -> int:
         # a profile object, directly reusable as a --profile input
         _write(json_text(profile_to_dict(solved)), args)
         return 0
-    labels = prior.space.labels
-    rows = [
-        (i, signal, report, *prediction)
-        for i, tables in enumerate(solved.predictions.tolist())
-        for signal, table in zip(labels, tables)
-        for report, prediction in zip(labels, table)
+    labels = list(prior.space.labels)
+    n, m = solved.n, solved.m
+    # rows (agent, signal, report), reports fastest
+    columns = [
+        np.repeat(np.arange(n), m * m).tolist(),
+        [label for label in labels for _ in labels] * n,
+        labels * (n * m),
+        *solved.predictions.reshape(-1, m).T.tolist(),
     ]
-    _emit(("agent", "signal", "report", *(f"p_{label}" for label in labels)), rows, args)
+    _emit(("agent", "signal", "report", *(f"p_{label}" for label in labels)), columns, args)
     return 0
 
 

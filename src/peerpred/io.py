@@ -29,6 +29,7 @@ breaks and indentation are left out, which keeps ``json`` on its C encoder.
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -159,9 +160,18 @@ def profile_to_dict(profile: StrategyProfile) -> dict:
 def profile_from_dict(data: dict, path=None) -> StrategyProfile:
     agents = _require(data, "agents", path)
     try:
-        thetas = np.asarray([a["theta"] for a in agents], dtype=float)
-        predictions = np.asarray([a["predictions"] for a in agents], dtype=float)
-        profile = StrategyProfile(thetas, predictions)
+        arrays = {}
+        for key in ("theta", "predictions"):
+            nested = [a[key] for a in agents]
+            arrays[key] = np.asarray(nested, dtype=float)
+            # the array is regular, so its leaves lie ndim lists deep
+            for _ in range(arrays[key].ndim - 1):
+                nested = itertools.chain.from_iterable(nested)
+            kinds = set(map(type, nested)) - {float, int}
+            if kinds:  # float() reads a JSON string or boolean as a number
+                names = ", ".join(sorted(kind.__name__ for kind in kinds))
+                raise FormatError(f"{key} entries must be numbers, got {names}")
+        profile = StrategyProfile(arrays["theta"], arrays["predictions"])
     except (KeyError, OverflowError, ProfileError, TypeError, ValueError) as exc:
         raise FormatError(f"invalid profile{f' in {path}' if path else ''}: {exc}") from exc
     declared = data.get("n", profile.n)

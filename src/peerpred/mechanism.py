@@ -337,8 +337,9 @@ def realized_payments(
 
 # Cells per block of the array passes (trials x n x m when the kernel scores
 # Monte Carlo rounds, cells x cells x m when its tables are built, the
-# differences m x m x rows x columns of a welfare tile, rows x m x types in
-# the aggregation-error audit): bounds the arrays they gather, whatever n.
+# differences m x m x rows x columns of a welfare tile, rows x m x types x m
+# cell pairs in the audits' anchor-pair scan): bounds the arrays they
+# gather, whatever n.
 _BLOCK_CELLS = 2**16
 
 

@@ -1,15 +1,17 @@
+import math
 from functools import cache
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from peerpred import audits, mechanism
 from peerpred.audits import (
     AuditError,
     aggregation_error_audit,
+    best_prediction_total_divergence,
     classification_bound_audit,
     far_from_permutation_gap,
     relabeling_cycle_audit,
@@ -20,8 +22,10 @@ from peerpred.divergence import hellinger
 from peerpred.equilibrium import solved_profile
 from peerpred.mechanism import MechanismConfig, welfare_metrics
 from peerpred.priors import (
+    PairwisePrior,
     PermutationMap,
     PriorError,
+    SignalSpace,
     all_permutations,
     from_latent,
     permute_prior,
@@ -32,12 +36,14 @@ from peerpred.priors import (
 from peerpred.strategy import (
     StrategyProfile,
     agent_types,
+    best_prediction_profile,
     permutation_profile,
     prediction_anchors,
     random_signal_strategies,
     random_signal_strategy,
     tau_closeness,
     truth_telling_profile,
+    uniform_report_profile,
 )
 
 
@@ -201,6 +207,89 @@ class TestAggregationError:
             devs.append(aggregation_error_audit(prior2, thetas, eps=0.5).lhs)
         assert devs[0] / devs[1] == pytest.approx(2.0, rel=0.05)
         assert devs[1] / devs[2] == pytest.approx(2.0, rel=0.05)
+
+
+def best_prediction_welfare_oracle(prior, thetas):
+    """The former classification-bound right side: the welfare kernel's total
+    divergence of the best-prediction profile of ``thetas``."""
+    n, m = thetas.shape[0], thetas.shape[1]
+    profile = StrategyProfile(thetas, np.full((n, m, m, m), 1.0 / m))
+    return welfare_metrics(prior, best_prediction_profile(profile, prior)).total_divergence
+
+
+def best_prediction_fsum_oracle(prior, thetas):
+    """The same total as an exactly rounded sum over ordered agent pairs
+    j != k and signal pairs of joint[a, b] D*(anchor[j, a], anchor[k, b])."""
+    n, m = thetas.shape[0], thetas.shape[1]
+    anchors = prediction_anchors(prior, thetas)
+    dstar = hellinger(anchors[:, :, None, None, :], anchors[None, None, :, :, :])
+    terms = prior.joint()[None, :, None, :] * dstar  # [j, a, k, b]
+    others = ~np.eye(n, dtype=bool)
+    return math.fsum(terms.transpose(0, 2, 1, 3)[others].ravel().tolist()) / (n * (n - 1))
+
+
+def dyadic_prior(m):
+    """A pairwise prior whose uniform-strategy anchors are exactly uniform:
+    every entry and every partial sum of a column is a dyadic rational."""
+    conditional = np.full((m, m), 1.0 / (2 * m))
+    conditional += np.eye(m) / 2
+    space = SignalSpace(tuple(f"s{k}" for k in range(m)))
+    return PairwisePrior(space, np.full(m, 1.0 / m), conditional)
+
+
+def two_agents(m, seed):
+    prior = cached_prior(m, seed)
+    return prior, random_signal_strategies(np.random.default_rng(seed), m, (2,))
+
+
+class TestBestPredictionTotalDivergence:
+    @settings(max_examples=150, deadline=None)
+    @given(strategy_lists(), st.sampled_from((1, 7, 2**16)))
+    @example(two_agents(2, 0), 1)
+    @example(two_agents(3, 1), 2**16)
+    def test_matches_welfare_oracle(self, case, block_cells):
+        prior, thetas = case
+        with mock.patch.object(audits, "_BLOCK_CELLS", block_cells):
+            total = best_prediction_total_divergence(prior, thetas)
+        oracle = best_prediction_welfare_oracle(prior, thetas)
+        np.testing.assert_allclose(total, oracle, rtol=0, atol=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(strategy_lists(), st.sampled_from((1, 7, 2**16)))
+    @example(two_agents(3, 2), 7)
+    def test_matches_fsum_oracle(self, case, block_cells):
+        prior, thetas = case
+        with mock.patch.object(audits, "_BLOCK_CELLS", block_cells):
+            total = best_prediction_total_divergence(prior, thetas)
+        oracle = best_prediction_fsum_oracle(prior, thetas)
+        assert total >= 0.0
+        np.testing.assert_allclose(total, oracle, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("m", (2, 4))
+    @pytest.mark.parametrize("n", (2, 5, 40))
+    def test_uniform_strategies_exactly_zero(self, m, n):
+        prior = dyadic_prior(m)
+        profile = uniform_report_profile(prior, n)
+        assert best_prediction_total_divergence(prior, profile.thetas) == 0.0
+        config = MechanismConfig(1.0, 1.0 / (8.0 * m), "log")
+        assert classification_bound_audit(config, prior, profile).rhs == 0.0
+
+    @pytest.mark.parametrize("m", (2, 3, 4))
+    def test_uniform_strategies_within_anchor_rounding(self, m):
+        # a uniform strategy's anchors theta_minus q_s round differently per
+        # signal by an ulp, so D* between them is of order 1e-32, never below 0
+        for seed in range(10):
+            prior = cached_prior(m, seed)
+            for n in (2, 5, 40):
+                thetas = uniform_report_profile(prior, n).thetas
+                assert 0.0 <= best_prediction_total_divergence(prior, thetas) <= 1e-30
+
+    def test_audit_rhs_reads_the_scan(self, prior3, config):
+        rng = np.random.default_rng(8)
+        profile = solved_profile(config, prior3, random_signal_strategies(rng, 3, (7,)))
+        result = classification_bound_audit(config, prior3, profile)
+        assert result.rhs == best_prediction_total_divergence(prior3, profile.thetas)
+        assert result.slack == result.rhs - result.lhs
 
 
 class TestFarFromPermutation:

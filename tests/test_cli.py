@@ -484,12 +484,15 @@ class TestCsvWriter:
 
     def test_bools_and_ints_print_apart(self, capsys):
         args = cli._parse(["welfare", "--prior", "unused.json", "--profile", "truth"])
-        cli._emit(("flag", "count", "label"), [(True, 1, "1"), (1, True, "True")], args)
-        assert capsys.readouterr().out == "flag,count,label\nTrue,1,1\n1,True,True\n"
+        columns = [[True, 1], [1, True], ["1", "True"], [0.1, 2.0], [1.0, 1]]
+        cli._emit(("flag", "count", "label", "x", "y"), columns, args)
+        assert capsys.readouterr().out == (
+            "flag,count,label,x,y\nTrue,1,1,0.10000000000000001,1\n1,True,True,2,1\n"
+        )
 
     def test_no_rows_no_output(self, capsys):
         args = cli._parse(["welfare", "--prior", "unused.json", "--profile", "truth"])
-        cli._emit(("a",), [], args)
+        cli._emit(("a",), [[]], args)
         assert capsys.readouterr().out == ""
 
 
@@ -865,6 +868,8 @@ class TestFuzz:
         nan_profile["agents"][1]["theta"][0][0] = math.nan
         inf_profile = json.loads(json.dumps(good_profile))
         inf_profile["agents"][0]["predictions"][0][0][0] = math.inf
+        typed_profile = json.loads(json.dumps(good_profile))
+        typed_profile["agents"][2]["theta"][1][1] = True  # a truth-teller's 1.0
         m3 = profile_to_dict(truth_telling_profile(from_latent(random_snife_prior(3, 2, seed=3)), 4))
         texts = {
             "latent": prior_to_dict(latent),
@@ -880,6 +885,7 @@ class TestFuzz:
             "profile": good_profile,
             "nan-profile": nan_profile,
             "inf-profile": inf_profile,
+            "typed-profile": typed_profile,
             "m3-profile": m3,
             "singular-prior": SINGULAR_PRIOR,
             "singular-profile": SINGULAR_PROFILE,
@@ -917,9 +923,9 @@ class TestFuzz:
         ("truth", "uniform", "counterexample", "constant:s1", "constant:1", "permutation:1,0",
          "profile", "inf-profile", "singular-profile"),
         ("constant:zz", "constant:", "constant:-1", "permutation:0,1", "permutation:1,x",
-         "permutation:", f"permutation:{10**30},0", "bogus", "nan-profile", "m3-profile",
-         "no-agents", "agents-number", "agents-lists", "wrong-n", "list", "not-json",
-         "directory", "missing"),
+         "permutation:", f"permutation:{10**30},0", "bogus", "nan-profile", "typed-profile",
+         "m3-profile", "no-agents", "agents-number", "agents-lists", "wrong-n", "list",
+         "not-json", "directory", "missing"),
     )  # fmt: skip
     PRIORS = (
         ("latent", "pairwise", "coarse", "singular-prior"),

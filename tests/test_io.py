@@ -20,7 +20,11 @@ from peerpred.io import (
 )
 from peerpred.mechanism import MechanismConfig
 from peerpred.priors import LatentStatePrior
-from peerpred.strategy import truth_telling_profile
+from peerpred.strategy import (
+    constant_report_profile,
+    truth_telling_profile,
+    uniform_report_profile,
+)
 
 
 class TestPriorFiles:
@@ -82,6 +86,34 @@ class TestProfileFiles:
     def test_invalid_rows(self):
         with pytest.raises(FormatError, match="invalid profile"):
             profile_from_dict({"agents": [{"theta": [[2.0]], "predictions": [[[1.0]]]}]})
+
+    @pytest.mark.parametrize(
+        "profile, key, where, value",
+        [
+            ("truth", "theta", (0, 0, 0), True),  # a truth-teller's 1.0
+            ("uniform", "predictions", (1, 0, 1, 0), "0.5"),
+            ("constant", "predictions", (2, 1, 0, 1), False),  # a point mass's 0.0
+        ],
+    )
+    def test_entries_must_be_numbers(self, prior2, profile, key, where, value):
+        # each entry stands for the number the file holds there, so the file
+        # loads with the number itself
+        build = {
+            "truth": truth_telling_profile,
+            "uniform": uniform_report_profile,
+            "constant": lambda prior, n: constant_report_profile(prior, n, 0),
+        }[profile]
+        data = profile_to_dict(build(prior2, 4))
+        agent, *path = where
+        cell = data["agents"][agent][key]
+        for index in path[:-1]:
+            cell = cell[index]
+        assert cell[path[-1]] == float(value)
+        profile_from_dict(data)
+        cell[path[-1]] = value
+        message = f"{key} entries must be numbers, got {type(value).__name__}"
+        with pytest.raises(FormatError, match=message):
+            profile_from_dict(data)
 
 
 class TestMechanismFiles:

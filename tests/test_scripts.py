@@ -57,16 +57,38 @@ def test_bench_layers_writes_json(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     args = ["--label", "tiny", "--ns", "4", "--ms", "2", "--mc-ns", "4", "--mc-trials", "200",
-            "--io-ns", "4", "--repeats", "2", "--out-dir", str(tmp_path)]  # fmt: skip
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "bench_layers.py"), *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    record = json.loads((tmp_path / "BENCH_tiny.json").read_text())
+            "--io-ns", "4", "--repeats", "2"]  # fmt: skip
+    # alone, and paired with this checkout imported a second time as the parent
+    for out, extra, labels in (
+        (tmp_path / "alone", [], ["tiny"]),
+        (tmp_path / "paired", ["--parent", str(ROOT)], ["tiny_before", "tiny_after"]),
+    ):
+        out.mkdir()
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "bench_layers.py"), *args, "--out-dir",
+             str(out), *extra],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )  # fmt: skip
+        assert done.returncode == 0, done.stderr
+        assert sorted(path.name for path in out.iterdir()) == sorted(
+            f"BENCH_{label}.json" for label in labels
+        )
+        records = [json.loads((out / f"BENCH_{label}.json").read_text()) for label in labels]
+        trees = ["before", "after"] if extra else ["after"]
+        assert all(record["trees"] == trees for record in records)
+        keys = ("layer", "profile", "m", "n", "variant")
+        cells = [[{k: row[k] for k in keys if k in row} for row in record["rows"]]
+                 for record in records]  # fmt: skip
+        assert all(cell == cells[0] for cell in cells)
+        for record in records:
+            check_bench_record(record)
+
+
+def check_bench_record(record):
+    """The rows of one tree in a bench_layers file."""
     assert {"python", "numpy", "cpu_count"} <= set(record)
     mc = [row for row in record["rows"] if row["layer"] == "monte_carlo_payments"]
     audit = [row for row in record["rows"] if row["layer"] == "aggregation_error_audit"]
