@@ -14,7 +14,7 @@ import numpy as np
 
 from peerpred.audits import aggregation_error_audit, sweep_row
 from peerpred.mechanism import MechanismConfig
-from peerpred.priors import from_latent, prior_constants, random_snife_prior, theorem_bounds
+from peerpred.priors import TheoremBounds, from_latent, prior_constants, random_snife_prior
 from peerpred.strategy import random_signal_strategy
 
 
@@ -28,7 +28,7 @@ def main():
 
     prior = from_latent(random_snife_prior(args.m, 2, seed=args.seed))
     config = MechanismConfig(alpha=1.0, beta=1.0 / (8.0 * args.m), rule="log")
-    bounds = theorem_bounds(prior_constants(prior), args.m)
+    bounds = TheoremBounds(prior_constants(prior), args.m)
     ns = [int(x) for x in args.ns.split(",")]
     # one fixed deviant among truth-tellers isolates the 1/n aggregation trend
     deviant = random_signal_strategy(np.random.default_rng(args.seed), args.m)

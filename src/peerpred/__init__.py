@@ -46,14 +46,12 @@ from .priors import (
     permute_prior,
     prior_constants,
     random_snife_prior,
-    theorem_bounds,
     validate_snife,
 )
 from .scoring import ProperScoringRule, ScoreDomainError, get_rule
 from .strategy import (
     ProfileError,
     StrategyProfile,
-    best_prediction_profile,
     constant_report_profile,
     counterexample_profile,
     permutation_profile,

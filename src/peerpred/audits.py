@@ -31,7 +31,7 @@ from .strategy import (
     truth_telling_profile,
     validate_signal_strategy,
 )
-from .tolerances import AUDIT_TOL, BEST_PREDICTION_TOL, BOUND_TOL, PROBABILITY_TOL
+from .tolerances import AUDIT_TOL, BEST_PREDICTION_TOL, BOUND_TOL
 
 __all__ = [
     "AuditResult",
@@ -266,7 +266,7 @@ def far_from_permutation_gap(prior: PairwisePrior, theta: np.ndarray, tau: float
     """
     if not tau >= 0.0:
         raise AuditError(f"tau must be non-negative, got {tau}")
-    theta = validate_signal_strategy(theta, tol=PROBABILITY_TOL)
+    theta = validate_signal_strategy(theta)
     check_signal_count(prior, theta.shape[0])
     if tau_closeness(theta) <= tau:
         raise AuditError(

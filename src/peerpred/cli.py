@@ -57,9 +57,9 @@ from .priors import (
     LatentStatePrior,
     PermutationMap,
     PriorError,
+    TheoremBounds,
     prior_constants,
     random_snife_prior,
-    theorem_bounds,
     validate_snife,
 )
 from .scoring import ScoreDomainError
@@ -433,7 +433,7 @@ def _cmd_impossibility(args) -> int:
 
 def _cmd_sweep_n(args) -> int:
     prior, config = args.prior, args.mech
-    bounds = theorem_bounds(prior_constants(prior), prior.m)
+    bounds = TheoremBounds(prior_constants(prior), prior.m)
     ns = _parse_indices(args.n, "--n")
     if min(ns) < 2:  # checked before any row runs
         raise CliError(f"--n {min(ns)}: need n >= 2")

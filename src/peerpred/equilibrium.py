@@ -131,13 +131,6 @@ class EquilibriumReport:
     def is_eps_equilibrium(self) -> bool:
         return self.max_gap <= self.eps
 
-    def to_rows(self) -> list[dict]:
-        return [
-            {"agent": i, "signal": s, "gap": gap}
-            for i, gaps in enumerate(self.gaps.tolist())
-            for s, gap in enumerate(gaps)
-        ]
-
 
 def check_equilibrium(
     config: MechanismConfig,

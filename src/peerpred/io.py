@@ -110,15 +110,16 @@ def prior_from_dict(data: dict, path=None) -> LatentStatePrior | PairwisePrior:
 
 
 def _real_array(value, key: str) -> np.ndarray:
-    """``value`` as a float array; a JSON string or boolean anywhere in it is
-    not a number, though ``float`` would read one as such."""
-    pending = [value]
-    while pending:
-        item = pending.pop()
-        if isinstance(item, list):
-            pending.extend(reversed(item))
-        elif isinstance(item, (bool, str)):
-            raise FormatError(f"{key} entries must be numbers, got {item!r}")
+    """``value`` as a float array.  Every entry must be a JSON number, though
+    ``float`` reads a JSON string or boolean as one and NumPy reads null as
+    NaN; the first entry that is not one is named."""
+    leaves = [value]
+    while (kinds := set(map(type, leaves))) == {list}:  # one nesting level a pass
+        leaves = list(itertools.chain.from_iterable(leaves))
+    kinds -= {float, int, list}  # a list beside numbers is left to NumPy's shape error
+    if kinds:
+        first = next(leaf for leaf in leaves if type(leaf) in kinds)
+        raise FormatError(f"{key} entries must be numbers, got {first!r}")
     return np.asarray(value, dtype=float)
 
 
@@ -160,18 +161,10 @@ def profile_to_dict(profile: StrategyProfile) -> dict:
 def profile_from_dict(data: dict, path=None) -> StrategyProfile:
     agents = _require(data, "agents", path)
     try:
-        arrays = {}
-        for key in ("theta", "predictions"):
-            nested = [a[key] for a in agents]
-            arrays[key] = np.asarray(nested, dtype=float)
-            # the array is regular, so its leaves lie ndim lists deep
-            for _ in range(arrays[key].ndim - 1):
-                nested = itertools.chain.from_iterable(nested)
-            kinds = set(map(type, nested)) - {float, int}
-            if kinds:  # float() reads a JSON string or boolean as a number
-                names = ", ".join(sorted(kind.__name__ for kind in kinds))
-                raise FormatError(f"{key} entries must be numbers, got {names}")
-        profile = StrategyProfile(arrays["theta"], arrays["predictions"])
+        profile = StrategyProfile(
+            _real_array([a["theta"] for a in agents], "theta"),
+            _real_array([a["predictions"] for a in agents], "predictions"),
+        )
     except (KeyError, OverflowError, ProfileError, TypeError, ValueError) as exc:
         raise FormatError(f"invalid profile{f' in {path}' if path else ''}: {exc}") from exc
     declared = data.get("n", profile.n)

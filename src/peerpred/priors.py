@@ -38,7 +38,6 @@ __all__ = [
     "permute_prior",
     "random_snife_prior",
     "prior_constants",
-    "theorem_bounds",
     "all_permutations",
     "sample_categorical",
 ]
@@ -331,10 +330,15 @@ class PriorConstants:
 
 @dataclass(frozen=True)
 class TheoremBounds:
-    """Closed-form welfare/closeness bounds parameterized by the prior constants."""
+    """Closed-form welfare/closeness bounds parameterized by the prior constants;
+    raises :class:`PriorError` if any constant is non-positive."""
 
     constants: PriorConstants
     m: int
+
+    def __post_init__(self):
+        if not self.constants.all_positive:
+            raise PriorError(f"bounds need strictly positive constants, got {self.constants}")
 
     def tau1(self, gamma1: float) -> float:
         c = self.constants
@@ -519,13 +523,3 @@ def prior_constants(prior: PairwisePrior) -> PriorConstants:
     # f''(x) = x^(-3/2) / 2 is decreasing, so the minimum sits at the largest ratio
     c4 = float(0.5 * np.max(ratio) ** (-1.5))
     return PriorConstants(c1, c2, float(c3), c4)
-
-
-def theorem_bounds(
-    constants: PriorConstants,
-    m: int,
-) -> TheoremBounds:
-    """Bundle the closed-form bounds; raises if any constant is non-positive."""
-    if not constants.all_positive:
-        raise PriorError(f"bounds need strictly positive constants, got {constants}")
-    return TheoremBounds(constants, m)

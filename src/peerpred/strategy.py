@@ -30,7 +30,6 @@ __all__ = [
     "constant_report_profile",
     "uniform_report_profile",
     "counterexample_profile",
-    "best_prediction_profile",
     "prediction_anchors",
     "leave_one_out",
     "agent_types",
@@ -46,11 +45,13 @@ class ProfileError(ValueError):
     """Raised for malformed strategies or profiles."""
 
 
-def validate_signal_strategy(theta: np.ndarray, tol: float = STOCHASTIC_TOL) -> np.ndarray:
+def validate_signal_strategy(theta: np.ndarray) -> np.ndarray:
+    """``theta`` as a float array, checked as a square column-stochastic
+    matrix given as input, within PROBABILITY_TOL."""
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 2 or theta.shape[0] != theta.shape[1]:
         raise ProfileError(f"signal strategy must be square, got shape {theta.shape}")
-    _check_columns(theta[None], tol)
+    _check_columns(theta[None], PROBABILITY_TOL)
     return theta
 
 
@@ -162,12 +163,6 @@ def _repeated(block: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def _filled_predictions(n: int, per_signal: np.ndarray) -> np.ndarray:
-    """Tile (m, m) or per-agent (n, m, m) predictions to (n, m, m, m), same for every report."""
-    m = per_signal.shape[-1]
-    return _repeated(per_signal[..., None, :], (n, m, m, m))
-
-
 def truth_telling_profile(prior: PairwisePrior, n: int) -> StrategyProfile:
     """Report the private signal and predict its conditional column.
 
@@ -195,7 +190,7 @@ def permutation_profile(prior: PairwisePrior, n: int, perm: PermutationMap) -> S
     theta_pi = perm.matrix()
     thetas = _repeated(theta_pi, (n, m, m))
     per_signal = (theta_pi @ prior.conditional).T  # row s = theta_pi q_s
-    return StrategyProfile(thetas, _filled_predictions(n, per_signal))
+    return StrategyProfile(thetas, _repeated(per_signal[:, None, :], (n, m, m, m)))
 
 
 def constant_report_profile(prior: PairwisePrior, n: int, target: int) -> StrategyProfile:
@@ -242,13 +237,6 @@ def counterexample_profile(prior: PairwisePrior, n: int) -> StrategyProfile:
         spread[i] = 0.0
         predictions[i, :, :] = spread[None, None, :]
     return StrategyProfile(thetas, predictions)
-
-
-def best_prediction_profile(profile: StrategyProfile, prior: PairwisePrior) -> StrategyProfile:
-    """Keep signal strategies, replace every prediction by the prediction-score
-    maximizer theta_minus[i] @ q_s (independent of the reported signal)."""
-    anchors = prediction_anchors(prior, profile.thetas)
-    return StrategyProfile(profile.thetas, _filled_predictions(profile.n, anchors))
 
 
 def random_signal_strategy(rng: np.random.Generator, m: int) -> np.ndarray:

@@ -3,10 +3,8 @@
 Each constant says what it guards.  Most functions read their constant
 directly; a tolerance is a keyword default only where callers choose it:
 ``validate_snife`` (``validate-prior --tol``), ``build_pairwise_prior``,
-``validate_signal_strategy`` (input strategies are checked at
-PROBABILITY_TOL), ``check_equilibrium`` (``check-eq --eps``) and the
-prediction solvers.  The acceptance criteria in :mod:`peerpred.acceptance`
-pin their own thresholds.
+``check_equilibrium`` (``check-eq --eps``) and the prediction solvers.  The
+acceptance criteria in :mod:`peerpred.acceptance` pin their own thresholds.
 """
 
 __all__ = [

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from peerpred.mechanism import MechanismConfig
 from peerpred.priors import from_latent, random_snife_prior
+from peerpred.strategy import StrategyProfile, prediction_anchors
 
 
 def simplex(m, min_value=1e-3):
@@ -15,6 +16,25 @@ def simplex(m, min_value=1e-3):
 
 def column_stochastic(m):
     return st.lists(simplex(m), min_size=m, max_size=m).map(lambda cols: np.stack(cols, axis=1))
+
+
+def best_prediction_profile(profile, prior):
+    """Oracle of the classification bound's right side: keep the signal
+    strategies, replace every prediction by the prediction-score maximizer
+    theta_minus[i] @ q_s (independent of the reported signal)."""
+    anchors = prediction_anchors(prior, profile.thetas)
+    predictions = np.broadcast_to(anchors[:, :, None, :], profile.predictions.shape)
+    return StrategyProfile(profile.thetas, predictions.copy())
+
+
+def equilibrium_rows(report):
+    """Oracle of the ``check-eq`` records: one {agent, signal, gap} per cell
+    of an :class:`~peerpred.equilibrium.EquilibriumReport`."""
+    return [
+        {"agent": i, "signal": s, "gap": gap}
+        for i, gaps in enumerate(report.gaps.tolist())
+        for s, gap in enumerate(gaps)
+    ]
 
 
 @pytest.fixture(scope="session")

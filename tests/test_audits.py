@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import best_prediction_profile
 from peerpred import audits, mechanism
 from peerpred.audits import (
     AuditError,
@@ -26,17 +27,16 @@ from peerpred.priors import (
     PermutationMap,
     PriorError,
     SignalSpace,
+    TheoremBounds,
     all_permutations,
     from_latent,
     permute_prior,
     prior_constants,
     random_snife_prior,
-    theorem_bounds,
 )
 from peerpred.strategy import (
     StrategyProfile,
     agent_types,
-    best_prediction_profile,
     permutation_profile,
     prediction_anchors,
     random_signal_strategies,
@@ -431,7 +431,7 @@ class TestTheoremConsequences:
 
     def test_near_truth_scores_force_near_permutation(self, config):
         prior = from_latent(random_snife_prior(2, 2, seed=77))
-        bounds = theorem_bounds(prior_constants(prior), m=2)
+        bounds = TheoremBounds(prior_constants(prior), m=2)
         truth_score = welfare_metrics(prior, truth_telling_profile(prior, 6)).classification_score
         rng = np.random.default_rng(7)
         for _ in range(20):

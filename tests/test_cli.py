@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import equilibrium_rows
 from peerpred import cli
 from peerpred.cli import CliError, main
 from peerpred.equilibrium import check_equilibrium, solved_profile
@@ -403,7 +404,7 @@ class TestJsonWriter:
             ("solve-predictions", *argv): profile_to_dict(
                 solved_profile(config, prior, profile.thetas)
             ),
-            ("check-eq", *argv): check_equilibrium(config, prior, profile).to_rows(),
+            ("check-eq", *argv): equilibrium_rows(check_equilibrium(config, prior, profile)),
         }
         for call, want in expected.items():
             assert main(list(call)) == 0
@@ -728,16 +729,27 @@ class TestErrorsAndDeterminism:
             ("pairwise", "marginal", ["0.5", "0.5"], "marginal entries must be numbers, got '0.5'"),
             ("latent", "state_probs", [True, False], "state_probs entries must be numbers, got True"),
             ("latent", "emissions", [[1, 0], [0, "1"]], "emissions entries must be numbers, got '1'"),
+            ("latent", "emissions", [[1, "x"], [0]], "emissions entries must be numbers, got 'x'"),
+            ("pairwise", "marginal", [None, 0.5], "marginal entries must be numbers, got None"),
             ("profile", "theta", [[BIG, 0.0], [0.0, 1.0]], "int too large to convert to float"),
+            ("profile", "theta", [[True, 0.0], [0.0, 1.0]], "theta entries must be numbers, got True"),
+            (
+                "profile",
+                "predictions",
+                [[[0.5, 0.5], [0.5, "0.5"]], [[0.5, 0.5], [0.5, 0.5]]],
+                "predictions entries must be numbers, got '0.5'",
+            ),
         ],
         ids=["big-alpha", "string-beta", "bool-alpha", "big-marginal", "string-marginal",
-             "bool-state-probs", "string-emission", "big-theta"],
+             "bool-state-probs", "string-emission", "string-in-ragged-emissions", "null-marginal",
+             "big-theta", "bool-theta", "string-prediction"],
     )
     def test_number_errors_in_files_exit_1(
         self, tmp_path, prior_file, kind, field, value, message, capsys
     ):
-        """An integer too large for a double, or a string or a boolean where a
-        mechanism or prior file holds a number: one error line, no traceback."""
+        """An integer too large for a double, or a string, boolean or null where
+        a mechanism, prior or profile file holds a number: one error line, no
+        traceback."""
         prior = from_latent(random_snife_prior(2, 2, seed=3))
         data = {
             "mechanism": {"alpha": 1.0, "beta": 0.05},
@@ -756,6 +768,13 @@ class TestErrorsAndDeterminism:
             argv += [f"--{option}", name] if name else []
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: io: invalid {what} in {path}: {message}\n"
+
+    def test_unreadable_file_exits_1(self, tmp_path, capsys):
+        """A path that exists but cannot be read as a file, here a directory."""
+        assert main(["welfare", "--prior", str(tmp_path), "--profile", "truth"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: io: cannot read {tmp_path}: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("values, first", [("2,-3", "-3"), ("1", "1"), ("4,8,0", "0")])
     def test_sweep_n_checks_every_n_first(self, prior_file, values, first, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import equilibrium_rows
 from peerpred import equilibrium
 from peerpred.equilibrium import (
     check_equilibrium,
@@ -357,7 +358,7 @@ class TestCheckEquilibrium:
     def test_rows_export(self, setting):
         prior, config = setting
         report = check_equilibrium(config, prior, truth_telling_profile(prior, 4))
-        rows = report.to_rows()
+        rows = equilibrium_rows(report)
         assert len(rows) == 12
         assert set(rows[0]) == {"agent", "signal", "gap"}
 

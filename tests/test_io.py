@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -111,8 +112,8 @@ class TestProfileFiles:
         assert cell[path[-1]] == float(value)
         profile_from_dict(data)
         cell[path[-1]] = value
-        message = f"{key} entries must be numbers, got {type(value).__name__}"
-        with pytest.raises(FormatError, match=message):
+        message = f"{key} entries must be numbers, got {value!r}"
+        with pytest.raises(FormatError, match=re.escape(message)):
             profile_from_dict(data)
 
 

@@ -9,6 +9,7 @@ from peerpred.priors import (
     PermutationMap,
     PriorError,
     SignalSpace,
+    TheoremBounds,
     all_permutations,
     build_pairwise_prior,
     from_latent,
@@ -16,7 +17,6 @@ from peerpred.priors import (
     prior_constants,
     random_snife_prior,
     sample_categorical,
-    theorem_bounds,
     validate_snife,
 )
 
@@ -352,12 +352,12 @@ class TestPriorConstants:
 
 class TestTheoremBounds:
     def test_gamma2_algebra(self, prior3):
-        bounds = theorem_bounds(prior_constants(prior3), m=3)
+        bounds = TheoremBounds(prior_constants(prior3), m=3)
         n = 128 * 3 * 3
         assert bounds.gamma2(n) == pytest.approx(0.5)
 
     def test_tau1_at_zero(self, prior3):
-        bounds = theorem_bounds(prior_constants(prior3), m=3)
+        bounds = TheoremBounds(prior_constants(prior3), m=3)
         assert bounds.tau1(0.0) == 0.0
 
     def test_tau2_formula(self):
@@ -365,7 +365,7 @@ class TestTheoremBounds:
             SignalSpace.of_size(2), [0.5, 0.5], [[0.8, 0.2], [0.2, 0.8]]
         )
         consts = prior_constants(from_latent(latent))
-        bounds = theorem_bounds(consts, m=2)
+        bounds = TheoremBounds(consts, m=2)
         n = 10_000
         prod = consts.c2 * consts.c3 * consts.c4
         expected = (128 * 4 / (n * consts.c1**6 * prod**2)) ** (1 / 6)
@@ -375,4 +375,4 @@ class TestTheoremBounds:
     def test_degenerate_constants_rejected(self):
         prior = build_pairwise_prior([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]])
         with pytest.raises(PriorError):
-            theorem_bounds(prior_constants(prior), m=2)
+            TheoremBounds(prior_constants(prior), m=2)

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import best_prediction_profile
 from peerpred.priors import PermutationMap, all_permutations, from_latent, random_snife_prior
 from peerpred.strategy import (
     ProfileError,
     StrategyProfile,
     _check_columns,
     agent_types,
-    best_prediction_profile,
     constant_report_profile,
     counterexample_profile,
     leave_one_out,
