@@ -41,7 +41,6 @@ from .priors import (
     SignalSpace,
     TheoremBounds,
     all_permutations,
-    build_pairwise_prior,
     from_latent,
     permute_prior,
     prior_constants,

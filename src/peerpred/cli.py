@@ -40,10 +40,8 @@ from .audits import (
     relabeling_cycle_audit,
     sweep_row,
 )
-from .divergence import DivergenceDomainError
 from .equilibrium import check_equilibrium, solved_profile
 from .io import (
-    FormatError,
     json_text,
     load_mechanism,
     load_prior,
@@ -52,19 +50,16 @@ from .io import (
     prior_to_dict,
     profile_to_dict,
 )
-from .mechanism import MechanismConfig, MechanismError, monte_carlo_payments, welfare_metrics
+from .mechanism import MechanismConfig, monte_carlo_payments, welfare_metrics
 from .priors import (
     LatentStatePrior,
     PermutationMap,
-    PriorError,
     TheoremBounds,
     prior_constants,
     random_snife_prior,
     validate_snife,
 )
-from .scoring import ScoreDomainError
 from .strategy import (
-    ProfileError,
     constant_report_profile,
     counterexample_profile,
     permutation_profile,
@@ -491,20 +486,13 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (
-        FormatError,
-        PriorError,
-        ProfileError,
-        MechanismError,
-        ScoreDomainError,
-        DivergenceDomainError,
-        AuditError,
-    ) as exc:
-        print(f"error: {type(exc).__module__.split('.')[-1]}: {exc}", file=sys.stderr)
-        return 1
     except (MemoryError, ValueError) as exc:
-        # numpy refusing an array whose size comes from an input count (--n, --m, --states)
-        print(f"error: {exc}", file=sys.stderr)
+        # an input error of the package names its module; anything else, such as
+        # numpy refusing an array whose size comes from an input count (--n, --m,
+        # --states), is printed alone
+        module = type(exc).__module__
+        source = f"{module.rpartition('.')[2]}: " if module.startswith(f"{__package__}.") else ""
+        print(f"error: {source}{exc}", file=sys.stderr)
         return 1
 
 

@@ -17,8 +17,11 @@ probability vector.  Mechanism files::
 
     {"alpha": ..., "beta": ..., "rule": "log", "variant": "disagreement", "groupA": [...]}
 
-with ``groupA`` a list of integer agent indices.  All reals are IEEE doubles; Python's default float printing is the shortest
-representation that round-trips exactly.
+with ``groupA`` a list of integer agent indices.  Each of these five fields
+may be left out for its default (alpha 1, beta 0.05, the log rule, the
+truthful variant, group A the first n // 2 agents); any other field is an
+error.  All reals are IEEE doubles; Python's default float printing is the
+shortest representation that round-trips exactly.
 
 One writer, :func:`json_text`, gives the text of every file written here
 and of every ``--format json`` output of the CLI: the whole object on one
@@ -39,7 +42,6 @@ from .mechanism import MechanismConfig
 from .priors import LatentStatePrior, PairwisePrior, PriorError, SignalSpace
 from .priors import _check_stochastic, from_latent
 from .strategy import ProfileError, StrategyProfile
-from .tolerances import PROBABILITY_TOL
 
 __all__ = [
     "prior_to_dict",
@@ -61,6 +63,9 @@ __all__ = [
 
 class FormatError(ValueError):
     """Raised for malformed input files."""
+
+
+_MECHANISM_FIELDS = ("alpha", "beta", "rule", "variant", "groupA")
 
 
 def _require(data: dict, key: str, path=None) -> object:
@@ -103,7 +108,7 @@ def prior_from_dict(data: dict, path=None) -> LatentStatePrior | PairwisePrior:
         space = SignalSpace(tuple(labels))
         prior = cls(space, _real_array(first, keys[0]), _real_array(second, keys[1]))
         if kind == "pairwise":  # symmetry is left to validate_snife's verdict
-            _check_stochastic(prior, PROBABILITY_TOL)
+            _check_stochastic(prior)
         return prior
     except (OverflowError, PriorError, TypeError, ValueError) as exc:
         raise FormatError(f"invalid prior{f' in {path}' if path else ''}: {exc}") from exc
@@ -183,6 +188,12 @@ def save_profile(profile: StrategyProfile, path):
 
 def mechanism_from_dict(data: dict, path=None) -> MechanismConfig:
     try:
+        unknown = [key for key in data if key not in _MECHANISM_FIELDS]
+        if unknown:
+            raise FormatError(
+                f"unknown fields {', '.join(map(repr, unknown))}; "
+                f"a mechanism has {', '.join(_MECHANISM_FIELDS)}"
+            )
         return MechanismConfig(
             alpha=_real(data, "alpha", 1.0),
             beta=_real(data, "beta", 0.05),

@@ -765,8 +765,7 @@ def monte_carlo_payments(
     if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
         raise MechanismError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     n, m = profile.n, profile.m
-    if latent.m != m:
-        raise MechanismError(f"the prior has {latent.m} signals but the profile has {m}")
+    check_signal_count(latent, m)
     disagreement = config.variant == "disagreement"
     # agent i's mates are pools[pool_of[i]] without i, which sits at pos[i];
     # a draw below the common multiple of the mate counts, taken modulo

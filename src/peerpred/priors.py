@@ -32,7 +32,6 @@ __all__ = [
     "PriorConstants",
     "TheoremBounds",
     "PriorError",
-    "build_pairwise_prior",
     "from_latent",
     "validate_snife",
     "permute_prior",
@@ -82,8 +81,9 @@ class PairwisePrior:
 
     ``conditional[a, b] = q(sigma_a | sigma_b)``; column ``b`` is the peer
     distribution given own signal ``b``.  Construction here checks shapes and
-    finiteness only; use :func:`build_pairwise_prior` for full validation, or
-    :func:`validate_snife` for an itemized report.
+    finiteness only.  A prior file's stochasticity is checked where it is
+    read (:func:`peerpred.io.prior_from_dict`), and :func:`validate_snife`
+    gives the symmetry verdict among its itemized checks.
     """
 
     space: SignalSpace
@@ -353,34 +353,14 @@ class TheoremBounds:
         return (128.0 * self.m**2 / (n * c.c1**6 * prod**2)) ** (1.0 / 6.0)
 
 
-def _check_stochastic(prior: PairwisePrior, tol: float):
+def _check_stochastic(prior: PairwisePrior):
     """Raise :class:`PriorError` unless the marginal and every conditional
-    column are non-negative and sum to 1 within ``tol``."""
-    if np.any(prior.marginal < 0.0) or abs(prior.marginal.sum() - 1.0) > tol:
+    column are non-negative and sum to 1 within ``PROBABILITY_TOL``."""
+    if np.any(prior.marginal < 0.0) or abs(prior.marginal.sum() - 1.0) > PROBABILITY_TOL:
         raise PriorError("marginal is not a probability vector within tolerance")
     colsums = prior.conditional.sum(axis=0)
-    if np.any(prior.conditional < 0.0) or np.max(np.abs(colsums - 1.0)) > tol:
+    if np.any(prior.conditional < 0.0) or np.max(np.abs(colsums - 1.0)) > PROBABILITY_TOL:
         raise PriorError("conditional columns are not stochastic within tolerance")
-
-
-def build_pairwise_prior(marginal, conditional, tol: float = DEFAULT_TOL) -> PairwisePrior:
-    """Validate and build a pairwise prior.
-
-    Checks that the marginal and every conditional column are non-negative
-    with sums within ``tol`` of 1, and that the two-agent joint is symmetric
-    (q(b) q(a|b) = q(a) q(b|a)) within ``tol``.  Raises :class:`PriorError`
-    otherwise.
-    """
-    marginal = np.asarray(marginal, dtype=float)
-    space = SignalSpace.of_size(marginal.size)
-    prior = PairwisePrior(space, marginal, np.asarray(conditional, dtype=float))
-    _check_stochastic(prior, tol)
-    residual = prior.symmetry_residual()
-    if residual > tol:
-        raise PriorError(
-            f"pairwise symmetry violated: max |q(b)q(a|b) - q(a)q(b|a)| = {residual:.3e}"
-        )
-    return prior
 
 
 def from_latent(latent: LatentStatePrior) -> PairwisePrior:

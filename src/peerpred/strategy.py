@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .priors import PairwisePrior, PermutationMap, PriorError, _map_strategy
+from .priors import LatentStatePrior, PairwisePrior, PermutationMap, PriorError, _map_strategy
 from .tolerances import PROBABILITY_TOL, STOCHASTIC_TOL
 
 __all__ = [
@@ -111,7 +111,7 @@ class StrategyProfile:
         return self.thetas.shape[1]
 
 
-def check_signal_count(prior: PairwisePrior, m: int):
+def check_signal_count(prior: PairwisePrior | LatentStatePrior, m: int):
     """Raise unless strategies over ``m`` signals fit the prior's signal space."""
     if m != prior.m:
         raise ProfileError(f"the prior has {prior.m} signals but the strategies have {m}")

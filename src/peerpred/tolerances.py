@@ -2,9 +2,9 @@
 
 Each constant says what it guards.  Most functions read their constant
 directly; a tolerance is a keyword default only where callers choose it:
-``validate_snife`` (``validate-prior --tol``), ``build_pairwise_prior``,
-``check_equilibrium`` (``check-eq --eps``) and the prediction solvers.  The
-acceptance criteria in :mod:`peerpred.acceptance` pin their own thresholds.
+``validate_snife`` (``validate-prior --tol``) and ``check_equilibrium``
+(``check-eq --eps``).  The acceptance criteria in :mod:`peerpred.acceptance`
+pin their own thresholds.
 """
 
 __all__ = [
@@ -28,9 +28,8 @@ __all__ = [
 # strategy of the far-from-permutation audit.  It admits vectors
 # written out to nine or more digits, as in hand-entered files.
 PROBABILITY_TOL = 1e-9
-# Default tolerance of a pairwise prior given as input: its stochasticity and
-# symmetry in ``build_pairwise_prior``, and the margins of the assumption
-# checks in ``validate_snife`` (``validate-prior --tol``).
+# Default margin of the assumption checks in ``validate_snife``
+# (``validate-prior --tol``), the symmetry check among them.
 DEFAULT_TOL = 1e-9
 # Margin of the assumption checks that ``random_snife_prior`` demands of a
 # sampled prior: wider than DEFAULT_TOL, so sampled priors keep clear of the
@@ -41,9 +40,8 @@ SAMPLED_PRIOR_TOL = 1e-6
 #
 # Largest |column sum - 1| of a signal strategy that a profile holds.
 STOCHASTIC_TOL = 1e-12
-# Most that an exact prediction solve's residual may exceed its own roundoff, per
-# unit of max(1, beta/alpha), as the residual of any backward-stable solve grows
-# like 1 + beta/alpha; a member past it is solved again by the dense solve.
+# Most that an exact prediction solve's residual may exceed its own roundoff; a
+# member past it takes one step of iterative refinement.
 SOLVER_TOL = 1e-12
 # Largest best-response gain at which ``check_equilibrium`` (and
 # ``check-eq --eps``) still calls a profile an equilibrium.

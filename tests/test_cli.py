@@ -1,12 +1,16 @@
 import contextlib
 import csv
+import importlib
+import inspect
 import io
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import equilibrium_rows
+import peerpred
 from peerpred import cli
 from peerpred.cli import CliError, main
 from peerpred.equilibrium import check_equilibrium, solved_profile
@@ -141,6 +146,13 @@ class TestValidatePrior:
         out = capsys.readouterr().out
         assert code == 2
         assert "finegrained,False,0;1" in out
+
+    def test_asymmetric_joint_named_with_its_witness(self, tmp_path, capsys):
+        # q(s1) q(s3|s1) = 0.7/3 but q(s3) q(s1|s3) = 0.3/3: the largest gap
+        path = tmp_path / "prior.json"
+        path.write_text(json.dumps(EXAMPLE_PRIOR))
+        assert main(["validate-prior", "--in", str(path)]) == 2
+        assert "\nsymmetric,False,0;2\n" in capsys.readouterr().out
 
     def test_valid_prior_exits_0(self, prior_file, capsys):
         assert main(["validate-prior", "--in", prior_file]) == 0
@@ -769,6 +781,30 @@ class TestErrorsAndDeterminism:
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: io: invalid {what} in {path}: {message}\n"
 
+    @pytest.mark.parametrize(
+        "data, unknown",
+        [
+            (
+                prior_to_dict(random_snife_prior(2, 2, seed=3)),
+                "'signals', 'kind', 'state_probs', 'emissions'",
+            ),
+            ({"alpha": 1.0, "Beta": 0.5}, "'Beta'"),
+        ],
+        ids=["prior-file", "typo"],
+    )
+    def test_unknown_mechanism_fields_exit_1(self, tmp_path, prior_file, data, unknown, capsys):
+        """A mechanism file with a field it does not define, such as a prior
+        file given as --mech or a misspelt field, is refused, not read for
+        its defaults."""
+        path = tmp_path / "mech.json"
+        path.write_text(json.dumps(data))
+        argv = ["payout", "--prior", prior_file, "--profile", "truth", "--n", "3", "--trials", "3"]
+        assert main([*argv, "--mech", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: io: invalid mechanism in {path}: unknown fields {unknown}; "
+            "a mechanism has alpha, beta, rule, variant, groupA\n"
+        )
+
     def test_unreadable_file_exits_1(self, tmp_path, capsys):
         """A path that exists but cannot be read as a file, here a directory."""
         assert main(["welfare", "--prior", str(tmp_path), "--profile", "truth"]) == 1
@@ -868,6 +904,49 @@ class TestErrorsAndDeterminism:
         first = capsys.readouterr().out
         assert main(argv) == 0
         assert capsys.readouterr().out == first
+
+
+def package_value_errors():
+    """Every ValueError subclass defined in a module of the package."""
+    found = []
+    for info in pkgutil.iter_modules(peerpred.__path__):
+        module = importlib.import_module(f"peerpred.{info.name}")
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if issubclass(cls, ValueError) and cls.__module__ == module.__name__:
+                found.append(cls)
+    return found
+
+
+class TestErrorLines:
+    """Exit 1 and one error line for an exception raised by a handler: a
+    package error names its module, anything else is printed alone."""
+
+    def run_raising(self, exc, capsys):
+        def handler(args):
+            raise exc
+
+        with mock.patch.dict(cli._COMMANDS, {"gen-prior": handler}):
+            assert main(["gen-prior", "--m", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        return err
+
+    def test_walk_finds_the_package_errors(self):
+        names = {cls.__name__ for cls in package_value_errors()}
+        assert {"FormatError", "PriorError", "MechanismError", "AuditError"} <= names
+
+    @pytest.mark.parametrize("cls", package_value_errors(), ids=lambda cls: cls.__name__)
+    def test_package_errors_name_their_module(self, cls, capsys):
+        module = cls.__module__.rpartition(".")[2]
+        err = self.run_raising(cls("bad input"), capsys)
+        assert err == f"error: {module}: bad input\n"
+
+    @pytest.mark.parametrize(
+        "exc", [np.linalg.LinAlgError("Singular matrix"), MemoryError("Unable to allocate")],
+        ids=["LinAlgError", "MemoryError"],
+    )
+    def test_other_errors_print_alone(self, exc, capsys):
+        assert self.run_raising(exc, capsys) == f"error: {exc}\n"
 
 
 class TestFuzz:

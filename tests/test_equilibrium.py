@@ -17,8 +17,9 @@ from peerpred.equilibrium import (
 )
 from peerpred.mechanism import MechanismConfig
 from peerpred.priors import (
+    PairwisePrior,
     PermutationMap,
-    build_pairwise_prior,
+    SignalSpace,
     from_latent,
     random_snife_prior,
 )
@@ -197,7 +198,7 @@ def non_psd_pairwise_prior(rng, m):
         joint = (joint + joint.T) / np.sum(joint + joint.T)
         if np.linalg.eigvalsh(joint).min() < 0.0:
             marginal = joint.sum(axis=0)
-            return build_pairwise_prior(marginal, joint / marginal)
+            return PairwisePrior(SignalSpace.of_size(m), marginal, joint / marginal)
 
 
 @pytest.fixture(scope="module")
@@ -431,7 +432,7 @@ class TestPredictionSolver:
     def test_singular_block_falls_back_to_dense(self):
         """Agent 0 always reports s1, so its block for report s1 is
         I + 1.25 q^T, singular for this prior; the exact tables hold zeros."""
-        prior = build_pairwise_prior([0.5, 0.5], [[0.1, 0.9], [0.9, 0.1]])
+        prior = PairwisePrior(SignalSpace.of_size(2), [0.5, 0.5], [[0.1, 0.9], [0.9, 0.1]])
         config = MechanismConfig(1.0, 1.25, "log")
         thetas = np.array([[[1.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 1.0]]])
         with pytest.raises(np.linalg.LinAlgError):
@@ -446,6 +447,33 @@ class TestPredictionSolver:
         assert stacked[0].tobytes() == predictions.tobytes() and bounds[0] == bound
         alone, _ = solve_equilibrium_predictions(config, prior, stack[1])
         assert stacked[1].tobytes() == alone.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 4),
+        st.integers(2, 64),
+        st.floats(-3.0, 6.0),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_dense_only_for_singular_blocks(self, m, n, log_ratio, latent, seed):
+        """Random strategies give no singular block, so no member is solved
+        densely, for beta/alpha in [1e-3, 1e6] and priors whose joint is PSD
+        (latent) or not; each bound covers the distance to the dense solve."""
+        rng = np.random.default_rng(seed)
+        if latent:
+            prior = from_latent(random_snife_prior(m, 2, seed=int(rng.integers(1000))))
+        else:
+            prior = non_psd_pairwise_prior(rng, m)
+        alpha = float(10.0 ** rng.uniform(-1.0, 1.0))
+        config = MechanismConfig(alpha, alpha * 10.0**log_ratio, "quadratic")
+        thetas = random_signal_strategies(rng, m, (3, n))
+        dense = solve_equilibrium_predictions_direct
+        with mock.patch.object(equilibrium, dense.__name__, wraps=dense) as spy:
+            predictions, bounds = solve_prediction_stack(config, prior, thetas)
+        assert spy.call_count == 0
+        for k in range(3):
+            assert np.max(np.abs(predictions[k] - dense(config, prior, thetas[k]))) <= bounds[k]
 
     @pytest.mark.parametrize("n", (8, 64))
     def test_roundoff_alone_does_not_go_dense(self, n):

@@ -58,6 +58,20 @@ class TestPriorFiles:
         with pytest.raises(FormatError, match="kind"):
             prior_from_dict({"signals": ["a", "b"], "kind": "copula"})
 
+    @pytest.mark.parametrize(
+        "marginal, conditional, message",
+        [
+            ([0.5, 0.5], [[0.6, 0.5], [0.6, 0.5]], "conditional columns are not stochastic"),
+            ([0.5, 0.5], [[1.2, 0.5], [-0.2, 0.5]], "conditional columns are not stochastic"),
+            ([0.6, 0.6], [[0.5, 0.5], [0.5, 0.5]], "marginal is not a probability vector"),
+            ([1.2, -0.2], [[0.5, 0.5], [0.5, 0.5]], "marginal is not a probability vector"),
+        ],
+    )
+    def test_pairwise_must_be_stochastic(self, marginal, conditional, message):
+        data = {"signals": ["a", "b"], "marginal": marginal, "conditional": conditional}
+        with pytest.raises(FormatError, match=f"invalid prior: {message}"):
+            prior_from_dict(data)
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -25,9 +25,10 @@ from peerpred.mechanism import (
     welfare_metrics,
     zero_sum_group_scores,
 )
-from peerpred.priors import PermutationMap, build_pairwise_prior, from_latent, random_snife_prior
+from peerpred.priors import PairwisePrior, PermutationMap, from_latent, random_snife_prior
 from peerpred.scoring import ProperScoringRule
 from peerpred.strategy import (
+    ProfileError,
     StrategyProfile,
     constant_report_profile,
     counterexample_profile,
@@ -577,7 +578,7 @@ class TestWelfareAgainstPairwiseOracle:
         base = cached_prior(m, 0)
         conditional = base.conditional.copy()
         conditional[:2, 1] += (4e-10, -4e-10)
-        prior = build_pairwise_prior(base.marginal, conditional)
+        prior = PairwisePrior(base.space, base.marginal, conditional)
         assert prior.symmetry_residual() > 1e-11
         rng = np.random.default_rng(m)
         profile = typed_profile(rng, m, rng.permutation(np.r_[np.arange(6).repeat(3), 6 + np.arange(12)]))
@@ -1074,7 +1075,7 @@ class TestMonteCarloStreams:
 
     def test_signal_count_mismatch_rejected(self, latent3):
         profile = truth_telling_profile(from_latent(random_snife_prior(2, 2, seed=1)), 4)
-        with pytest.raises(MechanismError, match="signals"):
+        with pytest.raises(ProfileError, match="signals"):
             monte_carlo_payments(MechanismConfig(), latent3, profile, trials=10)
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])

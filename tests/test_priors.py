@@ -11,7 +11,6 @@ from peerpred.priors import (
     SignalSpace,
     TheoremBounds,
     all_permutations,
-    build_pairwise_prior,
     from_latent,
     permute_prior,
     prior_constants,
@@ -58,29 +57,18 @@ class TestSignalSpace:
         assert SignalSpace.of_size(3).labels == ("s1", "s2", "s3")
 
 
-class TestBuildPairwisePrior:
-    def test_iid_binary_accepted(self):
-        prior = build_pairwise_prior([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]])
+class TestPairwisePrior:
+    def test_iid_binary_symmetric(self):
+        prior = PairwisePrior(SignalSpace.of_size(2), [0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]])
         assert prior.symmetry_residual() == 0.0
 
-    def test_example_conditional_rejected_for_symmetry(self):
-        # q(s1) q(s3|s1) = 0.7/3 but q(s3) q(s1|s3) = 0.3/3: no marginal fixes it
-        with pytest.raises(PriorError, match="symmetry"):
-            build_pairwise_prior(np.full(3, 1 / 3), EXAMPLE_CONDITIONAL)
+    def test_marginal_shape_checked(self):
+        with pytest.raises(PriorError, match="marginal shape"):
+            PairwisePrior(SignalSpace.of_size(2), np.full(3, 1 / 3), [[0.5, 0.5], [0.5, 0.5]])
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(PriorError):
-            build_pairwise_prior([0.5, 0.5], np.full((3, 3), 1 / 3))
-
-    def test_nonstochastic_column(self):
-        with pytest.raises(PriorError, match="stochastic"):
-            build_pairwise_prior([0.5, 0.5], [[0.6, 0.5], [0.6, 0.5]])
-
-    def test_latent_built_priors_accepted(self):
-        latent = random_snife_prior(3, 2, seed=0)
-        pw = from_latent(latent)
-        rebuilt = build_pairwise_prior(pw.marginal, pw.conditional, tol=1e-12)
-        assert rebuilt.symmetry_residual() <= 1e-15
+    def test_conditional_shape_checked(self):
+        with pytest.raises(PriorError, match="conditional shape"):
+            PairwisePrior(SignalSpace.of_size(2), [0.5, 0.5], np.full((3, 3), 1 / 3))
 
 
 class TestSampleCategorical:
@@ -293,7 +281,7 @@ class TestRandomSnifePrior:
 
 class TestPriorConstants:
     def test_iid_binary(self):
-        prior = build_pairwise_prior([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]])
+        prior = PairwisePrior(SignalSpace.of_size(2), [0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]])
         consts = prior_constants(prior)
         assert consts.c1 == 0.5
         assert consts.c2 == 0.25
@@ -373,6 +361,6 @@ class TestTheoremBounds:
         assert bounds.tau2(n) > 0
 
     def test_degenerate_constants_rejected(self):
-        prior = build_pairwise_prior([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]])
+        prior = PairwisePrior(SignalSpace.of_size(2), [0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]])
         with pytest.raises(PriorError):
             TheoremBounds(prior_constants(prior), m=2)
