@@ -189,12 +189,14 @@ def solve_prediction_stack(
     sup-norm error is at most ||lhs x - rhs|| / alpha: the bound, widened by
     the roundoff of the residual's terms.  A member whose residual exceeds
     that roundoff by more than ``SOLVER_TOL`` takes one step of iterative
-    refinement, a Woodbury solve of its residual; a member with a singular
-    block or a non-finite bound is solved densely instead, and no other (from
-    beta/alpha of about 1e5 the dense residual is no smaller).  The exact
-    solution is non-negative, so solutions are clipped at 0.  Each member's
-    result is the one it gets alone, bit for bit; a pass holds at most
-    ``_BLOCK_CELLS // (n m^4)`` members (at least one).
+    refinement, a Woodbury solve of its residual.  A member is solved densely
+    instead when its bound is not finite (a singular block) or its residual
+    still exceeds that roundoff by more than ``SOLVER_TOL * max(1,
+    beta/alpha)`` (the residual of any backward-stable solve grows like 1 +
+    beta/alpha), as after a nearly singular block, which LAPACK does not
+    flag.  The exact solution is non-negative, so solutions are clipped at 0.
+    Each member's result is the one it gets alone, bit for bit; a pass holds
+    at most ``_BLOCK_CELLS // (n m^4)`` members (at least one).
 
     The system's condition number grows like beta/alpha: from beta/alpha of
     about 1e8 the solved tables miss the simplex by more than a prediction
@@ -244,8 +246,10 @@ def _solve_pass(config, prior, thetas, predictions, bounds):
         x = predictions[refine]
         x -= _woodbury_solve(config, prior, *some, rhs=_residual(config, prior, *some, x)[0])
         predictions[refine] = np.maximum(x, 0.0)
-        bounds[refine] = _error_bounds(config, prior, *some, predictions[refine])[0]
-    for k in np.flatnonzero(~np.isfinite(bounds)):  # a singular block left NaN, or overflow
+        bounds[refine], excess[refine] = _error_bounds(config, prior, *some, predictions[refine])
+    # a singular block leaves NaN; a nearly singular one, a finite but large excess
+    tol = SOLVER_TOL * max(1.0, config.beta / config.alpha)  # residuals grow with beta/alpha
+    for k in np.flatnonzero(~(np.isfinite(bounds) & (excess <= tol))):
         dense, one = solve_equilibrium_predictions_direct(config, prior, thetas[k]), slice(k, k + 1)
         predictions[k] = np.maximum(dense, 0.0)
         bounds[one] = _error_bounds(config, prior, thetas[one], anchors[one], predictions[one])[0]

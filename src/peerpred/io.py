@@ -65,7 +65,8 @@ class FormatError(ValueError):
     """Raised for malformed input files."""
 
 
-_MECHANISM_FIELDS = ("alpha", "beta", "rule", "variant", "groupA")
+# the keys that save_mechanism writes, read back by mechanism_from_dict
+_MECHANISM_FIELDS = tuple(MechanismConfig(group_a=(0,)).to_dict())
 
 
 def _require(data: dict, key: str, path=None) -> object:

@@ -40,8 +40,10 @@ SAMPLED_PRIOR_TOL = 1e-6
 #
 # Largest |column sum - 1| of a signal strategy that a profile holds.
 STOCHASTIC_TOL = 1e-12
-# Most that an exact prediction solve's residual may exceed its own roundoff; a
-# member past it takes one step of iterative refinement.
+# Most that an exact prediction solve's residual may exceed its own roundoff: a
+# member past it takes one step of iterative refinement, and a member still past
+# it per unit of max(1, beta/alpha) (the residual of any backward-stable solve
+# grows like 1 + beta/alpha) is solved again by the dense solve.
 SOLVER_TOL = 1e-12
 # Largest best-response gain at which ``check_equilibrium`` (and
 # ``check-eq --eps``) still calls a profile an equilibrium.

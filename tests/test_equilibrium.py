@@ -398,11 +398,11 @@ class TestPredictionSolver:
             error = np.max(np.abs(x_exact - x_direct))
             assert error <= bound < 1e-12
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
         st.integers(2, 4),
         st.integers(2, 64),
-        st.floats(-3.0, 3.0),
+        st.floats(-3.0, 6.0),
         st.booleans(),
         st.integers(0, 2**32 - 1),
     )
@@ -411,9 +411,10 @@ class TestPredictionSolver:
     # one until a refinement step
     @example(m=3, n=2, log_ratio=3.0, latent=False, seed=3)
     def test_members_match_dense_oracle(self, m, n, log_ratio, latent, seed):
-        """Every member lies within 1e-12 of the dense solve, and its bound
-        is at least the distance, for beta/alpha in [1e-3, 1e3] and priors
-        whose joint is PSD (latent) or not."""
+        """For beta/alpha in [1e-3, 1e6] and priors whose joint is PSD
+        (latent) or not, random strategies send no member dense, and each
+        bound is at least the distance to the dense solve, which is within
+        1e-12 up to beta/alpha = 1e3."""
         rng = np.random.default_rng(seed)
         if latent:
             prior = from_latent(random_snife_prior(m, 2, seed=int(rng.integers(1000))))
@@ -422,11 +423,14 @@ class TestPredictionSolver:
         alpha = float(10.0 ** rng.uniform(-1.0, 1.0))
         config = MechanismConfig(alpha, alpha * 10.0**log_ratio, "quadratic")
         thetas = random_signal_strategies(rng, m, (3, n))
-        predictions, bounds = solve_prediction_stack(config, prior, thetas)
+        dense = solve_equilibrium_predictions_direct
+        with mock.patch.object(equilibrium, dense.__name__, wraps=dense) as spy:
+            predictions, bounds = solve_prediction_stack(config, prior, thetas)
+        assert spy.call_count == 0
         for k in range(3):
-            dense = solve_equilibrium_predictions_direct(config, prior, thetas[k])
-            error = np.max(np.abs(predictions[k] - dense))
-            assert error <= 1e-12
+            error = np.max(np.abs(predictions[k] - dense(config, prior, thetas[k])))
+            if log_ratio <= 3.0:
+                assert error <= 1e-12
             assert bounds[k] >= error
 
     def test_singular_block_falls_back_to_dense(self):
@@ -448,32 +452,21 @@ class TestPredictionSolver:
         alone, _ = solve_equilibrium_predictions(config, prior, stack[1])
         assert stacked[1].tobytes() == alone.tobytes()
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.integers(2, 4),
-        st.integers(2, 64),
-        st.floats(-3.0, 6.0),
-        st.booleans(),
-        st.integers(0, 2**32 - 1),
+    @pytest.mark.parametrize(
+        "beta",
+        (np.nextafter(1.25, 2.0), np.nextafter(1.25, 0.0), 1.25 * (1 + 1e-13), 1.25 * (1 - 1e-13)),
     )
-    def test_dense_only_for_singular_blocks(self, m, n, log_ratio, latent, seed):
-        """Random strategies give no singular block, so no member is solved
-        densely, for beta/alpha in [1e-3, 1e6] and priors whose joint is PSD
-        (latent) or not; each bound covers the distance to the dense solve."""
-        rng = np.random.default_rng(seed)
-        if latent:
-            prior = from_latent(random_snife_prior(m, 2, seed=int(rng.integers(1000))))
-        else:
-            prior = non_psd_pairwise_prior(rng, m)
-        alpha = float(10.0 ** rng.uniform(-1.0, 1.0))
-        config = MechanismConfig(alpha, alpha * 10.0**log_ratio, "quadratic")
-        thetas = random_signal_strategies(rng, m, (3, n))
-        dense = solve_equilibrium_predictions_direct
-        with mock.patch.object(equilibrium, dense.__name__, wraps=dense) as spy:
-            predictions, bounds = solve_prediction_stack(config, prior, thetas)
-        assert spy.call_count == 0
-        for k in range(3):
-            assert np.max(np.abs(predictions[k] - dense(config, prior, thetas[k]))) <= bounds[k]
+    def test_nearly_singular_block_matches_dense(self, beta):
+        """Next to test_singular_block_falls_back_to_dense's beta the block
+        is nearly singular and LAPACK raises nothing; a Woodbury solve whose
+        residual stays large after refinement goes dense, so the tables still
+        sum to 1 and lie within their bound of the dense solve."""
+        prior = PairwisePrior(SignalSpace.of_size(2), [0.5, 0.5], [[0.1, 0.9], [0.9, 0.1]])
+        config = MechanismConfig(1.0, float(beta), "log")
+        thetas = np.array([[[1.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 1.0]]])
+        predictions, bound = solve_equilibrium_predictions(config, prior, thetas)
+        dense = solve_equilibrium_predictions_direct(config, prior, thetas)
+        assert np.max(np.abs(predictions - dense)) <= bound <= 1e-12
 
     @pytest.mark.parametrize("n", (8, 64))
     def test_roundoff_alone_does_not_go_dense(self, n):
