@@ -19,7 +19,7 @@ import numpy as np
 from .divergence import hellinger
 from .equilibrium import check_equilibrium, solve_prediction_stack
 from .mechanism import _BLOCK_CELLS, MechanismConfig, welfare_batch, welfare_metrics
-from .priors import PairwisePrior, PermutationMap, PriorError, permute_prior, prior_constants
+from .priors import PairwisePrior, PermutationMap, permute_prior, prior_constants
 from .strategy import (
     StrategyProfile,
     agent_types,
@@ -38,7 +38,6 @@ __all__ = [
     "AuditError",
     "classification_bound_audit",
     "aggregation_error_audit",
-    "best_prediction_total_divergence",
     "far_from_permutation_gap",
     "relabeling_cycle_audit",
     "sweep_row",
@@ -87,10 +86,10 @@ def classification_bound_audit(
     best predictions on every realized report cell; both are reported.
 
     The left side is the profile's :func:`welfare_metrics`.  Best predictions
-    ignore the report, so the right side is
-    :func:`best_prediction_total_divergence` of the signal strategies, one
-    scan over the pairs of agent types' anchors theta_minus q_s; the same
-    anchors give the distance of the profile's predictions to them.
+    ignore the report, so the right side is :func:`_anchor_divergence` of
+    the signal strategies, one scan over the pairs of agent types' anchors
+    theta_minus q_s; the same anchors give the distance of the profile's
+    predictions to them.
     """
     thetas = profile.thetas
     anchors = prediction_anchors(prior, thetas)  # [i, s, coordinate]
@@ -157,8 +156,19 @@ def _anchor_pairs(type_anchors: np.ndarray):
 
 
 def _anchor_divergence(prior: PairwisePrior, anchors, first, counts) -> float:
-    """:func:`best_prediction_total_divergence` from every agent's anchors
-    (n, m, m) and the agent types (first agent, count) of the strategies."""
+    """Total divergence of signal strategies played with best predictions,
+    the right side of the classification bound, from every agent's anchors
+    (n, m, m) and the agent types (first agent, count) of the strategies.
+
+    Agent i's best prediction theta_minus[i] q_s ignores the report, so the
+    total divergence is the sum over ordered agent pairs j != k and signal
+    pairs (a, b) of joint[a, b] D*(anchor[j, a], anchor[k, b]) / (n (n - 1)).
+    With c_t agents of type t (byte-identical strategies, hence anchors),
+    the sum runs over the scan of :func:`_anchor_pairs`: each pair of types
+    once, weighted c_t (c_u - [t = u]) by the symmetric part of the joint,
+    and twice when the types differ.  Every term is non-negative, so nothing
+    cancels.  O(T^2 m^3 / 2) time for T agent types.
+    """
     n, m = anchors.shape[0], anchors.shape[1]
     # both orders of a pair of types hold the same D*, so twice the symmetric
     # part of the joint weighs the pair in either order
@@ -176,23 +186,6 @@ def _anchor_divergence(prior: PairwisePrior, anchors, first, counts) -> float:
         # the block's D* at each signal pair (a, b), weighted by agent pairs
         total += np.vdot(twice_sym, pairs.reshape(-1) @ dstar.reshape(m, -1, m))
     return 0.5 * float(total) / (n * (n - 1))
-
-
-def best_prediction_total_divergence(prior: PairwisePrior, thetas: np.ndarray) -> float:
-    """Total divergence of the signal strategies ``thetas`` (n, m, m) played
-    with best predictions: the right side of the classification bound.
-
-    Agent i's best prediction theta_minus[i] q_s ignores the report, so the
-    total divergence is the sum over ordered agent pairs j != k and signal
-    pairs (a, b) of joint[a, b] D*(anchor[j, a], anchor[k, b]) / (n (n - 1)).
-    With c_t agents of type t (byte-identical strategies, hence anchors),
-    the sum runs over the scan of :func:`_anchor_pairs`: each pair of types
-    once, weighted c_t (c_u - [t = u]) by the symmetric part of the joint,
-    and twice when the types differ.  Every term is non-negative, so nothing
-    cancels.  O(T^2 m^3 / 2) time for T agent types.
-    """
-    thetas = np.asarray(thetas, dtype=float)
-    return _anchor_divergence(prior, prediction_anchors(prior, thetas), *agent_types(thetas))
 
 
 def aggregation_error_audit(
@@ -303,16 +296,13 @@ def relabeling_cycle_audit(
     cycle.  The 2 ord + 1 scenarios are scored as one batch, each bit for bit
     as alone.
     """
-    if perm.m != prior.m:
-        raise PriorError(f"permutation on {perm.m} signals, prior has {prior.m}")
-    if perm.is_identity:
-        raise AuditError("the relabeling cycle needs a non-identity permutation")
-
-    permuted_profile = permute_profile(profile, perm)
     order = perm.order
     priors_k = [prior]
     for _ in range(order):
         priors_k.append(permute_prior(priors_k[-1], perm))
+    if perm.is_identity:
+        raise AuditError("the relabeling cycle needs a non-identity permutation")
+    permuted_profile = permute_profile(profile, perm)
 
     # one batch: (Q_k, s) for k = 0..ord, then (Q_k, perm(s)) for k < ord
     scenarios = welfare_batch(

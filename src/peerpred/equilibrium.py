@@ -198,10 +198,12 @@ def solve_prediction_stack(
     Each member's result is the one it gets alone, bit for bit; a pass holds
     at most ``_BLOCK_CELLS // (n m^4)`` members (at least one).
 
-    The system's condition number grows like beta/alpha: from beta/alpha of
-    about 1e8 the solved tables miss the simplex by more than a prediction
+    The system's condition number grows like beta/alpha: past some
+    beta/alpha the solved tables miss the simplex by more than a prediction
     may (``PROBABILITY_TOL``), and :class:`MechanismError` is raised, naming
-    beta/alpha and the miss.
+    beta/alpha and the miss.  Where depends on the prior and the profile:
+    over the random stacks and (m, n) grids measured, the first raise came
+    between beta/alpha = 2.1e6 and 1e8.
     """
     thetas = np.asarray(thetas, dtype=float)
     size, n, m = thetas.shape[0], thetas.shape[1], thetas.shape[2]

@@ -109,10 +109,6 @@ class PairwisePrior:
     def m(self) -> int:
         return self.space.m
 
-    def q_sigma(self, s: int) -> np.ndarray:
-        """Peer-signal distribution conditioned on own signal ``s``."""
-        return self.conditional[:, s]
-
     def joint(self) -> np.ndarray:
         """Joint ``J[a, b] = Pr(peer = a, own = b) = q(a|b) q(b)``.
 
@@ -138,6 +134,8 @@ class LatentStatePrior:
     state_probs: np.ndarray
     emissions: np.ndarray
 
+    # an overflowing sum is inf, which fails the checks it feeds
+    @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
         probs = np.asarray(self.state_probs, dtype=float)
         emissions = np.asarray(self.emissions, dtype=float)
@@ -268,26 +266,13 @@ class PermutationMap:
     def m(self) -> int:
         return len(self.mapping)
 
-    def __call__(self, s: int) -> int:
-        return self.mapping[s]
-
     @property
     def is_identity(self) -> bool:
         return self.order == 1
 
-    def inverse(self) -> "PermutationMap":
-        inv = [0] * self.m
-        for s, img in enumerate(self.mapping):
-            inv[img] = s
-        return PermutationMap(tuple(inv))
-
     def matrix(self) -> np.ndarray:
         """The induced 0/1 signal strategy: row ``mapping[s]``, column ``s`` is 1."""
         return _map_strategy(self.mapping)
-
-    @classmethod
-    def identity(cls, m: int) -> "PermutationMap":
-        return cls(tuple(range(m)))
 
 
 def _map_strategy(images) -> np.ndarray:
@@ -330,7 +315,7 @@ class PriorConstants:
 
 @dataclass(frozen=True)
 class TheoremBounds:
-    """Closed-form welfare/closeness bounds parameterized by the prior constants;
+    """The closed-form welfare-gap bound gamma2(n) for a prior's constants;
     raises :class:`PriorError` if any constant is non-positive."""
 
     constants: PriorConstants
@@ -340,19 +325,11 @@ class TheoremBounds:
         if not self.constants.all_positive:
             raise PriorError(f"bounds need strictly positive constants, got {self.constants}")
 
-    def tau1(self, gamma1: float) -> float:
-        c = self.constants
-        return (1.0 / c.c1) * np.cbrt(gamma1 / (c.c2 * c.c3 * c.c4))
-
     def gamma2(self, n: int) -> float:
         return 4.0 * np.sqrt(2.0) * self.m / np.sqrt(n)
 
-    def tau2(self, n: int) -> float:
-        c = self.constants
-        prod = c.c2 * c.c3 * c.c4
-        return (128.0 * self.m**2 / (n * c.c1**6 * prod**2)) ** (1.0 / 6.0)
 
-
+@np.errstate(over="ignore", invalid="ignore")
 def _check_stochastic(prior: PairwisePrior):
     """Raise :class:`PriorError` unless the marginal and every conditional
     column are non-negative and sum to 1 within ``PROBABILITY_TOL``."""
@@ -441,8 +418,8 @@ def validate_snife(prior: PairwisePrior, tol: float = DEFAULT_TOL) -> Assumption
 def permute_prior(prior: PairwisePrior, perm: PermutationMap) -> PairwisePrior:
     """Relabel signals: q'(perm(s)) = q(s), q'(perm(a)|perm(b)) = q(a|b).
 
-    Pure reindexing, so permuting by ``perm`` then ``perm.inverse()`` restores
-    the input bit-exactly.
+    Pure reindexing, so permuting by ``perm`` and then by its inverse
+    permutation restores the input bit-exactly.
     """
     if perm.m != prior.m:
         raise PriorError(f"permutation on {perm.m} signals, prior has {prior.m}")
@@ -484,6 +461,8 @@ def random_snife_prior(m: int, num_states: int = 2, seed: int = 0) -> LatentStat
     )
 
 
+# a ratio past the float range is inf; the NaN spreads it gives are passed over
+@np.errstate(over="ignore", invalid="ignore")
 def prior_constants(prior: PairwisePrior) -> PriorConstants:
     """Evaluate c1..c4 for a prior with strictly positive conditionals."""
     c = prior.conditional

@@ -55,6 +55,8 @@ def validate_signal_strategy(theta: np.ndarray) -> np.ndarray:
     return theta
 
 
+# an overflowing sum is inf, which fails the checks it feeds
+@np.errstate(over="ignore", invalid="ignore")
 def _check_columns(thetas: np.ndarray, tol: float = STOCHASTIC_TOL):
     """Raise for the first strategy of the stack ``thetas`` (k, m, m) with an
     entry that is not a non-negative number or a column that does not sum to 1.
@@ -81,6 +83,7 @@ class StrategyProfile:
     thetas: np.ndarray
     predictions: np.ndarray
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
         thetas = np.asarray(self.thetas, dtype=float)
         predictions = np.asarray(self.predictions, dtype=float)
@@ -269,7 +272,7 @@ def permute_profile(profile: StrategyProfile, perm: PermutationMap) -> StrategyP
 
     The returned profile plays, at private signal s, whatever the input plays
     at perm(s): theta'[r, s] = theta[r, perm(s)] and P'[s, r] = P[perm(s), r].
-    Composing with ``perm.inverse()`` restores the input bit-exactly.  Paired
+    Composing with the inverse permutation restores the input bit-exactly.  Paired
     with the inversely-permuted prior this realizes the relabeled scenario
     whose welfare matches the original.
     """

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from peerpred.audits import _anchor_divergence
 from peerpred.mechanism import MechanismConfig
-from peerpred.priors import from_latent, random_snife_prior
-from peerpred.strategy import StrategyProfile, prediction_anchors
+from peerpred.priors import PermutationMap, from_latent, random_snife_prior
+from peerpred.strategy import StrategyProfile, agent_types, prediction_anchors
 
 
 def simplex(m, min_value=1e-3):
@@ -25,6 +26,21 @@ def best_prediction_profile(profile, prior):
     anchors = prediction_anchors(prior, profile.thetas)
     predictions = np.broadcast_to(anchors[:, :, None, :], profile.predictions.shape)
     return StrategyProfile(profile.thetas, predictions.copy())
+
+
+def best_prediction_total_divergence(prior, thetas):
+    """The classification bound's right side for the signal strategies
+    ``thetas`` (n, m, m) alone, by the scan the audit runs."""
+    thetas = np.asarray(thetas, dtype=float)
+    return _anchor_divergence(prior, prediction_anchors(prior, thetas), *agent_types(thetas))
+
+
+def inverse_permutation(perm):
+    """The :class:`~peerpred.priors.PermutationMap` that undoes ``perm``."""
+    images = [0] * perm.m
+    for s, image in enumerate(perm.mapping):
+        images[image] = s
+    return PermutationMap(tuple(images))
 
 
 def equilibrium_rows(report):

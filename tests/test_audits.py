@@ -7,12 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import best_prediction_profile
+from conftest import best_prediction_profile, best_prediction_total_divergence
 from peerpred import audits, mechanism
 from peerpred.audits import (
     AuditError,
     aggregation_error_audit,
-    best_prediction_total_divergence,
     classification_bound_audit,
     far_from_permutation_gap,
     relabeling_cycle_audit,
@@ -27,7 +26,6 @@ from peerpred.priors import (
     PermutationMap,
     PriorError,
     SignalSpace,
-    TheoremBounds,
     all_permutations,
     from_latent,
     permute_prior,
@@ -326,13 +324,13 @@ class TestRelabelingCycle:
     def test_identity_rejected(self, prior3):
         with pytest.raises(AuditError, match="non-identity"):
             relabeling_cycle_audit(
-                prior3, truth_telling_profile(prior3, 4), PermutationMap.identity(3)
+                prior3, truth_telling_profile(prior3, 4), PermutationMap(tuple(range(3)))
             )
 
     def test_size_mismatch_checked_first(self, prior3):
         with pytest.raises(PriorError, match="2 signals, prior has 3"):
             relabeling_cycle_audit(
-                prior3, truth_telling_profile(prior3, 4), PermutationMap.identity(2)
+                prior3, truth_telling_profile(prior3, 4), PermutationMap(tuple(range(2)))
             )
 
     def test_truth_binary_swap(self, prior2):
@@ -401,8 +399,8 @@ class TestTheoremConsequences:
             if tau_closeness(theta) <= 1e-12:
                 continue
             best_drop = max(
-                float(hellinger(prior.q_sigma(a), prior.q_sigma(b)))
-                - float(hellinger(theta @ prior.q_sigma(a), theta @ prior.q_sigma(b)))
+                float(hellinger(prior.conditional[:, a], prior.conditional[:, b]))
+                - float(hellinger(theta @ prior.conditional[:, a], theta @ prior.conditional[:, b]))
                 for a in range(3)
                 for b in range(3)
                 if a != b
@@ -431,7 +429,7 @@ class TestTheoremConsequences:
 
     def test_near_truth_scores_force_near_permutation(self, config):
         prior = from_latent(random_snife_prior(2, 2, seed=77))
-        bounds = TheoremBounds(prior_constants(prior), m=2)
+        c = prior_constants(prior)
         truth_score = welfare_metrics(prior, truth_telling_profile(prior, 6)).classification_score
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -441,6 +439,7 @@ class TestTheoremConsequences:
             gamma1 = truth_score - score
             if gamma1 <= 0:
                 gamma1 = 1e-12
-            tau1 = bounds.tau1(gamma1)
+            # the paper's closeness radius for the welfare loss gamma1
+            tau1 = np.cbrt(gamma1 / (c.c2 * c.c3 * c.c4)) / c.c1
             if tau1 < 1.0:
                 assert tau_closeness(theta) <= max(tau1, 1e-9)

@@ -751,17 +751,31 @@ class TestErrorsAndDeterminism:
                 [[[0.5, 0.5], [0.5, "0.5"]], [[0.5, 0.5], [0.5, 0.5]]],
                 "predictions entries must be numbers, got '0.5'",
             ),
+            # finite entries whose sums overflow
+            ("latent", "emissions", [[1e308, 1e308], [0.5, 0.5]],
+             "each emissions row must be a probability vector"),
+            ("pairwise", "marginal", [1e308, 1e308],
+             "marginal is not a probability vector within tolerance"),
+            ("profile", "theta", [[1e308, 0.0], [1e308, 1.0]], "columns must sum to 1, got [inf  1.]"),
+            (
+                "profile",
+                "predictions",
+                [[[1e308, 1e308], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]]],
+                "every prediction cell must be a probability vector",
+            ),
         ],
         ids=["big-alpha", "string-beta", "bool-alpha", "big-marginal", "string-marginal",
              "bool-state-probs", "string-emission", "string-in-ragged-emissions", "null-marginal",
-             "big-theta", "bool-theta", "string-prediction"],
+             "big-theta", "bool-theta", "string-prediction", "huge-emissions", "huge-marginal",
+             "huge-theta", "huge-prediction"],
     )
+    @pytest.mark.filterwarnings("error")
     def test_number_errors_in_files_exit_1(
         self, tmp_path, prior_file, kind, field, value, message, capsys
     ):
-        """An integer too large for a double, or a string, boolean or null where
-        a mechanism, prior or profile file holds a number: one error line, no
-        traceback."""
+        """An integer too large for a double, a string, boolean or null where
+        a mechanism, prior or profile file holds a number, or finite numbers
+        whose sums overflow: one error line, no traceback and no warning."""
         prior = from_latent(random_snife_prior(2, 2, seed=3))
         data = {
             "mechanism": {"alpha": 1.0, "beta": 0.05},

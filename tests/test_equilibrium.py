@@ -41,10 +41,10 @@ def oracle_terms(config, prior, profile, i, s):
     the other agents: (anchor, neighbor weight, mix, self-score) per report."""
     n = profile.n
     others = [j for j in range(n) if j != i]
-    anchor = profile.thetas[others].mean(axis=0) @ prior.q_sigma(s)
+    anchor = profile.thetas[others].mean(axis=0) @ prior.conditional[:, s]
     self_scores = config.scoring_rule().self_score(profile.predictions)
     # w[j, r, v] = q(v|s) * theta_j[r, v] / (n - 1)
-    w = prior.q_sigma(s)[None, None, :] * profile.thetas[others] / (n - 1)
+    w = prior.conditional[:, s][None, None, :] * profile.thetas[others] / (n - 1)
     weight = w.sum(axis=(0, 2))
     mix = np.einsum("jrv,jvru->ru", w, profile.predictions[others])
     self_score = np.einsum("jrv,jvr->r", w, self_scores[others])
@@ -215,7 +215,7 @@ class TestExpectedPayoff:
         rule = get_rule("log")
         for s in range(3):
             value = expected_conditional_payoff(config, prior, truth, 0, s)
-            expected = config.alpha * rule.expected_score(prior.q_sigma(s), prior.q_sigma(s))
+            expected = config.alpha * rule.expected_score(prior.conditional[:, s], prior.conditional[:, s])
             assert value == pytest.approx(expected, abs=1e-13)
 
     def test_wrong_signal_is_worse_at_its_best_prediction(self, setting):
@@ -239,7 +239,7 @@ class TestExpectedPayoff:
         theta_minus = (thetas.sum(axis=0)[None] - thetas) / (n - 1)
         report = check_equilibrium(config, prior, profile)
         for s in range(3):
-            anchor = theta_minus[1] @ prior.q_sigma(s)
+            anchor = theta_minus[1] @ prior.conditional[:, s]
             played = sum(
                 thetas[1, r, s] * rule.expected_score(anchor, profile.predictions[1, s, r])
                 for r in range(3)
@@ -256,7 +256,7 @@ class TestExpectedPayoff:
             ``weights``, each with that signal's posterior as prediction."""
             thetas, predictions = truth.thetas.copy(), truth.predictions.copy()
             thetas[0, :, 0] = [weights[0], weights[1], 0.0]
-            predictions[0, 0, :2] = [prior.q_sigma(0), prior.q_sigma(1)]
+            predictions[0, 0, :2] = [prior.conditional[:, 0], prior.conditional[:, 1]]
             profile = StrategyProfile(thetas, predictions)
             return expected_conditional_payoff(config, prior, profile, 0, 0)
 
@@ -272,7 +272,7 @@ class TestReportValues:
             for s in range(3):
                 values = report.values[i, s]
                 assert int(values.argmax()) == s
-                assert np.allclose(report.best_predictions[i, s, s], prior.q_sigma(s), atol=1e-12)
+                assert np.allclose(report.best_predictions[i, s, s], prior.conditional[:, s], atol=1e-12)
                 assert np.sum(values >= values[s] - 1e-12) == 1  # no tie
 
     def test_constant_report_opponents_mixture(self, setting):
@@ -284,8 +284,8 @@ class TestReportValues:
         for s in range(3):
             theta_minus = np.zeros((3, 3))
             theta_minus[2, :] = 1.0
-            anchor = theta_minus @ prior.q_sigma(s)
-            weight = float(prior.q_sigma(s).sum())  # all neighbors report 2
+            anchor = theta_minus @ prior.conditional[:, s]
+            weight = float(prior.conditional[:, s].sum())  # all neighbors report 2
             expected = (config.alpha * anchor + config.beta * weight * point) / (
                 config.alpha + config.beta * weight
             )
@@ -300,7 +300,7 @@ class TestReportValues:
         for beta in (1e-6, 1e-9):
             config = MechanismConfig(alpha=1.0, beta=beta, rule="quadratic")
             best = check_equilibrium(config, prior, profile).best_predictions[0, 1]
-            anchor = theta_minus[0] @ prior.q_sigma(1)
+            anchor = theta_minus[0] @ prior.conditional[:, 1]
             assert np.max(np.abs(best - anchor)) <= 5 * beta
 
     @pytest.mark.parametrize("rule", ["log", "quadratic"])
@@ -383,8 +383,8 @@ class TestPredictionSolver:
         predictions, _ = solve_equilibrium_predictions(config, prior, thetas)
         for i in range(4):
             for s in range(3):
-                target = perm.matrix() @ prior.q_sigma(s)
-                assert np.max(np.abs(predictions[i, s, perm(s)] - target)) <= 1e-12
+                target = perm.matrix() @ prior.conditional[:, s]
+                assert np.max(np.abs(predictions[i, s, perm.mapping[s]] - target)) <= 1e-12
 
     def test_exact_matches_direct(self, setting):
         prior, _ = setting

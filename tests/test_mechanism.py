@@ -407,7 +407,7 @@ class TestWelfareMetrics:
         assert wb.classification_score == wb.total_divergence == wb.diversity
         # direct double sum over signal pairs
         expected = sum(
-            prior3.joint()[a, b] * float(hellinger(prior3.q_sigma(a), prior3.q_sigma(b)))
+            prior3.joint()[a, b] * float(hellinger(prior3.conditional[:, a], prior3.conditional[:, b]))
             for a in range(3)
             for b in range(3)
         )

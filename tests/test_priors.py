@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import inverse_permutation
 from peerpred.priors import (
     LatentStatePrior,
     PairwisePrior,
@@ -190,7 +191,7 @@ class TestValidateSnife:
 
 class TestPermutePrior:
     def test_identity(self, prior3):
-        out = permute_prior(prior3, PermutationMap.identity(3))
+        out = permute_prior(prior3, PermutationMap(tuple(range(3))))
         assert np.array_equal(out.marginal, prior3.marginal)
         assert np.array_equal(out.conditional, prior3.conditional)
 
@@ -211,7 +212,7 @@ class TestPermutePrior:
 
     def test_round_trip_bit_exact(self, prior3):
         perm = PermutationMap((2, 0, 1))
-        back = permute_prior(permute_prior(prior3, perm), perm.inverse())
+        back = permute_prior(permute_prior(prior3, perm), inverse_permutation(perm))
         assert np.array_equal(back.marginal, prior3.marginal)
         assert np.array_equal(back.conditional, prior3.conditional)
 
@@ -243,7 +244,7 @@ class TestPermutationMap:
     def test_order(self):
         assert PermutationMap((1, 2, 0)).order == 3
         assert PermutationMap((1, 0)).order == 2
-        assert PermutationMap.identity(4).order == 1
+        assert PermutationMap(tuple(range(4))).order == 1
 
     def test_not_bijection(self):
         with pytest.raises(PriorError):
@@ -253,7 +254,7 @@ class TestPermutationMap:
         perm = PermutationMap((2, 0, 1))
         theta = perm.matrix()
         assert theta[2, 0] == 1.0 and theta[0, 1] == 1.0 and theta[1, 2] == 1.0
-        assert np.array_equal(perm.matrix() @ perm.inverse().matrix(), np.eye(3))
+        assert np.array_equal(perm.matrix() @ inverse_permutation(perm).matrix(), np.eye(3))
 
     def test_enumeration(self):
         assert len(all_permutations(2)) == 2
@@ -343,22 +344,6 @@ class TestTheoremBounds:
         bounds = TheoremBounds(prior_constants(prior3), m=3)
         n = 128 * 3 * 3
         assert bounds.gamma2(n) == pytest.approx(0.5)
-
-    def test_tau1_at_zero(self, prior3):
-        bounds = TheoremBounds(prior_constants(prior3), m=3)
-        assert bounds.tau1(0.0) == 0.0
-
-    def test_tau2_formula(self):
-        latent = LatentStatePrior(
-            SignalSpace.of_size(2), [0.5, 0.5], [[0.8, 0.2], [0.2, 0.8]]
-        )
-        consts = prior_constants(from_latent(latent))
-        bounds = TheoremBounds(consts, m=2)
-        n = 10_000
-        prod = consts.c2 * consts.c3 * consts.c4
-        expected = (128 * 4 / (n * consts.c1**6 * prod**2)) ** (1 / 6)
-        assert bounds.tau2(n) == pytest.approx(expected, rel=1e-12)
-        assert bounds.tau2(n) > 0
 
     def test_degenerate_constants_rejected(self):
         prior = PairwisePrior(SignalSpace.of_size(2), [0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import best_prediction_profile
+from conftest import best_prediction_profile, inverse_permutation
 from peerpred.priors import PermutationMap, all_permutations, from_latent, random_snife_prior
 from peerpred.strategy import (
     ProfileError,
@@ -50,14 +50,14 @@ class TestConstructors:
         profile = truth_telling_profile(prior2, 3)
         assert np.array_equal(profile.thetas[1], np.eye(2))
         for s in range(2):
-            assert np.array_equal(profile.predictions[0, s, s], prior2.q_sigma(s))
+            assert np.array_equal(profile.predictions[0, s, s], prior2.conditional[:, s])
             # off-path cells carry the reported signal's conditional
             other = 1 - s
-            assert np.array_equal(profile.predictions[0, s, other], prior2.q_sigma(other))
+            assert np.array_equal(profile.predictions[0, s, other], prior2.conditional[:, other])
         assert np.array_equal(prediction_anchors(prior2, profile.thetas)[0], prior2.conditional.T)
 
     def test_permutation_identity_is_truth(self, prior3):
-        profile = permutation_profile(prior3, 4, PermutationMap.identity(3))
+        profile = permutation_profile(prior3, 4, PermutationMap(tuple(range(3))))
         truth = truth_telling_profile(prior3, 4)
         assert np.array_equal(profile.thetas, truth.thetas)
         for s in range(3):
@@ -68,7 +68,7 @@ class TestConstructors:
         profile = permutation_profile(prior2, 3, swap)
         assert profile.thetas[0, 1, 0] == 1.0 and profile.thetas[0, 0, 1] == 1.0
         # prediction at (s, report pi(s)) is the relabeled conditional column
-        expected = swap.matrix() @ prior2.q_sigma(0)
+        expected = swap.matrix() @ prior2.conditional[:, 0]
         assert np.array_equal(profile.predictions[0, 0, 1], expected)
 
     def test_constant_report(self, prior3):
@@ -318,10 +318,8 @@ class TestBestPrediction:
         perm = PermutationMap((1, 2, 0))
         profile = permutation_profile(prior3, 4, perm)
         bp = best_prediction_profile(profile, prior3)
-        for s in range(3):
-            assert np.allclose(
-                bp.predictions[2, s, perm(s)], profile.predictions[2, s, perm(s)], atol=1e-15
-            )
+        for s, r in enumerate(perm.mapping):
+            assert np.allclose(bp.predictions[2, s, r], profile.predictions[2, s, r], atol=1e-15)
 
     def test_asymmetric_three_agents(self, prior2):
         swap = PermutationMap((1, 0)).matrix()
@@ -329,8 +327,8 @@ class TestBestPrediction:
         profile = StrategyProfile(thetas, np.full((3, 2, 2, 2), 0.5))
         bp = best_prediction_profile(profile, prior2)
         for s in range(2):
-            assert np.allclose(bp.predictions[0, s, 0], swap @ prior2.q_sigma(s), atol=1e-15)
-            mixed = 0.5 * (np.eye(2) + swap) @ prior2.q_sigma(s)
+            assert np.allclose(bp.predictions[0, s, 0], swap @ prior2.conditional[:, s], atol=1e-15)
+            mixed = 0.5 * (np.eye(2) + swap) @ prior2.conditional[:, s]
             assert np.allclose(bp.predictions[1, s, 0], mixed, atol=1e-15)
 
     def test_symmetric_profile_matches_best_prediction(self, prior3):
@@ -362,7 +360,7 @@ class TestTauCloseness:
 class TestPermuteProfile:
     def test_identity(self, prior3):
         profile = truth_telling_profile(prior3, 4)
-        out = permute_profile(profile, PermutationMap.identity(3))
+        out = permute_profile(profile, PermutationMap(tuple(range(3))))
         assert np.array_equal(out.thetas, profile.thetas)
         assert np.array_equal(out.predictions, profile.predictions)
 
@@ -378,7 +376,7 @@ class TestPermuteProfile:
         rng = np.random.default_rng(2)
         profile = random_profile(rng, 3, 4)
         perm = PermutationMap((2, 0, 1))
-        back = permute_profile(permute_profile(profile, perm), perm.inverse())
+        back = permute_profile(permute_profile(profile, perm), inverse_permutation(perm))
         assert np.array_equal(back.thetas, profile.thetas)
         assert np.array_equal(back.predictions, profile.predictions)
 
@@ -387,6 +385,6 @@ class TestPermuteProfile:
         profile = random_profile(rng, 3, 4)
         perm = PermutationMap((2, 0, 1))
         out = permute_profile(profile, perm)
-        for s in range(3):
-            assert np.array_equal(out.thetas[0][:, s], profile.thetas[0][:, perm(s)])
-            assert np.array_equal(out.predictions[0, s], profile.predictions[0, perm(s)])
+        for s, r in enumerate(perm.mapping):
+            assert np.array_equal(out.thetas[0][:, s], profile.thetas[0][:, r])
+            assert np.array_equal(out.predictions[0, s], profile.predictions[0, r])
