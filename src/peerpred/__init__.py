@@ -39,9 +39,9 @@ from .priors import (
     PriorConstants,
     PriorError,
     SignalSpace,
-    TheoremBounds,
     all_permutations,
     from_latent,
+    gamma2,
     permute_prior,
     prior_constants,
     random_snife_prior,

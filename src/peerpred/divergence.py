@@ -43,7 +43,7 @@ def hellinger(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sum(d * d, axis=-1)
 
 
-def monotonicity_strict_predicate(theta: np.ndarray, p, q) -> bool:
+def monotonicity_strict_predicate(theta: np.ndarray, p, q) -> np.ndarray:
     """Whether post-processing by ``theta`` strictly lowers the divergence.
 
     True iff some row of ``theta`` carries positive p-mass from two signals
@@ -51,25 +51,20 @@ def monotonicity_strict_predicate(theta: np.ndarray, p, q) -> bool:
     theta[s, s'] p(s') > 0, theta[s, s''] p(s'') > 0 and
     p(s'') / p(s') != q(s'') / q(s') (compared by cross products at ``RATIO_TOL``).
     For strictly convex generators this is equivalent to
-    D_f(theta p, theta q) < D_f(p, q).
+    D_f(theta p, theta q) < D_f(p, q).  Takes stacks, theta of shape
+    (..., m, m) with p and q of shape (..., m), and returns a bool per entry.
     """
     theta = np.asarray(theta, dtype=float)
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    m = p.size
-    if theta.shape != (m, m) or q.shape != p.shape:
+    if p.ndim == 0 or theta.shape != p.shape + p.shape[-1:] or q.shape != p.shape:
         raise DivergenceDomainError(
             f"shape mismatch: theta {theta.shape}, p {p.shape}, q {q.shape}"
         )
-    mass = theta * p[None, :]
-    for row in range(m):
-        active = np.nonzero(mass[row] > 0.0)[0]
-        if active.size < 2:
-            continue
-        pa, qa = p[active], q[active]
-        # ratios differ iff p(s'') q(s') != p(s') q(s'')
-        cross = np.abs(pa[:, None] * qa[None, :] - pa[None, :] * qa[:, None])
-        if np.max(cross) > RATIO_TOL:
-            return True
-    return False
-
+    # active[..., row, s]: row carries positive p-mass from signal s
+    active = theta * p[..., None, :] > 0.0
+    # ratios differ iff p(s'') q(s') != p(s') q(s'')
+    cross = np.abs(p[..., :, None] * q[..., None, :] - p[..., None, :] * q[..., :, None])
+    differ = cross > RATIO_TOL
+    mixed = active[..., :, :, None] & active[..., :, None, :] & differ[..., None, :, :]
+    return mixed.any(axis=(-3, -2, -1))

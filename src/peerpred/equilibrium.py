@@ -43,7 +43,7 @@ import numpy as np
 from .mechanism import _BLOCK_CELLS, MechanismConfig, MechanismError
 from .priors import PairwisePrior
 from .strategy import StrategyProfile, leave_one_out, prediction_anchors
-from .tolerances import EQUILIBRIUM_EPS, PROBABILITY_TOL, SOLVER_TOL
+from .tolerances import PROBABILITY_TOL, SOLVER_TOL
 
 __all__ = [
     "EquilibriumReport",
@@ -121,22 +121,14 @@ class EquilibriumReport:
     payoffs: np.ndarray
     values: np.ndarray
     best_predictions: np.ndarray
-    eps: float
 
     @property
     def max_gap(self) -> float:
         return float(np.max(self.gaps))
 
-    @property
-    def is_eps_equilibrium(self) -> bool:
-        return self.max_gap <= self.eps
-
 
 def check_equilibrium(
-    config: MechanismConfig,
-    prior: PairwisePrior,
-    profile: StrategyProfile,
-    eps: float = EQUILIBRIUM_EPS,
+    config: MechanismConfig, prior: PairwisePrior, profile: StrategyProfile
 ) -> EquilibriumReport:
     terms = _payoff_terms(config, prior, profile)
     weights = profile.thetas.transpose(0, 2, 1)
@@ -147,7 +139,7 @@ def check_equilibrium(
     # elementwise and summed over the last axis, as by two separate passes
     values, played_values = terms.values(config, np.stack([terms.best, played]))
     payoffs = np.sum(weights * played_values, axis=-1)
-    return EquilibriumReport(values.max(axis=-1) - payoffs, payoffs, values, terms.best, eps)
+    return EquilibriumReport(values.max(axis=-1) - payoffs, payoffs, values, terms.best)
 
 
 def expected_conditional_payoff(

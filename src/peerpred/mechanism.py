@@ -94,9 +94,10 @@ class MechanismConfig:
 
     ``group_a`` fixes the first group for the disagreement variant; when
     omitted the first half of the agents (by index) is used.  The welfare
-    ordering guarantees need beta/alpha < 1/(4m); :meth:`regime_ok` checks it
-    and welfare audits warn when it fails.  Truthfulness itself holds for any
-    positive alpha, beta.
+    ordering guarantees need beta/alpha < 1/(4m); :meth:`regime_ok` checks it,
+    and :meth:`warn_if_outside_regime`, which the ``welfare`` subcommand and
+    ``scripts/welfare_table.py`` call, warns when it fails.  Truthfulness
+    itself holds for any positive alpha, beta.
     """
 
     alpha: float = 1.0
@@ -168,6 +169,8 @@ class Report:
     signal: int
     prediction: np.ndarray
 
+    # an overflowing sum is inf, which fails the check it feeds
+    @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
         prediction = np.asarray(self.prediction, dtype=float)
         object.__setattr__(self, "prediction", prediction)
@@ -602,7 +605,6 @@ class MonteCarloPayments:
     stderr: np.ndarray
     welfare_mean: float
     welfare_stderr: float
-    trials: int
 
 
 # Trials per Monte Carlo block.  Block b draws from its own stream, so the
@@ -738,11 +740,12 @@ def monte_carlo_payments(
     buffer its output.
 
     The result therefore depends only on (config, latent, profile, trials,
-    seed); blocks split across workers draw the same numbers, and merging
-    their moments in block order gives the same bits.  Per-agent and welfare
-    means and squared deviations are taken per block and merged block by
-    block with Chan, Golub and LeVeque's pairwise formula; stderr is
-    sqrt(variance / trials), with the variance over the trials.
+    seed); any block can be drawn alone and draws the same numbers, and
+    merging the blocks' moments in block order gives the same bits.
+    Per-agent and welfare means and squared deviations are taken per block
+    and merged block by block with Chan, Golub and LeVeque's pairwise
+    formula; stderr is sqrt(variance / trials), with the variance over the
+    trials.
 
     Every sampled payment is a table lookup: ``_mc_tables`` scores every
     ordered pair of reachable (agent, signal, report) cells once, and a
@@ -913,4 +916,4 @@ def monte_carlo_payments(
             f"(alpha = {config.alpha:g}, beta = {config.beta:g})"
         )
     stderr = np.sqrt(m2 / trials / trials)
-    return MonteCarloPayments(mean[:n], stderr[:n], float(mean[n]), float(stderr[n]), trials)
+    return MonteCarloPayments(mean[:n], stderr[:n], float(mean[n]), float(stderr[n]))

@@ -17,6 +17,7 @@ construction.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,13 +31,13 @@ __all__ = [
     "AssumptionReport",
     "PermutationMap",
     "PriorConstants",
-    "TheoremBounds",
     "PriorError",
     "from_latent",
     "validate_snife",
     "permute_prior",
     "random_snife_prior",
     "prior_constants",
+    "gamma2",
     "all_permutations",
     "sample_categorical",
 ]
@@ -305,28 +306,8 @@ class PriorConstants:
     c3: float
     c4: float
 
-    @property
-    def all_positive(self) -> bool:
-        return self.c1 > 0 and self.c2 > 0 and self.c3 > 0 and self.c4 > 0
-
     def to_dict(self) -> dict:
         return {"c1": self.c1, "c2": self.c2, "c3": self.c3, "c4": self.c4}
-
-
-@dataclass(frozen=True)
-class TheoremBounds:
-    """The closed-form welfare-gap bound gamma2(n) for a prior's constants;
-    raises :class:`PriorError` if any constant is non-positive."""
-
-    constants: PriorConstants
-    m: int
-
-    def __post_init__(self):
-        if not self.constants.all_positive:
-            raise PriorError(f"bounds need strictly positive constants, got {self.constants}")
-
-    def gamma2(self, n: int) -> float:
-        return 4.0 * np.sqrt(2.0) * self.m / np.sqrt(n)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -482,3 +463,15 @@ def prior_constants(prior: PairwisePrior) -> PriorConstants:
     # f''(x) = x^(-3/2) / 2 is decreasing, so the minimum sits at the largest ratio
     c4 = float(0.5 * np.max(ratio) ** (-1.5))
     return PriorConstants(c1, c2, float(c3), c4)
+
+
+def gamma2(prior: PairwisePrior, n: int) -> float:
+    """The closed-form welfare-gap bound gamma2(n) = 4 sqrt(2) m / sqrt(n) for
+    n agents; raises :class:`PriorError` unless each of the prior's constants
+    c1..c4 is strictly positive."""
+    consts = prior_constants(prior)
+    # each constant on its own: a NaN fails its own test, where a min() could skip it
+    if not (consts.c1 > 0 and consts.c2 > 0 and consts.c3 > 0 and consts.c4 > 0):
+        raise PriorError(f"bounds need strictly positive constants, got {consts}")
+    # math.sqrt takes any int that a float can hold; np.sqrt fails past int64
+    return 4.0 * math.sqrt(2.0) * prior.m / math.sqrt(n)

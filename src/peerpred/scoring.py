@@ -44,8 +44,6 @@ class ProperScoringRule:
     methods alone.
     """
 
-    id: str
-
     def weighted_score(self, weights: np.ndarray, prediction: np.ndarray) -> np.ndarray:
         """sum_s weights[..., s] * PS(s, prediction[..., :]), broadcast over
         leading axes.  Zero-weight signals never probe the prediction."""
@@ -70,8 +68,6 @@ class ProperScoringRule:
 
 
 class LogRule(ProperScoringRule):
-    id = "log"
-
     def weighted_score(self, weights, prediction) -> np.ndarray:
         weights = np.asarray(weights, dtype=float)
         prediction = np.asarray(prediction, dtype=float)
@@ -87,8 +83,6 @@ class LogRule(ProperScoringRule):
 
 
 class QuadraticRule(ProperScoringRule):
-    id = "quadratic"
-
     def weighted_score(self, weights, prediction) -> np.ndarray:
         weights = np.asarray(weights, dtype=float)
         prediction = np.asarray(prediction, dtype=float)

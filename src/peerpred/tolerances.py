@@ -1,10 +1,11 @@
 """Every numeric tolerance of the package, named once.
 
 Each constant says what it guards.  Most functions read their constant
-directly; a tolerance is a keyword default only where callers choose it:
-``validate_snife`` (``validate-prior --tol``) and ``check_equilibrium``
-(``check-eq --eps``).  The acceptance criteria in :mod:`peerpred.acceptance`
-pin their own thresholds.
+directly; a tolerance is a keyword default only where callers choose it, in
+``validate_snife`` (``validate-prior --tol``).  ``EQUILIBRIUM_EPS`` is the
+default of ``check-eq --eps``, which the command compares with
+``check_equilibrium``'s largest gap.  The acceptance criteria in
+:mod:`peerpred.acceptance` pin their own thresholds.
 """
 
 __all__ = [
@@ -45,8 +46,8 @@ STOCHASTIC_TOL = 1e-12
 # it per unit of max(1, beta/alpha) (the residual of any backward-stable solve
 # grows like 1 + beta/alpha) is solved again by the dense solve.
 SOLVER_TOL = 1e-12
-# Largest best-response gain at which ``check_equilibrium`` (and
-# ``check-eq --eps``) still calls a profile an equilibrium.
+# Default of ``check-eq --eps``: the largest best-response gain at which the
+# command still calls a profile an equilibrium.
 EQUILIBRIUM_EPS = 1e-9
 # Two likelihood ratios differ in ``monotonicity_strict_predicate`` when
 # their cross products differ by more than this.

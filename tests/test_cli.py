@@ -234,6 +234,21 @@ class TestCheckEq:
         assert "is_eps_equilibrium=True" in captured.err
         assert captured.out.splitlines()[0] == "agent,signal,gap"
 
+    @pytest.mark.parametrize("eps, verdict", [("3.6e-05", False), ("3.7e-05", True)])
+    def test_status_line_compares_eps_with_max_gap(
+        self, tmp_path, prior_file, mech_file, capsys, eps, verdict
+    ):
+        """A solved random profile's max gap is 3.646e-05: an --eps just below
+        it is not an equilibrium, one just above it is."""
+        prior = pairwise_from_loaded(load_prior(prior_file))
+        thetas = random_signal_strategies(np.random.default_rng(0), 2, (6,))
+        profile = tmp_path / "profile.json"
+        save_profile(solved_profile(MechanismConfig(1.0, 0.03, "log"), prior, thetas), profile)
+        argv = ["check-eq", "--prior", prior_file, "--profile", str(profile), "--mech", mech_file]
+        assert main([*argv, "--eps", eps]) == 0
+        err = capsys.readouterr().err
+        assert err == f"max_gap=3.646e-05 eps={eps} is_eps_equilibrium={verdict}\n"
+
 
     def test_zero_beta_log_rule_scores_prediction_term_alone(self, tmp_path, capsys):
         # everyone reports s1 and predicts (0.5, 0.5); at beta = 0 the best
@@ -673,6 +688,8 @@ class TestErrorsAndDeterminism:
             ["payout", "--profile", "truth", "--trials", "10", "--seed", "-1"],
             ["gen-prior", "--m", "3", "--seed", "-1"],
             ["sweep-n", "--n", "8", "--seed", "-1"],
+            ["sweep-n", "--n", str(10**30)],
+            ["sweep-n", "--n", f"4,{10**400}"],
             ["welfare", "--profile", M3_PROFILE],
             ["check-eq", "--profile", M3_PROFILE],
             ["payout", "--profile", M3_PROFILE],

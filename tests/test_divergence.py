@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from conftest import column_stochastic, simplex
 from peerpred.divergence import DivergenceDomainError, hellinger, monotonicity_strict_predicate
 from peerpred.priors import all_permutations
+from peerpred.tolerances import RATIO_TOL
 
 APPENDIX_P = np.array([0.1, 0.2, 0.7])
 APPENDIX_Q = np.array([0.2, 0.4, 0.4])
@@ -22,6 +23,19 @@ def kl_divergence(p, q) -> float:
         raise DivergenceDomainError("KL is unbounded where q is zero and p is not")
     support = p > 0.0
     return float(np.sum(p[support] * np.log(p[support] / q[support])))
+
+
+def strict_predicate_by_rows(theta, p, q) -> bool:
+    """The predicate row by row: some row of theta takes positive p-mass from
+    two signals whose cross products p(s') q(s'') and p(s'') q(s') differ."""
+    mass = theta * p[None, :]
+    for row in range(p.size):
+        active = np.nonzero(mass[row] > 0.0)[0]
+        pa, qa = p[active], q[active]
+        cross = np.abs(pa[:, None] * qa[None, :] - pa[None, :] * qa[:, None])
+        if active.size >= 2 and np.max(cross) > RATIO_TOL:
+            return True
+    return False
 
 
 class TestHellinger:
@@ -143,7 +157,25 @@ class TestStrictPredicate:
         assert monotonicity_strict_predicate(theta, p, q)
         assert float(hellinger(theta @ p, theta @ q)) < float(hellinger(p, q))
 
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_stack_matches_rows(self, m):
+        """A stack of 3,000 (theta, p, q), a fifth of the entries zeroed and a
+        fifth of the q equal to p, against the row-by-row rule entry by entry."""
+        rng = np.random.default_rng(m)
+        size = 3000
+        theta = rng.dirichlet(np.ones(m), size=(size, m)).transpose(0, 2, 1)
+        theta = np.where(rng.random(theta.shape) < 0.2, 0.0, theta)
+        p = np.where(rng.random((size, m)) < 0.2, 0.0, rng.dirichlet(np.ones(m), size))
+        q = np.where(rng.random((size, m)) < 0.2, 0.0, rng.dirichlet(np.ones(m), size))
+        q[::5] = p[::5]
+        stacked = monotonicity_strict_predicate(theta, p, q)
+        rows = [strict_predicate_by_rows(theta[k], p[k], q[k]) for k in range(size)]
+        assert stacked.tolist() == rows
+        assert 0 < sum(rows) < size
+
     def test_dimension_mismatch(self):
         with pytest.raises(DivergenceDomainError):
             monotonicity_strict_predicate(np.eye(3), np.array([0.5, 0.5]), np.array([0.5, 0.5]))
+        with pytest.raises(DivergenceDomainError):  # a stack of two p against one theta
+            monotonicity_strict_predicate(np.eye(2), np.full((2, 2), 0.5), np.full((2, 2), 0.5))
 

@@ -324,14 +324,13 @@ class TestReportValues:
 class TestCheckEquilibrium:
     def test_truth_is_exact_equilibrium(self, setting):
         prior, config = setting
-        report = check_equilibrium(config, prior, truth_telling_profile(prior, 5), eps=1e-12)
+        report = check_equilibrium(config, prior, truth_telling_profile(prior, 5))
         assert report.max_gap <= 1e-12
-        assert report.is_eps_equilibrium
 
     def test_permutation_is_exact_equilibrium(self, setting):
         prior, config = setting
         profile = permutation_profile(prior, 5, PermutationMap((2, 0, 1)))
-        report = check_equilibrium(config, prior, profile, eps=1e-12)
+        report = check_equilibrium(config, prior, profile)
         assert report.max_gap <= 1e-12
 
     def test_perturbed_prediction_has_positive_gap(self, setting):

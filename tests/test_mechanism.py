@@ -61,6 +61,7 @@ def random_profile(rng, m, n):
 
 
 class TestConfig:
+    @pytest.mark.filterwarnings("error")
     def test_parameter_signs(self):
         with pytest.raises(MechanismError):
             MechanismConfig(alpha=0.0)
@@ -69,8 +70,9 @@ class TestConfig:
         for alpha, beta in ((math.nan, 0.05), (math.inf, 0.05), (1.0, math.nan), (1.0, math.inf)):
             with pytest.raises(MechanismError, match="finite"):
                 MechanismConfig(alpha=alpha, beta=beta)
-        with pytest.raises(MechanismError, match="probability vector"):
-            Report(0, np.array([math.nan, 0.5]))
+        for prediction in ([math.nan, 0.5], [1e308, 1e308]):
+            with pytest.raises(MechanismError, match="probability vector"):
+                Report(0, np.array(prediction))
 
     def test_variant_names(self):
         with pytest.raises(MechanismError):
@@ -325,7 +327,6 @@ class DoubledLogRule(ProperScoringRule):
     """Twice the log score, defined by its weighted score alone, as every
     rule is: its point and self-scores are derived from it."""
 
-    id = "doubled-log"
     _log = scoring.LogRule()
 
     def weighted_score(self, weights, prediction):
@@ -336,8 +337,8 @@ class DoubledLogRule(ProperScoringRule):
 def test_third_rule_scored_by_its_own_methods(monkeypatch, latent3, variant):
     """Doubling every score equals doubling alpha and beta under the log rule,
     in the realized and the Monte Carlo path and in the equilibrium check."""
-    monkeypatch.setitem(scoring._RULES, DoubledLogRule.id, DoubledLogRule())
-    doubled = MechanismConfig(1.0, 0.05, DoubledLogRule.id, variant)
+    monkeypatch.setitem(scoring._RULES, "doubled-log", DoubledLogRule())
+    doubled = MechanismConfig(1.0, 0.05, "doubled-log", variant)
     log = MechanismConfig(2.0, 0.1, "log", variant)
     rng = np.random.default_rng(6)
     profile = random_profile(rng, 3, 5)
@@ -1087,4 +1088,4 @@ class TestMonteCarloStreams:
     def test_largest_seed_accepted(self, latent3):
         profile = truth_telling_profile(from_latent(latent3), 4)
         mc = monte_carlo_payments(MechanismConfig(), latent3, profile, trials=10, seed=2**64 - 1)
-        assert mc.trials == 10
+        assert mc.mean.shape == (4,) and np.isfinite(mc.welfare_mean)

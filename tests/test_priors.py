@@ -10,9 +10,9 @@ from peerpred.priors import (
     PermutationMap,
     PriorError,
     SignalSpace,
-    TheoremBounds,
     all_permutations,
     from_latent,
+    gamma2,
     permute_prior,
     prior_constants,
     random_snife_prior,
@@ -315,7 +315,7 @@ class TestPriorConstants:
         )
         assert consts.c4 == pytest.approx(c4, rel=1e-12)
         assert consts.c4 <= 0.5
-        assert consts.all_positive
+        assert consts.c1 > 0 and consts.c2 > 0 and consts.c3 > 0 and consts.c4 > 0
 
     @pytest.mark.parametrize("seed", range(8))
     def test_c3_bit_equal_to_pair_loop(self, seed):
@@ -339,13 +339,15 @@ class TestPriorConstants:
             prior_constants(prior)
 
 
-class TestTheoremBounds:
+class TestGamma2:
     def test_gamma2_algebra(self, prior3):
-        bounds = TheoremBounds(prior_constants(prior3), m=3)
-        n = 128 * 3 * 3
-        assert bounds.gamma2(n) == pytest.approx(0.5)
+        assert gamma2(prior3, 128 * 3 * 3) == pytest.approx(0.5)
 
     def test_degenerate_constants_rejected(self):
         prior = PairwisePrior(SignalSpace.of_size(2), [0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]])
-        with pytest.raises(PriorError):
-            TheoremBounds(prior_constants(prior), m=2)
+        with pytest.raises(PriorError) as exc:
+            gamma2(prior, 4)
+        assert str(exc.value) == (
+            "bounds need strictly positive constants, "
+            "got PriorConstants(c1=0.5, c2=0.25, c3=0.0, c4=0.5)"
+        )
