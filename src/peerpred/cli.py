@@ -160,13 +160,14 @@ def _parse_indices(text: str, what: str) -> tuple[int, ...]:
         raise CliError(f"{what} must be comma-separated integers, got {text!r}") from None
 
 
-def _resolve_profile(spec: str, prior, n: int):
+def _resolve_profile(spec: str, prior, n: int | None):
+    if spec == "counterexample":  # --n defaults to m here, to 4 for the other names
+        return counterexample_profile(prior, prior.m if n is None else n)
+    n = 4 if n is None else n
     if spec == "truth":
         return truth_telling_profile(prior, n)
     if spec == "uniform":
         return uniform_report_profile(prior, n)
-    if spec == "counterexample":
-        return counterexample_profile(prior, prior.m)
     if spec.startswith("constant:"):
         label = spec.split(":", 1)[1]
         if label in prior.space.labels:
@@ -226,7 +227,7 @@ def _build_parser() -> _Parser:
                 required=True,
                 help=f"profile JSON file or one of: {NAMED_PROFILES}",
             )
-            p.add_argument("--n", type=int, default=4, help="agents for named profiles")
+            p.add_argument("--n", type=int, help="agents for named profiles (4; counterexample: m)")
         if mech:
             p.add_argument("--mech", help="mechanism JSON file")
             p.add_argument("--alpha", type=_finite)

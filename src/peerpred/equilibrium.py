@@ -25,10 +25,10 @@ whose report holds every report's value at its optimal prediction, and
 sum with F = 1, the neighbors' weight on report r, is coordinate r of the
 anchor theta_minus_i q_s, the distribution of a random other agent's report
 (:func:`peerpred.strategy.prediction_anchors`).  The optimal prediction for
-report r is the mixture
-(alpha * anchor + beta * mix) / (alpha + beta * anchor[r]), so equilibrium
-predictions solve a linear system: :func:`solve_prediction_stack` solves it
-exactly over a stack of strategy lists, :func:`solve_equilibrium_predictions`
+report r is the mixture (alpha * anchor + beta * mix) / (alpha + beta *
+anchor[r]), so equilibrium predictions solve a linear system, exactly by
+:func:`solve_prediction_stack` over a stack of strategy lists, whose error
+bound alone decides refinement and acceptance; :func:`solve_equilibrium_predictions`
 is its stack of one, and :func:`solve_equilibrium_predictions_direct` solves
 it densely from its own coupling matrix, as cross-check and fallback.
 """
@@ -176,26 +176,24 @@ def solve_prediction_stack(
     Per report r the system is lhs x = alpha anchor, where c = beta/(n-1),
     lhs = blockdiag_i(A_i) - c (1_n (x) q^T) [diag theta_1[r] ... diag theta_n[r]]
     and A_i = diag(alpha + beta anchor_i[:, r]) + c q^T diag theta_i[r]: n
-    blocks of m x m plus a rank-m term, which Woodbury solves.  Each row of
-    lhs has diagonal alpha + beta w and off-diagonal mass beta w, so the
-    sup-norm error is at most ||lhs x - rhs|| / alpha: the bound, widened by
-    the roundoff of the residual's terms.  A member whose residual exceeds
-    that roundoff by more than ``SOLVER_TOL`` takes one step of iterative
-    refinement, a Woodbury solve of its residual.  A member is solved densely
-    instead when its bound is not finite (a singular block) or its residual
-    still exceeds that roundoff by more than ``SOLVER_TOL * max(1,
-    beta/alpha)`` (the residual of any backward-stable solve grows like 1 +
-    beta/alpha), as after a nearly singular block, which LAPACK does not
-    flag.  The exact solution is non-negative, so solutions are clipped at 0.
-    Each member's result is the one it gets alone, bit for bit; a pass holds
-    at most ``_BLOCK_CELLS // (n m^4)`` members (at least one).
+    blocks of m x m plus a rank-m term, which Woodbury solves; solutions are
+    clipped at 0, as the exact one is.  Each row of lhs has diagonal
+    alpha + beta w and off-diagonal mass beta w, so the sup-norm error is at
+    most ||lhs x - rhs|| / alpha: the bound, widened by the residual's
+    roundoff.  A member whose residual passes that roundoff by ``SOLVER_TOL``
+    and carries over half its bound takes one refinement step, a Woodbury
+    solve of its residual.  A member is solved densely when its bound is not
+    finite (a singular block) or its residual still passes its roundoff by
+    ``SOLVER_TOL * max(1, beta/alpha)`` (any backward-stable solve's residual
+    grows like 1 + beta/alpha), as after a nearly singular block, which
+    LAPACK does not flag.  Each member gets its single-call bits; a pass
+    holds at most ``_BLOCK_CELLS // (n m^4)`` members (at least one).
 
-    The system's condition number grows like beta/alpha: past some
-    beta/alpha the solved tables miss the simplex by more than a prediction
-    may (``PROBABILITY_TOL``), and :class:`MechanismError` is raised, naming
-    beta/alpha and the miss.  Where depends on the prior and the profile:
-    over the random stacks and (m, n) grids measured, the first raise came
-    between beta/alpha = 2.1e6 and 1e8.
+    A final bound past ``PROBABILITY_TOL``, the tolerance of a prediction
+    cell, raises :class:`MechanismError` naming beta/alpha and the bound.
+    The condition number grows like beta/alpha: over random stacks with
+    n <= 512 and m <= 4, none was refused below beta/alpha = 3.7e5 and none
+    accepted above 4.4e6.
     """
     thetas = np.asarray(thetas, dtype=float)
     size, n, m = thetas.shape[0], thetas.shape[1], thetas.shape[2]
@@ -205,11 +203,11 @@ def solve_prediction_stack(
     for lo in range(0, size, per_pass):
         hi = min(lo + per_pass, size)
         _solve_pass(config, prior, thetas[lo:hi], predictions[lo:hi], bounds[lo:hi])
-    miss = float(np.abs(predictions.sum(axis=-1) - 1.0).max()) if predictions.size else 0.0
-    if not miss <= PROBABILITY_TOL:
+    worst = bounds.max(initial=0.0)
+    if not worst <= PROBABILITY_TOL:
         raise MechanismError(
             f"at beta/alpha = {config.beta / config.alpha:.3g} the solved prediction tables "
-            f"miss the simplex by {miss:.3g}, more than {PROBABILITY_TOL:g}: the prediction "
+            f"have an error bound of {worst:.3g}, more than {PROBABILITY_TOL:g}: the prediction "
             "system's condition number grows like beta/alpha"
         )
     return predictions, bounds
@@ -232,9 +230,9 @@ def _solve_pass(config, prior, thetas, predictions, bounds):
         predictions[...] = np.nan
     np.maximum(predictions, 0.0, out=predictions)
     bounds[...], excess = _error_bounds(config, prior, thetas, anchors, predictions)
-    # one step of iterative refinement on the same blocks, x <- x - lhs^-1 (lhs x - rhs),
-    # for the members whose residual passes its roundoff by SOLVER_TOL
-    refine = np.flatnonzero(np.isfinite(bounds) & (excess > SOLVER_TOL))
+    # one step of iterative refinement on the same blocks, x <- x - lhs^-1 (lhs x - rhs), for
+    # members whose residual passes its roundoff by SOLVER_TOL and carries over half the bound
+    refine = np.flatnonzero((excess > SOLVER_TOL) & (2.0 * excess > bounds))
     if refine.size:
         some = thetas[refine], anchors[refine]
         x = predictions[refine]

@@ -23,11 +23,11 @@ __all__ = [
 
 # Input checks on numbers from outside the program.
 #
-# Largest |sum - 1| accepted for a probability vector given as input: a
-# latent prior's state distribution and emission rows, a pairwise prior
-# file's marginal and conditional columns, a prediction, and the signal
-# strategy of the far-from-permutation audit.  It admits vectors
-# written out to nine or more digits, as in hand-entered files.
+# Largest |sum - 1| accepted for a probability vector given as input: a latent
+# prior's state distribution and emission rows, a pairwise prior file's marginal
+# and conditional columns, a prediction, and the signal strategy of the
+# far-from-permutation audit; also the largest error bound an exact prediction
+# solve may return.  It admits vectors written out to nine or more digits.
 PROBABILITY_TOL = 1e-9
 # Default margin of the assumption checks in ``validate_snife``
 # (``validate-prior --tol``), the symmetry check among them.
@@ -42,9 +42,9 @@ SAMPLED_PRIOR_TOL = 1e-6
 # Largest |column sum - 1| of a signal strategy that a profile holds.
 STOCHASTIC_TOL = 1e-12
 # Most that an exact prediction solve's residual may exceed its own roundoff: a
-# member past it takes one step of iterative refinement, and a member still past
-# it per unit of max(1, beta/alpha) (the residual of any backward-stable solve
-# grows like 1 + beta/alpha) is solved again by the dense solve.
+# member past it whose residual carries over half its error bound takes one step
+# of iterative refinement, and a member still past it per unit of max(1, beta/alpha),
+# the growth of any backward-stable solve's residual, is solved again densely.
 SOLVER_TOL = 1e-12
 # Default of ``check-eq --eps``: the largest best-response gain at which the
 # command still calls a profile an equilibrium.

@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -15,7 +16,7 @@ from peerpred.equilibrium import (
     solve_prediction_stack,
     solved_profile,
 )
-from peerpred.mechanism import MechanismConfig
+from peerpred.mechanism import MechanismConfig, MechanismError
 from peerpred.priors import (
     PairwisePrior,
     PermutationMap,
@@ -33,7 +34,7 @@ from peerpred.strategy import (
     random_signal_strategy,
     truth_telling_profile,
 )
-from peerpred.tolerances import SOLVER_TOL
+from peerpred.tolerances import PROBABILITY_TOL, SOLVER_TOL
 
 
 def oracle_terms(config, prior, profile, i, s):
@@ -411,9 +412,10 @@ class TestPredictionSolver:
     @example(m=3, n=2, log_ratio=3.0, latent=False, seed=3)
     def test_members_match_dense_oracle(self, m, n, log_ratio, latent, seed):
         """For beta/alpha in [1e-3, 1e6] and priors whose joint is PSD
-        (latent) or not, random strategies send no member dense, and each
-        bound is at least the distance to the dense solve, which is within
-        1e-12 up to beta/alpha = 1e3."""
+        (latent) or not, random strategies send no member dense.  Each bound
+        is within PROBABILITY_TOL and at least the distance to the dense
+        solve, which is within 1e-12 up to beta/alpha = 1e3; past 1e5 a bound
+        may pass PROBABILITY_TOL, and then the stack is refused."""
         rng = np.random.default_rng(seed)
         if latent:
             prior = from_latent(random_snife_prior(m, 2, seed=int(rng.integers(1000))))
@@ -424,8 +426,17 @@ class TestPredictionSolver:
         thetas = random_signal_strategies(rng, m, (3, n))
         dense = solve_equilibrium_predictions_direct
         with mock.patch.object(equilibrium, dense.__name__, wraps=dense) as spy:
-            predictions, bounds = solve_prediction_stack(config, prior, thetas)
+            try:
+                predictions, bounds = solve_prediction_stack(config, prior, thetas)
+            except MechanismError as exc:
+                named = re.search(r"error bound of (\S+), more than", str(exc))
+                # the message rounds the bound to 3 digits, which keeps it >= 1e-9
+                assert log_ratio > 5.0 and float(named[1]) >= PROBABILITY_TOL
+                predictions = None
         assert spy.call_count == 0
+        if predictions is None:
+            return
+        assert bounds.max() <= PROBABILITY_TOL
         for k in range(3):
             error = np.max(np.abs(predictions[k] - dense(config, prior, thetas[k])))
             if log_ratio <= 3.0:
@@ -486,17 +497,42 @@ class TestPredictionSolver:
     @pytest.mark.parametrize("beta", (1e5, 1e6))
     def test_large_beta_does_not_go_dense(self, beta):
         """Past beta/alpha of about 1e4 the residual of any backward-stable
-        solve grows like beta/alpha units of roundoff, which a dense solve
-        cannot shrink either: at n = 512 no member goes dense, and the bound
-        still covers the distance to the dense solve."""
+        solve grows like beta/alpha units of roundoff, which neither a dense
+        solve nor a refinement step can shrink: at n = 512 the one Woodbury
+        solve is kept, and the bound still covers the distance to the dense
+        solve."""
         prior = from_latent(random_snife_prior(3, 2, seed=1))
         config = MechanismConfig(1.0, beta, "log")
         thetas = random_signal_strategies(np.random.default_rng(2), 3, (512,))
-        dense = solve_equilibrium_predictions_direct
-        with mock.patch.object(equilibrium, dense.__name__, wraps=dense) as spy:
+        dense, woodbury = solve_equilibrium_predictions_direct, equilibrium._woodbury_solve
+        with (
+            mock.patch.object(equilibrium, dense.__name__, wraps=dense) as spy,
+            mock.patch.object(equilibrium, woodbury.__name__, wraps=woodbury) as steps,
+        ):
             predictions, bound = solve_equilibrium_predictions(config, prior, thetas)
-        assert spy.call_count == 0
+        assert spy.call_count == 0 and steps.call_count == 1
         assert np.max(np.abs(predictions - dense(config, prior, thetas))) <= bound
+
+    def test_bound_decides_acceptance(self):
+        """A stack is accepted while every member's bound is within
+        PROBABILITY_TOL (n = 64, m = 3 at beta/alpha = 1e6).  At 7e6 a bound
+        passes it, and the solve raises one MechanismError naming beta/alpha
+        and the largest bound, which the solve returns under a looser
+        tolerance."""
+        prior = from_latent(random_snife_prior(3, 2, seed=1))
+        thetas = random_signal_strategies(np.random.default_rng(0), 3, (2, 64))
+        _, bounds = solve_prediction_stack(MechanismConfig(1.0, 1e6, "log"), prior, thetas)
+        assert bounds.max() <= PROBABILITY_TOL
+        config = MechanismConfig(1.0, 7e6, "log")
+        with mock.patch.object(equilibrium, "PROBABILITY_TOL", np.inf):
+            _, bounds = solve_prediction_stack(config, prior, thetas)
+        with pytest.raises(MechanismError) as info:
+            solve_prediction_stack(config, prior, thetas)
+        assert bounds.max() > PROBABILITY_TOL
+        assert str(info.value).startswith(
+            f"at beta/alpha = 7e+06 the solved prediction tables have an error bound of "
+            f"{bounds.max():.3g}, more than 1e-09: "
+        )
 
     def test_solutions_are_simplex_tables(self, setting):
         prior, config = setting

@@ -325,12 +325,13 @@ class TestPriorConstants:
         if seed >= 6:  # tiny entries: ratios overflow, and inf - inf gives NaN pairs
             conditional[:, 0] = [1.0 - (m - 1) * 1e-320] + [1e-320] * (m - 1)
         prior = PairwisePrior(SignalSpace.of_size(m), np.full(m, 1.0 / m), conditional)
-        ratio = conditional[:, :, None] / conditional[:, None, :]
-        c3 = np.inf
-        for u in range(m):
-            for v in range(m):
-                if u != v:
-                    c3 = min(c3, float(np.max((ratio[u] - ratio[v]) ** 2)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratio = conditional[:, :, None] / conditional[:, None, :]
+            c3 = np.inf
+            for u in range(m):
+                for v in range(m):
+                    if u != v:
+                        c3 = min(c3, float(np.max((ratio[u] - ratio[v]) ** 2)))
         assert prior_constants(prior).c3 == c3
 
     def test_zero_conditional_rejected(self):

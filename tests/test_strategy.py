@@ -98,8 +98,9 @@ def reference_check_columns(thetas, tol=STOCHASTIC_TOL):
     """The column check located strategy by strategy, with no whole-stack
     verdict first: raises for the first offending strategy."""
     negative = ~(thetas >= 0.0).all(axis=(1, 2))
-    colsums = thetas.sum(axis=1)
-    bad = negative | ~(np.abs(colsums - 1.0).max(axis=1) <= tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        colsums = thetas.sum(axis=1)
+        bad = negative | ~(np.abs(colsums - 1.0).max(axis=1) <= tol)
     if bad.any():
         i = int(np.argmax(bad))
         if negative[i]:
