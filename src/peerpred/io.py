@@ -20,7 +20,8 @@ probability vector.  Mechanism files::
 with ``groupA`` a list of integer agent indices.  Each of these five fields
 may be left out for its default (alpha 1, beta 0.05, the log rule, the
 truthful variant, group A the first n // 2 agents); any other field is an
-error.  All reals are IEEE doubles; Python's default float printing is the
+error.  Priors and profiles check their probability tables where they are
+built.  All reals are IEEE doubles; Python's default float printing is the
 shortest representation that round-trips exactly.
 
 One writer, :func:`json_text`, gives the text of every file written here
@@ -40,7 +41,7 @@ import numpy as np
 
 from .mechanism import MechanismConfig
 from .priors import LatentStatePrior, PairwisePrior, PriorError, SignalSpace
-from .priors import _check_stochastic, from_latent
+from .priors import from_latent
 from .strategy import ProfileError, StrategyProfile
 
 __all__ = [
@@ -107,10 +108,7 @@ def prior_from_dict(data: dict, path=None) -> LatentStatePrior | PairwisePrior:
         if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
             raise PriorError(f"signals must be a list of strings, got {labels!r}")
         space = SignalSpace(tuple(labels))
-        prior = cls(space, _real_array(first, keys[0]), _real_array(second, keys[1]))
-        if kind == "pairwise":  # symmetry is left to validate_snife's verdict
-            _check_stochastic(prior)
-        return prior
+        return cls(space, _real_array(first, keys[0]), _real_array(second, keys[1]))
     except (OverflowError, PriorError, TypeError, ValueError) as exc:
         raise FormatError(f"invalid prior{f' in {path}' if path else ''}: {exc}") from exc
 

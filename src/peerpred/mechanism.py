@@ -67,7 +67,7 @@ from .divergence import hellinger
 from .priors import _DRAW_BYTES, LatentStatePrior, PairwisePrior, sample_categorical
 from .scoring import ProperScoringRule, ScoreDomainError, get_rule
 from .strategy import StrategyProfile, agent_types, check_signal_count
-from .tolerances import PROBABILITY_TOL
+from .tolerances import PROBABILITY_TOL, probability_table_fault
 
 __all__ = [
     "MechanismConfig",
@@ -169,13 +169,10 @@ class Report:
     signal: int
     prediction: np.ndarray
 
-    # an overflowing sum is inf, which fails the check it feeds
-    @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
         prediction = np.asarray(self.prediction, dtype=float)
         object.__setattr__(self, "prediction", prediction)
-        off = abs(prediction.sum() - 1.0)
-        if not (prediction.ndim == 1 and off <= PROBABILITY_TOL and np.all(prediction >= 0)):
+        if prediction.ndim != 1 or probability_table_fault(prediction, 0, PROBABILITY_TOL):
             raise MechanismError("a report's prediction must be a probability vector")
         if not 0 <= self.signal < prediction.size:
             raise MechanismError(f"signal index {self.signal} out of range")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tolerances import DEFAULT_TOL, PROBABILITY_TOL, SAMPLED_PRIOR_TOL
+from .tolerances import DEFAULT_TOL, PROBABILITY_TOL, SAMPLED_PRIOR_TOL, probability_table_fault
 
 __all__ = [
     "SignalSpace",
@@ -81,10 +81,10 @@ class PairwisePrior:
     """First two moments of a symmetric prior.
 
     ``conditional[a, b] = q(sigma_a | sigma_b)``; column ``b`` is the peer
-    distribution given own signal ``b``.  Construction here checks shapes and
-    finiteness only.  A prior file's stochasticity is checked where it is
-    read (:func:`peerpred.io.prior_from_dict`), and :func:`validate_snife`
-    gives the symmetry verdict among its itemized checks.
+    distribution given own signal ``b``.  Construction checks shapes,
+    finiteness and that the marginal and every conditional column are
+    probability vectors within ``PROBABILITY_TOL``.  Symmetry is not checked:
+    :func:`validate_snife` gives its verdict among its itemized checks.
     """
 
     space: SignalSpace
@@ -103,6 +103,10 @@ class PairwisePrior:
             raise PriorError(f"conditional shape {conditional.shape} != ({m}, {m})")
         if not (np.isfinite(marginal).all() and np.isfinite(conditional).all()):
             raise PriorError("marginal and conditional entries must be finite")
+        if probability_table_fault(marginal, 0, PROBABILITY_TOL):
+            raise PriorError("marginal is not a probability vector within tolerance")
+        if probability_table_fault(conditional, 0, PROBABILITY_TOL):
+            raise PriorError("conditional columns are not stochastic within tolerance")
         marginal.setflags(write=False)
         conditional.setflags(write=False)
 
@@ -135,8 +139,6 @@ class LatentStatePrior:
     state_probs: np.ndarray
     emissions: np.ndarray
 
-    # an overflowing sum is inf, which fails the checks it feeds
-    @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
         probs = np.asarray(self.state_probs, dtype=float)
         emissions = np.asarray(self.emissions, dtype=float)
@@ -144,16 +146,13 @@ class LatentStatePrior:
         object.__setattr__(self, "emissions", emissions)
         if probs.ndim != 1 or probs.size < 1:
             raise PriorError("state_probs must be a non-empty vector")
-        # stated positively: NaN fails every comparison, and propagates
-        # through min, max and sum, so it fails these checks
-        if not (abs(probs.sum() - 1.0) <= PROBABILITY_TOL and probs.min() >= 0):
+        if probability_table_fault(probs, 0, PROBABILITY_TOL):
             raise PriorError("state_probs must be a probability vector")
         if emissions.shape != (probs.size, self.space.m):
             raise PriorError(
                 f"emissions shape {emissions.shape} != ({probs.size}, {self.space.m})"
             )
-        off = np.abs(emissions.sum(axis=1) - 1.0).max()
-        if not (off <= PROBABILITY_TOL and emissions.min() >= 0):
+        if probability_table_fault(emissions, 1, PROBABILITY_TOL):
             raise PriorError("each emissions row must be a probability vector")
         probs.setflags(write=False)
         emissions.setflags(write=False)
@@ -308,17 +307,6 @@ class PriorConstants:
 
     def to_dict(self) -> dict:
         return {"c1": self.c1, "c2": self.c2, "c3": self.c3, "c4": self.c4}
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _check_stochastic(prior: PairwisePrior):
-    """Raise :class:`PriorError` unless the marginal and every conditional
-    column are non-negative and sum to 1 within ``PROBABILITY_TOL``."""
-    if np.any(prior.marginal < 0.0) or abs(prior.marginal.sum() - 1.0) > PROBABILITY_TOL:
-        raise PriorError("marginal is not a probability vector within tolerance")
-    colsums = prior.conditional.sum(axis=0)
-    if np.any(prior.conditional < 0.0) or np.max(np.abs(colsums - 1.0)) > PROBABILITY_TOL:
-        raise PriorError("conditional columns are not stochastic within tolerance")
 
 
 def from_latent(latent: LatentStatePrior) -> PairwisePrior:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .priors import LatentStatePrior, PairwisePrior, PermutationMap, PriorError, _map_strategy
-from .tolerances import PROBABILITY_TOL, STOCHASTIC_TOL
+from .tolerances import PROBABILITY_TOL, STOCHASTIC_TOL, probability_table_fault
 
 __all__ = [
     "StrategyProfile",
@@ -51,29 +51,21 @@ def validate_signal_strategy(theta: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 2 or theta.shape[0] != theta.shape[1]:
         raise ProfileError(f"signal strategy must be square, got shape {theta.shape}")
-    _check_columns(theta[None], PROBABILITY_TOL)
+    if fault := probability_table_fault(theta, 0, PROBABILITY_TOL):
+        raise ProfileError(f"the signal strategy's columns have {fault}")
     return theta
 
 
-# an overflowing sum is inf, which fails the checks it feeds
-@np.errstate(over="ignore", invalid="ignore")
-def _check_columns(thetas: np.ndarray, tol: float = STOCHASTIC_TOL):
-    """Raise for the first strategy of the stack ``thetas`` (k, m, m) with an
-    entry that is not a non-negative number or a column that does not sum to 1.
-    The checks are stated positively, so NaN, which fails every comparison,
-    fails them.  The verdict comes first, from two reductions over the whole
-    stack (a NaN propagates through both); the offending strategy is located
-    only when it fails."""
-    colsums = thetas.sum(axis=1)
-    if np.abs(colsums - 1.0).max() <= tol and thetas.min() >= 0.0:
+def _check_columns(thetas: np.ndarray):
+    """Raise, naming the first agent whose strategy fails, unless every
+    strategy of the stack ``thetas`` (n, m, m) is column-stochastic within
+    ``STOCHASTIC_TOL``.  The verdict is one check of the whole stack; the
+    agent is located only when it fails."""
+    if probability_table_fault(thetas, 1, STOCHASTIC_TOL) is None:
         return
-    negative = ~(thetas >= 0.0).all(axis=(1, 2))
-    bad = negative | ~(np.abs(colsums - 1.0).max(axis=1) <= tol)
-    if bad.any():
-        i = int(np.argmax(bad))
-        if negative[i]:
-            raise ProfileError("signal strategy entries must be non-negative")
-        raise ProfileError(f"columns must sum to 1, got {colsums[i]}")
+    for i, theta in enumerate(thetas):
+        if fault := probability_table_fault(theta, 0, STOCHASTIC_TOL):
+            raise ProfileError(f"agent {i}'s signal strategy columns have {fault}")
 
 
 @dataclass(frozen=True)
@@ -83,7 +75,6 @@ class StrategyProfile:
     thetas: np.ndarray
     predictions: np.ndarray
 
-    @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
         thetas = np.asarray(self.thetas, dtype=float)
         predictions = np.asarray(self.predictions, dtype=float)
@@ -99,8 +90,7 @@ class StrategyProfile:
                 f"predictions must have shape ({n}, {m}, {m}, {m}), got {predictions.shape}"
             )
         _check_columns(thetas)
-        off = np.abs(predictions.sum(axis=-1) - 1.0).max()
-        if not (off <= PROBABILITY_TOL and predictions.min() >= 0.0):
+        if probability_table_fault(predictions, -1, PROBABILITY_TOL):
             raise ProfileError("every prediction cell must be a probability vector")
         thetas.setflags(write=False)
         predictions.setflags(write=False)

@@ -1,4 +1,4 @@
-"""Every numeric tolerance of the package, named once.
+"""Every numeric tolerance of the package, named once, and the table rule.
 
 Each constant says what it guards.  Most functions read their constant
 directly; a tolerance is a keyword default only where callers choose it, in
@@ -6,6 +6,9 @@ directly; a tolerance is a keyword default only where callers choose it, in
 default of ``check-eq --eps``, which the command compares with
 ``check_equilibrium``'s largest gap.  The acceptance criteria in
 :mod:`peerpred.acceptance` pin their own thresholds.
+
+:func:`probability_table_fault` is the one rule of a probability table.  Every
+prior, profile, report and signal strategy is checked by it where it is built.
 """
 
 __all__ = [
@@ -19,13 +22,14 @@ __all__ = [
     "BOUND_TOL",
     "BEST_PREDICTION_TOL",
     "AUDIT_TOL",
+    "probability_table_fault",
 ]
 
 # Input checks on numbers from outside the program.
 #
 # Largest |sum - 1| accepted for a probability vector given as input: a latent
-# prior's state distribution and emission rows, a pairwise prior file's marginal
-# and conditional columns, a prediction, and the signal strategy of the
+# prior's state distribution and emission rows, a pairwise prior's marginal and
+# conditional columns, a prediction, and the signal strategy of the
 # far-from-permutation audit; also the largest error bound an exact prediction
 # solve may return.  It admits vectors written out to nine or more digits.
 PROBABILITY_TOL = 1e-9
@@ -39,7 +43,9 @@ SAMPLED_PRIOR_TOL = 1e-6
 
 # Checks on numbers the program computes.
 #
-# Largest |column sum - 1| of a signal strategy that a profile holds.
+# Largest |column sum - 1| of a signal strategy that a profile holds.  Tighter
+# than a prediction's PROBABILITY_TOL: strategies set the prediction anchors,
+# which the audits compare at 1e-12 to 1e-10 (AUDIT_TOL, BOUND_TOL).
 STOCHASTIC_TOL = 1e-12
 # Most that an exact prediction solve's residual may exceed its own roundoff: a
 # member past it whose residual carries over half its error bound takes one step
@@ -64,3 +70,22 @@ BEST_PREDICTION_TOL = 1e-6
 # Slack of the far-from-permutation bound and of the relabeling-cycle
 # equalities, which compare two welfare sums of the same terms.
 AUDIT_TOL = 1e-12
+
+
+def probability_table_fault(table, axis: int, tol: float) -> str | None:
+    """What keeps a slice of the array ``table`` along ``axis`` from being a
+    probability vector within ``tol``, or None.  Every entry must lie in
+    [0, 1 + tol], checked first: NaN fails every comparison, and no sum of such
+    entries overflows.  A float sum of non-negative terms is never below its
+    largest term, so this refuses no table that the sums accept.  Then every
+    sum must lie within ``tol`` of 1.  An empty table is refused."""
+    if table.size == 0:
+        return "no entries"
+    if not table.min() >= 0.0:
+        return "a negative or NaN entry"
+    if not table.max() <= 1.0 + tol:
+        return "an entry above 1"
+    miss = abs(table.sum(axis=axis) - 1.0).max()
+    if miss > tol:
+        return f"a sum that misses 1 by {miss:.1e}, more than {tol:g}"
+    return None

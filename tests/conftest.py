@@ -19,6 +19,16 @@ def column_stochastic(m):
     return st.lists(simplex(m), min_size=m, max_size=m).map(lambda cols: np.stack(cols, axis=1))
 
 
+def reference_is_probability_table(table, axis, tol):
+    """Oracle of the probability-table rule as the validators stated it before
+    the range check: every entry non-negative and every |sum - 1| within
+    ``tol``, the sums taken first (one that overflows is inf and fails)."""
+    table = np.asarray(table, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = table.sum(axis=axis)
+        return bool((table >= 0.0).all() and (np.abs(sums - 1.0) <= tol).all())
+
+
 def best_prediction_profile(profile, prior):
     """Oracle of the classification bound's right side: keep the signal
     strategies, replace every prediction by the prediction-score maximizer

@@ -790,7 +790,8 @@ class TestErrorsAndDeterminism:
              "each emissions row must be a probability vector"),
             ("pairwise", "marginal", [1e308, 1e308],
              "marginal is not a probability vector within tolerance"),
-            ("profile", "theta", [[1e308, 0.0], [1e308, 1.0]], "columns must sum to 1, got [inf  1.]"),
+            ("profile", "theta", [[1e308, 0.0], [1e308, 1.0]],
+             "agent 1's signal strategy columns have an entry above 1"),
             (
                 "profile",
                 "predictions",
@@ -852,6 +853,30 @@ class TestErrorsAndDeterminism:
             f"error: io: invalid mechanism in {path}: unknown fields {unknown}; "
             "a mechanism has alpha, beta, rule, variant, groupA\n"
         )
+
+    def test_strategy_columns_to_nine_digits_exit_1(self, tmp_path, capsys):
+        """Strategy columns written to 9 digits miss 1 by about 1e-9, past
+        the 1e-12 that a profile holds them to: the one error line names the
+        first such agent, its miss and the tolerance."""
+        columns = np.random.default_rng(1).dirichlet(np.ones(3), size=(4, 3))
+        thetas = columns.transpose(0, 2, 1).round(9)
+        misses = np.abs(thetas.sum(axis=1) - 1.0).max(axis=1)
+        agent = int(np.argmax(misses > 1e-12))
+        assert 1e-10 < misses[agent] < 1e-8
+        predictions = np.full((3, 3, 3), 1 / 3).tolist()
+        data = {"n": 4, "agents": [{"theta": t.tolist(), "predictions": predictions} for t in thetas]}
+        path = tmp_path / "prof9.json"
+        path.write_text(json.dumps(data))
+        prior = tmp_path / "prior.json"
+        save_prior(random_snife_prior(3, 2, seed=3), prior)
+        assert main(["welfare", "--prior", str(prior), "--profile", str(path)]) == 1
+        err = capsys.readouterr().err
+        named = re.fullmatch(
+            rf"error: io: invalid profile in {re.escape(str(path))}: agent {agent}'s signal "
+            r"strategy columns have a sum that misses 1 by (\S+), more than 1e-12\n",
+            err,
+        )
+        assert named and float(named[1]) == pytest.approx(misses[agent], rel=0.05)
 
     def test_unreadable_file_exits_1(self, tmp_path, capsys):
         """A path that exists but cannot be read as a file, here a directory."""

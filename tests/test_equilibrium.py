@@ -415,7 +415,8 @@ class TestPredictionSolver:
         (latent) or not, random strategies send no member dense.  Each bound
         is within PROBABILITY_TOL and at least the distance to the dense
         solve, which is within 1e-12 up to beta/alpha = 1e3; past 1e5 a bound
-        may pass PROBABILITY_TOL, and then the stack is refused."""
+        may pass PROBABILITY_TOL, and then the stack is refused.  An accepted
+        member's rows pass the profile check, though the bound is per entry."""
         rng = np.random.default_rng(seed)
         if latent:
             prior = from_latent(random_snife_prior(m, 2, seed=int(rng.integers(1000))))
@@ -438,6 +439,7 @@ class TestPredictionSolver:
             return
         assert bounds.max() <= PROBABILITY_TOL
         for k in range(3):
+            StrategyProfile(thetas[k], predictions[k])
             error = np.max(np.abs(predictions[k] - dense(config, prior, thetas[k])))
             if log_ratio <= 3.0:
                 assert error <= 1e-12

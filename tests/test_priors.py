@@ -152,6 +152,17 @@ class TestFromLatent:
         with pytest.raises(PriorError, match="degenerate"):
             from_latent(latent)
 
+    def test_derived_moments_checked_as_any_pairwise_prior(self):
+        """Each sum of the latent prior misses 1 by 0.9e-9, within
+        PROBABILITY_TOL, but the derived marginal misses by their sum, 1.8e-9,
+        and a pairwise prior is stochastic by type."""
+        miss = 0.9e-9
+        latent = LatentStatePrior(
+            SignalSpace.of_size(2), [0.5, 0.5 - miss], [[0.7, 0.3 - miss], [0.2, 0.8 - miss]]
+        )
+        with pytest.raises(PriorError, match="marginal is not a probability vector"):
+            from_latent(latent)
+
     @settings(max_examples=60, deadline=None)
     @given(latents())
     def test_matches_state_enumeration(self, latent):

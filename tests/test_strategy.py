@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import best_prediction_profile, inverse_permutation
+from conftest import best_prediction_profile, inverse_permutation, reference_is_probability_table
 from peerpred.priors import PermutationMap, all_permutations, from_latent, random_snife_prior
 from peerpred.strategy import (
     ProfileError,
@@ -25,7 +25,7 @@ from peerpred.strategy import (
     uniform_report_profile,
     validate_signal_strategy,
 )
-from peerpred.tolerances import STOCHASTIC_TOL
+from peerpred.tolerances import STOCHASTIC_TOL, probability_table_fault
 
 APPENDIX_THETA = np.array([[0.3, 0.6, 0.0], [0.7, 0.4, 0.0], [0.0, 0.0, 1.0]])
 
@@ -95,17 +95,13 @@ class TestConstructors:
 
 
 def reference_check_columns(thetas, tol=STOCHASTIC_TOL):
-    """The column check located strategy by strategy, with no whole-stack
-    verdict first: raises for the first offending strategy."""
-    negative = ~(thetas >= 0.0).all(axis=(1, 2))
-    with np.errstate(over="ignore", invalid="ignore"):
-        colsums = thetas.sum(axis=1)
-        bad = negative | ~(np.abs(colsums - 1.0).max(axis=1) <= tol)
-    if bad.any():
-        i = int(np.argmax(bad))
-        if negative[i]:
-            raise ProfileError("signal strategy entries must be non-negative")
-        raise ProfileError(f"columns must sum to 1, got {colsums[i]}")
+    """The column check located strategy by strategy under the oracle rule,
+    with no whole-stack verdict first: raises for the first offending
+    strategy, naming it and its fault."""
+    for i, theta in enumerate(thetas):
+        if not reference_is_probability_table(theta, 0, tol):
+            fault = probability_table_fault(theta, 0, tol)
+            raise ProfileError(f"agent {i}'s signal strategy columns have {fault}")
 
 
 def spoil_column(theta, defect):
@@ -135,8 +131,15 @@ class TestValidation:
     @pytest.mark.parametrize(
         "bad, message",
         [
-            ({1: [[0.6, 0.5], [0.6, 0.5]], 2: [[1.2, 0.0], [-0.2, 1.0]]}, "got [1.2 1. ]"),
-            ({1: [[1.2, 0.0], [-0.2, 1.0]], 2: [[0.6, 0.5], [0.6, 0.5]]}, "non-negative"),
+            (
+                {1: [[0.6, 0.5], [0.6, 0.5]], 2: [[1.2, 0.0], [-0.2, 1.0]]},
+                "agent 1's signal strategy columns have a sum that misses 1 by 2.0e-01, "
+                "more than 1e-12",
+            ),
+            (
+                {1: [[1.2, 0.0], [-0.2, 1.0]], 2: [[0.6, 0.5], [0.6, 0.5]]},
+                "agent 1's signal strategy columns have a negative or NaN entry",
+            ),
         ],
     )
     def test_profile_reports_first_failing_agent(self, bad, message):
