@@ -144,7 +144,7 @@ def _resolve(args):
     if "prior" not in declared:
         return
     args.loaded = load_prior(args.prior)
-    args.prior = pairwise_from_loaded(args.loaded)
+    args.prior = pairwise_from_loaded(args.loaded, args.prior)
     if "mech" in declared:
         config = load_mechanism(args.mech) if args.mech else MechanismConfig()
         overrides = {k: declared[k] for k in ("alpha", "beta", "rule") if declared[k] is not None}

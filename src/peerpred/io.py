@@ -20,9 +20,9 @@ probability vector.  Mechanism files::
 with ``groupA`` a list of integer agent indices.  Each of these five fields
 may be left out for its default (alpha 1, beta 0.05, the log rule, the
 truthful variant, group A the first n // 2 agents); any other field is an
-error.  Priors and profiles check their probability tables where they are
-built.  All reals are IEEE doubles; Python's default float printing is the
-shortest representation that round-trips exactly.
+error.  A pairwise prior file is checked stochastic here, and a latent one
+when its moments are derived.  All reals are IEEE doubles; Python's default
+float printing is the shortest representation that round-trips exactly.
 
 One writer, :func:`json_text`, gives the text of every file written here
 and of every ``--format json`` output of the CLI: the whole object on one
@@ -40,9 +40,9 @@ from pathlib import Path
 import numpy as np
 
 from .mechanism import MechanismConfig
-from .priors import LatentStatePrior, PairwisePrior, PriorError, SignalSpace
-from .priors import from_latent
+from .priors import LatentStatePrior, PairwisePrior, PriorError, SignalSpace, from_latent
 from .strategy import ProfileError, StrategyProfile
+from .tolerances import PROBABILITY_TOL, probability_table_fault
 
 __all__ = [
     "prior_to_dict",
@@ -108,7 +108,12 @@ def prior_from_dict(data: dict, path=None) -> LatentStatePrior | PairwisePrior:
         if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
             raise PriorError(f"signals must be a list of strings, got {labels!r}")
         space = SignalSpace(tuple(labels))
-        return cls(space, _real_array(first, keys[0]), _real_array(second, keys[1]))
+        prior = cls(space, _real_array(first, keys[0]), _real_array(second, keys[1]))
+        if kind == "pairwise" and probability_table_fault(prior.marginal, 0, PROBABILITY_TOL):
+            raise PriorError("marginal is not a probability vector within tolerance")
+        if kind == "pairwise" and probability_table_fault(prior.conditional, 0, PROBABILITY_TOL):
+            raise PriorError("conditional columns are not stochastic within tolerance")
+        return prior
     except (OverflowError, PriorError, TypeError, ValueError) as exc:
         raise FormatError(f"invalid prior{f' in {path}' if path else ''}: {exc}") from exc
 
@@ -134,11 +139,12 @@ def _real(data: dict, key: str, default: float) -> float:
     return float(value)
 
 
-def pairwise_from_loaded(prior: LatentStatePrior | PairwisePrior) -> PairwisePrior:
-    """Pairwise moments of a loaded prior of either kind."""
-    if isinstance(prior, LatentStatePrior):
-        return from_latent(prior)
-    return prior
+def pairwise_from_loaded(prior: LatentStatePrior | PairwisePrior, path=None) -> PairwisePrior:
+    """Pairwise moments of a prior of either kind loaded from ``path``."""
+    try:
+        return from_latent(prior) if isinstance(prior, LatentStatePrior) else prior
+    except PriorError as exc:
+        raise FormatError(f"invalid latent prior{f' in {path}' if path else ''}: {exc}") from exc
 
 
 def load_prior(path) -> LatentStatePrior | PairwisePrior:

@@ -81,10 +81,10 @@ class PairwisePrior:
     """First two moments of a symmetric prior.
 
     ``conditional[a, b] = q(sigma_a | sigma_b)``; column ``b`` is the peer
-    distribution given own signal ``b``.  Construction checks shapes,
-    finiteness and that the marginal and every conditional column are
-    probability vectors within ``PROBABILITY_TOL``.  Symmetry is not checked:
-    :func:`validate_snife` gives its verdict among its itemized checks.
+    distribution given own signal ``b``.  Construction here checks shapes and
+    finiteness only.  A prior file's stochasticity is checked where it is
+    read (:func:`peerpred.io.prior_from_dict`), and :func:`validate_snife`
+    gives the symmetry verdict among its itemized checks.
     """
 
     space: SignalSpace
@@ -103,10 +103,6 @@ class PairwisePrior:
             raise PriorError(f"conditional shape {conditional.shape} != ({m}, {m})")
         if not (np.isfinite(marginal).all() and np.isfinite(conditional).all()):
             raise PriorError("marginal and conditional entries must be finite")
-        if probability_table_fault(marginal, 0, PROBABILITY_TOL):
-            raise PriorError("marginal is not a probability vector within tolerance")
-        if probability_table_fault(conditional, 0, PROBABILITY_TOL):
-            raise PriorError("conditional columns are not stochastic within tolerance")
         marginal.setflags(write=False)
         conditional.setflags(write=False)
 

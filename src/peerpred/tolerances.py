@@ -5,10 +5,9 @@ directly; a tolerance is a keyword default only where callers choose it, in
 ``validate_snife`` (``validate-prior --tol``).  ``EQUILIBRIUM_EPS`` is the
 default of ``check-eq --eps``, which the command compares with
 ``check_equilibrium``'s largest gap.  The acceptance criteria in
-:mod:`peerpred.acceptance` pin their own thresholds.
-
-:func:`probability_table_fault` is the one rule of a probability table.  Every
-prior, profile, report and signal strategy is checked by it where it is built.
+:mod:`peerpred.acceptance` pin their own thresholds.  The one rule of a
+probability table, :func:`probability_table_fault`, is checked where each
+table is built, or for a pairwise prior where its file is read.
 """
 
 __all__ = [
@@ -28,8 +27,8 @@ __all__ = [
 # Input checks on numbers from outside the program.
 #
 # Largest |sum - 1| accepted for a probability vector given as input: a latent
-# prior's state distribution and emission rows, a pairwise prior's marginal and
-# conditional columns, a prediction, and the signal strategy of the
+# prior's state distribution and emission rows, a pairwise prior file's marginal
+# and conditional columns, a prediction, and the signal strategy of the
 # far-from-permutation audit; also the largest error bound an exact prediction
 # solve may return.  It admits vectors written out to nine or more digits.
 PROBABILITY_TOL = 1e-9

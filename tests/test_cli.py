@@ -878,6 +878,38 @@ class TestErrorsAndDeterminism:
         )
         assert named and float(named[1]) == pytest.approx(misses[agent], rel=0.05)
 
+    def test_latent_file_with_derived_miss_accepted(self, tmp_path, capsys):
+        """Each sum of the latent file misses 1 by 0.9e-9, within 1e-9, so the
+        file is accepted, though its derived marginal misses by 1.8e-9."""
+        miss = 0.9e-9
+        data = {
+            "signals": ["a", "b"],
+            "kind": "latent",
+            "state_probs": [0.5, 0.5 - miss],
+            "emissions": [[0.7, 0.3 - miss], [0.2, 0.8 - miss]],
+        }
+        path = tmp_path / "edge-latent.json"
+        path.write_text(json.dumps(data))
+        assert main(["welfare", "--prior", str(path), "--profile", "truth"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_degenerate_latent_file_exits_1(self, tmp_path, capsys):
+        """A latent file with a signal of zero marginal has no pairwise
+        moments: the one error line names the file and the latent prior."""
+        data = {
+            "signals": ["a", "b"],
+            "kind": "latent",
+            "state_probs": [1.0, 0.0],
+            "emissions": [[1.0, 0.0], [0.0, 1.0]],
+        }
+        path = tmp_path / "degenerate.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate-prior", "--in", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: io: invalid latent prior in {path}: "
+            "degenerate latent prior: zero marginal for ['b']\n"
+        )
+
     def test_unreadable_file_exits_1(self, tmp_path, capsys):
         """A path that exists but cannot be read as a file, here a directory."""
         assert main(["welfare", "--prior", str(tmp_path), "--profile", "truth"]) == 1

@@ -1,12 +1,13 @@
-"""The probability-table rule at every site that builds a table: each defect
+"""The probability-table rule at every site that checks a table: each defect
 gets the verdict of the oracle rule, with no warning."""
 
 import numpy as np
 import pytest
 
 from conftest import reference_is_probability_table
+from peerpred.io import FormatError, prior_from_dict
 from peerpred.mechanism import MechanismError, Report
-from peerpred.priors import LatentStatePrior, PairwisePrior, PriorError, SignalSpace
+from peerpred.priors import LatentStatePrior, PriorError, SignalSpace
 from peerpred.strategy import ProfileError, StrategyProfile, validate_signal_strategy
 from peerpred.tolerances import PROBABILITY_TOL, STOCHASTIC_TOL, probability_table_fault
 
@@ -16,6 +17,13 @@ COLUMNS = np.tile(ROW[:, None], (1, 3))
 THETAS = np.tile(COLUMNS, (2, 1, 1))
 PREDICTIONS = np.tile(ROW, (2, 3, 3, 1))
 
+
+def pairwise_file(marginal, conditional):
+    """Read a pairwise prior file's tables, where a pairwise prior is checked."""
+    data = {"signals": list(SPACE.labels), "kind": "pairwise"}
+    return prior_from_dict({**data, "marginal": marginal.tolist(), "conditional": conditional.tolist()})
+
+
 # site: (valid table, axis of its probability vectors, tolerance, build from the table)
 SITES = {
     "latent-state-probs": (
@@ -24,8 +32,8 @@ SITES = {
     "latent-emissions": (
         np.tile(ROW, (2, 1)), 1, PROBABILITY_TOL, lambda t: LatentStatePrior(SPACE, [0.5, 0.5], t)
     ),
-    "pairwise-marginal": (ROW, 0, PROBABILITY_TOL, lambda t: PairwisePrior(SPACE, t, COLUMNS)),
-    "pairwise-conditional": (COLUMNS, 0, PROBABILITY_TOL, lambda t: PairwisePrior(SPACE, ROW, t)),
+    "pairwise-file-marginal": (ROW, 0, PROBABILITY_TOL, lambda t: pairwise_file(t, COLUMNS)),
+    "pairwise-file-conditional": (COLUMNS, 0, PROBABILITY_TOL, lambda t: pairwise_file(ROW, t)),
     "profile-thetas": (THETAS, 1, STOCHASTIC_TOL, lambda t: StrategyProfile(t, PREDICTIONS)),
     "profile-predictions": (PREDICTIONS, -1, PROBABILITY_TOL, lambda t: StrategyProfile(THETAS, t)),
     "report": (ROW, 0, PROBABILITY_TOL, lambda t: Report(0, t)),
@@ -46,7 +54,7 @@ def spoiled(site, defect):
 def accepted(site, table) -> bool:
     try:
         SITES[site][3](table)
-    except (MechanismError, PriorError, ProfileError):
+    except (FormatError, MechanismError, PriorError, ProfileError):
         return False
     return True
 
