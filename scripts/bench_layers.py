@@ -30,7 +30,9 @@ aggregation_error_audit runs over ``--ns`` and LARGE_N at m = 2 and 3
 strategies ("random", n agent types) and truth-tellers with one random
 deviant ("one-deviant", two types).
 monte_carlo_payments runs ``--mc-trials`` trials (seed 0) at m = 3 and n in
-``--mc-ns``, for both variants, and its rows add ``trials_per_s``.
+``--mc-ns``, for both variants, and its rows add ``trials_per_s`` and
+``traced_peak_bytes``: the peak that ``tracemalloc`` traces over one more,
+untimed call, made before the timed runs.
 
 Every timed row also records ``minflt_per_call``: the process's minor page
 faults (``ru_minflt``) over its timed runs, divided by the number of runs.
@@ -78,6 +80,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -157,6 +160,16 @@ def _minflt():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
+def _traced_peak(call) -> int:
+    """Peak bytes that ``tracemalloc`` traces over one untimed run of ``call``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _time(calls: dict, repeats: int) -> dict:
     """{tree: (seconds of each run, minor page faults per run)} of each
     tree's call.  A repeat runs every tree once, in an order that alternates
@@ -186,9 +199,9 @@ class _Recorder:
         medians = " ".join(f"{f'{tree}_s':>10}" for tree in trees)
         self.columns = f"{'profile':<11} {'m':>2} {'n':>5} {medians} {'runs':>4} {'minflt':>8}"
 
-    def time(self, key, row, cell, calls, extra=lambda seconds: {}, note=lambda seconds: ""):
+    def time(self, key, row, cell, calls, extra=lambda tree, seconds: {}, note=lambda seconds: ""):
         """Time ``calls`` {tree: call}; add ``row`` with its median, run
-        count, page faults and ``extra(median)`` to each tree's rows.  A
+        count, page faults and ``extra(tree, median)`` to each tree's rows.  A
         row whose ``key`` (None: never skipped) ran over budget at a smaller
         n is recorded as skipped.  The printed line holds every tree's
         median and the last tree's runs and faults."""
@@ -203,7 +216,7 @@ class _Recorder:
                 self.over_budget.add(key)
             median = statistics.median(runs)
             entry = {"median_s": median, "runs": len(runs), "minflt_per_call": faults}
-            self.rows[tree].append({**row, **entry, **extra(median)})
+            self.rows[tree].append({**row, **entry, **extra(tree, median)})
             printed.append((median, len(runs), faults))
         medians = " ".join(f"{median:>10.3g}" for median, _, _ in printed)
         _, count, faults = printed[-1]
@@ -396,12 +409,16 @@ def main():
                 }
                 row = {"layer": "monte_carlo_payments", "variant": variant, "profile": name,
                        "m": MC_M, "n": n, "trials": args.mc_trials}  # fmt: skip
+                peaks = {tree: _traced_peak(call) for tree, call in calls.items()}
                 rec.time(
                     None,
                     row,
                     f"{variant:<29} {name:<11} {MC_M:>2} {n:>5}",
                     calls,
-                    extra=lambda median: {"trials_per_s": args.mc_trials / median},
+                    extra=lambda tree, median: {
+                        "trials_per_s": args.mc_trials / median,
+                        "traced_peak_bytes": peaks[tree],
+                    },
                     note=lambda median: f" {args.mc_trials / median:.4g}",
                 )
 

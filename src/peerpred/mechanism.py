@@ -59,6 +59,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -650,6 +651,11 @@ def _mc_tables(config: MechanismConfig, profile: StrategyProfile, reachable, tri
     return cell_of, base, reward
 
 
+def _lookup(table: np.ndarray, c: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """Entries (c, c2) of a (C, C) cell-pair table, as one flat take."""
+    return np.take(table, c * np.intp(table.shape[0]) + c2, mode="clip")
+
+
 def _fill_integers(rng: np.random.Generator, high: int, out: np.ndarray) -> np.ndarray:
     """``out[...] = rng.integers(0, high, out.shape, dtype=out.dtype)``, drawn
     a run of rows at a time through temporaries of at most ``_DRAW_BYTES``
@@ -715,26 +721,33 @@ def monte_carlo_payments(
        i and j, in increasing order.
 
     Each draw is made once per block and held as an int32 array (int64 only
-    when a mate draw, an (agent, signal, report) cell or a flat (trial,
+    when a mate draw, an (agent, signal, report) position or a flat (trial,
     agent) position could pass the int32 range); the payment tables and the
     kernel fallback both read the same arrays, and the integer draws take
     the same values in either width.  The mate draw skips ``mod`` when every
     mate count is L, as for the truthful pool and for even halves.
 
-    Each call allocates one workspace of block arrays that every block
-    reuses, so no block maps fresh pages: the payments (B, n + 1) with the
-    welfare in the last column, one float (B, n) for the report uniforms and
-    then the rewards, the three (truthful) or five int (B, n) draws, a bool
-    (B, n) mask and one intp (B, n + 1) index array.  That is about 45 B n
-    bytes in the disagreement variant at int32, 6.0 MB at B = 4096, n = 32.
-    Uniforms are drawn by ``rng.random(out=...)``; integer draws fill their
-    rows a run of at most ``_DRAW_BYTES`` at a time, since
+    Each call allocates one workspace that every block reuses, so no block
+    maps fresh pages.  It holds only what the stream order makes a block
+    keep whole: the payments (B, n + 1), with the welfare in the last
+    column, since their moments are taken over the block; and the int (B,
+    n) draws that later draws depend on.  These are each agent-trial's flat
+    (agent, signal, report) position, into which its signal and then its
+    report fold (its table cell, once the report is drawn, when there are
+    tables); the mate draws, then the peers; and j and k.  That is about
+    24 B n bytes in the disagreement variant at int32 and 16 B n in the
+    truthful one: 3.2 MB at B = 4096, n = 32.  Everything else runs in
+    chunks of ``_BLOCK_CELLS // (n m)`` rows: the report uniforms, drawn a
+    chunk at a time, and the threshold gathers; then the mate and pair
+    skips, the table lookups or the kernel call, the zero-sum step and the
+    rewards.  Each chunk continues the stream and every step is row-local,
+    so the chunks give the bits of whole-block arrays.  A chunk has at least
+    two rows (one only in a block of one trial), and a lone last row joins
+    the chunk before it: numpy sums the groups of a lone row in another
+    order than those of the rows of a larger array.  Integer
+    draws fill their rows a run of at most ``_DRAW_BYTES`` at a time, since
     ``Generator.integers`` has no ``out=``, and continue the stream, so they
-    equal the whole draw.  Every ``np.take`` reads intp indices from the
-    workspace and writes to a C-contiguous ``out=`` with ``mode="clip"``
-    (every index is in range): with int32 indices it would copy them to
-    intp first, and with ``mode="raise"`` or a strided ``out=`` it would
-    buffer its output.
+    equal the whole draw.
 
     The result therefore depends only on (config, latent, profile, trials,
     seed); any block can be drawn alone and draws the same numbers, and
@@ -746,19 +759,18 @@ def monte_carlo_payments(
 
     Every sampled payment is a table lookup: ``_mc_tables`` scores every
     ordered pair of reachable (agent, signal, report) cells once, and a
-    block's lookups are flat ``np.take`` gathers, a trial's agents offset by
-    trial * n and a table entry (c, c') at c * C + c'.  When the
+    chunk's lookups are flat ``np.take`` gathers, the agents of chunk row t
+    offset by t * n and a table entry (c, c') at c * C + c'.  When the
     tables would exceed ``_MC_TABLE_ENTRIES`` entries or the sampled pairs,
-    or hold a pair outside the scoring rule's domain, each block is scored
-    by the payment kernel on its gathered predictions in row blocks of
-    ``_BLOCK_CELLS`` cells instead; both give identical results, and a
-    :class:`~peerpred.scoring.ScoreDomainError` is raised exactly when a
-    sampled pair is undefined.  Memory is the workspace plus
-    O(n m^2 + _BLOCK_CELLS m + _MC_TABLE_ENTRIES), the cells, the kernel's
-    row blocks and the tables.  ``seed`` must be an integer in [0, 2**64).  A
-    :class:`MechanismError` is raised when the merged means or squared
-    deviations overflow to a non-finite value, as huge ``alpha`` and
-    ``beta`` make them.
+    or hold a pair outside the scoring rule's domain, each chunk is scored
+    by the payment kernel on its gathered predictions instead; both give
+    identical results, and a :class:`~peerpred.scoring.ScoreDomainError` is
+    raised exactly when a sampled pair is undefined.  Memory is the
+    workspace plus O(n m^2 + _BLOCK_CELLS m + _MC_TABLE_ENTRIES): the
+    thresholds and cells, a chunk's arrays and the tables.  ``seed`` must be
+    an integer in [0, 2**64).  A :class:`MechanismError` is raised when the
+    merged means or squared deviations overflow to a non-finite value, as
+    huge ``alpha`` and ``beta`` make them.
     """
     if trials < 1:
         raise MechanismError("need at least one trial")
@@ -773,7 +785,7 @@ def monte_carlo_payments(
     groups = config.groups(n) if disagreement else (tuple(range(n)),)
     draws = math.lcm(*(len(members) - 1 for members in groups))
     # indices are int32 unless one of a block's could pass its range: a mate
-    # draw, a cell at * m + report, or a flat (trial, agent) position
+    # draw, an (agent, signal, report) position, or a flat (trial, agent) one
     bound = max(draws, n * m * m, n * min(trials, _MC_BLOCK))
     index = np.int32 if bound <= np.iinfo(np.int32).max else np.int64
     agents = np.arange(n, dtype=index)
@@ -795,113 +807,72 @@ def monte_carlo_payments(
     # thresholds[t, i * m + s] = cums[i, s, t], the m - 1 that the sampler reads
     thresholds = np.ascontiguousarray(cums[..., :-1].reshape(n * m, m - 1).T)
     tables = _mc_tables(config, profile, reachable, trials)
-    rows_per_block = max(1, _BLOCK_CELLS // (n * m))
+    cell_of, base, reward = tables or (None, None, None)
+    # at least two: a lone row's groups are summed pairwise, a larger
+    # array's one column at a time
+    rows_per_block = max(2, _BLOCK_CELLS // (n * m))
 
-    # The workspace: every block's arrays, allocated once per call, since
-    # fresh (B, n) arrays per block cost a page fault per page.  ``paid``
-    # holds the payments, their mean over agents in the last column, then the
-    # squared deviations; until scoring, its memory holds the report
-    # thresholds at the sampled signals, one row at a time.  ``uniforms``
-    # holds the report uniforms, then the classification rewards.  Every take
-    # reads intp indices from ``spots``, as np.take would otherwise copy them
-    # to intp, and writes to a C-contiguous out=, as it would otherwise
-    # buffer its output.  ``skip`` holds the comparisons that skip agents.
+    # The workspace, allocated once per call, since fresh (B, n) arrays per
+    # block cost a page fault per page.  ``paid`` holds the payments, their
+    # mean over agents in the last column, then the squared deviations.
+    # ``ints`` holds the flat positions i * m^2 + s * m + r (then the cells),
+    # the mate draws (then the peers) and, in the disagreement variant, j and k.
     capacity = min(trials, _MC_BLOCK)
     paid = np.empty((capacity, n + 1))
-    uniforms = np.empty(capacity * n)
-    spots = np.empty(capacity * (n + 1), dtype=np.intp)
-    skip = np.empty(capacity * n, dtype=bool)
-    # at, reports, mate draws (then peers) and, in the disagreement variant, j and k
-    ints = np.empty((5 if disagreement else 3, capacity * n), dtype=index)
-    offsets = np.arange(capacity, dtype=np.intp)[:, None] * n
-    agent_at = agents * m  # at = i * m + s
+    ints = np.empty((4 if disagreement else 2, capacity * n), dtype=index)
+    # agent i of chunk row t sits at t * n + i; a chunk has at most
+    # rows_per_block + 1 rows
+    offsets = np.arange(min(capacity, rows_per_block + 1))[:, None] * n
+    agent_at = agents * m  # i * m + s
     pools = pools.reshape(-1)
     # d % sizes is d itself when every mate count is the draw range
     identity = bool((sizes == draws).all())
 
-    def score(at, reports, peers, pairs, out, lookups, rewards):
-        """Payments of one block into ``out`` (B, n + 1), whose last column
-        is left to the welfare; ``at`` (B, n) indexes (agent, signal) as
-        i * m + s.  The table lookups overwrite ``reports`` by the block's
-        cells, ``peers`` and ``pairs`` by their agents' cells, the intp
-        ``lookups`` (B, n + 1) by take indices and ``rewards`` (B, n) by the
-        classification rewards."""
-        if tables is None:
-            preds = profile.predictions.reshape(n * m, m, m)
-            for lo in range(0, peers.shape[0], rows_per_block):
-                x = slice(lo, lo + rows_per_block)
-                out[x, :n] = _round_payments(
-                    config,
-                    reports[x],
-                    preds[at[x], reports[x]],
-                    peers[x],
-                    None if pairs is None else (pairs[0][x], pairs[1][x]),
-                )
-            return
-        cell_of, base, reward = tables
-        width = base.shape[0]
-        # flat lookups: cells[t, i] sits at t * n + i, table entry (c, c') at c * C + c'
-        positions = lookups.reshape(-1)[: at.size].reshape(at.shape)
-        np.multiply(at, m, out=positions)
-        np.add(positions, reports, out=positions)
-        cells = np.take(cell_of, positions, out=reports, mode="clip")
-
-        def cells_of(x):
-            np.add(x, offsets[: x.shape[0]], out=positions)
-            return np.take(cells, positions, out=x, mode="clip")
-
-        def entries(c, c2, out):
-            np.multiply(c, width, out=out)
-            return np.add(out, c2, out=out)
-
-        def base_payments(x):
-            # the lookup fills whole rows of out, so that its out= is
-            # contiguous; the last column reads entry 0 until the welfare
-            entries(cells, cells_of(x), lookups[:, :n])
-            lookups[:, n] = 0
-            return np.take(base, lookups, out=out, mode="clip")[:, :n]
-
-        def classification_rewards(j, k):
-            entries(cells_of(j), cells_of(k), positions)
-            return np.take(reward, positions, out=rewards, mode="clip")
-
-        # the base payments land in out, where the zero-sum and reward steps
-        # then work in place
-        _assemble_payments(config, base_payments, classification_rewards, peers, pairs)
-
     moments = None
     for b, lo in enumerate(range(0, trials, _MC_BLOCK)):
         size = min(_MC_BLOCK, trials - lo)
-
-        def block(buffer, columns=n):
-            return buffer[: size * columns].reshape(size, columns)
-
+        # a lone last row joins the chunk before it
+        edges = [0, *range(rows_per_block, size - 1, rows_per_block), size]
+        chunks = [slice(*edge) for edge in zip(edges, edges[1:])]
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
-        at, reports, d, *pairs = map(block, ints)
-        positions, mask = block(spots), block(skip)
+        at, d, *pairs = (x[: size * n].reshape(size, n) for x in ints)
         latent.sample_signals(n, size, rng, out=at)
         at += agent_at
-        np.copyto(positions, at)
-        gathered = block(paid.reshape(-1))
-        rows = (np.take(row, positions, out=gathered, mode="clip") for row in thresholds)
-        sample_categorical(rows, rng.random(out=block(uniforms)), out=reports)
+        for x in chunks:
+            spots = at[x]
+            where = spots.astype(np.intp)  # converted once, not by each take
+            rows = (np.take(row, where, mode="clip") for row in thresholds)
+            reports = sample_categorical(rows, rng.random(spots.shape))
+            spots *= m
+            spots += reports
+            if tables is not None:
+                spots[...] = np.take(cell_of, spots)
         _fill_integers(rng, draws, d)
-        if not identity:
-            np.remainder(d, sizes, out=d)
-        d += np.greater_equal(d, pos, out=mask)  # skip agent i itself
-        peers = np.take(pools, np.add(d, pool_at, out=positions), out=d, mode="clip")
-        if disagreement:
-            j, k = pairs
-            _fill_integers(rng, n - 1, j)
-            _fill_integers(rng, n - 2, k)
-            j += np.greater_equal(j, agents, out=mask)
-            # onto the agents other than i and j, in increasing order; the
-            # uniforms' memory is free from the report draw to the rewards
-            spare = block(uniforms.view(index))
-            for bound in (np.minimum, np.maximum):
-                k += np.greater_equal(k, bound(agents, j, out=spare), out=mask)
+        for x, high in zip(pairs, (n - 1, n - 2)):
+            _fill_integers(rng, high, x)
+        for x in chunks:
+            spots, peers = at[x], d[x]
+            if not identity:
+                np.remainder(peers, sizes, out=peers)
+            peers += peers >= pos  # skip agent i itself
+            np.take(pools, peers + pool_at, out=peers, mode="clip")
+            pair = None
+            if disagreement:
+                j, k = pair = (pairs[0][x], pairs[1][x])
+                j += j >= agents
+                # onto the agents other than i and j, in increasing order
+                for bound in (np.minimum, np.maximum):
+                    k += k >= bound(agents, j)
+            if tables is None:
+                preds = profile.predictions.reshape(n * m * m, m)[spots]
+                paid[x, :n] = _round_payments(config, spots % m, preds, peers, pair)
+                continue
+            for agent in (peers, *(pair or ())):  # each agent's cell
+                np.take(spots, agent + offsets[: len(agent)], out=agent, mode="clip")
+            paid[x, :n] = _assemble_payments(
+                config, partial(_lookup, base, spots), partial(_lookup, reward), peers, pair
+            )
         payments = paid[:size]
-        score(at, reports, peers, pairs or None, payments, block(spots, n + 1), block(uniforms))
         np.mean(payments[:, :n], axis=1, out=payments[:, n])
         block_moments = _moments(payments)
         moments = block_moments if moments is None else _merge_moments(moments, block_moments)

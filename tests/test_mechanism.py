@@ -928,13 +928,15 @@ class TestMonteCarloWorkspace:
             ("disagreement", (0, 2, 3)),  # mate counts 2 and n - 4: d % sizes is no identity
         ],
     )
+    @pytest.mark.parametrize("chunked", [False, True])
     @pytest.mark.parametrize("n", [5, 16, 33])
     def test_matches_vectorized_oracle(
-        self, monkeypatch, latent3, n, variant, group, rule, blocks, tables
+        self, monkeypatch, latent3, n, variant, group, rule, blocks, tables, chunked
     ):
         """Bit for bit the block loop that allocated fresh arrays per block,
         on both scoring paths, over one block short of full, one full block
-        and four blocks with a partial last one."""
+        and four blocks with a partial last one; with the default chunks of
+        rows, and with a few rows per chunk."""
         m = 3
         # every profile gets tables from n m^4 trials on (C^2 <= trials n); the
         # kernel, slower, runs short blocks
@@ -944,6 +946,14 @@ class TestMonteCarloWorkspace:
             monkeypatch.setattr(mechanism, "_MC_TABLE_ENTRIES", 0)
         count, extra = blocks
         trials = count * block_size + extra
+        if chunked:
+            # the most rows per chunk, below every block's size, that leave at
+            # least two rows over in each block, so that each spans several
+            # chunks with a partial last one (a single row over joins the
+            # chunk before)
+            sizes = {min(block_size, trials - lo) for lo in range(0, trials, block_size)}
+            rows = next(r for r in range(min(sizes) - 1, 1, -1) if all(s % r > 1 for s in sizes))
+            monkeypatch.setattr(mechanism, "_BLOCK_CELLS", rows * n * m)
         profile = random_profile(np.random.default_rng(n), m, n)
         config = MechanismConfig(1.0, 0.05, rule, variant, group)
         reachable = profile.thetas.transpose(0, 2, 1) > 0.0
@@ -957,6 +967,29 @@ class TestMonteCarloWorkspace:
         assert np.array_equal(mc.stderr, stderr)
         assert mc.welfare_mean == welfare_mean
         assert mc.welfare_stderr == welfare_stderr
+
+    @pytest.mark.parametrize("tables", [True, False])
+    def test_lone_last_row_joins_chunk_before(self, monkeypatch, latent3, tables):
+        """Blocks of 97 trials in chunks of 32 rows: the row left over is
+        scored with the chunk before it, so both paths give the bits of the
+        whole block.  Scored alone, its groups of 8 would be summed pairwise
+        rather than one column at a time, and the kernel would differ from
+        the tables in the last bits."""
+        n, m, trials = 16, 3, 14 * 97  # the tables need C^2 = 144^2 <= n trials
+        monkeypatch.setattr(mechanism, "_MC_BLOCK", 97)
+        monkeypatch.setattr(mechanism, "_BLOCK_CELLS", 32 * n * m)
+        profile = random_profile(np.random.default_rng(n), m, n)
+        config = MechanismConfig(1.0, 0.05, "log", "disagreement")
+        reachable = profile.thetas.transpose(0, 2, 1) > 0.0
+        assert mechanism._mc_tables(config, profile, reachable, trials) is not None
+        # the oracle looks every payment up in one whole-block pass
+        expected = vectorized_monte_carlo_oracle(config, latent3, profile, trials, seed=2)
+        if not tables:
+            monkeypatch.setattr(mechanism, "_MC_TABLE_ENTRIES", 0)
+        mc = monte_carlo_payments(config, latent3, profile, trials=trials, seed=2)
+        assert np.array_equal(mc.mean, expected[0])
+        assert np.array_equal(mc.stderr, expected[1])
+        assert (mc.welfare_mean, mc.welfare_stderr) == expected[2:]
 
     @pytest.mark.parametrize(
         "dtype, high", [(np.int32, 15), (np.int64, 15), (np.int64, 2**31 + 12345)]
@@ -974,21 +1007,38 @@ class TestMonteCarloWorkspace:
         assert np.array_equal(out, expected)
         assert chunked.random() == whole.random()
 
-    # tracemalloc peak of the call below when every block allocated its
-    # arrays afresh: 8,742,019 to 8,747,604 bytes over three runs (numpy
-    # 2.4.6, Python 3.11.7), the least of them kept
-    PEAK_BEFORE = 8_742_019
+    # bytes per _BLOCK_CELLS cell that a chunk's arrays may take beyond the
+    # workspace and the tables: traced, about 14 on the tables path and 54 on
+    # the kernel path (numpy 2.4.6, Python 3.11.7)
+    CHUNK_BYTES = {True: 24, False: 80}
 
-    def test_peak_memory_not_above_fresh_arrays(self, latent3):
-        profile = random_profile(np.random.default_rng(8), 3, 32)
+    @pytest.mark.parametrize("tables, n", [(True, 32), (False, 128)])
+    def test_peak_memory_within_workspace_bound(self, monkeypatch, latent3, tables, n):
+        """The traced peak of one call is at most the documented workspace, the
+        (B, n + 1) payments and four int32 (B, n) draws, plus the tables and
+        CHUNK_BYTES per _BLOCK_CELLS cell.  When every block kept its uniforms,
+        a mask and intp indices whole as well, the peak was 8.0 MB at n = 32
+        (tables) and 27.1 MB at n = 128 (kernel), against bounds of 6.1 MB and
+        17.9 MB."""
+        profile = random_profile(np.random.default_rng(8), 3, n)
         config = MechanismConfig(1.0, 0.05, "log", "disagreement")
+        trials = 60_000 if tables else 2 * mechanism._MC_BLOCK
+        if not tables:
+            monkeypatch.setattr(mechanism, "_MC_TABLE_ENTRIES", 0)
+        reachable = profile.thetas.transpose(0, 2, 1) > 0.0
+        built = mechanism._mc_tables(config, profile, reachable, trials)
+        assert (built is not None) == tables
+        table_bytes = sum(table.nbytes for table in built) if tables else 0
+        block = mechanism._MC_BLOCK
+        workspace = 8 * block * (n + 1) + 4 * 4 * block * n
+        bound = workspace + table_bytes + self.CHUNK_BYTES[tables] * mechanism._BLOCK_CELLS
         tracemalloc.start()
         try:
-            monte_carlo_payments(config, latent3, profile, trials=60_000, seed=1)
+            monte_carlo_payments(config, latent3, profile, trials=trials, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= self.PEAK_BEFORE
+        assert peak <= bound
 
 
 class TestMonteCarloStreams:

@@ -136,6 +136,7 @@ def check_bench_record(record):
         for profile in ("truth", "solved")
     }
     assert all(row["m"] == 3 and row["n"] == 4 and row["trials_per_s"] > 0 for row in mc)
+    assert all(row["traced_peak_bytes"] > 0 for row in mc)
     timed = [row for row in record["rows"] if not row.get("skipped")]
     assert all(row["minflt_per_call"] >= 0 for row in timed)
     assert any(row["minflt_per_call"] > 0 for row in timed)
