@@ -19,6 +19,13 @@ jobs and, when there are any, the largest such |change - parent| over all of
 them; then the paired time ratio, CHANGE over PARENT summed over the jobs of a
 round, as the median and range over the timed rounds.  Library calls of the
 workload (jobs without an argv) are skipped.  Exits 1 when any output differs.
+
+When both outputs of a job are ``payout --trials`` tables (agent,
+mean_payment, stderr) of the same agents, its report also gives the largest
+|change - parent| of a mean over its row's combined stderr,
+sqrt(stderr_parent^2 + stderr_change^2), and whether every row is within
+``CONSISTENT_STDERRS`` of them: a new random stream moves each estimate by
+about one combined stderr, a broken estimate by more.
 """
 
 import argparse
@@ -27,6 +34,7 @@ import difflib
 import importlib
 import importlib.util
 import io
+import math
 import re
 import statistics
 import sys
@@ -37,6 +45,8 @@ from time import perf_counter
 CHANGE_PACKAGE = "peerpred_change"
 SEED = 1
 DIFF_LINES = 12
+PAYMENT_HEADER = "agent,mean_payment,stderr"
+CONSISTENT_STDERRS = 4.0
 # a decimal number that is not part of a word such as a signal label "s1"
 NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
 
@@ -77,10 +87,41 @@ def _largest_delta(parent: str, change: str) -> float:
     )
 
 
+def _payments(text: str):
+    """{agent: (mean, stderr)} of a ``payout --trials`` CSV table, or None
+    for any other output."""
+    lines = text.splitlines()
+    if not lines or lines[0] != PAYMENT_HEADER:
+        return None
+    rows = (line.split(",") for line in lines[1:])
+    return {agent: (float(mean), float(stderr)) for agent, mean, stderr in rows}
+
+
+def _largest_z(parent: str, change: str):
+    """Largest |change - parent| of a mean over the combined stderr of its row,
+    over two payment tables of the same agents; None for other outputs."""
+    a, b = _payments(parent), _payments(change)
+    if a is None or b is None or a.keys() != b.keys():
+        return None
+    z = 0.0
+    for agent, (mean, stderr) in a.items():
+        delta, combined = abs(b[agent][0] - mean), math.hypot(stderr, b[agent][1])
+        if combined:
+            z = max(z, delta / combined)
+        elif delta:  # a moved mean of zero stderr
+            z = math.inf
+    return z
+
+
 def _diff(argv, parent, change) -> tuple[str, float]:
     """The report of one differing job, and its largest numeric |change - parent|."""
     delta = _largest_delta(parent[1], change[1])
     lines = [f"differs: {' '.join(argv)}", f"  largest |change - parent| of a number: {delta:.1e}"]
+    z = _largest_z(parent[1], change[1])
+    if z is not None:
+        lines.append(f"  largest |change - parent| of a mean / combined stderr: {z:.2f}")
+        consistent = "yes" if z <= CONSISTENT_STDERRS else "no"
+        lines.append(f"  consistent within {CONSISTENT_STDERRS:g} combined stderr: {consistent}")
     if parent[0] != change[0]:
         lines.append(f"  exit code {parent[0]} -> {change[0]}")
     body = difflib.unified_diff(

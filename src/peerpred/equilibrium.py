@@ -35,6 +35,7 @@ it densely from its own coupling matrix, as cross-check and fallback.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,6 +55,16 @@ __all__ = [
     "solve_equilibrium_predictions_direct",
     "solved_profile",
 ]
+
+def _beta_over_alpha(config: MechanismConfig) -> float:
+    """beta/alpha, the one parameter of the best and the solved predictions:
+    this module computes them in units of alpha, so that huge alpha and beta
+    stay in the float range.  A ratio past it raises :class:`MechanismError`."""
+    ratio = config.beta / config.alpha
+    if ratio == math.inf:
+        raise MechanismError(f"beta/alpha = {config.beta:g}/{config.alpha:g} is past the float range")
+    return ratio
+
 
 def _neighbor_sum(cond: np.ndarray, thetas: np.ndarray, field: np.ndarray):
     """(1/(n-1)) sum_{j != i} sum_v q(v|s) theta_j[r, v] field_j[v, r, ...] for
@@ -102,8 +113,8 @@ def _payoff_terms(
         self_score = _neighbor_sum(
             cond, thetas, config.scoring_rule().self_score(profile.predictions)
         )
-    denom = (config.alpha + config.beta * anchors)[..., None]
-    best = (config.alpha * anchors[..., None, :] + config.beta * mix) / denom
+    ratio = _beta_over_alpha(config)
+    best = (anchors[..., None, :] + ratio * mix) / (1.0 + ratio * anchors)[..., None]
     return _PayoffTerms(np.broadcast_to(anchors[:, :, None, :], mix.shape), mix, self_score, best)
 
 
@@ -127,9 +138,14 @@ class EquilibriumReport:
         return float(np.max(self.gaps))
 
 
+# overflow is caught once, in the values and gaps, rather than warned about
+@np.errstate(over="ignore", invalid="ignore")
 def check_equilibrium(
     config: MechanismConfig, prior: PairwisePrior, profile: StrategyProfile
 ) -> EquilibriumReport:
+    """:class:`EquilibriumReport` of the profile.  A :class:`MechanismError`
+    is raised when a value or gap passes the float range, as huge ``alpha``
+    and ``beta`` make them."""
     terms = _payoff_terms(config, prior, profile)
     weights = profile.thetas.transpose(0, 2, 1)
     # reports of weight zero are scored at the optimal prediction instead, so a
@@ -139,7 +155,13 @@ def check_equilibrium(
     # elementwise and summed over the last axis, as by two separate passes
     values, played_values = terms.values(config, np.stack([terms.best, played]))
     payoffs = np.sum(weights * played_values, axis=-1)
-    return EquilibriumReport(values.max(axis=-1) - payoffs, payoffs, values, terms.best)
+    gaps = values.max(axis=-1) - payoffs
+    if not (np.isfinite(values).all() and np.isfinite(gaps).all()):
+        raise MechanismError(
+            "expected payoffs overflow: a value or gap is not finite "
+            f"(alpha = {config.alpha:g}, beta = {config.beta:g})"
+        )
+    return EquilibriumReport(gaps, payoffs, values, terms.best)
 
 
 def expected_conditional_payoff(
@@ -166,6 +188,9 @@ def solve_equilibrium_predictions(
     return predictions[0], float(bounds[0])
 
 
+# past beta/alpha of about 1e307 a term overflows; the bound is then not finite,
+# and the stack is refused once, below, rather than warned about
+@np.errstate(over="ignore", invalid="ignore")
 def solve_prediction_stack(
     config: MechanismConfig, prior: PairwisePrior, thetas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -189,8 +214,11 @@ def solve_prediction_stack(
     LAPACK does not flag.  Each member gets its single-call bits; a pass
     holds at most ``_BLOCK_CELLS // (n m^4)`` members (at least one).
 
-    A final bound past ``PROBABILITY_TOL``, the tolerance of a prediction
-    cell, raises :class:`MechanismError` naming beta/alpha and the bound.
+    The system is solved in units of alpha, at alpha = 1 and beta = beta/alpha:
+    the solution is the same, and the terms stay in the float range at any
+    alpha while beta/alpha is below about 1e307.  A final bound past
+    ``PROBABILITY_TOL``, the tolerance of a prediction cell, or not finite,
+    raises :class:`MechanismError` naming beta/alpha and the bound.
     The condition number grows like beta/alpha: over random stacks with
     n <= 512 and m <= 4, none was refused below beta/alpha = 3.7e5 and none
     accepted above 4.4e6.
@@ -199,6 +227,7 @@ def solve_prediction_stack(
     size, n, m = thetas.shape[0], thetas.shape[1], thetas.shape[2]
     predictions = np.empty((size, n, m, m, m))
     bounds = np.zeros(size)
+    ratio = _beta_over_alpha(config)
     per_pass = max(1, _BLOCK_CELLS // (n * m**4))
     for lo in range(0, size, per_pass):
         hi = min(lo + per_pass, size)
@@ -206,7 +235,7 @@ def solve_prediction_stack(
     worst = bounds.max(initial=0.0)
     if not worst <= PROBABILITY_TOL:
         raise MechanismError(
-            f"at beta/alpha = {config.beta / config.alpha:.3g} the solved prediction tables "
+            f"at beta/alpha = {ratio:.3g} the solved prediction tables "
             f"have an error bound of {worst:.3g}, more than {PROBABILITY_TOL:g}: the prediction "
             "system's condition number grows like beta/alpha"
         )
@@ -214,13 +243,15 @@ def solve_prediction_stack(
 
 
 def _solve_pass(config, prior, thetas, predictions, bounds):
-    """Solve the stack ``thetas`` into ``predictions`` and ``bounds``."""
+    """Solve the stack ``thetas`` into ``predictions`` and ``bounds``, in
+    units of alpha."""
     anchors = prediction_anchors(prior, thetas)  # (S, n, s, u)
-    if config.beta == 0.0:
+    ratio = _beta_over_alpha(config)
+    if ratio == 0.0:
         predictions[...] = anchors[..., None, :]
         return
     try:
-        predictions[...] = _woodbury_solve(config, prior, thetas, anchors)
+        predictions[...] = _woodbury_solve(ratio, prior, thetas, anchors)
     except np.linalg.LinAlgError:  # a singular block: solve one member at a time
         if len(thetas) > 1:
             for k in range(len(thetas)):
@@ -229,39 +260,39 @@ def _solve_pass(config, prior, thetas, predictions, bounds):
             return
         predictions[...] = np.nan
     np.maximum(predictions, 0.0, out=predictions)
-    bounds[...], excess = _error_bounds(config, prior, thetas, anchors, predictions)
+    bounds[...], excess = _error_bounds(ratio, prior, thetas, anchors, predictions)
     # one step of iterative refinement on the same blocks, x <- x - lhs^-1 (lhs x - rhs), for
     # members whose residual passes its roundoff by SOLVER_TOL and carries over half the bound
     refine = np.flatnonzero((excess > SOLVER_TOL) & (2.0 * excess > bounds))
     if refine.size:
         some = thetas[refine], anchors[refine]
         x = predictions[refine]
-        x -= _woodbury_solve(config, prior, *some, rhs=_residual(config, prior, *some, x)[0])
+        x -= _woodbury_solve(ratio, prior, *some, rhs=_residual(ratio, prior, *some, x)[0])
         predictions[refine] = np.maximum(x, 0.0)
-        bounds[refine], excess[refine] = _error_bounds(config, prior, *some, predictions[refine])
+        bounds[refine], excess[refine] = _error_bounds(ratio, prior, *some, predictions[refine])
     # a singular block leaves NaN; a nearly singular one, a finite but large excess
-    tol = SOLVER_TOL * max(1.0, config.beta / config.alpha)  # residuals grow with beta/alpha
+    tol = SOLVER_TOL * max(1.0, ratio)  # residuals grow with beta/alpha
     for k in np.flatnonzero(~(np.isfinite(bounds) & (excess <= tol))):
         dense, one = solve_equilibrium_predictions_direct(config, prior, thetas[k]), slice(k, k + 1)
         predictions[k] = np.maximum(dense, 0.0)
-        bounds[one] = _error_bounds(config, prior, thetas[one], anchors[one], predictions[one])[0]
+        bounds[one] = _error_bounds(ratio, prior, thetas[one], anchors[one], predictions[one])[0]
 
 
-def _woodbury_solve(config, prior, thetas, anchors, rhs=None):
-    """Solutions (S, n, s, r, u) of lhs x = rhs over a stack, rhs = alpha
-    anchor by default.  With Z_i = A_i^-1 q^T and Y_i = A_i^-1 rhs_i they are
-    x_i = Y_i + c Z_i W, where (I - c sum_j diag theta_j[r] Z_j) W
-    = sum_j diag theta_j[r] Y_j.  For alpha anchor_i = q^T P_i, with
-    P_i = alpha theta_minus_i^T, Y_i = Z_i P_i."""
-    alpha, beta, n, m = config.alpha, config.beta, thetas.shape[1], thetas.shape[2]
-    c = beta / (n - 1)
+def _woodbury_solve(ratio, prior, thetas, anchors, rhs=None):
+    """Solutions (S, n, s, r, u) of lhs x = rhs over a stack at alpha = 1,
+    beta = ``ratio``, rhs = anchor by default.  With Z_i = A_i^-1 q^T and
+    Y_i = A_i^-1 rhs_i they are x_i = Y_i + c Z_i W, where
+    (I - c sum_j diag theta_j[r] Z_j) W = sum_j diag theta_j[r] Y_j.  For
+    anchor_i = q^T P_i, with P_i = theta_minus_i^T, Y_i = Z_i P_i."""
+    n, m = thetas.shape[1], thetas.shape[2]
+    c = ratio / (n - 1)
     qt = prior.conditional.T  # q(v|s) at [s, v]
     blocks = c * np.einsum("sv,kirv->krisv", qt, thetas)  # A_i at [k, r, i, s, v]
     diagonal = np.arange(m)
-    blocks[..., diagonal, diagonal] += alpha + beta * anchors.transpose(0, 3, 1, 2)
+    blocks[..., diagonal, diagonal] += 1.0 + ratio * anchors.transpose(0, 3, 1, 2)
     z = np.linalg.solve(blocks, qt)  # qt broadcast over the blocks
     if rhs is None:
-        y = z @ (alpha * leave_one_out(thetas).transpose(0, 1, 3, 2))[:, None]
+        y = z @ leave_one_out(thetas).transpose(0, 1, 3, 2)[:, None]
     else:
         y = np.linalg.solve(blocks, rhs.transpose(0, 3, 1, 2, 4))
     vz = np.einsum("kirv,krivt->krvt", thetas, z)
@@ -270,23 +301,22 @@ def _woodbury_solve(config, prior, thetas, anchors, rhs=None):
     return (y + c * z @ w[:, :, None]).transpose(0, 2, 3, 1, 4)
 
 
-def _residual(config, prior, thetas, anchors, x):
-    """lhs x - alpha anchor over a stack, and four units of roundoff of each
-    row's terms."""
-    alpha, beta = config.alpha, config.beta
-    lead = (alpha + beta * anchors)[..., None] * x
-    rest = beta * _neighbor_sum(prior.conditional, thetas, x) + alpha * anchors[..., None, :]
+def _residual(ratio, prior, thetas, anchors, x):
+    """lhs x - anchor over a stack at alpha = 1, beta = ``ratio``, and four
+    units of roundoff of each row's terms."""
+    lead = (1.0 + ratio * anchors)[..., None] * x
+    rest = ratio * _neighbor_sum(prior.conditional, thetas, x) + anchors[..., None, :]
     return lead - rest, 4.0 * np.finfo(float).eps * (lead + rest)
 
 
-def _error_bounds(config, prior, thetas, anchors, x):
-    """Per member of a stack: ||lhs x - alpha anchor|| / alpha with four units
-    of roundoff of each row's terms added to its residual, the error bound;
-    and the most that a row's residual exceeds that roundoff, over alpha."""
-    residual, rounding = _residual(config, prior, thetas, anchors, x)
+def _error_bounds(ratio, prior, thetas, anchors, x):
+    """Per member of a stack at alpha = 1, beta = ``ratio``: ||lhs x -
+    anchor|| with four units of roundoff of each row's terms added to its
+    residual, the error bound; and the most that a row's residual exceeds
+    that roundoff."""
+    residual, rounding = _residual(ratio, prior, thetas, anchors, x)
     residual, rows = np.abs(residual), (1, 2, 3, 4)
-    bounds = (residual + rounding).max(axis=rows) / config.alpha
-    return bounds, (residual - rounding).max(axis=rows) / config.alpha
+    return (residual + rounding).max(axis=rows), (residual - rounding).max(axis=rows)
 
 
 def solved_profile(
@@ -307,20 +337,20 @@ def solve_equilibrium_predictions_direct(
     and its fallback for members with singular blocks."""
     thetas = np.asarray(thetas, dtype=float)
     n, m = thetas.shape[0], thetas.shape[1]
-    alpha, beta = config.alpha, config.beta
+    ratio = _beta_over_alpha(config)  # in units of alpha, as the Woodbury path
     cond = prior.conditional
     anchors = prediction_anchors(prior, thetas)
-    if beta == 0.0:
+    if ratio == 0.0:
         return np.broadcast_to(anchors[:, :, None, :], (n, m, m, m)).copy()
 
     out = np.empty((n, m, m, m))
     dim = n * m
-    rhs = alpha * anchors.reshape(dim, m)
+    rhs = anchors.reshape(dim, m)
     for r in range(m):
         # coupling[(i, s), (j, v)] = q(v|s) theta_j[r, v] for j != i
         coup = np.einsum("ij,vs,jv->isjv", 1.0 - np.eye(n), cond, thetas[:, r]).reshape(dim, dim)
         # a row of the coupling sums to (n - 1) times its neighbor weight
         weight = coup.sum(axis=1) / (n - 1)
-        lhs = np.diag(alpha + beta * weight) - (beta / (n - 1)) * coup
+        lhs = np.diag(1.0 + ratio * weight) - (ratio / (n - 1)) * coup
         out[:, :, r, :] = np.linalg.solve(lhs, rhs).reshape(n, m, m)
     return out

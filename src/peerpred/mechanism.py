@@ -30,7 +30,7 @@ into tables and looks each sampled payment up; it falls back to the kernel,
 with identical results, when the tables would pass ``_MC_TABLE_ENTRIES``
 entries or hold a pair outside the scoring rule's domain.  Its trials run in
 fixed blocks, each drawn once, as int32 indices that both scoring paths read,
-from its own Philox stream keyed by (seed, block), so its estimates depend on
+from its own PCG64 stream seeded by (seed, block), so its estimates depend on
 the seed and the trial count alone.  Scores are
 reached only through :class:`~peerpred.scoring.ProperScoringRule` methods.
 
@@ -702,9 +702,9 @@ def monte_carlo_payments(
     """Unbiased sampled payments under the full mechanism.
 
     The trials run in blocks of ``_MC_BLOCK``: block b holds the B trials
-    from b * _MC_BLOCK on and draws them from the counter-based stream
-    ``Generator(Philox(key=(seed, b)))`` (Philox key words seed and b), each
-    quantity for all B rounds of n agents at once, in this order:
+    from b * _MC_BLOCK on and draws them from PCG64 seeded by the entropy
+    [seed, b], ``np.random.default_rng([seed, b])``, each quantity for all B
+    rounds of n agents at once, in this order:
 
     1. signals, (B, n): ``latent.sample_signals(n, B, rng)``, a latent state
        per round and then each agent's signal, both by ``sample_categorical``;
@@ -834,7 +834,7 @@ def monte_carlo_payments(
         # a lone last row joins the chunk before it
         edges = [0, *range(rows_per_block, size - 1, rows_per_block), size]
         chunks = [slice(*edge) for edge in zip(edges, edges[1:])]
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
+        rng = np.random.default_rng([seed, b])
         at, d, *pairs = (x[: size * n].reshape(size, n) for x in ints)
         latent.sample_signals(n, size, rng, out=at)
         at += agent_at

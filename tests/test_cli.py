@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import equilibrium_rows
@@ -1054,6 +1054,43 @@ class TestErrorLines:
         assert self.run_raising(exc, capsys) == f"error: {exc}\n"
 
 
+# argv whose alpha or beta is near the float range, with TestFuzz.files keys
+# for file names, and the outcome of each: the exit code and, for exit 1, the
+# start of its one error line.  The equilibrium layer works in units of alpha,
+# so the perfectly conditioned systems at alpha = 1e308 or at alpha = beta =
+# 2**1023 solve as at alpha = 1; a log score of 1e-300 at alpha = 1e308 passes
+# the float range, as does beta/alpha = 1e308/1e-3; and at beta/alpha = 1.8e308
+# the solve's terms overflow, so its bound is not finite.
+TWO_SIGNALS = ("--prior", "latent", "--profile", "counterexample", "--n", "2")
+HUGE = repr(2.0**1023)
+HUGE_ALPHA_BETA = {
+    ("solve-predictions", *TWO_SIGNALS, "--alpha", "1e308"): (0, None),
+    ("solve-predictions", *TWO_SIGNALS, "--alpha", "1e308", "--beta", "1e308"): (0, None),
+    ("solve-predictions", *TWO_SIGNALS, "--alpha", HUGE, "--beta", HUGE): (0, None),
+    ("check-eq", *TWO_SIGNALS, "--alpha", "1e308", "--beta", "1e308"): (0, None),
+    ("check-eq", *TWO_SIGNALS, "--alpha", HUGE, "--beta", HUGE): (0, None),
+    ("payout", *TWO_SIGNALS, "--alpha", "1e308", "--beta", "1e308"): (0, None),
+    ("check-eq", "--prior", "latent", "--profile", "tiny-profile", "--alpha", "1e308"): (
+        1, "error: mechanism: expected payoffs overflow: "
+    ),
+    ("solve-predictions", *TWO_SIGNALS, "--alpha", "1e-3", "--beta", "1e308"): (
+        1, "error: mechanism: beta/alpha = 1e+308/0.001 is past the float range"
+    ),
+    ("solve-predictions", *TWO_SIGNALS, "--beta", "1.7976931348623157e308"): (
+        1, "error: mechanism: at beta/alpha = 1.8e+308 the solved prediction tables have an "
+        "error bound of nan"
+    ),
+}  # fmt: skip
+
+
+def huge_alpha_beta_examples(test):
+    """``test`` with one explicit example per HUGE_ALPHA_BETA argv, passed as
+    ``pinned`` (``data`` None); drawn examples get ``pinned`` None."""
+    for argv in HUGE_ALPHA_BETA:
+        test = example(data=None, pinned=list(argv))(test)
+    return test
+
+
 class TestFuzz:
     """Random argv from the subcommand grammar: any mix of valid and invalid
     options, numbers and input files.  Counts that set the amount of work
@@ -1074,6 +1111,9 @@ class TestFuzz:
         typed_profile = json.loads(json.dumps(good_profile))
         typed_profile["agents"][2]["theta"][1][1] = True  # a truth-teller's 1.0
         m3 = profile_to_dict(truth_telling_profile(from_latent(random_snife_prior(3, 2, seed=3)), 4))
+        tiny_profile = json.loads(json.dumps(good_profile))
+        for agent in tiny_profile["agents"]:
+            agent["predictions"] = [[[1e-300, 1 - 1e-300]] * 2] * 2
         texts = {
             "latent": prior_to_dict(latent),
             "pairwise": prior_to_dict(prior),
@@ -1090,6 +1130,7 @@ class TestFuzz:
             "inf-profile": inf_profile,
             "typed-profile": typed_profile,
             "m3-profile": m3,
+            "tiny-profile": tiny_profile,
             "singular-prior": SINGULAR_PRIOR,
             "singular-profile": SINGULAR_PROFILE,
             "no-agents": {"n": 4},
@@ -1185,12 +1226,16 @@ class TestFuzz:
         return args + opt("--out", (("out",), ("out-missing-dir",)), 0.2)
 
     @settings(max_examples=300, deadline=None)
-    @given(data=st.data())
-    def test_dispatch_parses_as_the_top_level_parser(self, files, data):
-        argv = self.argv(files, data.draw)
-        if data.draw(st.integers(0, 9)) == 0:  # no subcommand first
-            argv[0] = data.draw(st.sampled_from(["frobnicate", "", "--prior", "-x"]))
-            argv = argv[data.draw(st.integers(0, 1)) :]
+    @given(data=st.data(), pinned=st.none())
+    @huge_alpha_beta_examples
+    def test_dispatch_parses_as_the_top_level_parser(self, files, data, pinned):
+        if pinned is not None:
+            argv = [files.get(arg, arg) for arg in pinned]
+        else:
+            argv = self.argv(files, data.draw)
+            if data.draw(st.integers(0, 9)) == 0:  # no subcommand first
+                argv[0] = data.draw(st.sampled_from(["frobnicate", "", "--prior", "-x"]))
+                argv = argv[data.draw(st.integers(0, 1)) :]
 
         def outcome(parse):
             try:
@@ -1203,9 +1248,10 @@ class TestFuzz:
     # welfare warns where a draw puts beta/alpha at or above 1/(4m)
     @pytest.mark.filterwarnings(r"ignore:beta/alpha = \S+ >= 1/\(4m\) = :UserWarning")
     @settings(max_examples=300, deadline=None)
-    @given(data=st.data())
-    def test_exits_cleanly_and_deterministically(self, files, data):
-        argv = self.argv(files, data.draw)
+    @given(data=st.data(), pinned=st.none())
+    @huge_alpha_beta_examples
+    def test_exits_cleanly_and_deterministically(self, files, data, pinned):
+        argv = self.argv(files, data.draw) if pinned is None else [files.get(a, a) for a in pinned]
         runs = []
         for _ in range(2):
             out, err = io.StringIO(), io.StringIO()
@@ -1217,3 +1263,26 @@ class TestFuzz:
                 assert any(line.startswith("error:") for line in err.getvalue().splitlines())
             runs.append(out.getvalue())
         assert runs[0] == runs[1], argv
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", sorted(HUGE_ALPHA_BETA), ids=" ".join)
+    def test_huge_alpha_and_beta_exit_without_warning(self, files, argv, capsys):
+        code, error = HUGE_ALPHA_BETA[argv]
+        assert main([files.get(arg, arg) for arg in argv]) == code
+        captured = capsys.readouterr()
+        if error is None:
+            assert captured.out and not captured.err.startswith("error:")
+        else:
+            (line,) = captured.err.splitlines()
+            assert line.startswith(error) and captured.out == ""
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_alpha_and_beta_solve_as_at_one(self, files, capsys):
+        """beta/alpha = 1 at alpha = beta = 2**1023 and at alpha = beta = 1:
+        the same table, bit for bit."""
+        tables = []
+        for value in (HUGE, "1"):
+            argv = ["solve-predictions", *TWO_SIGNALS, "--alpha", value, "--beta", value]
+            assert main([files.get(arg, arg) for arg in argv]) == 0
+            tables.append(capsys.readouterr().out)
+        assert tables[0] == tables[1] and tables[0].count("\n") == 1 + 2 * 2 * 2

@@ -729,36 +729,32 @@ class TestMonteCarlo:
                 MechanismConfig(), latent3, truth_telling_profile(prior, 4), trials=0
             )
 
-    # Recorded from the block streams Generator(Philox(key=(seed, b))), 4096
-    # trials per block b: (mean per agent, welfare mean, welfare stderr) for
-    # seed 4.  Re-checked when sample_signals moved its state draw from
-    # rng.choice(p=...) to sample_categorical: both read one uniform per
-    # trial against the same cumulative sums (rng.choice rescales them by
-    # their last entry, exactly 1 for this prior), so no value moved.
+    # Recorded from the block streams default_rng([seed, b]), 4096 trials per
+    # block b: (mean per agent, welfare mean, welfare stderr) for seed 4.
     PINNED = {
         ("log", "truthful"): (
-            [-1.4958550507737234, -1.4166830600597444, -1.7475033062906153,
-             -1.4529180030580673, -1.4830092151060432],
-            -1.5191937270576332,
-            0.009445934693301924,
+            [-1.4777165276581474, -1.3824766857208952, -1.7499172950995519,
+             -1.4643508510592405, -1.526927478478287],
+            -1.5202777676032233,
+            0.009322395180161178,
         ),
         ("log", "disagreement"): (
-            [0.8940761118623745, 0.8813309528654787, -0.6227584293301648,
-             -0.46874208308542337, -0.35724272928307094],
-            0.0653327646058389,
-            0.004729971437329684,
+            [0.942770159639433, 0.9339621758831834, -0.6241301743911978,
+             -0.4975990579779288, -0.33978280139063793],
+            0.0830440603525701,
+            0.004777252953016064,
         ),
         ("quadratic", "truthful"): (
-            [0.1672025850063549, 0.17847877450357846, 0.12039709867351624,
-             0.1555069264757871, 0.13343440027682685],
-            0.15100395698721306,
-            0.004563111063160654,
+            [0.17228710721190363, 0.19634983003949252, 0.11813709873018774,
+             0.15081295229736796, 0.11043569874172693],
+            0.14960453740413523,
+            0.004493531880308845,
         ),
         ("quadratic", "disagreement"): (
-            [0.054104500781782666, 0.002494765609122178, 0.09166040339244297,
-             0.07299011433989838, 0.10541403890594939],
-            0.06533276460583891,
-            0.004729971437329683,
+            [0.08885305237502607, 0.03957477057443516, 0.09544929928277768,
+             0.06366052862879171, 0.12768265090182068],
+            0.08304406035257007,
+            0.004777252953016064,
         ),
     }  # fmt: skip
 
@@ -776,7 +772,7 @@ class TestMonteCarlo:
 def monte_carlo_oracle(config, latent, profile, trials, seed):
     """Monte Carlo from the documented block streams, one round at a time.
 
-    Block b draws from Generator(Philox(key=(seed, b))): signals, report
+    Block b draws from default_rng([seed, b]): signals, report
     uniforms, mate draws below the common multiple of the mate counts, and in
     the disagreement variant the draws of j and k.  Rounds are scored by
     ``realized_payments``; means and variances are taken in two passes over
@@ -791,7 +787,7 @@ def monte_carlo_oracle(config, latent, profile, trials, seed):
     payments = []
     for b in range(-(-trials // block)):
         size = min(block, trials - b * block)
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
+        rng = np.random.default_rng([seed, b])
         signals = latent.sample_signals(n, size, rng)
         uniforms = rng.random((size, n))
         mate_draws = rng.integers(0, common, (size, n))
@@ -887,7 +883,7 @@ def vectorized_monte_carlo_oracle(config, latent, profile, trials, seed):
     moments = None
     for b, lo in enumerate(range(0, trials, block_size)):
         size = min(block_size, trials - lo)
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
+        rng = np.random.default_rng([seed, b])
         states = categorical(np.cumsum(latent.state_probs[:-1]), rng.random(size))
         emitted = np.cumsum(latent.emissions[:, :-1], axis=1)[states].T[:, :, None]
         at = agents * m + categorical(emitted, rng.random((size, n)))
@@ -999,8 +995,8 @@ class TestMonteCarloWorkspace:
         values of one whole draw and leave the stream where it leaves it."""
         shape = (50_000, 3)  # 10 blocks at int32, 19 at int64
         out = np.empty(shape, dtype=dtype)
-        chunked = np.random.Generator(np.random.Philox(key=3))
-        whole = np.random.Generator(np.random.Philox(key=3))
+        chunked = np.random.default_rng([3, 0])
+        whole = np.random.default_rng([3, 0])
         assert mechanism._fill_integers(chunked, high, out) is out
         expected = whole.integers(0, high, shape, dtype=dtype)
         assert out.nbytes > 8 * mechanism._DRAW_BYTES
@@ -1062,6 +1058,25 @@ class TestMonteCarloStreams:
         assert mc.welfare_mean == pytest.approx(welfare_mean, abs=1e-12)
         assert mc.welfare_stderr == pytest.approx(welfare_stderr, abs=1e-12)
 
+    def test_blocks_are_independent(self, monkeypatch, latent3):
+        """Over 200 seeds of 4 blocks each, the welfare z against the exact
+        classification score has mean near 0 and variance near 1, whatever
+        the generator.  Blocks that shared one stream would repeat one
+        block's draws: the estimates would stay unbiased, but the stderr,
+        taken over all trials, would shrink by sqrt(4) and the variance of
+        z would be about 4."""
+        monkeypatch.setattr(mechanism, "_MC_BLOCK", 50)
+        prior = from_latent(latent3)
+        config = MechanismConfig(1.0, 0.05, "log", "disagreement")
+        profile = truth_telling_profile(prior, 4)
+        exact = welfare_metrics(prior, profile).classification_score
+        z = []
+        for seed in range(200):
+            mc = monte_carlo_payments(config, latent3, profile, trials=200, seed=seed)
+            z.append((mc.welfare_mean - exact) / mc.welfare_stderr)
+        assert abs(np.mean(z)) <= 0.25
+        assert 0.6 <= np.var(z) <= 1.6
+
     @pytest.mark.parametrize("rule", ["log", "quadratic"])
     @pytest.mark.parametrize("variant", ["truthful", "disagreement"])
     def test_tables_equal_kernel(self, monkeypatch, latent3, rule, variant):
@@ -1106,7 +1121,7 @@ class TestMonteCarloStreams:
         config = MechanismConfig(1.0, 0.05, "log", "disagreement", tuple(range(size_a)))
         mc = monte_carlo_payments(config, latent, profile, trials=1, seed=seed)
 
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+        rng = np.random.default_rng([seed, 0])
         signals = latent.sample_signals(n, 1, rng)[0]
         rng.random(n)  # report uniforms: truth-tellers report their signal
         mates = np.where(np.arange(n) < size_a, size_a - 1, n - size_a - 1)

@@ -160,22 +160,22 @@ def test_compare_trees_finds_no_diff_against_itself():
     assert lines[1].startswith("time ratio change/parent over 1 rounds: median ")
 
 
-def perturbed_cli(tmp_path, old, new):
-    """A copy of the sources whose cli.py has its one ``old`` replaced by ``new``."""
+def perturbed_copy(tmp_path, old, new, module="cli.py"):
+    """A copy of the sources whose ``module`` has its one ``old`` replaced by ``new``."""
     shutil.copytree(
         ROOT / "src" / "peerpred",
         tmp_path / "src" / "peerpred",
         ignore=shutil.ignore_patterns("__pycache__"),
     )
-    cli = tmp_path / "src" / "peerpred" / "cli.py"
-    text = cli.read_text()
+    path = tmp_path / "src" / "peerpred" / module
+    text = path.read_text()
     assert text.count(old) == 1
-    cli.write_text(text.replace(old, new))
+    path.write_text(text.replace(old, new))
     return tmp_path
 
 
 def test_compare_trees_reports_a_perturbed_copy(tmp_path):
-    change = perturbed_cli(tmp_path, '"mean_payment", "stderr"', '"mean_paid", "stderr"')
+    change = perturbed_copy(tmp_path, '"mean_payment", "stderr"', '"mean_paid", "stderr"')
     done = compare_trees(ROOT, change)
     assert done.returncode == 1, done.stderr
     assert "monte-carlo: 3 CLI jobs, 3 with differing output" in done.stdout
@@ -188,7 +188,7 @@ def test_compare_trees_reports_a_perturbed_copy(tmp_path):
 
 def test_compare_trees_reports_the_largest_moved_number(tmp_path):
     old = "mc.welfare_stderr)"
-    change = perturbed_cli(tmp_path, old, old.replace(")", " + 0.25)"))
+    change = perturbed_copy(tmp_path, old, old.replace(")", " + 0.25)"))
     done = compare_trees(ROOT, change)
     assert done.returncode == 1, done.stderr
     lines = done.stdout.splitlines()
@@ -196,6 +196,33 @@ def test_compare_trees_reports_the_largest_moved_number(tmp_path):
     summary = lines.index("monte-carlo: 3 CLI jobs, 3 with differing output")
     overall = "largest |change - parent| of a number over the differing jobs: 2.5e-01"
     assert lines[summary + 1] == overall
+
+
+def test_compare_trees_tells_a_new_stream(tmp_path):
+    """A copy whose only difference is the block generator, Philox keyed by
+    (seed, block): every payment table differs, and each row's mean within
+    4 combined stderr."""
+    old = "rng = np.random.default_rng([seed, b])"
+    new = "rng = np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))"
+    change = perturbed_copy(tmp_path, old, new, "mechanism.py")
+    done = compare_trees(ROOT, change)
+    assert done.returncode == 1, done.stderr
+    assert "monte-carlo: 3 CLI jobs, 3 with differing output" in done.stdout
+    lines = done.stdout.splitlines()
+    assert lines.count("  consistent within 4 combined stderr: yes") == 3
+    ratios = [line for line in lines if "of a mean / combined stderr: " in line]
+    assert len(ratios) == 3
+    assert all(0.0 < float(line.rpartition(" ")[2]) <= 4.0 for line in ratios)
+
+
+def test_compare_trees_tells_a_broken_estimate(tmp_path):
+    """Means moved by 1, about 40 to 400 combined stderr at these trial
+    counts: no table is consistent."""
+    old = "np.append(mc.mean, mc.welfare_mean)"
+    change = perturbed_copy(tmp_path, old, old.replace("mc.mean,", "mc.mean + 1.0,"))
+    done = compare_trees(ROOT, change)
+    assert done.returncode == 1, done.stderr
+    assert done.stdout.splitlines().count("  consistent within 4 combined stderr: no") == 3
 
 
 def oracle_fixed_points(config, prior, n):
