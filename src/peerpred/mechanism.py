@@ -240,12 +240,18 @@ def zero_sum_group_scores(
 
 
 def _zero_sum(payments: np.ndarray, group_a, group_b) -> np.ndarray:
-    """:func:`zero_sum_group_scores` in place on ``payments``."""
+    """:func:`zero_sum_group_scores` in place on ``payments``.
+
+    Each group's sum is taken over its gathered payments, in group order
+    (sums over strided views would add in another order), and both
+    averages are subtracted by one pass over a mask of group a, where two
+    fancy-index assignments would gather and scatter each group again."""
     a, b = list(group_a), list(group_b)
+    in_a = np.zeros(payments.shape[-1], dtype=bool)
+    in_a[a] = True
     sum_a = payments[..., a].sum(axis=-1, keepdims=True)
     sum_b = payments[..., b].sum(axis=-1, keepdims=True)
-    payments[..., a] -= sum_b / len(a)
-    payments[..., b] -= sum_a / len(b)
+    payments -= np.where(in_a, sum_b / len(a), sum_a / len(b))
     return payments
 
 
@@ -620,34 +626,60 @@ def _mc_tables(config: MechanismConfig, profile: StrategyProfile, reachable, tri
     m), the int32 index of each reachable cell, and the (C, C) tables
     ``base[c, c']``, the base payment of a reporter in cell c matched with one
     in cell c', and ``reward[c, c']``, the classification reward of the pair
-    (c, c') (disagreement variant only).  Entries are scored by
-    :func:`_base_payments` and :func:`_classification_reward` in row blocks
-    of ``_BLOCK_CELLS`` cells.  None when C^2 exceeds ``_MC_TABLE_ENTRIES`` or the trials' n *
-    trials sampled pairs, and when any entry, sampled or not, is outside the
-    scoring rule's domain: the kernel then scores the sampled pairs alone.
+    (c, c') (disagreement variant only).  The cells are numbered report by
+    report, so each report's cells form one range, and the tables are built
+    in row blocks of one report's cells, at most ``_BLOCK_CELLS // (C m)``
+    of them (at least one).  Each block writes its rows of both tables in
+    place, scoring each cell once rather than once per cell pair:
+
+    * ``base`` as :func:`_base_payments` composes it: alpha times the point
+      score of each row cell's prediction against every report that some
+      cell holds, gathered by the column cell's report, plus, within the
+      block's own report range only and not at beta = 0, beta times
+      ``weighted_score(p_j, p_i) - self_score(p_j)``;
+    * ``reward`` by :func:`_classification_reward` on the row cells against
+      all cells, shapes (rows, 1, m) and (1, C, m), so that each cell's
+      square roots are taken once per block.
+
+    Every reduction runs over the last axis of a C-contiguous array, which
+    numpy sums in the same order whatever the leading shape, so each entry
+    has the bits of the payment kernel on that pair.  The rule probes
+    exactly the pairs that the tables hold.  None when C^2 exceeds
+    ``_MC_TABLE_ENTRIES`` or the trials' n * trials sampled pairs, and when
+    any entry, sampled or not, is outside the scoring rule's domain: the
+    kernel then scores the sampled pairs alone.
     """
-    agent, sig, rep = np.nonzero(reachable)
-    cells = agent.size
+    rep, agent, sig = np.nonzero(reachable.transpose(2, 0, 1))
+    cells = rep.size
     if cells * cells > min(_MC_TABLE_ENTRIES, trials * profile.n):
         return None
     cell_of = np.full(reachable.shape, -1, dtype=np.int32)
     cell_of[agent, sig, rep] = np.arange(cells)
     preds = profile.predictions[agent, sig, rep]
+    # held[column[c]] is cell c's report; starts and counts give each report's range
+    held, starts, column, counts = np.unique(
+        rep, return_index=True, return_inverse=True, return_counts=True
+    )
+    rule = config.scoring_rule()
     base = np.empty((cells, cells))
     reward = np.empty((cells, cells)) if config.variant == "disagreement" else None
     rows_per_block = max(1, _BLOCK_CELLS // (cells * profile.m))
-    for lo in range(0, cells, rows_per_block):
-        x = slice(lo, lo + rows_per_block)
-        shape = (rep[x].size, cells)
-        sig_i, sig_j = np.broadcast_to(rep[x, None], shape), np.broadcast_to(rep, shape)
-        pred_i = np.broadcast_to(preds[x, None], shape + preds.shape[1:])
-        pred_j = np.broadcast_to(preds, shape + preds.shape[1:])
-        try:
-            base[x] = _base_payments(config, sig_i, pred_i, sig_j, pred_j)
-        except ScoreDomainError:
-            return None
-        if reward is not None:
-            reward[x] = _classification_reward(sig_i, pred_i, sig_j, pred_j)
+    try:
+        for start, stop in zip(starts, starts + counts):
+            same = slice(start, stop)
+            if config.beta != 0.0:
+                own = rule.self_score(preds[same])
+            for lo in range(start, stop, rows_per_block):
+                x = slice(lo, min(lo + rows_per_block, stop))
+                scores = config.alpha * rule.point_score(held, preds[x, None])
+                np.take(scores, column, axis=1, out=base[x], mode="clip")
+                if config.beta != 0.0:
+                    agree = rule.weighted_score(preds[None, same], preds[x, None]) - own
+                    base[x, same] += config.beta * agree
+                if reward is not None:
+                    reward[x] = _classification_reward(rep[x, None], preds[x, None], rep, preds)
+    except ScoreDomainError:
+        return None
     return cell_of, base, reward
 
 

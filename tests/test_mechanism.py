@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from peerpred import mechanism, scoring
 from peerpred.divergence import hellinger
-from peerpred.equilibrium import check_equilibrium
+from peerpred.equilibrium import check_equilibrium, solved_profile
 from peerpred.mechanism import (
     Matching,
     MechanismConfig,
@@ -33,6 +33,7 @@ from peerpred.strategy import (
     constant_report_profile,
     counterexample_profile,
     permutation_profile,
+    random_signal_strategies,
     random_signal_strategy,
     truth_telling_profile,
     uniform_report_profile,
@@ -206,6 +207,35 @@ class TestRealizedPayments:
                 j, k = pairs[i]
                 expected = scores[i] + classification_pair_score(reports[j], reports[k])
                 assert payments[i] == pytest.approx(expected, abs=1e-15)
+
+    @pytest.mark.parametrize("shape", [(), (5,), (3, 4)])
+    @pytest.mark.parametrize("n", [4, 7, 16, 33])
+    def test_zero_sum_keeps_the_bits_of_fancy_index_assignment(self, n, shape):
+        """Random partitions, contiguous or not, in or out of order, of
+        unequal sizes: the same bits as subtracting each group's share by
+        fancy-index assignment."""
+
+        def fancy_zero_sum(payments, group_a, group_b):
+            a, b = list(group_a), list(group_b)
+            sum_a = payments[..., a].sum(axis=-1, keepdims=True)
+            sum_b = payments[..., b].sum(axis=-1, keepdims=True)
+            payments[..., a] -= sum_b / len(a)
+            payments[..., b] -= sum_a / len(b)
+            return payments
+
+        rng = np.random.default_rng([n, len(shape)])
+        for _ in range(20):
+            agents = rng.permutation(n)
+            size = int(rng.integers(2, n - 1))
+            group_a, group_b = agents[:size].tolist(), agents[size:].tolist()
+            if rng.integers(0, 2):
+                group_a.sort()
+            base = rng.normal(size=shape + (n,)) * 10.0 ** rng.uniform(-3, 3, size=shape + (n,))
+            scores = zero_sum_group_scores(base, group_a, group_b)
+            expected = fancy_zero_sum(base.copy(), group_a, group_b)
+            assert list(map(float.hex, scores.ravel().tolist())) == list(
+                map(float.hex, expected.ravel().tolist())
+            )
 
     @pytest.mark.parametrize("alpha", [1.0, 0.3])
     def test_zero_beta_pays_alpha_score_p(self, alpha):
@@ -1077,14 +1107,63 @@ class TestMonteCarloStreams:
         assert abs(np.mean(z)) <= 0.25
         assert 0.6 <= np.var(z) <= 1.6
 
+    @staticmethod
+    def table_case(case, latent3, rule):
+        """(profile, beta, _BLOCK_CELLS) of a tables-path case, m = 3."""
+        rng = np.random.default_rng(3)
+        if case == "solved32":
+            # every cell reachable, C = 288; rows of 10 cells split each
+            # report's 96 cells into ten row blocks
+            config = MechanismConfig(1.0, 0.05, rule)
+            thetas = random_signal_strategies(rng, 3, (32,))
+            return solved_profile(config, from_latent(latent3), thetas), 0.05, 10 * 288 * 3
+        profile = random_profile(rng, 3, 7)
+        if case == "constant":  # every cell reports signal 1: one report's cells
+            thetas = np.zeros_like(profile.thetas)
+            thetas[:, 1] = 1.0
+            profile = StrategyProfile(thetas, profile.predictions)
+        if case == "unheld":
+            # no cell reports signal 2, and every prediction gives it zero
+            # mass: the log rule is never asked to score a report of 2
+            thetas = profile.thetas.copy()
+            thetas[:, 1] += thetas[:, 2]
+            thetas[:, 2] = 0.0
+            predictions = profile.predictions.copy()
+            predictions[..., 2] = 0.0
+            predictions /= predictions.sum(axis=-1, keepdims=True)
+            profile = StrategyProfile(thetas, predictions)
+        return profile, 0.0 if case == "beta=0" else 0.05, 64
+
     @pytest.mark.parametrize("rule", ["log", "quadratic"])
     @pytest.mark.parametrize("variant", ["truthful", "disagreement"])
-    def test_tables_equal_kernel(self, monkeypatch, latent3, rule, variant):
-        monkeypatch.setattr(mechanism, "_BLOCK_CELLS", 64)
-        profile = random_profile(np.random.default_rng(3), 3, 7)
-        config = MechanismConfig(1.0, 0.05, rule, variant)
+    @pytest.mark.parametrize("case", ["random", "beta=0", "constant", "unheld", "solved32"])
+    def test_tables_equal_kernel(self, monkeypatch, latent3, case, rule, variant):
+        """Every table entry has the bits of the payment kernel on its pair
+        of cells, scored as one broadcast call over all pairs, and the
+        sampled payments are those of the kernel path."""
+        profile, beta, block_cells = self.table_case(case, latent3, rule)
+        monkeypatch.setattr(mechanism, "_BLOCK_CELLS", block_cells)
+        config = MechanismConfig(1.0, beta, rule, variant)
         reachable = profile.thetas.transpose(0, 2, 1) > 0.0
-        assert mechanism._mc_tables(config, profile, reachable, 5000) is not None
+        built = mechanism._mc_tables(config, profile, reachable, 5000)
+        assert built is not None
+        cell_of, base, reward = built
+        agent, sig, rep = np.nonzero(reachable)
+        order = np.argsort(cell_of[agent, sig, rep])
+        rep = rep[order]
+        preds = profile.predictions[agent[order], sig[order], rep]
+        if case == "solved32":
+            assert rep.size == 288 and block_cells // (288 * 3) < np.bincount(rep).min()
+        pairs = np.broadcast_to(rep[:, None], base.shape), np.broadcast_to(rep, base.shape)
+        pred_pairs = (
+            np.broadcast_to(preds[:, None], base.shape + (3,)),
+            np.broadcast_to(preds, base.shape + (3,)),
+        )
+        expected = _base_payments(config, pairs[0], pred_pairs[0], pairs[1], pred_pairs[1])
+        assert base.tobytes() == expected.tobytes()
+        if variant == "disagreement":
+            expected = _classification_reward(pairs[0], pred_pairs[0], pairs[1], pred_pairs[1])
+            assert reward.tobytes() == expected.tobytes()
         tables = monte_carlo_payments(config, latent3, profile, trials=5000, seed=9)
         monkeypatch.setattr(mechanism, "_MC_TABLE_ENTRIES", 0)
         kernel = monte_carlo_payments(config, latent3, profile, trials=5000, seed=9)
