@@ -30,8 +30,9 @@ into tables and looks each sampled payment up; it falls back to the kernel,
 with identical results, when the tables would pass ``_MC_TABLE_ENTRIES``
 entries or hold a pair outside the scoring rule's domain.  Its trials run in
 fixed blocks, each drawn once, as int32 indices that both scoring paths read,
-from its own PCG64 stream seeded by (seed, block), so its estimates depend on
-the seed and the trial count alone.  Scores are
+from its own PCG64 stream, the child ``SeedSequence(seed, spawn_key=(block,))``
+of the seed, so its estimates depend on the seed and the trial count alone.
+Scores are
 reached only through :class:`~peerpred.scoring.ProperScoringRule` methods.
 
 Average per-agent welfare of the disagreement variant equals the
@@ -734,9 +735,11 @@ def monte_carlo_payments(
     """Unbiased sampled payments under the full mechanism.
 
     The trials run in blocks of ``_MC_BLOCK``: block b holds the B trials
-    from b * _MC_BLOCK on and draws them from PCG64 seeded by the entropy
-    [seed, b], ``np.random.default_rng([seed, b])``, each quantity for all B
-    rounds of n agents at once, in this order:
+    from b * _MC_BLOCK on and draws them from PCG64 seeded by child b of the
+    seed, ``np.random.default_rng(np.random.SeedSequence(seed,
+    spawn_key=(b,)))`` (``SeedSequence(seed).spawn`` gives the same
+    children), each quantity for all B rounds of n agents at once, in this
+    order:
 
     1. signals, (B, n): ``latent.sample_signals(n, B, rng)``, a latent state
        per round and then each agent's signal, both by ``sample_categorical``;
@@ -782,7 +785,11 @@ def monte_carlo_payments(
     equal the whole draw.
 
     The result therefore depends only on (config, latent, profile, trials,
-    seed); any block can be drawn alone and draws the same numbers, and
+    seed), and no two (seed, block) keys share a stream: the entropy
+    [seed, b] did, since ``SeedSequence`` splits a seed of 2**32 or more
+    into two words and pads short entropy with zeros, so seed s, block b and
+    seed s + b * 2**32, block 0 both read [s, b].  Any block can be drawn
+    alone and draws the same numbers, and
     merging the blocks' moments in block order gives the same bits.
     Per-agent and welfare means and squared deviations are taken per block
     and merged block by block with Chan, Golub and LeVeque's pairwise
@@ -866,7 +873,7 @@ def monte_carlo_payments(
         # a lone last row joins the chunk before it
         edges = [0, *range(rows_per_block, size - 1, rows_per_block), size]
         chunks = [slice(*edge) for edge in zip(edges, edges[1:])]
-        rng = np.random.default_rng([seed, b])
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
         at, d, *pairs = (x[: size * n].reshape(size, n) for x in ints)
         latent.sample_signals(n, size, rng, out=at)
         at += agent_at

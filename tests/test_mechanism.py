@@ -759,32 +759,33 @@ class TestMonteCarlo:
                 MechanismConfig(), latent3, truth_telling_profile(prior, 4), trials=0
             )
 
-    # Recorded from the block streams default_rng([seed, b]), 4096 trials per
-    # block b: (mean per agent, welfare mean, welfare stderr) for seed 4.
+    # Recorded from the block streams default_rng(SeedSequence(seed,
+    # spawn_key=(b,))), 4096 trials per block b: (mean per agent, welfare
+    # mean, welfare stderr) for seed 4.
     PINNED = {
         ("log", "truthful"): (
-            [-1.4777165276581474, -1.3824766857208952, -1.7499172950995519,
-             -1.4643508510592405, -1.526927478478287],
-            -1.5202777676032233,
-            0.009322395180161178,
+            [-1.4855304726070218, -1.3775481942552217, -1.7681326927897434,
+             -1.455802597149596, -1.5431270961828518],
+            -1.526028210596884,
+            0.009437480150508357,
         ),
         ("log", "disagreement"): (
-            [0.942770159639433, 0.9339621758831834, -0.6241301743911978,
-             -0.4975990579779288, -0.33978280139063793],
-            0.0830440603525701,
-            0.004777252953016064,
+            [0.9512706484964314, 0.9093552928929411, -0.6456271900708808,
+             -0.4675083497136846, -0.3640589389326609],
+            0.07668629253442875,
+            0.00466657197841385,
         ),
         ("quadratic", "truthful"): (
-            [0.17228710721190363, 0.19634983003949252, 0.11813709873018774,
-             0.15081295229736796, 0.11043569874172693],
-            0.14960453740413523,
-            0.004493531880308845,
+            [0.16676593841368675, 0.19715442531070868, 0.12017453715744839,
+             0.1566770364872079, 0.10385755206981992],
+            0.14892589788777416,
+            0.0045070244495162125,
         ),
         ("quadratic", "disagreement"): (
-            [0.08885305237502607, 0.03957477057443516, 0.09544929928277768,
-             0.06366052862879171, 0.12768265090182068],
-            0.08304406035257007,
-            0.004777252953016064,
+            [0.08858134597650695, 0.017061731651172297, 0.08569861794870483,
+             0.08467223455144184, 0.10741753254431817],
+            0.07668629253442878,
+            0.004666571978413852,
         ),
     }  # fmt: skip
 
@@ -802,9 +803,10 @@ class TestMonteCarlo:
 def monte_carlo_oracle(config, latent, profile, trials, seed):
     """Monte Carlo from the documented block streams, one round at a time.
 
-    Block b draws from default_rng([seed, b]): signals, report
-    uniforms, mate draws below the common multiple of the mate counts, and in
-    the disagreement variant the draws of j and k.  Rounds are scored by
+    Block b draws from default_rng(SeedSequence(seed, spawn_key=(b,))):
+    signals, report uniforms, mate draws below the common multiple of the
+    mate counts, and in the disagreement variant the draws of j and k.
+    Rounds are scored by
     ``realized_payments``; means and variances are taken in two passes over
     all trials."""
     n, m = profile.n, profile.m
@@ -817,7 +819,7 @@ def monte_carlo_oracle(config, latent, profile, trials, seed):
     payments = []
     for b in range(-(-trials // block)):
         size = min(block, trials - b * block)
-        rng = np.random.default_rng([seed, b])
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
         signals = latent.sample_signals(n, size, rng)
         uniforms = rng.random((size, n))
         mate_draws = rng.integers(0, common, (size, n))
@@ -913,7 +915,7 @@ def vectorized_monte_carlo_oracle(config, latent, profile, trials, seed):
     moments = None
     for b, lo in enumerate(range(0, trials, block_size)):
         size = min(block_size, trials - lo)
-        rng = np.random.default_rng([seed, b])
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
         states = categorical(np.cumsum(latent.state_probs[:-1]), rng.random(size))
         emitted = np.cumsum(latent.emissions[:, :-1], axis=1)[states].T[:, :, None]
         at = agents * m + categorical(emitted, rng.random((size, n)))
@@ -1025,8 +1027,8 @@ class TestMonteCarloWorkspace:
         values of one whole draw and leave the stream where it leaves it."""
         shape = (50_000, 3)  # 10 blocks at int32, 19 at int64
         out = np.empty(shape, dtype=dtype)
-        chunked = np.random.default_rng([3, 0])
-        whole = np.random.default_rng([3, 0])
+        chunked = np.random.default_rng(np.random.SeedSequence(3, spawn_key=(0,)))
+        whole = np.random.default_rng(np.random.SeedSequence(3, spawn_key=(0,)))
         assert mechanism._fill_integers(chunked, high, out) is out
         expected = whole.integers(0, high, shape, dtype=dtype)
         assert out.nbytes > 8 * mechanism._DRAW_BYTES
@@ -1134,6 +1136,27 @@ class TestMonteCarloStreams:
             profile = StrategyProfile(thetas, predictions)
         return profile, 0.0 if case == "beta=0" else 0.05, 64
 
+    def test_no_two_seeds_share_a_block_stream(self, monkeypatch, latent3):
+        """Block 1 of seed 0 and block 0 of seed 2**32 draw different
+        payments.  Keyed by the entropy [seed, b], they shared one stream:
+        SeedSequence splits a seed of 2**32 or more into two 32-bit words
+        and pads short entropy with zeros, so both keys read [0, 1]."""
+        monkeypatch.setattr(mechanism, "_MC_BLOCK", 50)
+        blocks = []  # each block's payments, as the moments receive them
+
+        def moments(x):
+            blocks.append(x.copy())
+            return block_moments(x)
+
+        block_moments = mechanism._moments
+        monkeypatch.setattr(mechanism, "_moments", moments)
+        profile = random_profile(np.random.default_rng(8), 3, 5)
+        config = MechanismConfig(1.0, 0.05, "log", "disagreement")
+        monte_carlo_payments(config, latent3, profile, trials=100, seed=0)
+        monte_carlo_payments(config, latent3, profile, trials=50, seed=2**32)
+        assert len(blocks) == 3
+        assert not np.array_equal(blocks[1], blocks[2])
+
     @pytest.mark.parametrize("rule", ["log", "quadratic"])
     @pytest.mark.parametrize("variant", ["truthful", "disagreement"])
     @pytest.mark.parametrize("case", ["random", "beta=0", "constant", "unheld", "solved32"])
@@ -1200,7 +1223,7 @@ class TestMonteCarloStreams:
         config = MechanismConfig(1.0, 0.05, "log", "disagreement", tuple(range(size_a)))
         mc = monte_carlo_payments(config, latent, profile, trials=1, seed=seed)
 
-        rng = np.random.default_rng([seed, 0])
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
         signals = latent.sample_signals(n, 1, rng)[0]
         rng.random(n)  # report uniforms: truth-tellers report their signal
         mates = np.where(np.arange(n) < size_a, size_a - 1, n - size_a - 1)

@@ -202,7 +202,7 @@ def test_compare_trees_tells_a_new_stream(tmp_path):
     """A copy whose only difference is the block generator, Philox keyed by
     (seed, block): every payment table differs, and each row's mean within
     4 combined stderr."""
-    old = "rng = np.random.default_rng([seed, b])"
+    old = "rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))"
     new = "rng = np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))"
     change = perturbed_copy(tmp_path, old, new, "mechanism.py")
     done = compare_trees(ROOT, change)
