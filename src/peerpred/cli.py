@@ -256,7 +256,13 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("check-eq", help="best-response gaps of a profile")
     common(p, profile=True, mech=True)
-    p.add_argument("--eps", type=_finite, default=EQUILIBRIUM_EPS)
+    p.add_argument(
+        "--eps",
+        type=_finite,
+        default=EQUILIBRIUM_EPS,
+        help="gap tolerance in units of max(alpha, beta), the scale of the gaps' rounding: "
+        "the profile is an eps-equilibrium when max_gap <= eps * max(alpha, beta)",
+    )
 
     p = sub.add_parser("solve-predictions", help="equilibrium predictions for fixed signal strategies")
     common(p, profile=True, mech=True)
@@ -363,9 +369,10 @@ def _cmd_check_eq(args) -> int:
     n, m = report.gaps.shape
     columns = [np.repeat(np.arange(n), m).tolist(), list(range(m)) * n]
     _emit(("agent", "signal", "gap"), [*columns, report.gaps.ravel().tolist()], args)
+    tolerance = args.eps * max(args.mech.alpha, args.mech.beta)
     _status(
         f"max_gap={report.max_gap:.3e} eps={args.eps:g} "
-        f"is_eps_equilibrium={report.max_gap <= args.eps}"
+        f"is_eps_equilibrium={report.max_gap <= tolerance}"
     )
     return 0
 

@@ -32,8 +32,8 @@ entries or hold a pair outside the scoring rule's domain.  Its trials run in
 fixed blocks, each drawn once, as int32 indices that both scoring paths read,
 from its own PCG64 stream, the child ``SeedSequence(seed, spawn_key=(block,))``
 of the seed, so its estimates depend on the seed and the trial count alone.
-Scores are
-reached only through :class:`~peerpred.scoring.ProperScoringRule` methods.
+Scores are reached only through :class:`~peerpred.scoring.ProperScoringRule`
+methods.
 
 Average per-agent welfare of the disagreement variant equals the
 classification score Diversity - Inconsistency; :func:`welfare_metrics`
@@ -785,12 +785,12 @@ def monte_carlo_payments(
     equal the whole draw.
 
     The result therefore depends only on (config, latent, profile, trials,
-    seed), and no two (seed, block) keys share a stream: the entropy
-    [seed, b] did, since ``SeedSequence`` splits a seed of 2**32 or more
-    into two words and pads short entropy with zeros, so seed s, block b and
-    seed s + b * 2**32, block 0 both read [s, b].  Any block can be drawn
-    alone and draws the same numbers, and
-    merging the blocks' moments in block order gives the same bits.
+    seed); any block can be drawn alone and draws the same numbers, and
+    merging the blocks' moments in block order gives the same bits.  No two
+    (seed, block) keys share a stream.  The entropy [seed, b] would not
+    ensure that: ``SeedSequence`` splits a seed of 2**32 or more into two
+    32-bit words and pads short entropy with zeros, so seed s, block b and
+    seed s + b * 2**32, block 0 would both read [s, b].
     Per-agent and welfare means and squared deviations are taken per block
     and merged block by block with Chan, Golub and LeVeque's pairwise
     formula; stderr is sqrt(variance / trials), with the variance over the

@@ -1276,6 +1276,23 @@ class TestFuzz:
             (line,) = captured.err.splitlines()
             assert line.startswith(error) and captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv, max_gap",
+        [
+            (("check-eq", *TWO_SIGNALS, "--alpha", "1e308", "--beta", "1e308"), "4.441e+292"),
+            (("check-eq", "--prior", "latent", "--profile", "truth", "--n", "2",
+              "--alpha", "1", "--beta", "1e308"), "5.551e+291"),
+        ],
+        ids=lambda x: " ".join(x) if isinstance(x, tuple) else x,
+    )  # fmt: skip
+    def test_check_eq_tolerance_scales_with_the_payments(self, files, argv, max_gap, capsys):
+        """Gaps of a few 1e-16 max(alpha, beta) are rounding: --eps counts
+        in units of max(alpha, beta), so these profiles stay
+        eps-equilibria at payments near 1e308."""
+        assert main([files.get(arg, arg) for arg in argv]) == 0
+        status = f"max_gap={max_gap} eps=1e-09 is_eps_equilibrium=True\n"
+        assert capsys.readouterr().err == status
+
     @pytest.mark.filterwarnings("error")
     def test_huge_alpha_and_beta_solve_as_at_one(self, files, capsys):
         """beta/alpha = 1 at alpha = beta = 2**1023 and at alpha = beta = 1:
