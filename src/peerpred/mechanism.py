@@ -233,20 +233,24 @@ def zero_sum_group_scores(
     """Subtract the other group's payments, split evenly over one's own group.
 
     Generic over how the base payments were produced; agents lie on the last
-    axis, and leading axes are independent rounds; the two groups partition
-    the agents.  Each round sums to zero across all agents up to float
-    rounding of the group averages.
+    axis, and leading axes are independent rounds; the two groups must
+    partition the agents, or a :class:`MechanismError` is raised.  Each
+    round sums to zero across all agents up to float rounding of the group
+    averages.
     """
-    return _zero_sum(np.array(base_payments, dtype=float), group_a, group_b)
+    payments = np.array(base_payments, dtype=float)
+    if sorted([*group_a, *group_b]) != list(range(payments.shape[-1])):
+        raise MechanismError(f"groups {group_a} and {group_b} do not partition the agents")
+    return _zero_sum(payments, group_a, group_b)
 
 
 def _zero_sum(payments: np.ndarray, group_a, group_b) -> np.ndarray:
     """:func:`zero_sum_group_scores` in place on ``payments``.
 
-    Each group's sum is taken over its gathered payments, in group order
-    (sums over strided views would add in another order), and both
-    averages are subtracted by one pass over a mask of group a, where two
-    fancy-index assignments would gather and scatter each group again."""
+    Each group's sum is taken over its gathered payments, in group order,
+    which the bits depend on (a sum over a strided view adds in another
+    order); both shares are then subtracted in one pass through a mask of
+    group a."""
     a, b = list(group_a), list(group_b)
     in_a = np.zeros(payments.shape[-1], dtype=bool)
     in_a[a] = True

@@ -237,6 +237,13 @@ class TestRealizedPayments:
                 map(float.hex, expected.ravel().tolist())
             )
 
+    @pytest.mark.parametrize("group_b", [(2,), (1, 2, 3), (2, 3, 4)])
+    def test_zero_sum_needs_a_partition(self, group_b):
+        """Each agent in exactly one group: one agent in neither, one in
+        both, or one past the last agent is refused."""
+        with pytest.raises(MechanismError, match="do not partition the agents"):
+            zero_sum_group_scores(np.ones(4), (0, 1), group_b)
+
     @pytest.mark.parametrize("alpha", [1.0, 0.3])
     def test_zero_beta_pays_alpha_score_p(self, alpha):
         # agent 0 predicts (1, 0) and is matched with agent 1, who reports
@@ -806,9 +813,8 @@ def monte_carlo_oracle(config, latent, profile, trials, seed):
     Block b draws from default_rng(SeedSequence(seed, spawn_key=(b,))):
     signals, report uniforms, mate draws below the common multiple of the
     mate counts, and in the disagreement variant the draws of j and k.
-    Rounds are scored by
-    ``realized_payments``; means and variances are taken in two passes over
-    all trials."""
+    Rounds are scored by ``realized_payments``; means and variances are
+    taken in two passes over all trials."""
     n, m = profile.n, profile.m
     disagreement = config.variant == "disagreement"
     pools = config.groups(n) if disagreement else (tuple(range(n)),)
@@ -1143,12 +1149,12 @@ class TestMonteCarloStreams:
         and pads short entropy with zeros, so both keys read [0, 1]."""
         monkeypatch.setattr(mechanism, "_MC_BLOCK", 50)
         blocks = []  # each block's payments, as the moments receive them
+        block_moments = mechanism._moments
 
         def moments(x):
             blocks.append(x.copy())
             return block_moments(x)
 
-        block_moments = mechanism._moments
         monkeypatch.setattr(mechanism, "_moments", moments)
         profile = random_profile(np.random.default_rng(8), 3, 5)
         config = MechanismConfig(1.0, 0.05, "log", "disagreement")
