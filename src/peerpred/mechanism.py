@@ -25,8 +25,9 @@ over arrays of T rounds of n agents, from a base-payment and a
 classification-reward lookup.  :func:`_round_payments` computes them from
 reported predictions; :func:`realized_payments` feeds it :class:`Report`
 objects with one or T matchings.  :func:`monte_carlo_payments`
-scores every ordered pair of reachable (agent, signal, report) cells once
-into tables and looks each sampled payment up; it falls back to the kernel,
+tabulates the payments of every ordered pair of reachable (agent, signal,
+report) cells, scoring each cell once per row block rather than each pair,
+and looks each sampled payment up; it falls back to the kernel,
 with identical results, when the tables would pass ``_MC_TABLE_ENTRIES``
 entries or hold a pair outside the scoring rule's domain.  Its trials run in
 fixed blocks, each drawn once, as int32 indices that both scoring paths read,
