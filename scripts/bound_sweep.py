@@ -18,17 +18,28 @@ from peerpred.priors import from_latent, gamma2, random_snife_prior
 from peerpred.strategy import random_signal_strategy
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--m", type=int, default=2)
     parser.add_argument("--ns", default="64,128,256,512")
     parser.add_argument("--samples", type=int, default=3)
     parser.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    try:
+        ns = [int(x) for x in args.ns.split(",")]
+    except ValueError:
+        parser.error(f"--ns must be comma-separated integers, got {args.ns!r}")
+    if args.m < 2:
+        parser.error("--m must be at least 2")
+    if min(ns) < 2:
+        parser.error("every n of --ns must be at least 2")
+    if args.samples < 1:
+        parser.error("--samples must be at least 1")
+    if args.seed < 0:
+        parser.error("--seed must be non-negative")
 
     prior = from_latent(random_snife_prior(args.m, 2, seed=args.seed))
     config = MechanismConfig(alpha=1.0, beta=1.0 / (8.0 * args.m), rule="log")
-    ns = [int(x) for x in args.ns.split(",")]
     bounds = [gamma2(prior, n) for n in ns]
     # one fixed deviant among truth-tellers isolates the 1/n aggregation trend
     deviant = random_signal_strategy(np.random.default_rng(args.seed), args.m)

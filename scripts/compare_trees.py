@@ -1,26 +1,29 @@
-"""Compare the CLI of two source trees on one benchmark workload.
+"""Compare the CLI of two source trees on a benchmark workload or a job set.
 
     python3 scripts/compare_trees.py PARENT CHANGE --workload exact-small --rounds 6
+    python3 scripts/compare_trees.py PARENT CHANGE --workload malformed --rounds 1
 
-PARENT and CHANGE are repository roots, each with ``src/peerpred``.  The
-inputs of the workload for seed 1 are built by PARENT's ``bench/workloads.py``
-(which this script only imports) into a temporary directory, with PARENT's
-``peerpred`` importable under its own name.  CHANGE's ``src/peerpred`` is
-imported under the package name ``peerpred_change``, so that both trees run
-in one process.  Every CLI job of the workload then runs through both trees:
-one untimed round, then ``--rounds`` timed rounds, alternating per job and
-round which tree runs first.
+PARENT and CHANGE are repository roots, each with ``src/peerpred``.
+``--workload`` names a workload of PARENT's ``bench/workloads.py`` (which this
+script only imports) or a job set of ``JOB_SETS``.  PARENT's ``peerpred``
+writes the inputs into a temporary directory: a workload's for seed 1, a job
+set's by ``write_inputs``.  CHANGE's ``src/peerpred`` is imported as
+``peerpred_change``, so that both trees run in one process.  Every job runs
+through both trees, one untimed round and then ``--rounds`` timed ones,
+alternating per job and round which tree runs first: a CLI job as a
+``cli.main`` call, a script job as each tree's own script in a subprocess.
 
-Printed: for each job whose exit code or stdout differs between the trees,
-its argv, the largest |change - parent| between the numbers at the same place
-of the two outputs (same line, same position among the line's numbers) and
-the first lines of a diff of the two outputs; then the number of differing
-jobs and, when there are any, the largest such |change - parent| over all of
-them; then the paired time ratio, CHANGE over PARENT summed over the jobs of a
-round, as the median and range over the timed rounds.  Library calls of the
-workload (jobs without an argv) are skipped.  Exits 1 when any output differs.
+Compared: the exit code and stdout of every job, and stderr where the job set
+says so; ``suite``'s criterion runtimes "(N.NNs)" are removed first.  Printed:
+each differing job's argv, the largest |change - parent| between numbers at
+the same place of the two stdouts (same line, same position among the line's
+numbers) and the head of a diff of the stdouts and the stderrs; the number of
+differing jobs and, if any, the largest such |change - parent| over them; the
+paired time ratio, CHANGE over PARENT summed over a round's jobs, as the
+median and range over the timed rounds.  A workload's library calls (jobs
+without an argv) are skipped.  Exits 1 when any job differs.
 
-When both outputs of a job are ``payout --trials`` tables (agent,
+When both stdouts of a job are ``payout --trials`` tables (agent,
 mean_payment, stderr) of the same agents, its report also gives the largest
 |change - parent| of a mean over its row's combined stderr,
 sqrt(stderr_parent^2 + stderr_change^2), and whether every row is within
@@ -34,13 +37,20 @@ import difflib
 import importlib
 import importlib.util
 import io
+import json
 import math
+import os
 import re
 import statistics
+import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from time import perf_counter
+from typing import NamedTuple
+
+import numpy as np
 
 CHANGE_PACKAGE = "peerpred_change"
 SEED = 1
@@ -49,6 +59,97 @@ PAYMENT_HEADER = "agent,mean_payment,stderr"
 CONSISTENT_STDERRS = 4.0
 # a decimal number that is not part of a word such as a signal label "s1"
 NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
+RUNTIME = re.compile(r" \([0-9]+\.[0-9]+s\)")
+
+
+class Job(NamedTuple):
+    """A CLI or ``scripts/`` call; a ``.json`` argument names an input file."""
+
+    argv: tuple[str, ...]
+    stderr: bool = False  # compared too, beside the exit code and stdout
+
+
+def _jobs(*argvs: str, stderr: bool = False) -> list[Job]:
+    return [Job(tuple(argv.split()), stderr) for argv in argvs]
+
+
+def _pairwise(marginal, conditional):
+    return {"signals": ["s1", "s2"], "kind": "pairwise", "marginal": marginal,
+            "conditional": conditional}  # fmt: skip
+
+
+def _two_agents(theta):
+    third = [[[1 / 3] * 3] * 3] * 3
+    return {"n": 2, "agents": [{"theta": np.eye(3).tolist(), "predictions": third},
+                               {"theta": theta, "predictions": third}]}  # fmt: skip
+
+
+# Inputs written as they are: a pairwise prior, the two variants, and files
+# that each break one check of a probability table or of the mechanism reader
+FILES = {
+    "pairwise": _pairwise([0.5, 0.5], [[0.68, 0.32], [0.32, 0.68]]),
+    "truthful": {"variant": "truthful"},
+    "disagreement": {"variant": "disagreement"},
+    "prior-nonstochastic": _pairwise([0.5, 0.5], [[0.7, 0.3], [0.4, 0.6]]),
+    "prior-nan": _pairwise([math.nan, 0.5], [[0.7, 0.3], [0.3, 0.7]]),
+    "prior-huge": _pairwise([1e308, 1e308], [[0.7, 0.3], [0.3, 0.7]]),
+    "prior-negative": _pairwise([0.5, 0.5], [[1.2, 0.3], [-0.2, 0.7]]),
+    "profile-nan": _two_agents([[math.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    "profile-huge": _two_agents([[1e308, 0.0, 0.0], [1e308, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    "profile-negative": _two_agents([[1.2, 0.0, 0.0], [-0.2, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    "profile-9-digits": _two_agents(
+        [[0.333333333, 0.0, 0.0], [0.333333333, 1.0, 0.0], [0.333333333, 0.0, 1.0]]
+    ),
+    "mech-unknown-field": {"alpha": 1.0, "Beta": 0.5},
+}
+SOLVE = "solve-predictions --prior latent.json --profile profile64.json --beta"
+PAYOUT = "payout --prior latent.json --profile"
+
+JOB_SETS = {
+    # bound_sweep.py calls priors.gamma2, which no workload runs
+    "scripts": _jobs(
+        "welfare_table.py --m 3 --n 3",
+        "welfare_table.py --m 4 --n 4 --rule quadratic",
+        "bound_sweep.py --m 2 --ns 16,32,64",
+        "bound_sweep.py --m 3 --ns 16,32,64",
+    ),
+    "suite": _jobs("suite"),
+    # no workload runs gen-prior or validate-prior; the prior reader is on both input paths
+    "prior-files": _jobs(
+        "gen-prior --m 3 --seed 7",
+        "validate-prior --in latent.json --format csv",
+        "validate-prior --in latent.json --format json",
+        "validate-prior --in pairwise.json --format csv",
+        "validate-prior --in pairwise.json --format json",
+    ),
+    # No workload runs above beta/alpha = 0.02: from about 1e4 the solver's residuals pass
+    # SOLVER_TOL, and near 1e6 and above its error bound passes PROBABILITY_TOL and the
+    # solve is refused.  Nor does one take the Monte Carlo kernel fallback, as payout
+    # does at n = 64: the 576^2 cell pairs exceed 2,000 trials * 64 agents.
+    "solve": _jobs(*(f"{SOLVE} {beta}" for beta in ("10", "1e3", "1e5", "3e6", "1e7")), stderr=True)
+    + _jobs(
+        f"{PAYOUT} solved64.json --mech truthful.json --trials 2000 --seed 3",
+        f"{PAYOUT} solved64.json --mech disagreement.json --trials 2000 --seed 3",
+    ),
+    # Monte Carlo's tables path: truth at n = 512 has C = 1,536 cells, C^2 within
+    # 10,000 trials * 512 agents, in chunks of _BLOCK_CELLS // (n m) = 42 rows;
+    # solved n = 128 reaches all C = 1,152, C^2 within 2^22 and 12,000 * 128.
+    "tables": _jobs(
+        f"{PAYOUT} truth --n 512 --mech truthful.json --trials 10000 --seed 3",
+        f"{PAYOUT} truth --n 512 --mech disagreement.json --trials 10000 --seed 3",
+        f"{PAYOUT} solved128.json --mech truthful.json --trials 12000 --seed 3",
+        f"{PAYOUT} solved128.json --mech disagreement.json --trials 12000 --seed 3",
+    ),
+    # the validators' messages: the exit code and stderr of each malformed file
+    "malformed": _jobs(
+        *(f"welfare --prior {name}.json --profile truth --n 2" for name in FILES
+          if name.startswith("prior-")),
+        *(f"welfare --prior latent.json --profile {name}.json" for name in FILES
+          if name.startswith("profile-")),
+        "check-eq --prior latent.json --profile truth --n 2 --mech mech-unknown-field.json",
+        stderr=True,
+    ),  # fmt: skip
+}
 
 
 def import_tree(src: Path, name: str):
@@ -64,14 +165,58 @@ def import_tree(src: Path, name: str):
     return module
 
 
-def _run(cli, argv) -> tuple[tuple[int, str], float]:
-    """(exit code, stdout) of one in-process CLI call, and its seconds."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        start = perf_counter()
-        code = cli.main(argv)
-        elapsed = perf_counter() - start
-    return (code, out.getvalue()), elapsed
+def _paths(argv, directory: Path) -> list[str]:
+    """``argv`` with each ``.json`` argument in ``directory``; a workload's
+    arguments are absolute paths already, and stay as they are."""
+    return [str(directory / arg) if arg.endswith(".json") else arg for arg in argv]
+
+
+def write_inputs(directory: Path) -> None:
+    """Write the job sets' inputs into ``directory`` with the process's
+    ``peerpred``: the seed-7 latent prior, ``FILES``, and the n = 64 and 128
+    profiles of ``default_rng(11)`` with their predictions solved."""
+    from peerpred import cli
+    from peerpred.io import save_profile
+    from peerpred.strategy import StrategyProfile, random_signal_strategies
+
+    def call(argv: str) -> None:
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli.main(_paths(argv.split(), directory)) != 0:
+                raise RuntimeError(f"could not write an input: {argv}")
+
+    call("gen-prior --m 3 --seed 7 --out latent.json")
+    for name, data in FILES.items():
+        (directory / f"{name}.json").write_text(json.dumps(data))
+    for n in (64, 128):
+        thetas = random_signal_strategies(np.random.default_rng(11), 3, (n,))
+        profile = StrategyProfile(thetas, np.full((n, 3, 3, 3), 1 / 3))
+        save_profile(profile, directory / f"profile{n}.json")
+        call(f"solve-predictions --prior latent.json --profile profile{n}.json"
+             f" --format json --out solved{n}.json")  # fmt: skip
+
+
+def _run(tree, job: Job, directory: Path) -> tuple[tuple[int, str, str], float]:
+    """(exit code, stdout, stderr or "" when it is not compared) of one job
+    through one (root, cli module) tree, and its seconds."""
+    root, cli = tree
+    argv = _paths(job.argv, directory)
+    out, err = io.StringIO(), io.StringIO()
+    start = perf_counter()
+    if argv[0].endswith(".py"):
+        command = [sys.executable, str(root / "scripts" / argv[0]), *argv[1:]]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        done = subprocess.run(command, capture_output=True, text=True, env=env)
+        code, out, err = done.returncode, done.stdout, done.stderr
+    else:
+        # catch_warnings resets the warning registries: each call warns as a new process would
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():  # fmt: skip
+            code = cli.main(argv)
+        out, err = out.getvalue(), err.getvalue()
+    elapsed = perf_counter() - start
+    if job.argv[0] == "suite":
+        out = RUNTIME.sub("", out)
+    return (code, out, err if job.stderr else ""), elapsed
 
 
 def _largest_delta(parent: str, change: str) -> float:
@@ -114,7 +259,8 @@ def _largest_z(parent: str, change: str):
 
 
 def _diff(argv, parent, change) -> tuple[str, float]:
-    """The report of one differing job, and its largest numeric |change - parent|."""
+    """The report of one differing job, given the (exit code, stdout, stderr)
+    of each tree, and its largest numeric |change - parent| of stdout."""
     delta = _largest_delta(parent[1], change[1])
     lines = [f"differs: {' '.join(argv)}", f"  largest |change - parent| of a number: {delta:.1e}"]
     z = _largest_z(parent[1], change[1])
@@ -124,29 +270,29 @@ def _diff(argv, parent, change) -> tuple[str, float]:
         lines.append(f"  consistent within {CONSISTENT_STDERRS:g} combined stderr: {consistent}")
     if parent[0] != change[0]:
         lines.append(f"  exit code {parent[0]} -> {change[0]}")
-    body = difflib.unified_diff(
-        parent[1].splitlines(), change[1].splitlines(), "parent", "change", lineterm="", n=0
-    )
-    lines += [f"  {line}" for line in list(body)[:DIFF_LINES]]
+    for stream, label in ((1, ""), (2, " stderr")):
+        if stream == 1 or parent[2] != change[2]:  # stdout's even when it is equal
+            body = difflib.unified_diff(parent[stream].splitlines(), change[stream].splitlines(),
+                                        f"parent{label}", f"change{label}", lineterm="", n=0)
+            lines += [f"  {line}" for line in list(body)[:DIFF_LINES]]
     return "\n".join(lines), delta
 
 
-def compare(jobs, parent_cli, change_cli, rounds: int):
-    """Run every job through both trees; return the (report, largest numeric
-    |change - parent|) of each differing job and each timed round's time
-    ratio, change over parent."""
-    clis = (parent_cli, change_cli)
+def compare(jobs, trees, directory: Path, rounds: int):
+    """Run every job through both (root, cli module) trees; return the
+    (report, largest numeric |change - parent|) of each differing job and
+    each timed round's time ratio, change over parent."""
     differing: dict[int, tuple[str, float]] = {}
     ratios = []
     for round_ in range(rounds + 1):
         totals = [0.0, 0.0]
-        for k, argv in enumerate(jobs):
+        for k, job in enumerate(jobs):
             results = [None, None]
             for side in ((0, 1) if (round_ + k) % 2 == 0 else (1, 0)):
-                results[side], elapsed = _run(clis[side], argv)
+                results[side], elapsed = _run(trees[side], job, directory)
                 totals[side] += elapsed
             if results[0] != results[1] and k not in differing:
-                differing[k] = _diff(argv, *results)
+                differing[k] = _diff(job.argv, *results)
         if round_ > 0:  # round 0 warms both trees up
             ratios.append(totals[1] / totals[0])
     return [differing[k] for k in sorted(differing)], ratios
@@ -156,26 +302,35 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="root of the reference tree")
     parser.add_argument("change", type=Path, help="root of the tree under test")
-    parser.add_argument("--workload", required=True, help="a workload of bench/workloads.py")
+    sets = ", ".join(JOB_SETS)
+    parser.add_argument("--workload", required=True,
+                        help=f"a workload of bench/workloads.py or a job set: {sets}")  # fmt: skip
     parser.add_argument("--tiny", action="store_true", help="the workload's small inputs")
     parser.add_argument("--rounds", type=int, default=3, help="timed rounds (default 3)")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
+    if args.tiny and args.workload in JOB_SETS:
+        parser.error("--tiny applies to the workloads of bench/workloads.py only")
     parent, change = args.parent.resolve(), args.change.resolve()
     for root in (parent, change):
         if not (root / "src" / "peerpred" / "__init__.py").is_file():
             parser.error(f"no src/peerpred under {root}")
 
     sys.path[:0] = [str(parent / "src"), str(parent / "bench")]
-    workloads = importlib.import_module("workloads")
     parent_cli = importlib.import_module("peerpred.cli")
     import_tree(change / "src", CHANGE_PACKAGE)
-    change_cli = importlib.import_module(f"{CHANGE_PACKAGE}.cli")
-    with tempfile.TemporaryDirectory() as directory:
-        built = workloads.build(args.workload, SEED, Path(directory), args.tiny)
-        jobs = [job.argv for job in built if job.argv is not None]
-        diffs, ratios = compare(jobs, parent_cli, change_cli, args.rounds)
+    trees = ((parent, parent_cli), (change, importlib.import_module(f"{CHANGE_PACKAGE}.cli")))
+    with tempfile.TemporaryDirectory() as name:
+        directory = Path(name)
+        if args.workload in JOB_SETS:
+            write_inputs(directory)
+            jobs = JOB_SETS[args.workload]
+        else:
+            build = importlib.import_module("workloads").build
+            built = build(args.workload, SEED, directory, args.tiny)
+            jobs = [Job(tuple(job.argv)) for job in built if job.argv is not None]
+        diffs, ratios = compare(jobs, trees, directory, args.rounds)
 
     for report, _ in diffs:
         print(report)

@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 
 from peerpred.equilibrium import check_equilibrium, solve_prediction_stack, solved_profile
-from peerpred.mechanism import _BLOCK_CELLS, MechanismConfig, welfare_batch
+from peerpred.mechanism import _BLOCK_CELLS, MechanismConfig, MechanismError, welfare_batch
 from peerpred.priors import _map_strategy, all_permutations, from_latent, random_snife_prior
 from peerpred.strategy import (
     StrategyProfile,
@@ -106,7 +106,7 @@ def welfare_comparison(config, prior, n: int, include_dynamics: bool = True) -> 
     return rows
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--m", type=int, default=3)
     parser.add_argument("--n", type=int, default=4)
@@ -115,11 +115,19 @@ def main():
     parser.add_argument("--beta", type=float, default=None)
     parser.add_argument("--rule", default="log", choices=("log", "quadratic"))
     parser.add_argument("--no-dynamics", action="store_true")
-    args = parser.parse_args()
-
+    args = parser.parse_args(argv)
+    if args.m < 2:
+        parser.error("--m must be at least 2")
+    if args.n < 2:
+        parser.error("--n must be at least 2")
+    if args.seed < 0:
+        parser.error("--seed must be non-negative")
     beta = args.beta if args.beta is not None else 1.0 / (8.0 * args.m)
+    try:
+        config = MechanismConfig(alpha=args.alpha, beta=beta, rule=args.rule)
+    except MechanismError as exc:
+        parser.error(str(exc))
     prior = from_latent(random_snife_prior(args.m, 2, seed=args.seed))
-    config = MechanismConfig(alpha=args.alpha, beta=beta, rule=args.rule)
 
     rows = welfare_comparison(config, prior, args.n, include_dynamics=not args.no_dynamics)
     width = max(len(name) for name, *_ in rows)

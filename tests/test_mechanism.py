@@ -853,11 +853,28 @@ def monte_carlo_oracle(config, latent, profile, trials, seed):
     return mean, np.sqrt(var / trials), float(welfare.mean()), math.sqrt(wvar / trials)
 
 
-def vectorized_monte_carlo_oracle(config, latent, profile, trials, seed):
+def mc_reachable(profile):
+    """The cells that Monte Carlo's draws reach: the positive strategy
+    entries, and the last report wherever the others sum short of 1."""
+    reachable = profile.thetas.transpose(0, 2, 1) > 0.0
+    reachable[..., -1] |= np.cumsum(profile.thetas, axis=1)[:, -2] < 1.0
+    return reachable
+
+
+@cache
+def mc_profile(n):
+    """The random m = 3 profile of n agents of the workspace cases, built
+    once per module (a StrategyProfile's arrays are read-only)."""
+    return random_profile(np.random.default_rng(n), 3, n)
+
+
+def vectorized_monte_carlo_oracle(config, latent, profile, trials, seed, tables):
     """The block loop of ``monte_carlo_payments`` as it was before its
     per-call workspace: fresh arrays in every block, int32 take indices, the
     signal uniforms drawn whole and every mate draw taken modulo its count.
-    It returns (mean, stderr, welfare mean, welfare stderr), which the
+    ``tables`` is what ``_mc_tables`` returns for ``mc_reachable(profile)``,
+    built by the caller under the ``_MC_BLOCK`` and ``_BLOCK_CELLS`` of the
+    call.  It returns (mean, stderr, welfare mean, welfare stderr), which the
     workspace must reproduce bit for bit."""
     n, m = profile.n, profile.m
     block_size = mechanism._MC_BLOCK
@@ -876,10 +893,7 @@ def vectorized_monte_carlo_oracle(config, latent, profile, trials, seed):
     sizes = np.array([len(members) - 1 for members in groups], dtype=index)[pool_of]
     pool_at = pools.shape[1] * pool_of
     cums = np.cumsum(profile.thetas, axis=1).transpose(0, 2, 1)
-    reachable = profile.thetas.transpose(0, 2, 1) > 0.0
-    reachable[..., -1] |= cums[..., -2] < 1.0
     thresholds = np.ascontiguousarray(cums[..., :-1].reshape(n * m, m - 1).T)
-    tables = mechanism._mc_tables(config, profile, reachable, trials)
     rows_per_block = max(1, mechanism._BLOCK_CELLS // (n * m))
 
     def categorical(rows, u):
@@ -988,14 +1002,13 @@ class TestMonteCarloWorkspace:
             sizes = {min(block_size, trials - lo) for lo in range(0, trials, block_size)}
             rows = next(r for r in range(min(sizes) - 1, 1, -1) if all(s % r > 1 for s in sizes))
             monkeypatch.setattr(mechanism, "_BLOCK_CELLS", rows * n * m)
-        profile = random_profile(np.random.default_rng(n), m, n)
+        profile = mc_profile(n)
         config = MechanismConfig(1.0, 0.05, rule, variant, group)
-        reachable = profile.thetas.transpose(0, 2, 1) > 0.0
-        built = mechanism._mc_tables(config, profile, reachable, trials) is not None
-        assert built == tables
+        built = mechanism._mc_tables(config, profile, mc_reachable(profile), trials)
+        assert (built is not None) == tables
         mc = monte_carlo_payments(config, latent3, profile, trials=trials, seed=6)
         mean, stderr, welfare_mean, welfare_stderr = vectorized_monte_carlo_oracle(
-            config, latent3, profile, trials, seed=6
+            config, latent3, profile, trials, seed=6, tables=built
         )
         assert np.array_equal(mc.mean, mean)
         assert np.array_equal(mc.stderr, stderr)
@@ -1012,12 +1025,12 @@ class TestMonteCarloWorkspace:
         n, m, trials = 16, 3, 14 * 97  # the tables need C^2 = 144^2 <= n trials
         monkeypatch.setattr(mechanism, "_MC_BLOCK", 97)
         monkeypatch.setattr(mechanism, "_BLOCK_CELLS", 32 * n * m)
-        profile = random_profile(np.random.default_rng(n), m, n)
+        profile = mc_profile(n)
         config = MechanismConfig(1.0, 0.05, "log", "disagreement")
-        reachable = profile.thetas.transpose(0, 2, 1) > 0.0
-        assert mechanism._mc_tables(config, profile, reachable, trials) is not None
+        built = mechanism._mc_tables(config, profile, mc_reachable(profile), trials)
+        assert built is not None
         # the oracle looks every payment up in one whole-block pass
-        expected = vectorized_monte_carlo_oracle(config, latent3, profile, trials, seed=2)
+        expected = vectorized_monte_carlo_oracle(config, latent3, profile, trials, 2, built)
         if not tables:
             monkeypatch.setattr(mechanism, "_MC_TABLE_ENTRIES", 0)
         mc = monte_carlo_payments(config, latent3, profile, trials=trials, seed=2)

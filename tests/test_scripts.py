@@ -5,6 +5,7 @@ import importlib.util
 import itertools
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from peerpred import cli
 from peerpred.equilibrium import check_equilibrium, solved_profile
 from peerpred.mechanism import MechanismConfig, welfare_metrics
 from peerpred.priors import _map_strategy, from_latent, random_snife_prior
@@ -29,6 +31,8 @@ def load_script(name):
 
 
 welfare_table = load_script("welfare_table")
+bound_sweep = load_script("bound_sweep")
+compare_trees_script = load_script("compare_trees")
 
 
 @pytest.mark.parametrize(
@@ -51,6 +55,30 @@ def test_script_runs(script, args, header):
     assert done.returncode == 0, done.stderr
     first = done.stdout.splitlines()[0]
     assert all(word in first for word in header)
+
+
+@pytest.mark.parametrize(
+    "script, args, message",
+    [
+        (bound_sweep, ["--ns", "0,4"], "every n of --ns must be at least 2"),
+        (bound_sweep, ["--ns", "x"], "--ns must be comma-separated integers, got 'x'"),
+        (bound_sweep, ["--m", "1"], "--m must be at least 2"),
+        (bound_sweep, ["--samples", "0"], "--samples must be at least 1"),
+        (bound_sweep, ["--seed", "-1"], "--seed must be non-negative"),
+        (welfare_table, ["--m", "1"], "--m must be at least 2"),
+        (welfare_table, ["--n", "1"], "--n must be at least 2"),
+        (welfare_table, ["--seed", "-1"], "--seed must be non-negative"),
+        (welfare_table, ["--beta", "-1"], "need finite alpha > 0 and beta >= 0, got 1.0, -1.0"),
+    ],
+)
+def test_script_refuses_a_bad_argument(capsys, script, args, message):
+    """A usage error, exit 2 and one error line, before any work."""
+    with pytest.raises(SystemExit) as exited:
+        script.main(args)
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith(f" error: {message}")
+    assert "Traceback" not in err
 
 
 def test_bench_layers_writes_json(tmp_path):
@@ -142,10 +170,12 @@ def check_bench_record(record):
     assert any(row["minflt_per_call"] > 0 for row in timed)
 
 
-def compare_trees(parent, change):
+def compare_trees(parent, change, *selection):
+    """compare_trees.py over one round of ``selection``, by default the tiny
+    monte-carlo workload."""
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "compare_trees.py"), str(parent), str(change),
-         "--workload", "monte-carlo", "--tiny", "--rounds", "1"],
+         *(selection or ("--workload", "monte-carlo", "--tiny")), "--rounds", "1"],
         capture_output=True,
         text=True,
         timeout=300,
@@ -158,6 +188,110 @@ def test_compare_trees_finds_no_diff_against_itself():
     lines = done.stdout.splitlines()
     assert lines[0] == "monte-carlo: 3 CLI jobs, 0 with differing output"
     assert lines[1].startswith("time ratio change/parent over 1 rounds: median ")
+
+
+# The argvs of the comparison steps of CI's stdout-vs-base job before they
+# became job sets, with each input file by its name, and whether the step
+# compared stderr.  Every job set also compares the exit code and stdout.  The
+# malformed-file step named its seed-7 prior latent3.json.
+FROZEN_CI_STEPS = {
+    "scripts": [  # the welfare table and bound sweep steps
+        ("welfare_table.py --m 3 --n 3", False),
+        ("welfare_table.py --m 4 --n 4 --rule quadratic", False),
+        ("bound_sweep.py --m 2 --ns 16,32,64", False),
+        ("bound_sweep.py --m 3 --ns 16,32,64", False),
+    ],
+    "suite": [("suite", False)],
+    "prior-files": [
+        ("gen-prior --m 3 --seed 7", False),
+        ("validate-prior --in latent.json --format csv", False),
+        ("validate-prior --in latent.json --format json", False),
+        ("validate-prior --in pairwise.json --format csv", False),
+        ("validate-prior --in pairwise.json --format json", False),
+    ],
+    "solve": [
+        ("solve-predictions --prior latent.json --profile profile64.json --beta 10", True),
+        ("solve-predictions --prior latent.json --profile profile64.json --beta 1e3", True),
+        ("solve-predictions --prior latent.json --profile profile64.json --beta 1e5", True),
+        ("solve-predictions --prior latent.json --profile profile64.json --beta 3e6", True),
+        ("solve-predictions --prior latent.json --profile profile64.json --beta 1e7", True),
+        ("payout --prior latent.json --profile solved64.json --mech truthful.json"
+         " --trials 2000 --seed 3", False),
+        ("payout --prior latent.json --profile solved64.json --mech disagreement.json"
+         " --trials 2000 --seed 3", False),
+    ],
+    "tables": [  # the large-n and the solved n = 128 tables-path steps
+        ("payout --prior latent.json --profile truth --n 512 --mech truthful.json"
+         " --trials 10000 --seed 3", False),
+        ("payout --prior latent.json --profile truth --n 512 --mech disagreement.json"
+         " --trials 10000 --seed 3", False),
+        ("payout --prior latent.json --profile solved128.json --mech truthful.json"
+         " --trials 12000 --seed 3", False),
+        ("payout --prior latent.json --profile solved128.json --mech disagreement.json"
+         " --trials 12000 --seed 3", False),
+    ],
+    "malformed": [
+        ("welfare --prior prior-huge.json --profile truth --n 2", True),
+        ("welfare --prior prior-nan.json --profile truth --n 2", True),
+        ("welfare --prior prior-negative.json --profile truth --n 2", True),
+        ("welfare --prior prior-nonstochastic.json --profile truth --n 2", True),
+        ("welfare --prior latent.json --profile profile-9-digits.json", True),
+        ("welfare --prior latent.json --profile profile-huge.json", True),
+        ("welfare --prior latent.json --profile profile-nan.json", True),
+        ("welfare --prior latent.json --profile profile-negative.json", True),
+        ("check-eq --prior latent.json --profile truth --n 2 --mech mech-unknown-field.json", True),
+    ],
+}  # fmt: skip
+
+
+def test_job_sets_hold_every_ci_step(tmp_path):
+    """The job sets hold the frozen argvs and compared streams, CI runs each
+    job set and workload, and every input file that an argv names is written."""
+    job_sets = {
+        name: sorted((" ".join(job.argv), job.stderr) for job in jobs)
+        for name, jobs in compare_trees_script.JOB_SETS.items()
+    }
+    assert job_sets == {name: sorted(jobs) for name, jobs in FROZEN_CI_STEPS.items()}
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    runs = re.findall(r"run: python3 scripts/compare_trees\.py parent \. (.*)", workflow)
+    assert runs == [
+        "--workload exact-large --rounds 1",
+        "--workload exact-small --tiny --rounds 1",
+        "--workload monte-carlo --rounds 1",
+        *(f"--workload {name} --rounds 1" for name in FROZEN_CI_STEPS),
+    ]
+    compare_trees_script.write_inputs(tmp_path)
+    named = {arg for jobs in FROZEN_CI_STEPS.values() for argv, _ in jobs for arg in argv.split()}
+    assert {arg for arg in named if arg.endswith(".json")} <= {p.name for p in tmp_path.iterdir()}
+
+
+def test_compare_trees_finds_no_diff_in_a_job_set_against_itself(tmp_path):
+    """The smallest job set, run in this process through this tree twice."""
+    compare_trees_script.write_inputs(tmp_path)
+    tree = (ROOT, cli)
+    jobs = compare_trees_script.JOB_SETS["prior-files"]
+    assert compare_trees_script.compare(jobs, (tree, tree), tmp_path, 1)[0] == []
+
+
+def test_compare_trees_reports_a_changed_error_message(tmp_path):
+    """A copy whose prior reader words one refusal differently: the one
+    malformed file that meets it differs in stderr alone."""
+    old = "marginal is not a probability vector within tolerance"
+    change = perturbed_copy(tmp_path, old, "marginal sums past 1", "io.py")
+    done = compare_trees(ROOT, change, "--workload", "malformed")
+    assert done.returncode == 1, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[:5] == [
+        "differs: welfare --prior prior-huge.json --profile truth --n 2",
+        "  largest |change - parent| of a number: 0.0e+00",
+        "  --- parent stderr",
+        "  +++ change stderr",
+        "  @@ -1 +1 @@",
+    ]
+    assert lines[5].startswith("  -error: io: invalid prior in ")
+    assert lines[5].endswith("/prior-huge.json: " + old)
+    assert lines[6] == lines[5].replace("  -", "  +").replace(old, "marginal sums past 1")
+    assert lines[7] == "malformed: 9 CLI jobs, 1 with differing output"
 
 
 def perturbed_copy(tmp_path, old, new, module="cli.py"):
