@@ -9,19 +9,19 @@ script only imports) or a job set of ``JOB_SETS``.  PARENT's ``peerpred``
 writes the inputs into a temporary directory: a workload's for seed 1, a job
 set's by ``write_inputs``.  CHANGE's ``src/peerpred`` is imported as
 ``peerpred_change``, so that both trees run in one process.  Every job runs
-through both trees, one untimed round and then ``--rounds`` timed ones,
+through both trees ``--rounds`` times, after an untimed round for a workload,
 alternating per job and round which tree runs first: a CLI job as a
 ``cli.main`` call, a script job as each tree's own script in a subprocess.
 
-Compared: the exit code and stdout of every job, and stderr where the job set
-says so; ``suite``'s criterion runtimes "(N.NNs)" are removed first.  Printed:
-each differing job's argv, the largest |change - parent| between numbers at
-the same place of the two stdouts (same line, same position among the line's
-numbers) and the head of a diff of the stdouts and the stderrs; the number of
-differing jobs and, if any, the largest such |change - parent| over them; the
-paired time ratio, CHANGE over PARENT summed over a round's jobs, as the
-median and range over the timed rounds.  A workload's library calls (jobs
-without an argv) are skipped.  Exits 1 when any job differs.
+Compared: the exit code, stdout and stderr of every job; ``suite``'s criterion
+runtimes "(N.NNs)" are removed first.  Printed: each differing job's argv, the
+largest |change - parent| between numbers at the same place of the two stdouts
+(same line, same position among the line's numbers) and the head of a diff of
+the stdouts and the stderrs; the number of differing jobs and, if any, the
+largest such |change - parent| over them; for a workload (a job set is not
+timed), the paired time ratio, CHANGE over PARENT summed over a round's jobs,
+as the median and range over the timed rounds.  A workload's library calls
+(jobs without an argv) are skipped.  Exits 1 when any job differs.
 
 When both stdouts of a job are ``payout --trials`` tables (agent,
 mean_payment, stderr) of the same agents, its report also gives the largest
@@ -48,7 +48,6 @@ import tempfile
 import warnings
 from pathlib import Path
 from time import perf_counter
-from typing import NamedTuple
 
 import numpy as np
 
@@ -62,15 +61,9 @@ NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.
 RUNTIME = re.compile(r" \([0-9]+\.[0-9]+s\)")
 
 
-class Job(NamedTuple):
-    """A CLI or ``scripts/`` call; a ``.json`` argument names an input file."""
-
-    argv: tuple[str, ...]
-    stderr: bool = False  # compared too, beside the exit code and stdout
-
-
-def _jobs(*argvs: str, stderr: bool = False) -> list[Job]:
-    return [Job(tuple(argv.split()), stderr) for argv in argvs]
+def _jobs(*argvs: str) -> list[tuple[str, ...]]:
+    """The argvs of CLI or ``scripts/`` calls; a ``.json`` argument names an input file."""
+    return [tuple(argv.split()) for argv in argvs]
 
 
 def _pairwise(marginal, conditional):
@@ -126,8 +119,8 @@ JOB_SETS = {
     # SOLVER_TOL, and near 1e6 and above its error bound passes PROBABILITY_TOL and the
     # solve is refused.  Nor does one take the Monte Carlo kernel fallback, as payout
     # does at n = 64: the 576^2 cell pairs exceed 2,000 trials * 64 agents.
-    "solve": _jobs(*(f"{SOLVE} {beta}" for beta in ("10", "1e3", "1e5", "3e6", "1e7")), stderr=True)
-    + _jobs(
+    "solve": _jobs(
+        *(f"{SOLVE} {beta}" for beta in ("10", "1e3", "1e5", "3e6", "1e7")),
         f"{PAYOUT} solved64.json --mech truthful.json --trials 2000 --seed 3",
         f"{PAYOUT} solved64.json --mech disagreement.json --trials 2000 --seed 3",
     ),
@@ -147,7 +140,6 @@ JOB_SETS = {
         *(f"welfare --prior latent.json --profile {name}.json" for name in FILES
           if name.startswith("profile-")),
         "check-eq --prior latent.json --profile truth --n 2 --mech mech-unknown-field.json",
-        stderr=True,
     ),  # fmt: skip
 }
 
@@ -195,11 +187,12 @@ def write_inputs(directory: Path) -> None:
              f" --format json --out solved{n}.json")  # fmt: skip
 
 
-def _run(tree, job: Job, directory: Path) -> tuple[tuple[int, str, str], float]:
-    """(exit code, stdout, stderr or "" when it is not compared) of one job
-    through one (root, cli module) tree, and its seconds."""
+def _run(tree, job, directory: Path) -> tuple[tuple[int, str, str], float]:
+    """(exit code, stdout, stderr) of one job through one (root, cli module)
+    tree, and its seconds.  An exception that ``cli.main`` lets through ends
+    the job as in a process, its class named without the tree's package."""
     root, cli = tree
-    argv = _paths(job.argv, directory)
+    argv = _paths(job, directory)
     out, err = io.StringIO(), io.StringIO()
     start = perf_counter()
     if argv[0].endswith(".py"):
@@ -211,12 +204,18 @@ def _run(tree, job: Job, directory: Path) -> tuple[tuple[int, str, str], float]:
         # catch_warnings resets the warning registries: each call warns as a new process would
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
                 warnings.catch_warnings():  # fmt: skip
-            code = cli.main(argv)
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:
+                code = 1
+                print(f"{type(exc).__name__}: {exc}", file=err)
         out, err = out.getvalue(), err.getvalue()
     elapsed = perf_counter() - start
-    if job.argv[0] == "suite":
+    if job[0] == "suite":
         out = RUNTIME.sub("", out)
-    return (code, out, err if job.stderr else ""), elapsed
+    return (code, out, err), elapsed
 
 
 def _largest_delta(parent: str, change: str) -> float:
@@ -278,13 +277,13 @@ def _diff(argv, parent, change) -> tuple[str, float]:
     return "\n".join(lines), delta
 
 
-def compare(jobs, trees, directory: Path, rounds: int):
-    """Run every job through both (root, cli module) trees; return the
-    (report, largest numeric |change - parent|) of each differing job and
-    each timed round's time ratio, change over parent."""
+def compare(jobs, trees, directory: Path, rounds: int, warm_up: bool = True):
+    """Run every job through both (root, cli module) trees ``rounds`` times,
+    after an untimed round if ``warm_up``; return each differing job's (report,
+    largest numeric |change - parent|) and each timed round's time ratio."""
     differing: dict[int, tuple[str, float]] = {}
     ratios = []
-    for round_ in range(rounds + 1):
+    for round_ in range(rounds + warm_up):
         totals = [0.0, 0.0]
         for k, job in enumerate(jobs):
             results = [None, None]
@@ -292,8 +291,8 @@ def compare(jobs, trees, directory: Path, rounds: int):
                 results[side], elapsed = _run(trees[side], job, directory)
                 totals[side] += elapsed
             if results[0] != results[1] and k not in differing:
-                differing[k] = _diff(job.argv, *results)
-        if round_ > 0:  # round 0 warms both trees up
+                differing[k] = _diff(job, *results)
+        if round_ >= warm_up:
             ratios.append(totals[1] / totals[0])
     return [differing[k] for k in sorted(differing)], ratios
 
@@ -306,7 +305,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True,
                         help=f"a workload of bench/workloads.py or a job set: {sets}")  # fmt: skip
     parser.add_argument("--tiny", action="store_true", help="the workload's small inputs")
-    parser.add_argument("--rounds", type=int, default=3, help="timed rounds (default 3)")
+    parser.add_argument("--rounds", type=int, default=3, help="rounds (default 3)")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
@@ -321,16 +320,17 @@ def main(argv=None) -> int:
     parent_cli = importlib.import_module("peerpred.cli")
     import_tree(change / "src", CHANGE_PACKAGE)
     trees = ((parent, parent_cli), (change, importlib.import_module(f"{CHANGE_PACKAGE}.cli")))
+    timed = args.workload not in JOB_SETS
     with tempfile.TemporaryDirectory() as name:
         directory = Path(name)
-        if args.workload in JOB_SETS:
+        if not timed:
             write_inputs(directory)
             jobs = JOB_SETS[args.workload]
         else:
             build = importlib.import_module("workloads").build
             built = build(args.workload, SEED, directory, args.tiny)
-            jobs = [Job(tuple(job.argv)) for job in built if job.argv is not None]
-        diffs, ratios = compare(jobs, trees, directory, args.rounds)
+            jobs = [tuple(job.argv) for job in built if job.argv is not None]
+        diffs, ratios = compare(jobs, trees, directory, args.rounds, warm_up=timed)
 
     for report, _ in diffs:
         print(report)
@@ -338,10 +338,10 @@ def main(argv=None) -> int:
     if diffs:
         largest = max(delta for _, delta in diffs)
         print(f"largest |change - parent| of a number over the differing jobs: {largest:.1e}")
-    print(
-        f"time ratio change/parent over {len(ratios)} rounds: median "
-        f"{statistics.median(ratios):.3f} [{min(ratios):.3f}, {max(ratios):.3f}]"
-    )
+    if timed:
+        mid, low, high = statistics.median(ratios), min(ratios), max(ratios)
+        print(f"time ratio change/parent over {len(ratios)} rounds: "
+              f"median {mid:.3f} [{low:.3f}, {high:.3f}]")  # fmt: skip
     return 1 if diffs else 0
 
 

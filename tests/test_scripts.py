@@ -191,64 +191,63 @@ def test_compare_trees_finds_no_diff_against_itself():
 
 
 # The argvs of the comparison steps of CI's stdout-vs-base job before they
-# became job sets, with each input file by its name, and whether the step
-# compared stderr.  Every job set also compares the exit code and stdout.  The
-# malformed-file step named its seed-7 prior latent3.json.
+# became job sets, with each input file by its name.  The malformed-file step
+# named its seed-7 prior latent3.json.
 FROZEN_CI_STEPS = {
     "scripts": [  # the welfare table and bound sweep steps
-        ("welfare_table.py --m 3 --n 3", False),
-        ("welfare_table.py --m 4 --n 4 --rule quadratic", False),
-        ("bound_sweep.py --m 2 --ns 16,32,64", False),
-        ("bound_sweep.py --m 3 --ns 16,32,64", False),
+        "welfare_table.py --m 3 --n 3",
+        "welfare_table.py --m 4 --n 4 --rule quadratic",
+        "bound_sweep.py --m 2 --ns 16,32,64",
+        "bound_sweep.py --m 3 --ns 16,32,64",
     ],
-    "suite": [("suite", False)],
+    "suite": ["suite"],
     "prior-files": [
-        ("gen-prior --m 3 --seed 7", False),
-        ("validate-prior --in latent.json --format csv", False),
-        ("validate-prior --in latent.json --format json", False),
-        ("validate-prior --in pairwise.json --format csv", False),
-        ("validate-prior --in pairwise.json --format json", False),
+        "gen-prior --m 3 --seed 7",
+        "validate-prior --in latent.json --format csv",
+        "validate-prior --in latent.json --format json",
+        "validate-prior --in pairwise.json --format csv",
+        "validate-prior --in pairwise.json --format json",
     ],
     "solve": [
-        ("solve-predictions --prior latent.json --profile profile64.json --beta 10", True),
-        ("solve-predictions --prior latent.json --profile profile64.json --beta 1e3", True),
-        ("solve-predictions --prior latent.json --profile profile64.json --beta 1e5", True),
-        ("solve-predictions --prior latent.json --profile profile64.json --beta 3e6", True),
-        ("solve-predictions --prior latent.json --profile profile64.json --beta 1e7", True),
-        ("payout --prior latent.json --profile solved64.json --mech truthful.json"
-         " --trials 2000 --seed 3", False),
-        ("payout --prior latent.json --profile solved64.json --mech disagreement.json"
-         " --trials 2000 --seed 3", False),
+        "solve-predictions --prior latent.json --profile profile64.json --beta 10",
+        "solve-predictions --prior latent.json --profile profile64.json --beta 1e3",
+        "solve-predictions --prior latent.json --profile profile64.json --beta 1e5",
+        "solve-predictions --prior latent.json --profile profile64.json --beta 3e6",
+        "solve-predictions --prior latent.json --profile profile64.json --beta 1e7",
+        "payout --prior latent.json --profile solved64.json --mech truthful.json"
+        " --trials 2000 --seed 3",
+        "payout --prior latent.json --profile solved64.json --mech disagreement.json"
+        " --trials 2000 --seed 3",
     ],
     "tables": [  # the large-n and the solved n = 128 tables-path steps
-        ("payout --prior latent.json --profile truth --n 512 --mech truthful.json"
-         " --trials 10000 --seed 3", False),
-        ("payout --prior latent.json --profile truth --n 512 --mech disagreement.json"
-         " --trials 10000 --seed 3", False),
-        ("payout --prior latent.json --profile solved128.json --mech truthful.json"
-         " --trials 12000 --seed 3", False),
-        ("payout --prior latent.json --profile solved128.json --mech disagreement.json"
-         " --trials 12000 --seed 3", False),
+        "payout --prior latent.json --profile truth --n 512 --mech truthful.json"
+        " --trials 10000 --seed 3",
+        "payout --prior latent.json --profile truth --n 512 --mech disagreement.json"
+        " --trials 10000 --seed 3",
+        "payout --prior latent.json --profile solved128.json --mech truthful.json"
+        " --trials 12000 --seed 3",
+        "payout --prior latent.json --profile solved128.json --mech disagreement.json"
+        " --trials 12000 --seed 3",
     ],
     "malformed": [
-        ("welfare --prior prior-huge.json --profile truth --n 2", True),
-        ("welfare --prior prior-nan.json --profile truth --n 2", True),
-        ("welfare --prior prior-negative.json --profile truth --n 2", True),
-        ("welfare --prior prior-nonstochastic.json --profile truth --n 2", True),
-        ("welfare --prior latent.json --profile profile-9-digits.json", True),
-        ("welfare --prior latent.json --profile profile-huge.json", True),
-        ("welfare --prior latent.json --profile profile-nan.json", True),
-        ("welfare --prior latent.json --profile profile-negative.json", True),
-        ("check-eq --prior latent.json --profile truth --n 2 --mech mech-unknown-field.json", True),
+        "welfare --prior prior-huge.json --profile truth --n 2",
+        "welfare --prior prior-nan.json --profile truth --n 2",
+        "welfare --prior prior-negative.json --profile truth --n 2",
+        "welfare --prior prior-nonstochastic.json --profile truth --n 2",
+        "welfare --prior latent.json --profile profile-9-digits.json",
+        "welfare --prior latent.json --profile profile-huge.json",
+        "welfare --prior latent.json --profile profile-nan.json",
+        "welfare --prior latent.json --profile profile-negative.json",
+        "check-eq --prior latent.json --profile truth --n 2 --mech mech-unknown-field.json",
     ],
 }  # fmt: skip
 
 
 def test_job_sets_hold_every_ci_step(tmp_path):
-    """The job sets hold the frozen argvs and compared streams, CI runs each
-    job set and workload, and every input file that an argv names is written."""
+    """The job sets hold the frozen argvs, CI runs each job set and
+    workload, and every input file that an argv names is written."""
     job_sets = {
-        name: sorted((" ".join(job.argv), job.stderr) for job in jobs)
+        name: sorted(" ".join(job) for job in jobs)
         for name, jobs in compare_trees_script.JOB_SETS.items()
     }
     assert job_sets == {name: sorted(jobs) for name, jobs in FROZEN_CI_STEPS.items()}
@@ -261,7 +260,7 @@ def test_job_sets_hold_every_ci_step(tmp_path):
         *(f"--workload {name} --rounds 1" for name in FROZEN_CI_STEPS),
     ]
     compare_trees_script.write_inputs(tmp_path)
-    named = {arg for jobs in FROZEN_CI_STEPS.values() for argv, _ in jobs for arg in argv.split()}
+    named = {arg for jobs in FROZEN_CI_STEPS.values() for argv in jobs for arg in argv.split()}
     assert {arg for arg in named if arg.endswith(".json")} <= {p.name for p in tmp_path.iterdir()}
 
 
@@ -270,7 +269,8 @@ def test_compare_trees_finds_no_diff_in_a_job_set_against_itself(tmp_path):
     compare_trees_script.write_inputs(tmp_path)
     tree = (ROOT, cli)
     jobs = compare_trees_script.JOB_SETS["prior-files"]
-    assert compare_trees_script.compare(jobs, (tree, tree), tmp_path, 1)[0] == []
+    diffs, ratios = compare_trees_script.compare(jobs, (tree, tree), tmp_path, 1, warm_up=False)
+    assert diffs == [] and len(ratios) == 1
 
 
 def test_compare_trees_reports_a_changed_error_message(tmp_path):
@@ -291,6 +291,20 @@ def test_compare_trees_reports_a_changed_error_message(tmp_path):
     assert lines[5].startswith("  -error: io: invalid prior in ")
     assert lines[5].endswith("/prior-huge.json: " + old)
     assert lines[6] == lines[5].replace("  -", "  +").replace(old, "marginal sums past 1")
+    assert lines[7] == "malformed: 9 CLI jobs, 1 with differing output"
+
+
+def test_compare_trees_goes_on_after_a_crash(tmp_path):
+    """A copy whose prior reader raises a ZeroDivisionError, which neither the
+    reader nor ``cli.main`` catches: that job differs in stderr, and the set
+    still runs to its summary."""
+    old = 'raise PriorError("marginal is not a probability vector within tolerance")'
+    change = perturbed_copy(tmp_path, old, old.replace("PriorError", "ZeroDivisionError"), "io.py")
+    done = compare_trees(ROOT, change, "--workload", "malformed")
+    assert done.returncode == 1, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "differs: welfare --prior prior-huge.json --profile truth --n 2"
+    assert lines[6] == "  +ZeroDivisionError: marginal is not a probability vector within tolerance"
     assert lines[7] == "malformed: 9 CLI jobs, 1 with differing output"
 
 
