@@ -4,8 +4,9 @@
     python3 scripts/compare_trees.py PARENT CHANGE --workload malformed --rounds 1
 
 PARENT and CHANGE are repository roots, each with ``src/peerpred``.
-``--workload`` names a workload of PARENT's ``bench/workloads.py`` (which this
-script only imports) or a job set of ``JOB_SETS``.  PARENT's ``peerpred``
+``--workload`` names a workload of PARENT's ``bench/run.py`` ``WORKLOADS``
+(built by its ``bench/workloads.py``; this script only imports both) or a
+job set of ``JOB_SETS``; any other name is refused.  PARENT's ``peerpred``
 writes the inputs into a temporary directory: a workload's for seed 1, a job
 set's by ``write_inputs``.  CHANGE's ``src/peerpred`` is imported as
 ``peerpred_change``, so that both trees run in one process.  Every job runs
@@ -133,6 +134,12 @@ JOB_SETS = {
         f"{PAYOUT} solved128.json --mech truthful.json --trials 12000 --seed 3",
         f"{PAYOUT} solved128.json --mech disagreement.json --trials 12000 --seed 3",
     ),
+    # the classification-bound, aggregation-error and relabeling scans in many
+    # tiles: no workload runs them past n = 512
+    "audits": _jobs(
+        "audit --prior latent.json --profile solved2048.json",
+        "impossibility --prior latent.json --profile solved2048.json --perm 1,0,2",
+    ),
     # the validators' messages: the exit code and stderr of each malformed file
     "malformed": _jobs(
         *(f"welfare --prior {name}.json --profile truth --n 2" for name in FILES
@@ -165,8 +172,8 @@ def _paths(argv, directory: Path) -> list[str]:
 
 def write_inputs(directory: Path) -> None:
     """Write the job sets' inputs into ``directory`` with the process's
-    ``peerpred``: the seed-7 latent prior, ``FILES``, and the n = 64 and 128
-    profiles of ``default_rng(11)`` with their predictions solved."""
+    ``peerpred``: the seed-7 latent prior, ``FILES``, and the n = 64, 128 and
+    2048 profiles of ``default_rng(11)`` with their predictions solved."""
     from peerpred import cli
     from peerpred.io import save_profile
     from peerpred.strategy import StrategyProfile, random_signal_strategies
@@ -179,7 +186,7 @@ def write_inputs(directory: Path) -> None:
     call("gen-prior --m 3 --seed 7 --out latent.json")
     for name, data in FILES.items():
         (directory / f"{name}.json").write_text(json.dumps(data))
-    for n in (64, 128):
+    for n in (64, 128, 2048):
         thetas = random_signal_strategies(np.random.default_rng(11), 3, (n,))
         profile = StrategyProfile(thetas, np.full((n, 3, 3, 3), 1 / 3))
         save_profile(profile, directory / f"profile{n}.json")
@@ -303,7 +310,7 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path, help="root of the tree under test")
     sets = ", ".join(JOB_SETS)
     parser.add_argument("--workload", required=True,
-                        help=f"a workload of bench/workloads.py or a job set: {sets}")  # fmt: skip
+                        help=f"a workload of bench/run.py or a job set: {sets}")  # fmt: skip
     parser.add_argument("--tiny", action="store_true", help="the workload's small inputs")
     parser.add_argument("--rounds", type=int, default=3, help="rounds (default 3)")
     args = parser.parse_args(argv)
@@ -317,6 +324,9 @@ def main(argv=None) -> int:
             parser.error(f"no src/peerpred under {root}")
 
     sys.path[:0] = [str(parent / "src"), str(parent / "bench")]
+    names = (*JOB_SETS, *importlib.import_module("run").WORKLOADS)
+    if args.workload not in names:
+        parser.error(f"unknown --workload {args.workload!r}; choose from {', '.join(names)}")
     parent_cli = importlib.import_module("peerpred.cli")
     import_tree(change / "src", CHANGE_PACKAGE)
     trees = ((parent, parent_cli), (change, importlib.import_module(f"{CHANGE_PACKAGE}.cli")))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .divergence import hellinger
 from .equilibrium import check_equilibrium, solve_prediction_stack
-from .mechanism import _BLOCK_CELLS, MechanismConfig, welfare_batch, welfare_metrics
+from .mechanism import MechanismConfig, _dstar_tiles, welfare_batch, welfare_metrics
 from .priors import PairwisePrior, PermutationMap, permute_prior, prior_constants
 from .strategy import (
     StrategyProfile,
@@ -88,23 +88,22 @@ def classification_bound_audit(
     The left side is the profile's :func:`welfare_metrics`.  Best predictions
     ignore the report, so the right side is :func:`_anchor_divergence` of
     the signal strategies, one scan over the pairs of agent types' anchors
-    theta_minus q_s; the same anchors give the distance of the profile's
-    predictions to them.
+    theta_minus q_s, which :func:`check_equilibrium` builds; the same anchors
+    give the distance of the profile's predictions to them.
     """
     thetas = profile.thetas
-    anchors = prediction_anchors(prior, thetas)  # [i, s, coordinate]
+    report = check_equilibrium(config, prior, profile)  # its anchors are [i, s, coordinate]
     breakdown = welfare_metrics(prior, profile)
     lhs = breakdown.classification_score
-    rhs = _anchor_divergence(prior, anchors, *agent_types(thetas))
+    rhs = _anchor_divergence(prior, report.anchors, *agent_types(thetas))
     slack = rhs - lhs
 
     realized = thetas.transpose(0, 2, 1)[..., None] > 0.0  # [i, s, r, 1]
-    bp_distance = float(np.max(np.abs(profile.predictions - anchors[:, :, None]) * realized))
-    eq_gap = check_equilibrium(config, prior, profile).max_gap
+    bp_distance = float(np.max(np.abs(profile.predictions - report.anchors[:, :, None]) * realized))
     equality = abs(slack) <= BOUND_TOL
     context = {
         "inconsistency": breakdown.inconsistency,
-        "equilibrium_max_gap": eq_gap,
+        "equilibrium_max_gap": report.max_gap,
         "best_prediction_distance": bp_distance,
         "equality": equality,
         "equality_conditions_hold": bool(
@@ -113,46 +112,6 @@ def classification_bound_audit(
         ),
     }
     return AuditResult("classification-bound", lhs, rhs, slack, slack >= -BOUND_TOL, context)
-
-
-def _anchor_pairs(type_anchors: np.ndarray):
-    """The scan over pairs of (type, signal) anchors, one per agent type t
-    and private signal a in ``type_anchors`` (T, m, m).  Yields, per row
-    block of whole types [lo, hi), ``(lo, hi, dstar)`` with
-    dstar[a, t - lo, u - lo, b] = D*(anchor[t, a], anchor[u, b]) for the
-    types u >= lo, so each unordered pair of types is visited once.
-
-    D* is taken elementwise, as :func:`hellinger` defines it: from each
-    anchor's square roots, the squared differences summed in coordinate
-    order, with no square root of a difference.  A block holds at most
-    ``_BLOCK_CELLS`` cell pairs (or one type's row), in one buffer that the
-    next block overwrites: O(T^2 m^3 / 2) time and O(T m^2 + m _BLOCK_CELLS)
-    memory.
-    """
-    types, m = type_anchors.shape[0], type_anchors.shape[1]
-    cells = types * m
-    # every difference sqrt x_f - sqrt y_f is the product [sqrt x_f, 1] @
-    # [1, -sqrt y_f]: both terms are exact and their sum rounds once, as the
-    # subtraction does, so one matmul per block gives the subtraction's bits
-    factors = np.ones(4 * m * cells)
-    row_pairs = factors[: 2 * m * cells].reshape(m, m, types, 2)  # [f, a, t, (sqrt x_f, 1)]
-    col_pairs = factors[2 * m * cells :].reshape(m, 2, cells)  # [f, (1, -sqrt y_f), (u, b)]
-    roots = np.sqrt(type_anchors.transpose(2, 1, 0), out=row_pairs[..., 0])  # [f, a, t]
-    np.negative(roots.transpose(0, 2, 1), out=col_pairs[:, 1].reshape(m, types, m))
-
-    rows = max(1, _BLOCK_CELLS // (cells * m))  # types per row block
-    # one buffer for the widest block: fresh arrays cost page faults per block
-    buffer = np.empty(m * m * min(rows, types) * cells)
-    for lo in range(0, types, rows):
-        hi = min(lo + rows, types)
-        height, width = hi - lo, (types - lo) * m
-        diff = buffer[: m * m * height * width].reshape(m, m, height, width)
-        np.matmul(row_pairs[:, :, lo:hi], col_pairs[:, None, :, lo * m :], out=diff)
-        np.square(diff, out=diff)
-        dstar = diff[0]
-        for term in diff[1:]:
-            dstar += term
-        yield lo, hi, dstar.reshape(m, height, types - lo, m)
 
 
 def _anchor_divergence(prior: PairwisePrior, anchors, first, counts) -> float:
@@ -164,10 +123,13 @@ def _anchor_divergence(prior: PairwisePrior, anchors, first, counts) -> float:
     total divergence is the sum over ordered agent pairs j != k and signal
     pairs (a, b) of joint[a, b] D*(anchor[j, a], anchor[k, b]) / (n (n - 1)).
     With c_t agents of type t (byte-identical strategies, hence anchors),
-    the sum runs over the scan of :func:`_anchor_pairs`: each pair of types
-    once, weighted c_t (c_u - [t = u]) by the symmetric part of the joint,
-    and twice when the types differ.  Every term is non-negative, so nothing
-    cancels.  O(T^2 m^3 / 2) time for T agent types.
+    the sum runs over the tiles of :func:`~peerpred.mechanism._dstar_tiles`,
+    each weighted by the symmetric part of the joint: c_t (c_u - [t = u])
+    agent pairs where a block meets itself, whose tile holds both orders of
+    its pairs, elementwise; and twice c_t c_u past it, where a tile holds one
+    order, by matrix products, as the welfare pass weighs its tiles.  Every
+    term is non-negative, so nothing cancels.  O(T^2 m^3 / 2) time for
+    T agent types, and O(T m^2 + _BLOCK_CELLS) memory.
     """
     n, m = anchors.shape[0], anchors.shape[1]
     # both orders of a pair of types hold the same D*, so twice the symmetric
@@ -175,16 +137,25 @@ def _anchor_divergence(prior: PairwisePrior, anchors, first, counts) -> float:
     joint = prior.joint()
     twice_sym = joint + joint.T
     c = counts.astype(float)
+    # past a block, types differ: 2 c_t c_u agent pairs, rank one, so with
+    # column weights G[(u, b), b'] = c_u [b = b'] and row weights H[(t, a), b]
+    # = c_t twice_sym[a, b] those D* sum to 2 <H, pulled>, pulled = sum D* @ G
+    col_weights = (c[:, None, None] * np.eye(m)).reshape(-1, m)
+    pulled = np.zeros((c.size * m, m))
     total = 0.0
-    for lo, hi, dstar in _anchor_pairs(anchors[first]):
-        # c_t (c_u - [t = u]) ordered agent pairs of types t, u in the block,
-        # and both orders of a pair with a type past it: exact in floats
-        height, width = hi - lo, c.size - lo
-        pairs = c[lo:hi, None] * c[lo:]
-        pairs.reshape(-1)[: height * (width + 1) : width + 1] -= c[lo:hi]
-        pairs[:, height:] *= 2.0
-        # the block's D* at each signal pair (a, b), weighted by agent pairs
-        total += np.vdot(twice_sym, pairs.reshape(-1) @ dstar.reshape(m, -1, m))
+    for _, t, u, tile in _dstar_tiles(np.sqrt(anchors[first].transpose(2, 0, 1))[None]):
+        dstar, x = tile[0, 1], slice(t.start * m, t.stop * m)  # D* [(t, a), (u, b)]
+        after = x.stop - x.start if u.start == t.start else 0
+        if after:
+            # the block against itself: c_t (c_u - [t = u]) ordered agent pairs,
+            # exact in floats, against its D* [a, (t, u), b]
+            pairs = c[t, None] * c[t]
+            pairs.reshape(-1)[:: pairs.shape[0] + 1] -= c[t]
+            block = dstar[:, :after].reshape(-1, m, after).transpose(1, 0, 2).copy()
+            total += np.vdot(twice_sym, pairs.reshape(-1) @ block.reshape(m, -1, m))
+        if after < dstar.shape[1]:
+            pulled[x] += dstar[:, after:] @ col_weights[u.start * m + after : u.stop * m]
+    total += 2.0 * np.vdot((c[:, None, None] * twice_sym).reshape(-1, m), pulled)
     return 0.5 * float(total) / (n * (n - 1))
 
 
@@ -201,9 +172,9 @@ def aggregation_error_audit(
     theta_minus q_s, so the maximum runs over the T agent types instead: over
     pairs of distinct types, and over a type paired with itself when it has
     at least two agents.  D* and the reference are symmetric bit for bit, so
-    the maximum reads the scan of :func:`_anchor_pairs`, which visits each
-    unordered pair of types once: O(T^2 m^3 / 2) time and
-    O(n m^2 + m _BLOCK_CELLS) memory.
+    the maximum reads the tiles of :func:`~peerpred.mechanism._dstar_tiles`,
+    which visit each unordered pair of types once: O(T^2 m^3 / 2) time and
+    O(n m^2 + _BLOCK_CELLS) memory.
     """
     if not eps > 0.0:
         raise AuditError(f"eps must be positive, got {eps}")
@@ -221,13 +192,17 @@ def aggregation_error_audit(
 
     ref_points = (thetas.mean(axis=0) @ prior.conditional).T  # row s = theta_bar q_s
     ref = hellinger(ref_points[:, None, :], ref_points[None, :, :])  # (m, m)
+    ref = np.broadcast_to(ref[:, None], (m, first.size, m)).reshape(m, -1)  # [a, (u, b)]
 
+    roots = np.sqrt(prediction_anchors(prior, thetas)[first].transpose(2, 0, 1))[None]
     lhs = 0.0
-    for lo, hi, dev in _anchor_pairs(prediction_anchors(prior, thetas)[first]):
-        dev -= ref[:, None, None, :]
+    for _, t, u, tile in _dstar_tiles(roots):
+        dev = tile[0, 1].reshape(t.stop - t.start, m, -1)  # [t, a, (u, b)]
+        dev -= ref[:, u.start * m : u.stop * m]
         np.abs(dev, out=dev)
-        own = np.flatnonzero(alone[lo:hi])
-        dev[:, own, own] = 0.0
+        if u.start == t.start:
+            own = np.flatnonzero(alone[t])
+            dev.reshape(dev.shape[0], m, -1, m)[own, :, own] = 0.0  # [t, a, u, b]
         lhs = np.maximum(lhs, dev.max())  # keeps a NaN, as np.max does
     lhs = float(lhs)
     return AuditResult(

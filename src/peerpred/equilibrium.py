@@ -123,15 +123,17 @@ class EquilibriumReport:
     """Per (agent i, signal s): ``values[i, s, r]``, the value of report r with
     its closed-form optimal prediction ``best_predictions[i, s, r]``;
     ``payoffs[i, s]``, the value of the profile's prescribed play; and
-    ``gaps[i, s]``, the best value minus that payoff.  Payoffs are linear in
-    the agent's report distribution, so the best mixed deviation is a pure
-    report with its optimal prediction: ``values[i, s].argmax()``, lowest
-    index on ties, is a best response."""
+    ``gaps[i, s]``, the best value minus that payoff; ``anchors[i, s]``, a
+    read-only :func:`~peerpred.strategy.prediction_anchors`.  Payoffs are
+    linear in the agent's report distribution, so the best mixed deviation
+    is a pure report with its optimal prediction: ``values[i, s].argmax()``,
+    lowest index on ties, is a best response."""
 
     gaps: np.ndarray
     payoffs: np.ndarray
     values: np.ndarray
     best_predictions: np.ndarray
+    anchors: np.ndarray
 
     @property
     def max_gap(self) -> float:
@@ -161,7 +163,7 @@ def check_equilibrium(
             "expected payoffs overflow: a value or gap is not finite "
             f"(alpha = {config.alpha:g}, beta = {config.beta:g})"
         )
-    return EquilibriumReport(gaps, payoffs, values, terms.best)
+    return EquilibriumReport(gaps, payoffs, values, terms.best, terms.anchor[:, :, 0])
 
 
 def expected_conditional_payoff(

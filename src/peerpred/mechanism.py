@@ -45,14 +45,16 @@ bilinear form D*(p, q) = sum p + sum q - 2 <sqrt p, sqrt q> summed over the
 report pairs r != r' only, with the rank-one-plus-diagonal pair weight, and
 inconsistency together with the same-report divergence through one
 elementwise pass over the pairs of cells that share a report, each
-unordered pair of types once, in O(T^2 m^4 / 2).  Total divergence is
-diversity plus the same-report divergence, so it equals diversity bit for
-bit whenever no two cells sharing a report differ, as for truth-telling and
-permutation profiles.  T = 1 for symmetric profiles, whose welfare therefore
-costs the same at any n; heterogeneous profiles (T = n) remain quadratic in
-n.  :func:`welfare_batch` scores scenarios that share (n, m) with a leading
-scenario axis through the same steps, and :func:`welfare_metrics` is its
-batch of one.
+unordered pair of types once, in O(T^2 m^4 / 2): the tiles of
+:func:`_dstar_tiles`, the one scan over pairs of agent types, which the
+classification-bound and aggregation-error audits read too.  Total
+divergence is diversity plus the same-report divergence, so it equals
+diversity bit for bit whenever no two cells sharing a report differ, as for
+truth-telling and permutation profiles.  T = 1 for symmetric profiles, whose
+welfare therefore costs the same at any n; heterogeneous profiles (T = n)
+remain quadratic in n.  :func:`welfare_batch` scores scenarios that share
+(n, m) with a leading scenario axis through the same steps, and
+:func:`welfare_metrics` is its batch of one.
 """
 
 from __future__ import annotations
@@ -349,11 +351,74 @@ def realized_payments(
 
 
 # Cells per block of the array passes (trials x n x m when the kernel scores
-# Monte Carlo rounds, cells x cells x m when its tables are built, the
-# differences m x m x rows x columns of a welfare tile, rows x m x types x m
-# cell pairs in the audits' anchor-pair scan): bounds the arrays they
-# gather, whatever n.
+# Monte Carlo rounds, cells x cells x m when its tables are built, and the
+# differences of a D* tile of :func:`_dstar_tiles`, which the welfare pass and
+# the audits' anchor scans read): bounds the arrays they gather, whatever n.
 _BLOCK_CELLS = 2**16
+
+
+def _dstar_tiles(roots: np.ndarray):
+    """Tiles of D* over the pairs of agent types, each unordered pair once.
+
+    ``roots`` [s, ..., f, t, a] holds the square root of coordinate f of
+    point a of type t in scenario s, with any axes between s and f.  Yields
+    ``(g, t, u, tile)``: slices of the scenarios, of a block's types and of
+    the tile's types from the block on, and ``tile`` [s, ..., 2, (t, a),
+    (u, b)], whose slot 1 holds D*(point[t, a], point[u, b]) and slot 0 is
+    the caller's.  A block's first tile starts at the block, so its first
+    columns hold both orders of the block's pairs; the others hold one order
+    of a pair of different types.  D* = sum_f (sqrt p_f - sqrt q_f)^2 is
+    summed in coordinate order, as :func:`~peerpred.divergence.hellinger`
+    sums it, from the products [sqrt p_f, 1] @ [1, -sqrt q_f], which round
+    once, as the subtraction does: no square root of a cancelling difference,
+    in a third of the time broadcasting took.
+
+    With d differences per type pair (every axis but s and t, times a), the
+    tiles are one when the whole triangle fits in ``_BLOCK_CELLS``
+    differences, else about square within that bound (or one pair's d), in
+    blocks of at most an eighth of the types, with as many scenarios at once
+    as fit (at least one): a scenario's tiles depend on its own shape alone.
+    Two arrays allocated once hold every tile's differences and D*, since
+    fresh ones would fault pages on every tile.  O(S T^2 d / 2) time for S
+    scenarios of T types; O(_BLOCK_CELLS + d) memory beyond 4 copies of roots.
+    """
+    batch, coords, types, k = roots.shape[0], roots.shape[-3], roots.shape[-2], roots.shape[-1]
+    per_pair = math.prod(roots.shape[1:-2]) * k * k
+    cells = types * k
+    row_pairs = np.empty(roots.shape + (2,))  # [s, ..., f, t, a, (sqrt p_f, 1)]
+    row_pairs[..., 0] = roots
+    row_pairs[..., 1] = 1.0
+    row_pairs = row_pairs.reshape(roots.shape[:-2] + (cells, 2))
+    col_pairs = np.empty(roots.shape[:-2] + (2, cells))  # [s, ..., f, (1, -sqrt q_f), (u, b)]
+    col_pairs[..., 0, :] = 1.0
+    np.negative(row_pairs[..., 0], out=col_pairs[..., 1, :])
+
+    if per_pair * types * types <= _BLOCK_CELLS:
+        rows = types
+    else:
+        rows = max(1, min(math.isqrt(_BLOCK_CELLS // per_pair), types // 8))
+    span = min(types, max(rows, _BLOCK_CELLS // (per_pair * rows)))
+    group = max(1, _BLOCK_CELLS // (per_pair * rows * span))
+    largest = min(group, batch) * per_pair // coords * rows * span
+    diffs, tiles = np.empty(coords * largest), np.empty(2 * largest)
+    views = {}  # per tile shape: its differences, the tile and the tile's D*
+    for s0 in range(0, batch, group):
+        g = slice(s0, min(s0 + group, batch))
+        for lo in range(0, types, rows):
+            t = slice(lo, min(lo + rows, types))
+            x = row_pairs[g, ..., lo * k : t.stop * k, :]
+            for start in range(lo, types, span):
+                u = slice(start, min(start + span, types))
+                y = col_pairs[g, ..., start * k : u.stop * k]
+                shape = x.shape[:-1] + y.shape[-1:]  # [s, ..., f, x, y]
+                if shape not in views:
+                    diff = diffs[: math.prod(shape)].reshape(shape)
+                    tile = tiles[: 2 * diff.size // coords].reshape(shape[:-3] + (2,) + shape[-2:])
+                    views[shape] = diff, tile, tile[..., 1, :, :]
+                diff, tile, dstar = views[shape]
+                np.matmul(x, y, out=diff)
+                np.einsum("...fxy,...fxy->...xy", diff, diff, out=dstar)
+                yield g, t, u, tile
 
 
 @dataclass(frozen=True)
@@ -404,13 +469,13 @@ def welfare_metrics(prior: PairwisePrior, profile: StrategyProfile) -> WelfareBr
       exactly 0.  The pair weight is rank one plus a diagonal, so this
       costs O(T m^4);
     * one elementwise pass over the pairs of (type, signal) cells that share
-      a report, all reports at once, in tiles of whole types of at most
-      ``_BLOCK_CELLS`` differences (or one type pair's m^4).  It gives the
+      a report, all reports at once, through the tiles of
+      :func:`_dstar_tiles` (m^4 differences per type pair), whose D* takes
+      no square root of a cancelling difference.  It gives the
       inconsistency, sum w sqrt(D*), and the same-report divergence,
-      sum w D*, takes D* as sum_f (sqrt p_f - sqrt q_f)^2 and so no square
-      root of a cancelling difference.  Both sums are symmetric in the pair
-      once the joint is replaced by its symmetric part, so each pair of
-      different blocks is visited once and counted twice: O(T^2 m^4 / 2).
+      sum w D*.  Both sums are symmetric in the pair once the joint is
+      replaced by its symmetric part, so each pair of different blocks is
+      visited once and counted twice: O(T^2 m^4 / 2).
       The weights enter by matrix products, with same-type pairs weighted
       explicitly, so every term is non-negative and inconsistency >= 0;
     * total = diversity + same-report divergence, so total == diversity bit
@@ -514,88 +579,45 @@ def _welfare_pass(n, m, types, scenarios) -> list[WelfareBreakdown]:
     diversity = np.maximum(off_diagonal.sum(axis=-1), 0.0) + 0.0
 
     # same-report pass over the cells x = (t, a), types in order, all reports
-    # at once.  D* and the weight are symmetric once the joint is replaced by
-    # its symmetric part, which leaves the sum unchanged; so a block of types
-    # pairs with itself once, where same-type pairs count c_t (c_t - 1), and
-    # with the types after it twice.
-    cells = types * m
+    # at once, in the tiles of _dstar_tiles.  D* and the weight are symmetric
+    # once the joint is replaced by its symmetric part, which leaves the sum
+    # unchanged; so a block of types pairs with itself once, where same-type
+    # pairs count c_t (c_t - 1), and with the types after it twice.
     sym = 0.5 * (joint + joint.transpose(0, 2, 1))
-    cell_w = thetas.transpose(0, 2, 1, 3).reshape(batch, m, cells)  # [s, r, x]
-    # every difference sqrt p_f - sqrt q_f is the product [sqrt p_f, 1] @
-    # [1, -sqrt q_f]: both terms are exact and their sum rounds once, as the
-    # subtraction does, which numpy's broadcasting took three times as long for
-    row_pairs = np.empty((batch, m, m, types, m, 2))  # [s, r, f, t, a, (sqrt p_f, 1)]
-    row_pairs[..., 0] = roots.transpose(0, 3, 4, 1, 2)
-    row_pairs[..., 1] = 1.0
-    row_pairs = row_pairs.reshape(batch, m, m, cells, 2)
-    col_pairs = np.empty((batch, m, m, 2, cells))  # [s, r, f, (1, -sqrt q_f), y]
-    col_pairs[:, :, :, 0] = 1.0
-    np.negative(row_pairs[..., 0], out=col_pairs[:, :, :, 1])
-
-    # Tiles of whole types, a block of `rows` types against `span` types,
-    # hold at most _BLOCK_CELLS differences per scenario (or one type pair's
-    # m^4).  One tile when the whole triangle fits; else about square tiles,
-    # and blocks of at most an eighth of the types, since a block against
-    # itself sums both orders of its pairs.  The pass tiles `group`
-    # scenarios at a time, whose tiles hold at most _BLOCK_CELLS differences
-    # (or one scenario's).
-    per_pair = m**4
-    if per_pair * types * types <= _BLOCK_CELLS:
-        rows = types
-    else:
-        rows = max(1, min(math.isqrt(_BLOCK_CELLS // per_pair), types // 8))
-    span = min(types, max(rows, _BLOCK_CELLS // (per_pair * rows)))
-    group = max(1, _BLOCK_CELLS // (per_pair * rows * span))
-    if rows < types:
-        # weights by matmul: with column weights G[r, (u, b), b'] = c_u w [b = b']
-        # and row weights H[r, (t, a), b] = c_t w sym[a, b], the distances
-        # D[r, x, y] of a tile of different types sum to <H, D @ G>
-        counted = (cell_w * np.repeat(c, m, axis=-1)[:, None]).reshape(batch, m, types, m, 1)
-        col_weights = (counted * identity).reshape(batch, m, cells, m)
-        row_weights = (counted * sym[:, None, None]).reshape(batch, m, cells, m)
-    # one buffer each for the largest tile: fresh arrays of that size cost
-    # page faults on every tile
-    largest = min(group, batch) * rows * m * span * m
-    diff_buffer, dist_buffer = np.empty(m * m * largest), np.empty(2 * m * largest)
-    block_identity = np.eye(rows)
+    cell_w = thetas.transpose(0, 2, 1, 3).reshape(batch, m, types * m)  # [s, r, x]
+    col_weights = row_weights = None
     # (inconsistency, same-report divergence) * n(n-1), each scenario's
     # summed apart, as its single call sums it
     sums = np.zeros((batch, 2))
-    for s0 in range(0, batch, group):
-        g, size = slice(s0, s0 + group), min(group, batch - s0)
-        for lo in range(0, types, rows):
-            hi = min(lo + rows, types)
-            x = slice(lo * m, hi * m)
-            height = x.stop - x.start
+    for g, t, u, dist in _dstar_tiles(roots.transpose(0, 3, 4, 1, 2)):  # [s, r, f, t, a]
+        size, x, height = g.stop - g.start, slice(t.start * m, t.stop * m), (t.stop - t.start) * m
+        np.sqrt(dist[:, :, 1], out=dist[:, :, 0])  # [s, r, (sqrt D*, D*), x, y]
+        after = height if u.start == t.start else 0
+        if after:
             # a block against itself: c_t (c_u - [t = u]) pairs of types t, u
-            block_c = c[g, lo:hi]
-            own = block_identity[: hi - lo, : hi - lo]
-            block_pairs = block_c[:, :, None] * (block_c[:, None] - own)
+            block_c = c[g, t]
+            block_pairs = block_c[:, :, None] * (block_c[:, None] - np.eye(t.stop - t.start))
             square = cell_w[g, :, x, None] * cell_w[g, :, None, x]
             square *= (block_pairs[:, :, None, :, None] * sym[g, None, :, None]).reshape(
                 size, 1, height, height
             )
-            for start in range(lo, types, span):
-                y = slice(start * m, min(start + span, types) * m)
-                width = y.stop - y.start
-                diff = diff_buffer[: size * m * m * height * width].reshape(size, m, m, height, width)
-                np.matmul(row_pairs[g, :, :, x], col_pairs[g, ..., y], out=diff)  # [s, r, f, x, y]
-                dist = dist_buffer[: size * 2 * m * height * width].reshape(size, m, 2, height, width)
-                # [s, r, (sqrt D*, D*), x, y]
-                np.einsum("srfxy,srfxy->srxy", diff, diff, out=dist[:, :, 1])
-                np.sqrt(dist[:, :, 1], out=dist[:, :, 0])
-                after = 0
-                if start == lo:
-                    after = height
-                    for s in range(size):
-                        sums[s0 + s] += np.einsum("rkxy,rxy->k", dist[s, ..., :height], square[s])
-                if after < width:
-                    columns = col_weights[g, :, y.start + after : y.stop]
-                    pulled = dist[..., after:].reshape(size, m, 2 * height, -1) @ columns
-                    pulled = pulled.reshape(size, m, 2, height, m)
-                    for s in range(size):
-                        weights = row_weights[s0 + s, :, x]
-                        sums[s0 + s] += 2.0 * np.einsum("rkxb,rxb->k", pulled[s], weights)
+            for s in range(size):
+                sums[g.start + s] += np.einsum("rkxy,rxy->k", dist[s, ..., :height], square[s])
+        if after < dist.shape[-1]:
+            if col_weights is None:
+                # weights by matmul: with column weights G[r, (u, b), b'] = c_u w [b = b']
+                # and row weights H[r, (t, a), b] = c_t w sym[a, b], the distances
+                # D[r, x, y] of a tile of different types sum to <H, D @ G>
+                counted = cell_w * np.repeat(c, m, axis=-1)[:, None]
+                counted = counted.reshape(batch, m, types, m, 1)
+                col_weights = (counted * identity).reshape(batch, m, types * m, m)
+                row_weights = (counted * sym[:, None, None]).reshape(batch, m, types * m, m)
+            columns = col_weights[g, :, u.start * m + after : u.stop * m]
+            pulled = dist[..., after:].reshape(size, m, 2 * height, -1) @ columns
+            pulled = pulled.reshape(size, m, 2, height, m)
+            for s in range(size):
+                weights = row_weights[g.start + s, :, x]
+                sums[g.start + s] += 2.0 * np.einsum("rkxb,rxb->k", pulled[s], weights)
 
     out = []
     for div, (inconsistency, same) in zip(diversity.tolist(), (sums / pairs).tolist()):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import best_prediction_profile, best_prediction_total_divergence
-from peerpred import audits, mechanism
+from peerpred import mechanism
 from peerpred.audits import (
     AuditError,
     aggregation_error_audit,
@@ -150,7 +150,7 @@ class TestAggregationError:
     @given(strategy_lists(), st.sampled_from((1, 7, 2**16)))
     def test_matches_dense_oracle(self, case, block_cells):
         prior, thetas = case
-        with mock.patch.object(audits, "_BLOCK_CELLS", block_cells):
+        with mock.patch.object(mechanism, "_BLOCK_CELLS", block_cells):
             lhs = aggregation_error_audit(prior, thetas, eps=100.0).lhs
             oracle = aggregation_error_oracle(prior, thetas)
         assert np.isfinite(lhs)
@@ -160,7 +160,7 @@ class TestAggregationError:
     @given(strategy_lists(), st.sampled_from((1, 7, 2**16)))
     def test_matches_full_square_bits(self, case, block_cells):
         prior, thetas = case
-        with mock.patch.object(audits, "_BLOCK_CELLS", block_cells):
+        with mock.patch.object(mechanism, "_BLOCK_CELLS", block_cells):
             lhs = aggregation_error_audit(prior, thetas, eps=100.0).lhs
         oracle = aggregation_error_full_square(prior, thetas, block_cells)
         assert lhs.hex() == oracle.hex() or (np.isnan(lhs) and np.isnan(oracle))
@@ -247,7 +247,7 @@ class TestBestPredictionTotalDivergence:
     @example(two_agents(3, 1), 2**16)
     def test_matches_welfare_oracle(self, case, block_cells):
         prior, thetas = case
-        with mock.patch.object(audits, "_BLOCK_CELLS", block_cells):
+        with mock.patch.object(mechanism, "_BLOCK_CELLS", block_cells):
             total = best_prediction_total_divergence(prior, thetas)
         oracle = best_prediction_welfare_oracle(prior, thetas)
         np.testing.assert_allclose(total, oracle, rtol=0, atol=1e-15)
@@ -257,7 +257,7 @@ class TestBestPredictionTotalDivergence:
     @example(two_agents(3, 2), 7)
     def test_matches_fsum_oracle(self, case, block_cells):
         prior, thetas = case
-        with mock.patch.object(audits, "_BLOCK_CELLS", block_cells):
+        with mock.patch.object(mechanism, "_BLOCK_CELLS", block_cells):
             total = best_prediction_total_divergence(prior, thetas)
         oracle = best_prediction_fsum_oracle(prior, thetas)
         assert total >= 0.0

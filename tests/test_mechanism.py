@@ -581,6 +581,43 @@ def welfare_cases(draw):
     return kind, prior, typed_profile(rng, m, agents)
 
 
+class TestDstarTiles:
+    # 1 and 7 put one type pair in each tile; 2**10 and 2**16 put several in
+    # a tile, or every pair in one
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(2, 7),
+        st.integers(1, 9),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from((1, 7, 2**10, 2**16)),
+    )
+    def test_matches_hellinger_bits(self, m, types, batch, seed, block_cells):
+        """Every D* of the scan has the bits of ``hellinger`` on its pair,
+        and is exactly 0.0 between identical points; the tiles visit every
+        unordered pair of types once in every scenario."""
+        rng = np.random.default_rng(seed)
+        points = rng.dirichlet(np.ones(m), size=(batch, 2, types, m))  # [s, r, t, a, f]
+        points[..., -1, :] = points[..., 0, :]  # repeated points within a type
+        points[:, :, -1] = points[:, :, 0]  # and a repeated type
+        hits, zeros = np.zeros((batch, types, types), dtype=int), 0
+        with mock.patch.object(mechanism, "_BLOCK_CELLS", block_cells):
+            for g, t, u, tile in mechanism._dstar_tiles(np.sqrt(points).transpose(0, 1, 4, 2, 3)):
+                left = points[g, :, t][:, :, :, :, None, None, :]
+                right = points[g, :, u][:, :, None, None, :, :, :]
+                dstar = tile[..., 1, :, :].reshape(np.broadcast_shapes(left.shape, right.shape)[:-1])
+                expected = hellinger(left, right)
+                assert [x.hex() for x in dstar.ravel()] == [x.hex() for x in expected.ravel()]
+                identical = (left == right).all(axis=-1)
+                assert (dstar[identical] == 0.0).all()
+                zeros += identical.sum()
+                visited = np.zeros((types, types), dtype=bool)
+                visited[t, u] = True
+                hits[g] += visited | visited.T
+        assert (hits == 1).all()
+        assert zeros >= batch * 2 * types * 4  # (a, a) and (0, m - 1) in both orders
+
+
 class TestWelfareAgainstPairwiseOracle:
     # 1 and 7 put one type pair in each tile, 100 one row type against
     # several column types, 2**10 several row types per block, and 2**16 a

@@ -191,8 +191,9 @@ def test_compare_trees_finds_no_diff_against_itself():
 
 
 # The argvs of the comparison steps of CI's stdout-vs-base job before they
-# became job sets, with each input file by its name.  The malformed-file step
-# named its seed-7 prior latent3.json.
+# became job sets, with each input file by its name, and of the job sets
+# added since ("audits").  The malformed-file step named its seed-7 prior
+# latent3.json.
 FROZEN_CI_STEPS = {
     "scripts": [  # the welfare table and bound sweep steps
         "welfare_table.py --m 3 --n 3",
@@ -229,6 +230,10 @@ FROZEN_CI_STEPS = {
         "payout --prior latent.json --profile solved128.json --mech disagreement.json"
         " --trials 12000 --seed 3",
     ],
+    "audits": [
+        "audit --prior latent.json --profile solved2048.json",
+        "impossibility --prior latent.json --profile solved2048.json --perm 1,0,2",
+    ],
     "malformed": [
         "welfare --prior prior-huge.json --profile truth --n 2",
         "welfare --prior prior-nan.json --profile truth --n 2",
@@ -262,6 +267,17 @@ def test_job_sets_hold_every_ci_step(tmp_path):
     compare_trees_script.write_inputs(tmp_path)
     named = {arg for jobs in FROZEN_CI_STEPS.values() for argv in jobs for arg in argv.split()}
     assert {arg for arg in named if arg.endswith(".json")} <= {p.name for p in tmp_path.iterdir()}
+
+
+def test_compare_trees_refuses_an_unknown_workload():
+    """An unknown name ends in a usage error that lists every job set and
+    the parent's benchmark workloads, not in a traceback."""
+    done = compare_trees(ROOT, ROOT, "--workload", "nope")
+    assert done.returncode == 2
+    assert "error: unknown --workload 'nope'; choose from " in done.stderr
+    names = [*compare_trees_script.JOB_SETS, "exact-large", "exact-small", "monte-carlo"]
+    assert all(name in done.stderr for name in names)
+    assert "Traceback" not in done.stderr
 
 
 def test_compare_trees_finds_no_diff_in_a_job_set_against_itself(tmp_path):
